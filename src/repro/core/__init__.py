@@ -31,7 +31,6 @@ from repro.core.scheduling import (
 from repro.core.rate import (
     AdaptiveBatchPolicy,
     FixedBatchPolicy,
-    TokenBucket,
     make_batch_policy,
     max_min_allocation,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "make_scheduler",
     "FixedBatchPolicy",
     "AdaptiveBatchPolicy",
-    "TokenBucket",
     "make_batch_policy",
     "max_min_allocation",
     "FobsSender",

@@ -8,11 +8,10 @@ implements the feedback rule the paper describes — use the number of
 packets the receiver absorbed between consecutive ACKs to size the
 next batch — for the ablation bench.
 
-The multi-transfer server (:mod:`repro.server`) adds two primitives on
+The multi-transfer server (:mod:`repro.server`) adds one primitive on
 top: :func:`max_min_allocation`, the classic water-filling division of
-one host's send-rate budget across concurrent transfers, and
-:class:`TokenBucket`, the per-transfer pacer whose rate the server's
-allocator re-feeds on every admission or completion.
+one host's send-rate budget across concurrent transfers.  Each share
+is applied through :meth:`repro.core.sender.FobsSender.set_pacing_rate`.
 """
 
 from __future__ import annotations
@@ -125,71 +124,3 @@ def max_min_allocation(
             remaining -= float(demands[i])
             unsated.remove(i)
     return allocation
-
-
-class TokenBucket:
-    """Byte-granular pacer with a runtime-adjustable rate.
-
-    The server's bandwidth allocator owns one bucket per active
-    transfer and calls :meth:`set_rate` on every admission or
-    completion; the transfer's IO driver asks :meth:`take` before each
-    datagram.  ``rate_bps`` of ``None`` disables pacing (every ``take``
-    succeeds), matching :attr:`FobsConfig.send_rate_bps` semantics.
-
-    The burst allowance caps how far the bucket can fill while idle, so
-    a transfer that stalls on ACKs cannot bank seconds of budget and
-    then blast it as one line-rate burst into the shared bottleneck.
-    """
-
-    def __init__(
-        self,
-        rate_bps: Optional[float] = None,
-        burst_bytes: int = 65536,
-    ):
-        if rate_bps is not None and rate_bps <= 0:
-            raise ValueError("rate_bps must be positive when set")
-        if burst_bytes <= 0:
-            raise ValueError("burst_bytes must be positive")
-        self.rate_bps = rate_bps
-        self.burst_bytes = burst_bytes
-        self._tokens = float(burst_bytes)
-        self._last: Optional[float] = None
-
-    def set_rate(self, rate_bps: Optional[float], now: float) -> None:
-        """Re-feed the pacer with a new allocation (None = unpaced)."""
-        if rate_bps is not None and rate_bps <= 0:
-            raise ValueError("rate_bps must be positive when set")
-        self._refill(now)
-        self.rate_bps = rate_bps
-
-    def _refill(self, now: float) -> None:
-        if self._last is None:
-            self._last = now
-            return
-        elapsed = max(0.0, now - self._last)
-        self._last = now
-        if self.rate_bps is not None:
-            self._tokens = min(
-                float(self.burst_bytes),
-                self._tokens + elapsed * self.rate_bps / 8.0,
-            )
-
-    def take(self, nbytes: int, now: float) -> bool:
-        """Consume ``nbytes`` if the budget allows; False = wait."""
-        if self.rate_bps is None:
-            return True
-        self._refill(now)
-        if self._tokens >= nbytes:
-            self._tokens -= nbytes
-            return True
-        return False
-
-    def wait_hint(self, nbytes: int, now: float) -> float:
-        """Seconds until ``take(nbytes)`` could succeed (0 if now)."""
-        if self.rate_bps is None:
-            return 0.0
-        self._refill(now)
-        deficit = nbytes - self._tokens
-        if deficit <= 0:
-            return 0.0
-        return deficit * 8.0 / self.rate_bps

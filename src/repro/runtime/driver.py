@@ -1,0 +1,477 @@
+"""The paper's two loops, written once and socket-free.
+
+Every real-socket backend — the loopback threads
+(:mod:`repro.runtime.transfer`), the file-transfer endpoints
+(:mod:`repro.runtime.files`) and the daemon's multiplexed pump
+(:mod:`repro.server.daemon`) — drives the sans-IO core through the
+classes here and owns nothing but its sockets and its clock:
+
+* :class:`SendDriver` is the sender loop of Section 3.1 as a
+  non-blocking ``step(now) -> seconds_until_wakeup``: stall / probe /
+  abort, pacing, one burst-codec pass per batch, the tuner hooks.
+  Acknowledgement datagrams and the completion signal are pushed in.
+* :class:`RecvDriver` is the receiver loop of Section 3.2 as
+  ``on_datagram(view, now) -> ack_bytes | None``: decode, place at
+  ``seq * packet_size``, mark, maybe build the bitmap acknowledgement.
+* :class:`PartFile` is the crash-persistent ``.part`` + journal
+  lifecycle a file-backed receiver wraps around that loop.
+
+The seam is two callables and a number: ``send(views) -> n_sent``
+writes encoded datagrams and says how many it took, ``write_at(offset,
+payload)`` stores a payload, and the caller passes ``now``.  Network
+chaos is :class:`FaultySend` around ``send`` — the network twin of
+:class:`repro.chaos.FaultyStore` — so the loops carry no fault code.
+"""
+
+from __future__ import annotations
+
+import errno
+import os
+import time
+import zlib
+from typing import Callable, Optional, Sequence
+
+import numpy as np
+
+from repro.core.journal import ReceiverJournal
+from repro.core.manifest import ChunkManifest, VerifyStats, corrupt_ranges
+from repro.core.receiver import FobsReceiver
+from repro.core.sender import FobsSender
+from repro.runtime import wire
+from repro.telemetry import (
+    EV_CORRUPTION,
+    EV_REPAIR,
+    EV_STORAGE_FAULT,
+    EV_VERIFY,
+    NULL_CHANNEL,
+    TelemetryChannel,
+)
+
+#: Longest pacing sleep ``step`` asks for: a rate raise applied
+#: mid-sleep (allocator or tuner) would otherwise sit unused until a
+#: stale, possibly long, sleep ends.
+PACING_CLAMP = 0.02
+#: Re-poll interval while nothing can be written: the socket is full,
+#: or every packet is out and only an ACK or the completion can help.
+IDLE_WAIT = 0.002
+
+Send = Callable[[Sequence], int]
+
+
+class EndpointKilled(Exception):
+    """Crash injection fired: the endpoint dies abruptly, mid-whatever."""
+
+
+class FaultySend:
+    """Seeded network chaos around a ``send(views) -> n_sent`` callable.
+
+    ``drop_rate`` discards that fraction of datagrams (wide-area loss),
+    ``corrupt_rate`` flips one byte in a *copy* of that fraction (the
+    receiver's CRC must reject them; the shared burst buffer and the
+    source object are never touched), and ``kill`` ends the endpoint
+    with :class:`EndpointKilled` once exactly ``kill.after_packets``
+    datagrams have left it.  The pattern repeats for a seed.
+    """
+
+    def __init__(self, send: Send, drop_rate: float = 0.0,
+                 corrupt_rate: float = 0.0, kill=None, seed: int = 0):
+        self._send = send
+        self.drop_rate = drop_rate
+        self.corrupt_rate = corrupt_rate
+        self.kill = kill
+        self._drop_rng = np.random.default_rng(seed + 1)
+        self._corrupt_rng = np.random.default_rng(seed + 2)
+        #: Datagrams this endpoint has sent (dropped ones included: the
+        #: network lost them, the endpoint did send them).
+        self.sent = 0
+
+    def __call__(self, views: Sequence) -> int:
+        for taken, view in enumerate(views):
+            if self.kill is not None and self.kill.should_fire(self.sent):
+                self.kill.fire(time.monotonic())
+                raise EndpointKilled(
+                    f"sender killed by crash injection after "
+                    f"{self.sent} data packets")
+            if not (self.drop_rate
+                    and self._drop_rng.random() < self.drop_rate):
+                if (self.corrupt_rate
+                        and self._corrupt_rng.random() < self.corrupt_rate):
+                    damaged = bytearray(view)
+                    damaged[int(self._corrupt_rng.integers(len(damaged)))] \
+                        ^= 0xFF
+                    view = damaged
+                if not self._send((view,)):
+                    return taken
+            self.sent += 1
+        return len(views)
+
+
+class SendDriver:
+    """The FOBS sender loop over one ``send`` callable."""
+
+    def __init__(self, sender: FobsSender, data, send: Send,
+                 session: Optional[wire.SessionContext] = None, tuner=None):
+        self.sender = sender
+        self.send = send
+        self.session = session
+        #: Optional :class:`repro.tuning.TransferTuner`.
+        self.tuner = tuner
+        self._blob = memoryview(data)
+        #: Encoded datagrams ``send`` has not taken yet, oldest first.
+        self._tail: list = []
+        #: Pacing clock: when the last batch left and its wire bytes.
+        #: The next may go once those bytes have drained at the
+        #: *current* rate, so a re-fed rate applies to the wait already
+        #: in progress.  Inactive while the pacing rate is None.
+        self._sent_at = 0.0
+        self._sent_bytes = 0
+
+    def on_ack_datagram(self, datagram, now: float) -> None:
+        """Phase 2: merge one acknowledgement datagram.
+
+        Callers push in *every* datagram queued on their socket before
+        the next :meth:`step`, so a stale bitmap never steers packet
+        selection.  Damaged and stale-session datagrams only move their
+        counters; one that is no acknowledgement at all raises
+        ``ValueError``.
+        """
+        sender = self.sender
+        try:
+            ack = wire.decode_ack(datagram, checksum=sender.config.checksum,
+                                  session=self.session)
+        except wire.ChecksumError:
+            sender.on_corrupt_ack()
+            return
+        except (wire.StaleEpochError, wire.SessionMismatchError):
+            sender.on_stale_ack()
+            return
+        sender.on_ack(ack, now)
+
+    def on_completion(self, now: float) -> None:
+        """The completion signal arrived on the control connection."""
+        self.sender.on_completion(now)
+
+    def step(self, now: float) -> float:
+        """Phases 1 and 3: pick and send at most one batch.
+
+        Returns the seconds until the caller should call again (0.0 =
+        at once).  The caller checks ``sender.complete`` /
+        ``sender.failed`` afterwards: a stall abort or a synthesized
+        completion ends the transfer from in here.
+        """
+        sender = self.sender
+        if self.tuner is not None:
+            # Polled on the clock, not per ACK: a path gone silent must
+            # still close epochs for the controller to see the stall.
+            self.tuner.on_ack(sender, now)
+        if self._tail:
+            del self._tail[:self.send(self._tail)]
+            if self._tail:
+                return IDLE_WAIT
+        stall = sender.poll_stall(now)
+        if sender.complete or sender.failed:
+            return 0.0
+        if stall == "wait":
+            return sender.stall_wait_hint(now)
+        rate = sender.pacing_rate_bps
+        if rate is not None:
+            wait = self._sent_at + self._sent_bytes * 8.0 / rate - now
+            if wait > 0.0:
+                return min(wait, PACING_CLAMP)
+        batch = (sender.probe_batch() if stall == "probe"
+                 else sender.next_batch())
+        if not batch:
+            return IDLE_WAIT
+        if self.tuner is not None:
+            self.tuner.maybe_probe(batch[0].seq, now)
+        # One codec pass for the whole batch: headers scattered
+        # vectorized, payloads sliced zero-copy from the object, one
+        # shared buffer behind every datagram handed to ``send``.
+        psize = sender.config.packet_size
+        blob = self._blob
+        views = wire.encode_data_burst(
+            batch,
+            [blob[pkt.seq * psize:pkt.seq * psize + pkt.payload_bytes]
+             for pkt in batch],
+            checksum=sender.config.checksum, session=self.session)
+        self._tail = views[self.send(views):]
+        if rate is not None:
+            self._sent_at = now
+            self._sent_bytes = sum(map(len, views))
+        return IDLE_WAIT if self._tail else 0.0
+
+
+class RecvDriver:
+    """The FOBS receiver loop over one ``write_at`` callable."""
+
+    def __init__(self, receiver: FobsReceiver,
+                 write_at: Callable[[int, object], None],
+                 session: Optional[wire.SessionContext] = None,
+                 channel: TelemetryChannel = NULL_CHANNEL):
+        self.receiver = receiver
+        self.write_at = write_at
+        self.session = session
+        self.channel = channel
+        # Per-datagram constants, read once (the config is frozen).
+        self._checksum = receiver.config.checksum
+        self._psize = receiver.config.packet_size
+        #: Typed ``storage fault`` reason once the store (or journal)
+        #: raised; the caller fails the *attempt*, not the process.
+        self.fault: Optional[str] = None
+
+    def on_datagram(self, datagram, now: float) -> Optional[bytes]:
+        """Process one data datagram; returns ACK bytes to transmit.
+
+        Damaged, stale-epoch and foreign-session datagrams, and ones
+        whose geometry is not this object's, only move their counters
+        and never reach the store.  One too short to be a data packet
+        raises ``ValueError``.
+        """
+        receiver = self.receiver
+        try:
+            pkt, payload = wire.decode_data(
+                datagram, checksum=self._checksum, session=self.session)
+        except wire.ChecksumError:
+            receiver.on_corrupt_data(now)
+            return None  # damaged in flight; the sender re-sends it
+        except (wire.StaleEpochError, wire.SessionMismatchError):
+            receiver.on_stale_data(0)
+            return None  # zombie datagram from a dead attempt
+        offset = pkt.seq * self._psize
+        if (pkt.total != receiver.npackets or len(payload) != min(
+                self._psize, receiver.total_bytes - offset)):
+            receiver.on_corrupt_data(now)
+            return None  # would land outside its own packet's bytes
+        # Data before log: the payload must be in the store before the
+        # journal claims it (on_data journals newly marked packets).
+        try:
+            self.write_at(offset, payload)
+            ack = receiver.on_data(pkt.seq, now)
+        except OSError as exc:
+            self.fault = storage_fault(self.channel, "part", exc)
+            return None
+        if ack is None:
+            return None
+        return wire.encode_ack(ack, checksum=self._checksum,
+                               session=self.session)
+
+
+# ----------------------------------------------------------------------
+# The store: typed disk faults, the .part file and its digest audits
+# ----------------------------------------------------------------------
+
+#: Failure-reason prefix shared by every disk-fault path; supervisors
+#: and the daemon treat these as retryable, ``repro stats`` counts them.
+STORAGE_FAULT_PREFIX = "storage fault"
+
+
+def storage_fault(channel: TelemetryChannel, where: str,
+                  exc: OSError) -> str:
+    """Type one disk fault (ENOSPC/EIO/...): event out, reason back."""
+    name = (errno.errorcode.get(exc.errno, type(exc).__name__)
+            if exc.errno else type(exc).__name__)
+    if channel.enabled:
+        channel.emit(EV_STORAGE_FAULT, error=name, where=where,
+                     detail=str(exc))
+    return f"{STORAGE_FAULT_PREFIX} [{name}] at {where}: {exc}"
+
+
+def is_storage_fault(reason: Optional[str]) -> bool:
+    return bool(reason) and reason.startswith(STORAGE_FAULT_PREFIX)
+
+
+class PartFile:
+    """The ``.part`` reassembly file and its journal, for one attempt.
+
+    Opening replays the journal (``transfer_id`` given = resumable) and
+    reopens a ``.part`` of the right size ``r+b`` only when that replay
+    succeeded — without it nothing on disk is claimed, so the file is
+    recreated.  With a manifest, every journal-claimed chunk is audited
+    *before* the resume bitmap is handed out (verify-on-resume), so a
+    torn write or bit rot under a crashed attempt is demoted and
+    re-fetched, never resurrected.  :meth:`publish` is verify-on-complete
+    plus the rename into place.  Disk faults never escape as exceptions:
+    they surface typed, in :attr:`fault` or as the returned failure.
+
+    ``opener`` is the part-file factory (``open``-compatible) — the
+    seam host-fault injection plugs into.
+    """
+
+    def __init__(self, output_path: str, filesize: int, packet_size: int,
+                 crc: int, transfer_id: Optional[int] = None,
+                 journal_path: Optional[str] = None,
+                 manifest: Optional[ChunkManifest] = None, opener=open,
+                 channel: TelemetryChannel = NULL_CHANNEL):
+        self.output_path = output_path
+        self.part_path = output_path + ".part"
+        self.journal_path = journal_path or output_path + ".journal"
+        self.filesize = filesize
+        self.packet_size = packet_size
+        self.crc = crc
+        self.manifest = manifest
+        self.channel = channel
+        self.vstats = VerifyStats(
+            mode="manifest" if manifest is not None else "crc32")
+        self.journal: Optional[ReceiverJournal] = None
+        #: Journal-recovered (and audited) bitmap, or None.
+        self.resume_bitmap: Optional[np.ndarray] = None
+        self.fault: Optional[str] = None
+        self._fh = None
+        try:
+            replay = None
+            if transfer_id is not None:
+                self.journal, replay = ReceiverJournal.open(
+                    self.journal_path, transfer_id, filesize, packet_size)
+            resumed = (replay is not None
+                       and os.path.exists(self.part_path)
+                       and os.path.getsize(self.part_path) == filesize)
+            self._fh = opener(self.part_path, "r+b" if resumed else "w+b")
+            if not resumed:
+                # Pre-size it so writes at any offset land.
+                self._fh.truncate(filesize)
+            elif manifest is not None and self.journal.bitmap.count:
+                claimed = np.flatnonzero(self.journal.bitmap.array)
+                self._verify("resume", self._fh, claimed.tolist())
+            if replay is not None:
+                self.resume_bitmap = self.journal.bitmap.array
+        except OSError as exc:
+            self.fault = storage_fault(channel, "part-open", exc)
+            self.close()
+
+    def write_at(self, offset: int, payload) -> None:
+        self._fh.seek(offset)
+        self._fh.write(payload)
+
+    def publish(self) -> Optional[str]:
+        """Every packet is marked: the disk gets the last word.
+
+        Verify-on-complete, then the rename into place.  With a
+        manifest every chunk is audited and corrupt ones are demoted
+        for re-fetch.  Without one, the whole-object CRC32 fallback can
+        only detect, not localize: a mismatch demotes *everything* the
+        journal claimed — a full restart, but a self-repairing one,
+        never silent corruption.  Returns None once the object is in
+        place, else the (retryable) failure reason.
+        """
+        try:
+            self._fh.flush()
+            self._fh.seek(0)
+            blob = self._fh.read(self.filesize)
+        except OSError as exc:
+            return storage_fault(self.channel, "readback", exc)
+        if self.manifest is not None:
+            corrupt = self._verify("complete", blob, None)
+            if corrupt:
+                return (f"verify failed: {corrupt} corrupt chunk(s) "
+                        f"demoted for re-fetch")
+        else:
+            t0 = time.monotonic()
+            stats = VerifyStats(phase="complete", mode="crc32",
+                                chunks_checked=1)
+            crc_ok = zlib.crc32(blob) == self.crc
+            stats.duration = max(time.monotonic() - t0, 1e-9)
+            if not crc_ok:
+                stats.chunks_corrupt = 1
+                stats.bytes_demoted = len(blob)
+                if self.journal is not None:
+                    claimed = np.flatnonzero(self.journal.bitmap.array)
+                    stats.ranges_demoted = len(
+                        corrupt_ranges(claimed.tolist()))
+                    self._demote(claimed)
+            self._record(stats, -(-len(blob) // self.packet_size))
+            if not crc_ok:
+                return ("CRC mismatch after reassembly; "
+                        "all packets demoted for re-fetch")
+        failure = self.close()
+        if failure is None:
+            try:
+                os.replace(self.part_path, self.output_path)
+            except OSError as exc:
+                return storage_fault(self.channel, "finalize", exc)
+            if self.journal is not None:
+                try:
+                    os.remove(self.journal_path)
+                except OSError:
+                    pass
+        return failure
+
+    def _verify(self, phase: str, target, seqs) -> int:
+        """One digest audit of ``seqs`` (None = the whole object).
+
+        ``target`` is the open part file (resume audit) or the object's
+        bytes (completion audit).  Returns the corrupt-chunk count;
+        those chunks are demoted.
+        """
+        t0 = time.monotonic()
+        manifest = self.manifest
+        stats = VerifyStats(phase=phase, mode="manifest")
+        if isinstance(target, bytes):
+            bad = manifest.verify_blob(target, seqs)
+        else:
+            bad = manifest.verify_file(target, seqs)
+        stats.chunks_checked = (manifest.npackets if seqs is None
+                                else len(seqs))
+        stats.chunks_corrupt = int(bad.size)
+        if bad.size:
+            stats.corrupt_seqs = [int(s) for s in bad]
+            stats.ranges_demoted = len(corrupt_ranges(stats.corrupt_seqs))
+            stats.bytes_demoted = int(sum(
+                manifest.chunk_length(int(s)) for s in bad))
+            self._demote(bad)
+        stats.duration = max(time.monotonic() - t0, 1e-9)
+        self._record(stats, stats.chunks_corrupt)
+        return stats.chunks_corrupt
+
+    def _demote(self, seqs) -> None:
+        """Demote ``seqs`` back to unreceived, through the journal so it
+        is crash-durable — a kill right after an audit cannot resurrect
+        corrupt ranges."""
+        if self.journal is None or not len(seqs):
+            return
+        try:
+            self.journal.demote(seqs)
+        except OSError:
+            # The durable demotion (compact) hit a disk fault; the
+            # in-memory bitmap is demoted so this attempt behaves
+            # correctly, and the next attempt's audit re-detects and
+            # re-demotes.  Never let a full disk turn a caught
+            # corruption into a crash.
+            pass
+
+    def _record(self, stats: VerifyStats, packets_demoted: int) -> None:
+        self.vstats.merge(stats)
+        channel = self.channel
+        if not channel.enabled:
+            return
+        channel.emit(EV_VERIFY, phase=stats.phase, mode=stats.mode,
+                     chunks_checked=stats.chunks_checked,
+                     chunks_corrupt=stats.chunks_corrupt,
+                     duration=stats.duration)
+        if stats.chunks_corrupt:
+            channel.emit(EV_CORRUPTION, phase=stats.phase, mode=stats.mode,
+                         chunks_corrupt=stats.chunks_corrupt,
+                         bytes=stats.bytes_demoted)
+            channel.emit(EV_REPAIR, phase=stats.phase,
+                         packets_demoted=packets_demoted,
+                         ranges_demoted=stats.ranges_demoted,
+                         bytes_demoted=stats.bytes_demoted)
+
+    def close(self) -> Optional[str]:
+        """Close file and journal (idempotent); a fault comes back typed."""
+        failure = None
+        for handle, where in ((self._fh, "part-close"),
+                              (self.journal, "journal-close")):
+            if handle is not None:
+                try:
+                    handle.close()
+                except OSError as exc:
+                    failure = failure or storage_fault(self.channel, where,
+                                                       exc)
+        self._fh = None
+        return failure
+
+    def crash(self) -> None:
+        """Abrupt death: close fds, lose the journal's unflushed run."""
+        if self.journal is not None:
+            self.journal.simulate_crash()
+        self.close()

@@ -30,8 +30,6 @@ Used by the ``fobs-xfer`` CLI (:mod:`repro.runtime.cli`).
 
 from __future__ import annotations
 
-import errno
-import os
 import socket
 import struct
 import sys
@@ -39,6 +37,7 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,31 +46,29 @@ if TYPE_CHECKING:  # pragma: no cover
 import numpy as np
 
 from repro.core.config import FobsConfig
-from repro.core.journal import ReceiverJournal
-from repro.core.manifest import (
-    ChunkManifest,
-    ManifestCorrupt,
-    VerifyStats,
-    corrupt_ranges,
-)
+from repro.core.manifest import ChunkManifest, ManifestCorrupt, VerifyStats
 from repro.core.receiver import FobsReceiver
 from repro.core.sender import FobsSender
 from repro.runtime import wire
+from repro.runtime.driver import (
+    EndpointKilled,
+    FaultySend,
+    PartFile,
+    RecvDriver,
+    SendDriver,
+    is_storage_fault,
+)
 from repro.runtime.supervisor import (
     RetryPolicy,
     TransferSupervisor,
     kill_for_attempt,
 )
+from repro.runtime.transfer import run_receiver, run_sender, send_burst
 from repro.telemetry import (
-    EV_CORRUPTION,
-    EV_REPAIR,
-    EV_STORAGE_FAULT,
     EV_TRANSFER_END,
     EV_TRANSFER_START,
-    EV_VERIFY,
     NULL_CHANNEL,
     EventBus,
-    TelemetryChannel,
 )
 
 OFFER_MAGIC = 0xF0B50FFE
@@ -183,8 +180,6 @@ def _send_attempt(
 ) -> _SendOutcome:
     """Run one connect→offer→blast attempt; never raises on failure."""
     deadline = time.monotonic() + timeout
-    drop_rng = np.random.default_rng(fault_seed + 1)
-    corrupt_rng = np.random.default_rng(fault_seed + 2)
     resumable = session is not None
     tid = session.transfer_id if resumable else 0
     epoch = session.epoch if resumable else 0
@@ -208,22 +203,14 @@ def _send_attempt(
                      ack_frequency=config.ack_frequency, backend="runtime",
                      role="sender")
     start = time.monotonic()
+    failure: Optional[str] = None
+    crashed = None
     try:
         with socket.create_connection((host, port), timeout=timeout) as ctrl:
-            flags = FLAG_CHECKSUM if config.checksum else 0
+            ctrl.sendall(announce_offer(
+                len(data), crc, config, ack_sock.getsockname()[1], session,
+                manifest))
             if resumable:
-                flags |= FLAG_RESUME
-                if manifest is not None:
-                    flags |= FLAG_VERIFY
-                ctrl.sendall(_OFFER2.pack(
-                    OFFER2_MAGIC, len(data), config.packet_size,
-                    ack_sock.getsockname()[1], flags, crc,
-                    session.transfer_id, session.epoch))
-                if manifest is not None:
-                    # VERIFY rides between OFFER and the RESUME reply,
-                    # so the receiver holds the digests before it
-                    # decides which journal-claimed packets to trust.
-                    ctrl.sendall(wire.encode_verify(manifest.encode()))
                 resume = wire.decode_resume(recv_exact(
                     ctrl, wire.resume_wire_bytes(config.npackets(len(data)))))
                 if resume.transfer_id != session.transfer_id:
@@ -233,99 +220,43 @@ def _send_attempt(
                 data_port = resume.data_port
                 sender.resume_from(resume.bitmap)
             else:
-                ctrl.sendall(_OFFER.pack(
-                    OFFER_MAGIC, len(data), config.packet_size,
-                    ack_sock.getsockname()[1], flags, crc))
                 magic, data_port, _ = _ACCEPT.unpack(
                     recv_exact(ctrl, _ACCEPT.size))
                 if magic != ACCEPT_MAGIC:
                     raise ValueError("bad accept message from receiver")
-            data_addr = (host, data_port)
-
+            send = partial(send_burst, data_sock, (host, data_port))
+            if drop_rate or corrupt_rate or kill is not None:
+                send = FaultySend(send, drop_rate, corrupt_rate, kill,
+                                  fault_seed)
+            driver = SendDriver(sender, data, send, session)
             ctrl.setblocking(False)
             start = time.monotonic()
-            completion_seen = False
-            while not sender.complete:
-                now = time.monotonic()
-                if now > deadline:
-                    return _outcome(sender, start, "file send timed out",
-                                    telemetry=channel)
-                stall = sender.poll_stall(now)
-                if stall == "abort":
-                    return _outcome(sender, start, sender.failure_reason,
-                                    telemetry=channel)
-                if stall == "probe":
-                    batch = sender.probe_batch()
-                elif stall == "wait":
-                    batch = []
-                else:
-                    batch = sender.next_batch()
-                if kill is not None and kill.should_fire(
-                        sender.stats.packets_sent):
-                    # Crash injection: the sender process dies silently
-                    # mid-blast; closing the sockets (finally below) is
-                    # exactly what the OS does to a SIGKILLed process.
-                    kill.fire(time.monotonic())
-                    return _outcome(
-                        sender, start,
-                        f"sender killed by crash injection after "
-                        f"{sender.stats.packets_sent} data packets",
-                        crashed="sender", telemetry=channel)
-                for pkt in batch:
-                    off = pkt.seq * config.packet_size
-                    payload = data[off:off + pkt.payload_bytes]
-                    if drop_rate and drop_rng.random() < drop_rate:
-                        continue  # simulated wide-area loss
-                    datagram = wire.encode_data(pkt, payload,
-                                                checksum=config.checksum,
-                                                session=session)
-                    if (corrupt_rate
-                            and corrupt_rng.random() < corrupt_rate):
-                        # Flip one byte in flight; the receiver's CRC
-                        # rejects it and the scheduler re-sends later.
-                        pos = int(corrupt_rng.integers(len(datagram)))
-                        damaged = bytearray(datagram)
-                        damaged[pos] ^= 0xFF
-                        datagram = bytes(damaged)
-                    data_sock.sendto(datagram, data_addr)
-                try:
-                    ack = wire.decode_ack(ack_sock.recv(1 << 20),
-                                          checksum=config.checksum,
-                                          session=session)
-                    sender.on_ack(ack, time.monotonic())
-                except BlockingIOError:
-                    pass
-                except wire.ChecksumError:
-                    sender.on_corrupt_ack()
-                except (wire.StaleEpochError, wire.SessionMismatchError):
-                    sender.on_stale_ack()
+            blessed = False
+
+            def poll_completion() -> Optional[str]:
+                nonlocal blessed
                 try:
                     msg = ctrl.recv(64)
-                    if msg:
-                        wire.decode_completion(msg)
-                        completion_seen = True
-                        sender.on_completion(time.monotonic())
-                    elif resumable:
-                        # EOF before the completion frame: the receiver
-                        # ended its attempt without blessing delivery —
-                        # its audit demoted corrupt chunks, or it hit a
-                        # storage fault.  Fail this attempt so the
-                        # retry's RESUME learns which packets to
-                        # re-send.
-                        return _outcome(
-                            sender, start,
-                            "control connection closed before completion"
-                            " (receiver did not bless delivery)",
-                            telemetry=channel)
                 except BlockingIOError:
-                    pass
+                    return None
                 except OSError:
-                    return _outcome(sender, start,
-                                    "control connection lost mid-transfer",
-                                    telemetry=channel)
-                if not batch and not sender.complete:
-                    time.sleep(0.001)
-            if (resumable and not completion_seen
+                    return "control connection lost mid-transfer"
+                if msg:
+                    wire.decode_completion(msg)
+                    blessed = True
+                    driver.on_completion(time.monotonic())
+                elif resumable:
+                    # EOF before the completion frame: the receiver
+                    # ended its attempt without blessing delivery — its
+                    # audit demoted corrupt chunks, or it hit a storage
+                    # fault.  Fail this attempt so the retry's RESUME
+                    # learns which packets to re-send.
+                    return ("control connection closed before completion"
+                            " (receiver did not bless delivery)")
+                return None
+
+            failure = run_sender(driver, ack_sock, poll_completion, deadline)
+            if (failure is None and resumable and not blessed
                     and sender.stats.completion_timeouts):
                 # Every packet was acknowledged but the receiver never
                 # blessed the delivery.  Without verification that used
@@ -333,39 +264,30 @@ def _send_attempt(
                 # with end-to-end audits it is not — the bytes may be
                 # corrupt on the receiver's disk, so treat the missing
                 # blessing as a retryable failure.
-                return _outcome(
-                    sender, start,
-                    "all packets acknowledged but the completion signal"
-                    " never arrived; delivery unconfirmed",
-                    telemetry=channel)
-            return _outcome(sender, start, None, telemetry=channel)
+                failure = ("all packets acknowledged but the completion "
+                           "signal never arrived; delivery unconfirmed")
+    except EndpointKilled as exc:
+        # Crash injection: the sender process dies silently mid-blast;
+        # closing the sockets (finally below) is exactly what the OS
+        # does to a SIGKILLed process.
+        failure, crashed = str(exc), "sender"
     except (OSError, ValueError, wire.ChecksumError) as exc:
-        return _outcome(sender, start, f"{type(exc).__name__}: {exc}",
-                        telemetry=channel)
+        failure = f"{type(exc).__name__}: {exc}"
     finally:
         ack_sock.close()
         data_sock.close()
-
-
-def _outcome(
-    sender: FobsSender,
-    start: float,
-    failure_reason: Optional[str],
-    crashed: Optional[str] = None,
-    telemetry: TelemetryChannel = NULL_CHANNEL,
-) -> _SendOutcome:
     outcome = _SendOutcome(
-        completed=failure_reason is None,
+        completed=failure is None,
         duration=max(time.monotonic() - start, 1e-9),
-        failure_reason=failure_reason,
+        failure_reason=failure,
         crashed=crashed,
         packets_sent=sender.stats.packets_sent,
         retransmissions=sender.stats.retransmissions,
         resumed_packets=sender.stats.resumed_packets,
         stale_epoch_dropped=sender.stats.stale_epoch_acks,
     )
-    if telemetry.enabled:
-        telemetry.emit(
+    if channel.enabled:
+        channel.emit(
             EV_TRANSFER_END, completed=outcome.completed,
             failed=not outcome.completed, duration=outcome.duration,
             throughput_bps=(sender.total_bytes * 8.0 / outcome.duration
@@ -374,7 +296,7 @@ def _outcome(
             packets_sent=outcome.packets_sent,
             retransmissions=outcome.retransmissions,
             resumed_packets=outcome.resumed_packets,
-            failure_reason=failure_reason or "")
+            failure_reason=failure or "")
     return outcome
 
 
@@ -423,35 +345,19 @@ def send_file(
         raise ValueError(f"{path} is empty")
     crc = zlib.crc32(data)
     resumable = resume or max_attempts > 1
-
-    if not resumable:
-        outcome = _send_attempt(data, crc, host, port, config, timeout,
-                                session=None, telemetry=telemetry,
-                                drop_rate=drop_rate,
-                                corrupt_rate=corrupt_rate)
-        if not outcome.completed:
-            raise TimeoutError(f"file send failed: {outcome.failure_reason}")
-        return FileTransferResult(
-            path=path,
-            nbytes=len(data),
-            duration=outcome.duration,
-            throughput_bps=len(data) * 8.0 / outcome.duration,
-            crc_ok=True,  # the receiver verifies; completion implies success
-            packets_sent=outcome.packets_sent,
-            packets_retransmitted=outcome.retransmissions,
-        )
-
     tid = transfer_id if transfer_id is not None else derive_transfer_id(
         len(data), crc)
-    if policy is None:
+    if policy is None or not resumable:
+        # The legacy single shot is a supervised run of one attempt.
         policy = RetryPolicy(max_attempts=max(max_attempts, 1),
                              backoff_base=0.2, seed=tid & 0xFFFF)
     manifest = (ChunkManifest.from_data(data, config.packet_size)
-                if verify else None)
+                if verify and resumable else None)
 
     def attempt_fn(attempt: int, epoch: int) -> _SendOutcome:
+        session = wire.SessionContext(tid, epoch) if resumable else None
         return _send_attempt(data, crc, host, port, config, timeout,
-                             session=wire.SessionContext(tid, epoch),
+                             session=session,
                              kill=kill_for_attempt(kill_plan, attempt),
                              telemetry=telemetry, manifest=manifest,
                              drop_rate=drop_rate, corrupt_rate=corrupt_rate,
@@ -459,6 +365,8 @@ def send_file(
 
     supervised = TransferSupervisor(policy=policy).run(
         attempt_fn, npackets=config.npackets(len(data)))
+    if not (resumable or supervised.completed):
+        raise TimeoutError(f"file send failed: {supervised.failure_reason}")
     final: _SendOutcome = supervised.final
     return FileTransferResult(
         path=path,
@@ -519,7 +427,12 @@ def read_verify_manifest(
     whole-object CRC32, it never trusts a damaged digest list.
     """
     header = recv_exact(ctrl, wire.VERIFY_HDR_BYTES)
-    body = recv_exact(ctrl, wire.verify_body_bytes(header))
+    return manifest_for(recv_exact(ctrl, wire.verify_body_bytes(header)),
+                        offer)
+
+
+def manifest_for(body: bytes, offer: Offer) -> Optional[ChunkManifest]:
+    """Decode a VERIFY body; None unless it describes ``offer``'s object."""
     try:
         manifest = ChunkManifest.decode(body)
     except ManifestCorrupt:
@@ -558,275 +471,64 @@ def encode_offer(offer: Offer) -> bytes:
                        offer.ack_port, offer.flags, offer.crc)
 
 
+def announce_offer(nbytes: int, crc: int, config: FobsConfig, ack_port: int,
+                   session: Optional[wire.SessionContext] = None,
+                   manifest: Optional[ChunkManifest] = None) -> bytes:
+    """A sender's opening frames: the OFFER (v2 iff there is a session),
+    then — ahead of the peer's RESUME reply (PROTOCOL.md §10), so the
+    receiver holds the digests before it decides which journal-claimed
+    packets to trust — the VERIFY frame carrying ``manifest``."""
+    flags = ((FLAG_CHECKSUM if config.checksum else 0)
+             | (FLAG_RESUME if session is not None else 0)
+             | (FLAG_VERIFY if manifest is not None else 0))
+    tid, epoch = ((session.transfer_id, session.epoch)
+                  if session is not None else (0, 0))
+    frames = encode_offer(Offer(nbytes, config.packet_size, ack_port, flags,
+                                crc, tid, epoch))
+    if manifest is not None:
+        frames += wire.encode_verify(manifest.encode())
+    return frames
+
+
 def read_offer(ctrl: socket.socket) -> Offer:
     """Read a v1 or v2 offer, dispatching on the leading magic."""
-    (magic,) = _MAGIC.unpack(recv_exact(ctrl, _MAGIC.size))
-    if magic == OFFER_MAGIC:
-        rest = recv_exact(ctrl, _OFFER.size - _MAGIC.size)
-        return decode_offer(_MAGIC.pack(magic) + rest)
-    if magic == OFFER2_MAGIC:
-        rest = recv_exact(ctrl, _OFFER2.size - _MAGIC.size)
-        return decode_offer(_MAGIC.pack(magic) + rest)
-    raise ValueError(f"bad offer magic {magic:#x}")
+    head = recv_exact(ctrl, _MAGIC.size)
+    (magic,) = _MAGIC.unpack(head)
+    size = {OFFER_MAGIC: _OFFER.size, OFFER2_MAGIC: _OFFER2.size}.get(magic)
+    if size is None:
+        raise ValueError(f"bad offer magic {magic:#x}")
+    return decode_offer(head + recv_exact(ctrl, size - _MAGIC.size))
 
 
-def _receive_attempt(
-    ctrl: socket.socket,
-    peer: tuple[str, int],
+def accept_offer(
     offer: Offer,
     config: FobsConfig,
-    part_fh,
-    journal: Optional[ReceiverJournal],
-    resume_bitmap: Optional[np.ndarray],
-    bind: str,
-    deadline: float,
+    part: PartFile,
+    data_port: int,
     telemetry: Optional[EventBus] = None,
-    tuning: Optional["TuningConfig"] = None,
-    stats_interval: float = 0.0,
-) -> tuple[bool, Optional[str], FobsReceiver]:
-    """Serve one accepted control connection; returns (ok, reason, rx)."""
-    session = (wire.SessionContext(offer.transfer_id, offer.epoch)
-               if offer.resumable else None)
+) -> tuple[RecvDriver, bytes]:
+    """The receiving end of one negotiated offer.
+
+    Returns its driver, reassembling into ``part`` from whatever the
+    journal salvaged, and the reply that starts the sender: RESUME
+    (carrying that bitmap) for a resumable offer, the plain ACCEPT
+    otherwise, either naming ``data_port``.
+    """
+    receiver_tel = NULL_CHANNEL
     if telemetry is not None and telemetry.enabled:
         receiver_tel = telemetry.channel(
             transfer_id=offer.transfer_id, epoch=offer.epoch, src="receiver")
-    else:
-        receiver_tel = NULL_CHANNEL
     receiver = FobsReceiver(config, offer.filesize,
-                            resume_bitmap=resume_bitmap, journal=journal,
-                            epoch=offer.epoch, telemetry=receiver_tel)
-    tuner = None
-    if tuning is not None:
-        # Receiver-side tuner: the only knob this end owns is the ACK
-        # frequency F.  The controller's rate tracks measured delivery
-        # goodput, which drives the F time-cap (ACK spacing stays under
-        # feedback_interval seconds however slow the path gets).
-        from repro.tuning import TransferTuner
-
-        tuner_tel = NULL_CHANNEL
-        if telemetry is not None and telemetry.enabled:
-            tuner_tel = telemetry.channel(
-                transfer_id=offer.transfer_id, epoch=offer.epoch,
-                src="tuner")
-
-        def _set_f(f: int, r=receiver) -> None:
-            r.ack_frequency = f
-
-        tuner = TransferTuner(tuning, set_rate=lambda r: None,
-                              set_ack_frequency=_set_f,
-                              telemetry=tuner_tel,
-                              ack_frequency=config.ack_frequency)
-    data_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    data_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
-    data_sock.bind((bind, 0))
-    data_sock.settimeout(0.05)
-    ack_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    try:
-        if offer.resumable:
-            ctrl.sendall(wire.encode_resume(
-                offer.transfer_id, offer.epoch,
-                data_sock.getsockname()[1], receiver.bitmap.snapshot()))
-        else:
-            ctrl.sendall(_ACCEPT.pack(ACCEPT_MAGIC,
-                                      data_sock.getsockname()[1], 0))
-        start = time.monotonic()
-        next_report = start + stats_interval if stats_interval > 0 else None
-        while not receiver.complete:
-            now = time.monotonic()
-            if tuner is not None:
-                s = receiver.stats
-                tuner.poll(now, acked=s.packets_new,
-                           sent=s.packets_new + s.packets_duplicate,
-                           retrans=s.packets_duplicate)
-            if next_report is not None and now >= next_report:
-                next_report = now + stats_interval
-                line = (f"fetch {offer.transfer_id:#018x}: "
-                        f"{int(receiver.bitmap.count)}/{receiver.npackets} "
-                        f"pkts t={now - start:.1f}s")
-                if tuner is not None:
-                    rate = tuner.rate_bps
-                    line += (" tune[rate="
-                             + ("unpaced" if rate is None
-                                else f"{rate / 1e6:.1f}Mb/s")
-                             + f" F={tuner.ack_frequency}"
-                             + f" B={tuner.batch_size}"
-                             + f" waste={tuner.last_waste:.3f}"
-                             + f" stalls={tuner.last_stalls}]")
-                print(line, file=sys.stderr)
-            if now > deadline:
-                return False, "file receive timed out", receiver
-            if receiver.idle_since(now, start) > config.receiver_idle_timeout:
-                return False, (
-                    f"receiver gave up: no data for "
-                    f"{config.receiver_idle_timeout:.1f}s "
-                    f"({receiver.bitmap.count}/{receiver.npackets} packets)"
-                ), receiver
-            try:
-                datagram = data_sock.recv(65535)
-            except socket.timeout:
-                continue
-            try:
-                pkt, payload = wire.decode_data(datagram,
-                                                checksum=config.checksum,
-                                                session=session)
-            except wire.ChecksumError:
-                receiver.on_corrupt_data(time.monotonic())
-                continue  # damaged in flight; the sender re-sends it
-            except (wire.StaleEpochError, wire.SessionMismatchError):
-                receiver.on_stale_data(0)
-                continue  # zombie datagram from a dead attempt
-            # Data before log: the payload must be on "disk" before the
-            # journal claims it (on_data journals newly marked packets).
-            try:
-                part_fh.seek(pkt.seq * config.packet_size)
-                part_fh.write(payload)
-                ack = receiver.on_data(pkt.seq, time.monotonic())
-            except OSError as exc:
-                # Disk fault (ENOSPC/EIO) on the part file or journal:
-                # fail the *attempt*, not the process.  The journal
-                # holds everything durable so far; the supervisor
-                # retries with backoff and resumes from it.
-                return False, _storage_reason("part", exc), receiver
-            if ack is not None:
-                ack_sock.sendto(
-                    wire.encode_ack(ack, checksum=config.checksum,
-                                    session=session),
-                    (peer[0], offer.ack_port))
-        try:
-            part_fh.flush()
-        except OSError as exc:
-            return False, _storage_reason("part-flush", exc), receiver
-        return True, None, receiver
-    finally:
-        data_sock.close()
-        ack_sock.close()
-
-
-#: Failure-reason prefix shared by every disk-fault path; the
-#: supervisor and daemon treat these as retryable, and ``repro stats``
-#: counts them.
-STORAGE_FAULT_PREFIX = "storage fault"
-
-
-def _storage_reason(where: str, exc: OSError) -> str:
-    name = errno.errorcode.get(exc.errno, type(exc).__name__) \
-        if exc.errno else type(exc).__name__
-    return f"{STORAGE_FAULT_PREFIX} [{name}] at {where}: {exc}"
-
-
-def is_storage_fault(reason: Optional[str]) -> bool:
-    return bool(reason) and reason.startswith(STORAGE_FAULT_PREFIX)
-
-
-def _verify_pass(
-    phase: str,
-    manifest: ChunkManifest,
-    target,
-    seqs,
-    journal: Optional[ReceiverJournal],
-    channel: TelemetryChannel = NULL_CHANNEL,
-) -> VerifyStats:
-    """One digest audit: check chunks, durably demote failures.
-
-    ``target`` is an open binary file (resume audit) or a bytes blob
-    (completion audit); ``seqs`` restricts the audit (None = whole
-    object).  Demotion goes through the journal so it is crash-durable
-    — a kill right after the pass cannot resurrect corrupt ranges.
-    """
-    t0 = time.monotonic()
-    stats = VerifyStats(phase=phase, mode="manifest")
-    if isinstance(target, (bytes, bytearray, memoryview)):
-        bad = manifest.verify_blob(bytes(target), seqs)
-    else:
-        bad = manifest.verify_file(target, seqs)
-    stats.chunks_checked = (manifest.npackets if seqs is None
-                            else len(list(seqs)))
-    stats.chunks_corrupt = int(bad.size)
-    if bad.size:
-        stats.corrupt_seqs = [int(s) for s in bad]
-        stats.ranges_demoted = len(corrupt_ranges(stats.corrupt_seqs))
-        stats.bytes_demoted = int(sum(
-            manifest.chunk_length(int(s)) for s in bad))
-        if journal is not None:
-            try:
-                journal.demote(bad)
-            except OSError:
-                # The durable demotion (compact) hit a disk fault; the
-                # in-memory bitmap is demoted so this attempt behaves
-                # correctly, and the next attempt's audit re-detects
-                # and re-demotes.  Never let a full disk turn a caught
-                # corruption into a crash.
-                pass
-    stats.duration = max(time.monotonic() - t0, 1e-9)
-    if channel.enabled:
-        channel.emit(EV_VERIFY, phase=phase, mode=stats.mode,
-                     chunks_checked=stats.chunks_checked,
-                     chunks_corrupt=stats.chunks_corrupt,
-                     duration=stats.duration)
-        if stats.chunks_corrupt:
-            channel.emit(EV_CORRUPTION, phase=phase, mode=stats.mode,
-                         chunks_corrupt=stats.chunks_corrupt,
-                         bytes=stats.bytes_demoted)
-            channel.emit(EV_REPAIR, phase=phase,
-                         packets_demoted=stats.chunks_corrupt,
-                         ranges_demoted=stats.ranges_demoted,
-                         bytes_demoted=stats.bytes_demoted)
-    return stats
-
-
-def _completion_audit(
-    blob: bytes,
-    offer: Offer,
-    manifest: Optional[ChunkManifest],
-    journal: Optional[ReceiverJournal],
-    channel: TelemetryChannel = NULL_CHANNEL,
-) -> tuple[bool, Optional[str], VerifyStats]:
-    """Verify-on-complete: the last gate before the object is blessed.
-
-    With a manifest, every chunk is audited and corrupt ones are
-    demoted for re-fetch (a *retryable* failure).  Without one, the
-    whole-object CRC32 fallback can only detect, not localize: a
-    mismatch demotes *everything* so the retry re-fetches the full
-    object — a full restart, but a self-repairing one, never silent
-    corruption.
-    """
-    if manifest is not None:
-        stats = _verify_pass("complete", manifest, blob, None, journal,
-                             channel)
-        if not stats.clean:
-            return False, (
-                f"verify failed: {stats.chunks_corrupt} corrupt chunk(s) "
-                f"demoted for re-fetch"), stats
-        return True, None, stats
-    t0 = time.monotonic()
-    stats = VerifyStats(phase="complete", mode="crc32", chunks_checked=1)
-    crc_ok = zlib.crc32(blob) == offer.crc
-    stats.duration = max(time.monotonic() - t0, 1e-9)
-    if channel.enabled:
-        channel.emit(EV_VERIFY, phase="complete", mode="crc32",
-                     chunks_checked=1, chunks_corrupt=0 if crc_ok else 1,
-                     duration=stats.duration)
-    if crc_ok:
-        return True, None, stats
-    stats.chunks_corrupt = 1
-    stats.bytes_demoted = len(blob)
-    if journal is not None and journal.bitmap.count:
-        claimed = np.flatnonzero(journal.bitmap.array)
-        stats.ranges_demoted = len(corrupt_ranges(claimed.tolist()))
-        try:
-            journal.demote(claimed)
-        except OSError:
-            pass  # in-memory demotion stands; next audit re-demotes
-    if channel.enabled:
-        channel.emit(EV_CORRUPTION, phase="complete", mode="crc32",
-                     chunks_corrupt=1, bytes=len(blob))
-        channel.emit(EV_REPAIR, phase="complete",
-                     packets_demoted=int(stats.bytes_demoted and
-                                         -(-len(blob) // offer.packet_size)),
-                     ranges_demoted=stats.ranges_demoted,
-                     bytes_demoted=stats.bytes_demoted)
-    return False, ("CRC mismatch after reassembly; "
-                   "all packets demoted for re-fetch"), stats
+                            resume_bitmap=part.resume_bitmap,
+                            journal=part.journal, epoch=offer.epoch,
+                            telemetry=receiver_tel)
+    session = (wire.SessionContext(offer.transfer_id, offer.epoch)
+               if offer.resumable else None)
+    driver = RecvDriver(receiver, part.write_at, session, part.channel)
+    if session is None:
+        return driver, _ACCEPT.pack(ACCEPT_MAGIC, data_port, 0)
+    return driver, wire.encode_resume(
+        offer.transfer_id, offer.epoch, data_port, receiver.bitmap.snapshot())
 
 
 def attempt_config_for(offer: Offer, base: Optional[FobsConfig]) -> FobsConfig:
@@ -888,30 +590,13 @@ def receive_offer(
     ``opener`` is the part-file factory (``open``-compatible) — the
     seam host-fault injection plugs into.
     """
-    if journal_path is None:
-        journal_path = output_path + ".journal"
-    part_path = output_path + ".part"
     attempt_config = attempt_config_for(offer, config)
-    vstats = VerifyStats()
     if offer.verify and manifest is None:
         try:
             manifest = read_verify_manifest(ctrl, offer)
         except (ConnectionError, ValueError) as exc:
-            return (False, f"bad verify frame: {exc}", None, 1e-9, vstats)
-    vstats.mode = "manifest" if manifest is not None else "crc32"
-    journal: Optional[ReceiverJournal] = None
-    resume_bitmap: Optional[np.ndarray] = None
-    if offer.resumable:
-        journal, replay = ReceiverJournal.open(
-            journal_path, offer.transfer_id, offer.filesize,
-            offer.packet_size)
-        if replay is not None:
-            resume_bitmap = replay.bitmap.array
-    # The .part file is the crash-persistent reassembly buffer;
-    # pre-size it so writes at any offset land.
-    mode = "r+b" if (os.path.exists(part_path)
-                     and os.path.getsize(part_path) == offer.filesize
-                     and offer.resumable) else "w+b"
+            return (False, f"bad verify frame: {exc}", None, 1e-9,
+                    VerifyStats())
     if telemetry is not None and telemetry.enabled:
         channel = telemetry.channel(transfer_id=offer.transfer_id,
                                     epoch=offer.epoch, src="runtime")
@@ -923,72 +608,44 @@ def receive_offer(
     else:
         channel = NULL_CHANNEL
     start = time.monotonic()
+    part = PartFile(
+        output_path, offer.filesize, offer.packet_size, offer.crc,
+        transfer_id=offer.transfer_id if offer.resumable else None,
+        journal_path=journal_path, manifest=manifest, opener=opener,
+        channel=channel)
     receiver: Optional[FobsReceiver] = None
-    ok, failure = False, None
-    blessed = False  # passed the completion audit; safe to publish
+    failure = part.fault
+    data_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    ack_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     try:
-        try:
-            part_fh = opener(part_path, mode)
-        except OSError as exc:
-            part_fh = None
-            failure = _storage_reason("part-open", exc)
-        if part_fh is not None:
-            try:
-                try:
-                    if mode == "w+b":
-                        part_fh.truncate(offer.filesize)
-                    # Verify-on-resume: audit every journal-claimed
-                    # chunk against the manifest *before* the RESUME
-                    # bitmap is built, so a torn write or bit rot under
-                    # a crashed attempt is demoted — re-fetched, not
-                    # resurrected.  (Without a manifest the fallback is
-                    # the completion CRC; corruption is still caught,
-                    # just repaired less surgically.)
-                    if (manifest is not None and journal is not None
-                            and mode == "r+b" and journal.bitmap.count):
-                        claimed = np.flatnonzero(journal.bitmap.array)
-                        vstats.merge(_verify_pass(
-                            "resume", manifest, part_fh, claimed.tolist(),
-                            journal, channel))
-                        resume_bitmap = journal.bitmap.array
-                except OSError as exc:
-                    failure = _storage_reason("resume-audit", exc)
-                else:
-                    ok, failure, receiver = _receive_attempt(
-                        ctrl, peer, offer, attempt_config, part_fh,
-                        journal, resume_bitmap, bind, deadline,
-                        telemetry=telemetry, tuning=tuning,
-                        stats_interval=stats_interval)
-                    if ok:
-                        # Verify-on-complete: the receiver's bitmap says
-                        # every packet arrived; the disk gets the last
-                        # word before the object is published.
-                        try:
-                            part_fh.seek(0)
-                            blob = part_fh.read(offer.filesize)
-                        except OSError as exc:
-                            ok = False
-                            failure = _storage_reason("readback", exc)
-                        else:
-                            ok, failure, audit = _completion_audit(
-                                blob, offer, manifest, journal, channel)
-                            vstats.merge(audit)
-                            blessed = ok
-            finally:
-                try:
-                    part_fh.close()
-                except OSError as exc:
-                    if ok:
-                        ok, blessed = False, False
-                        failure = _storage_reason("part-close", exc)
+        if failure is None:
+            data_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
+            data_sock.bind((bind, 0))
+            data_sock.setblocking(False)
+            driver, reply = accept_offer(offer, attempt_config, part,
+                                         data_sock.getsockname()[1],
+                                         telemetry)
+            receiver = driver.receiver
+            ctrl.sendall(reply)
+            ack_addr = (peer[0], offer.ack_port)
+            failure = run_receiver(
+                driver, data_sock, lambda ack: ack_sock.sendto(ack, ack_addr),
+                deadline, _progress_tick(offer, receiver, telemetry, tuning,
+                                         stats_interval))
+        if failure is None:
+            # The receiver's bitmap says every packet arrived; the disk
+            # gets the last word before the object is published.
+            failure = part.publish()
     except ConnectionError as exc:
-        ok, failure = False, f"control connection lost: {exc}"
+        failure = f"control connection lost: {exc}"
+    except TimeoutError:
+        failure = "file receive timed out"
     finally:
-        duration = max(time.monotonic() - start, 1e-9)
-        if journal is not None:
-            journal.close()
-    if is_storage_fault(failure) and channel.enabled:
-        channel.emit(EV_STORAGE_FAULT, detail=failure or "")
+        part.close()
+        data_sock.close()
+        ack_sock.close()
+    duration = max(time.monotonic() - start, 1e-9)
+    ok = failure is None
     if channel.enabled:
         channel.emit(
             EV_TRANSFER_END, completed=ok, failed=not ok, duration=duration,
@@ -996,19 +653,57 @@ def receive_offer(
             resumed_packets=(receiver.stats.resumed_packets
                              if receiver is not None else 0),
             failure_reason=failure or "")
-    if not (ok and blessed):
-        return False, failure, receiver, duration, vstats
-    try:
-        ctrl.sendall(wire.encode_completion(receiver.npackets))
-    except OSError:
-        pass  # sender may already have concluded
-    os.replace(part_path, output_path)
-    if offer.resumable:
+    if ok:
+        # Blessing follows publication: a sender told "delivered" can
+        # rely on the object being in place.
         try:
-            os.remove(journal_path)
+            ctrl.sendall(wire.encode_completion(receiver.npackets))
         except OSError:
-            pass
-    return True, None, receiver, duration, vstats
+            pass  # sender may already have concluded
+    return ok, failure, receiver, duration, part.vstats
+
+
+def _progress_tick(offer: Offer, receiver: FobsReceiver,
+                   telemetry: Optional[EventBus],
+                   tuning: Optional["TuningConfig"], stats_interval: float):
+    """Per-wakeup hook of a receive: F-tuner and stderr progress lines."""
+    if tuning is None and stats_interval <= 0:
+        return None
+    tuner = None
+    if tuning is not None:
+        # Receiver-side tuner: the only knob this end owns is the ACK
+        # frequency F.
+        from repro.tuning import make_tuner
+
+        tuner = make_tuner(tuning, receiver=receiver, telemetry=telemetry,
+                           transfer_id=offer.transfer_id)
+    start = time.monotonic()
+    next_report = start + stats_interval if stats_interval > 0 else None
+
+    def tick(now: float) -> None:
+        nonlocal next_report
+        if tuner is not None:
+            s = receiver.stats
+            tuner.poll(now, acked=s.packets_new,
+                       sent=s.packets_new + s.packets_duplicate,
+                       retrans=s.packets_duplicate)
+        if next_report is not None and now >= next_report:
+            next_report = now + stats_interval
+            line = (f"fetch {offer.transfer_id:#018x}: "
+                    f"{int(receiver.bitmap.count)}/{receiver.npackets} "
+                    f"pkts t={now - start:.1f}s")
+            if tuner is not None:
+                rate = tuner.rate_bps
+                line += (" tune[rate="
+                         + ("unpaced" if rate is None
+                            else f"{rate / 1e6:.1f}Mb/s")
+                         + f" F={tuner.ack_frequency}"
+                         + f" B={tuner.batch_size}"
+                         + f" waste={tuner.last_waste:.3f}"
+                         + f" stalls={tuner.last_stalls}]")
+            print(line, file=sys.stderr)
+
+    return tick
 
 
 def receive_file(
@@ -1047,6 +742,7 @@ def receive_file(
     deadline = time.monotonic() + timeout
 
     attempts = 0
+    ok = False
     failure: Optional[str] = None
     receiver: Optional[FobsReceiver] = None
     offer: Optional[Offer] = None
@@ -1075,35 +771,20 @@ def receive_file(
                 vtotal.merge(vstats)
                 if is_storage_fault(failure):
                     storage_faults += 1
-                if ok:
-                    return FileTransferResult(
-                        path=output_path,
-                        nbytes=offer.filesize,
-                        duration=duration,
-                        throughput_bps=offer.filesize * 8.0 / duration,
-                        crc_ok=True,
-                        attempts=attempts,
-                        resumed_packets=receiver.stats.resumed_packets,
-                        stale_epoch_dropped=receiver.stats.stale_epoch_data,
-                        ranges_demoted=vtotal.ranges_demoted,
-                        packets_demoted=vtotal.chunks_corrupt,
-                        bytes_refetched=vtotal.bytes_demoted,
-                        verify_seconds=vtotal.duration,
-                        storage_faults=storage_faults,
-                    )
-                if time.monotonic() > deadline:
+                if ok or time.monotonic() > deadline:
                     break
     finally:
         listener.close()
-    if max_attempts <= 1:
+    if not ok and max_attempts <= 1:
         raise TimeoutError(f"file receive failed: {failure}")
+    nbytes = offer.filesize if offer is not None else 0
     return FileTransferResult(
         path=output_path,
-        nbytes=offer.filesize if offer is not None else 0,
+        nbytes=nbytes,
         duration=duration,
-        throughput_bps=0.0,
-        crc_ok=False,
-        completed=False,
+        throughput_bps=nbytes * 8.0 / duration if ok else 0.0,
+        crc_ok=ok,
+        completed=ok,
         failure_reason=failure,
         attempts=attempts,
         resumed_packets=(receiver.stats.resumed_packets

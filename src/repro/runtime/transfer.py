@@ -6,6 +6,12 @@ connections: a UDP data socket, a UDP acknowledgement socket, and a TCP
 completion connection.  The transferred object is checksummed on both
 sides.
 
+The protocol loops themselves live in :mod:`repro.runtime.driver`; this
+module owns the sockets and the blocking around them
+(:func:`run_sender`, :func:`run_receiver` — shared with
+:mod:`repro.runtime.files`): drain what the kernel queued, push it into
+the driver, sleep until the wakeup the driver asked for.
+
 An optional ``drop_rate`` discards outgoing data datagrams at the
 sender (deterministic RNG) to exercise the retransmission machinery on
 an otherwise loss-free loopback path.  ``corrupt_rate`` flips one byte
@@ -32,7 +38,8 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -40,6 +47,12 @@ from repro.core.config import FobsConfig
 from repro.core.receiver import FobsReceiver
 from repro.core.sender import FobsSender
 from repro.runtime import wire
+from repro.runtime.driver import (
+    EndpointKilled,
+    FaultySend,
+    RecvDriver,
+    SendDriver,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.journal import ReceiverJournal
@@ -75,351 +88,155 @@ class LoopbackResult:
     crashed: Optional[str] = None
 
 
-def _send_burst(sock: socket.socket, views: list, addr) -> None:
-    """Write one encoded burst of datagrams with grouped sends.
+def send_burst(sock: socket.socket, addr, views) -> int:
+    """Write one encoded burst with grouped sends: ``partial(send_burst,
+    sock, addr)`` is the driver's ``send`` seam.
 
-    A true multi-datagram syscall (``sendmmsg``) is probed for —
-    some interpreters/backports expose it — but CPython's socket
-    object does not wrap it, so the portable grouped write is a tight
-    ``sendto`` loop over the burst's preallocated memoryviews: one
-    syscall per datagram and *zero* per-datagram encode, allocation,
-    or copy (the views all window the codec's single shared buffer).
+    One ``sendto`` per datagram and *zero* per-datagram encode,
+    allocation or copy (the views all window the codec's one buffer).
+    Returns how many the socket took — fewer than given only when a
+    non-blocking socket's buffer filled up.
     """
-    sendmmsg = getattr(sock, "sendmmsg", None)
-    if sendmmsg is not None:  # pragma: no cover - no CPython binding
-        sendmmsg([([v], [], 0, addr) for v in views])
-        return
     sendto = sock.sendto
-    for v in views:
-        sendto(v, addr)
+    sent = 0
+    try:
+        for view in views:
+            sendto(view, addr)
+            sent += 1
+    except BlockingIOError:
+        pass
+    return sent
 
 
-class _Receiver(threading.Thread):
-    def __init__(
-        self,
-        config: FobsConfig,
-        nbytes: int,
-        data_port: int,
-        ack_addr: tuple[str, int],
-        ctrl_addr: tuple[str, int],
-        deadline: float,
-        blackhole_acks: bool = False,
-        journal: Optional["ReceiverJournal"] = None,
-        resume_bitmap: Optional[np.ndarray] = None,
-        session: Optional[wire.SessionContext] = None,
-        kill: Optional["KillSwitch"] = None,
-        buffer: Optional[bytearray] = None,
-    ):
-        super().__init__(name="fobs-receiver", daemon=True)
-        self.config = config
-        self.nbytes = nbytes
-        self.session = session
-        self.kill = kill
-        self.receiver = FobsReceiver(
-            config, nbytes, resume_bitmap=resume_bitmap, journal=journal,
-            epoch=session.epoch if session is not None else 0,
-        )
-        #: The "disk file": shared across attempts by the supervisor.
-        self.buffer = buffer if buffer is not None else bytearray(nbytes)
-        if len(self.buffer) != nbytes:
-            raise ValueError("resume buffer length != nbytes")
-        self.deadline = deadline
-        self.blackhole_acks = blackhole_acks
+def run_sender(
+    driver: SendDriver,
+    ack_sock: socket.socket,
+    poll_completion: Callable[[], Optional[str]],
+    deadline: float,
+) -> Optional[str]:
+    """Block on a :class:`SendDriver` until the transfer ends.
+
+    Each turn drains *every* acknowledgement queued on the non-blocking
+    ``ack_sock`` (one per turn falls behind a fast receiver and leaves
+    stale bitmaps steering retransmission), asks ``poll_completion``
+    for a control-connection failure, takes one ``step`` and sleeps
+    until its wakeup or the next acknowledgement.  Returns None on
+    completion, else the failure; ``TimeoutError`` past ``deadline``.
+    """
+    sender = driver.sender
+    recv_into = ack_sock.recv_into
+    rxbuf = bytearray(65535)
+    rxview = memoryview(rxbuf)
+    wait_on = [ack_sock]
+    while True:
+        now = time.monotonic()
+        if now > deadline:
+            raise TimeoutError("sender deadline exceeded")
+        while True:
+            try:
+                nrecv = recv_into(rxbuf)
+            except BlockingIOError:
+                break
+            driver.on_ack_datagram(rxview[:nrecv], time.monotonic())
+        failure = poll_completion()
+        if failure is not None:
+            return failure
+        if sender.complete:
+            return None
+        hint = driver.step(now)
+        if sender.failed:
+            # sender.failure_reason carries the stall diagnosis;
+            # terminate cleanly well before the deadline.
+            return sender.failure_reason
+        if hint > 0.0:
+            select.select(wait_on, (), (), min(hint, 0.05))
+
+
+def run_receiver(
+    driver: RecvDriver,
+    data_sock: socket.socket,
+    send_ack: Callable[[bytes], object],
+    deadline: float,
+    tick: Optional[Callable[[float], None]] = None,
+) -> Optional[str]:
+    """Block on a :class:`RecvDriver` until every packet is marked.
+
+    ``select`` + ``recv_into`` one reusable buffer on the non-blocking
+    ``data_sock`` — one wakeup per burst, zero-copy decode — handing
+    each acknowledgement built to ``send_ack``; ``tick(now)`` runs once
+    per wakeup.  Returns None on completion, else the failure (liveness
+    timeout, storage fault); ``TimeoutError`` past ``deadline``.
+    """
+    receiver = driver.receiver
+    idle_limit = receiver.config.receiver_idle_timeout
+    recv_into = data_sock.recv_into
+    rxbuf = bytearray(65535)
+    rxview = memoryview(rxbuf)
+    wait_on = [data_sock]
+    start = time.monotonic()
+    while not receiver.complete:
+        now = time.monotonic()
+        if now > deadline:
+            raise TimeoutError("receiver deadline exceeded")
+        idle = receiver.idle_since(now, start)
+        if idle > idle_limit:
+            # Liveness timeout: the sender went away.  Exit cleanly
+            # with a diagnosis instead of burning the full deadline.
+            return (f"receiver liveness timeout: no data for {idle:.3g}s "
+                    f"({receiver.bitmap.count}/{receiver.npackets} "
+                    f"packets received)")
+        if tick is not None:
+            tick(now)
+        if not select.select(wait_on, (), (), 0.05)[0]:
+            continue
+        while not receiver.complete:
+            try:
+                nrecv = recv_into(rxbuf)
+            except BlockingIOError:
+                break
+            ack = driver.on_datagram(rxview[:nrecv], time.monotonic())
+            if driver.fault is not None:
+                return driver.fault
+            if ack is not None:
+                send_ack(ack)
+    return None
+
+
+class _Endpoint(threading.Thread):
+    """One loopback endpoint thread; how it ended is kept for the harness."""
+
+    def __init__(self, name: str, body: Callable[[], Optional[str]],
+                 socks: list):
+        super().__init__(name=name, daemon=True)
+        self.body = body
+        self.socks = socks
         self.crashed = False
-        self._data_count = 0
         self.failure_reason: Optional[str] = None
         self.error: Optional[BaseException] = None
-        self._ack_addr = ack_addr
-        self._ctrl_addr = ctrl_addr
-        self.data_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.data_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
-        self.data_sock.bind(("127.0.0.1", data_port))
-        self.data_sock.setblocking(False)
-        self.ack_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        # Reusable datagram buffer: every receive lands in this one
-        # allocation via recv_into and is decoded through zero-copy
-        # memoryview slices, instead of a fresh 64 KiB bytes object per
-        # datagram.
-        self._rxbuf = bytearray(65535)
-        self._rxview = memoryview(self._rxbuf)
-
-    @property
-    def data_port(self) -> int:
-        return self.data_sock.getsockname()[1]
 
     def run(self) -> None:
         try:
-            self._loop()
+            self.failure_reason = self.body()
+        except EndpointKilled as exc:
+            # Crash injection: abrupt process death, no goodbye; the
+            # peer sees silence and must diagnose it by itself.
+            self.crashed = True
+            self.failure_reason = str(exc)
         except BaseException as exc:  # surfaced by the harness
             self.error = exc
         finally:
-            self.data_sock.close()
-            self.ack_sock.close()
-
-    def _loop(self) -> None:
-        start = time.monotonic()
-        recv_into = self.data_sock.recv_into
-        rxbuf = self._rxbuf
-        sock_list = [self.data_sock]
-        while not self.receiver.complete:
-            now = time.monotonic()
-            if now > self.deadline:
-                raise TimeoutError("receiver deadline exceeded")
-            idle = self.receiver.idle_since(now, start)
-            if idle > self.config.receiver_idle_timeout:
-                # Liveness timeout: the sender went away.  Exit cleanly
-                # with a diagnosis instead of burning the full deadline.
-                self.failure_reason = (
-                    f"receiver liveness timeout: no data for {idle:.3g}s "
-                    f"({self.receiver.bitmap.count}/{self.receiver.npackets} "
-                    f"packets received)"
-                )
-                return
-            if not select.select(sock_list, [], [], 0.05)[0]:
-                continue
-            # Drain every datagram queued in the kernel before going
-            # back to the timers: one wakeup per burst instead of one
-            # per packet, each landing in the reusable buffer.
-            while not self.receiver.complete:
-                try:
-                    nrecv = recv_into(rxbuf)
-                except BlockingIOError:
-                    break
-                if not self._handle_datagram(self._rxview[:nrecv]):
-                    return
-        # Normal completion (crash/liveness/deadline exits above never
-        # reach here): make the journal durable, then send the
-        # completion signal over TCP (the paper's third connection).
-        if self.receiver.journal is not None:
-            self.receiver.journal.close()
-        if self.blackhole_acks:
-            return  # adversarial mode: suppress the completion signal too
-        with socket.create_connection(self._ctrl_addr, timeout=5.0) as ctrl:
-            ctrl.sendall(wire.encode_completion(self.receiver.npackets))
-
-    def _handle_datagram(self, datagram: memoryview) -> bool:
-        """Process one received datagram; False aborts the loop."""
-        if (self.kill is not None and self.kill.target == "receiver"
-                and self.kill.should_fire(self._data_count)):
-            # Crash injection: abrupt process death.  The pending
-            # (unflushed) journal run is lost, no goodbye is sent;
-            # the sender sees silence and must stall-abort.
-            self.kill.fire(time.monotonic())
-            if self.receiver.journal is not None:
-                self.receiver.journal.simulate_crash()
-            self.crashed = True
-            self.failure_reason = (
-                f"receiver killed by crash injection after "
-                f"{self._data_count} data packets")
-            return False
-        try:
-            pkt, payload = wire.decode_data(datagram,
-                                            checksum=self.config.checksum,
-                                            session=self.session)
-        except wire.ChecksumError:
-            self.receiver.on_corrupt_data(time.monotonic())
-            return True  # damaged in flight; the sender re-sends it
-        except wire.StaleEpochError:
-            self.receiver.on_stale_data(0)
-            return True  # zombie datagram from a dead attempt
-        except wire.SessionMismatchError:
-            self.receiver.on_stale_data(0)
-            return True  # foreign transfer entirely
-        self._data_count += 1
-        offset = pkt.seq * self.config.packet_size
-        self.buffer[offset:offset + len(payload)] = payload
-        ack = self.receiver.on_data(pkt.seq, time.monotonic())
-        if ack is not None and not self.blackhole_acks:
-            self.ack_sock.sendto(
-                wire.encode_ack(ack, checksum=self.config.checksum,
-                                session=self.session),
-                self._ack_addr)
-        return True
+            for sock in self.socks:
+                sock.close()
 
 
-class _Sender(threading.Thread):
-    def __init__(
-        self,
-        config: FobsConfig,
-        data: bytes,
-        data_addr: tuple[str, int],
-        ack_port: int,
-        deadline: float,
-        drop_rate: float = 0.0,
-        corrupt_rate: float = 0.0,
-        seed: int = 0,
-        resume_bitmap: Optional[np.ndarray] = None,
-        session: Optional[wire.SessionContext] = None,
-        kill: Optional["KillSwitch"] = None,
-    ):
-        super().__init__(name="fobs-sender", daemon=True)
-        self.config = config
-        self.data = data
-        self.session = session
-        self.kill = kill
-        self.crashed = False
-        self.failure_reason: Optional[str] = None
-        self._sent_count = 0
-        #: Optional online tuner (repro.tuning.TransferTuner), attached
-        #: by run_loopback_transfer before the thread starts.
-        self.tuner = None
-        #: Pacing clock: earliest monotonic time the next batch may go
-        #: out.  Inactive while the sender's pacing rate is None.
-        self._next_send = 0.0
-        self.sender = FobsSender(
-            config, len(data), rng=np.random.default_rng(seed),
-            epoch=session.epoch if session is not None else 0,
-        )
-        if resume_bitmap is not None:
-            self.sender.resume_from(resume_bitmap)
-        self.deadline = deadline
-        self.error: Optional[BaseException] = None
-        self.drop_rate = drop_rate
-        self.corrupt_rate = corrupt_rate
-        self._drop_rng = np.random.default_rng(seed + 1)
-        self._corrupt_rng = np.random.default_rng(seed + 2)
-        self._data_addr = data_addr
-        self.data_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.ack_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self.ack_sock.bind(("127.0.0.1", ack_port))
-        self.ack_sock.setblocking(False)
-        self.ctrl_listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.ctrl_listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self.ctrl_listener.bind(("127.0.0.1", 0))
-        self.ctrl_listener.listen(1)
-        self.ctrl_listener.settimeout(0.0)
-
-    @property
-    def ack_port(self) -> int:
-        return self.ack_sock.getsockname()[1]
-
-    @property
-    def ctrl_addr(self) -> tuple[str, int]:
-        return self.ctrl_listener.getsockname()
-
-    def run(self) -> None:
-        try:
-            self._loop()
-        except BaseException as exc:
-            self.error = exc
-        finally:
-            self.data_sock.close()
-            self.ack_sock.close()
-            self.ctrl_listener.close()
-
-    def _check_completion(self) -> None:
-        try:
-            conn, _addr = self.ctrl_listener.accept()
-        except (BlockingIOError, socket.timeout):
-            return
-        with conn:
-            conn.settimeout(2.0)
-            msg = conn.recv(64)
-            wire.decode_completion(msg)
-            self.sender.on_completion(time.monotonic())
-
-    def _loop(self) -> None:
-        packet_size = self.config.packet_size
-        while not self.sender.complete:
-            now = time.monotonic()
-            if now > self.deadline:
-                raise TimeoutError("sender deadline exceeded")
-            stall = self.sender.poll_stall(now)
-            if stall == "abort":
-                # sender.failed / failure_reason carry the diagnosis;
-                # terminate cleanly well before the deadline.
-                return
-            rate = self.sender.pacing_rate_bps
-            if rate is not None and now < self._next_send:
-                # Paced and ahead of schedule.  Sleep in short slices —
-                # never the full deficit — so a rate raise (allocator or
-                # tuner) applied mid-wait takes effect within ~20 ms,
-                # then fall through to the ACK drain below.
-                time.sleep(min(self._next_send - now, 0.02))
-                batch = []
-            else:
-                batch = []
-                if stall == "probe":
-                    batch = self.sender.probe_batch()
-                elif stall != "wait":
-                    # Phase 1/3: batch-send (suppressed between stall
-                    # probes).
-                    batch = self.sender.next_batch()
-            if batch and self.tuner is not None:
-                self.tuner.maybe_probe(batch[0].seq, now)
-            batch_bytes = 0
-            if batch and not (self.drop_rate or self.corrupt_rate
-                              or self.kill is not None):
-                # Hot path: no fault injection in the loop, so the whole
-                # batch is encoded in one codec pass into a shared
-                # buffer and written with grouped sends.
-                data = self.data
-                mv = memoryview(data)
-                payloads = [mv[pkt.seq * packet_size:
-                               pkt.seq * packet_size + pkt.payload_bytes]
-                            for pkt in batch]
-                views = wire.encode_data_burst(
-                    batch, payloads, checksum=self.config.checksum,
-                    session=self.session)
-                self._sent_count += len(views)
-                batch_bytes = sum(len(v) for v in views)
-                _send_burst(self.data_sock, views, self._data_addr)
-            else:
-                for pkt in batch:
-                    if (self.kill is not None and self.kill.target == "sender"
-                            and self.kill.should_fire(self._sent_count)):
-                        # Crash injection: the sender dies mid-batch.
-                        self.kill.fire(time.monotonic())
-                        self.crashed = True
-                        self.failure_reason = (
-                            f"sender killed by crash injection after "
-                            f"{self._sent_count} data packets")
-                        return
-                    offset = pkt.seq * packet_size
-                    payload = self.data[offset:offset + pkt.payload_bytes]
-                    if self.drop_rate and self._drop_rng.random() < self.drop_rate:
-                        continue  # simulated wide-area loss
-                    datagram = wire.encode_data(pkt, payload,
-                                                checksum=self.config.checksum,
-                                                session=self.session)
-                    self._sent_count += 1
-                    if self.corrupt_rate and self._corrupt_rng.random() < self.corrupt_rate:
-                        # Flip one byte in flight; the receiver's CRC must
-                        # reject it and the scheduler re-sends later.
-                        pos = int(self._corrupt_rng.integers(len(datagram)))
-                        damaged = bytearray(datagram)
-                        damaged[pos] ^= 0xFF
-                        datagram = bytes(damaged)
-                    batch_bytes += len(datagram)
-                    self.data_sock.sendto(datagram, self._data_addr)
-            # Phase 2: poll (never block) and drain *every* queued
-            # acknowledgement.  One ACK per loop iteration falls behind
-            # whenever the receiver acks faster than the sender cycles,
-            # leaving stale bitmaps to steer retransmission.
-            while True:
-                try:
-                    datagram = self.ack_sock.recv(1 << 20)
-                except BlockingIOError:
-                    break
-                try:
-                    ack = wire.decode_ack(datagram,
-                                          checksum=self.config.checksum,
-                                          session=self.session)
-                    self.sender.on_ack(ack, time.monotonic())
-                except wire.ChecksumError:
-                    self.sender.on_corrupt_ack()
-                except (wire.StaleEpochError, wire.SessionMismatchError):
-                    self.sender.on_stale_ack()
-            if self.tuner is not None:
-                self.tuner.on_ack(self.sender, time.monotonic())
-            if rate is not None and batch_bytes:
-                # Advance the pacing clock by this batch's wire time.
-                self._next_send = (max(self._next_send, now)
-                                   + batch_bytes * 8.0 / rate)
-            self._check_completion()
-            if not batch and (rate is None or now >= self._next_send):
-                # Stalled, or all packets acked locally; don't spin.
-                time.sleep(0.001)
+def _bound(kind: int, rcvbuf: int = 0) -> socket.socket:
+    """A non-blocking localhost socket on an ephemeral port."""
+    sock = socket.socket(socket.AF_INET, kind)
+    if rcvbuf:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    sock.bind(("127.0.0.1", 0))
+    sock.setblocking(False)
+    return sock
 
 
 def run_loopback_transfer(
@@ -462,79 +279,110 @@ def run_loopback_transfer(
     elif len(data) != nbytes:
         raise ValueError("len(data) must equal nbytes")
 
+    epoch = session.epoch if session is not None else 0
+    receiver = FobsReceiver(config, nbytes, resume_bitmap=resume_bitmap,
+                            journal=journal, epoch=epoch)
+    sender = FobsSender(config, nbytes, rng=np.random.default_rng(seed),
+                        epoch=epoch)
+    if resume_bitmap is not None:
+        sender.resume_from(resume_bitmap)
+    #: The "disk file": shared across attempts by the supervisor.
+    buffer = buffer if buffer is not None else bytearray(nbytes)
+    if len(buffer) != nbytes:
+        raise ValueError("resume buffer length != nbytes")
+    kill_tx = kill if kill is not None and kill.target == "sender" else None
+    kill_rx = kill if kill is not None and kill.target == "receiver" else None
     deadline = time.monotonic() + timeout
-    receiver = _Receiver(
-        config, nbytes, data_port=0, ack_addr=("127.0.0.1", 0),
-        ctrl_addr=("127.0.0.1", 0), deadline=deadline,
-        blackhole_acks=blackhole_acks, journal=journal,
-        resume_bitmap=resume_bitmap, session=session, kill=kill,
-        buffer=buffer,
-    )
-    sender = _Sender(
-        config, data, data_addr=("127.0.0.1", receiver.data_port),
-        ack_port=0, deadline=deadline, drop_rate=drop_rate,
-        corrupt_rate=corrupt_rate, seed=seed,
-        resume_bitmap=resume_bitmap, session=session, kill=kill,
-    )
-    # Late-bind the dynamic ports discovered after socket creation.
-    receiver._ack_addr = ("127.0.0.1", sender.ack_port)
-    receiver._ctrl_addr = sender.ctrl_addr
 
+    # The paper's three connections: UDP data, UDP acknowledgements,
+    # and a TCP completion connection.
+    data_sock = _bound(socket.SOCK_DGRAM, rcvbuf=1 << 20)
+    ack_sock = _bound(socket.SOCK_DGRAM)
+    listener = _bound(socket.SOCK_STREAM)
+    listener.listen(1)
+    data_out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    ack_out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    data_addr, ack_addr = data_sock.getsockname(), ack_sock.getsockname()
+
+    def place(offset: int, payload) -> None:
+        if kill_rx is not None:
+            stats = receiver.stats
+            handled = stats.packets_new + stats.packets_duplicate
+            if kill_rx.should_fire(handled):
+                # The pending (unflushed) journal run is lost with the
+                # process; the sender must stall-abort.
+                kill_rx.fire(time.monotonic())
+                if journal is not None:
+                    journal.simulate_crash()
+                raise EndpointKilled(f"receiver killed by crash injection "
+                                     f"after {handled} data packets")
+        buffer[offset:offset + len(payload)] = payload
+
+    def send_ack(ack: bytes) -> None:
+        if not blackhole_acks:
+            ack_out.sendto(ack, ack_addr)
+
+    def receive() -> Optional[str]:
+        failure = run_receiver(RecvDriver(receiver, place, session),
+                               data_sock, send_ack, deadline)
+        if failure is None:
+            # Normal completion: make the journal durable, then send
+            # the completion signal over TCP (suppressed, like the
+            # ACKs, in the adversarial mode).
+            if journal is not None:
+                journal.close()
+            if not blackhole_acks:
+                with socket.create_connection(listener.getsockname(),
+                                              timeout=5.0) as ctrl:
+                    ctrl.sendall(wire.encode_completion(receiver.npackets))
+        return failure
+
+    send = partial(send_burst, data_out, data_addr)
+    if drop_rate or corrupt_rate or kill_tx is not None:
+        send = FaultySend(send, drop_rate, corrupt_rate, kill_tx, seed)
+    driver = SendDriver(sender, data, send, session)
     if tuning is not None:
         # Loopback owns both endpoints (like the DES), so the tuner
         # drives rate and batch size on the sender and F on the
         # in-process receiver.
-        from repro.core.rate import FixedBatchPolicy
-        from repro.telemetry import NULL_CHANNEL
-        from repro.tuning import TransferTuner
-        channel = NULL_CHANNEL
-        if telemetry is not None and telemetry.enabled:
-            tid = session.transfer_id if session is not None else 0
-            channel = telemetry.channel(
-                tid, epoch=sender.sender.epoch, src="tuner")
-        policy = sender.sender.batch_policy
-        set_batch = None
-        if isinstance(policy, FixedBatchPolicy):
-            def set_batch(b, _p=policy):
-                _p.batch_size = b
-        def set_f(f, _r=receiver.receiver):
-            _r.ack_frequency = f
-        sender.tuner = TransferTuner(
-            tuning,
-            set_rate=sender.sender.set_pacing_rate,
-            set_ack_frequency=set_f,
-            set_batch_size=set_batch,
-            telemetry=channel,
-            rate_bps=sender.sender.pacing_rate_bps,
-            ack_frequency=config.ack_frequency,
-            batch_size=config.batch_size,
-        )
+        from repro.tuning import make_tuner
 
+        driver.tuner = make_tuner(
+            tuning, sender=sender, receiver=receiver, telemetry=telemetry,
+            transfer_id=session.transfer_id if session is not None else 0)
+
+    def poll_completion() -> None:
+        try:
+            conn, _addr = listener.accept()
+        except BlockingIOError:
+            return
+        with conn:
+            conn.settimeout(2.0)
+            wire.decode_completion(conn.recv(64))
+            driver.on_completion(time.monotonic())
+
+    rx = _Endpoint("fobs-receiver", receive, [data_sock, ack_out])
+    tx = _Endpoint(
+        "fobs-sender",
+        lambda: run_sender(driver, ack_sock, poll_completion, deadline),
+        [data_out, ack_sock, listener])
     start = time.monotonic()
-    receiver.start()
-    sender.start()
-    sender.join(timeout=timeout + 5)
-    receiver.join(timeout=5)
+    rx.start()
+    tx.start()
+    tx.join(timeout=timeout + 5)
+    rx.join(timeout=5)
     duration = max(time.monotonic() - start, 1e-9)
 
-    for thread in (sender, receiver):
+    for thread in (tx, rx):
         if thread.error is not None:
             raise RuntimeError(f"{thread.name} failed") from thread.error
         if thread.is_alive():
             raise TimeoutError(f"{thread.name} did not finish within {timeout}s")
 
-    crashed = ("sender" if sender.crashed
-               else "receiver" if receiver.crashed else None)
-    completed = (sender.sender.complete and receiver.receiver.complete
-                 and crashed is None)
-    if crashed == "sender":
-        failure_reason = sender.failure_reason
-    elif crashed == "receiver":
-        failure_reason = receiver.failure_reason
-    else:
-        failure_reason = sender.sender.failure_reason or receiver.failure_reason
+    crashed = "sender" if tx.crashed else "receiver" if rx.crashed else None
+    completed = sender.complete and receiver.complete and crashed is None
     checksum_ok = completed and (
-        hashlib.sha256(bytes(receiver.buffer)).digest()
+        hashlib.sha256(bytes(buffer)).digest()
         == hashlib.sha256(data).digest()
     )
     return LoopbackResult(
@@ -542,19 +390,20 @@ def run_loopback_transfer(
         duration=duration,
         throughput_bps=nbytes * 8.0 / duration,
         checksum_ok=checksum_ok,
-        packets_sent=sender.sender.stats.packets_sent,
-        packets_retransmitted=sender.sender.stats.retransmissions,
-        duplicates_received=receiver.receiver.stats.packets_duplicate,
-        acks_sent=receiver.receiver.stats.acks_built,
-        wasted_fraction=sender.sender.wasted_fraction,
+        packets_sent=sender.stats.packets_sent,
+        packets_retransmitted=sender.stats.retransmissions,
+        duplicates_received=receiver.stats.packets_duplicate,
+        acks_sent=receiver.stats.acks_built,
+        wasted_fraction=sender.wasted_fraction,
         completed=completed,
-        failure_reason=failure_reason,
-        stall_events=sender.sender.stats.stall_events,
-        stall_recoveries=sender.sender.stats.stall_recoveries,
-        corrupt_dropped=(receiver.receiver.stats.packets_corrupt
-                         + sender.sender.stats.acks_corrupt),
-        stale_epoch_dropped=(receiver.receiver.stats.stale_epoch_data
-                             + sender.sender.stats.stale_epoch_acks),
-        resumed_packets=sender.sender.stats.resumed_packets,
+        failure_reason=(rx.failure_reason if rx.crashed
+                        else tx.failure_reason or rx.failure_reason),
+        stall_events=sender.stats.stall_events,
+        stall_recoveries=sender.stats.stall_recoveries,
+        corrupt_dropped=(receiver.stats.packets_corrupt
+                         + sender.stats.acks_corrupt),
+        stale_epoch_dropped=(receiver.stats.stale_epoch_data
+                             + sender.stats.stale_epoch_acks),
+        resumed_packets=sender.stats.resumed_packets,
         crashed=crashed,
     )

@@ -11,9 +11,10 @@ evenly among the unconstrained flows.
 
 Every admission, completion, or demand change calls
 :meth:`BandwidthAllocator.reallocate`, which pushes the new share into
-each transfer through its ``apply`` callback — in the DES backend that
-is :meth:`repro.core.sender.FobsSender.set_pacing_rate`, in the real
-daemon it retunes the per-transfer token bucket.  Pacing therefore
+each transfer through its ``apply`` callback — in the DES backend and
+the real daemon alike that is
+:meth:`repro.core.sender.FobsSender.set_pacing_rate` (or, with
+``--autotune``, the tuner's rate ceiling).  Pacing therefore
 adapts *mid-transfer*: when one of four flows finishes, the remaining
 three speed up on the next batch they assemble.
 """

@@ -14,7 +14,7 @@ One process serves many concurrent FOBS transfers:
   per-client cap, or during drain) it gets a REJECT with a reason;
 * a bandwidth budget (:class:`repro.server.allocator.BandwidthAllocator`)
   divides the host send rate across active transfers by max-min
-  fairness, re-feeding each transfer's token bucket on every admission
+  fairness, re-feeding each sender's pacing rate on every admission
   and completion;
 * graceful drain: :meth:`ObjectServer.request_drain` (the CLI wires it
   to SIGTERM) stops admissions, rejects the queue, lets active
@@ -37,6 +37,11 @@ per-transfer socket (their datagrams carry nothing to demux on).  A
 queued push simply waits — the delayed ACCEPT/RESUME is transparent to
 the vanilla client; a rejected push sees its connection closed and its
 supervisor retries with backoff.
+
+The protocol loops are :mod:`repro.runtime.driver`'s: the pump calls
+each send entry's ``step(now)`` and sleeps for the smallest wakeup any
+of them asked for; the demux pushes every datagram into its entry's
+driver.
 """
 
 from __future__ import annotations
@@ -47,8 +52,8 @@ import socket
 import struct
 import time
 import zlib
-from collections import deque
 from dataclasses import replace
+from functools import partial
 from typing import TYPE_CHECKING, Optional, TextIO
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,12 +62,18 @@ if TYPE_CHECKING:  # pragma: no cover
 import numpy as np
 
 from repro.core.config import FobsConfig
-from repro.core.journal import ReceiverJournal
-from repro.core.manifest import ChunkManifest, ManifestCorrupt, VerifyStats
-from repro.core.rate import TokenBucket
+from repro.core.manifest import ChunkManifest
 from repro.core.receiver import FobsReceiver
 from repro.core.sender import FobsSender
 from repro.runtime import files, wire
+from repro.runtime.driver import (
+    EndpointKilled,
+    FaultySend,
+    PartFile,
+    RecvDriver,
+    SendDriver,
+)
+from repro.runtime.transfer import send_burst
 from repro.server.admission import (
     ADMIT,
     DRAINING,
@@ -80,7 +91,6 @@ from repro.server.registry import (
 from repro.server.stats import ServerSnapshot, TransferSnapshot
 from repro.telemetry import (
     EV_ADMISSION,
-    EV_STORAGE_FAULT,
     EV_TRANSFER_END,
     EV_TRANSFER_START,
     NULL_CHANNEL,
@@ -98,10 +108,6 @@ _REJECT_CODES = {
     DRAINING: wire.REJECT_DRAINING,
     "client_cap": wire.REJECT_CLIENT_CAP,
 }
-
-
-class _ServerKilled(Exception):
-    """Crash injection fired: die abruptly, mid-whatever."""
 
 
 class _Conn:
@@ -130,54 +136,39 @@ class _SendEntry:
     """Server → client transfer (a fetch) on the shared socket."""
 
     kind = SENDING
-    __slots__ = ("key", "session", "sender", "data", "config", "conn",
-                 "name", "client", "data_addr", "pacer", "pending",
-                 "started_at", "tuner")
+    __slots__ = ("key", "session", "sender", "conn", "name", "client",
+                 "data_addr", "driver", "started_at")
 
-    def __init__(self, key, session, sender, data, config, conn, name):
+    def __init__(self, key, session, sender, conn, name):
         self.key = key
         self.session: wire.SessionContext = session
         self.sender: FobsSender = sender
-        self.data: bytes = data
-        self.config: FobsConfig = config
         self.conn: _Conn = conn
         self.name = name
         self.client = conn.addr[0]
         self.data_addr: Optional[tuple[str, int]] = None
-        self.pacer = TokenBucket()
-        self.pending: deque[bytes] = deque()
+        self.driver: Optional[SendDriver] = None
         self.started_at = 0.0
-        #: Per-transfer autotuner, or None (the common, untuned case).
-        self.tuner = None
 
 
 class _RecvEntry:
     """Client → server transfer (a push)."""
 
     kind = RECEIVING
-    __slots__ = ("key", "session", "receiver", "config", "conn", "offer",
-                 "name", "client", "sock", "part_fh", "part_path",
-                 "output_path", "journal", "journal_path", "started_at",
-                 "manifest", "vstats")
+    __slots__ = ("key", "driver", "receiver", "part", "conn", "offer",
+                 "name", "client", "sock", "started_at")
 
-    def __init__(self, key, session, receiver, config, conn, offer, name):
+    def __init__(self, key, driver, part, conn, offer, name):
         self.key = key
-        self.session: Optional[wire.SessionContext] = session
-        self.receiver: FobsReceiver = receiver
-        self.config: FobsConfig = config
+        self.driver: RecvDriver = driver
+        self.receiver: FobsReceiver = driver.receiver
+        self.part: PartFile = part
         self.conn: _Conn = conn
         self.offer: files.Offer = offer
         self.name = name
         self.client = conn.addr[0]
         self.sock: Optional[socket.socket] = None  # dedicated (v1) only
-        self.part_fh = None
-        self.part_path = ""
-        self.output_path = ""
-        self.journal: Optional[ReceiverJournal] = None
-        self.journal_path = ""
         self.started_at = 0.0
-        self.manifest: Optional[ChunkManifest] = None
-        self.vstats = VerifyStats()
 
 
 class ObjectServer:
@@ -283,21 +274,22 @@ class ObjectServer:
         transfers = []
         for entry in list(self._send_entries.values()):
             tune: dict = {}
-            if entry.tuner is not None:
+            tuner = entry.driver.tuner
+            if tuner is not None:
                 tune = dict(
-                    tune_rate_bps=entry.tuner.rate_bps,
-                    tune_ack_frequency=entry.tuner.ack_frequency,
-                    tune_batch_size=entry.tuner.batch_size,
-                    waste_ratio=entry.tuner.last_waste,
-                    stall_events=entry.tuner.last_stalls)
+                    tune_rate_bps=tuner.rate_bps,
+                    tune_ack_frequency=tuner.ack_frequency,
+                    tune_batch_size=tuner.batch_size,
+                    waste_ratio=tuner.last_waste,
+                    stall_events=tuner.last_stalls)
             transfers.append(TransferSnapshot(
                 transfer_id=entry.session.transfer_id,
                 name=entry.name, client=entry.client, direction="send",
                 epoch=entry.session.epoch,
-                nbytes=len(entry.data),
+                nbytes=entry.sender.total_bytes,
                 npackets=entry.sender.npackets,
                 packets_done=int(entry.sender.acked.count),
-                share_bps=entry.pacer.rate_bps,
+                share_bps=entry.sender.pacing_rate_bps,
                 elapsed=max(now - entry.started_at, 0.0),
                 **tune))
         for entry in list(self._recv_entries.values()):
@@ -396,17 +388,20 @@ class ObjectServer:
                     if tag == "listener":
                         self._accept(now)
                     elif tag == "udp":
-                        self._drain_shared_udp(now)
+                        self._drain(self._udp, self._route_datagram, now)
                     elif tag == "conn":
                         self._on_conn_readable(key.data[1], now)
                     elif tag == "recv_sock":
-                        self._drain_dedicated(key.data[1], now)
+                        entry = key.data[1]
+                        self._drain(entry.sock, partial(self._on_push_data,
+                                                        entry), now)
                 if now >= next_sweep:
                     next_sweep = now + 0.5
                     self._sweep(now)
                 if self._snapshot_sink is not None:
                     self._snapshot_sink.maybe_emit(now)
-        except _ServerKilled:
+        except EndpointKilled:
+            # Crash injection fired inside the send pump.
             self._crash_teardown()
             return self.stats()
         finally:
@@ -435,30 +430,16 @@ class ObjectServer:
 
     def _graceful_teardown(self) -> None:
         self._fail_all("server shut down")
-        for conn in list(self._conns):
-            self._close_conn(conn)
-        for sock in (self._listener, self._udp):
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-        if self._sel is not None:
-            self._sel.close()
+        self._close_sockets()
 
     def _crash_teardown(self) -> None:
         """Abrupt death: close fds, lose unflushed journal writes."""
         self.crashed = True
-        if self.kill is not None and not self.kill.fired:
-            self.kill.fire(time.monotonic())
         for entry in self._recv_entries.values():
-            if entry.journal is not None:
-                entry.journal.simulate_crash()
-            if entry.part_fh is not None:
-                try:
-                    entry.part_fh.close()
-                except OSError:
-                    pass
+            entry.part.crash()
+        self._close_sockets()
+
+    def _close_sockets(self) -> None:
         for conn in list(self._conns):
             self._close_conn(conn)
         for sock in (self._listener, self._udp):
@@ -600,16 +581,12 @@ class ObjectServer:
                 frame = bytes(buf[:need])
                 del buf[:need]
                 try:
-                    manifest = ChunkManifest.decode(wire.decode_verify(frame))
-                except (ValueError, ManifestCorrupt):
-                    # Unusable manifest: fall back to the whole-object
-                    # CRC rather than refusing the transfer.
-                    manifest = None
-                if manifest is not None and (
-                        manifest.total_bytes != conn.offer.filesize
-                        or manifest.packet_size != conn.offer.packet_size):
-                    manifest = None
-                conn.manifest = manifest
+                    conn.manifest = files.manifest_for(
+                        wire.decode_verify(frame), conn.offer)
+                except ValueError:
+                    # Unusable frame: fall back to the whole-object CRC
+                    # rather than refusing the transfer.
+                    conn.manifest = None
                 self._handle_push(conn, conn.offer, now)
             elif conn.state == "await_resume":
                 entry: _SendEntry = conn.entry
@@ -742,9 +719,20 @@ class ObjectServer:
                             epoch=req.epoch,
                             telemetry=self._transfer_channel(
                                 tid, req.epoch, src="sender"))
-        entry = _SendEntry(tid, session, sender, data, config, conn,
-                           req.name)
+        entry = _SendEntry(tid, session, sender, conn, req.name)
         entry.started_at = now
+        tuner = None
+        if self.tuning is not None:
+            from repro.tuning import make_tuner
+
+            # ack_frequency is receiver-side; the fetch client runs its
+            # own F-tuner.  The daemon's tuner drives pacing rate and
+            # batch size, with the max-min share as its rate ceiling.
+            tuner = make_tuner(self.tuning, sender=sender,
+                               telemetry=self.telemetry, transfer_id=tid,
+                               label=req.name)
+        entry.driver = SendDriver(sender, data, self._send_for(entry),
+                                  session, tuner)
         self._transfer_channel(tid, req.epoch).emit(
             EV_TRANSFER_START, nbytes=len(data), npackets=sender.npackets,
             packet_size=config.packet_size,
@@ -755,54 +743,15 @@ class ObjectServer:
         conn.deadline = now + self.handshake_timeout
         self._send_entries[tid] = entry
         self.registry.add(RegisteredTransfer(tid, req.epoch, SENDING, entry))
-        if self.tuning is not None:
-            from repro.core.rate import FixedBatchPolicy
-            from repro.tuning import TransferTuner
-
-            # ack_frequency is receiver-side; the fetch client runs its
-            # own F-tuner.  The daemon's tuner drives pacing rate and
-            # batch size, with the max-min share as its rate ceiling.
-            set_batch = None
-            policy = sender.batch_policy
-            if isinstance(policy, FixedBatchPolicy):
-                def set_batch(b, p=policy):
-                    p.batch_size = b
-            entry.tuner = TransferTuner(
-                self.tuning,
-                set_rate=lambda r, p=entry.pacer: p.set_rate(
-                    r, time.monotonic()),
-                set_batch_size=set_batch,
-                telemetry=self._transfer_channel(tid, req.epoch,
-                                                 src="tuner"),
-                rate_bps=entry.pacer.rate_bps,
-                ack_frequency=config.ack_frequency,
-                batch_size=config.batch_size,
-                label=req.name)
-        if entry.tuner is not None:
-            self.allocator.register(tid, entry.tuner.set_ceiling,
-                                    demand_bps=req.rate_cap_bps or None)
-        else:
-            self.allocator.register(
-                tid, lambda r, p=entry.pacer: p.set_rate(r, time.monotonic()),
-                demand_bps=req.rate_cap_bps or None)
+        self.allocator.register(
+            tid, tuner.set_ceiling if tuner else sender.set_pacing_rate,
+            demand_bps=req.rate_cap_bps or None)
         self.allocator.reallocate()
-        flags = files.FLAG_RESUME | (files.FLAG_CHECKSUM if req.checksum
-                                     else 0)
-        manifest = None
-        if req.verify:
-            flags |= files.FLAG_VERIFY
-            manifest = ChunkManifest.from_data(data, config.packet_size)
-        offer = files.Offer(
-            filesize=len(data), packet_size=config.packet_size,
-            ack_port=self.udp_port, flags=flags, crc=zlib.crc32(data),
-            transfer_id=tid, epoch=req.epoch)
-        payload = files.encode_offer(offer)
-        if manifest is not None:
-            # VERIFY rides between OFFER and the client's RESUME reply
-            # (PROTOCOL.md §10): the client audits its journal-claimed
-            # chunks against these digests before building the bitmap.
-            payload += wire.encode_verify(manifest.encode())
-        if not self._send_ctrl(conn, payload):
+        manifest = (ChunkManifest.from_data(data, config.packet_size)
+                    if req.verify else None)
+        if not self._send_ctrl(conn, files.announce_offer(
+                len(data), zlib.crc32(data), config, self.udp_port, session,
+                manifest)):
             self._finish_send(entry, ok=False,
                               reason="client vanished before offer")
 
@@ -857,99 +806,51 @@ class ObjectServer:
     def _begin_push_recv(self, conn: _Conn, now: float) -> None:
         offer = conn.offer
         config = files.attempt_config_for(offer, self.config)
-        if offer.resumable:
-            name = f"push-{offer.transfer_id:016x}.bin"
-            session = wire.SessionContext(offer.transfer_id, offer.epoch)
-        else:
-            name = f"push-anon-{conn.key[1]}.bin"
-            session = None
-        output_path = os.path.join(self.root, name)
-        entry = _RecvEntry(conn.key, session, None, config, conn, offer,
-                           name)
-        entry.output_path = output_path
-        entry.part_path = output_path + ".part"
-        entry.journal_path = output_path + ".journal"
-        entry.manifest = conn.manifest
-        resume_bitmap = None
-        if offer.resumable:
-            entry.journal, replay = ReceiverJournal.open(
-                entry.journal_path, offer.transfer_id, offer.filesize,
-                offer.packet_size)
-            if replay is not None:
-                resume_bitmap = replay.bitmap.array
-        mode = "r+b" if (os.path.exists(entry.part_path)
-                         and os.path.getsize(entry.part_path) == offer.filesize
-                         and offer.resumable and resume_bitmap is not None
-                         ) else "w+b"
+        name = (f"push-{offer.transfer_id:016x}.bin" if offer.resumable
+                else f"push-anon-{conn.key[1]}.bin")
         channel = self._transfer_channel(offer.transfer_id, offer.epoch)
-        try:
-            entry.part_fh = self.opener(entry.part_path, mode)
-            if mode == "w+b":
-                entry.part_fh.truncate(offer.filesize)
-            if (entry.manifest is not None and entry.journal is not None
-                    and mode == "r+b" and entry.journal.bitmap.count):
-                # Verify-on-resume: audit every journal-claimed chunk
-                # against the manifest BEFORE the RESUME reply, so
-                # corrupt ranges are demoted and re-requested rather
-                # than trusted.
-                claimed = np.flatnonzero(entry.journal.bitmap.array)
-                entry.vstats.merge(files._verify_pass(
-                    "resume", entry.manifest, entry.part_fh,
-                    claimed.tolist(), entry.journal, channel))
-                resume_bitmap = entry.journal.bitmap.array
-        except OSError as exc:
-            reason = files._storage_reason("part", exc)
-            if channel.enabled:
-                channel.emit(EV_STORAGE_FAULT, error=type(exc).__name__,
-                             detail=str(exc), where="part")
-            if entry.part_fh is not None:
-                try:
-                    entry.part_fh.close()
-                except OSError:
-                    pass
-            if entry.journal is not None:
-                entry.journal.close()
+        part = PartFile(
+            os.path.join(self.root, name), offer.filesize,
+            offer.packet_size, offer.crc,
+            transfer_id=offer.transfer_id if offer.resumable else None,
+            manifest=conn.manifest, opener=self.opener, channel=channel)
+        if part.fault is not None:
             self._failed += 1
-            self.history.append((name, "recv", conn.addr[0], False, reason))
+            self.history.append((name, "recv", conn.addr[0], False,
+                                 part.fault))
             self._close_conn(conn)
             self._release_and_promote(conn.key)
             return
-        entry.receiver = FobsReceiver(
-            config, offer.filesize, resume_bitmap=resume_bitmap,
-            journal=entry.journal, epoch=offer.epoch,
-            telemetry=self._transfer_channel(offer.transfer_id, offer.epoch,
-                                             src="receiver"))
-        self._transfer_channel(offer.transfer_id, offer.epoch).emit(
-            EV_TRANSFER_START, nbytes=offer.filesize,
-            npackets=entry.receiver.npackets,
-            packet_size=offer.packet_size,
-            ack_frequency=config.ack_frequency, backend="server",
-            role="receiver", name=name, client=conn.addr[0])
+        sock = None
         data_port = self.udp_port
-        if session is None:
+        if not offer.resumable:
             # v1 datagrams carry no session extension to demux on: give
             # the transfer its own socket.
-            entry.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            entry.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF,
-                                  1 << 20)
-            entry.sock.bind((self.bind, 0))
-            entry.sock.setblocking(False)
-            data_port = entry.sock.getsockname()[1]
-            self._sel.register(entry.sock, selectors.EVENT_READ,
-                               ("recv_sock", entry))
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
+            sock.bind((self.bind, 0))
+            sock.setblocking(False)
+            data_port = sock.getsockname()[1]
+        driver, reply = files.accept_offer(offer, config, part, data_port,
+                                           self.telemetry)
+        entry = _RecvEntry(conn.key, driver, part, conn, offer, name)
+        entry.sock = sock
+        channel.emit(
+            EV_TRANSFER_START, nbytes=offer.filesize,
+            npackets=entry.receiver.npackets, packet_size=offer.packet_size,
+            ack_frequency=config.ack_frequency, backend="server",
+            role="receiver", name=name, client=conn.addr[0])
         entry.started_at = now
         conn.entry = entry
         conn.state = "receiving"
         conn.deadline = None
         self._recv_entries[conn.key] = entry
-        if session is not None:
+        if sock is not None:
+            self._sel.register(sock, selectors.EVENT_READ,
+                               ("recv_sock", entry))
+        else:
             self.registry.add(RegisteredTransfer(
                 offer.transfer_id, offer.epoch, RECEIVING, entry))
-            reply = wire.encode_resume(offer.transfer_id, offer.epoch,
-                                       data_port,
-                                       entry.receiver.bitmap.snapshot())
-        else:
-            reply = struct.pack("!III", files.ACCEPT_MAGIC, data_port, 0)
         if not self._send_ctrl(conn, reply):
             self._finish_recv(entry, ok=False,
                               reason="client vanished before accept")
@@ -957,21 +858,21 @@ class ObjectServer:
     # ------------------------------------------------------------------
     # Shared-socket demux
     # ------------------------------------------------------------------
-    def _drain_shared_udp(self, now: float) -> None:
+    def _drain(self, sock: socket.socket, handle, now: float) -> None:
         # recv_into a reusable buffer: recvfrom(1 << 20) allocates a
         # fresh megabyte-sized bytes object per datagram; here every
-        # datagram lands in the same allocation and is routed through a
-        # zero-copy memoryview (consumed synchronously before the next
-        # receive overwrites it).
-        recv_into = self._udp.recv_into
+        # datagram lands in the same allocation and is handled through
+        # a zero-copy memoryview (consumed synchronously before the
+        # next receive overwrites it).
+        recv_into = sock.recv_into
         rxbuf = self._rxbuf
         rxview = self._rxview
         while True:
             try:
                 nrecv = recv_into(rxbuf)
-            except (BlockingIOError, OSError):
-                return
-            self._route_datagram(rxview[:nrecv], now)
+            except OSError:
+                return  # drained (EAGAIN), or closed by the handler
+            handle(rxview[:nrecv], now)
 
     def _route_datagram(self, datagram: bytes, now: float) -> None:
         # ACK or DATA?  No magic distinguishes them — probe the session
@@ -995,78 +896,33 @@ class ObjectServer:
     def _on_fetch_ack(self, entry: _SendEntry, datagram: bytes,
                       now: float) -> None:
         try:
-            ack = wire.decode_ack(datagram, checksum=entry.config.checksum,
-                                  session=entry.session)
-        except wire.ChecksumError:
-            entry.sender.on_corrupt_ack()
-            return
-        except (wire.StaleEpochError, wire.SessionMismatchError):
-            entry.sender.on_stale_ack()
-            return
+            entry.driver.on_ack_datagram(datagram, now)
         except ValueError:
             self.registry.count_undecodable()
-            return
-        entry.sender.on_ack(ack, now)
-        if entry.tuner is not None:
-            entry.tuner.on_ack(entry.sender, now)
 
     def _on_push_data(self, entry: _RecvEntry, datagram: bytes,
                       now: float) -> None:
         try:
-            pkt, payload = wire.decode_data(
-                datagram, checksum=entry.config.checksum,
-                session=entry.session)
-        except wire.ChecksumError:
-            entry.receiver.on_corrupt_data(now)
-            return
-        except (wire.StaleEpochError, wire.SessionMismatchError):
-            entry.receiver.on_stale_data(0)
-            return
+            ack = entry.driver.on_datagram(datagram, now)
         except ValueError:
             self.registry.count_undecodable()
             return
         self._bytes_received += len(datagram)
-        # Data before log: the payload lands in the .part file before
-        # on_data journals the packet.
-        try:
-            entry.part_fh.seek(pkt.seq * entry.config.packet_size)
-            entry.part_fh.write(payload)
-            ack = entry.receiver.on_data(pkt.seq, now)
-        except OSError as exc:
+        if entry.driver.fault is not None:
             # Disk fault mid-push (ENOSPC/EIO): fail this transfer with
             # a typed, retryable reason — the daemon itself survives,
             # the journal keeps its durable prefix, and the client's
             # supervisor re-offers through admission.
-            if entry.session is not None:
-                channel = self._transfer_channel(entry.session.transfer_id,
-                                                 entry.session.epoch)
-                if channel.enabled:
-                    channel.emit(EV_STORAGE_FAULT,
-                                 error=type(exc).__name__,
-                                 detail=str(exc), where="part")
-            self._finish_recv(entry, ok=False,
-                              reason=files._storage_reason("part", exc))
+            self._finish_recv(entry, ok=False, reason=entry.driver.fault)
             return
         if ack is not None:
-            out = wire.encode_ack(ack, checksum=entry.config.checksum,
-                                  session=entry.session)
             sock = entry.sock if entry.sock is not None else self._udp
             try:
-                sock.sendto(out, (entry.conn.addr[0], entry.offer.ack_port))
+                sock.sendto(ack, (entry.conn.addr[0], entry.offer.ack_port))
             except OSError:
                 pass
         if entry.receiver.complete:
             self._finish_recv(entry, ok=True)
-
-    def _drain_dedicated(self, entry: _RecvEntry, now: float) -> None:
-        rxbuf = self._rxbuf
-        rxview = self._rxview
-        while entry.sock is not None:
-            try:
-                nrecv = entry.sock.recv_into(rxbuf)
-            except (BlockingIOError, OSError):
-                return
-            self._on_push_data(entry, rxview[:nrecv], now)
 
     # ------------------------------------------------------------------
     # Sender pump (the paper's batch blast, paced by the allocator)
@@ -1077,66 +933,34 @@ class ObjectServer:
             hint = min(hint, self._pump_entry(entry, now))
         return max(hint, 0.0)
 
+    def _send_for(self, entry: _SendEntry):
+        """The entry's ``send(views) -> n_sent`` onto the shared socket; a
+        full buffer (or a transient error) leaves the tail with the driver."""
+        def send(views) -> int:
+            try:
+                sent = send_burst(self._udp, entry.data_addr, views)
+            except OSError:
+                sent = 0
+            self._bytes_sent += sum(map(len, views[:sent]))
+            return sent
+
+        if self.kill is not None:
+            return FaultySend(send, kill=self.kill)
+        return send
+
     def _pump_entry(self, entry: _SendEntry, now: float) -> float:
         if entry.data_addr is None:  # still awaiting RESUME
             return 0.05
         sender = entry.sender
-        sent_this_pass = 0
+        quota = sender.stats.packets_sent + _PUMP_QUANTUM
         while True:
-            if sender.complete:
-                self._finish_send(entry, ok=True)
-                return 0.05
-            if entry.pending:
-                datagram = entry.pending[0]
-                if not entry.pacer.take(len(datagram), now):
-                    # Clamp the pacing sleep: wait_hint is computed
-                    # against the *current* rate, and a mid-sleep
-                    # allocator/tuner raise would otherwise not take
-                    # effect until a stale (possibly long) sleep ends.
-                    return min(entry.pacer.wait_hint(len(datagram), now),
-                               0.02)
-                entry.pending.popleft()
-                try:
-                    self._udp.sendto(datagram, entry.data_addr)
-                except (BlockingIOError, OSError):
-                    entry.pending.appendleft(datagram)
-                    return 0.002
-                self._bytes_sent += len(datagram)
-                self._data_packets_sent += 1
-                if (self.kill is not None
-                        and self.kill.should_fire(self._data_packets_sent)):
-                    raise _ServerKilled()
-                sent_this_pass += 1
-                if sent_this_pass >= _PUMP_QUANTUM:
-                    return 0.0
-                continue
-            stall = sender.poll_stall(now)
-            if stall == "abort":
-                self._finish_send(entry, ok=False,
+            hint = entry.driver.step(now)
+            if sender.complete or sender.failed:
+                self._finish_send(entry, ok=sender.complete,
                                   reason=sender.failure_reason)
                 return 0.05
-            if sender.complete:
-                continue
-            if stall == "wait":
-                return sender.stall_wait_hint(now)
-            batch = (sender.probe_batch() if stall == "probe"
-                     else sender.next_batch())
-            if not batch:
-                return 0.002  # all packets out; waiting on ACK/completion
-            if entry.tuner is not None:
-                entry.tuner.maybe_probe(batch[0].seq, now)
-            # One codec pass for the whole batch: headers scattered
-            # vectorized, payloads sliced zero-copy from the object
-            # blob, one shared output buffer backing every datagram the
-            # pacer will release.
-            psize = entry.config.packet_size
-            blob = memoryview(entry.data)
-            payloads = [blob[pkt.seq * psize:
-                             pkt.seq * psize + pkt.payload_bytes]
-                        for pkt in batch]
-            entry.pending.extend(wire.encode_data_burst(
-                batch, payloads, checksum=entry.config.checksum,
-                session=entry.session))
+            if hint > 0.0 or sender.stats.packets_sent >= quota:
+                return hint
 
     # ------------------------------------------------------------------
     # Completion / failure
@@ -1189,75 +1013,40 @@ class ObjectServer:
         if entry.key not in self._recv_entries:
             return
         del self._recv_entries[entry.key]
-        if entry.session is not None:
-            reg = self.registry.get(entry.session.transfer_id)
-            if reg is not None and reg.entry is entry:
-                self.registry.remove(entry.session.transfer_id)
+        reg = self.registry.get(entry.offer.transfer_id)
+        if reg is not None and reg.entry is entry:
+            self.registry.remove(entry.offer.transfer_id)
         if entry.sock is not None:
             try:
                 self._sel.unregister(entry.sock)
             except (KeyError, ValueError):
                 pass
             entry.sock.close()
+        part = entry.part
         if ok:
-            try:
-                entry.part_fh.flush()
-                entry.part_fh.close()
-                entry.part_fh = None
-                with open(entry.part_path, "rb") as fh:
-                    blob = fh.read()
-            except OSError as exc:
-                ok = False
-                reason = files._storage_reason("finalize", exc)
-            else:
-                # Verify-on-complete: per-chunk digests when the client
-                # sent a manifest, whole-object CRC32 fallback
-                # otherwise; either way corrupt chunks are demoted in
-                # the journal so the retry re-fetches them instead of
-                # publishing garbage.
-                channel = self._transfer_channel(entry.offer.transfer_id,
-                                                 entry.offer.epoch)
-                ok, reason, vstats = files._completion_audit(
-                    blob, entry.offer, entry.manifest, entry.journal,
-                    channel)
-                entry.vstats.merge(vstats)
-                if ok:
-                    try:
-                        self._send_ctrl(entry.conn, wire.encode_completion(
-                            entry.receiver.npackets))
-                        os.replace(entry.part_path, entry.output_path)
-                    except OSError as exc:
-                        ok = False
-                        reason = files._storage_reason("finalize", exc)
-        if entry.part_fh is not None:
-            try:
-                entry.part_fh.close()
-            except OSError:
-                pass
-        if entry.journal is not None:
-            entry.journal.close()
+            # Verify-on-complete: per-chunk digests when the client
+            # sent a manifest, whole-object CRC32 fallback otherwise;
+            # either way corrupt chunks are demoted in the journal so
+            # the retry re-fetches them instead of publishing garbage.
+            reason = part.publish()
+            ok = reason is None
             if ok:
-                try:
-                    os.remove(entry.journal_path)
-                except OSError:
-                    pass
+                self._send_ctrl(entry.conn, wire.encode_completion(
+                    entry.receiver.npackets))
+        part.close()
         if ok:
             self._completed += 1
         else:
             self._failed += 1
-        receiver = entry.receiver
-        self._transfer_channel(entry.offer.transfer_id,
-                               entry.offer.epoch).emit(
+        part.channel.emit(
             EV_TRANSFER_END, completed=ok, failed=not ok,
             duration=max(time.monotonic() - entry.started_at, 0.0),
-            packets_received=(receiver.stats.packets_new
-                              if receiver is not None else 0),
-            resumed_packets=(receiver.stats.resumed_packets
-                             if receiver is not None else 0),
-            packets_demoted=entry.vstats.chunks_corrupt,
-            ranges_demoted=entry.vstats.ranges_demoted,
-            bytes_demoted=entry.vstats.bytes_demoted,
-            verify_seconds=entry.vstats.duration,
+            packets_received=entry.receiver.stats.packets_new,
+            resumed_packets=entry.receiver.stats.resumed_packets,
+            packets_demoted=part.vstats.chunks_corrupt,
+            ranges_demoted=part.vstats.ranges_demoted,
+            bytes_demoted=part.vstats.bytes_demoted,
+            verify_seconds=part.vstats.duration,
             name=entry.name, role="receiver", failure_reason=reason or "")
         self.history.append((entry.name, "recv", entry.client, ok, reason))
         self._close_conn(entry.conn)

@@ -8,7 +8,7 @@ replayable from JSONL via :func:`replay_decisions`.
 """
 
 from repro.tuning.controller import Decision, EpochSignals, TuningConfig, TuningController
-from repro.tuning.meter import EpochMeter, TransferTuner
+from repro.tuning.meter import EpochMeter, TransferTuner, make_tuner
 from repro.tuning.replay import replay_decisions
 
 __all__ = [
@@ -18,5 +18,6 @@ __all__ = [
     "Decision",
     "EpochMeter",
     "TransferTuner",
+    "make_tuner",
     "replay_decisions",
 ]

@@ -10,7 +10,9 @@ date (satellite: these were previously only derivable post-hoc).
 
 All three backends share this class; they differ only in the apply
 callbacks they hand in and in where they call :meth:`on_ack` /
-:meth:`maybe_probe` from.  The hot-path contract matches the rest of
+:meth:`maybe_probe` from.  The real-socket backends build theirs with
+:func:`make_tuner`, which derives the callbacks from the endpoints a
+side owns.  The hot-path contract matches the rest of
 the codebase: backends guard every call site with
 ``if tuner is not None`` so the untuned path pays one attribute load.
 """
@@ -19,11 +21,12 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.core.rate import FixedBatchPolicy
 from repro.telemetry.bus import NULL_CHANNEL
 from repro.telemetry.events import EV_TUNE_DECISION, EV_TUNE_EPOCH
 from repro.tuning.controller import Decision, EpochSignals, TuningConfig, TuningController
 
-__all__ = ["EpochMeter", "TransferTuner"]
+__all__ = ["EpochMeter", "TransferTuner", "make_tuner"]
 
 #: Drop an RTT probe that has not been answered in this long — its
 #: sample would measure a retransmit round, not the path.
@@ -295,3 +298,50 @@ class TransferTuner:
                     f=decision.ack_frequency,
                     b=decision.batch_size,
                 )
+
+
+def make_tuner(
+    config: TuningConfig,
+    *,
+    sender=None,
+    receiver=None,
+    telemetry=None,
+    transfer_id: int = 0,
+    label: str = "",
+) -> TransferTuner:
+    """Wire a tuner to the endpoints this side of a transfer owns.
+
+    A :class:`~repro.core.sender.FobsSender` contributes the pacing
+    rate and, under the fixed batch policy, the batch size; a
+    :class:`~repro.core.receiver.FobsReceiver` contributes the ACK
+    frequency F.  A receiver-only tuner still runs the controller —
+    its rate tracks measured delivery goodput, which drives the F
+    time-cap.  ``telemetry`` is an event bus (or None); decisions are
+    published on a ``src="tuner"`` channel of the endpoint's epoch.
+    """
+    endpoint = sender if sender is not None else receiver
+    channel = NULL_CHANNEL
+    if telemetry is not None and telemetry.enabled:
+        channel = telemetry.channel(transfer_id=transfer_id,
+                                    epoch=endpoint.epoch, src="tuner")
+    set_rate = set_batch = set_f = rate = None
+    if sender is not None:
+        set_rate, rate = sender.set_pacing_rate, sender.pacing_rate_bps
+        policy = sender.batch_policy
+        if isinstance(policy, FixedBatchPolicy):
+            def set_batch(b: int) -> None:
+                policy.batch_size = b
+    if receiver is not None:
+        def set_f(f: int) -> None:
+            receiver.ack_frequency = f
+    return TransferTuner(
+        config,
+        set_rate=set_rate if set_rate is not None else lambda r: None,
+        set_ack_frequency=set_f,
+        set_batch_size=set_batch,
+        telemetry=channel,
+        rate_bps=rate,
+        ack_frequency=endpoint.config.ack_frequency,
+        batch_size=endpoint.config.batch_size,
+        label=label,
+    )

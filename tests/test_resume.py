@@ -10,7 +10,6 @@ datagram from a previous attempt never lands in the resumed object.
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 import pytest
@@ -371,50 +370,55 @@ class TestStaleEpoch:
                             session=current)
 
     def test_stale_datagram_never_lands_in_loopback_object(self):
-        """End to end: zombie datagrams are counted, never applied."""
-        from repro.runtime.transfer import _Receiver, _Sender
+        """End to end through the shared transfer driver: a dead
+        attempt's datagrams are counted, never applied, while the live
+        attempt completes byte-identically."""
+        from repro.core.packets import DataPacket
+        from repro.runtime.driver import RecvDriver, SendDriver
 
         config = loop_config()
         rng = np.random.default_rng(4)
         data = rng.integers(0, 256, size=100_000, dtype=np.uint8).tobytes()
         current = wire.SessionContext(transfer_id=55, epoch=3)
         zombie = wire.SessionContext(transfer_id=55, epoch=2)
-        deadline = time.monotonic() + 30.0
-        receiver = _Receiver(config, len(data), data_port=0,
-                             ack_addr=("127.0.0.1", 0),
-                             ctrl_addr=("127.0.0.1", 0), deadline=deadline,
-                             session=current)
-        sender = _Sender(config, data,
-                         data_addr=("127.0.0.1", receiver.data_port),
-                         ack_port=0, deadline=deadline, session=current)
-        receiver._ack_addr = ("127.0.0.1", sender.ack_port)
-        receiver._ctrl_addr = sender.ctrl_addr
+        buffer = bytearray(len(data))
 
-        # Queue zombie datagrams from the "previous attempt" carrying
-        # garbage payloads at in-range sequence numbers.
-        import socket as socket_mod
+        def place(offset, payload):
+            buffer[offset:offset + len(payload)] = payload
 
-        zombie_sock = socket_mod.socket(socket_mod.AF_INET,
-                                        socket_mod.SOCK_DGRAM)
-        from repro.core.packets import DataPacket
-
+        receiver = RecvDriver(
+            FobsReceiver(config, len(data), epoch=current.epoch), place,
+            current)
+        # Zombie datagrams from the "previous attempt" carrying garbage
+        # payloads at in-range sequence numbers arrive first.
         npackets = config.npackets(len(data))
         for seq in range(5):
             pkt = DataPacket(seq=seq, total=npackets,
                              payload_bytes=config.packet_size,
                              transmission=0)
-            zombie_sock.sendto(
-                wire.encode_data(pkt, b"\xff" * config.packet_size,
-                                 checksum=config.checksum, session=zombie),
-                ("127.0.0.1", receiver.data_port))
-        zombie_sock.close()
+            assert receiver.on_datagram(wire.encode_data(
+                pkt, b"\xff" * config.packet_size,
+                checksum=config.checksum, session=zombie), 0.0) is None
 
-        receiver.start()
-        sender.start()
-        sender.join(timeout=35)
-        receiver.join(timeout=5)
-        assert sender.error is None and receiver.error is None
-        assert receiver.receiver.complete
-        assert receiver.receiver.stats.stale_epoch_data >= 1
+        in_flight: list[bytes] = []
+
+        def send(views):
+            in_flight.extend(bytes(v) for v in views)
+            return len(views)
+
+        sender = SendDriver(
+            FobsSender(config, len(data), rng=np.random.default_rng(0),
+                       epoch=current.epoch), data, send, current)
+        now = 0.0
+        while not receiver.receiver.complete:
+            now += 1e-3
+            sender.step(now)
+            for datagram in in_flight:
+                ack = receiver.on_datagram(datagram, now)
+                if ack is not None:
+                    sender.on_ack_datagram(ack, now)
+            del in_flight[:]
+        assert sender.sender.all_acked
+        assert receiver.receiver.stats.stale_epoch_data == 5
         # The zombie's 0xff payloads never landed: byte-identical.
-        assert bytes(receiver.buffer) == data
+        assert bytes(buffer) == data

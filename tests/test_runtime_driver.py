@@ -1,0 +1,468 @@
+"""The real-socket transfer driver, with no sockets and no sleeps.
+
+``repro.runtime.driver`` writes the paper's sender and receiver loops
+once; the loopback threads, the file endpoints and the daemon only
+call it.  Everything here runs it against a fake ``send`` and a fake
+clock, so each property is exact rather than a wall-clock race.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+
+import numpy as np
+import pytest
+
+from repro.core.config import FobsConfig
+from repro.core.journal import ReceiverJournal
+from repro.core.packets import DataPacket
+from repro.core.receiver import FobsReceiver
+from repro.core.sender import FobsSender
+from repro.runtime import wire
+from repro.runtime.driver import (
+    IDLE_WAIT,
+    PACING_CLAMP,
+    EndpointKilled,
+    FaultySend,
+    PartFile,
+    RecvDriver,
+    SendDriver,
+)
+from repro.simnet.faults import KillSwitch
+from repro.telemetry import EV_STORAGE_FAULT, EventBus, RingBufferSink
+
+PSIZE = 64
+
+
+def cfg(**overrides) -> FobsConfig:
+    defaults = dict(packet_size=PSIZE, ack_frequency=4, batch_size=4,
+                    max_batch_size=64, checksum=True, recv_buffer=1 << 16)
+    defaults.update(overrides)
+    return FobsConfig(**defaults)
+
+
+def blob(npackets: int, tail: int = 17, seed: int = 0) -> bytes:
+    rng = np.random.default_rng(seed)
+    nbytes = (npackets - 1) * PSIZE + tail
+    return rng.integers(0, 256, size=nbytes, dtype=np.uint8).tobytes()
+
+
+class Wire:
+    """A fake ``send``: records datagrams, optionally takes only a few."""
+
+    def __init__(self, take=None):
+        self.datagrams: list[bytes] = []
+        self.take = take  # per-call limits, consumed front to back
+
+    def __call__(self, views) -> int:
+        limit = self.take.pop(0) if self.take else len(views)
+        views = list(views)[:limit]
+        self.datagrams.extend(bytes(v) for v in views)
+        return len(views)
+
+    def seqs(self, config, session=None) -> list[int]:
+        return [wire.decode_data(d, checksum=config.checksum,
+                                 session=session)[0].seq
+                for d in self.datagrams]
+
+
+def make_sender(config, data, send, session=None) -> SendDriver:
+    sender = FobsSender(config, len(data), rng=np.random.default_rng(0),
+                        epoch=session.epoch if session else 0)
+    return SendDriver(sender, data, send, session)
+
+
+def ack_for(config, npackets, seqs, ack_id=0, session=None) -> bytes:
+    rx = FobsReceiver(config, npackets * PSIZE,
+                      epoch=session.epoch if session else 0)
+    for seq in seqs:
+        rx.bitmap.mark(seq)
+    rx._next_ack_id = ack_id
+    return wire.encode_ack(rx.build_ack(), checksum=config.checksum,
+                           session=session)
+
+
+class TestSendDriver:
+    def test_three_phase_order(self, monkeypatch):
+        """One step = pick a batch, encode it in ONE burst, send it; an
+        ACK pushed in between steps steers the next pick."""
+        config = cfg()
+        data = blob(12)
+        out = Wire()
+        drv = make_sender(config, data, out)
+        calls = []
+        real_burst = wire.encode_data_burst
+        monkeypatch.setattr(
+            wire, "encode_data_burst",
+            lambda *a, **k: calls.append("encode") or real_burst(*a, **k))
+        real_next = drv.sender.next_batch
+        drv.sender.next_batch = (
+            lambda *a, **k: calls.append("pick") or real_next(*a, **k))
+        real_send = drv.send
+        drv.send = lambda views: calls.append("send") or real_send(views)
+
+        assert drv.step(0.0) == 0.0
+        assert calls == ["pick", "encode", "send"]
+        assert out.seqs(config) == [0, 1, 2, 3]
+        # Phase 2: the receiver already holds 4..7 (say, from a resume).
+        drv.on_ack_datagram(ack_for(config, 12, [4, 5, 6, 7]), 0.01)
+        drv.step(0.02)
+        assert calls == ["pick", "encode", "send"] * 2
+        assert out.seqs(config)[4:] == [8, 9, 10, 11]
+        # Payloads are the object's own bytes, tail packet short.
+        last = wire.decode_data(out.datagrams[-1], checksum=True)[1]
+        assert bytes(last) == data[11 * PSIZE:]
+
+    def test_every_queued_ack_steers_the_next_batch(self):
+        """Anomaly 2 pin: N ACK datagrams queued behind one batch all
+        reach FobsSender.on_ack before the next pick, and nothing any
+        of them acknowledged is sent again."""
+        config = cfg(batch_size=8)
+        data = blob(40)
+        out = Wire()
+        drv = make_sender(config, data, out)
+        drv.step(0.0)  # 0..7 out
+        groups = [range(0, 8), range(8, 16), range(16, 24), range(30, 34)]
+        acked: set[int] = set()
+        for ack_id, group in enumerate(groups):
+            acked |= set(group)
+            drv.on_ack_datagram(
+                ack_for(config, 40, sorted(acked), ack_id=ack_id), 0.001)
+        assert drv.sender.stats.acks_processed == len(groups)
+        del out.datagrams[:]
+        drv.step(0.002)
+        batch = out.seqs(config)
+        assert len(batch) == 8
+        assert not acked & set(batch)
+
+    def test_stall_probe_abort_at_configured_times(self):
+        config = cfg(stall_timeout=1.0, stall_backoff=2.0,
+                     stall_abort_after=6.0, batch_size=2)
+        data = blob(64)
+        out = Wire()
+        drv = make_sender(config, data, out)
+        sender = drv.sender
+        assert drv.step(0.0) == 0.0          # clock starts, first batch
+        drv.step(0.5)
+        assert sender.stats.stall_events == 0
+        sent = len(out.datagrams)
+        drv.step(1.0)                        # stall declared -> probe now
+        assert sender.stalled and sender.stats.stall_probes == 1
+        # A probe is ack_frequency packets, whatever the batch size.
+        assert len(out.datagrams) - sent == config.ack_frequency
+        sent = len(out.datagrams)
+        hint = drv.step(1.2)                 # between probes: wait
+        assert len(out.datagrams) == sent
+        assert hint == pytest.approx(0.8)    # next probe due at t=2.0
+        drv.step(2.0)
+        assert sender.stats.stall_probes == 2
+        assert drv.step(2.5) == pytest.approx(1.5)   # backoff: next at 4.0
+        assert not sender.failed
+        assert drv.step(6.0) == 0.0          # stalled 6 s: abort
+        assert sender.failed and "stalled" in sender.failure_reason
+        sent = len(out.datagrams)
+        assert drv.step(6.1) == 0.0          # and nothing more is sent
+        assert len(out.datagrams) == sent
+
+    def test_stall_recovers_on_ack_progress(self):
+        config = cfg(stall_timeout=1.0, stall_abort_after=6.0)
+        drv = make_sender(config, blob(64), Wire())
+        drv.step(0.0)
+        drv.step(1.0)
+        assert drv.sender.stalled
+        drv.on_ack_datagram(ack_for(config, 64, [0, 1]), 1.1)
+        assert not drv.sender.stalled
+        assert drv.step(1.2) == 0.0          # greedy again
+        assert drv.sender.stats.stall_recoveries == 1
+
+    def test_pacing_hint_clamped_after_a_rate_cut(self):
+        """At 1 kb/s one batch's wire time is seconds; honoring it
+        would leave an allocator/tuner raise unused that long.  The
+        hint is clamped so the caller re-reads the *current* rate
+        promptly (was: a SimpleNamespace poke at the daemon's pump)."""
+        config = cfg()
+        out = Wire()
+        drv = make_sender(config, blob(64), out)
+        drv.sender.set_pacing_rate(1000.0)   # the cut
+        assert drv.step(0.0) == 0.0          # first batch is free
+        nbytes = sum(len(d) for d in out.datagrams)
+        assert nbytes * 8 / 1000.0 > 1.0     # the hazard is real
+        sent = len(out.datagrams)
+        assert drv.step(0.001) == PACING_CLAMP <= 0.02
+        assert len(out.datagrams) == sent    # and nothing went out
+        drv.sender.set_pacing_rate(1e9)      # the raise, mid-wait
+        assert drv.step(0.002) == 0.0        # applies to this very wait
+        assert len(out.datagrams) > sent
+
+    def test_pacing_spaces_batches_by_wire_time(self):
+        config = cfg()
+        out = Wire()
+        drv = make_sender(config, blob(64), out)
+        drv.sender.set_pacing_rate(8e6)      # 1 byte per microsecond
+        drv.step(0.0)
+        gap = sum(len(d) for d in out.datagrams) / 1e6
+        assert drv.step(gap / 2) == pytest.approx(gap / 2)
+        assert len(out.datagrams) == 4
+        assert drv.step(gap) == 0.0
+        assert len(out.datagrams) == 8
+
+    def test_partial_send_keeps_the_tail_in_order(self):
+        config = cfg(batch_size=6)
+        out = Wire(take=[2, 1, 0])
+        drv = make_sender(config, blob(30), out)
+        assert drv.step(0.0) == IDLE_WAIT    # 2 of 6 written
+        assert out.seqs(config) == [0, 1]
+        assert drv.step(0.001) == IDLE_WAIT  # 1 more, no new batch
+        assert drv.step(0.002) == IDLE_WAIT  # socket still full
+        assert out.seqs(config) == [0, 1, 2]
+        assert drv.sender.stats.packets_sent == 6
+        assert drv.step(0.003) == 0.0        # tail flushed + next batch
+        assert out.seqs(config) == list(range(12))
+
+    def test_rejected_acks_only_move_counters(self):
+        config = cfg()
+        current = wire.SessionContext(7, epoch=2)
+        drv = make_sender(config, blob(16), Wire(), session=current)
+        good = ack_for(config, 16, [0, 1, 2], session=current)
+        damaged = bytearray(good)
+        damaged[-1] ^= 0xFF
+        drv.on_ack_datagram(bytes(damaged), 0.0)
+        drv.on_ack_datagram(ack_for(config, 16, [0, 1], session=wire
+                                    .SessionContext(7, epoch=1)), 0.0)
+        drv.on_ack_datagram(ack_for(config, 16, [0, 1], session=wire
+                                    .SessionContext(8, epoch=2)), 0.0)
+        stats = drv.sender.stats
+        assert (stats.acks_corrupt, stats.stale_epoch_acks) == (1, 2)
+        assert stats.acks_processed == 0 and drv.sender.acked.count == 0
+        drv.on_ack_datagram(good, 0.0)
+        assert drv.sender.acked.count == 3
+        with pytest.raises(ValueError):
+            drv.on_ack_datagram(b"\x00\x01", 0.0)
+
+    def test_completion_ends_the_loop(self):
+        out = Wire()
+        drv = make_sender(cfg(), blob(16), out)
+        drv.step(0.0)
+        drv.on_completion(0.5)
+        assert drv.sender.complete
+        assert drv.step(0.6) == 0.0 and len(out.datagrams) == 4
+
+
+class TestFaultySend:
+    def test_kill_fires_at_exactly_packet_n(self):
+        config = cfg(batch_size=4)
+        out = Wire()
+        kill = KillSwitch(target="sender", after_packets=10)
+        drv = make_sender(config, blob(64), FaultySend(out, kill=kill))
+        drv.step(0.0)
+        drv.step(0.001)
+        assert not kill.fired
+        with pytest.raises(EndpointKilled, match="after 10 data packets"):
+            drv.step(0.002)
+        assert kill.fired and len(out.datagrams) == 10
+        assert out.seqs(config) == list(range(10))
+
+    def test_patterns_repeat_for_a_seed_and_spare_the_source(self):
+        config = cfg(batch_size=8)
+        data = blob(200)
+        pristine = bytes(data)
+
+        def run(seed):
+            out = Wire()
+            drv = make_sender(config, data, FaultySend(
+                out, drop_rate=0.2, corrupt_rate=0.2, seed=seed))
+            for i in range(25):
+                drv.step(i * 1e-3)
+            return out.datagrams
+
+        first, again, other = run(5), run(5), run(6)
+        assert first == again
+        assert first != other
+        assert data == pristine
+        assert 100 < len(first) < 200            # ~20 % never left
+        damaged = 0
+        for datagram in first:
+            try:
+                pkt, payload = wire.decode_data(datagram, checksum=True)
+            except wire.ChecksumError:
+                damaged += 1
+                continue
+            # Whatever passed the CRC is the object's own bytes: the
+            # flip hit a copy, not the shared burst buffer.
+            off = pkt.seq * PSIZE
+            assert bytes(payload) == data[off:off + len(payload)]
+        assert 10 < damaged < 70
+
+    def test_partial_send_below_is_reported(self):
+        out = Wire(take=[1, 0])
+        faulty = FaultySend(out)
+        views = [b"a", b"b", b"c"]
+        assert faulty(views) == 1 and faulty.sent == 1
+        assert faulty(views[1:]) == 2 and faulty.sent == 3
+
+
+class TestRecvDriver:
+    def make(self, config, nbytes, session=None, channel=None):
+        store = bytearray(nbytes)
+
+        def write_at(offset, payload):
+            store[offset:offset + len(payload)] = payload
+
+        rx = FobsReceiver(config, nbytes,
+                          epoch=session.epoch if session else 0)
+        kwargs = {"channel": channel} if channel is not None else {}
+        return RecvDriver(rx, write_at, session, **kwargs), store
+
+    def test_place_mark_ack(self):
+        config = cfg()
+        data = blob(8)
+        out = Wire()
+        tx = make_sender(config, data, out)
+        rx, store = self.make(config, len(data))
+        acks = []
+        for i in range(2):
+            tx.step(i * 1e-3)
+        for datagram in out.datagrams:
+            ack = rx.on_datagram(memoryview(datagram), 0.01)
+            if ack is not None:
+                acks.append(ack)
+        assert bytes(store) == data and rx.receiver.complete
+        # One ACK per ack_frequency new packets, the last on completion.
+        assert len(acks) == 2
+        tx.on_ack_datagram(acks[-1], 0.02)
+        assert tx.sender.all_acked
+
+    def test_rejected_datagrams_only_move_counters(self):
+        config = cfg()
+        current = wire.SessionContext(55, epoch=3)
+        rx, store = self.make(config, 8 * PSIZE, session=current)
+        pkt = DataPacket(seq=2, total=8, payload_bytes=PSIZE, transmission=0)
+        junk = b"\xff" * PSIZE
+
+        def datagram(session=current, packet=pkt, payload=junk):
+            return wire.encode_data(packet, payload, checksum=True,
+                                    session=session)
+
+        flipped = bytearray(datagram())
+        flipped[20] ^= 0x01
+        assert rx.on_datagram(bytes(flipped), 1.0) is None
+        assert rx.on_datagram(
+            datagram(wire.SessionContext(55, epoch=2)), 1.0) is None
+        assert rx.on_datagram(
+            datagram(wire.SessionContext(56, epoch=3)), 1.0) is None
+        # Valid CRC and session, but another object's geometry: more
+        # packets than ours, or a payload longer than its slot.
+        assert rx.on_datagram(datagram(packet=DataPacket(
+            seq=9, total=16, payload_bytes=PSIZE, transmission=0)),
+            1.0) is None
+        assert rx.on_datagram(datagram(
+            packet=DataPacket(seq=2, total=8, payload_bytes=PSIZE + 8,
+                              transmission=0),
+            payload=b"\xff" * (PSIZE + 8)), 1.0) is None
+        stats = rx.receiver.stats
+        assert (stats.packets_corrupt, stats.stale_epoch_data) == (3, 2)
+        assert stats.packets_new == 0 and rx.receiver.bitmap.count == 0
+        assert bytes(store) == bytes(8 * PSIZE)
+        with pytest.raises(ValueError):
+            rx.on_datagram(b"\x00", 1.0)
+        rx.on_datagram(datagram(), 1.0)
+        assert rx.receiver.bitmap.count == 1
+
+    def test_store_fault_is_typed_and_published_once(self):
+        bus = EventBus(sinks=[ring := RingBufferSink(64)])
+        config = cfg()
+        rx = FobsReceiver(config, 4 * PSIZE)
+
+        def write_at(offset, payload):
+            raise OSError(28, "No space left on device")
+
+        drv = RecvDriver(rx, write_at, channel=bus.channel(transfer_id=1))
+        pkt = DataPacket(seq=0, total=4, payload_bytes=PSIZE, transmission=0)
+        assert drv.on_datagram(wire.encode_data(pkt, b"x" * PSIZE,
+                                                checksum=True), 0.0) is None
+        assert drv.fault.startswith("storage fault [ENOSPC] at part")
+        assert rx.bitmap.count == 0          # data before log: unmarked
+        (event,) = [e for e in ring.events if e.kind == EV_STORAGE_FAULT]
+        assert set(event.fields) == {"error", "where", "detail"}
+        assert event.fields["error"] == "ENOSPC"
+        assert event.fields["where"] == "part"
+
+
+class TestPartFile:
+    def test_reopens_in_place_only_behind_a_journal_replay(self, tmp_path):
+        """One rule for ``r+b``: right size AND a replayed journal."""
+        out = str(tmp_path / "obj.bin")
+        nbytes = 8 * PSIZE
+        with open(out + ".part", "wb") as fh:
+            fh.write(b"\xaa" * nbytes)
+        # Resumable, right-sized .part, but no journal to replay: nothing
+        # on disk is claimed, so the file is recreated.
+        part = PartFile(out, nbytes, PSIZE, crc=0, transfer_id=9)
+        assert part.fault is None and part.resume_bitmap is None
+        part.write_at(0, b"\x01" * PSIZE)
+        part.journal.record(0)
+        assert part.close() is None
+        with open(out + ".part", "rb") as fh:
+            assert fh.read() == b"\x01" * PSIZE + bytes(nbytes - PSIZE)
+        # Now a journal claims packet 0: reopened in place, bytes kept.
+        part = PartFile(out, nbytes, PSIZE, crc=0, transfer_id=9)
+        assert part.resume_bitmap.tolist() == [True] + [False] * 7
+        part.close()
+        with open(out + ".part", "rb") as fh:
+            assert fh.read(PSIZE) == b"\x01" * PSIZE
+        # Not resumable: always recreated, and no journal is kept.
+        part = PartFile(out, nbytes, PSIZE, crc=0)
+        assert part.journal is None and part.resume_bitmap is None
+        part.close()
+
+    def test_publish_audit_and_typed_open_fault(self, tmp_path):
+        import zlib
+
+        out = str(tmp_path / "obj.bin")
+        data = blob(4)
+        part = PartFile(out, len(data), PSIZE, crc=zlib.crc32(data),
+                        transfer_id=3)
+        for seq in range(4):
+            part.write_at(seq * PSIZE, data[seq * PSIZE:(seq + 1) * PSIZE])
+            part.journal.record(seq)
+        assert part.publish() is None
+        with open(out, "rb") as fh:
+            assert fh.read() == data
+        assert not os.path.exists(out + ".part")
+        assert not os.path.exists(out + ".journal")
+        # A CRC mismatch demotes everything the journal claimed.
+        part = PartFile(out, len(data), PSIZE, crc=1, transfer_id=3)
+        part.write_at(0, data)
+        part.journal.record_range(0, 4)
+        assert "CRC mismatch" in part.publish()
+        part.close()
+        _journal, replay = ReceiverJournal.open(out + ".journal", 3,
+                                                len(data), PSIZE)
+        assert replay is not None and replay.bitmap.count == 0
+        _journal.close()
+
+        def refuse(path, mode):
+            raise OSError(5, "Input/output error")
+
+        part = PartFile(out, len(data), PSIZE, crc=0, opener=refuse)
+        assert part.fault.startswith("storage fault [EIO] at part-open")
+
+
+def test_the_loops_are_written_once():
+    """Each protocol call site appears in exactly one real-socket module."""
+    root = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
+    sources = {}
+    for package in ("runtime", "server"):
+        for name in os.listdir(os.path.join(root, package)):
+            if name.endswith(".py") and name != "wire.py":
+                with open(os.path.join(root, package, name)) as fh:
+                    sources[f"{package}/{name}"] = fh.read()
+    for call in (".next_batch(", ".probe_batch(", ".poll_stall(",
+                 "wire.decode_data(", "wire.decode_ack(",
+                 "wire.encode_ack(", "encode_data_burst("):
+        users = [m for m, text in sources.items()
+                 if re.search(re.escape(call), text)]
+        assert users == ["runtime/driver.py"], (call, users)
+    assert not any("wire.encode_data(" in text or "TokenBucket" in text
+                   for text in sources.values())
