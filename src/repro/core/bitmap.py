@@ -62,6 +62,19 @@ class PacketBitmap:
         self.version += 1
         return True
 
+    def mark_range(self, start: int, count: int) -> int:
+        """Mark ``[start, start + count)`` received; returns how many
+        were new.  O(count), where :meth:`merge` is O(npackets)."""
+        if count <= 0 or start < 0 or start + count > self.npackets:
+            raise IndexError(f"range ({start}, {count}) out of [0, {self.npackets})")
+        run = self._arr[start:start + count]
+        added = count - int(np.count_nonzero(run))
+        if added:
+            run[:] = True
+            self._count += added
+            self.version += 1
+        return added
+
     def clear(self, seq: int) -> bool:
         """Demote ``seq`` back to unreceived; True if it was set.
 

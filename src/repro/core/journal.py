@@ -1,68 +1,47 @@
 """Receiver-side write-ahead journal for crash-resumable transfers.
 
 FOBS's whole-object bitmap is already a perfect recovery log: it records
-exactly which packets survive a crash.  This module persists it.  The
-receiver appends a small CRC32-protected record for every received
-range *after* the payload bytes hit stable storage, so replaying the
-journal after a crash reconstructs a bitmap that never claims a packet
-whose bytes were lost (write-ahead in the data-before-log sense: log a
-packet only once its bytes are durable).
+exactly which packets survive a crash.  This module persists it as the
+packet schema over :mod:`repro.core.recordlog`, which owns the file
+framing, the damage modes, the crash-atomic rewrite and the lifecycle.
+The receiver appends a record for every received range *after* the
+payload bytes hit stable storage, so replaying the journal after a
+crash reconstructs a bitmap that never claims a packet whose bytes were
+lost (write-ahead in the data-before-log sense).
 
-File layout (all integers big-endian)::
-
-    HEADER   !IHHQQII   magic, version, reserved, transfer_id,
-                        total_bytes, packet_size, crc32(preceding 28B)
-    RECORD   !III       start, count, crc32(start||count||transfer_id)
-    ...                 (records repeat; fixed 12-byte framing)
-
-Fixed-size records make every failure mode recoverable:
-
-* **torn final record** — a crash mid-append leaves a trailing fragment
-  shorter than 12 bytes; replay discards it;
-* **corrupted entry** — a record whose CRC does not verify is skipped
-  (framing is positional, so one bad record cannot desynchronize the
-  rest); it is *never* applied, so corruption can drop information but
-  cannot fabricate a received packet;
-* **truncated / foreign file** — a header that is short, has a bad
-  magic/CRC, or names a different transfer raises
-  :class:`JournalCorrupt`; the caller falls back to a full restart.
-
-Because ranges are idempotent set-union facts ("packets [a, a+n) were
-received and written"), replay order does not matter and duplicate
-records are harmless.  Periodic :meth:`ReceiverJournal.compact`
-rewrites the file as the run-length encoding of the current bitmap, so
-the journal stays O(bitmap) instead of O(packets received).
+Identity: ``transfer_id, total_bytes, packet_size`` (header
+``!IHHQQII``).  Record: ``start, count`` (``!III`` with its CRC) —
+"packets [start, start+count) were received and written".  Periodic
+:meth:`ReceiverJournal.compact` rewrites the file as the run-length
+encoding of the current bitmap, so the journal stays O(bitmap) instead
+of O(packets received).
 """
 
 from __future__ import annotations
 
-import os
 import struct
-import zlib
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.core.bitmap import PacketBitmap
+from repro.core.recordlog import LogCorrupt, LogHeader, LogReplay, RecordLog
 
 JOURNAL_MAGIC = 0xF0B57A1E
-JOURNAL_VERSION = 1
-_HEADER = struct.Struct("!IHHQQII")
-_RECORD = struct.Struct("!III")
-_TID = struct.Struct("!Q")
-HEADER_BYTES = _HEADER.size
-RECORD_BYTES = _RECORD.size
 
 
-class JournalCorrupt(ValueError):
+class JournalCorrupt(LogCorrupt):
     """The journal header is unusable (short, bad magic/CRC, or it
     describes a different transfer).  Resume is impossible; restart."""
 
 
 @dataclass(frozen=True)
-class JournalHeader:
+class JournalHeader(LogHeader):
     """Identity of the transfer a journal belongs to."""
+
+    MAGIC, CORRUPT = JOURNAL_MAGIC, JournalCorrupt
+    IDENTITY, RECORD = struct.Struct("!QI"), struct.Struct("!II")
 
     transfer_id: int
     total_bytes: int
@@ -80,93 +59,46 @@ class JournalHeader:
     def npackets(self) -> int:
         return -(-self.total_bytes // self.packet_size)
 
-    def encode(self) -> bytes:
-        body = _HEADER.pack(
-            JOURNAL_MAGIC, JOURNAL_VERSION, 0, self.transfer_id,
-            self.total_bytes, self.packet_size, 0,
-        )[:-4]
-        return body + struct.pack("!I", zlib.crc32(body))
-
-    @classmethod
-    def decode(cls, data: bytes) -> "JournalHeader":
-        if len(data) < HEADER_BYTES:
-            raise JournalCorrupt("journal shorter than its header")
-        magic, version, _rsvd, tid, total, psize, crc = _HEADER.unpack_from(data)
-        if magic != JOURNAL_MAGIC:
-            raise JournalCorrupt(f"bad journal magic {magic:#x}")
-        if version != JOURNAL_VERSION:
-            raise JournalCorrupt(f"unsupported journal version {version}")
-        if zlib.crc32(data[:HEADER_BYTES - 4]) != crc:
-            raise JournalCorrupt("journal header failed CRC32 verification")
-        try:
-            return cls(transfer_id=tid, total_bytes=total, packet_size=psize)
-        except ValueError as exc:
-            raise JournalCorrupt(f"journal header invalid: {exc}") from exc
+    def admits(self, start: int, count: int) -> bool:
+        return count > 0 and start + count <= self.npackets
 
 
-def _record_crc(start: int, count: int, transfer_id: int) -> int:
-    # Salt with the transfer id so a record from another transfer's
-    # journal can never verify against this one.
-    return zlib.crc32(struct.pack("!II", start, count) + _TID.pack(transfer_id))
+HEADER_BYTES = JournalHeader.header_bytes()
+RECORD_BYTES = JournalHeader.record_bytes()
 
 
 def encode_record(start: int, count: int, transfer_id: int) -> bytes:
-    return _RECORD.pack(start, count, _record_crc(start, count, transfer_id))
+    return JournalHeader.encode_record(transfer_id, start, count)
 
 
 @dataclass
-class ReplayResult:
+class ReplayResult(LogReplay):
     """What :func:`replay_journal` recovered."""
 
-    header: JournalHeader
-    bitmap: PacketBitmap
-    records_applied: int = 0
-    #: Entries whose CRC failed verification — detected and dropped.
-    records_dropped: int = 0
-    #: Bytes of a torn (partially written) final record, discarded.
-    torn_tail_bytes: int = 0
+    HEADER = JournalHeader
+    bitmap: PacketBitmap = field(init=False)
+
+    def __post_init__(self) -> None:
+        # One array, one merge: replay costs O(records + npackets), not
+        # a full-bitmap OR and popcount per record.
+        received = np.zeros(self.header.npackets, dtype=np.bool_)
+        for start, count in self.records:
+            received[start:start + count] = True
+        self.bitmap = PacketBitmap(self.header.npackets)
+        self.bitmap.merge(received)
 
     @property
     def packets_recovered(self) -> int:
         return self.bitmap.count
 
 
-def replay_journal(
-    path: str, expect: Optional[JournalHeader] = None
-) -> ReplayResult:
-    """Reconstruct the receiver bitmap from a journal file.
-
-    ``expect``, when given, asserts the journal belongs to that exact
-    transfer (id, size and packet size); a mismatch raises
-    :class:`JournalCorrupt` so a stale journal can never seed a resume
-    of a different object.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header = JournalHeader.decode(data)
-    if expect is not None and header != expect:
-        raise JournalCorrupt(
-            f"journal describes transfer {header}, expected {expect}"
-        )
-    result = ReplayResult(header=header, bitmap=PacketBitmap(header.npackets))
-    body = data[HEADER_BYTES:]
-    nrecords, torn = divmod(len(body), RECORD_BYTES)
-    result.torn_tail_bytes = torn
-    npackets = header.npackets
-    for i in range(nrecords):
-        start, count, crc = _RECORD.unpack_from(body, i * RECORD_BYTES)
-        if (crc != _record_crc(start, count, header.transfer_id)
-                or count == 0 or start + count > npackets):
-            result.records_dropped += 1
-            continue
-        run = np.zeros(npackets, dtype=np.bool_)
-        run[start:start + count] = True
-        result.bitmap.merge(run)
-        result.records_applied += 1
-    return result
+def replay_journal(path: str, expect: Optional[JournalHeader] = None) -> ReplayResult:
+    """Reconstruct the receiver bitmap from a journal file; ``expect``
+    pins the exact transfer (see :meth:`LogReplay.load`)."""
+    return ReplayResult.load(path, expect)
 
 
-class ReceiverJournal:
+class ReceiverJournal(RecordLog):
     """Append-only journal for one receiver's bitmap.
 
     ``record(seq)`` coalesces consecutive sequence numbers into one
@@ -177,11 +109,10 @@ class ReceiverJournal:
     discards the pending run exactly as a real process death would.
 
     When the number of appended records exceeds ``compact_threshold``
-    the journal compacts itself: the current bitmap is rewritten as its
-    run-length encoding into a temporary file which atomically replaces
-    the old journal (crash during compaction leaves one of the two
-    valid files).
+    the journal compacts itself (see :meth:`compact`).
     """
+
+    REPLAY = ReplayResult
 
     def __init__(
         self,
@@ -196,101 +127,26 @@ class ReceiverJournal:
             raise ValueError("flush_every must be >= 1")
         if compact_threshold < 1:
             raise ValueError("compact_threshold must be >= 1")
-        self.path = path
-        self.header = header
+        super().__init__(path, header, fsync=fsync)
         self.flush_every = flush_every
         self.compact_threshold = compact_threshold
-        self.fsync = fsync
         self.bitmap = PacketBitmap(header.npackets)
-        self.records_written = 0
         self.compactions = 0
         self._run_start: Optional[int] = None
         self._run_count = 0
-        self._fh = None  # type: Optional[object]
-        #: Fault-injection seam: when set, called with a phase label at
-        #: each compaction step ("compact:tmp-synced" after the temp
-        #: file is durable, "compact:replaced" after the rename).  A
-        #: hook that raises simulates a kill at exactly that point; the
-        #: on-disk file must replay as either the old or the new
-        #: journal, never neither.
-        self.crash_hook: Optional[Callable[[str], None]] = None
+
+    def _adopt(self, replay: ReplayResult) -> None:
+        self.bitmap.merge(replay.bitmap.array)
+
+    @classmethod
+    def open(cls, path: str, transfer_id: int, total_bytes: int,
+             packet_size: int, **kwargs
+             ) -> tuple["ReceiverJournal", Optional[ReplayResult]]:
+        """Resume ``path`` if it holds this transfer's journal (yielding
+        the recovered bitmap in ``replay``), else create it afresh."""
+        return super().open(path, transfer_id, total_bytes, packet_size, **kwargs)
 
     # ------------------------------------------------------------------
-    @classmethod
-    def create(
-        cls,
-        path: str,
-        transfer_id: int,
-        total_bytes: int,
-        packet_size: int,
-        **kwargs,
-    ) -> "ReceiverJournal":
-        """Start a fresh journal, truncating anything at ``path``."""
-        header = JournalHeader(transfer_id, total_bytes, packet_size)
-        journal = cls(path, header, **kwargs)
-        journal._fh = open(path, "wb")
-        journal._fh.write(header.encode())
-        journal._fh.flush()
-        if journal.fsync:
-            os.fsync(journal._fh.fileno())
-        return journal
-
-    @classmethod
-    def resume(
-        cls,
-        path: str,
-        transfer_id: int,
-        total_bytes: int,
-        packet_size: int,
-        **kwargs,
-    ) -> tuple["ReceiverJournal", ReplayResult]:
-        """Replay an existing journal and reopen it for appending.
-
-        Raises :class:`JournalCorrupt` (or :class:`OSError` if the file
-        is missing) when the journal cannot seed this transfer.
-        """
-        header = JournalHeader(transfer_id, total_bytes, packet_size)
-        replay = replay_journal(path, expect=header)
-        journal = cls(path, header, **kwargs)
-        journal.bitmap.merge(replay.bitmap.array)
-        # Re-append from a clean boundary: drop any torn tail so new
-        # records land on 12-byte framing.
-        valid = HEADER_BYTES + (replay.records_applied
-                                + replay.records_dropped) * RECORD_BYTES
-        journal._fh = open(path, "r+b")
-        journal._fh.truncate(valid)
-        journal._fh.seek(valid)
-        journal.records_written = replay.records_applied + replay.records_dropped
-        return journal, replay
-
-    @classmethod
-    def open(
-        cls,
-        path: str,
-        transfer_id: int,
-        total_bytes: int,
-        packet_size: int,
-        **kwargs,
-    ) -> tuple["ReceiverJournal", Optional[ReplayResult]]:
-        """Resume ``path`` if it holds a matching journal, else create.
-
-        The one-call entry point for receivers: a usable journal yields
-        ``(journal, replay)`` with the recovered bitmap; a missing or
-        corrupt file yields ``(fresh journal, None)``.
-        """
-        try:
-            journal, replay = cls.resume(
-                path, transfer_id, total_bytes, packet_size, **kwargs)
-            return journal, replay
-        except (OSError, JournalCorrupt):
-            return cls.create(
-                path, transfer_id, total_bytes, packet_size, **kwargs), None
-
-    # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._fh is None
-
     def record(self, seq: int) -> None:
         """Note packet ``seq`` as received-and-durable."""
         if self._fh is None:
@@ -311,9 +167,7 @@ class ReceiverJournal:
             raise ValueError("journal is closed")
         if count <= 0 or start < 0 or start + count > self.header.npackets:
             raise ValueError(f"invalid range ({start}, {count})")
-        run = np.zeros(self.header.npackets, dtype=np.bool_)
-        run[start:start + count] = True
-        self.bitmap.merge(run)
+        self.bitmap.mark_range(start, count)
         self._append_run()
         self._run_start = start
         self._run_count = count
@@ -322,9 +176,7 @@ class ReceiverJournal:
     def _append_run(self) -> None:
         if self._run_start is None or self._run_count == 0:
             return
-        self._fh.write(encode_record(
-            self._run_start, self._run_count, self.header.transfer_id))
-        self.records_written += 1
+        self._append(self._run_start, self._run_count)
         self._run_start = None
         self._run_count = 0
         if self.records_written >= self.compact_threshold:
@@ -340,133 +192,41 @@ class ReceiverJournal:
     def flush(self) -> None:
         """Append the pending run and push it to the OS (and disk if
         ``fsync``); everything flushed survives :meth:`simulate_crash`."""
-        if self._fh is None:
-            return
-        self._append_run()
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
-
-    def _crash_point(self, phase: str) -> None:
-        if self.crash_hook is not None:
-            self.crash_hook(phase)
+        if self._fh is not None:
+            self._append_run()
+            super().flush()
 
     def compact(self) -> None:
-        """Rewrite the journal as the RLE of the current bitmap.
-
-        Crash-atomic: the replacement is written to a temp file,
-        fsynced *unconditionally* (rename-into-place is only atomic if
-        the new bytes are durable before the rename makes them the
-        journal), then renamed over the old file.  The old journal
-        stays open and untouched until the rename succeeds, so a kill
-        or an ENOSPC/EIO at any point leaves exactly one valid journal
-        on disk — never a truncated half-rewrite.  On OSError the temp
-        file is removed, the compaction threshold is backed off (so a
-        full disk does not retry per-record), and the error propagates
-        for the caller's storage-fault handling.
-        """
-        if self._fh is None:
-            raise ValueError("journal is closed")
-        tmp = self.path + ".compact"
-        tid = self.header.transfer_id
-        nrecords = 0
+        """Crash-atomically rewrite the journal as the RLE of the
+        current bitmap.  On OSError the old journal stays valid, the
+        compaction threshold is backed off (so a full disk does not
+        retry per-record), and the error propagates for the caller's
+        storage-fault handling."""
+        # Run-length encode the received ranges, vectorized.
+        padded = np.concatenate(([False], self.bitmap.array, [False]))
+        edges = np.flatnonzero(padded[1:] != padded[:-1])
+        starts = edges[::2]
         try:
-            with open(tmp, "wb") as out:
-                out.write(self.header.encode())
-                arr = self.bitmap.array
-                # Run-length encode the received ranges, vectorized.
-                padded = np.concatenate(([False], arr, [False]))
-                edges = np.flatnonzero(padded[1:] != padded[:-1])
-                for start, end in zip(edges[::2].tolist(), edges[1::2].tolist()):
-                    out.write(encode_record(start, end - start, tid))
-                    nrecords += 1
-                out.flush()
-                os.fsync(out.fileno())
-            self._crash_point("compact:tmp-synced")
-            os.replace(tmp, self.path)
+            self._rewrite(zip(starts.tolist(), (edges[1::2] - starts).tolist()))
         except OSError:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
             self.compact_threshold *= 2
             raise
-        self._crash_point("compact:replaced")
         # The bitmap (which the RLE was written from) already includes
         # any pending run; carrying it past the rewrite would only
         # append a duplicate record.
         self._run_start = None
         self._run_count = 0
-        self._fh.close()
-        self._fh = open(self.path, "r+b")
-        self._fh.seek(0, os.SEEK_END)
-        if self.fsync:
-            # Make the rename itself durable, not just the file bytes.
-            try:
-                dirfd = os.open(os.path.dirname(self.path) or ".", os.O_RDONLY)
-            except OSError:
-                dirfd = None
-            if dirfd is not None:
-                try:
-                    os.fsync(dirfd)
-                finally:
-                    os.close(dirfd)
-        self.records_written = nrecords
         self.compactions += 1
 
-    def demote(self, seqs: Sequence[int]) -> int:
-        """Durably demote packets back to unreceived.
+    def _strike(self, seqs: Sequence[int]) -> int:
+        return self.bitmap.demote(seqs)
 
-        The verify passes call this when on-disk chunks fail their
-        digests: the bits are cleared and the journal is immediately
-        compacted, so the demotion is itself crash-durable — a kill
-        right after a verify pass cannot resurrect the corrupt ranges
-        as "received" on the next resume.  Returns how many packets
-        were actually demoted (idempotent on re-runs).
-        """
-        if self._fh is None:
-            raise ValueError("journal is closed")
-        demoted = self.bitmap.demote(seqs)
-        if demoted:
-            self.compact()
-        return demoted
-
-    # ------------------------------------------------------------------
     def simulate_crash(self) -> None:
         """Die without flushing: the pending (un-appended) run is lost,
         exactly as in a real process death.  Used by crash injection."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        super().simulate_crash()
         self._run_start = None
         self._run_count = 0
-
-    def close(self) -> None:
-        """Flush and close (clean shutdown)."""
-        if self._fh is None:
-            return
-        self.flush()
-        self._fh.close()
-        self._fh = None
-
-    def delete(self) -> None:
-        """Close and remove the file (transfer completed; log obsolete)."""
-        self.simulate_crash()
-        try:
-            os.remove(self.path)
-        except OSError:
-            pass
-
-    def __enter__(self) -> "ReceiverJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ReceiverJournal({self.path!r}, "
-                f"{self.bitmap.count}/{self.header.npackets} packets, "
-                f"{self.records_written} records)")
 
 
 __all__ = [

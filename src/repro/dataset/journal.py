@@ -2,68 +2,45 @@
 
 The per-object receiver journal (:mod:`repro.core.journal`) makes one
 *object* resumable at packet granularity; this journal makes the whole
-*dataset* resumable at object granularity.  One fixed-size,
-CRC-protected record is appended after each chunk-object is transferred,
-unpacked, digest-verified and durably written at the destination —
-data-before-log, exactly the core journal's discipline — so a killed
-``repro sync`` replays the journal, re-audits the claimed objects
-against the dataset manifest, and re-sends strictly the remainder.
+*dataset* resumable at object granularity.  Both are schemas over
+:mod:`repro.core.recordlog`, which owns the file framing, the damage
+modes, the crash-atomic rewrite and the lifecycle.  One record is
+appended after each chunk-object is transferred, unpacked,
+digest-verified and durably written at the destination —
+data-before-log — so a killed ``repro sync`` replays the journal,
+re-audits the claimed objects against the dataset manifest (durably
+demoting any whose destination bytes no longer match), and re-sends
+strictly the remainder.
 
-File layout (all integers big-endian)::
-
-    HEADER  !IHHQII   magic, version, reserved, dataset_id,
-                      nobjects, crc32(preceding 20B)
-    RECORD  !II       object_index, crc32(index || dataset_id)
-    ...               (fixed 8-byte framing)
-
-The failure modes and their handling mirror the core journal: a torn
-final record is discarded, a record with a bad CRC is skipped (never
-applied), and a header that is short, damaged, or names a different
-dataset (content-derived id, so *any* change to the tree re-keys it)
-raises :class:`DatasetJournalCorrupt` — the caller starts fresh rather
-than trusting it.  Records are idempotent set-union facts ("object i is
-done"), so replay order and duplicates are harmless.
-
-:meth:`DatasetJournal.demote` is the verify path's hook: when a resume
-audit finds a journal-claimed object whose destination bytes no longer
-match the manifest, the object is durably struck from the done-set (the
-journal is compacted without it, temp-file + atomic rename), so a kill
-right after the audit cannot resurrect it.
+Identity: ``dataset_id, nobjects`` (header ``!IHHQII``); the id is
+content-derived, so *any* change to the tree re-keys it and the old
+journal raises :class:`DatasetJournalCorrupt` — the caller starts fresh
+rather than trusting it.  Record: one ``object_index`` (``!II`` with
+its CRC) — "object i is done".
 """
 
 from __future__ import annotations
 
-import os
 import struct
-import zlib
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Set, Tuple
 
+from repro.core.recordlog import LogCorrupt, LogHeader, LogReplay, RecordLog
+
 JOURNAL_MAGIC = 0xF0B5D106
-JOURNAL_VERSION = 1
-_HEADER = struct.Struct("!IHHQII")
-_RECORD = struct.Struct("!II")
-_DID = struct.Struct("!Q")
-HEADER_BYTES = _HEADER.size
-RECORD_BYTES = _RECORD.size
 
 
-class DatasetJournalCorrupt(ValueError):
+class DatasetJournalCorrupt(LogCorrupt):
     """The journal header is unusable or names a different dataset.
     Resume is impossible; the sync starts from an empty done-set."""
 
 
-def _record_crc(index: int, dataset_id: int) -> int:
-    return zlib.crc32(struct.pack("!I", index) + _DID.pack(dataset_id))
-
-
-def encode_record(index: int, dataset_id: int) -> bytes:
-    return _RECORD.pack(index, _record_crc(index, dataset_id))
-
-
 @dataclass(frozen=True)
-class DatasetJournalHeader:
+class DatasetJournalHeader(LogHeader):
     """Identity of the dataset a journal belongs to."""
+
+    MAGIC, CORRUPT = JOURNAL_MAGIC, DatasetJournalCorrupt
+    IDENTITY, RECORD = struct.Struct("!I"), struct.Struct("!I")
 
     dataset_id: int
     nobjects: int
@@ -74,141 +51,68 @@ class DatasetJournalHeader:
         if self.nobjects <= 0:
             raise ValueError("nobjects must be positive")
 
-    def encode(self) -> bytes:
-        body = _HEADER.pack(JOURNAL_MAGIC, JOURNAL_VERSION, 0,
-                            self.dataset_id, self.nobjects, 0)[:-4]
-        return body + struct.pack("!I", zlib.crc32(body))
+    def admits(self, index: int) -> bool:
+        return index < self.nobjects
 
-    @classmethod
-    def decode(cls, data: bytes) -> "DatasetJournalHeader":
-        if len(data) < HEADER_BYTES:
-            raise DatasetJournalCorrupt("journal shorter than its header")
-        magic, version, _rsvd, did, nobjects, crc = _HEADER.unpack_from(data)
-        if magic != JOURNAL_MAGIC:
-            raise DatasetJournalCorrupt(f"bad journal magic {magic:#x}")
-        if version != JOURNAL_VERSION:
-            raise DatasetJournalCorrupt(
-                f"unsupported journal version {version}")
-        if zlib.crc32(data[:HEADER_BYTES - 4]) != crc:
-            raise DatasetJournalCorrupt(
-                "journal header failed CRC32 verification")
-        try:
-            return cls(dataset_id=did, nobjects=nobjects)
-        except ValueError as exc:
-            raise DatasetJournalCorrupt(
-                f"journal header invalid: {exc}") from exc
+
+HEADER_BYTES = DatasetJournalHeader.header_bytes()
+RECORD_BYTES = DatasetJournalHeader.record_bytes()
+
+
+def encode_record(index: int, dataset_id: int) -> bytes:
+    return DatasetJournalHeader.encode_record(dataset_id, index)
 
 
 @dataclass
-class DatasetReplay:
+class DatasetReplay(LogReplay):
     """What a journal replay recovered."""
 
-    header: DatasetJournalHeader
-    done: Set[int] = field(default_factory=set)
-    records_applied: int = 0
-    records_dropped: int = 0
-    torn_tail_bytes: int = 0
+    HEADER = DatasetJournalHeader
+    done: Set[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.done = {index for (index,) in self.records}
 
 
 def replay_dataset_journal(
     path: str, expect: Optional[DatasetJournalHeader] = None
 ) -> DatasetReplay:
-    """Reconstruct the done-set from a journal file.
-
-    ``expect`` asserts the journal belongs to that exact dataset; a
-    mismatch raises :class:`DatasetJournalCorrupt` so a stale journal
-    can never mark objects of a *different* dataset done.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    header = DatasetJournalHeader.decode(data)
-    if expect is not None and header != expect:
-        raise DatasetJournalCorrupt(
-            f"journal describes dataset {header}, expected {expect}")
-    replay = DatasetReplay(header=header)
-    body = data[HEADER_BYTES:]
-    nrecords, torn = divmod(len(body), RECORD_BYTES)
-    replay.torn_tail_bytes = torn
-    for i in range(nrecords):
-        index, crc = _RECORD.unpack_from(body, i * RECORD_BYTES)
-        if (crc != _record_crc(index, header.dataset_id)
-                or index >= header.nobjects):
-            replay.records_dropped += 1
-            continue
-        replay.done.add(index)
-        replay.records_applied += 1
-    return replay
+    """Reconstruct the done-set from a journal file; ``expect`` pins
+    the exact dataset (see :meth:`LogReplay.load`)."""
+    return DatasetReplay.load(path, expect)
 
 
-class DatasetJournal:
+class DatasetJournal(RecordLog):
     """Append-only done-log for one dataset transfer."""
+
+    REPLAY = DatasetReplay
 
     def __init__(self, path: str, header: DatasetJournalHeader,
                  *, fsync: bool = False):
-        self.path = path
-        self.header = header
-        self.fsync = fsync
+        super().__init__(path, header, fsync=fsync)
         self.done: Set[int] = set()
-        self.records_written = 0
-        self._fh = None  # type: Optional[object]
-        self._pending = 0
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def create(cls, path: str, dataset_id: int, nobjects: int,
-               **kwargs) -> "DatasetJournal":
-        """Start a fresh journal, truncating anything at ``path``."""
-        header = DatasetJournalHeader(dataset_id, nobjects)
-        journal = cls(path, header, **kwargs)
-        journal._fh = open(path, "wb")
-        journal._fh.write(header.encode())
-        journal._fh.flush()
-        if journal.fsync:
-            os.fsync(journal._fh.fileno())
-        return journal
-
-    @classmethod
-    def resume(cls, path: str, dataset_id: int, nobjects: int,
-               **kwargs) -> Tuple["DatasetJournal", DatasetReplay]:
-        """Replay an existing journal and reopen it for appending."""
-        header = DatasetJournalHeader(dataset_id, nobjects)
-        replay = replay_dataset_journal(path, expect=header)
-        journal = cls(path, header, **kwargs)
-        journal.done = set(replay.done)
-        valid = HEADER_BYTES + (replay.records_applied
-                                + replay.records_dropped) * RECORD_BYTES
-        journal._fh = open(path, "r+b")
-        journal._fh.truncate(valid)
-        journal._fh.seek(valid)
-        journal.records_written = (replay.records_applied
-                                   + replay.records_dropped)
-        return journal, replay
+    def _adopt(self, replay: DatasetReplay) -> None:
+        self.done = set(replay.done)
 
     @classmethod
     def open(cls, path: str, dataset_id: int, nobjects: int,
              **kwargs) -> Tuple["DatasetJournal", Optional[DatasetReplay]]:
         """Resume ``path`` if it matches this dataset, else create."""
-        try:
-            journal, replay = cls.resume(path, dataset_id, nobjects, **kwargs)
-            return journal, replay
-        except (OSError, DatasetJournalCorrupt):
-            return cls.create(path, dataset_id, nobjects, **kwargs), None
+        return super().open(path, dataset_id, nobjects, **kwargs)
 
     # ------------------------------------------------------------------
-    @property
-    def closed(self) -> bool:
-        return self._fh is None
-
     @property
     def remaining(self) -> int:
         return self.header.nobjects - len(self.done)
 
-    def mark_done(self, index: int, flush: bool = True) -> None:
+    def mark_done(self, index: int) -> None:
         """Record object ``index`` as transferred, verified and durable.
 
         Callers must only invoke this *after* the object's bytes are on
-        the destination disk (data-before-log).  Idempotent: re-marking
-        a done object appends nothing.
+        the destination disk (data-before-log).  Every record is flushed
+        as it is appended, so it survives a kill.  Idempotent:
+        re-marking a done object appends nothing.
         """
         if self._fh is None:
             raise ValueError("journal is closed")
@@ -218,100 +122,18 @@ class DatasetJournal:
         if index in self.done:
             return
         self.done.add(index)
-        self._fh.write(encode_record(index, self.header.dataset_id))
-        self.records_written += 1
-        self._pending += 1
-        if flush:
-            self.flush()
+        self._append(index)
+        self.flush()
 
-    def flush(self) -> None:
-        """Push appended records to the OS (and disk if ``fsync``)."""
-        if self._fh is None:
-            return
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
-        self._pending = 0
-
-    def demote(self, indices: Iterable[int]) -> int:
-        """Durably strike objects from the done-set (verify failures).
-
-        Compacts immediately so the demotion survives a kill: the
-        journal is rewritten without the demoted records into a temp
-        file which atomically replaces the old one.  Returns how many
-        objects were actually demoted (idempotent).
-        """
-        if self._fh is None:
-            raise ValueError("journal is closed")
-        struck = {i for i in indices if i in self.done}
-        if not struck:
-            return 0
+    def _strike(self, indices: Iterable[int]) -> int:
+        struck = self.done.intersection(indices)
         self.done -= struck
-        self.compact()
         return len(struck)
 
     def compact(self) -> None:
-        """Rewrite the journal as one record per done object.
-
-        Crash-atomic (temp file, fsync, rename): a kill at any point
-        leaves exactly one valid journal on disk.
-        """
-        if self._fh is None:
-            raise ValueError("journal is closed")
-        tmp = self.path + ".compact"
-        try:
-            with open(tmp, "wb") as out:
-                out.write(self.header.encode())
-                for index in sorted(self.done):
-                    out.write(encode_record(index, self.header.dataset_id))
-                out.flush()
-                os.fsync(out.fileno())
-            os.replace(tmp, self.path)
-        except OSError:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            raise
-        self._fh.close()
-        self._fh = open(self.path, "r+b")
-        self._fh.seek(0, os.SEEK_END)
-        self.records_written = len(self.done)
-        self._pending = 0
-
-    # ------------------------------------------------------------------
-    def simulate_crash(self) -> None:
-        """Die without flushing — exactly what SIGKILL does.  Records
-        already pushed by :meth:`flush` (the default on every
-        ``mark_done``) survive; buffered ones are lost."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def close(self) -> None:
-        if self._fh is None:
-            return
-        self.flush()
-        self._fh.close()
-        self._fh = None
-
-    def delete(self) -> None:
-        """Close and remove (dataset completed; the log is obsolete)."""
-        self.simulate_crash()
-        try:
-            os.remove(self.path)
-        except OSError:
-            pass
-
-    def __enter__(self) -> "DatasetJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"DatasetJournal({self.path!r}, "
-                f"{len(self.done)}/{self.header.nobjects} objects)")
+        """Crash-atomically rewrite the journal as one record per done
+        object."""
+        self._rewrite((index,) for index in sorted(self.done))
 
 
 __all__ = [

@@ -389,10 +389,7 @@ class PartFile:
             except OSError as exc:
                 return storage_fault(self.channel, "finalize", exc)
             if self.journal is not None:
-                try:
-                    os.remove(self.journal_path)
-                except OSError:
-                    pass
+                self.journal.delete()
         return failure
 
     def _verify(self, phase: str, target, seqs) -> int:

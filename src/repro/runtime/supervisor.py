@@ -32,7 +32,6 @@ handshake on the control connection.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -313,7 +312,10 @@ def run_resumable_fobs_transfer(
     """
     config = config if config is not None else FobsConfig()
 
+    journal: Optional[ReceiverJournal] = None
+
     def attempt_fn(attempt: int, epoch: int) -> TransferStats:
+        nonlocal journal
         journal, replay = ReceiverJournal.open(
             journal_path, transfer_id, nbytes, config.packet_size,
             flush_every=flush_every)
@@ -331,10 +333,7 @@ def run_resumable_fobs_transfer(
     supervisor = TransferSupervisor(policy=policy, sleep=sleep)
     result = supervisor.run(attempt_fn, npackets=config.npackets(nbytes))
     if result.completed and not keep_journal:
-        try:
-            os.remove(journal_path)
-        except OSError:
-            pass
+        journal.delete()
     return result
 
 
@@ -373,7 +372,10 @@ def run_resumable_loopback(
         data = rng.integers(0, 256, size=nbytes, dtype=np.uint8).tobytes()
     buffer = bytearray(nbytes)
 
+    journal: Optional[ReceiverJournal] = None
+
     def attempt_fn(attempt: int, epoch: int):
+        nonlocal journal
         journal, replay = ReceiverJournal.open(
             journal_path, transfer_id, nbytes, config.packet_size,
             flush_every=flush_every)
@@ -392,10 +394,7 @@ def run_resumable_loopback(
     supervisor = TransferSupervisor(policy=policy, sleep=sleep)
     result = supervisor.run(attempt_fn, npackets=config.npackets(nbytes))
     if result.completed and not keep_journal:
-        try:
-            os.remove(journal_path)
-        except OSError:
-            pass
+        journal.delete()
     return result
 
 

@@ -54,6 +54,18 @@ class TestRoundTrip:
                                                    rel=0.01, abs=1e-9)
         assert tl.duration == pytest.approx(stats.duration, rel=0.01)
 
+    def test_recording_never_perturbs_the_simulated_outcome(self, tmp_path):
+        """No bus, a sinkless bus and a JSONL-recording bus: the DES is
+        deterministic, so the stats must be identical, not close."""
+        recorded, _path = _recorded_run(tmp_path)
+        runs = [recorded] + [
+            run_fobs_transfer(tiny_path(loss_rate=0.05, seed=1), 300_000,
+                              quick_config(), telemetry=bus)
+            for bus in (None, EventBus())]
+        outcomes = {(s.completed, s.duration, s.throughput_bps, s.packets_sent,
+                     s.retransmissions, s.wasted_fraction) for s in runs}
+        assert len(outcomes) == 1 and recorded.completed
+
     def test_summary_cross_checks_stream(self, tmp_path):
         """The transfer_end summary and the stream agree — two
         independent paths to the same figures."""
