@@ -2,10 +2,10 @@
 """FOBS over real sockets: the sans-IO core on localhost.
 
 The protocol state machines in ``repro.core`` are IO-agnostic; this
-example drives them with genuine UDP/TCP sockets between two threads,
+example drives them with genuine UDP/TCP sockets on one thread,
 transfers a checksummed object, then repeats with 5% of the data
 datagrams deliberately discarded to show retransmission recovering the
-object byte-for-byte.  (Loopback + the GIL means the throughput here
+object byte-for-byte.  (Loopback + Python means the throughput here
 says nothing about line rate — correctness is the point.)
 
 Run:  python examples/real_sockets_loopback.py

@@ -111,6 +111,15 @@ class FobsReceiver:
         last = self.last_data_time if self.last_data_time is not None else start
         return now - last
 
+    def liveness_failure(self, now: float, start: float) -> Optional[str]:
+        """The liveness-timeout diagnosis once data has been silent for
+        ``receiver_idle_timeout`` (the sender went away), else None."""
+        idle = self.idle_since(now, start)
+        if idle < self.config.receiver_idle_timeout:
+            return None
+        return (f"receiver liveness timeout: no data for {idle:.3g}s "
+                f"({self.bitmap.count}/{self.npackets} packets received)")
+
     # ------------------------------------------------------------------
     def on_data(self, seq: int, now: float) -> Optional[AckPacket]:
         """Incorporate packet ``seq``; maybe return an ACK to transmit.

@@ -455,16 +455,14 @@ class FobsTransfer:
         if (self.failed or self.switched_to_tcp or self.sender.complete
                 or self.crashed == "receiver"):
             return
-        timeout = self.config.receiver_idle_timeout
-        idle = self.receiver.idle_since(self.sim.now, self._start_time)
-        if idle >= timeout:
-            self._fail(
-                f"receiver liveness timeout: no data for {idle:.3g}s "
-                f"({self.receiver.bitmap.count}/{self.receiver.npackets} "
-                f"packets received)"
-            )
+        now, start = self.sim.now, self._start_time
+        failure = self.receiver.liveness_failure(now, start)
+        if failure is not None:
+            self._fail(failure)
             return
-        self.sim.call_in(timeout - idle, self._liveness_check)
+        self.sim.call_in(self.config.receiver_idle_timeout
+                         - self.receiver.idle_since(now, start),
+                         self._liveness_check)
 
     # ------------------------------------------------------------------
     # Sender loop (Section 3.1's three phases, one event per action)

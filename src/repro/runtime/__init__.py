@@ -2,10 +2,10 @@
 
 Drives :class:`~repro.core.sender.FobsSender` and
 :class:`~repro.core.receiver.FobsReceiver` over actual UDP/TCP sockets
-(two threads on localhost), with the byte-level wire formats in
+(both endpoints on localhost), with the byte-level wire formats in
 :mod:`repro.runtime.wire`.  This demonstrates the protocol core is a
 real implementation rather than simulator-bound; per the repro scoping
-note, the GIL and loopback mean no line-rate throughput claims are made
+note, Python and loopback mean no line-rate throughput claims are made
 from this backend — correctness (checksummed object delivery over a
 lossy-capable datagram path) is what it verifies.
 """

@@ -1,6 +1,6 @@
 """The paper's two loops, written once and socket-free.
 
-Every real-socket backend — the loopback threads
+Every real-socket backend — the loopback endpoints
 (:mod:`repro.runtime.transfer`), the file-transfer endpoints
 (:mod:`repro.runtime.files`) and the daemon's multiplexed pump
 (:mod:`repro.server.daemon`) — drives the sans-IO core through the

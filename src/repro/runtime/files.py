@@ -49,9 +49,8 @@ from repro.core.config import FobsConfig
 from repro.core.manifest import ChunkManifest, ManifestCorrupt, VerifyStats
 from repro.core.receiver import FobsReceiver
 from repro.core.sender import FobsSender
-from repro.runtime import wire
+from repro.runtime import transfer, wire
 from repro.runtime.driver import (
-    EndpointKilled,
     FaultySend,
     PartFile,
     RecvDriver,
@@ -63,7 +62,6 @@ from repro.runtime.supervisor import (
     TransferSupervisor,
     kill_for_attempt,
 )
-from repro.runtime.transfer import run_receiver, run_sender, send_burst
 from repro.telemetry import (
     EV_TRANSFER_END,
     EV_TRANSFER_START,
@@ -224,7 +222,8 @@ def _send_attempt(
                     recv_exact(ctrl, _ACCEPT.size))
                 if magic != ACCEPT_MAGIC:
                     raise ValueError("bad accept message from receiver")
-            send = partial(send_burst, data_sock, (host, data_port))
+            send = partial(transfer.send_burst, data_sock,
+                           (host, data_port))
             if drop_rate or corrupt_rate or kill is not None:
                 send = FaultySend(send, drop_rate, corrupt_rate, kill,
                                   fault_seed)
@@ -255,7 +254,13 @@ def _send_attempt(
                             " (receiver did not bless delivery)")
                 return None
 
-            failure = run_sender(driver, ack_sock, poll_completion, deadline)
+            end = transfer.Endpoint(
+                transfer.sender_turns(driver, ack_sock, poll_completion),
+                [ack_sock, data_sock])
+            transfer.run_endpoints([end], deadline)
+            failure = end.failure_reason
+            if end.crashed:
+                crashed = "sender"
             if (failure is None and resumable and not blessed
                     and sender.stats.completion_timeouts):
                 # Every packet was acknowledged but the receiver never
@@ -266,11 +271,6 @@ def _send_attempt(
                 # blessing as a retryable failure.
                 failure = ("all packets acknowledged but the completion "
                            "signal never arrived; delivery unconfirmed")
-    except EndpointKilled as exc:
-        # Crash injection: the sender process dies silently mid-blast;
-        # closing the sockets (finally below) is exactly what the OS
-        # does to a SIGKILLed process.
-        failure, crashed = str(exc), "sender"
     except (OSError, ValueError, wire.ChecksumError) as exc:
         failure = f"{type(exc).__name__}: {exc}"
     finally:
@@ -628,10 +628,15 @@ def receive_offer(
             receiver = driver.receiver
             ctrl.sendall(reply)
             ack_addr = (peer[0], offer.ack_port)
-            failure = run_receiver(
-                driver, data_sock, lambda ack: ack_sock.sendto(ack, ack_addr),
-                deadline, _progress_tick(offer, receiver, telemetry, tuning,
-                                         stats_interval))
+            end = transfer.Endpoint(
+                transfer.receiver_turns(
+                    driver, data_sock,
+                    lambda ack: ack_sock.sendto(ack, ack_addr),
+                    _progress_tick(offer, receiver, telemetry, tuning,
+                                   stats_interval)),
+                [data_sock, ack_sock])
+            transfer.run_endpoints([end], deadline)
+            failure = end.failure_reason
         if failure is None:
             # The receiver's bitmap says every packet arrived; the disk
             # gets the last word before the object is published.

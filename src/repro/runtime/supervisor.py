@@ -354,7 +354,7 @@ def run_resumable_loopback(
 ) -> SupervisedResult:
     """Supervised transfer over real loopback sockets.
 
-    Each attempt runs the two-thread loopback backend with a
+    Each attempt runs the loopback backend with a
     :class:`~repro.runtime.wire.SessionContext` stamping every datagram
     with ``(transfer_id, epoch)`` — stale-epoch datagrams from a killed
     attempt are rejected on arrival.  The receiver's buffer (the "disk

@@ -1,16 +1,17 @@
 """Loopback transfer: the sans-IO core over real UDP/TCP sockets.
 
-Two threads on 127.0.0.1 — a sender driving :class:`FobsSender` and a
-receiver driving :class:`FobsReceiver` — with the paper's three
-connections: a UDP data socket, a UDP acknowledgement socket, and a TCP
-completion connection.  The transferred object is checksummed on both
-sides.
+A sender driving :class:`FobsSender` and a receiver driving
+:class:`FobsReceiver` on 127.0.0.1, with the paper's three connections:
+a UDP data socket, a UDP acknowledgement socket, and a TCP completion
+connection.  The transferred object is checksummed on both sides.
 
 The protocol loops themselves live in :mod:`repro.runtime.driver`; this
-module owns the sockets and the blocking around them
-(:func:`run_sender`, :func:`run_receiver` — shared with
-:mod:`repro.runtime.files`): drain what the kernel queued, push it into
-the driver, sleep until the wakeup the driver asked for.
+module owns the sockets and the blocking around them, written once and
+single-threaded (the paper's endpoints are *non-blocking polling
+loops*; under one GIL a thread each only adds hand-off): :func:`drain`
+what the kernel queued into the driver, take one sender or receiver
+turn, sleep until the earliest wakeup asked for (:func:`run_endpoints`
+— with both endpoints here, with one in :mod:`repro.runtime.files`).
 
 An optional ``drop_rate`` discards outgoing data datagrams at the
 sender (deterministic RNG) to exercise the retransmission machinery on
@@ -21,7 +22,7 @@ completion channels entirely — the adversarial case that must end in a
 clean stall abort rather than a hang.
 
 Crash-resume support: ``kill`` (a
-:class:`~repro.simnet.faults.KillSwitch`) makes one endpoint thread die
+:class:`~repro.simnet.faults.KillSwitch`) makes one endpoint die
 abruptly at a packet count; ``journal`` persists the receiver's bitmap
 so a later attempt can be seeded with ``resume_bitmap``; ``session`` (a
 :class:`~repro.runtime.wire.SessionContext`) stamps every datagram with
@@ -35,11 +36,10 @@ from __future__ import annotations
 import hashlib
 import select
 import socket
-import threading
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -58,6 +58,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.journal import ReceiverJournal
     from repro.simnet.faults import KillSwitch
     from repro.tuning import TuningConfig
+
+#: Longest sleep of :func:`run_endpoints`: how often a silent path gets
+#: its deadline, receiver liveness and progress tick looked at.
+MAX_WAIT = 0.05
 
 
 @dataclass
@@ -108,124 +112,128 @@ def send_burst(sock: socket.socket, addr, views) -> int:
     return sent
 
 
-def run_sender(
-    driver: SendDriver,
-    ack_sock: socket.socket,
-    poll_completion: Callable[[], Optional[str]],
-    deadline: float,
-) -> Optional[str]:
-    """Block on a :class:`SendDriver` until the transfer ends.
+def drain(sock: socket.socket, handle, now: float, rxbuf: bytearray) -> None:
+    """Hand every datagram queued on non-blocking ``sock`` to
+    ``handle(view, now)``: until the kernel has no more (EAGAIN),
+    ``handle`` returns true, or ``handle`` closed the socket.  Each is
+    a view of the one reusable ``rxbuf`` (``recv(65535)`` allocates per
+    datagram), so ``handle`` must consume it before returning.
+    """
+    recv_into = sock.recv_into
+    rxview = memoryview(rxbuf)
+    while True:
+        try:
+            nrecv = recv_into(rxbuf)
+        except OSError:
+            return
+        if handle(rxview[:nrecv], now):
+            return
 
-    Each turn drains *every* acknowledgement queued on the non-blocking
-    ``ack_sock`` (one per turn falls behind a fast receiver and leaves
-    stale bitmaps steering retransmission), asks ``poll_completion``
-    for a control-connection failure, takes one ``step`` and sleeps
-    until its wakeup or the next acknowledgement.  Returns None on
-    completion, else the failure; ``TimeoutError`` past ``deadline``.
+
+def sender_turns(driver: SendDriver, ack_sock: socket.socket,
+                 poll_completion: Callable[[], Optional[str]]
+                 ) -> Iterator[float]:
+    """The sending :class:`Endpoint`'s turns: each drains *every*
+    acknowledgement queued on the non-blocking ``ack_sock`` (one per
+    turn falls behind a fast receiver and leaves stale bitmaps steering
+    retransmission), asks ``poll_completion`` for a control-connection
+    failure, takes one ``step`` and yields its wakeup.  Returns None on
+    completion, else the failure.
     """
     sender = driver.sender
-    recv_into = ack_sock.recv_into
     rxbuf = bytearray(65535)
-    rxview = memoryview(rxbuf)
-    wait_on = [ack_sock]
     while True:
         now = time.monotonic()
-        if now > deadline:
-            raise TimeoutError("sender deadline exceeded")
-        while True:
-            try:
-                nrecv = recv_into(rxbuf)
-            except BlockingIOError:
-                break
-            driver.on_ack_datagram(rxview[:nrecv], time.monotonic())
-        failure = poll_completion()
-        if failure is not None:
+        drain(ack_sock, driver.on_ack_datagram, now, rxbuf)
+        # sender.failure_reason carries the last step's stall diagnosis;
+        # terminate cleanly well before the deadline.
+        failure = poll_completion() or sender.failure_reason
+        if failure is not None or sender.complete:
             return failure
-        if sender.complete:
-            return None
-        hint = driver.step(now)
-        if sender.failed:
-            # sender.failure_reason carries the stall diagnosis;
-            # terminate cleanly well before the deadline.
-            return sender.failure_reason
-        if hint > 0.0:
-            select.select(wait_on, (), (), min(hint, 0.05))
+        yield driver.step(now)
 
 
-def run_receiver(
-    driver: RecvDriver,
-    data_sock: socket.socket,
-    send_ack: Callable[[bytes], object],
-    deadline: float,
-    tick: Optional[Callable[[float], None]] = None,
-) -> Optional[str]:
-    """Block on a :class:`RecvDriver` until every packet is marked.
-
-    ``select`` + ``recv_into`` one reusable buffer on the non-blocking
-    ``data_sock`` — one wakeup per burst, zero-copy decode — handing
-    each acknowledgement built to ``send_ack``; ``tick(now)`` runs once
-    per wakeup.  Returns None on completion, else the failure (liveness
-    timeout, storage fault); ``TimeoutError`` past ``deadline``.
+def receiver_turns(driver: RecvDriver, data_sock: socket.socket,
+                   send_ack: Callable[[bytes], object],
+                   tick: Optional[Callable[[float], None]] = None
+                   ) -> Iterator[float]:
+    """The receiving :class:`Endpoint`'s turns: each checks liveness,
+    runs ``tick(now)`` and drains the non-blocking ``data_sock`` — one
+    wakeup per burst, zero-copy decode — handing each acknowledgement
+    built to ``send_ack``; only more data gives it work, so it yields
+    the longest wait.  Returns None once every packet is marked, else
+    the failure (liveness timeout, storage fault).
     """
     receiver = driver.receiver
-    idle_limit = receiver.config.receiver_idle_timeout
-    recv_into = data_sock.recv_into
     rxbuf = bytearray(65535)
-    rxview = memoryview(rxbuf)
-    wait_on = [data_sock]
     start = time.monotonic()
-    while not receiver.complete:
+
+    def on_data(datagram: memoryview, now: float) -> bool:
+        ack = driver.on_datagram(datagram, now)
+        if ack is not None:
+            send_ack(ack)
+        return driver.fault is not None or receiver.complete
+
+    while True:
         now = time.monotonic()
-        if now > deadline:
-            raise TimeoutError("receiver deadline exceeded")
-        idle = receiver.idle_since(now, start)
-        if idle > idle_limit:
-            # Liveness timeout: the sender went away.  Exit cleanly
-            # with a diagnosis instead of burning the full deadline.
-            return (f"receiver liveness timeout: no data for {idle:.3g}s "
-                    f"({receiver.bitmap.count}/{receiver.npackets} "
-                    f"packets received)")
+        # The sender went away: exit cleanly with a diagnosis instead
+        # of burning the full deadline.
+        failure = receiver.liveness_failure(now, start)
+        if failure is not None:
+            return failure
         if tick is not None:
             tick(now)
-        if not select.select(wait_on, (), (), 0.05)[0]:
-            continue
-        while not receiver.complete:
-            try:
-                nrecv = recv_into(rxbuf)
-            except BlockingIOError:
-                break
-            ack = driver.on_datagram(rxview[:nrecv], time.monotonic())
-            if driver.fault is not None:
-                return driver.fault
-            if ack is not None:
-                send_ack(ack)
-    return None
+        drain(data_sock, on_data, now, rxbuf)
+        if driver.fault is not None or receiver.complete:
+            return driver.fault
+        yield MAX_WAIT
 
 
-class _Endpoint(threading.Thread):
-    """One loopback endpoint thread; how it ended is kept for the harness."""
+@dataclass
+class Endpoint:
+    """One end of a transfer in :func:`run_endpoints`, and how it ended."""
 
-    def __init__(self, name: str, body: Callable[[], Optional[str]],
-                 socks: list):
-        super().__init__(name=name, daemon=True)
-        self.body = body
-        self.socks = socks
-        self.crashed = False
-        self.failure_reason: Optional[str] = None
-        self.error: Optional[BaseException] = None
+    #: Each ``next`` is one turn and yields the seconds until the next
+    #: is due; the return value is the failure (None = completed).
+    turns: Iterator[float]
+    #: Sockets it owns, closed as it leaves the loop; data arriving on
+    #: the first ends the loop's sleep early.
+    socks: list
+    failure_reason: Optional[str] = None
+    #: Ended by crash injection (:class:`EndpointKilled`).
+    crashed: bool = False
 
-    def run(self) -> None:
-        try:
-            self.failure_reason = self.body()
-        except EndpointKilled as exc:
-            # Crash injection: abrupt process death, no goodbye; the
-            # peer sees silence and must diagnose it by itself.
-            self.crashed = True
-            self.failure_reason = str(exc)
-        except BaseException as exc:  # surfaced by the harness
-            self.error = exc
-        finally:
-            for sock in self.socks:
+
+def run_endpoints(endpoints: list, deadline: float) -> None:
+    """Give every live :class:`Endpoint` its turn, on this thread, then
+    sleep until the earliest wakeup asked for or until data arrives.
+    Any exception but the crash injection reaches the caller as raised;
+    ``TimeoutError`` past ``deadline``.
+    """
+    live = list(endpoints)
+    try:
+        while live:
+            if time.monotonic() > deadline:
+                raise TimeoutError("transfer deadline exceeded")
+            wait = MAX_WAIT
+            for end in list(live):
+                try:
+                    wait = min(wait, next(end.turns))
+                except (StopIteration, EndpointKilled) as ended:
+                    # Crash injection is abrupt process death, no goodbye:
+                    # the sockets close as a SIGKILLed process's do, the
+                    # peer sees silence and must diagnose it by itself.
+                    end.crashed = isinstance(ended, EndpointKilled)
+                    end.failure_reason = (str(ended) if end.crashed
+                                          else ended.value)
+                    live.remove(end)
+                    for sock in end.socks:
+                        sock.close()
+            if live and wait > 0.0:
+                select.select([end.socks[0] for end in live], (), (), wait)
+    finally:
+        for end in live:
+            for sock in end.socks:
                 sock.close()
 
 
@@ -322,9 +330,9 @@ def run_loopback_transfer(
         if not blackhole_acks:
             ack_out.sendto(ack, ack_addr)
 
-    def receive() -> Optional[str]:
-        failure = run_receiver(RecvDriver(receiver, place, session),
-                               data_sock, send_ack, deadline)
+    def receive() -> Iterator[float]:
+        failure = yield from receiver_turns(
+            RecvDriver(receiver, place, session), data_sock, send_ack)
         if failure is None:
             # Normal completion: make the journal durable, then send
             # the completion signal over TCP (suppressed, like the
@@ -361,23 +369,12 @@ def run_loopback_transfer(
             wire.decode_completion(conn.recv(64))
             driver.on_completion(time.monotonic())
 
-    rx = _Endpoint("fobs-receiver", receive, [data_sock, ack_out])
-    tx = _Endpoint(
-        "fobs-sender",
-        lambda: run_sender(driver, ack_sock, poll_completion, deadline),
-        [data_out, ack_sock, listener])
+    rx = Endpoint(receive(), [data_sock, ack_out])
+    tx = Endpoint(sender_turns(driver, ack_sock, poll_completion),
+                  [ack_sock, data_out, listener])
     start = time.monotonic()
-    rx.start()
-    tx.start()
-    tx.join(timeout=timeout + 5)
-    rx.join(timeout=5)
+    run_endpoints([tx, rx], deadline)
     duration = max(time.monotonic() - start, 1e-9)
-
-    for thread in (tx, rx):
-        if thread.error is not None:
-            raise RuntimeError(f"{thread.name} failed") from thread.error
-        if thread.is_alive():
-            raise TimeoutError(f"{thread.name} did not finish within {timeout}s")
 
     crashed = "sender" if tx.crashed else "receiver" if rx.crashed else None
     completed = sender.complete and receiver.complete and crashed is None

@@ -73,7 +73,7 @@ from repro.runtime.driver import (
     RecvDriver,
     SendDriver,
 )
-from repro.runtime.transfer import send_burst
+from repro.runtime.transfer import drain, send_burst
 from repro.server.admission import (
     ADMIT,
     DRAINING,
@@ -239,7 +239,6 @@ class ObjectServer:
         # (single-threaded event loop; each datagram is fully consumed
         # before the next receive overwrites the buffer).
         self._rxbuf = bytearray(65535)
-        self._rxview = memoryview(self._rxbuf)
         self._conns: set[_Conn] = set()
         self._send_entries: dict[object, _SendEntry] = {}
         self._recv_entries: dict[object, _RecvEntry] = {}
@@ -388,13 +387,14 @@ class ObjectServer:
                     if tag == "listener":
                         self._accept(now)
                     elif tag == "udp":
-                        self._drain(self._udp, self._route_datagram, now)
+                        drain(self._udp, self._route_datagram, now,
+                              self._rxbuf)
                     elif tag == "conn":
                         self._on_conn_readable(key.data[1], now)
                     elif tag == "recv_sock":
                         entry = key.data[1]
-                        self._drain(entry.sock, partial(self._on_push_data,
-                                                        entry), now)
+                        drain(entry.sock, partial(self._on_push_data, entry),
+                              now, self._rxbuf)
                 if now >= next_sweep:
                     next_sweep = now + 0.5
                     self._sweep(now)
@@ -461,13 +461,10 @@ class ObjectServer:
                                       reason="handshake timed out")
                 else:
                     self._close_conn(conn)
-        idle_limit = self.config.receiver_idle_timeout
         for entry in list(self._recv_entries.values()):
-            idle = entry.receiver.idle_since(now, entry.started_at)
-            if idle > idle_limit:
-                self._finish_recv(
-                    entry, ok=False,
-                    reason=f"receiver gave up: no data for {idle:.1f}s")
+            failure = entry.receiver.liveness_failure(now, entry.started_at)
+            if failure is not None:
+                self._finish_recv(entry, ok=False, reason=failure)
 
     # ------------------------------------------------------------------
     # TCP control plane
@@ -858,22 +855,6 @@ class ObjectServer:
     # ------------------------------------------------------------------
     # Shared-socket demux
     # ------------------------------------------------------------------
-    def _drain(self, sock: socket.socket, handle, now: float) -> None:
-        # recv_into a reusable buffer: recvfrom(1 << 20) allocates a
-        # fresh megabyte-sized bytes object per datagram; here every
-        # datagram lands in the same allocation and is handled through
-        # a zero-copy memoryview (consumed synchronously before the
-        # next receive overwrites it).
-        recv_into = sock.recv_into
-        rxbuf = self._rxbuf
-        rxview = self._rxview
-        while True:
-            try:
-                nrecv = recv_into(rxbuf)
-            except OSError:
-                return  # drained (EAGAIN), or closed by the handler
-            handle(rxview[:nrecv], now)
-
     def _route_datagram(self, datagram: bytes, now: float) -> None:
         # ACK or DATA?  No magic distinguishes them — probe the session
         # extension at the ACK offset for a sending transfer first,

@@ -1,15 +1,18 @@
 """The real-socket transfer driver, with no sockets and no sleeps.
 
 ``repro.runtime.driver`` writes the paper's sender and receiver loops
-once; the loopback threads, the file endpoints and the daemon only
+once; the loopback endpoints, the file endpoints and the daemon only
 call it.  Everything here runs it against a fake ``send`` and a fake
 clock, so each property is exact rather than a wall-clock race.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
+import socket
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from repro.runtime.driver import (
     RecvDriver,
     SendDriver,
 )
+from repro.runtime.transfer import MAX_WAIT, Endpoint, run_endpoints
 from repro.simnet.faults import KillSwitch
 from repro.telemetry import EV_STORAGE_FAULT, EventBus, RingBufferSink
 
@@ -466,3 +470,65 @@ def test_the_loops_are_written_once():
         assert users == ["runtime/driver.py"], (call, users)
     assert not any("wire.encode_data(" in text or "TokenBucket" in text
                    for text in sources.values())
+    # The blocking around the loops is written once too, single-threaded:
+    # one drain loop, one select, both in runtime/transfer.py (the
+    # daemon keeps its ``selectors`` loop but drains through the shared
+    # one).
+    assert "threading" not in sources["runtime/transfer.py"]
+    for call, count in (("recv_into(", 1), ("select.select(", 1)):
+        users = {m: text.count(call) for m, text in sources.items()
+                 if call in text}
+        assert users == {"runtime/transfer.py": count}, (call, users)
+    assert re.search(r"^ +drain\(self\._udp, ", sources["server/daemon.py"],
+                     re.MULTILINE)
+
+
+class TestRunEndpoints:
+    """The one loop around the turns, on socketpairs."""
+
+    def test_a_killed_endpoint_leaves_and_the_other_runs_on(self):
+        a, b = socket.socketpair()
+        seen = []
+
+        def killed():
+            yield 0.0
+            raise EndpointKilled("killed after 1 turn")
+
+        def survivor():
+            for _ in range(4):
+                seen.append(a.fileno() == -1)
+                yield 0.0
+            return "stalled: gave up by itself"
+
+        victim, other = Endpoint(killed(), [a]), Endpoint(survivor(), [b])
+        run_endpoints([victim, other], time.monotonic() + 5)
+        assert victim.crashed
+        assert victim.failure_reason == "killed after 1 turn"
+        assert not other.crashed
+        assert other.failure_reason == "stalled: gave up by itself"
+        # The victim's socket closed the turn it died, not at the end.
+        assert seen == [False, True, True, True]
+        assert b.fileno() == -1
+
+    def test_any_other_exception_reaches_the_caller_unwrapped(self):
+        a, b = socket.socketpair()
+
+        def broken():
+            yield 0.0
+            raise ZeroDivisionError("a bug, not a crash injection")
+
+        with pytest.raises(ZeroDivisionError, match="a bug"):
+            run_endpoints([Endpoint(broken(), [a]),
+                           Endpoint(itertools.repeat(0.0), [b])],
+                          time.monotonic() + 5)
+        assert a.fileno() == -1 and b.fileno() == -1
+
+    def test_deadline_and_early_wakeup(self):
+        a, b = socket.socketpair()
+        b.send(b"x")  # readable: the 50 ms sleeps end at once
+        turns = itertools.count()
+        idle = Endpoint((MAX_WAIT for _ in turns), [a])
+        with pytest.raises(TimeoutError):
+            run_endpoints([idle], time.monotonic() + 0.02)
+        assert next(turns) > 2 and a.fileno() == -1
+        b.close()

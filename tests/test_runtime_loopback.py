@@ -1,5 +1,7 @@
 """Real-socket loopback tests for the sans-IO FOBS core."""
 
+import socket
+
 import pytest
 
 from repro.core.config import FobsConfig
@@ -45,3 +47,36 @@ class TestLoopback:
     def test_waste_reported(self):
         res = run_loopback_transfer(200_000, drop_rate=0.1, seed=3)
         assert res.wasted_fraction > 0.03
+
+
+BLAST = dict(batch_size=16, ack_frequency=64)
+
+
+@pytest.mark.parametrize("nbytes, config", [
+    (1_000_000, None),
+    (8 << 20, FobsConfig(packet_size=1024, **BLAST)),
+    (16 << 20, FobsConfig(packet_size=32768, **BLAST)),
+], ids=["default-1MB", "1KiB-8MB", "32KiB-16MB"])
+def test_clean_path_sends_each_packet_once(nbytes, config):
+    """No injected fault, so nothing is lost and nothing is re-sent.
+
+    Sender and receiver take turns on one thread, so at most one batch
+    is ever in flight and the receive buffer cannot overflow.  The only
+    extra packets are the ones by which the last batch of the pass
+    wraps past the end of the object: none where ``batch_size`` divides
+    ``npackets``.
+    """
+    geometry = config if config is not None else FobsConfig()
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+        probe.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
+        granted = probe.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+    if granted < 2 * geometry.batch_size * geometry.packet_size:
+        pytest.skip(f"net.core.rmem_max grants {granted} bytes: "
+                    f"one batch overflows the receive buffer")
+    npackets = geometry.npackets(nbytes)
+    wrap = -npackets % geometry.batch_size
+    for _ in range(5):
+        res = run_loopback_transfer(nbytes, config=config)
+        assert res.checksum_ok
+        assert res.packets_sent - npackets == wrap
+        assert res.duplicates_received <= wrap

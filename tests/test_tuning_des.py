@@ -79,15 +79,19 @@ def test_tuned_loopback_transfer_replays():
         log = os.path.join(tmp, "tel.jsonl")
         bus = EventBus(sinks=[JsonlSink(log, producer="test")])
         try:
+            # Paced, with the tuner's ceiling at the pacing rate: the
+            # object cannot leave in under 600 kB / 12 Mb/s = 0.4 s, and
+            # an epoch closes at most one 20 ms pacing sleep late, so
+            # the protocol sets the epoch count (>= 5), not the host.
             result = run_loopback_transfer(
-                nbytes=1_500_000, config=FobsConfig(ack_frequency=16),
-                # 10 ms epochs: on a fast host the whole transfer fits
-                # inside one 50 ms epoch and nothing would be decided.
-                tuning=TuningConfig(epoch_interval=0.01), telemetry=bus)
+                nbytes=600_000,
+                config=FobsConfig(ack_frequency=16, send_rate_bps=12e6),
+                tuning=TuningConfig(epoch_interval=0.05, max_rate_bps=12e6),
+                telemetry=bus)
         finally:
             bus.close()
         assert result.completed and result.checksum_ok
         events = [dict(kind=e.kind, **e.fields) for e in read_events(log)
                   if e.src == "tuner"]
         decisions = replay_decisions(events)
-        assert decisions  # at least one epoch elapsed and replayed
+        assert len(decisions) >= 5
