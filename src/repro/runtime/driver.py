@@ -11,8 +11,9 @@ classes here and owns nothing but its sockets and its clock:
   abort, pacing, one burst-codec pass per batch, the tuner hooks.
   Acknowledgement datagrams and the completion signal are pushed in.
 * :class:`RecvDriver` is the receiver loop of Section 3.2 as
-  ``on_datagram(view, now) -> ack_bytes | None``: decode, place at
-  ``seq * packet_size``, mark, maybe build the bitmap acknowledgement.
+  ``on_burst(views, now) -> [ack_bytes]``: decode the train, then per
+  datagram place at ``seq * packet_size``, mark, maybe build the bitmap
+  acknowledgement.
 * :class:`PartFile` is the crash-persistent ``.part`` + journal
   lifecycle a file-backed receiver wraps around that loop.
 
@@ -184,9 +185,9 @@ class SendDriver:
             return IDLE_WAIT
         if self.tuner is not None:
             self.tuner.maybe_probe(batch[0].seq, now)
-        # One codec pass for the whole batch: headers scattered
-        # vectorized, payloads sliced zero-copy from the object, one
-        # shared buffer behind every datagram handed to ``send``.
+        # One codec pass for the whole batch: payloads sliced zero-copy
+        # from the object, one shared buffer behind every datagram
+        # handed to ``send``.
         psize = sender.config.packet_size
         blob = self._blob
         views = wire.encode_data_burst(
@@ -219,41 +220,73 @@ class RecvDriver:
         #: raised; the caller fails the *attempt*, not the process.
         self.fault: Optional[str] = None
 
-    def on_datagram(self, datagram, now: float) -> Optional[bytes]:
-        """Process one data datagram; returns ACK bytes to transmit.
+    def on_burst(self, datagrams: Sequence, now: float) -> list[bytes]:
+        """Process one train of data datagrams, in order; returns the
+        ACK bytes to transmit, in order.
 
-        Damaged, stale-epoch and foreign-session datagrams, and ones
-        whose geometry is not this object's, only move their counters
-        and never reach the store.  One too short to be a data packet
-        raises ``ValueError``.
+        One codec pass for the train, then per datagram: place, mark,
+        maybe acknowledge.  Damaged, stale-epoch and foreign-session
+        datagrams, and ones whose geometry is not this object's, only
+        move their counters and never reach the store — or take their
+        neighbours down.  Stops after the datagram that faulted the
+        store or left the object complete.  One too short to be a data
+        packet raises ``ValueError``, once the rest of the train has
+        been processed.
         """
         receiver = self.receiver
-        try:
-            pkt, payload = wire.decode_data(
-                datagram, checksum=self._checksum, session=self.session)
-        except wire.ChecksumError:
-            receiver.on_corrupt_data(now)
-            return None  # damaged in flight; the sender re-sends it
-        except (wire.StaleEpochError, wire.SessionMismatchError):
-            receiver.on_stale_data(0)
-            return None  # zombie datagram from a dead attempt
-        offset = pkt.seq * self._psize
-        if (pkt.total != receiver.npackets or len(payload) != min(
-                self._psize, receiver.total_bytes - offset)):
-            receiver.on_corrupt_data(now)
-            return None  # would land outside its own packet's bytes
-        # Data before log: the payload must be in the store before the
-        # journal claims it (on_data journals newly marked packets).
-        try:
-            self.write_at(offset, payload)
-            ack = receiver.on_data(pkt.seq, now)
-        except OSError as exc:
-            self.fault = storage_fault(self.channel, "part", exc)
-            return None
-        if ack is None:
-            return None
-        return wire.encode_ack(ack, checksum=self._checksum,
-                               session=self.session)
+        write_at, on_data = self.write_at, receiver.on_data
+        psize, npackets = self._psize, receiver.npackets
+        total_bytes = receiver.total_bytes
+        results, errors = wire.decode_data_burst(
+            datagrams, checksum=self._checksum, session=self.session)
+        rejects = iter(errors)
+        undecodable = None
+        acks: list[bytes] = []
+        done = receiver.complete
+        for result in results:
+            if result is None:
+                _index, exc = next(rejects)
+                if isinstance(exc, wire.ChecksumError):
+                    # Damaged in flight; the sender re-sends it.
+                    receiver.on_corrupt_data(now)
+                elif isinstance(exc, (wire.StaleEpochError,
+                                      wire.SessionMismatchError)):
+                    # Zombie datagram from a dead attempt.
+                    receiver.on_stale_data(0)
+                elif undecodable is None:
+                    undecodable = exc
+            else:
+                pkt, payload = result
+                offset = pkt.seq * psize
+                if (pkt.total != npackets or len(payload) != min(
+                        psize, total_bytes - offset)):
+                    # Would land outside its own packet's bytes.
+                    receiver.on_corrupt_data(now)
+                else:
+                    # Data before log: the payload must be in the store
+                    # before the journal claims it (on_data journals
+                    # newly marked packets).
+                    try:
+                        write_at(offset, payload)
+                        ack = on_data(pkt.seq, now)
+                    except OSError as exc:
+                        self.fault = storage_fault(self.channel, "part", exc)
+                        break
+                    if ack is not None:
+                        acks.append(wire.encode_ack(
+                            ack, checksum=self._checksum,
+                            session=self.session))
+                        done = receiver.complete
+            if done:
+                break
+        if undecodable is not None:
+            raise undecodable
+        return acks
+
+    def on_datagram(self, datagram, now: float) -> Optional[bytes]:
+        """:meth:`on_burst` for a train of one."""
+        acks = self.on_burst((datagram,), now)
+        return acks[0] if acks else None
 
 
 # ----------------------------------------------------------------------

@@ -37,7 +37,6 @@ import threading
 import time
 import zlib
 from dataclasses import dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -222,8 +221,7 @@ def _send_attempt(
                     recv_exact(ctrl, _ACCEPT.size))
                 if magic != ACCEPT_MAGIC:
                     raise ValueError("bad accept message from receiver")
-            send = partial(transfer.send_burst, data_sock,
-                           (host, data_port))
+            send = transfer.BurstSend(data_sock, (host, data_port))
             if drop_rate or corrupt_rate or kill is not None:
                 send = FaultySend(send, drop_rate, corrupt_rate, kill,
                                   fault_seed)
@@ -620,6 +618,7 @@ def receive_offer(
     try:
         if failure is None:
             data_sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
+            transfer.accept_trains(data_sock)
             data_sock.bind((bind, 0))
             data_sock.setblocking(False)
             driver, reply = accept_offer(offer, attempt_config, part,

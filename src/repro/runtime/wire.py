@@ -195,14 +195,9 @@ def decode_data(
     return pkt, payload
 
 
-# Structured little-helper dtypes mirroring the struct layouts above.
-# numpy keeps record dtypes packed (no alignment padding), so viewing a
-# (n, 12) uint8 block as ``_DATA_HDR_DTYPE`` parses every header in one
-# pass, byte-identical to n ``struct.unpack("!IIi")`` calls.
-_DATA_HDR_DTYPE = np.dtype([("seq", ">u4"), ("total", ">u4"),
-                            ("transmission", ">i4")])
-_TID_DTYPE = np.dtype(">u8")
-_EPOCH_DTYPE = np.dtype(">u4")
+# The session extension rides right behind the base header, so one
+# struct covers both when a session is negotiated.
+_DATA_SESSION_HDR = struct.Struct("!IIiQI")
 
 
 def encode_data_burst(
@@ -211,17 +206,15 @@ def encode_data_burst(
     checksum: bool = False,
     session: Optional[SessionContext] = None,
 ) -> list[memoryview]:
-    """Serialize a whole batch of DATA datagrams in one pass.
+    """Serialize a whole batch of DATA datagrams into one buffer.
 
     Byte-identical to calling :func:`encode_data` per packet — the
-    burst equivalence property the hypothesis suite pins — but built
-    into a single preallocated buffer: headers (and the optional
-    session extension) are scattered with one vectorized NumPy store
-    each, payload bytes are copied once via memoryview slice
-    assignment, and the per-datagram CRC32 trailers are filled in a
-    tight loop over the finished regions.  Returns one writable
-    memoryview per datagram, all windows into the shared buffer, ready
-    to hand to ``sendto``/``sendmsg`` without further copies.
+    burst equivalence property the hypothesis suite pins — but with one
+    allocation for the batch: each header (and session extension) is
+    packed in place, each payload copied once, each CRC32 trailer
+    computed over the finished region.  Returns one writable memoryview
+    per datagram, all windows into the shared buffer, ready to hand to
+    ``sendmsg``/``sendto`` without further copies.
     """
     n = len(packets)
     if len(payloads) != n:
@@ -229,54 +222,33 @@ def encode_data_burst(
             f"{n} packets but {len(payloads)} payloads")
     if n == 0:
         return []
-    views = [memoryview(p) for p in payloads]
-    plens = np.fromiter((v.nbytes for v in views), dtype=np.int64, count=n)
-    declared = np.fromiter((p.payload_bytes for p in packets),
-                           dtype=np.int64, count=n)
-    bad = np.nonzero(plens != declared)[0]
-    if bad.shape[0]:
-        i = int(bad[0])
-        raise ValueError(
-            f"payload length {int(plens[i])} != declared "
-            f"{int(declared[i])}")
-    hdr_size = _DATA_HDR.size
-    ext_size = SESSION_EXT_BYTES if session is not None else 0
-    trailer = CHECKSUM_TRAILER_BYTES if checksum else 0
-    base = hdr_size + ext_size
-    sizes = plens + (base + trailer)
-    offsets = np.empty(n, dtype=np.int64)
-    offsets[0] = 0
-    np.cumsum(sizes[:-1], out=offsets[1:])
-    total = int(offsets[-1] + sizes[-1])
-
-    buf = bytearray(total)
-    bnp = np.frombuffer(buf, dtype=np.uint8)
-    hdrs = np.empty(n, dtype=_DATA_HDR_DTYPE)
-    hdrs["seq"] = [p.seq for p in packets]
-    hdrs["total"] = [p.total for p in packets]
-    hdrs["transmission"] = [p.transmission for p in packets]
-    bnp[offsets[:, None] + np.arange(hdr_size)] = (
-        hdrs.view(np.uint8).reshape(n, hdr_size))
     if session is not None:
-        ext = np.frombuffer(
-            _SESSION_EXT.pack(session.transfer_id, session.epoch),
-            dtype=np.uint8)
-        bnp[(offsets + hdr_size)[:, None] + np.arange(ext_size)] = ext
-
+        pack_into, base = _DATA_SESSION_HDR.pack_into, _DATA_SESSION_HDR.size
+        ext = (session.transfer_id, session.epoch)
+    else:
+        pack_into, base = _DATA_HDR.pack_into, _DATA_HDR.size
+        ext = ()
+    trailer = CHECKSUM_TRAILER_BYTES if checksum else 0
+    buf = bytearray((base + trailer) * n + sum(map(len, payloads)))
     mv = memoryview(buf)
-    off_list = offsets.tolist()
-    size_list = sizes.tolist()
-    for i in range(n):
-        o = off_list[i] + base
-        mv[o:o + size_list[i] - base - trailer] = views[i]
-    if checksum:
-        crc32 = zlib.crc32
-        pack_into = _CRC.pack_into
-        for i in range(n):
-            o = off_list[i]
-            body_end = o + size_list[i] - trailer
-            pack_into(buf, body_end, crc32(mv[o:body_end]))
-    return [mv[o:o + s] for o, s in zip(off_list, size_list)]
+    crc32 = zlib.crc32
+    crc_into = _CRC.pack_into
+    views = []
+    start = 0
+    for pkt, payload in zip(packets, payloads):
+        if len(payload) != pkt.payload_bytes:
+            raise ValueError(
+                f"payload length {len(payload)} != declared "
+                f"{pkt.payload_bytes}")
+        pack_into(buf, start, pkt.seq, pkt.total, pkt.transmission, *ext)
+        end = start + base + len(payload)
+        mv[start + base:end] = payload
+        if checksum:
+            crc_into(buf, end, crc32(mv[start:end]))
+            end += trailer
+        views.append(mv[start:end])
+        start = end
+    return views
 
 
 def decode_data_burst(
@@ -284,86 +256,64 @@ def decode_data_burst(
     checksum: bool = False,
     session: Optional[SessionContext] = None,
 ) -> tuple[list, list]:
-    """Parse a batch of DATA datagrams; headers in one NumPy pass.
+    """Parse a batch of DATA datagrams: the receive path's codec.
 
     Returns ``(results, errors)``: ``results[i]`` is a
     ``(DataPacket, memoryview)`` pair — the payload view is zero-copy
     into the caller's buffer — or ``None`` where datagram ``i`` was
     rejected; ``errors`` lists ``(index, exception)`` pairs for the
-    rejects.  Each datagram is validated independently with exactly
-    :func:`decode_data`'s semantics (same checks, same order, same
-    exception types), so one corrupted datagram in a burst never takes
-    its neighbours down.
+    rejects, in index order.  Each datagram is validated independently
+    with exactly :func:`decode_data`'s semantics (same checks, same
+    order, same exception types), so one corrupted datagram in a burst
+    never takes its neighbours down.
     """
-    n = len(datagrams)
-    results: list = [None] * n
+    results: list = [None] * len(datagrams)
     errors: list = []
-    if n == 0:
-        return results, errors
-    views = []
-    for d in datagrams:
-        v = memoryview(d)
-        views.append(v.cast("B") if v.ndim != 1 or v.itemsize != 1 else v)
     hdr_size = _DATA_HDR.size
-    ext_size = SESSION_EXT_BYTES if session is not None else 0
-    trailer = CHECKSUM_TRAILER_BYTES if checksum else 0
-    base = hdr_size + ext_size
-    # Gather every header region into one (n, base) block and parse all
-    # of them vectorized; short datagrams stay zeroed here and are
-    # rejected in the per-datagram pass below before the parsed values
-    # are ever used.
-    hdrs = np.zeros((n, base), dtype=np.uint8)
-    for i, v in enumerate(views):
-        take = base if v.nbytes >= base else v.nbytes
-        if take:
-            hdrs[i, :take] = np.frombuffer(v[:take], dtype=np.uint8)
-    rec = np.ascontiguousarray(hdrs[:, :hdr_size]).view(
-        _DATA_HDR_DTYPE).reshape(n)
-    seqs = rec["seq"].tolist()
-    totals = rec["total"].tolist()
-    transmissions = rec["transmission"].tolist()
     if session is not None:
-        tids = np.ascontiguousarray(
-            hdrs[:, hdr_size:hdr_size + 8]).view(_TID_DTYPE).reshape(n).tolist()
-        epochs = np.ascontiguousarray(
-            hdrs[:, hdr_size + 8:base]).view(_EPOCH_DTYPE).reshape(n).tolist()
+        unpack_from, base = (_DATA_SESSION_HDR.unpack_from,
+                             _DATA_SESSION_HDR.size)
+        my_tid, my_epoch = session.transfer_id, session.epoch
+    else:
+        unpack_from, base = _DATA_HDR.unpack_from, hdr_size
+    trailer = CHECKSUM_TRAILER_BYTES if checksum else 0
     crc32 = zlib.crc32
-    for i, v in enumerate(views):
-        size = v.nbytes
+    crc_from = _CRC.unpack_from
+    packet = DataPacket.unchecked
+    for i, datagram in enumerate(datagrams):
+        view = memoryview(datagram)
         try:
-            if size < hdr_size:
+            if len(view) < hdr_size:
                 raise ValueError("datagram shorter than data header")
-            body_end = size - trailer
+            body_end = len(view) - trailer
             if checksum:
-                if size < hdr_size + trailer:
+                if body_end < hdr_size:
                     raise ValueError(
                         "checksummed datagram shorter than header + trailer")
-                (crc,) = _CRC.unpack(v[body_end:size])
-                if crc32(v[:body_end]) != crc:
+                if crc32(view[:body_end]) != crc_from(view, body_end)[0]:
                     raise ChecksumError(
                         "data packet failed CRC32 verification")
-            epoch = 0
-            if session is not None:
-                if body_end < base:
-                    raise ValueError(
-                        "data datagram shorter than session extension")
-                tid = tids[i]
-                if tid != session.transfer_id:
+            if session is None:
+                seq, total, transmission = unpack_from(view)
+                epoch = 0
+            elif body_end < base:
+                raise ValueError(
+                    "data datagram shorter than session extension")
+            else:
+                seq, total, transmission, tid, epoch = unpack_from(view)
+                if tid != my_tid:
                     raise SessionMismatchError(
-                        f"data for transfer {tid:#x}, expected "
-                        f"{session.transfer_id:#x}")
-                epoch = epochs[i]
-                if epoch != session.epoch:
-                    raise StaleEpochError(epoch, session.epoch, "data")
-            payload = v[base:body_end]
-            if not payload.nbytes:
+                        f"data for transfer {tid:#x}, expected {my_tid:#x}")
+                if epoch != my_epoch:
+                    raise StaleEpochError(epoch, my_epoch, "data")
+            if body_end == base:
                 raise ValueError("data packet with empty payload")
-            results[i] = (
-                DataPacket(seq=seqs[i], total=totals[i],
-                           payload_bytes=payload.nbytes,
-                           transmission=transmissions[i], epoch=epoch),
-                payload,
-            )
+            # DataPacket's own range check, without the frozen
+            # dataclass's __init__ + __post_init__ per datagram.
+            if seq >= total:
+                raise ValueError(f"seq {seq} out of range [0, {total})")
+            results[i] = (packet(seq, total, body_end - base, transmission,
+                                 epoch), view[base:body_end])
         except ValueError as exc:  # includes Checksum/Session/Stale
             errors.append((i, exc))
     return results, errors

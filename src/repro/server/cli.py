@@ -39,6 +39,7 @@ from typing import Optional, Sequence
 
 from repro.core.config import FobsConfig
 from repro.runtime.cli import info
+from repro.runtime.transfer import SEND_BATCH
 from repro.server.client import fetch_file
 from repro.server.daemon import ObjectServer
 
@@ -249,7 +250,8 @@ def _tuning_config(args: argparse.Namespace):
 def _cmd_serve(args: argparse.Namespace) -> int:
     config = FobsConfig(packet_size=args.packet_size,
                         ack_frequency=args.ack_frequency,
-                        checksum=not args.no_checksum)
+                        checksum=not args.no_checksum,
+                        batch_size=SEND_BATCH)
     budget = args.rate_budget * 1e6 if args.rate_budget else None
     bus = _telemetry_bus(args)
     try:

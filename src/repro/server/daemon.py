@@ -73,7 +73,12 @@ from repro.runtime.driver import (
     RecvDriver,
     SendDriver,
 )
-from repro.runtime.transfer import drain, send_burst
+from repro.runtime.transfer import (
+    SEND_BATCH,
+    BurstSend,
+    accept_trains,
+    drain,
+)
 from repro.server.admission import (
     ADMIT,
     DRAINING,
@@ -137,7 +142,7 @@ class _SendEntry:
 
     kind = SENDING
     __slots__ = ("key", "session", "sender", "conn", "name", "client",
-                 "data_addr", "driver", "started_at")
+                 "burst", "driver", "started_at")
 
     def __init__(self, key, session, sender, conn, name):
         self.key = key
@@ -146,7 +151,9 @@ class _SendEntry:
         self.conn: _Conn = conn
         self.name = name
         self.client = conn.addr[0]
-        self.data_addr: Optional[tuple[str, int]] = None
+        #: Its send onto the shared socket; the address arrives with
+        #: the client's RESUME.
+        self.burst: Optional[BurstSend] = None
         self.driver: Optional[SendDriver] = None
         self.started_at = 0.0
 
@@ -201,7 +208,7 @@ class ObjectServer:
             raise ValueError(f"served root {root!r} is not a directory")
         self.bind = bind
         self.config = config if config is not None else FobsConfig(
-            ack_frequency=32)
+            ack_frequency=32, batch_size=SEND_BATCH)
         self.admission = AdmissionController(
             max_active=max_active, queue_depth=queue_depth,
             per_client_max=per_client_max)
@@ -328,6 +335,7 @@ class ObjectServer:
         self.port = self._listener.getsockname()[1]
         self._udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._udp.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 21)
+        accept_trains(self._udp)
         self._udp.bind((self.bind, 0))
         self._udp.setblocking(False)
         self.udp_port = self._udp.getsockname()[1]
@@ -339,6 +347,9 @@ class ObjectServer:
         if conn.state == "closed":
             return
         conn.state = "closed"
+        # Its entry points back at it: let go, or a finished transfer's
+        # object bytes stay until some later cycle collection.
+        conn.entry = None
         self._conns.discard(conn)
         try:
             self._sel.unregister(conn.sock)
@@ -387,7 +398,7 @@ class ObjectServer:
                     if tag == "listener":
                         self._accept(now)
                     elif tag == "udp":
-                        drain(self._udp, self._route_datagram, now,
+                        drain(self._udp, self._route_train, now,
                               self._rxbuf)
                     elif tag == "conn":
                         self._on_conn_readable(key.data[1], now)
@@ -603,7 +614,7 @@ class ObjectServer:
                                       reason="RESUME for a different session")
                     return
                 entry.sender.resume_from(resume.bitmap)
-                entry.data_addr = (conn.addr[0], resume.data_port)
+                entry.burst.addr = (conn.addr[0], resume.data_port)
                 entry.started_at = now
                 conn.state = "sending"
                 conn.deadline = None
@@ -825,6 +836,7 @@ class ObjectServer:
             # the transfer its own socket.
             sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
             sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
+            accept_trains(sock)
             sock.bind((self.bind, 0))
             sock.setblocking(False)
             data_port = sock.getsockname()[1]
@@ -855,7 +867,28 @@ class ObjectServer:
     # ------------------------------------------------------------------
     # Shared-socket demux
     # ------------------------------------------------------------------
-    def _route_datagram(self, datagram: bytes, now: float) -> None:
+    def _route_train(self, views, now: float) -> None:
+        """Route one read of the shared socket, datagram by datagram;
+        consecutive data datagrams of one transfer reach its driver as
+        one burst."""
+        burst: list = []
+        burst_entry = None
+        for datagram in views:
+            entry = self._route_datagram(datagram, now)
+            if entry is not burst_entry and burst:
+                self._on_push_data(burst_entry, burst, now)
+                burst = []
+            burst_entry = entry
+            if entry is not None:
+                burst.append(datagram)
+        if burst:
+            self._on_push_data(burst_entry, burst, now)
+
+    def _route_datagram(self, datagram,
+                        now: float) -> Optional[_RecvEntry]:
+        """The receiving entry a data datagram belongs to; an
+        acknowledgement is consumed here, and so (counted) is one that
+        belongs to nothing live."""
         # ACK or DATA?  No magic distinguishes them — probe the session
         # extension at the ACK offset for a sending transfer first,
         # then the DATA offset for a receiving one.  The decode below
@@ -865,14 +898,14 @@ class ObjectServer:
             reg = self.registry.route(peek[0], peek[1], kind=SENDING)
             if reg is not None:
                 self._on_fetch_ack(reg.entry, datagram, now)
-                return
+                return None
         peek = wire.peek_session(datagram, "data")
         if peek is not None:
             reg = self.registry.route(peek[0], peek[1], kind=RECEIVING)
             if reg is not None:
-                self._on_push_data(reg.entry, datagram, now)
-                return
+                return reg.entry
         self.registry.count_unknown()
+        return None
 
     def _on_fetch_ack(self, entry: _SendEntry, datagram: bytes,
                       now: float) -> None:
@@ -881,14 +914,15 @@ class ObjectServer:
         except ValueError:
             self.registry.count_undecodable()
 
-    def _on_push_data(self, entry: _RecvEntry, datagram: bytes,
-                      now: float) -> None:
+    def _on_push_data(self, entry: _RecvEntry, views, now: float) -> None:
         try:
-            ack = entry.driver.on_datagram(datagram, now)
+            acks = entry.driver.on_burst(views, now)
         except ValueError:
+            # The rest of the train was processed all the same, so the
+            # fault and completion checks below still apply.
             self.registry.count_undecodable()
-            return
-        self._bytes_received += len(datagram)
+            acks = ()
+        self._bytes_received += sum(map(len, views))
         if entry.driver.fault is not None:
             # Disk fault mid-push (ENOSPC/EIO): fail this transfer with
             # a typed, retryable reason — the daemon itself survives,
@@ -896,8 +930,8 @@ class ObjectServer:
             # supervisor re-offers through admission.
             self._finish_recv(entry, ok=False, reason=entry.driver.fault)
             return
-        if ack is not None:
-            sock = entry.sock if entry.sock is not None else self._udp
+        sock = entry.sock if entry.sock is not None else self._udp
+        for ack in acks:
             try:
                 sock.sendto(ack, (entry.conn.addr[0], entry.offer.ack_port))
             except OSError:
@@ -917,9 +951,11 @@ class ObjectServer:
     def _send_for(self, entry: _SendEntry):
         """The entry's ``send(views) -> n_sent`` onto the shared socket; a
         full buffer (or a transient error) leaves the tail with the driver."""
+        burst = entry.burst = BurstSend(self._udp)
+
         def send(views) -> int:
             try:
-                sent = send_burst(self._udp, entry.data_addr, views)
+                sent = burst(views)
             except OSError:
                 sent = 0
             self._bytes_sent += sum(map(len, views[:sent]))
@@ -930,7 +966,7 @@ class ObjectServer:
         return send
 
     def _pump_entry(self, entry: _SendEntry, now: float) -> float:
-        if entry.data_addr is None:  # still awaiting RESUME
+        if entry.burst.addr is None:  # still awaiting RESUME
             return 0.05
         sender = entry.sender
         quota = sender.stats.packets_sent + _PUMP_QUANTUM

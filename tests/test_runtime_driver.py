@@ -463,22 +463,29 @@ def test_the_loops_are_written_once():
                 with open(os.path.join(root, package, name)) as fh:
                     sources[f"{package}/{name}"] = fh.read()
     for call in (".next_batch(", ".probe_batch(", ".poll_stall(",
-                 "wire.decode_data(", "wire.decode_ack(",
+                 "wire.decode_data_burst(", "wire.decode_ack(",
                  "wire.encode_ack(", "encode_data_burst("):
         users = [m for m, text in sources.items()
                  if re.search(re.escape(call), text)]
         assert users == ["runtime/driver.py"], (call, users)
     assert not any("wire.encode_data(" in text or "TokenBucket" in text
                    for text in sources.values())
+    # decode → place → mark → ACK is one loop: the store is written to
+    # from one call site.
+    assert len(re.findall(r"(?<!def )(?<!`)write_at\(",
+                          sources["runtime/driver.py"])) == 1
     # The blocking around the loops is written once too, single-threaded:
-    # one drain loop, one select, both in runtime/transfer.py (the
-    # daemon keeps its ``selectors`` loop but drains through the shared
-    # one).
+    # one train read, one segmented send, one select, all in
+    # runtime/transfer.py (the daemon keeps its ``selectors`` loop but
+    # drains through the shared one); no per-datagram receive is left.
     assert "threading" not in sources["runtime/transfer.py"]
-    for call, count in (("recv_into(", 1), ("select.select(", 1)):
+    for call, count in (("recvmsg_into(", 1), ("sendmsg(", 1),
+                        ("select.select(", 1)):
         users = {m: text.count(call) for m, text in sources.items()
                  if call in text}
         assert users == {"runtime/transfer.py": count}, (call, users)
+    assert not any(re.search(r"\brecv_into\(", text)
+                   for text in sources.values())
     assert re.search(r"^ +drain\(self\._udp, ", sources["server/daemon.py"],
                      re.MULTILINE)
 

@@ -1,13 +1,16 @@
 """Real-socket daemon tests: concurrent fetches, queueing, push, drain."""
 
+import gc
 import os
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.core.config import FobsConfig
 from repro.runtime.files import send_file
+from repro.runtime.transfer import SEND_BATCH
 from repro.server import ObjectServer, fetch_file
 
 pytestmark = pytest.mark.loopback
@@ -96,6 +99,58 @@ class TestConcurrentFetch:
         assert running.snapshot.completed == 3
         counters = running.server.admission.counters
         assert counters.queued >= 2  # two of three had to wait
+
+    def test_default_config_fetch_starts_at_the_real_socket_batch(
+            self, objects, tmp_path, monkeypatch):
+        """A daemon nobody configured sends bursts of SEND_BATCH, not the
+        DES's two: one codec pass and one syscall per sixteen datagrams."""
+        bursts = []
+        build_send = ObjectServer._send_for
+
+        def recording_send_for(server, entry):
+            send = build_send(server, entry)
+
+            def recording(views):
+                bursts.append(len(views))
+                return send(views)
+            return recording
+
+        monkeypatch.setattr(ObjectServer, "_send_for", recording_send_for)
+        with RunningServer(objects, config=None) as running:
+            assert running.server.config.batch_size == SEND_BATCH == 16
+            result = fetch_file("a.bin", "127.0.0.1", running.port,
+                                str(tmp_path / "a.bin"), timeout=30)
+        assert result.completed and result.crc_ok, result.failure_reason
+        blob = (objects / "a.bin").read_bytes()
+        assert len(blob) >= 64 * running.server.config.packet_size
+        assert (tmp_path / "a.bin").read_bytes() == blob
+        # The entry's first step handed its send one 16-view burst.
+        assert bursts[0] == SEND_BATCH
+
+    def test_a_finished_fetch_frees_its_object_without_the_cycle_collector(
+            self, objects, tmp_path, monkeypatch):
+        """The entry and its control connection point at each other; the
+        daemon must part them when the transfer ends, or every served
+        object's bytes stay resident until some later gen-2 collection."""
+        senders = []
+        build_send = ObjectServer._send_for
+
+        def tracking_send_for(server, entry):
+            senders.append(weakref.ref(entry.sender))
+            return build_send(server, entry)
+
+        monkeypatch.setattr(ObjectServer, "_send_for", tracking_send_for)
+        gc.collect()
+        gc.disable()
+        try:
+            with RunningServer(objects) as running:
+                result = fetch_file("b.bin", "127.0.0.1", running.port,
+                                    str(tmp_path / "b.bin"), config=CONFIG,
+                                    timeout=30)
+            assert result.completed, result.failure_reason
+            assert len(senders) == 1 and senders[0]() is None
+        finally:
+            gc.enable()
 
     def test_not_found_rejected_cleanly(self, objects, tmp_path):
         with RunningServer(objects) as running:
