@@ -19,7 +19,27 @@ from repro.core.bitmap import PacketBitmap
 
 
 class Scheduler(Protocol):
-    """Chooses the next sequence number to transmit."""
+    """Chooses which unacknowledged packets are transmitted next.
+
+    ``take_batch`` is what senders call.  ``next_seq`` / ``record_sent``
+    are the same policy one step at a time: the reference the property
+    tests hold ``take_batch`` to, and what the two ablation schedulers
+    build theirs from.
+    """
+
+    #: Times each packet has been transmitted so far.
+    send_count: np.ndarray
+
+    def take_batch(
+        self, acked: PacketBitmap, size: int
+    ) -> tuple[list[int], list[int]]:
+        """Select *and record* up to ``size`` packets.
+
+        Returns ``(seqs, transmission_counts)``; a count is how often
+        that packet had been sent *before* this pick.  Both are empty
+        when nothing is missing.
+        """
+        ...
 
     def next_seq(self, acked: PacketBitmap) -> Optional[int]:
         """Next packet to send given current ACK state; None if done."""
@@ -30,6 +50,22 @@ class Scheduler(Protocol):
         ...
 
 
+def _take_stepwise(
+    scheduler: Scheduler, acked: PacketBitmap, size: int
+) -> tuple[list[int], list[int]]:
+    """``take_batch`` as ``size`` x (``next_seq``, ``record_sent``)."""
+    seqs: list[int] = []
+    trans: list[int] = []
+    for _ in range(size):
+        seq = scheduler.next_seq(acked)
+        if seq is None:
+            break
+        seqs.append(seq)
+        trans.append(int(scheduler.send_count[seq]))
+        scheduler.record_sent(seq)
+    return seqs, trans
+
+
 class CircularScheduler:
     """The paper's circular-buffer discipline.
 
@@ -37,6 +73,12 @@ class CircularScheduler:
     packets.  Within each full sweep every surviving packet is sent
     exactly once, which yields the fairness invariant:
     ``max(send_count over unacked) - min(send_count over unacked) <= 1``.
+
+    The sweep is written once, in :meth:`take_batch`; every backend
+    runs it.  Nothing in ``src/`` calls :meth:`next_seq` /
+    :meth:`record_sent` on this class, and that is the point: they are
+    the discipline one step at a time against the bitmap itself, the
+    reference ``tests/test_core_scheduling.py`` holds the sweep to.
     """
 
     def __init__(self, npackets: int):
@@ -45,20 +87,15 @@ class CircularScheduler:
         self.npackets = npackets
         self._ptr = 0
         self.rounds = 0
-        # Transmission counts: the plain list is the source of truth on
-        # the scalar paths (numpy scalar indexing costs ~10x a list
-        # index); the array view is rebuilt on demand for vectorized
-        # batch selection and external readers.
+        # A plain list: numpy scalar indexing costs ~10x a list index,
+        # and the sweep reads and writes one count per packet sent.
         self._send_list: list[int] = [0] * npackets
-        self._send_np = np.zeros(npackets, dtype=np.int32)
-        self._send_np_dirty = False
         # Missing-set cache keyed on the bitmap's mutation counter: the
         # ACK state only changes between batches, so consecutive
         # take_batch calls reuse one scan instead of O(npackets) each.
         self._cache_version = -1
-        self._missing_np: Optional[np.ndarray] = None
         self._missing_list: list[int] = []
-        # Resume point for the scalar sweep: (pointer, index) pair so a
+        # Resume point of the sweep: (pointer, index) pair so a
         # take_batch immediately following another (same ACK state, the
         # steady-state case) skips the bisect.
         self._pos_ptr = -1
@@ -66,11 +103,8 @@ class CircularScheduler:
 
     @property
     def send_count(self) -> np.ndarray:
-        """Per-packet transmission counts as an array (read-only view)."""
-        if self._send_np_dirty:
-            self._send_np = np.array(self._send_list, dtype=np.int32)
-            self._send_np_dirty = False
-        return self._send_np
+        """Per-packet transmission counts (a copy, for tests and tools)."""
+        return np.array(self._send_list, dtype=np.int32)
 
     def next_seq(self, acked: PacketBitmap) -> Optional[int]:
         seq = acked.next_missing(self._ptr)
@@ -82,7 +116,6 @@ class CircularScheduler:
 
     def record_sent(self, seq: int) -> None:
         self._send_list[seq] += 1
-        self._send_np_dirty = True
         self._ptr = seq + 1
         if self._ptr >= self.npackets:
             self._ptr = 0
@@ -91,94 +124,52 @@ class CircularScheduler:
     def take_batch(
         self, acked: PacketBitmap, size: int
     ) -> tuple[list[int], list[int]]:
-        """Select *and record* up to ``size`` packets in one pass.
+        """One sweep of up to ``size`` picks over the cached missing list.
 
-        Vectorized equivalent of ``size`` successive ``next_seq`` /
-        ``record_sent`` calls: the ACK state cannot change mid-batch, so
-        the whole sweep is a rotation of the missing set tiled to the
-        batch length.  Returns ``(seqs, transmission_counts)`` where the
-        counts are pre-increment, exactly as the per-call path reports
-        them.  ``rounds``, ``send_count`` and the pointer end up
-        bit-identical to the scalar path.
+        The ACK state cannot change mid-batch, so the bitmap is scanned
+        once per ACK, not once per pick: O(log n + size) where the
+        step-at-a-time form is O(npackets) per packet.  A batch larger
+        than the missing set goes round again (stall probes rely on
+        it).  ``rounds``, ``send_count`` and the pointer end up exactly
+        where ``size`` x (``next_seq``, ``record_sent``) leaves them.
         """
-        if size <= 0:
-            return [], []
         if acked.version != self._cache_version:
-            self._missing_np = acked.missing_indices()
-            self._missing_list = self._missing_np.tolist()
+            self._missing_list = acked.missing_indices().tolist()
             self._cache_version = acked.version
             self._pos_ptr = -1
-        length = len(self._missing_list)
+        ml = self._missing_list
+        length = len(ml)
         if length == 0:
             return [], []
         ptr = self._ptr
-        last = self.npackets - 1
-        if size <= 32:
-            # Scalar sweep over the cached list: O(log n + size), which
-            # beats the array machinery for the small batches the
-            # adaptive policy emits while the pipe is full.
-            ml = self._missing_list
-            sl = self._send_list
-            if ptr == self._pos_ptr:
-                # Consecutive batch against the same missing set: the
-                # sweep resumes exactly where the previous one stopped.
-                pos = self._pos
-            else:
-                pos = bisect_left(ml, ptr)
-            rounds = 0
-            seqs: list[int] = []
-            trans: list[int] = []
-            for _ in range(size):
-                if pos >= length:
-                    pos = 0
-                seq = ml[pos]
-                pos += 1
-                if seq < ptr:
-                    rounds += 1
-                t = sl[seq]
-                seqs.append(seq)
-                trans.append(t)
-                sl[seq] = t + 1
-                ptr = seq + 1
-                if ptr > last:
-                    ptr = 0
-                    rounds += 1
-            self._ptr = ptr
-            self._pos_ptr = ptr
-            self._pos = pos
-            self.rounds += rounds
-            self._send_np_dirty = True
-            return seqs, trans
-        missing = self._missing_np
-        sc = self.send_count
-        k = int(np.searchsorted(missing, ptr))
-        idx = np.arange(size, dtype=np.int64)
-        seqs_arr = missing[(k + idx) % length]
-        trans_arr = sc[seqs_arr].astype(np.int64) + idx // length
-        # next_seq wraps (seq < ptr) once at the head if the pointer is
-        # past every missing seq, then whenever a pick does not advance
-        # past its predecessor -- except when the predecessor was the
-        # final seq, because record_sent already wrapped the pointer to
-        # zero (and charged that round) itself.
-        rounds = int(seqs_arr[0] < ptr)
-        rounds += int(np.count_nonzero(seqs_arr == last))
-        prev, cur = seqs_arr[:-1], seqs_arr[1:]
-        rounds += int(np.count_nonzero((cur <= prev) & (prev != last)))
-        self.rounds += rounds
-        seqs = seqs_arr.tolist()
+        # The sweep resumes where the previous one stopped unless an
+        # ACK (or a step-at-a-time call) moved the list or the pointer.
+        pos = self._pos if ptr == self._pos_ptr else bisect_left(ml, ptr)
         sl = self._send_list
-        full, rem = divmod(size, length)
-        if full:
-            sc[missing] += full
-            for s in self._missing_list:
-                sl[s] += full
-        if rem:
-            sc[seqs_arr[:rem]] += 1
-            for s in seqs[:rem]:
-                sl[s] += 1
-        last_seq = seqs[-1]
-        self._ptr = 0 if last_seq == last else last_seq + 1
-        return seqs, trans_arr.tolist()
+        last = self.npackets - 1
+        rounds = 0
+        seqs: list[int] = []
+        trans: list[int] = []
+        for _ in range(size):
+            if pos >= length:
+                pos = 0
+            seq = ml[pos]
+            pos += 1
+            if seq < ptr:
+                rounds += 1
+            t = sl[seq]
+            seqs.append(seq)
+            trans.append(t)
+            sl[seq] = t + 1
+            ptr = seq + 1
+            if ptr > last:
+                ptr = 0
+                rounds += 1
+        self._ptr = ptr
+        self._pos_ptr = ptr
+        self._pos = pos
+        self.rounds += rounds
+        return seqs, trans
 
 
 class SequentialRestartScheduler:
@@ -223,6 +214,8 @@ class SequentialRestartScheduler:
         self._pos = seq + 1
         self._in_cycle += 1
 
+    take_batch = _take_stepwise
+
 
 class RandomScheduler:
     """Uniformly random choice among unacknowledged packets.
@@ -245,6 +238,8 @@ class RandomScheduler:
 
     def record_sent(self, seq: int) -> None:
         self.send_count[seq] += 1
+
+    take_batch = _take_stepwise
 
 
 def make_scheduler(

@@ -18,7 +18,6 @@ clocks; this class never blocks and never sleeps.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -103,18 +102,9 @@ class FobsSender:
         self.total_bytes = total_bytes
         self.npackets = config.npackets(total_bytes)
         self._tail_payload = self.payload_bytes(self.npackets - 1)
-        self._psize = config.packet_size
         #: packets the receiver has acknowledged
         self.acked = PacketBitmap(self.npackets)
         self.scheduler = make_scheduler(config.scheduler, self.npackets, rng)
-        # Resolved once: schedulers exposing a vectorized batch
-        # selection get the fast path in next_batch; the stock circular
-        # scheduler additionally gets its scalar sweep fused straight
-        # into packet construction (one loop per batch instead of two).
-        self._take_batch = getattr(self.scheduler, "take_batch", None)
-        from repro.core.scheduling import CircularScheduler
-        self._circ = (self.scheduler
-                      if type(self.scheduler) is CircularScheduler else None)
         self.batch_policy = make_batch_policy(
             config.batch_policy, config.batch_size, config.max_batch_size
         )
@@ -159,151 +149,56 @@ class FobsSender:
             return []
         if size is None:
             size = self.batch_policy.next_batch_size()
-        take = self._take_batch
-        circ = self._circ
-        if circ is not None and 0 < size <= 32:
-            # CircularScheduler.take_batch's scalar sweep fused with
-            # DataPacket construction: identical mutations in identical
-            # order, minus one call, two intermediate lists and a
-            # second zip loop per batch.
-            acked = self.acked
-            if acked.version != circ._cache_version:
-                circ._missing_np = acked.missing_indices()
-                circ._missing_list = circ._missing_np.tolist()
-                circ._cache_version = acked.version
-                circ._pos_ptr = -1
-            ml = circ._missing_list
-            length = len(ml)
-            if length == 0:
-                return []
-            ptr = circ._ptr
-            if ptr == circ._pos_ptr:
-                pos = circ._pos
-            else:
-                pos = bisect_left(ml, ptr)
-            sl = circ._send_list
-            npackets = self.npackets
-            last = npackets - 1
-            psize = self._psize
-            epoch = self.epoch
-            tail = self._tail_payload
-            new = object.__new__
-            cls = DataPacket
-            rounds = 0
-            nfirst = 0
-            batch = []
-            append = batch.append
-            for _ in range(size):
-                if pos >= length:
-                    pos = 0
-                seq = ml[pos]
-                pos += 1
-                if seq < ptr:
-                    rounds += 1
-                t = sl[seq]
-                sl[seq] = t + 1
-                ptr = seq + 1
-                if ptr > last:
-                    ptr = 0
-                    rounds += 1
-                if t == 0:
-                    nfirst += 1
-                pkt = new(cls)
-                d = pkt.__dict__
-                d["seq"] = seq
-                d["total"] = npackets
-                d["payload_bytes"] = psize if seq != last else tail
-                d["transmission"] = t
-                d["epoch"] = epoch
-                append(pkt)
-            circ._ptr = ptr
-            circ._pos_ptr = ptr
-            circ._pos = pos
-            circ.rounds += rounds
-            circ._send_np_dirty = True
-            st = self.stats
-            st.packets_sent += len(batch)
-            st.first_transmissions += nfirst
-            retrans_in_batch = len(batch) - nfirst
-            st.retransmissions += retrans_in_batch
-        elif take is not None:
-            # Vectorized selection: one pass over the missing set instead
-            # of a next_seq/record_sent round trip per packet.
-            seqs, trans = take(self.acked, size)
-            if not seqs:
-                return []
-            npackets = self.npackets
-            psize = self.config.packet_size
-            epoch = self.epoch
-            final = npackets - 1
-            tail = self._tail_payload
-            # DataPacket.unchecked, inlined: direct slot stores into the
-            # instance dict beat both the classmethod call and a kwargs
-            # dict per packet (this loop runs once per datagram sent).
-            new = object.__new__
-            cls = DataPacket
-            batch = []
-            append = batch.append
-            for seq, t in zip(seqs, trans):
-                pkt = new(cls)
-                d = pkt.__dict__
-                d["seq"] = seq
-                d["total"] = npackets
-                d["payload_bytes"] = psize if seq != final else tail
-                d["transmission"] = t
-                d["epoch"] = epoch
-                append(pkt)
-            nfirst = trans.count(0)
-            st = self.stats
-            st.packets_sent += len(batch)
-            st.first_transmissions += nfirst
-            retrans_in_batch = len(batch) - nfirst
-            st.retransmissions += retrans_in_batch
+        seqs, trans = self.scheduler.take_batch(self.acked, size)
+        if not seqs:
+            return []
+        npackets = self.npackets
+        psize = self.config.packet_size
+        epoch = self.epoch
+        final = npackets - 1
+        tail = self._tail_payload
+        # DataPacket.unchecked, inlined: direct slot stores into the
+        # instance dict beat both the classmethod call and a kwargs
+        # dict per packet (this loop runs once per datagram sent).
+        new = object.__new__
+        cls = DataPacket
+        batch = []
+        append = batch.append
+        for seq, t in zip(seqs, trans):
+            pkt = new(cls)
+            d = pkt.__dict__
+            d["seq"] = seq
+            d["total"] = npackets
+            d["payload_bytes"] = psize if seq != final else tail
+            d["transmission"] = t
+            d["epoch"] = epoch
+            append(pkt)
+        nfirst = trans.count(0)
+        st = self.stats
+        st.packets_sent += len(batch)
+        st.first_transmissions += nfirst
+        retrans_in_batch = len(batch) - nfirst
+        st.retransmissions += retrans_in_batch
+        st.batches += 1
+        self._sent_since_ack += len(batch)
+        if retrans_in_batch:
+            if not self._in_retransmit_round:
+                self._in_retransmit_round = True
+                self._retransmit_rounds += 1
+                if self.telemetry.enabled:
+                    self.telemetry.emit(
+                        EV_RETRANSMIT_ROUND,
+                        round=self._retransmit_rounds,
+                        retrans_in_batch=retrans_in_batch,
+                        total_retrans=st.retransmissions)
         else:
-            retrans_before = self.stats.retransmissions
-            batch = []
-            for _ in range(size):
-                seq = self.scheduler.next_seq(self.acked)
-                if seq is None:
-                    break
-                transmission = int(self.scheduler.send_count[seq])
-                batch.append(
-                    DataPacket(
-                        seq=seq,
-                        total=self.npackets,
-                        payload_bytes=self.payload_bytes(seq),
-                        transmission=transmission,
-                        epoch=self.epoch,
-                    )
-                )
-                self.scheduler.record_sent(seq)
-                self.stats.packets_sent += 1
-                if transmission == 0:
-                    self.stats.first_transmissions += 1
-                else:
-                    self.stats.retransmissions += 1
-            retrans_in_batch = self.stats.retransmissions - retrans_before
-        if batch:
-            self.stats.batches += 1
-            self._sent_since_ack += len(batch)
-            if retrans_in_batch:
-                if not self._in_retransmit_round:
-                    self._in_retransmit_round = True
-                    self._retransmit_rounds += 1
-                    if self.telemetry.enabled:
-                        self.telemetry.emit(
-                            EV_RETRANSMIT_ROUND,
-                            round=self._retransmit_rounds,
-                            retrans_in_batch=retrans_in_batch,
-                            total_retrans=self.stats.retransmissions)
-            else:
-                self._in_retransmit_round = False
-            if self.telemetry.enabled:
-                self.telemetry.emit(
-                    EV_BATCH_SENT, size=len(batch),
-                    sent=self.stats.packets_sent,
-                    first=self.stats.first_transmissions,
-                    retrans=self.stats.retransmissions)
+            self._in_retransmit_round = False
+        if self.telemetry.enabled:
+            self.telemetry.emit(
+                EV_BATCH_SENT, size=len(batch),
+                sent=st.packets_sent,
+                first=st.first_transmissions,
+                retrans=st.retransmissions)
         return batch
 
     # ------------------------------------------------------------------

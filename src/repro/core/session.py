@@ -947,14 +947,16 @@ class FobsTransfer:
         """Summarize the transfer (valid anytime; final once finished)."""
         start = self._start_time if self._start_time is not None else 0.0
         done_at = self.receiver.stats.completed_at
-        completed = done_at is not None
-        # A failed transfer's duration runs to the failure, even if the
-        # receiver had quietly completed (e.g. a dead reverse path).
-        end = done_at if completed and not self.failed else self.sim.now
+        # ``failed`` wins: a receiver that holds every byte of a transfer
+        # whose sender never learned so (a dead reverse path, a crash
+        # before the completion signal) has not completed it.  Duration
+        # then runs to the failure; the bytes still count as delivered.
+        completed = done_at is not None and not self.failed
+        end = done_at if completed else self.sim.now
         duration = max(end - start, 1e-12)
         delivered = (
             self.nbytes
-            if completed
+            if done_at is not None
             else self.receiver.bitmap.count * self.config.packet_size
         )
         throughput = delivered * 8.0 / duration

@@ -136,11 +136,7 @@ def compute_slo_report(
                 entry.start_time = event.time
         elif event.kind == EV_TRANSFER_END:
             entry = ledger(event.transfer_id)
-            # A crashed attempt can report completed=True (the bytes
-            # all landed) *and* failed=True (the handshake never did);
-            # only a clean completion counts toward the SLO.
-            entry.completed = (bool(event.fields.get("completed"))
-                               and not bool(event.fields.get("failed")))
+            entry.completed = bool(event.fields.get("completed"))
             entry.failed = bool(event.fields.get("failed"))
             entry.timed_out = bool(event.fields.get("timed_out"))
             entry.end_time = event.time
@@ -180,8 +176,7 @@ def compute_slo_report(
     finished = [e for e in ledgers.values() if e.completed]
     for entry in finished:
         duration_hist.observe(entry.duration)
-    failed = sum(1 for e in ledgers.values()
-                 if e.failed and not e.completed)
+    failed = sum(1 for e in ledgers.values() if e.failed)
     timed_out = sum(1 for e in ledgers.values() if e.timed_out)
     attempts = sum(e.attempts for e in ledgers.values())
     resumed_packets = sum(e.resumed_packets for e in ledgers.values())

@@ -61,6 +61,7 @@ from repro.runtime.supervisor import (
     TransferSupervisor,
     kill_for_attempt,
 )
+from repro.runtime.transfer import recv_exact
 from repro.telemetry import (
     EV_TRANSFER_END,
     EV_TRANSFER_START,
@@ -116,19 +117,6 @@ class FileTransferResult:
     bytes_refetched: int = 0
     verify_seconds: float = 0.0
     storage_faults: int = 0
-
-
-def recv_exact(sock: socket.socket, nbytes: int) -> bytes:
-    """Read exactly ``nbytes`` from a (blocking) control connection."""
-    chunks = []
-    remaining = nbytes
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ConnectionError("control connection closed early")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 def derive_transfer_id(filesize: int, crc: int) -> int:
@@ -229,20 +217,23 @@ def _send_attempt(
             ctrl.setblocking(False)
             start = time.monotonic()
             blessed = False
+            frame = bytearray()
 
             def poll_completion() -> Optional[str]:
                 nonlocal blessed
                 try:
-                    msg = ctrl.recv(64)
+                    chunk = ctrl.recv(wire.COMPLETION_BYTES - len(frame))
                 except BlockingIOError:
                     return None
                 except OSError:
                     return "control connection lost mid-transfer"
-                if msg:
-                    wire.decode_completion(msg)
+                # The frame may arrive in pieces; decode it once whole.
+                frame.extend(chunk)
+                if len(frame) == wire.COMPLETION_BYTES:
+                    wire.decode_completion(frame)
                     blessed = True
                     driver.on_completion(time.monotonic())
-                elif resumable:
+                elif not chunk and resumable:
                     # EOF before the completion frame: the receiver
                     # ended its attempt without blessing delivery — its
                     # audit demoted corrupt chunks, or it hit a storage

@@ -244,6 +244,19 @@ def udp_offload() -> bool:
     return trains == [[b"ab", b"cd", b"e"]]
 
 
+def recv_exact(sock: socket.socket, nbytes: int) -> bytes:
+    """Read exactly ``nbytes`` from a (blocking) control connection."""
+    chunks = []
+    remaining = nbytes
+    while remaining:
+        chunk = sock.recv(remaining)
+        if not chunk:
+            raise ConnectionError("control connection closed early")
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
+
+
 def sender_turns(driver: SendDriver, ack_sock: socket.socket,
                  poll_completion: Callable[[], Optional[str]]
                  ) -> Iterator[float]:
@@ -486,7 +499,7 @@ def run_loopback_transfer(
             return
         with conn:
             conn.settimeout(2.0)
-            wire.decode_completion(conn.recv(64))
+            wire.decode_completion(recv_exact(conn, wire.COMPLETION_BYTES))
             driver.on_completion(time.monotonic())
 
     rx = Endpoint(receive(), [data_sock, ack_out])

@@ -73,6 +73,8 @@ REJECT_MAGIC = 0xF0B57E77
 CHECKSUM_TRAILER_BYTES = _CRC.size
 #: Bytes added to DATA/ACK datagrams by the session extension.
 SESSION_EXT_BYTES = _SESSION_EXT.size
+#: Size of the TCP completion frame; a read may return less of it.
+COMPLETION_BYTES = _COMPLETION.size
 
 
 class ChecksumError(ValueError):
@@ -369,7 +371,7 @@ def encode_completion(total_packets: int) -> bytes:
 
 def decode_completion(data: bytes) -> int:
     """Parse the completion signal; returns the total packet count."""
-    if len(data) < _COMPLETION.size:
+    if len(data) < COMPLETION_BYTES:
         raise ValueError("completion message truncated")
     magic, total_packets, _reserved = _COMPLETION.unpack_from(data)
     if magic != COMPLETION_MAGIC:

@@ -619,15 +619,15 @@ class ObjectServer:
                 conn.state = "sending"
                 conn.deadline = None
             elif conn.state == "sending":
-                if len(buf) < 12:
+                if len(buf) < wire.COMPLETION_BYTES:
                     return
                 try:
-                    wire.decode_completion(bytes(buf[:12]))
+                    wire.decode_completion(buf)
                 except ValueError:
                     self._finish_send(conn.entry, ok=False,
                                       reason="garbage on control connection")
                     return
-                del buf[:12]
+                del buf[:wire.COMPLETION_BYTES]
                 conn.entry.sender.on_completion(now)
             else:
                 # queued / receiving: no client bytes expected; a push

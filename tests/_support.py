@@ -36,3 +36,38 @@ def quick_config(**overrides) -> FobsConfig:
     defaults = dict(ack_frequency=16)
     defaults.update(overrides)
     return FobsConfig(**defaults)
+
+
+def stepwise(scheduler, acked, size):
+    """The reference ``take_batch``: ``size`` x (next_seq, record_sent),
+    written out here so no scheduler is checked against its own code."""
+    seqs, trans = [], []
+    for _ in range(size):
+        seq = scheduler.next_seq(acked)
+        if seq is None:
+            break
+        seqs.append(seq)
+        trans.append(int(scheduler.send_count[seq]))
+        scheduler.record_sent(seq)
+    return seqs, trans
+
+
+class DribbleSocket:
+    """A TCP socket whose ``recv`` hands over at most ``limit`` bytes a
+    call -- what a stream may do to any frame, made certain."""
+
+    def __init__(self, sock, limit: int = 5):
+        self._sock = sock
+        self._limit = limit
+
+    def recv(self, nbytes: int) -> bytes:
+        return self._sock.recv(min(nbytes, self._limit))
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._sock.close()

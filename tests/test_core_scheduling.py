@@ -4,13 +4,48 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _support import stepwise
 from repro.core.bitmap import PacketBitmap
+from repro.core.config import SCHEDULERS
 from repro.core.scheduling import (
     CircularScheduler,
     RandomScheduler,
     SequentialRestartScheduler,
     make_scheduler,
 )
+
+
+@pytest.mark.parametrize("name", SCHEDULERS)
+@settings(max_examples=150, deadline=None)
+@given(npackets=st.integers(min_value=1, max_value=48), data=st.data())
+def test_property_take_batch_equals_stepwise(name, npackets, data):
+    """``take_batch`` -- the path every backend runs -- makes the picks,
+    reports the pre-increment counts and leaves the state that ``size``
+    single steps on a twin do, under any interleaving of ACK marks,
+    verify demotions, single steps and batches of 1..3 x npackets
+    (wrap-around, more than is missing, the old 32-packet boundary)."""
+    seq = st.integers(0, npackets - 1)
+    ops = data.draw(st.lists(st.one_of(
+        st.tuples(st.just("mark"), seq),
+        st.tuples(st.just("demote"), st.lists(seq, min_size=1, max_size=4)),
+        st.tuples(st.just("step"), st.just(1)),
+        st.tuples(st.just("take"), st.integers(1, 3 * npackets)),
+    ), max_size=30))
+    acked = PacketBitmap(npackets)
+    sched = make_scheduler(name, npackets, np.random.default_rng(5))
+    twin = make_scheduler(name, npackets, np.random.default_rng(5))
+    for op, arg in ops + [("take", 1)]:     # ends on "same next pick"
+        if op == "mark":
+            acked.mark(arg)
+        elif op == "demote":
+            acked.demote(arg)
+        else:
+            got = (sched.take_batch(acked, arg) if op == "take"
+                   else stepwise(sched, acked, arg))
+            assert got == stepwise(twin, acked, arg)
+            assert len(got[0]) == (arg if acked.missing else 0)
+            assert getattr(sched, "rounds", 0) == getattr(twin, "rounds", 0)
+            assert np.array_equal(sched.send_count, twin.send_count)
 
 
 class TestCircular:

@@ -1,10 +1,16 @@
 """Tests for the sans-IO FOBS sender state machine."""
 
+import os
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from _support import stepwise
 from repro.core.config import FobsConfig
 from repro.core.packets import AckPacket
+from repro.core.scheduling import CircularScheduler
 from repro.core.sender import FobsSender
 
 
@@ -117,3 +123,66 @@ class TestCompletion:
         s.on_completion(now=5.0)
         s.on_completion(now=9.0)
         assert s.stats.completed_at == 5.0
+
+
+class TestSelectionPath:
+    """``next_batch`` on the path production runs (circular scheduler)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(npackets=st.integers(min_value=1, max_value=40),
+           tail=st.integers(min_value=1, max_value=100),
+           data=st.data())
+    def test_property_batches_match_a_stepped_twin(self, npackets, tail, data):
+        """Every batch is what single scheduler steps on a twin pick,
+        stamped with the right sizes and counted in the stats, and the
+        paper's invariant holds after each: no unacked packet is two
+        transmissions ahead of another."""
+        config = FobsConfig(packet_size=100, batch_size=3)
+        s = FobsSender(config, (npackets - 1) * 100 + tail)
+        twin = CircularScheduler(npackets)
+        sent = first = batches = 0
+        for ack_id in range(data.draw(st.integers(1, 25))):
+            if data.draw(st.booleans()):
+                seqs = data.draw(st.lists(st.integers(0, npackets - 1),
+                                          max_size=5))
+                s.on_ack(make_ack(s, seqs, ack_id), now=0.1 * ack_id)
+            size = data.draw(st.one_of(st.none(),
+                                       st.integers(1, 3 * npackets)))
+            batch = s.next_batch(size)
+            want = list(zip(*stepwise(
+                twin, s.acked, config.batch_size if size is None else size)))
+            assert [(p.seq, p.transmission) for p in batch] == want
+            assert all(p.total == npackets and p.payload_bytes
+                       == (tail if p.seq == npackets - 1 else 100)
+                       for p in batch)
+            sent += len(want)
+            first += sum(1 for _, t in want if t == 0)
+            batches += bool(want)
+            stats = s.stats
+            assert (stats.packets_sent, stats.first_transmissions,
+                    stats.retransmissions, stats.batches) == (
+                        sent, first, sent - first, batches)
+            counts = s.scheduler.send_count[~s.acked.array]
+            if counts.size:
+                assert counts.max() - counts.min() <= 1
+        assert s.scheduler.rounds == twin.rounds
+
+    def test_selection_is_written_once(self):
+        """The sender asks the scheduler and stamps packets; the sweep
+        itself lives in one function of ``core/scheduling.py``."""
+        core = os.path.join(os.path.dirname(__file__), "..", "src",
+                            "repro", "core")
+        sources = {}
+        for name in os.listdir(core):
+            if name.endswith(".py"):
+                with open(os.path.join(core, name)) as fh:
+                    sources[name] = fh.read()
+        for banned in ("scheduler._", "_circ", "bisect", "next_seq(",
+                       "record_sent("):
+            assert banned not in sources["sender.py"], banned
+        calls = {name: len(re.findall(r"bisect_left\(", text))
+                 for name, text in sources.items() if "bisect_left(" in text}
+        assert calls == {"scheduling.py": 1}
+        users = [name for name, text in sources.items()
+                 if ".take_batch(" in text]
+        assert users == ["sender.py"]

@@ -102,6 +102,22 @@ class TestScenarios:
         assert a == b
         json.loads(a)  # canonical rendering is valid JSON
 
+    def test_failed_wins_over_completed_at_the_source(self):
+        """Seed 104: one receiver holds 59/59 packets when its liveness
+        timer fails the transfer (the sender never learned).  That
+        transfer is failed, not also completed, in every view of it."""
+        res = run_scenario("flash-crowd", seed=104,
+                           clients=SCENARIOS["flash-crowd"].clients // 2)
+        ran = [s for s in res.result.stats if s is not None]
+        assert not any(s.completed and s.failed for s in ran)
+        [lost] = [s for s in ran if s.failed]
+        assert "59/59 packets received" in lost.failure_reason
+        assert not lost.ok and lost.throughput_bps > 0
+        ends = [e.fields for e in res.events if e.kind == EV_TRANSFER_END]
+        assert sum(bool(f["completed"]) for f in ends) == len(ran) - 1
+        assert res.report["transfers"]["completed"] == len(ran) - 1
+        assert res.report["transfers"]["failed"] == 1
+
     def test_resume_storm_recovers(self):
         res = run_scenario("resume-storm", seed=2, clients=60)
         r = res.report
@@ -158,8 +174,9 @@ class TestSloFromSyntheticEvents:
     def test_crashed_attempt_not_counted_completed(self):
         events = [
             self._ev(0.0, EV_TRANSFER_START, 1, nbytes=1000),
-            # Crash artifact: bytes all landed but the handshake died.
-            self._ev(1.0, EV_TRANSFER_END, 1, completed=True, failed=True,
+            # Bytes all landed but the handshake died: the source reports
+            # that as failed, never as both (see TestScenarios).
+            self._ev(1.0, EV_TRANSFER_END, 1, completed=False, failed=True,
                      timed_out=False, duration=1.0, throughput_bps=0.0),
         ]
         r = compute_slo_report(events)

@@ -115,3 +115,23 @@ class TestConsoleScripts:
 
         assert callable(repro_main) and callable(xfer_main)
         assert callable(server_main)
+
+    @pytest.mark.parametrize("script, argv, advertised", [
+        ("repro.server.cli", [], ("stats", "timeline")),
+        ("repro.server.cli", ["serve"],
+         ("--telemetry-out", "--autotune", "--rate-mode")),
+        ("repro.server.cli", ["fetch"],
+         ("--telemetry-out", "--autotune", "--rate-mode",
+          "--stats-interval")),
+        ("repro.runtime.cli", ["send"], ("--telemetry-out",)),
+    ], ids=["repro", "repro-serve", "repro-fetch", "fobs-xfer-send"])
+    def test_help_advertises_telemetry_and_autotune(self, script, argv,
+                                                    advertised, capsys):
+        """What operators' scripts rely on: the telemetry subcommands
+        and the recording / autotune flags, where the docs say."""
+        main = importlib.import_module(script).main
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["--help"])
+        assert exited.value.code == 0
+        text = capsys.readouterr().out
+        assert [name for name in advertised if name not in text] == []

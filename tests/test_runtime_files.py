@@ -1,5 +1,6 @@
 """Tests for the real-socket file-transfer session protocol and CLI."""
 
+import socket
 import subprocess
 import sys
 import threading
@@ -7,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from _support import DribbleSocket
 from repro.core.config import FobsConfig
 from repro.runtime.files import receive_file, send_file
 
@@ -57,6 +59,18 @@ class TestFileTransfer:
         data, out, result = run_pair(tmp_path, 123_457, port=39213,
                                      config=config)
         assert out.read_bytes() == data
+
+    def test_completion_frame_split_across_reads(self, tmp_path, monkeypatch):
+        """A control connection that yields 5 bytes a read (so the
+        completion frame takes three polls) must not fail an attempt
+        whose delivery the receiver blessed."""
+        connect = socket.create_connection
+        monkeypatch.setattr(
+            socket, "create_connection",
+            lambda *args, **kw: DribbleSocket(connect(*args, **kw)))
+        data, out, result = run_pair(tmp_path, 60_000, port=39216)
+        assert out.read_bytes() == data
+        assert result["send"].nbytes == 60_000
 
     def test_empty_file_rejected(self, tmp_path):
         empty = tmp_path / "empty"

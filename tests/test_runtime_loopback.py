@@ -4,6 +4,7 @@ import socket
 
 import pytest
 
+from _support import DribbleSocket
 from repro.core.config import FobsConfig
 from repro.runtime import run_loopback_transfer
 
@@ -47,6 +48,19 @@ class TestLoopback:
     def test_waste_reported(self):
         res = run_loopback_transfer(200_000, drop_rate=0.1, seed=3)
         assert res.wasted_fraction > 0.03
+
+    def test_completion_frame_split_across_reads(self, monkeypatch):
+        """The 12-byte completion frame arriving as 5 + 5 + 2 bytes still
+        completes the transfer (one ``recv`` used to be decoded as is)."""
+        accept = socket.socket.accept
+
+        def dribbling_accept(listener):
+            conn, addr = accept(listener)
+            return DribbleSocket(conn), addr
+
+        monkeypatch.setattr(socket.socket, "accept", dribbling_accept)
+        res = run_loopback_transfer(50_000)
+        assert res.completed and res.checksum_ok
 
 
 BLAST = dict(batch_size=16, ack_frequency=64)
