@@ -52,6 +52,11 @@ _ALGO_SIZES = {ALGO_CRC32: 4, ALGO_SHA256: 32}
 ALGO_NAMES = {ALGO_CRC32: "crc32", ALGO_SHA256: "sha256"}
 
 
+def max_manifest_bytes(npackets: int) -> int:
+    """Largest encoding a manifest of ``npackets`` chunks can have."""
+    return MANIFEST_HEADER_BYTES + npackets * max(_ALGO_SIZES.values())
+
+
 class ManifestCorrupt(ValueError):
     """The manifest bytes are unusable (short, bad magic/CRC, or an
     unknown digest algorithm).  Callers must not demote or bless
@@ -308,6 +313,7 @@ __all__ = [
     "ChunkManifest",
     "ManifestCorrupt",
     "MANIFEST_MAGIC",
+    "max_manifest_bytes",
     "MANIFEST_HEADER_BYTES",
     "VerifyStats",
     "corrupt_ranges",

@@ -31,7 +31,6 @@ Used by the ``fobs-xfer`` CLI (:mod:`repro.runtime.cli`).
 from __future__ import annotations
 
 import socket
-import struct
 import sys
 import threading
 import time
@@ -61,37 +60,12 @@ from repro.runtime.supervisor import (
     TransferSupervisor,
     kill_for_attempt,
 )
-from repro.runtime.transfer import recv_exact
 from repro.telemetry import (
     EV_TRANSFER_END,
     EV_TRANSFER_START,
     NULL_CHANNEL,
     EventBus,
 )
-
-OFFER_MAGIC = 0xF0B50FFE
-OFFER2_MAGIC = 0xF0B50FF2
-ACCEPT_MAGIC = 0xF0B5ACC0
-# magic, filesize, packet_size, ack_port, flags, crc32
-_OFFER = struct.Struct("!IQIIII")
-# v2 appends: transfer_id (u64), attempt epoch (u32)
-_OFFER2 = struct.Struct("!IQIIIIQI")
-_ACCEPT = struct.Struct("!III")    # magic, data_port, reserved
-_MAGIC = struct.Struct("!I")
-#: Offer flag bit: per-packet CRC32 checksumming on the data plane.
-#: The receiver adopts whatever the sender offers — the negotiated
-#: fallback for the checksum field in the wire formats.
-FLAG_CHECKSUM = 1
-#: Offer flag bit (v2 offers only): resumable session.  The receiver
-#: journals progress and replies with RESUME instead of ACCEPT.
-FLAG_RESUME = 2
-#: Offer flag bit (v2 offers only, requires FLAG_RESUME): a VERIFY
-#: frame carrying the per-chunk digest manifest follows the offer on
-#: the control channel (PROTOCOL.md §10).  The receiver audits its
-#: journal-claimed chunks against the manifest before building the
-#: RESUME bitmap, and audits the whole object before declaring
-#: completion; corrupt chunks are demoted and re-fetched.
-FLAG_VERIFY = 4
 
 
 @dataclass
@@ -195,21 +169,17 @@ def _send_attempt(
             ctrl.sendall(announce_offer(
                 len(data), crc, config, ack_sock.getsockname()[1], session,
                 manifest))
+            decoder = wire.ControlDecoder(sender.npackets)
+            reply = wire.expect(
+                wire.read_frame(ctrl, decoder),
+                wire.ResumeInfo if resumable else wire.Accept)
             if resumable:
-                resume = wire.decode_resume(recv_exact(
-                    ctrl, wire.resume_wire_bytes(config.npackets(len(data)))))
-                if resume.transfer_id != session.transfer_id:
+                if reply.transfer_id != session.transfer_id:
                     raise ValueError("RESUME for a different transfer id")
-                if resume.epoch != session.epoch:
+                if reply.epoch != session.epoch:
                     raise ValueError("RESUME for a different attempt epoch")
-                data_port = resume.data_port
-                sender.resume_from(resume.bitmap)
-            else:
-                magic, data_port, _ = _ACCEPT.unpack(
-                    recv_exact(ctrl, _ACCEPT.size))
-                if magic != ACCEPT_MAGIC:
-                    raise ValueError("bad accept message from receiver")
-            send = transfer.BurstSend(data_sock, (host, data_port))
+                sender.resume_from(reply.bitmap)
+            send = transfer.BurstSend(data_sock, (host, reply.data_port))
             if drop_rate or corrupt_rate or kill is not None:
                 send = FaultySend(send, drop_rate, corrupt_rate, kill,
                                   fault_seed)
@@ -217,30 +187,26 @@ def _send_attempt(
             ctrl.setblocking(False)
             start = time.monotonic()
             blessed = False
-            frame = bytearray()
 
             def poll_completion() -> Optional[str]:
                 nonlocal blessed
                 try:
-                    chunk = ctrl.recv(wire.COMPLETION_BYTES - len(frame))
-                except BlockingIOError:
-                    return None
-                except OSError:
-                    return "control connection lost mid-transfer"
-                # The frame may arrive in pieces; decode it once whole.
-                frame.extend(chunk)
-                if len(frame) == wire.COMPLETION_BYTES:
-                    wire.decode_completion(frame)
-                    blessed = True
-                    driver.on_completion(time.monotonic())
-                elif not chunk and resumable:
+                    frame = wire.read_frame(ctrl, decoder)
+                except wire.ControlClosed:
                     # EOF before the completion frame: the receiver
                     # ended its attempt without blessing delivery — its
                     # audit demoted corrupt chunks, or it hit a storage
                     # fault.  Fail this attempt so the retry's RESUME
                     # learns which packets to re-send.
                     return ("control connection closed before completion"
-                            " (receiver did not bless delivery)")
+                            " (receiver did not bless delivery)"
+                            if resumable else None)
+                except OSError:
+                    return "control connection lost mid-transfer"
+                if frame is not None:
+                    wire.expect(frame, wire.Completion)
+                    blessed = True
+                    driver.on_completion(time.monotonic())
                 return None
 
             end = transfer.Endpoint(
@@ -378,50 +344,9 @@ def send_file(
 # Receiver
 # ----------------------------------------------------------------------
 
-@dataclass
-class Offer:
-    """A decoded v1 or v2 offer (push direction: the peer sends)."""
-
-    filesize: int
-    packet_size: int
-    ack_port: int
-    flags: int
-    crc: int
-    transfer_id: int = 0
-    epoch: int = 0
-
-    @property
-    def resumable(self) -> bool:
-        return bool(self.flags & FLAG_RESUME)
-
-    @property
-    def verify(self) -> bool:
-        """A VERIFY frame (digest manifest) follows this offer."""
-        return self.resumable and bool(self.flags & FLAG_VERIFY)
-
-
-#: Wire sizes of the two offer formats (for non-blocking framed reads).
-OFFER_V1_BYTES = _OFFER.size
-OFFER_V2_BYTES = _OFFER2.size
-
-
-def read_verify_manifest(
-    ctrl: socket.socket, offer: Offer
-) -> Optional[ChunkManifest]:
-    """Read + decode the VERIFY frame announced by ``offer.verify``.
-
-    The frame bytes are always consumed (the control stream must stay
-    in sync); a manifest that fails its CRC or does not describe the
-    offered object returns None — the receiver falls back to the
-    whole-object CRC32, it never trusts a damaged digest list.
-    """
-    header = recv_exact(ctrl, wire.VERIFY_HDR_BYTES)
-    return manifest_for(recv_exact(ctrl, wire.verify_body_bytes(header)),
-                        offer)
-
-
-def manifest_for(body: bytes, offer: Offer) -> Optional[ChunkManifest]:
-    """Decode a VERIFY body; None unless it describes ``offer``'s object."""
+def manifest_for(body: bytes, offer: wire.Offer) -> Optional[ChunkManifest]:
+    """Decode a VERIFY body; None — the receiver falls back to the
+    whole-object CRC32 — unless it is intact and describes ``offer``."""
     try:
         manifest = ChunkManifest.decode(body)
     except ManifestCorrupt:
@@ -432,34 +357,6 @@ def manifest_for(body: bytes, offer: Offer) -> Optional[ChunkManifest]:
     return manifest
 
 
-def decode_offer(data: bytes) -> Offer:
-    """Parse a complete v1 or v2 offer from bytes."""
-    (magic,) = _MAGIC.unpack_from(data)
-    if magic == OFFER_MAGIC:
-        if len(data) < _OFFER.size:
-            raise ValueError("v1 offer truncated")
-        _, filesize, packet_size, ack_port, flags, crc = _OFFER.unpack_from(
-            data)
-        return Offer(filesize, packet_size, ack_port, flags, crc)
-    if magic == OFFER2_MAGIC:
-        if len(data) < _OFFER2.size:
-            raise ValueError("v2 offer truncated")
-        (_, filesize, packet_size, ack_port, flags, crc,
-         tid, epoch) = _OFFER2.unpack_from(data)
-        return Offer(filesize, packet_size, ack_port, flags, crc, tid, epoch)
-    raise ValueError(f"bad offer magic {magic:#x}")
-
-
-def encode_offer(offer: Offer) -> bytes:
-    """Serialize an offer (v2 iff it carries the resume flag)."""
-    if offer.resumable:
-        return _OFFER2.pack(OFFER2_MAGIC, offer.filesize, offer.packet_size,
-                            offer.ack_port, offer.flags, offer.crc,
-                            offer.transfer_id, offer.epoch)
-    return _OFFER.pack(OFFER_MAGIC, offer.filesize, offer.packet_size,
-                       offer.ack_port, offer.flags, offer.crc)
-
-
 def announce_offer(nbytes: int, crc: int, config: FobsConfig, ack_port: int,
                    session: Optional[wire.SessionContext] = None,
                    manifest: Optional[ChunkManifest] = None) -> bytes:
@@ -467,30 +364,20 @@ def announce_offer(nbytes: int, crc: int, config: FobsConfig, ack_port: int,
     then — ahead of the peer's RESUME reply (PROTOCOL.md §10), so the
     receiver holds the digests before it decides which journal-claimed
     packets to trust — the VERIFY frame carrying ``manifest``."""
-    flags = ((FLAG_CHECKSUM if config.checksum else 0)
-             | (FLAG_RESUME if session is not None else 0)
-             | (FLAG_VERIFY if manifest is not None else 0))
+    flags = ((wire.FLAG_CHECKSUM if config.checksum else 0)
+             | (wire.FLAG_RESUME if session is not None else 0)
+             | (wire.FLAG_VERIFY if manifest is not None else 0))
     tid, epoch = ((session.transfer_id, session.epoch)
                   if session is not None else (0, 0))
-    frames = encode_offer(Offer(nbytes, config.packet_size, ack_port, flags,
-                                crc, tid, epoch))
+    frames = wire.encode_offer(wire.Offer(
+        nbytes, config.packet_size, ack_port, flags, crc, tid, epoch))
     if manifest is not None:
         frames += wire.encode_verify(manifest.encode())
     return frames
 
 
-def read_offer(ctrl: socket.socket) -> Offer:
-    """Read a v1 or v2 offer, dispatching on the leading magic."""
-    head = recv_exact(ctrl, _MAGIC.size)
-    (magic,) = _MAGIC.unpack(head)
-    size = {OFFER_MAGIC: _OFFER.size, OFFER2_MAGIC: _OFFER2.size}.get(magic)
-    if size is None:
-        raise ValueError(f"bad offer magic {magic:#x}")
-    return decode_offer(head + recv_exact(ctrl, size - _MAGIC.size))
-
-
 def accept_offer(
-    offer: Offer,
+    offer: wire.Offer,
     config: FobsConfig,
     part: PartFile,
     data_port: int,
@@ -515,12 +402,12 @@ def accept_offer(
                if offer.resumable else None)
     driver = RecvDriver(receiver, part.write_at, session, part.channel)
     if session is None:
-        return driver, _ACCEPT.pack(ACCEPT_MAGIC, data_port, 0)
+        return driver, wire.encode_accept(data_port)
     return driver, wire.encode_resume(
         offer.transfer_id, offer.epoch, data_port, receiver.bitmap.snapshot())
 
 
-def attempt_config_for(offer: Offer, base: Optional[FobsConfig]) -> FobsConfig:
+def attempt_config_for(offer: wire.Offer, base: Optional[FobsConfig]) -> FobsConfig:
     """Receiver-side config for one offered transfer.
 
     Data-plane parameters (packet size, checksumming) come from the
@@ -531,7 +418,7 @@ def attempt_config_for(offer: Offer, base: Optional[FobsConfig]) -> FobsConfig:
     return FobsConfig(
         packet_size=offer.packet_size,
         ack_frequency=base.ack_frequency,
-        checksum=bool(offer.flags & FLAG_CHECKSUM),
+        checksum=bool(offer.flags & wire.FLAG_CHECKSUM),
         stall_timeout=base.stall_timeout,
         stall_abort_after=base.stall_abort_after,
         receiver_idle_timeout=base.receiver_idle_timeout,
@@ -541,8 +428,9 @@ def attempt_config_for(offer: Offer, base: Optional[FobsConfig]) -> FobsConfig:
 
 def receive_offer(
     ctrl: socket.socket,
+    decoder: wire.ControlDecoder,
     peer: tuple[str, int],
-    offer: Offer,
+    offer: wire.Offer,
     output_path: str,
     deadline: float,
     config: Optional[FobsConfig] = None,
@@ -550,7 +438,6 @@ def receive_offer(
     bind: str = "0.0.0.0",
     telemetry: Optional[EventBus] = None,
     opener=open,
-    manifest: Optional[ChunkManifest] = None,
     tuning: Optional["TuningConfig"] = None,
     stats_interval: float = 0.0,
 ) -> tuple[bool, Optional[str], Optional[FobsReceiver], float, VerifyStats]:
@@ -561,12 +448,12 @@ def receive_offer(
     connected and the server offered) — journal management, the
     crash-persistent ``.part`` reassembly buffer, the transfer loop,
     the verify passes, the completion signal and the atomic rename all
-    live here.  Returns ``(ok, failure_reason, receiver, duration,
+    live here.  ``decoder`` is the one ``offer`` was read from ``ctrl``
+    through.  Returns ``(ok, failure_reason, receiver, duration,
     verify_stats)``.
 
     When ``offer.verify`` is set the VERIFY frame is read from ``ctrl``
-    (unless the caller already parsed it into ``manifest``) and two
-    audits run: journal-claimed chunks *before* the RESUME reply
+    and two audits run: journal-claimed chunks *before* the RESUME reply
     (verify-on-resume, so corrupt disk never re-enters the bitmap) and
     the whole object before completion (verify-on-complete).  Corrupt
     chunks are durably demoted and the attempt fails *retryably* — the
@@ -576,16 +463,23 @@ def receive_offer(
     rather than loop on a poisoned journal.  Disk faults (ENOSPC/EIO)
     surface as ``storage fault`` failures, never exceptions.
 
+    The peer says nothing between its offer and our completion signal,
+    so ``ctrl`` is polled each turn: its end or reset is a dead peer
+    and fails the attempt as ``control connection lost`` at once (UDP
+    silence alone still takes ``receiver_idle_timeout``).
+
     ``opener`` is the part-file factory (``open``-compatible) — the
     seam host-fault injection plugs into.
     """
     attempt_config = attempt_config_for(offer, config)
-    if offer.verify and manifest is None:
+    manifest = None
+    if offer.verify:
         try:
-            manifest = read_verify_manifest(ctrl, offer)
+            frame = wire.expect(wire.read_frame(ctrl, decoder), wire.Verify)
         except (ConnectionError, ValueError) as exc:
             return (False, f"bad verify frame: {exc}", None, 1e-9,
                     VerifyStats())
+        manifest = manifest_for(frame.manifest, offer)
     if telemetry is not None and telemetry.enabled:
         channel = telemetry.channel(transfer_id=offer.transfer_id,
                                     epoch=offer.epoch, src="runtime")
@@ -618,13 +512,27 @@ def receive_offer(
             receiver = driver.receiver
             ctrl.sendall(reply)
             ack_addr = (peer[0], offer.ack_port)
+            progress = _progress_tick(offer, receiver, telemetry, tuning,
+                                      stats_interval)
+
+            def tick(now: float) -> None:
+                try:
+                    frame = wire.read_frame(ctrl, decoder)
+                    if frame is not None:
+                        raise ValueError(f"{type(frame).__name__} frame")
+                except ValueError as exc:
+                    raise ConnectionError(f"peer broke protocol: {exc}")
+                if progress is not None:
+                    progress(now)
+
             end = transfer.Endpoint(
                 transfer.receiver_turns(
                     driver, data_sock,
-                    lambda ack: ack_sock.sendto(ack, ack_addr),
-                    _progress_tick(offer, receiver, telemetry, tuning,
-                                   stats_interval)),
+                    lambda ack: ack_sock.sendto(ack, ack_addr), tick),
                 [data_sock, ack_sock])
+            # Non-blocking from here on: polled each turn, and the one
+            # write left is the 12-byte completion signal.
+            ctrl.setblocking(False)
             transfer.run_endpoints([end], deadline)
             failure = end.failure_reason
         if failure is None:
@@ -658,7 +566,7 @@ def receive_offer(
     return ok, failure, receiver, duration, part.vstats
 
 
-def _progress_tick(offer: Offer, receiver: FobsReceiver,
+def _progress_tick(offer: wire.Offer, receiver: FobsReceiver,
                    telemetry: Optional[EventBus],
                    tuning: Optional["TuningConfig"], stats_interval: float):
     """Per-wakeup hook of a receive: F-tuner and stderr progress lines."""
@@ -740,7 +648,7 @@ def receive_file(
     ok = False
     failure: Optional[str] = None
     receiver: Optional[FobsReceiver] = None
-    offer: Optional[Offer] = None
+    offer: Optional[wire.Offer] = None
     duration = 1e-9
     vtotal = VerifyStats()
     storage_faults = 0
@@ -754,13 +662,15 @@ def receive_file(
                 break
             with ctrl:
                 ctrl.settimeout(timeout)
+                decoder = wire.ControlDecoder()
                 try:
-                    offer = read_offer(ctrl)
+                    offer = wire.expect(wire.read_frame(ctrl, decoder),
+                                        wire.Offer)
                 except (ConnectionError, ValueError) as exc:
                     failure = f"bad offer: {exc}"
                     continue
                 ok, failure, receiver, duration, vstats = receive_offer(
-                    ctrl, peer, offer, output_path, deadline,
+                    ctrl, decoder, peer, offer, output_path, deadline,
                     config=config, journal_path=journal_path, bind=bind,
                     opener=opener)
                 vtotal.merge(vstats)

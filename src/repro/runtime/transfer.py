@@ -101,9 +101,8 @@ class LoopbackResult:
 # wire.
 UDP_SEGMENT = 103
 UDP_GRO = 104
-#: The kernel's limits on one segmented send.
+#: The kernel's limit on one segmented send (its bytes: one datagram's).
 _MAX_SEGMENTS = 64
-_MAX_TRAIN_BYTES = 65507
 _SEGMENT_SIZE = struct.Struct("H")
 _GRO_SIZE = struct.Struct("i")
 _GRO_CMSG_SPACE = socket.CMSG_SPACE(_GRO_SIZE.size)
@@ -149,7 +148,7 @@ class BurstSend:
             end = sent + 1
             if self._segmenting and size:
                 stop = min(n, sent + min(_MAX_SEGMENTS,
-                                         _MAX_TRAIN_BYTES // size))
+                                         wire.MAX_DATAGRAM_BYTES // size))
                 while end < stop and len(views[end]) == size:
                     end += 1
                 if end < stop and 0 < len(views[end]) < size:
@@ -244,19 +243,6 @@ def udp_offload() -> bool:
     return trains == [[b"ab", b"cd", b"e"]]
 
 
-def recv_exact(sock: socket.socket, nbytes: int) -> bytes:
-    """Read exactly ``nbytes`` from a (blocking) control connection."""
-    chunks = []
-    remaining = nbytes
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ConnectionError("control connection closed early")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
 def sender_turns(driver: SendDriver, ack_sock: socket.socket,
                  poll_completion: Callable[[], Optional[str]]
                  ) -> Iterator[float]:
@@ -289,13 +275,13 @@ def receiver_turns(driver: RecvDriver, data_sock: socket.socket,
                    send_ack: Callable[[bytes], object],
                    tick: Optional[Callable[[float], None]] = None
                    ) -> Iterator[float]:
-    """The receiving :class:`Endpoint`'s turns: each checks liveness,
-    runs ``tick(now)`` and drains the non-blocking ``data_sock`` — one
-    driver call per train, zero-copy decode — handing every
-    acknowledgement a train produced to ``send_ack``; only more data
-    gives it work, so it yields the longest wait.  Returns None once
-    every packet is marked, else the failure (liveness timeout, storage
-    fault).
+    """The receiving :class:`Endpoint`'s turns: each checks liveness
+    and drains the non-blocking ``data_sock`` — one driver call per
+    train, zero-copy decode — handing every acknowledgement a train
+    produced to ``send_ack``, then, the object still incomplete, runs
+    ``tick(now)``; only more data gives it work, so it yields the
+    longest wait.  Returns None once every packet is marked, else the
+    failure (liveness timeout, storage fault).
     """
     receiver = driver.receiver
     rxbuf = bytearray(65535)
@@ -313,11 +299,11 @@ def receiver_turns(driver: RecvDriver, data_sock: socket.socket,
         failure = receiver.liveness_failure(now, start)
         if failure is not None:
             return failure
-        if tick is not None:
-            tick(now)
         drain(data_sock, on_data, now, rxbuf)
         if driver.fault is not None or receiver.complete:
             return driver.fault
+        if tick is not None:
+            tick(now)
         yield MAX_WAIT
 
 
@@ -499,7 +485,8 @@ def run_loopback_transfer(
             return
         with conn:
             conn.settimeout(2.0)
-            wire.decode_completion(recv_exact(conn, wire.COMPLETION_BYTES))
+            wire.expect(wire.read_frame(conn, wire.ControlDecoder()),
+                        wire.Completion)
             driver.on_completion(time.monotonic())
 
     rx = Endpoint(receive(), [data_sock, ack_out])

@@ -9,9 +9,9 @@ All integers are big-endian (network order).  Layouts::
     ACK         !IIII ack_id, received_count, npackets, checksum
                 [+ !QI transfer_id, epoch when a session is negotiated]
                 + packed bitmap (1 bit per packet, numpy packbits order)
-    COMPLETION  !III  magic, total_packets, reserved
-    RESUME      !IQIIII magic, transfer_id, epoch, data_port, npackets,
-                crc32(bitmap) + packed bitmap   (TCP control channel)
+
+The nine TCP control frames (PROTOCOL.md §3.3) are one table,
+:data:`CONTROL_FRAMES`, decoded by one :class:`ControlDecoder`.
 
 Checksumming is negotiated out of band (both endpoints share a
 :class:`~repro.core.config.FobsConfig`; its ``checksum`` flag selects
@@ -44,37 +44,55 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
+from repro.core.manifest import max_manifest_bytes
 from repro.core.packets import AckPacket, DataPacket
 
 _DATA_HDR = struct.Struct("!IIi")
 _ACK_HDR = struct.Struct("!IIII")
-_COMPLETION = struct.Struct("!III")
 _CRC = struct.Struct("!I")
 _SESSION_EXT = struct.Struct("!QI")
-_RESUME_HDR = struct.Struct("!IQIIII")
-# magic, flags, attempt epoch, client nonce, rate cap (kbit/s, 0=none),
-# object-name length; the UTF-8 name follows.
-_FETCH_HDR = struct.Struct("!IIIQIH")
-# magic, code/position, reserved
-_SERVER_REPLY = struct.Struct("!III")
-COMPLETION_MAGIC = 0xF0B5D011
-RESUME_MAGIC = 0xF0B5BE5A
-VERIFY_MAGIC = 0xF0B5E51F
-# magic, body length; the ChunkManifest bytes follow (PROTOCOL.md §10).
-_VERIFY_HDR = struct.Struct("!II")
-FETCH_MAGIC = 0xF0B5FE7C
-QUEUED_MAGIC = 0xF0B5C0ED
-REJECT_MAGIC = 0xF0B57E77
 #: Bytes added to a data packet by the checksum trailer.
 CHECKSUM_TRAILER_BYTES = _CRC.size
 #: Bytes added to DATA/ACK datagrams by the session extension.
 SESSION_EXT_BYTES = _SESSION_EXT.size
-#: Size of the TCP completion frame; a read may return less of it.
-COMPLETION_BYTES = _COMPLETION.size
+#: Largest UDP payload over IPv4: what a DATA datagram, headers and
+#: all, has to fit.
+MAX_DATAGRAM_BYTES = 65507
+
+# TCP control frames: header structs (every one opens with its magic)
+# and magics.  The table that frames them is CONTROL_FRAMES below.
+_MAGIC = struct.Struct("!I")
+# magic, filesize, packet_size, ack_port, flags, crc32(object)
+_OFFER = struct.Struct("!IQIIII")
+# v2 appends: transfer_id (u64), attempt epoch (u32)
+_OFFER2 = struct.Struct("!IQIIIIQI")
+# magic, data_port, reserved
+_ACCEPT = struct.Struct("!III")
+# magic, transfer_id, epoch, data_port, npackets, crc32(packed bitmap);
+# the packed bitmap follows.
+_RESUME_HDR = struct.Struct("!IQIIII")
+# magic, body length; the ChunkManifest bytes follow (PROTOCOL.md §10).
+_VERIFY_HDR = struct.Struct("!II")
+# magic, total_packets, reserved
+_COMPLETION = struct.Struct("!III")
+# magic, flags, attempt epoch, client nonce, rate cap (kbit/s, 0=none),
+# object-name length; the UTF-8 name follows.
+_FETCH_HDR = struct.Struct("!IIIQIH")
+# magic, position (QUEUED) or code (REJECT), reserved
+_SERVER_REPLY = struct.Struct("!III")
+OFFER_MAGIC = 0xF0B50FFE
+OFFER2_MAGIC = 0xF0B50FF2
+ACCEPT_MAGIC = 0xF0B5ACC0
+RESUME_MAGIC = 0xF0B5BE5A
+VERIFY_MAGIC = 0xF0B5E51F
+COMPLETION_MAGIC = 0xF0B5D011
+FETCH_MAGIC = 0xF0B5FE7C
+QUEUED_MAGIC = 0xF0B5C0ED
+REJECT_MAGIC = 0xF0B57E77
 
 
 class ChecksumError(ValueError):
@@ -364,24 +382,83 @@ def decode_ack(
                      bitmap=bits, epoch=epoch)
 
 
-def encode_completion(total_packets: int) -> bytes:
-    """Serialize the TCP completion signal."""
-    return _COMPLETION.pack(COMPLETION_MAGIC, total_packets, 0)
-
-
-def decode_completion(data: bytes) -> int:
-    """Parse the completion signal; returns the total packet count."""
-    if len(data) < COMPLETION_BYTES:
-        raise ValueError("completion message truncated")
-    magic, total_packets, _reserved = _COMPLETION.unpack_from(data)
-    if magic != COMPLETION_MAGIC:
-        raise ValueError(f"bad completion magic {magic:#x}")
-    return total_packets
-
-
 # ----------------------------------------------------------------------
-# RESUME exchange (TCP control channel; PROTOCOL.md §8)
+# TCP control frames (PROTOCOL.md §3.3)
 # ----------------------------------------------------------------------
+# Each frame opens with its own 32-bit magic and is sized by its fixed
+# header alone, so one table and one incremental decoder frame them
+# all; nothing outside this module knows a layout or a length.
+
+#: Offer flag bit: per-packet CRC32 checksumming on the data plane.
+#: The receiver adopts whatever the sender offers — the negotiated
+#: fallback for the checksum field in the wire formats.
+FLAG_CHECKSUM = 1
+#: Offer flag bit (v2 offers only): resumable session.  The receiver
+#: journals progress and replies with RESUME instead of ACCEPT.
+FLAG_RESUME = 2
+#: Offer flag bit (v2 offers only, requires FLAG_RESUME): a VERIFY
+#: frame carrying the per-chunk digest manifest follows the offer on
+#: the control channel (PROTOCOL.md §10).
+FLAG_VERIFY = 4
+
+#: FETCH flag bit: per-packet CRC32 checksumming requested.
+FETCH_FLAG_CHECKSUM = 1
+#: FETCH flag bit: crash-resumable session (journal + RESUME reply).
+FETCH_FLAG_RESUME = 2
+#: FETCH flag bit: per-chunk digest manifest (VERIFY frame) requested.
+FETCH_FLAG_VERIFY = 4
+
+#: REJECT codes (the second word of a REJECT reply).
+REJECT_FULL = 1          # max-active reached and the wait queue is full
+REJECT_DRAINING = 2      # server is draining; not admitting new work
+REJECT_NOT_FOUND = 3     # no such object under the served root
+REJECT_CLIENT_CAP = 4    # this client already holds its per-client cap
+
+
+@dataclass
+class Offer:
+    """A v1 or v2 OFFER: the data source describes its object and names
+    its UDP acknowledgement port.  Construction checks the geometry, so
+    an ``Offer``, decoded or not, always describes an object FOBS can
+    move: at least one byte, in packets that fit a UDP datagram beside
+    the headers its flags negotiate."""
+
+    filesize: int
+    packet_size: int
+    ack_port: int
+    flags: int
+    crc: int
+    transfer_id: int = 0
+    epoch: int = 0
+
+    def __post_init__(self) -> None:
+        room = (MAX_DATAGRAM_BYTES - _DATA_HDR.size
+                - SESSION_EXT_BYTES * self.resumable
+                - CHECKSUM_TRAILER_BYTES * bool(self.flags & FLAG_CHECKSUM))
+        if self.filesize < 1 or not 1 <= self.packet_size <= room:
+            raise ValueError(f"offer of {self.filesize} bytes in packets of "
+                             f"{self.packet_size} (1..{room}) is no object")
+
+    @property
+    def resumable(self) -> bool:
+        return bool(self.flags & FLAG_RESUME)
+
+    @property
+    def verify(self) -> bool:
+        """A VERIFY frame (digest manifest) follows this offer."""
+        return self.resumable and bool(self.flags & FLAG_VERIFY)
+
+    @property
+    def npackets(self) -> int:
+        return -(-self.filesize // self.packet_size)
+
+
+@dataclass(frozen=True)
+class Accept:
+    """The receiver's reply to a non-resumable offer: its UDP data port."""
+
+    data_port: int
+
 
 @dataclass(frozen=True)
 class ResumeInfo:
@@ -407,105 +484,19 @@ class ResumeInfo:
         return int(np.count_nonzero(self.bitmap))
 
 
-def encode_resume(
-    transfer_id: int, epoch: int, data_port: int, bitmap: np.ndarray
-) -> bytes:
-    """Serialize the RESUME reply (receiver → sender, TCP)."""
-    bits = np.asarray(bitmap, dtype=np.bool_)
-    packed = np.packbits(bits).tobytes()
-    return _RESUME_HDR.pack(
-        RESUME_MAGIC, transfer_id, epoch, data_port,
-        int(bits.shape[0]), zlib.crc32(packed),
-    ) + packed
+@dataclass(frozen=True)
+class Verify:
+    """The digest manifest that follows an offer flagged ``FLAG_VERIFY``:
+    the :class:`~repro.core.manifest.ChunkManifest` encoding, as sent."""
+
+    manifest: bytes
 
 
-def resume_wire_bytes(npackets: int) -> int:
-    """Total bytes of a RESUME message for an ``npackets`` object."""
-    return _RESUME_HDR.size + -(-npackets // 8)
+@dataclass(frozen=True)
+class Completion:
+    """The receiver's completion signal (the paper's third connection)."""
 
-
-def decode_resume(data: bytes) -> ResumeInfo:
-    """Parse a RESUME message, verifying the bitmap digest."""
-    if len(data) < _RESUME_HDR.size:
-        raise ValueError("resume message truncated")
-    magic, tid, epoch, data_port, npackets, crc = _RESUME_HDR.unpack_from(data)
-    if magic != RESUME_MAGIC:
-        raise ValueError(f"bad resume magic {magic:#x}")
-    packed = np.frombuffer(data, dtype=np.uint8, offset=_RESUME_HDR.size)
-    expected = -(-npackets // 8)
-    if packed.shape[0] < expected:
-        raise ValueError("resume bitmap truncated")
-    if zlib.crc32(packed[:expected].tobytes()) != crc:
-        raise ChecksumError("resume bitmap failed CRC32 verification")
-    bits = np.unpackbits(packed[:expected], count=npackets).astype(np.bool_)
-    return ResumeInfo(transfer_id=tid, epoch=epoch, data_port=data_port,
-                      bitmap=bits)
-
-
-# ----------------------------------------------------------------------
-# VERIFY extension (TCP control channel; PROTOCOL.md §10)
-# ----------------------------------------------------------------------
-
-def encode_verify(manifest_bytes: bytes) -> bytes:
-    """Frame a :class:`~repro.core.manifest.ChunkManifest` for TCP.
-
-    Sent by the data source immediately after its OFFER when the offer
-    flags carry ``FLAG_VERIFY``; the receiver audits journal-claimed
-    chunks against the manifest *before* building its RESUME bitmap.
-    The body is the manifest's own encoding (self-describing and
-    CRC32-protected); this frame only adds magic + length so the
-    control stream stays parseable.
-    """
-    if not manifest_bytes:
-        raise ValueError("verify frame requires a manifest body")
-    return _VERIFY_HDR.pack(VERIFY_MAGIC, len(manifest_bytes)) + manifest_bytes
-
-
-def verify_body_bytes(header: bytes) -> int:
-    """Body length declared by a VERIFY header (for framed reads).
-
-    Raises on a bad magic — the caller knows a VERIFY frame is due
-    (the offer announced ``FLAG_VERIFY``), so anything else here is a
-    protocol violation, not a dispatch choice.
-    """
-    if len(header) < _VERIFY_HDR.size:
-        raise ValueError("verify frame truncated")
-    magic, body_len = _VERIFY_HDR.unpack_from(header)
-    if magic != VERIFY_MAGIC:
-        raise ValueError(f"bad verify magic {magic:#x}")
-    if body_len == 0:
-        raise ValueError("verify frame with empty body")
-    return body_len
-
-
-def decode_verify(data: bytes) -> bytes:
-    """Parse a whole VERIFY frame; returns the manifest bytes."""
-    body_len = verify_body_bytes(data)
-    body = data[_VERIFY_HDR.size:_VERIFY_HDR.size + body_len]
-    if len(body) != body_len:
-        raise ValueError("verify frame body truncated")
-    return bytes(body)
-
-
-VERIFY_HDR_BYTES = _VERIFY_HDR.size
-
-
-# ----------------------------------------------------------------------
-# Server control plane (TCP; PROTOCOL.md §9)
-# ----------------------------------------------------------------------
-
-#: FETCH flag bit: per-packet CRC32 checksumming requested.
-FETCH_FLAG_CHECKSUM = 1
-#: FETCH flag bit: crash-resumable session (journal + RESUME reply).
-FETCH_FLAG_RESUME = 2
-#: FETCH flag bit: per-chunk digest manifest (VERIFY frame) requested.
-FETCH_FLAG_VERIFY = 4
-
-#: REJECT codes (the second word of a REJECT reply).
-REJECT_FULL = 1          # max-active reached and the wait queue is full
-REJECT_DRAINING = 2      # server is draining; not admitting new work
-REJECT_NOT_FOUND = 3     # no such object under the served root
-REJECT_CLIENT_CAP = 4    # this client already holds its per-client cap
+    total_packets: int
 
 
 @dataclass(frozen=True)
@@ -541,6 +532,67 @@ class FetchRequest:
         return bool(self.flags & FETCH_FLAG_VERIFY)
 
 
+@dataclass(frozen=True)
+class Queued:
+    """The server's QUEUED reply; ``position`` is 1-based."""
+
+    position: int
+
+
+@dataclass(frozen=True)
+class Reject:
+    """The server's REJECT reply; ``code`` is one of ``REJECT_*``."""
+
+    code: int
+
+
+def encode_offer(offer: Offer) -> bytes:
+    """Serialize an offer (v2 iff it carries the resume flag)."""
+    if offer.resumable:
+        return _OFFER2.pack(OFFER2_MAGIC, offer.filesize, offer.packet_size,
+                            offer.ack_port, offer.flags, offer.crc,
+                            offer.transfer_id, offer.epoch)
+    return _OFFER.pack(OFFER_MAGIC, offer.filesize, offer.packet_size,
+                       offer.ack_port, offer.flags, offer.crc)
+
+
+def encode_accept(data_port: int) -> bytes:
+    """Serialize the ACCEPT reply (receiver → sender)."""
+    return _ACCEPT.pack(ACCEPT_MAGIC, data_port, 0)
+
+
+def encode_resume(
+    transfer_id: int, epoch: int, data_port: int, bitmap: np.ndarray
+) -> bytes:
+    """Serialize the RESUME reply (receiver → sender, TCP)."""
+    bits = np.asarray(bitmap, dtype=np.bool_)
+    packed = np.packbits(bits).tobytes()
+    return _RESUME_HDR.pack(
+        RESUME_MAGIC, transfer_id, epoch, data_port,
+        int(bits.shape[0]), zlib.crc32(packed),
+    ) + packed
+
+
+def encode_verify(manifest_bytes: bytes) -> bytes:
+    """Frame a :class:`~repro.core.manifest.ChunkManifest` for TCP.
+
+    Sent by the data source immediately after its OFFER when the offer
+    flags carry ``FLAG_VERIFY``; the receiver audits journal-claimed
+    chunks against the manifest *before* building its RESUME bitmap.
+    The body is the manifest's own encoding (self-describing and
+    CRC32-protected); this frame only adds magic + length so the
+    control stream stays parseable.
+    """
+    if not manifest_bytes:
+        raise ValueError("verify frame requires a manifest body")
+    return _VERIFY_HDR.pack(VERIFY_MAGIC, len(manifest_bytes)) + manifest_bytes
+
+
+def encode_completion(total_packets: int) -> bytes:
+    """Serialize the TCP completion signal."""
+    return _COMPLETION.pack(COMPLETION_MAGIC, total_packets, 0)
+
+
 def encode_fetch(req: FetchRequest) -> bytes:
     """Serialize a FETCH request (client → server, TCP)."""
     name = req.name.encode("utf-8")
@@ -549,26 +601,6 @@ def encode_fetch(req: FetchRequest) -> bytes:
     cap_kbps = min(req.rate_cap_bps // 1000, 0xFFFFFFFF)
     return _FETCH_HDR.pack(FETCH_MAGIC, req.flags, req.epoch,
                            req.client_nonce, cap_kbps, len(name)) + name
-
-
-def fetch_name_bytes(header: bytes) -> int:
-    """Name length declared by a FETCH header (for framed reads)."""
-    *_rest, name_len = _FETCH_HDR.unpack(header)
-    return name_len
-
-
-def decode_fetch(data: bytes) -> FetchRequest:
-    """Parse a FETCH request (header + name)."""
-    if len(data) < _FETCH_HDR.size:
-        raise ValueError("fetch request truncated")
-    magic, flags, epoch, nonce, cap_kbps, name_len = _FETCH_HDR.unpack_from(data)
-    if magic != FETCH_MAGIC:
-        raise ValueError(f"bad fetch magic {magic:#x}")
-    name = data[_FETCH_HDR.size:_FETCH_HDR.size + name_len]
-    if len(name) != name_len:
-        raise ValueError("fetch name truncated")
-    return FetchRequest(name=name.decode("utf-8"), flags=flags, epoch=epoch,
-                        client_nonce=nonce, rate_cap_bps=cap_kbps * 1000)
 
 
 def encode_queued(position: int) -> bytes:
@@ -596,25 +628,168 @@ def reject_reason(code: int) -> str:
     }.get(code, f"rejected (code {code})")
 
 
-def decode_server_reply(data: bytes) -> tuple[str, int]:
-    """Parse a QUEUED/REJECT reply; returns (kind, detail).
+def _resume_body(fields: tuple, npackets: Optional[int]) -> int:
+    if fields[4] != npackets:
+        raise ValueError(f"RESUME for {fields[4]} packets, {npackets} offered")
+    return -(-npackets // 8)
 
-    ``kind`` is ``"queued"`` (detail = queue position) or ``"reject"``
-    (detail = reject code).  Raises on any other magic — the caller
-    dispatches OFFER messages separately by their own magic.
+
+def _verify_body(fields: tuple, npackets: Optional[int]) -> int:
+    if npackets is None or not 0 < fields[1] <= max_manifest_bytes(npackets):
+        raise ValueError(f"VERIFY of {fields[1]} bytes after an offer of "
+                         f"{npackets} packets")
+    return fields[1]
+
+
+def _resume(fields: tuple, packed: bytes) -> ResumeInfo:
+    _magic, tid, epoch, data_port, npackets, crc = fields
+    if zlib.crc32(packed) != crc:
+        raise ChecksumError("resume bitmap failed CRC32 verification")
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8),
+                         count=npackets).astype(np.bool_)
+    return ResumeInfo(transfer_id=tid, epoch=epoch, data_port=data_port,
+                      bitmap=bits)
+
+
+def _fetch(fields: tuple, name: bytes) -> FetchRequest:
+    _magic, flags, epoch, nonce, cap_kbps, _name_len = fields
+    return FetchRequest(name=name.decode("utf-8"), flags=flags, epoch=epoch,
+                        client_nonce=nonce, rate_cap_bps=cap_kbps * 1000)
+
+
+@dataclass(frozen=True)
+class FrameSpec:
+    """One row of the control-frame table."""
+
+    name: str
+    magic: int
+    #: The fixed header, magic first.
+    header: struct.Struct
+    #: ``(header fields, body) -> typed frame``.
+    build: Callable[[tuple, bytes], object]
+    #: ``(header fields, negotiated npackets) -> body bytes`` that
+    #: follow the header (none without a rule); raises ``ValueError``
+    #: on a length the negotiated object cannot have.
+    body_bytes: Optional[Callable[[tuple, Optional[int]], int]] = None
+
+
+#: Every frame of the TCP control connection (PROTOCOL.md §3.3 renders
+#: this table; ``tests/test_wire_control.py`` holds the two together).
+CONTROL_FRAMES = (
+    FrameSpec("OFFER", OFFER_MAGIC, _OFFER, lambda f, _: Offer(*f[1:])),
+    FrameSpec("OFFER2", OFFER2_MAGIC, _OFFER2, lambda f, _: Offer(*f[1:])),
+    FrameSpec("ACCEPT", ACCEPT_MAGIC, _ACCEPT, lambda f, _: Accept(f[1])),
+    FrameSpec("RESUME", RESUME_MAGIC, _RESUME_HDR, _resume, _resume_body),
+    FrameSpec("VERIFY", VERIFY_MAGIC, _VERIFY_HDR,
+              lambda _, body: Verify(body), _verify_body),
+    FrameSpec("COMPLETION", COMPLETION_MAGIC, _COMPLETION,
+              lambda f, _: Completion(f[1])),
+    FrameSpec("FETCH", FETCH_MAGIC, _FETCH_HDR, _fetch, lambda f, _: f[5]),
+    FrameSpec("QUEUED", QUEUED_MAGIC, _SERVER_REPLY,
+              lambda f, _: Queued(f[1])),
+    FrameSpec("REJECT", REJECT_MAGIC, _SERVER_REPLY,
+              lambda f, _: Reject(f[1])),
+)
+_BY_MAGIC = {spec.magic: spec for spec in CONTROL_FRAMES}
+
+
+class ControlDecoder:
+    """Incremental decoder of one control connection's frames.
+
+    :meth:`feed` it whatever the stream yields, in any pieces;
+    :meth:`next_frame` returns the next whole frame as its typed result
+    (:class:`Offer`, :class:`Accept`, :class:`ResumeInfo`,
+    :class:`Verify`, :class:`Completion`, :class:`FetchRequest`,
+    :class:`Queued`, :class:`Reject`), None while it is incomplete, and
+    raises ``ValueError`` for what is no frame: an unknown magic, an
+    offer that cannot be an object, a body that fails its check, a
+    RESUME or VERIFY sized for another object than the negotiated
+    ``npackets`` — refused on the header, before the declared body is
+    waited for.  An endpoint that *sent* the offer passes ``npackets``
+    in; one that receives it learns it from the decoded frame.
     """
-    if len(data) < _SERVER_REPLY.size:
-        raise ValueError("server reply truncated")
-    magic, detail, _reserved = _SERVER_REPLY.unpack_from(data)
-    if magic == QUEUED_MAGIC:
-        return "queued", detail
-    if magic == REJECT_MAGIC:
-        return "reject", detail
-    raise ValueError(f"bad server reply magic {magic:#x}")
+
+    def __init__(self, npackets: Optional[int] = None):
+        self.npackets = npackets
+        self._buf = bytearray()
+
+    def feed(self, data) -> None:
+        self._buf += data
+
+    def next_frame(self):
+        buf = self._buf
+        if len(buf) < _MAGIC.size:
+            return None
+        (magic,) = _MAGIC.unpack_from(buf)
+        spec = _BY_MAGIC.get(magic)
+        if spec is None:
+            raise ValueError(f"unknown control-frame magic {magic:#x}")
+        start = spec.header.size
+        if len(buf) < start:
+            return None
+        fields = spec.header.unpack_from(buf)
+        end = start + (spec.body_bytes(fields, self.npackets)
+                       if spec.body_bytes is not None else 0)
+        if len(buf) < end:
+            return None
+        frame = spec.build(fields, bytes(buf[start:end]))
+        del buf[:end]
+        if isinstance(frame, Offer):
+            self.npackets = frame.npackets
+        return frame
 
 
-SERVER_REPLY_BYTES = _SERVER_REPLY.size
-FETCH_HDR_BYTES = _FETCH_HDR.size
+class ControlClosed(ConnectionError):
+    """The peer closed the control connection (a clean end of stream)."""
+
+
+def read_frame(sock, decoder: ControlDecoder):
+    """The next frame of control connection ``sock``, read through its
+    ``decoder``: blocks on a blocking socket; on a non-blocking one
+    returns None when no whole frame has arrived yet.
+    :class:`ControlClosed` at end of stream, ``ValueError`` as
+    :meth:`ControlDecoder.next_frame`.
+    """
+    while True:
+        frame = decoder.next_frame()
+        if frame is not None:
+            return frame
+        try:
+            chunk = sock.recv(65536)
+        except BlockingIOError:
+            return None
+        if not chunk:
+            raise ControlClosed("control connection closed early")
+        decoder.feed(chunk)
+
+
+def expect(frame, kind: type):
+    """``frame``, which the protocol says is a ``kind`` at this point."""
+    if not isinstance(frame, kind):
+        raise ValueError(f"{type(frame).__name__} frame where "
+                         f"{kind.__name__} was due")
+    return frame
+
+
+def _decode_whole(data: bytes, kind: type, npackets: Optional[int] = None):
+    """One-buffer decode of a frame that must be a whole ``kind``."""
+    decoder = ControlDecoder(npackets)
+    decoder.feed(data)
+    return expect(decoder.next_frame(), kind)
+
+
+def decode_completion(data: bytes) -> int:
+    """Parse the completion signal; returns the total packet count."""
+    return _decode_whole(data, Completion).total_packets
+
+
+def decode_resume(data: bytes) -> ResumeInfo:
+    """Parse a RESUME message, verifying the bitmap digest.  Takes the
+    message's own word for the object size; a :class:`ControlDecoder`
+    holds it to the offer."""
+    claimed = (_RESUME_HDR.unpack_from(data)[4]
+               if len(data) >= _RESUME_HDR.size else None)
+    return _decode_whole(data, ResumeInfo, claimed)
 
 
 def peek_session(datagram: bytes, kind: str) -> Optional[tuple[int, int]]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import socket
-import struct
 import time
 import zlib
 from dataclasses import dataclass
@@ -29,8 +28,6 @@ from repro.core.config import FobsConfig
 from repro.runtime import files, wire
 from repro.runtime.supervisor import RetryPolicy, TransferSupervisor
 from repro.telemetry import EventBus
-
-_MAGIC = struct.Struct("!I")
 
 
 def default_client_nonce(output_path: str) -> int:
@@ -71,21 +68,6 @@ class _FetchOutcome:
     expected_nbytes: int = 0
 
 
-def _read_server_message(ctrl: socket.socket) -> tuple[str, object]:
-    """Read one framed server reply: queued, reject, or offer."""
-    head = files.recv_exact(ctrl, _MAGIC.size)
-    (magic,) = _MAGIC.unpack(head)
-    if magic in (wire.QUEUED_MAGIC, wire.REJECT_MAGIC):
-        body = head + files.recv_exact(
-            ctrl, wire.SERVER_REPLY_BYTES - _MAGIC.size)
-        return wire.decode_server_reply(body)
-    if magic == files.OFFER2_MAGIC:
-        body = head + files.recv_exact(
-            ctrl, files.OFFER_V2_BYTES - _MAGIC.size)
-        return "offer", files.decode_offer(body)
-    raise ValueError(f"unexpected server reply magic {magic:#x}")
-
-
 def _fetch_attempt(
     name: str,
     host: str,
@@ -118,23 +100,21 @@ def _fetch_attempt(
             ctrl.sendall(wire.encode_fetch(wire.FetchRequest(
                 name=name, flags=flags, epoch=epoch, client_nonce=nonce,
                 rate_cap_bps=rate_cap_bps)))
-            while True:
-                kind, detail = _read_server_message(ctrl)
-                if kind == "queued":
-                    queued_position = int(detail)
-                    continue  # our OFFER (or a REJECT) follows
-                if kind == "reject":
-                    code = int(detail)
-                    return _FetchOutcome(
-                        completed=False,
-                        duration=max(time.monotonic() - start, 1e-9),
-                        failure_reason=wire.reject_reason(code),
-                        queued_position=queued_position,
-                        rejected=True, reject_code=code)
-                offer: files.Offer = detail
-                break
+            decoder = wire.ControlDecoder()
+            reply = wire.read_frame(ctrl, decoder)
+            while isinstance(reply, wire.Queued):  # OFFER or REJECT follows
+                queued_position = reply.position
+                reply = wire.read_frame(ctrl, decoder)
+            if isinstance(reply, wire.Reject):
+                return _FetchOutcome(
+                    completed=False,
+                    duration=max(time.monotonic() - start, 1e-9),
+                    failure_reason=wire.reject_reason(reply.code),
+                    queued_position=queued_position,
+                    rejected=True, reject_code=reply.code)
+            offer = wire.expect(reply, wire.Offer)
             ok, failure, receiver, duration, vstats = files.receive_offer(
-                ctrl, (host, port), offer, output_path, deadline,
+                ctrl, decoder, (host, port), offer, output_path, deadline,
                 config=config, journal_path=journal_path,
                 telemetry=telemetry, opener=opener, tuning=tuning,
                 stats_interval=stats_interval)

@@ -49,7 +49,6 @@ from __future__ import annotations
 import os
 import selectors
 import socket
-import struct
 import time
 import zlib
 from dataclasses import replace
@@ -104,7 +103,6 @@ from repro.telemetry import (
     TelemetryChannel,
 )
 
-_MAGIC = struct.Struct("!I")
 #: Datagrams sent per transfer per pump pass (keeps one big transfer
 #: from starving the event loop).
 _PUMP_QUANTUM = 256
@@ -116,23 +114,25 @@ _REJECT_CODES = {
 
 
 class _Conn:
-    """One TCP control connection and its framing state."""
+    """One TCP control connection and its protocol state."""
 
-    __slots__ = ("sock", "addr", "buf", "state", "deadline", "entry",
+    __slots__ = ("sock", "addr", "decoder", "state", "deadline", "entry",
                  "key", "fetch", "offer", "manifest")
 
     # States: "request" → ("queued" →) "await_resume" → "sending"
-    #                   | ("await_verify" →) "receiving"
+    #                   | ("await_verify" →) ("queued" →) "receiving"
     def __init__(self, sock: socket.socket, addr, deadline: float):
         self.sock = sock
         self.addr = addr
-        self.buf = bytearray()
+        self.decoder = wire.ControlDecoder()
         self.state = "request"
+        #: The handshake must move on by then; None once the connection
+        #: is queued or carries a running transfer.
         self.deadline: Optional[float] = deadline
         self.entry = None
         self.key = None
         self.fetch: Optional[wire.FetchRequest] = None
-        self.offer: Optional[files.Offer] = None
+        self.offer: Optional[wire.Offer] = None
         #: Digest manifest from a push client's VERIFY frame.
         self.manifest: Optional[ChunkManifest] = None
 
@@ -141,12 +141,12 @@ class _SendEntry:
     """Server → client transfer (a fetch) on the shared socket."""
 
     kind = SENDING
-    __slots__ = ("key", "session", "sender", "conn", "name", "client",
-                 "burst", "driver", "started_at")
+    __slots__ = ("key", "transfer_id", "epoch", "sender", "conn", "name",
+                 "client", "burst", "driver", "started_at")
 
-    def __init__(self, key, session, sender, conn, name):
+    def __init__(self, key, session: wire.SessionContext, sender, conn, name):
         self.key = key
-        self.session: wire.SessionContext = session
+        self.transfer_id, self.epoch = session.transfer_id, session.epoch
         self.sender: FobsSender = sender
         self.conn: _Conn = conn
         self.name = name
@@ -163,7 +163,8 @@ class _RecvEntry:
 
     kind = RECEIVING
     __slots__ = ("key", "driver", "receiver", "part", "conn", "offer",
-                 "name", "client", "sock", "started_at")
+                 "transfer_id", "epoch", "name", "client", "sock",
+                 "started_at")
 
     def __init__(self, key, driver, part, conn, offer, name):
         self.key = key
@@ -171,7 +172,8 @@ class _RecvEntry:
         self.receiver: FobsReceiver = driver.receiver
         self.part: PartFile = part
         self.conn: _Conn = conn
-        self.offer: files.Offer = offer
+        self.offer: wire.Offer = offer
+        self.transfer_id, self.epoch = offer.transfer_id, offer.epoch
         self.name = name
         self.client = conn.addr[0]
         self.sock: Optional[socket.socket] = None  # dedicated (v1) only
@@ -289,9 +291,9 @@ class ObjectServer:
                     waste_ratio=tuner.last_waste,
                     stall_events=tuner.last_stalls)
             transfers.append(TransferSnapshot(
-                transfer_id=entry.session.transfer_id,
+                transfer_id=entry.transfer_id,
                 name=entry.name, client=entry.client, direction="send",
-                epoch=entry.session.epoch,
+                epoch=entry.epoch,
                 nbytes=entry.sender.total_bytes,
                 npackets=entry.sender.npackets,
                 packets_done=int(entry.sender.acked.count),
@@ -300,9 +302,9 @@ class ObjectServer:
                 **tune))
         for entry in list(self._recv_entries.values()):
             transfers.append(TransferSnapshot(
-                transfer_id=entry.offer.transfer_id,
+                transfer_id=entry.transfer_id,
                 name=entry.name, client=entry.client, direction="recv",
-                epoch=entry.offer.epoch,
+                epoch=entry.epoch,
                 nbytes=entry.offer.filesize,
                 npackets=entry.receiver.npackets,
                 packets_done=int(entry.receiver.bitmap.count),
@@ -434,10 +436,9 @@ class ObjectServer:
             self._close_conn(conn)
 
     def _fail_all(self, reason: str) -> None:
-        for entry in list(self._send_entries.values()):
-            self._finish_send(entry, ok=False, reason=reason)
-        for entry in list(self._recv_entries.values()):
-            self._finish_recv(entry, ok=False, reason=reason)
+        for entries in (self._send_entries, self._recv_entries):
+            for entry in list(entries.values()):
+                self._finish(entry, ok=False, reason=reason)
 
     def _graceful_teardown(self) -> None:
         self._fail_all("server shut down")
@@ -465,17 +466,12 @@ class ObjectServer:
     def _sweep(self, now: float) -> None:
         """Periodic housekeeping: handshake deadlines, receiver liveness."""
         for conn in list(self._conns):
-            if (conn.state in ("request", "await_resume")
-                    and conn.deadline is not None and now > conn.deadline):
-                if conn.entry is not None:
-                    self._finish_send(conn.entry, ok=False,
-                                      reason="handshake timed out")
-                else:
-                    self._close_conn(conn)
+            if conn.deadline is not None and now > conn.deadline:
+                self._fail_conn(conn, "handshake timed out")
         for entry in list(self._recv_entries.values()):
             failure = entry.receiver.liveness_failure(now, entry.started_at)
             if failure is not None:
-                self._finish_recv(entry, ok=False, reason=failure)
+                self._finish(entry, ok=False, reason=failure)
 
     # ------------------------------------------------------------------
     # TCP control plane
@@ -492,147 +488,102 @@ class ObjectServer:
             self._sel.register(sock, selectors.EVENT_READ, ("conn", conn))
 
     def _on_conn_readable(self, conn: _Conn, now: float) -> None:
+        # One read a wakeup (the selector is level-triggered), so the
+        # decoder refuses an oversized or unframed stream before the
+        # next read can add to it.
         if conn.state == "closed":
             return
-        closed = False
-        while True:
-            try:
-                chunk = conn.sock.recv(65536)
-            except BlockingIOError:
-                break
-            except OSError:
-                closed = True
-                break
-            if not chunk:
-                closed = True
-                break
-            conn.buf.extend(chunk)
-        self._service_conn(conn, now)
-        if closed and conn.state != "closed":
+        try:
+            chunk = conn.sock.recv(65536)
+        except BlockingIOError:
+            return
+        except OSError:
+            chunk = b""
+        if chunk:
+            conn.decoder.feed(chunk)
+            self._service_conn(conn, now)
+        else:
             self._on_conn_lost(conn)
 
     def _on_conn_lost(self, conn: _Conn) -> None:
+        entry = conn.entry
+        if (entry is not None and entry.kind == SENDING
+                and entry.sender.complete):
+            # The client may close immediately after its completion
+            # signal; an EOF behind a processed completion is a clean
+            # finish, not a lost connection.
+            self._finish(entry, ok=True)
+        else:
+            self._fail_conn(conn, "control connection lost")
+
+    def _fail_conn(self, conn: _Conn, reason: str) -> None:
+        """Close ``conn``, failing the transfer it carries (if any) with
+        ``reason`` and giving up its place in the queue (if it has one)."""
+        if conn.entry is not None:
+            self._finish(conn.entry, ok=False, reason=reason)
+            return
         if conn.state == "queued":
             self.admission.cancel(conn.key)
             self._waiting_conns.pop(conn.key, None)
-        elif conn.entry is not None:
-            if conn.entry.kind == SENDING:
-                # The client may close immediately after its completion
-                # signal; an EOF behind a processed completion is a
-                # clean finish, not a lost connection.
-                if conn.entry.sender.complete:
-                    self._finish_send(conn.entry, ok=True)
-                else:
-                    self._finish_send(conn.entry, ok=False,
-                                      reason="control connection lost")
-            else:
-                self._finish_recv(conn.entry, ok=False,
-                                  reason="control connection lost")
-            return
         self._close_conn(conn)
 
     def _service_conn(self, conn: _Conn, now: float) -> None:
-        while conn.state != "closed":
-            buf = conn.buf
-            if conn.state == "request":
-                if len(buf) < _MAGIC.size:
+        """Hand every whole frame to the handler for ``(state, frame
+        type)``.  A frame that does not decode, does not validate or has
+        no handler in this state — a push client, for one, never speaks
+        between its offer and our completion signal — fails this
+        connection, with the reason on record, and nothing else."""
+        try:
+            while conn.state != "closed":
+                frame = conn.decoder.next_frame()
+                if frame is None:
                     return
-                (magic,) = _MAGIC.unpack_from(buf)
-                if magic == wire.FETCH_MAGIC:
-                    if len(buf) < wire.FETCH_HDR_BYTES:
-                        return
-                    total = wire.FETCH_HDR_BYTES + wire.fetch_name_bytes(
-                        bytes(buf[:wire.FETCH_HDR_BYTES]))
-                    if len(buf) < total:
-                        return
-                    try:
-                        req = wire.decode_fetch(bytes(buf[:total]))
-                    except (ValueError, UnicodeDecodeError):
-                        self._close_conn(conn)
-                        return
-                    del buf[:total]
-                    self._handle_fetch(conn, req, now)
-                elif magic in (files.OFFER_MAGIC, files.OFFER2_MAGIC):
-                    need = (files.OFFER_V1_BYTES if magic == files.OFFER_MAGIC
-                            else files.OFFER_V2_BYTES)
-                    if len(buf) < need:
-                        return
-                    try:
-                        offer = files.decode_offer(bytes(buf[:need]))
-                    except ValueError:
-                        self._close_conn(conn)
-                        return
-                    del buf[:need]
-                    if offer.verify:
-                        # A VERIFY frame (digest manifest) follows the
-                        # offer; hold admission until it arrives so the
-                        # resume audit has digests from the start.
-                        conn.offer = offer
-                        conn.state = "await_verify"
-                        continue
-                    self._handle_push(conn, offer, now)
-                else:
-                    self._close_conn(conn)
-                    return
-            elif conn.state == "await_verify":
-                if len(buf) < wire.VERIFY_HDR_BYTES:
-                    return
-                try:
-                    body = wire.verify_body_bytes(
-                        bytes(buf[:wire.VERIFY_HDR_BYTES]))
-                except ValueError:
-                    self._close_conn(conn)
-                    return
-                need = wire.VERIFY_HDR_BYTES + body
-                if len(buf) < need:
-                    return
-                frame = bytes(buf[:need])
-                del buf[:need]
-                try:
-                    conn.manifest = files.manifest_for(
-                        wire.decode_verify(frame), conn.offer)
-                except ValueError:
-                    # Unusable frame: fall back to the whole-object CRC
-                    # rather than refusing the transfer.
-                    conn.manifest = None
-                self._handle_push(conn, conn.offer, now)
-            elif conn.state == "await_resume":
-                entry: _SendEntry = conn.entry
-                need = wire.resume_wire_bytes(entry.sender.npackets)
-                if len(buf) < need:
-                    return
-                try:
-                    resume = wire.decode_resume(bytes(buf[:need]))
-                except (ValueError, wire.ChecksumError):
-                    self._finish_send(entry, ok=False,
-                                      reason="bad RESUME from client")
-                    return
-                del buf[:need]
-                if (resume.transfer_id != entry.session.transfer_id
-                        or resume.epoch != entry.session.epoch):
-                    self._finish_send(entry, ok=False,
-                                      reason="RESUME for a different session")
-                    return
-                entry.sender.resume_from(resume.bitmap)
-                entry.burst.addr = (conn.addr[0], resume.data_port)
-                entry.started_at = now
-                conn.state = "sending"
-                conn.deadline = None
-            elif conn.state == "sending":
-                if len(buf) < wire.COMPLETION_BYTES:
-                    return
-                try:
-                    wire.decode_completion(buf)
-                except ValueError:
-                    self._finish_send(conn.entry, ok=False,
-                                      reason="garbage on control connection")
-                    return
-                del buf[:wire.COMPLETION_BYTES]
-                conn.entry.sender.on_completion(now)
-            else:
-                # queued / receiving: no client bytes expected; a push
-                # client never speaks until the transfer ends.
-                return
+                handler = self._ON_FRAME.get((conn.state, type(frame)))
+                if handler is None:
+                    raise ValueError(f"{type(frame).__name__} frame while "
+                                     f"{conn.state}")
+                handler(self, conn, frame, now)
+        except ValueError as exc:
+            reason = f"bad control frame: {exc}"
+            if conn.entry is None:
+                # No transfer to carry the reason: the connection is
+                # the failed operation.
+                self._failed += 1
+                self.history.append(("-", "ctrl", conn.addr[0], False,
+                                     reason))
+            self._fail_conn(conn, reason)
+
+    def _on_offer(self, conn: _Conn, offer: wire.Offer, now: float) -> None:
+        conn.offer = offer
+        if offer.verify:
+            # A VERIFY frame (digest manifest) follows the offer; hold
+            # admission until it arrives so the resume audit has digests
+            # from the start.
+            conn.state = "await_verify"
+        else:
+            self._handle_push(conn, now)
+
+    def _on_verify(self, conn: _Conn, frame: wire.Verify, now: float) -> None:
+        # An unusable manifest falls back to the whole-object CRC rather
+        # than refusing the transfer.
+        conn.manifest = files.manifest_for(frame.manifest, conn.offer)
+        self._handle_push(conn, now)
+
+    def _on_resume(self, conn: _Conn, resume: wire.ResumeInfo,
+                   now: float) -> None:
+        entry: _SendEntry = conn.entry
+        if (resume.transfer_id, resume.epoch) != (entry.transfer_id,
+                                                  entry.epoch):
+            raise ValueError("RESUME for a different session")
+        entry.sender.resume_from(resume.bitmap)
+        entry.burst.addr = (conn.addr[0], resume.data_port)
+        entry.started_at = now
+        conn.state = "sending"
+        conn.deadline = None
+
+    def _on_completion(self, conn: _Conn, _frame: wire.Completion,
+                       now: float) -> None:
+        conn.entry.sender.on_completion(now)
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -671,43 +622,62 @@ class ObjectServer:
                       now: float) -> None:
         path = self._resolve(req.name)
         if path is None or os.path.getsize(path) == 0:
-            self._rejected_other += 1
             self._emit_admission(0, req.name, conn.addr[0], "reject",
                                  reason="not_found")
-            self._send_ctrl(conn, wire.encode_reject(wire.REJECT_NOT_FOUND))
-            self._close_conn(conn)
+            self._reject_not_found(conn)
             return
         with open(path, "rb") as fh:
             data = fh.read()
-        tid = files.derive_transfer_id(len(data), zlib.crc32(data))
-        tid ^= req.client_nonce
         conn.fetch = req
-        conn.key = tid
-        # A retry of a crashed attempt re-uses the transfer id; the old
-        # attempt's entry (if its death went unnoticed) is superseded.
-        prior = self.registry.get(tid)
-        if prior is not None:
-            self._finish_send(prior.entry, ok=False,
-                              reason="superseded by a newer attempt")
-        stale_conn = self._waiting_conns.pop(tid, None)
-        if stale_conn is not None:
-            self.admission.cancel(tid)
-            self._close_conn(stale_conn)
-        decision = self.admission.request(tid, client=conn.addr[0])
-        self._emit_admission(tid, req.name, conn.addr[0], decision.action,
+        self._admit(conn, req.client_nonce ^ files.derive_transfer_id(
+            len(data), zlib.crc32(data)), req.name, now, data)
+
+    def _admit(self, conn: _Conn, key, name: str, now: float,
+               data: Optional[bytes] = None) -> None:
+        """Put ``conn``'s request, now known as ``key``, to admission
+        control: start it, queue it or refuse it.  Only a fetch client
+        is told which — a vanilla sender does not speak QUEUED or
+        REJECT: queued, it simply waits longer for its ACCEPT/RESUME;
+        refused, it sees the connection close and its supervisor backs
+        off and retries."""
+        conn.key = key
+        if isinstance(key, int):
+            # A retry of a crashed attempt re-uses the transfer id; the
+            # old attempt (if its death went unnoticed) is superseded,
+            # running or still waiting.
+            prior = self.registry.get(key)
+            if prior is not None:
+                self._finish(prior.entry, ok=False,
+                             reason="superseded by a newer attempt")
+            stale_conn = self._waiting_conns.pop(key, None)
+            if stale_conn is not None:
+                self.admission.cancel(key)
+                self._close_conn(stale_conn)
+        decision = self.admission.request(key, client=conn.addr[0])
+        self._emit_admission(key, name, conn.addr[0], decision.action,
                              reason=decision.reason or "",
                              position=decision.position)
         if decision.action == ADMIT:
-            self._begin_fetch_send(conn, data, now)
+            self._begin(conn, now, data)
         elif decision.action == QUEUE:
             conn.state = "queued"
             conn.deadline = None
-            self._waiting_conns[tid] = conn
-            self._send_ctrl(conn, wire.encode_queued(decision.position))
+            self._waiting_conns[key] = conn
+            if conn.fetch is not None:
+                self._send_ctrl(conn, wire.encode_queued(decision.position))
         else:
-            code = _REJECT_CODES.get(decision.reason, wire.REJECT_FULL)
-            self._send_ctrl(conn, wire.encode_reject(code))
+            if conn.fetch is not None:
+                self._send_ctrl(conn, wire.encode_reject(
+                    _REJECT_CODES.get(decision.reason, wire.REJECT_FULL)))
             self._close_conn(conn)
+
+    def _begin(self, conn: _Conn, now: float,
+               data: Optional[bytes] = None) -> None:
+        """Start the transfer ``conn`` asked for: it holds a slot."""
+        if conn.fetch is not None:
+            self._begin_fetch_send(conn, data, now)
+        else:
+            self._begin_push_recv(conn, now)
 
     def _begin_fetch_send(self, conn: _Conn, data: Optional[bytes],
                           now: float) -> None:
@@ -715,7 +685,9 @@ class ObjectServer:
         if data is None:
             path = self._resolve(req.name)
             if path is None:
-                self._admitted_but_gone(conn)
+                # Admitted from the queue, but the object has since gone.
+                self._reject_not_found(conn)
+                self._release_and_promote(conn.key)
                 return
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -747,6 +719,7 @@ class ObjectServer:
             ack_frequency=config.ack_frequency, backend="server",
             role="sender", name=req.name, client=conn.addr[0])
         conn.entry = entry
+        conn.decoder.npackets = sender.npackets  # what we are offering
         conn.state = "await_resume"
         conn.deadline = now + self.handshake_timeout
         self._send_entries[tid] = entry
@@ -760,56 +733,24 @@ class ObjectServer:
         if not self._send_ctrl(conn, files.announce_offer(
                 len(data), zlib.crc32(data), config, self.udp_port, session,
                 manifest)):
-            self._finish_send(entry, ok=False,
+            self._finish(entry, ok=False,
                               reason="client vanished before offer")
 
-    def _admitted_but_gone(self, conn: _Conn) -> None:
-        """Admitted from the queue, but the object has since vanished."""
+    def _reject_not_found(self, conn: _Conn) -> None:
         self._rejected_other += 1
         self._send_ctrl(conn, wire.encode_reject(wire.REJECT_NOT_FOUND))
-        key = conn.key
         self._close_conn(conn)
-        for promoted in self.admission.release(key):
-            self._start_promoted(promoted)
-        self.allocator.reallocate()
 
     # ------------------------------------------------------------------
     # Push (server receives)
     # ------------------------------------------------------------------
-    def _handle_push(self, conn: _Conn, offer: files.Offer,
-                     now: float) -> None:
-        conn.offer = offer
-        if offer.resumable:
-            key = offer.transfer_id
-            prior = self.registry.get(key)
-            if prior is not None and prior.kind == RECEIVING:
-                self._finish_recv(prior.entry, ok=False,
-                                  reason="superseded by a newer attempt")
-            stale_conn = self._waiting_conns.pop(key, None)
-            if stale_conn is not None:
-                self.admission.cancel(key)
-                self._close_conn(stale_conn)
+    def _handle_push(self, conn: _Conn, now: float) -> None:
+        if conn.offer.resumable:
+            key = conn.offer.transfer_id
         else:
             self._anon_pushes += 1
             key = ("push-v1", self._anon_pushes)
-        conn.key = key
-        decision = self.admission.request(key, client=conn.addr[0])
-        self._emit_admission(key, "push", conn.addr[0], decision.action,
-                             reason=decision.reason or "",
-                             position=decision.position)
-        if decision.action == ADMIT:
-            self._begin_push_recv(conn, now)
-        elif decision.action == QUEUE:
-            # No reply: the vanilla sender blocks awaiting its
-            # ACCEPT/RESUME, which arrives when a slot opens.
-            conn.state = "queued"
-            conn.deadline = None
-            self._waiting_conns[key] = conn
-        else:
-            # Vanilla senders don't speak REJECT; a closed connection
-            # makes their supervisor back off and retry.
-            self._rejected_other += 1
-            self._close_conn(conn)
+        self._admit(conn, key, "push", now)
 
     def _begin_push_recv(self, conn: _Conn, now: float) -> None:
         offer = conn.offer
@@ -861,7 +802,7 @@ class ObjectServer:
             self.registry.add(RegisteredTransfer(
                 offer.transfer_id, offer.epoch, RECEIVING, entry))
         if not self._send_ctrl(conn, reply):
-            self._finish_recv(entry, ok=False,
+            self._finish(entry, ok=False,
                               reason="client vanished before accept")
 
     # ------------------------------------------------------------------
@@ -928,7 +869,7 @@ class ObjectServer:
             # a typed, retryable reason — the daemon itself survives,
             # the journal keeps its durable prefix, and the client's
             # supervisor re-offers through admission.
-            self._finish_recv(entry, ok=False, reason=entry.driver.fault)
+            self._finish(entry, ok=False, reason=entry.driver.fault)
             return
         sock = entry.sock if entry.sock is not None else self._udp
         for ack in acks:
@@ -937,7 +878,7 @@ class ObjectServer:
             except OSError:
                 pass
         if entry.receiver.complete:
-            self._finish_recv(entry, ok=True)
+            self._finish(entry, ok=True)
 
     # ------------------------------------------------------------------
     # Sender pump (the paper's batch blast, paced by the allocator)
@@ -973,7 +914,7 @@ class ObjectServer:
         while True:
             hint = entry.driver.step(now)
             if sender.complete or sender.failed:
-                self._finish_send(entry, ok=sender.complete,
+                self._finish(entry, ok=sender.complete,
                                   reason=sender.failure_reason)
                 return 0.05
             if hint > 0.0 or sender.stats.packets_sent >= quota:
@@ -986,91 +927,89 @@ class ObjectServer:
         conn = self._waiting_conns.pop(key, None)
         if conn is None:
             self._release_and_promote(key)
-            return
-        now = time.monotonic()
-        if conn.fetch is not None:
-            self._begin_fetch_send(conn, None, now)
         else:
-            self._begin_push_recv(conn, now)
+            self._begin(conn, time.monotonic())
 
     def _release_and_promote(self, key) -> None:
         for promoted in self.admission.release(key):
             self._start_promoted(promoted)
         self.allocator.reallocate()
 
-    def _finish_send(self, entry: _SendEntry, ok: bool,
-                     reason: Optional[str] = None) -> None:
-        if entry.key not in self._send_entries:
+    def _finish(self, entry, ok: bool, reason: Optional[str] = None) -> None:
+        """End ``entry``'s transfer either way: out of the tables, its
+        outcome onto the counters, the event stream and ``history``, its
+        connection closed and its slot handed on."""
+        sending = entry.kind == SENDING
+        entries = self._send_entries if sending else self._recv_entries
+        if entry.key not in entries:
             return
-        del self._send_entries[entry.key]
-        reg = self.registry.get(entry.session.transfer_id)
+        del entries[entry.key]
+        reg = self.registry.get(entry.transfer_id)
         if reg is not None and reg.entry is entry:
-            self.registry.remove(entry.session.transfer_id)
-        self.allocator.unregister(entry.key)
+            self.registry.remove(entry.transfer_id)
+        if sending:
+            self.allocator.unregister(entry.key)
+            stats = entry.sender.stats
+            counters = dict(
+                packets_sent=stats.packets_sent,
+                retransmissions=stats.retransmissions,
+                wasted_fraction=stats.wasted_fraction(entry.sender.npackets),
+                resumed_packets=stats.resumed_packets, role="sender")
+        else:
+            ok, reason = self._close_push(entry, ok, reason)
+            vstats = entry.part.vstats
+            counters = dict(
+                packets_received=entry.receiver.stats.packets_new,
+                resumed_packets=entry.receiver.stats.resumed_packets,
+                packets_demoted=vstats.chunks_corrupt,
+                ranges_demoted=vstats.ranges_demoted,
+                bytes_demoted=vstats.bytes_demoted,
+                verify_seconds=vstats.duration, role="receiver")
         if ok:
             self._completed += 1
         else:
             self._failed += 1
-        sender = entry.sender
-        self._transfer_channel(entry.session.transfer_id,
-                               entry.session.epoch).emit(
+        self._transfer_channel(entry.transfer_id, entry.epoch).emit(
             EV_TRANSFER_END, completed=ok, failed=not ok,
             duration=max(time.monotonic() - entry.started_at, 0.0),
-            packets_sent=sender.stats.packets_sent,
-            retransmissions=sender.stats.retransmissions,
-            wasted_fraction=sender.stats.wasted_fraction(sender.npackets),
-            resumed_packets=sender.stats.resumed_packets,
-            name=entry.name, role="sender", failure_reason=reason or "")
-        self.history.append((entry.name, "send", entry.client, ok, reason))
+            name=entry.name, failure_reason=reason or "", **counters)
+        self.history.append((entry.name, "send" if sending else "recv",
+                             entry.client, ok, reason))
         self._close_conn(entry.conn)
         self._release_and_promote(entry.key)
 
-    def _finish_recv(self, entry: _RecvEntry, ok: bool,
-                     reason: Optional[str] = None) -> None:
-        if entry.key not in self._recv_entries:
-            return
-        del self._recv_entries[entry.key]
-        reg = self.registry.get(entry.offer.transfer_id)
-        if reg is not None and reg.entry is entry:
-            self.registry.remove(entry.offer.transfer_id)
+    def _close_push(self, entry: _RecvEntry, ok: bool,
+                    reason: Optional[str]) -> tuple[bool, Optional[str]]:
+        """Release a push's socket and part file; a complete one is
+        audited and published first, which has the last word on ``ok``."""
         if entry.sock is not None:
             try:
                 self._sel.unregister(entry.sock)
             except (KeyError, ValueError):
                 pass
             entry.sock.close()
-        part = entry.part
         if ok:
             # Verify-on-complete: per-chunk digests when the client
             # sent a manifest, whole-object CRC32 fallback otherwise;
             # either way corrupt chunks are demoted in the journal so
             # the retry re-fetches them instead of publishing garbage.
-            reason = part.publish()
+            reason = entry.part.publish()
             ok = reason is None
             if ok:
                 self._send_ctrl(entry.conn, wire.encode_completion(
                     entry.receiver.npackets))
-        part.close()
-        if ok:
-            self._completed += 1
-        else:
-            self._failed += 1
-        part.channel.emit(
-            EV_TRANSFER_END, completed=ok, failed=not ok,
-            duration=max(time.monotonic() - entry.started_at, 0.0),
-            packets_received=entry.receiver.stats.packets_new,
-            resumed_packets=entry.receiver.stats.resumed_packets,
-            packets_demoted=part.vstats.chunks_corrupt,
-            ranges_demoted=part.vstats.ranges_demoted,
-            bytes_demoted=part.vstats.bytes_demoted,
-            verify_seconds=part.vstats.duration,
-            name=entry.name, role="receiver", failure_reason=reason or "")
-        self.history.append((entry.name, "recv", entry.client, ok, reason))
-        self._close_conn(entry.conn)
-        self._release_and_promote(entry.key)
+        entry.part.close()
+        return ok, reason
 
-
-Serve = ObjectServer  # convenience alias
+    #: (connection state, frame type) -> handler(self, conn, frame, now);
+    #: every other pairing is a protocol violation.
+    _ON_FRAME = {
+        ("request", wire.FetchRequest): _handle_fetch,
+        ("request", wire.Offer): _on_offer,
+        ("await_verify", wire.Verify): _on_verify,
+        ("await_resume", wire.ResumeInfo): _on_resume,
+        ("sending", wire.Completion): _on_completion,
+    }
 
 
 def serve_root(root: str, port: int, **kwargs) -> ServerSnapshot:

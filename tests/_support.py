@@ -6,6 +6,8 @@ and benchmarks run in the same pytest invocation.
 
 from __future__ import annotations
 
+import struct
+
 from repro.core.config import FobsConfig
 from repro.simnet.topology import HopSpec, MBPS, Network, PathSpec, build_path
 
@@ -71,3 +73,14 @@ class DribbleSocket:
 
     def __exit__(self, *exc):
         self._sock.close()
+
+
+def raw_offer(filesize: int, packet_size: int, flags: int = 0,
+              transfer_id: int = 0x5EED, epoch: int = 0) -> bytes:
+    """OFFER bytes packed by hand (v2 iff the resume bit is set), so a
+    test can put on the wire what ``wire.Offer`` refuses to construct."""
+    fields = (filesize, packet_size, 40001, flags, 0)
+    if flags & 2:
+        return struct.pack("!IQIIIIQI", 0xF0B50FF2, *fields, transfer_id,
+                           epoch)
+    return struct.pack("!IQIIII", 0xF0B50FFE, *fields)

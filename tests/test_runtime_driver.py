@@ -488,6 +488,20 @@ def test_the_loops_are_written_once():
                    for text in sources.values())
     assert re.search(r"^ +drain\(self\._udp, ", sources["server/daemon.py"],
                      re.MULTILINE)
+    # Control framing is written once as well, in runtime/wire.py: no
+    # other endpoint module sizes a read or unpacks a header (the two
+    # cmsg structs of the UDP offload are no wire format).
+    for module in ("runtime/files.py", "runtime/transfer.py",
+                   "server/client.py", "server/daemon.py"):
+        text = re.sub(r"_(SEGMENT|GRO)_SIZE( = struct\.Struct\(|\.unpack)",
+                      "", sources[module])
+        for framing in ("recv_exact", "_MAGIC", "struct.Struct(", ".unpack",
+                        "len(buf) <"):
+            assert framing not in text, (module, framing)
+    # ... and only the daemon, which owns its reads, pulls frames out
+    # of a decoder itself; everyone else goes through wire.read_frame.
+    assert [m for m, text in sources.items() if "next_frame(" in text] == [
+        "server/daemon.py"]
 
 
 class TestRunEndpoints:

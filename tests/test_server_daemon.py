@@ -2,14 +2,18 @@
 
 import gc
 import os
+import socket
+import struct
 import threading
 import weakref
 
 import numpy as np
 import pytest
 
+from _support import raw_offer
 from repro.core.config import FobsConfig
-from repro.runtime.files import send_file
+from repro.runtime import wire
+from repro.runtime.files import receive_file, send_file
 from repro.runtime.transfer import SEND_BATCH
 from repro.server import ObjectServer, fetch_file
 
@@ -267,3 +271,155 @@ class TestDrainAndStats:
         final = running.snapshot
         assert final.bytes_sent >= 300_000  # wire bytes, headers included
         assert final.draining
+
+
+# ----------------------------------------------------------------------
+# Frames that used to end the process (each reproduced at PR 19:
+# ``serve_forever`` left with the exception, every transfer with it)
+# ----------------------------------------------------------------------
+
+def resume_of_the_wrong_geometry(ctrl) -> bytes:
+    """FETCH ``a.bin``, then answer the offer with a RESUME for the right
+    session whose header says ``npackets=8``, padded to the length a
+    293-packet object's RESUME has."""
+    ctrl.sendall(wire.encode_fetch(wire.FetchRequest(
+        "a.bin", flags=wire.FETCH_FLAG_CHECKSUM | wire.FETCH_FLAG_RESUME,
+        client_nonce=7)))
+    offer = wire.read_frame(ctrl, wire.ControlDecoder())
+    assert offer.npackets == 293
+    resume = wire.encode_resume(offer.transfer_id, offer.epoch, 40002,
+                                np.zeros(8, dtype=bool))
+    return resume + bytes(28 + 37 - len(resume))
+
+
+BAD_FRAMES = {
+    "resume-wrong-geometry": (resume_of_the_wrong_geometry,
+                              "RESUME for 8 packets, 293 offered"),
+    "offer-packet-size-0": (lambda _ctrl: raw_offer(300_000, 0),
+                            "is no object"),
+    "offer-filesize-0": (lambda _ctrl: raw_offer(0, 1024), "is no object"),
+    "garbage": (lambda _ctrl: np.random.default_rng(64).bytes(64),
+                "unknown control-frame magic"),
+}
+
+
+def closed_by_peer(ctrl, within=5.0) -> bool:
+    """Does the peer close ``ctrl`` (EOF or reset) within the time?"""
+    ctrl.settimeout(within)
+    try:
+        while ctrl.recv(65536):
+            pass
+    except socket.timeout:
+        return False
+    except ConnectionError:
+        pass
+    return True
+
+
+@pytest.mark.parametrize("bad", list(BAD_FRAMES))
+class TestMalformedControlFrames:
+    def test_daemon_survives_and_a_concurrent_fetch_completes(
+            self, bad, objects, tmp_path):
+        make_frames, why = BAD_FRAMES[bad]
+        out = tmp_path / "b.bin"
+        fetched = {}
+
+        def fetch():
+            fetched["b"] = fetch_file(
+                "b.bin", "127.0.0.1", running.port, str(out), config=CONFIG,
+                timeout=30, rate_cap_bps=int(4e6))  # ~0.4 s in flight
+
+        with RunningServer(objects) as running:
+            client = threading.Thread(target=fetch)
+            client.start()
+            for _ in range(100):
+                if running.server.admission.active:
+                    break
+                threading.Event().wait(0.02)
+            with socket.create_connection(("127.0.0.1", running.port),
+                                          timeout=5) as ctrl:
+                ctrl.sendall(make_frames(ctrl))
+                assert closed_by_peer(ctrl)
+            assert running._thread.is_alive()
+            failed = [h for h in running.server.history if not h[3]]
+            assert len(failed) == 1 and why in failed[0][4], failed
+            assert running.server.stats().failed == 1
+            client.join(timeout=40)
+            assert running._thread.is_alive()
+        assert fetched["b"].completed, fetched["b"].failure_reason
+        assert fetched["b"].attempts == 1
+        assert out.read_bytes() == (objects / "b.bin").read_bytes()
+        assert running.snapshot.completed == 1
+
+    def test_receive_file_listens_on_for_the_next_sender(self, bad, tmp_path):
+        make_frames, why = BAD_FRAMES[bad]
+        if bad == "resume-wrong-geometry":  # no offer to answer here
+            make_frames = lambda _ctrl: wire.encode_resume(  # noqa: E731
+                7, 0, 40002, np.zeros(8, dtype=bool))
+            why = "RESUME for 8 packets, None offered"
+        src = tmp_path / "src.bin"
+        src.write_bytes(os.urandom(90_000))
+        out = tmp_path / "out.bin"
+        port = 39230 + list(BAD_FRAMES).index(bad)
+        ready = threading.Event()
+        received = {}
+
+        def recv():
+            received["r"] = receive_file(str(out), port, bind="127.0.0.1",
+                                         ready=ready, timeout=30,
+                                         max_attempts=2)
+
+        listener = threading.Thread(target=recv, daemon=True)
+        listener.start()
+        assert ready.wait(5)
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=5) as ctrl:
+            ctrl.sendall(make_frames(ctrl))
+            assert closed_by_peer(ctrl)
+        assert listener.is_alive()
+        sent = send_file(str(src), "127.0.0.1", port, config=CONFIG,
+                         timeout=30)
+        listener.join(timeout=30)
+        assert not listener.is_alive()
+        assert sent.completed
+        assert received["r"].completed and received["r"].attempts == 2
+        assert out.read_bytes() == src.read_bytes()
+
+
+class TestHandshakeBounds:
+    """Every state before the transfer runs has a deadline and a size
+    bound (at PR 19 only ``request`` and ``await_resume`` had the first,
+    and a VERIFY header could declare 4 GiB for ``conn.buf`` to hold)."""
+
+    def test_a_client_silent_after_its_offer_is_closed(self, objects):
+        with RunningServer(objects, handshake_timeout=0.3) as running:
+            with socket.create_connection(("127.0.0.1", running.port),
+                                          timeout=5) as ctrl:
+                # OFFER2|VERIFY, and then nothing: state await_verify.
+                ctrl.sendall(raw_offer(5000, 1024, flags=7))
+                assert closed_by_peer(ctrl, within=3.0)
+            assert running._thread.is_alive()
+            assert running.server.stats().active == 0
+
+    def test_a_verify_header_declaring_a_gibibyte_is_refused_unbuffered(
+            self, objects, monkeypatch):
+        fed = []
+        feed = wire.ControlDecoder.feed
+        monkeypatch.setattr(
+            wire.ControlDecoder, "feed",
+            lambda self, data: (fed.append(len(data)), feed(self, data))[1])
+        with RunningServer(objects) as running:
+            with socket.create_connection(("127.0.0.1", running.port),
+                                          timeout=5) as ctrl:
+                ctrl.sendall(raw_offer(5000, 1024, flags=7)
+                             + struct.pack("!II", 0xF0B5E51F, 1 << 30))
+                # Refused on those 8 bytes: no body is waited for, and
+                # whatever more the client pushes goes nowhere.
+                assert closed_by_peer(ctrl)
+                with pytest.raises(OSError):
+                    for _ in range(64):
+                        ctrl.sendall(bytes(1 << 20))
+            failed = [h for h in running.server.history if not h[3]]
+            assert len(failed) == 1
+            assert "VERIFY of 1073741824 bytes" in failed[0][4]
+        assert sum(fed) < 64 * 1024

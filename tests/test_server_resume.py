@@ -9,6 +9,7 @@ and no packet of one transfer ever lands in another's object.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.core.config import FobsConfig
 from repro.runtime.supervisor import RetryPolicy
 from repro.server import ObjectServer, fetch_file
 from repro.simnet import KillSwitch
+from repro.telemetry import EV_TRANSFER_END, EventBus
 
 pytestmark = pytest.mark.loopback
 
@@ -38,8 +40,20 @@ def start_server(root, port=0, kill=None):
     return server, thread, holder
 
 
+class AttemptEnds:
+    """Telemetry sink keeping why each client attempt ended."""
+
+    def __init__(self):
+        self.reasons = []
+
+    def accept(self, event):
+        if event.kind == EV_TRANSFER_END:
+            self.reasons.append(event.fields["failure_reason"])
+
+
 class TestKillAndRestart:
     def test_clients_resume_after_server_restart(self, tmp_path):
+        began = time.monotonic()
         root = tmp_path / "objects"
         root.mkdir()
         out = tmp_path / "out"
@@ -57,11 +71,12 @@ class TestKillAndRestart:
         port = server1.port
 
         results = {}
+        ends = {name: AttemptEnds() for name in blobs}
 
         def fetch(name):
             results[name] = fetch_file(
                 name, "127.0.0.1", port, str(out / name), config=CONFIG,
-                timeout=30,
+                timeout=30, telemetry=EventBus([ends[name]]),
                 policy=RetryPolicy(max_attempts=8, backoff_base=0.3,
                                    seed=hash(name) & 0xFFFF))
 
@@ -88,11 +103,21 @@ class TestKillAndRestart:
             result = results[name]
             assert result.completed, (name, result.failure_reason)
             assert result.attempts >= 2  # the crash cost everyone a retry
+            assert ends[name].reasons[-1] == ""
             # No cross-transfer bitmap bleed: every byte is this
             # object's, in place, nothing from the other session.
             assert (out / name).read_bytes() == blob
         assert any(r.resumed_packets > 0 for r in results.values()), \
             "no client salvaged journaled packets on resume"
+        # The kernel closed the dead daemon's control connections at
+        # once and a client mid-transfer took that for what it was — not
+        # ``receiver_idle_timeout`` (10 s here) of UDP silence later,
+        # which made this test 30 s.  (The other client may have lost
+        # its connection before any offer: no transfer, no end event.)
+        reasons = [r for end in ends.values() for r in end.reasons]
+        assert any(r.startswith("control connection lost") for r in reasons)
+        assert not any("liveness" in r for r in reasons), reasons
+        assert time.monotonic() - began < 10
 
     def test_fresh_fetch_unaffected_by_unrelated_journals(self, tmp_path):
         """A second, different fetch to the same output dir must not
