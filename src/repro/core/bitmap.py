@@ -2,11 +2,13 @@
 
 This is the data structure the paper builds FOBS around: "a very simple
 data structure with one byte (or even one bit) allocated per data
-packet".  We use one NumPy bool per packet in memory and pack to one
-bit per packet on the wire.  All bulk operations (merge, count,
-missing-scan) are vectorized per the HPC guide — the sender touches
-this structure for every acknowledgement of a multi-thousand-packet
-object.
+packet".  We keep exactly that — a ``bytearray`` with one flag byte per
+packet — and pack to one bit per packet on the wire.  Scalar reads and
+writes go to the bytes, "first missing at or after here" is a C
+``memchr`` over them (:meth:`bytearray.find`), and the bulk operations
+(merge, count, snapshot, packing) are vectorized on a NumPy bool view
+of the same memory — the sender touches this structure for every
+acknowledgement of a multi-thousand-packet object.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ class PacketBitmap:
         if npackets <= 0:
             raise ValueError("npackets must be positive")
         self.npackets = npackets
-        self._arr = np.zeros(npackets, dtype=np.bool_)
+        #: One byte per packet, 1 = received.  Read it freely (index,
+        #: ``find(0, start)``); write only through the methods here,
+        #: which keep :attr:`count` true.
+        self.flags = bytearray(npackets)
+        # The same memory as a bool array, for the bulk operations.
+        self._arr = np.frombuffer(self.flags, dtype=np.bool_)
         self._count = 0
-        #: Mutation counter: bumped whenever the set changes.  Lets the
-        #: circular scheduler cache its missing-index array between
-        #: acknowledgements instead of rescanning per batch.
-        self.version = 0
 
     # ------------------------------------------------------------------
     @property
@@ -55,11 +58,10 @@ class PacketBitmap:
         """Mark ``seq`` received; True if it was new."""
         if not 0 <= seq < self.npackets:
             raise IndexError(f"seq {seq} out of range [0, {self.npackets})")
-        if self._arr[seq]:
+        if self.flags[seq]:
             return False
-        self._arr[seq] = True
+        self.flags[seq] = 1
         self._count += 1
-        self.version += 1
         return True
 
     def mark_range(self, start: int, count: int) -> int:
@@ -72,7 +74,6 @@ class PacketBitmap:
         if added:
             run[:] = True
             self._count += added
-            self.version += 1
         return added
 
     def clear(self, seq: int) -> bool:
@@ -84,11 +85,10 @@ class PacketBitmap:
         """
         if not 0 <= seq < self.npackets:
             raise IndexError(f"seq {seq} out of range [0, {self.npackets})")
-        if not self._arr[seq]:
+        if not self.flags[seq]:
             return False
-        self._arr[seq] = False
+        self.flags[seq] = 0
         self._count -= 1
-        self.version += 1
         return True
 
     def demote(self, seqs) -> int:
@@ -103,7 +103,6 @@ class PacketBitmap:
         was_set = int(np.count_nonzero(self._arr[idx]))
         self._arr[idx] = False
         self._count = int(np.count_nonzero(self._arr))
-        self.version += 1
         return was_set
 
     def merge(self, other: np.ndarray) -> int:
@@ -114,8 +113,6 @@ class PacketBitmap:
         new_count = int(np.count_nonzero(self._arr))
         added = new_count - self._count
         self._count = new_count
-        if added:
-            self.version += 1
         return added
 
     def snapshot(self) -> np.ndarray:
@@ -128,7 +125,7 @@ class PacketBitmap:
     def next_missing(self, start: int = 0) -> Optional[int]:
         """First missing seq at or after ``start``, wrapping circularly.
 
-        Returns None when complete.  The scan is vectorized; callers
+        Returns None when complete.  The scan is a ``memchr``; callers
         that sweep monotonically (the circular scheduler) get amortized
         constant cost per call.
         """
@@ -136,15 +133,8 @@ class PacketBitmap:
             return None
         if not 0 <= start < self.npackets:
             start %= self.npackets
-        tail = self._arr[start:]
-        idx = int(np.argmax(~tail))
-        if not tail[idx]:
-            return start + idx
-        head = self._arr[:start]
-        idx = int(np.argmax(~head))
-        if idx < head.shape[0] and not head[idx]:
-            return idx
-        return None
+        seq = self.flags.find(0, start)
+        return seq if seq >= 0 else self.flags.find(0)
 
     def missing_indices(self) -> np.ndarray:
         """All missing sequence numbers, ascending."""
@@ -166,7 +156,6 @@ class PacketBitmap:
         bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=npackets)
         bm._arr[:] = bits.astype(np.bool_)
         bm._count = int(np.count_nonzero(bm._arr))
-        bm.version += 1
         return bm
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

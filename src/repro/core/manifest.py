@@ -34,6 +34,7 @@ ids fail decode loudly.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import struct
 import zlib
@@ -50,6 +51,10 @@ ALGO_CRC32 = 1
 ALGO_SHA256 = 2
 _ALGO_SIZES = {ALGO_CRC32: 4, ALGO_SHA256: 32}
 ALGO_NAMES = {ALGO_CRC32: "crc32", ALGO_SHA256: "sha256"}
+#: Largest single read of an audit (:meth:`ChunkManifest.verify_file`,
+#: the whole-object CRC fallback): verifying an object never costs an
+#: object's worth of memory.
+VERIFY_READ_BYTES = 1 << 20
 
 
 def max_manifest_bytes(npackets: int) -> int:
@@ -227,20 +232,28 @@ class ChunkManifest:
         Returns the ascending array of corrupt chunk indices *among
         those checked* — empty means everything checked is intact.
         Reading past EOF (a short or torn file) counts as corrupt.
+        No single read is larger than :data:`VERIFY_READ_BYTES`.
         """
         if isinstance(fh, str):
             with open(fh, "rb") as real:
                 return self.verify_file(real, seqs)
-        if seqs is None:
-            indices = range(self.npackets)
-        else:
-            indices = sorted(int(s) for s in seqs)
+        runs = ([(0, self.npackets)] if seqs is None
+                else corrupt_ranges(seqs))
+        psize = self.packet_size
+        # Bounded memory, few syscalls: each run of consecutive chunks
+        # is read a window at a time and digested through views of it.
+        window = max(1, VERIFY_READ_BYTES // psize)
         bad: List[int] = []
-        for seq in indices:
-            fh.seek(seq * self.packet_size)
-            chunk = fh.read(self.chunk_length(seq))
-            if not self.check_chunk(seq, chunk):
-                bad.append(seq)
+        for start, count in runs:
+            for first in range(start, start + count, window):
+                stop = min(first + window, start + count)
+                fh.seek(first * psize)
+                view = memoryview(fh.read((stop - first) * psize))
+                for seq in range(first, stop):
+                    offset = (seq - first) * psize
+                    if not self.check_chunk(
+                            seq, view[offset:offset + self.chunk_length(seq)]):
+                        bad.append(seq)
         return np.asarray(bad, dtype=np.int64)
 
     def verify_blob(
@@ -248,17 +261,7 @@ class ChunkManifest:
     ) -> np.ndarray:
         """Audit chunks of an in-memory object; same contract as
         :meth:`verify_file`."""
-        if seqs is None:
-            indices = range(self.npackets)
-        else:
-            indices = sorted(int(s) for s in seqs)
-        bad: List[int] = []
-        for seq in indices:
-            chunk = data[seq * self.packet_size:
-                         seq * self.packet_size + self.chunk_length(seq)]
-            if not self.check_chunk(seq, chunk):
-                bad.append(seq)
-        return np.asarray(bad, dtype=np.int64)
+        return self.verify_file(io.BytesIO(data), seqs)
 
 
 def corrupt_ranges(seqs: Sequence[int]) -> List[Tuple[int, int]]:

@@ -64,9 +64,13 @@ class DataPacket:
         safety and roughly a microsecond per packet in speed.
         """
         pkt = object.__new__(cls)
-        pkt.__dict__.update(seq=seq, total=total,
-                            payload_bytes=payload_bytes,
-                            transmission=transmission, epoch=epoch)
+        # Direct stores beat a kwargs dict + ``update`` per packet.
+        d = pkt.__dict__
+        d["seq"] = seq
+        d["total"] = total
+        d["payload_bytes"] = payload_bytes
+        d["transmission"] = transmission
+        d["epoch"] = epoch
         return pkt
 
     @property

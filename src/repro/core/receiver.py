@@ -160,6 +160,55 @@ class FobsReceiver:
             return self._stamped_ack(now)
         return None
 
+    def on_train(self, seqs, now: float) -> list[AckPacket]:
+        """Incorporate a train of packets that arrived together.
+
+        :meth:`on_data` folded over ``seqs`` in one call — the same
+        marks, counters, journal records and acknowledgements at the
+        same packets (the F-th new one, the completing one, the refresh
+        rule) — stopping at the packet that completes the object.  The
+        real-socket drivers call this once per train, having stored
+        every payload first, so a payload is in the store before the
+        journal claims it.
+        """
+        acks: list[AckPacket] = []
+        if not seqs:
+            return acks
+        self.last_data_time = now
+        if self._last_ack_time is None:
+            self._last_ack_time = now
+        refresh_due = (
+            now - self._last_ack_time >= self.config.ack_refresh_interval
+        )
+        stats, journal, mark = self.stats, self.journal, self.bitmap.mark
+        frequency = self.ack_frequency
+        missing = self.bitmap.missing
+        for seq in seqs:
+            if mark(seq):
+                stats.packets_new += 1
+                self._new_since_ack += 1
+                if journal is not None:
+                    journal.record(seq)
+                missing -= 1
+                if not missing:
+                    if stats.completed_at is None:
+                        stats.completed_at = now
+                    acks.append(self._stamped_ack(now))
+                    break
+                if self._new_since_ack < frequency:
+                    if not refresh_due:
+                        continue
+                    stats.acks_refreshed += 1
+            else:
+                stats.packets_duplicate += 1
+                if not refresh_due:
+                    continue
+                stats.acks_refreshed += 1
+            acks.append(self._stamped_ack(now))
+            # That acknowledgement restarted the refresh clock at now.
+            refresh_due = False
+        return acks
+
     def _stamped_ack(self, now: float) -> AckPacket:
         self._last_ack_time = now
         return self.build_ack()

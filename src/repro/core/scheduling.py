@@ -10,7 +10,6 @@ are the losing strategies the ablation bench contrasts it with.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Optional, Protocol
 
 import numpy as np
@@ -90,16 +89,6 @@ class CircularScheduler:
         # A plain list: numpy scalar indexing costs ~10x a list index,
         # and the sweep reads and writes one count per packet sent.
         self._send_list: list[int] = [0] * npackets
-        # Missing-set cache keyed on the bitmap's mutation counter: the
-        # ACK state only changes between batches, so consecutive
-        # take_batch calls reuse one scan instead of O(npackets) each.
-        self._cache_version = -1
-        self._missing_list: list[int] = []
-        # Resume point of the sweep: (pointer, index) pair so a
-        # take_batch immediately following another (same ACK state, the
-        # steady-state case) skips the bisect.
-        self._pos_ptr = -1
-        self._pos = 0
 
     @property
     def send_count(self) -> np.ndarray:
@@ -124,50 +113,40 @@ class CircularScheduler:
     def take_batch(
         self, acked: PacketBitmap, size: int
     ) -> tuple[list[int], list[int]]:
-        """One sweep of up to ``size`` picks over the cached missing list.
+        """One sweep of up to ``size`` picks: the discipline itself,
+        with a ``memchr`` over the flag bytes for "next unacked".
 
-        The ACK state cannot change mid-batch, so the bitmap is scanned
-        once per ACK, not once per pick: O(log n + size) where the
-        step-at-a-time form is O(npackets) per packet.  A batch larger
-        than the missing set goes round again (stall probes rely on
-        it).  ``rounds``, ``send_count`` and the pointer end up exactly
-        where ``size`` x (``next_seq``, ``record_sent``) leaves them.
+        Pick, count, advance, wrap.  The cost of a pick is the run of
+        acknowledged packets it skips, so a sweep pays for the bitmap
+        once per round, not once per ACK.  A batch larger than the
+        missing set goes round again (stall probes rely on it).
+        ``rounds``, ``send_count`` and the pointer end up exactly where
+        ``size`` x (``next_seq``, ``record_sent``) leaves them.
         """
-        if acked.version != self._cache_version:
-            self._missing_list = acked.missing_indices().tolist()
-            self._cache_version = acked.version
-            self._pos_ptr = -1
-        ml = self._missing_list
-        length = len(ml)
-        if length == 0:
+        if acked.is_complete:
             return [], []
-        ptr = self._ptr
-        # The sweep resumes where the previous one stopped unless an
-        # ACK (or a step-at-a-time call) moved the list or the pointer.
-        pos = self._pos if ptr == self._pos_ptr else bisect_left(ml, ptr)
+        find = acked.flags.find
         sl = self._send_list
-        last = self.npackets - 1
+        npackets = self.npackets
+        ptr = self._ptr
         rounds = 0
         seqs: list[int] = []
         trans: list[int] = []
         for _ in range(size):
-            if pos >= length:
-                pos = 0
-            seq = ml[pos]
-            pos += 1
-            if seq < ptr:
+            seq = find(0, ptr)
+            if seq < 0:
+                # Nothing unacked up to the end: wrap to the first one.
+                seq = find(0)
                 rounds += 1
             t = sl[seq]
             seqs.append(seq)
             trans.append(t)
             sl[seq] = t + 1
             ptr = seq + 1
-            if ptr > last:
+            if ptr == npackets:
                 ptr = 0
                 rounds += 1
         self._ptr = ptr
-        self._pos_ptr = ptr
-        self._pos = pos
         self.rounds += rounds
         return seqs, trans
 

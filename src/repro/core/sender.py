@@ -2,8 +2,9 @@
 
 Implements the three-phase loop of Section 3.1:
 
-1. *batch-send* — :meth:`FobsSender.next_batch` yields the packets for
-   one batch-send operation, sized by the batch policy;
+1. *batch-send* — :meth:`FobsSender.select_batch` picks the packets for
+   one batch-send operation, sized by the batch policy
+   (:meth:`FobsSender.next_batch` is the same, as packet objects);
 2. *acknowledgement processing* — :meth:`FobsSender.on_ack` merges the
    receiver's bitmap, measures the receiver's progress since the
    previous ACK and feeds the batch/congestion policies;
@@ -137,50 +138,35 @@ class FobsSender:
             return tail if tail > 0 else self.config.packet_size
         return self.config.packet_size
 
-    def next_batch(self, size: Optional[int] = None) -> list[DataPacket]:
-        """Packets for the next batch-send operation.
+    def select_batch(
+        self, size: Optional[int] = None
+    ) -> tuple[list[int], list[int]]:
+        """Select and account the next batch-send operation.
 
-        Empty when the transfer is complete *or* when every packet is
-        locally acknowledged and the sender is merely waiting for the
-        completion signal.  ``size`` overrides the batch policy (used
-        by stall probes, which must not inherit a collapsed batch size).
+        Returns ``(seqs, transmissions)`` as the scheduler's
+        ``take_batch`` does — the columns the real-socket codec packs
+        straight into datagrams.  Both are empty when the transfer is
+        complete *or* when every packet is locally acknowledged and the
+        sender is merely waiting for the completion signal.  ``size``
+        overrides the batch policy (used by stall probes, which must
+        not inherit a collapsed batch size).
         """
         if self.complete:
-            return []
+            return [], []
         if size is None:
             size = self.batch_policy.next_batch_size()
         seqs, trans = self.scheduler.take_batch(self.acked, size)
         if not seqs:
-            return []
-        npackets = self.npackets
-        psize = self.config.packet_size
-        epoch = self.epoch
-        final = npackets - 1
-        tail = self._tail_payload
-        # DataPacket.unchecked, inlined: direct slot stores into the
-        # instance dict beat both the classmethod call and a kwargs
-        # dict per packet (this loop runs once per datagram sent).
-        new = object.__new__
-        cls = DataPacket
-        batch = []
-        append = batch.append
-        for seq, t in zip(seqs, trans):
-            pkt = new(cls)
-            d = pkt.__dict__
-            d["seq"] = seq
-            d["total"] = npackets
-            d["payload_bytes"] = psize if seq != final else tail
-            d["transmission"] = t
-            d["epoch"] = epoch
-            append(pkt)
+            return seqs, trans
+        nsent = len(seqs)
         nfirst = trans.count(0)
         st = self.stats
-        st.packets_sent += len(batch)
+        st.packets_sent += nsent
         st.first_transmissions += nfirst
-        retrans_in_batch = len(batch) - nfirst
+        retrans_in_batch = nsent - nfirst
         st.retransmissions += retrans_in_batch
         st.batches += 1
-        self._sent_since_ack += len(batch)
+        self._sent_since_ack += nsent
         if retrans_in_batch:
             if not self._in_retransmit_round:
                 self._in_retransmit_round = True
@@ -195,11 +181,22 @@ class FobsSender:
             self._in_retransmit_round = False
         if self.telemetry.enabled:
             self.telemetry.emit(
-                EV_BATCH_SENT, size=len(batch),
+                EV_BATCH_SENT, size=nsent,
                 sent=st.packets_sent,
                 first=st.first_transmissions,
                 retrans=st.retransmissions)
-        return batch
+        return seqs, trans
+
+    def next_batch(self, size: Optional[int] = None) -> list[DataPacket]:
+        """:meth:`select_batch`, stamped into :class:`DataPacket`s —
+        what the DES sends, whose frames carry the objects."""
+        seqs, trans = self.select_batch(size)
+        npackets, epoch = self.npackets, self.epoch
+        psize, tail = self.config.packet_size, self._tail_payload
+        final = npackets - 1
+        stamp = DataPacket.unchecked
+        return [stamp(seq, npackets, psize if seq != final else tail, t, epoch)
+                for seq, t in zip(seqs, trans)]
 
     # ------------------------------------------------------------------
     def on_ack(self, ack: AckPacket, now: float) -> int:
@@ -366,14 +363,18 @@ class FobsSender:
         """Seconds until the next stall probe is due."""
         return max(self._next_probe - now, 1e-6)
 
-    def probe_batch(self) -> list[DataPacket]:
-        """The re-blast batch for one stall probe.
+    def select_probe(self) -> tuple[list[int], list[int]]:
+        """The re-blast batch for one stall probe, as columns.
 
         At least ``ack_frequency`` unacked packets: the adaptive batch
         policy may have collapsed to a tiny batch during the stall, and
         a probe smaller than the acknowledgement frequency could never
         elicit a count-triggered ACK from the receiver.
         """
+        return self.select_batch(size=self.config.ack_frequency)
+
+    def probe_batch(self) -> list[DataPacket]:
+        """:meth:`next_batch` of :meth:`select_probe`'s size."""
         return self.next_batch(size=self.config.ack_frequency)
 
     # ------------------------------------------------------------------

@@ -11,9 +11,9 @@ classes here and owns nothing but its sockets and its clock:
   abort, pacing, one burst-codec pass per batch, the tuner hooks.
   Acknowledgement datagrams and the completion signal are pushed in.
 * :class:`RecvDriver` is the receiver loop of Section 3.2 as
-  ``on_burst(views, now) -> [ack_bytes]``: decode the train, then per
-  datagram place at ``seq * packet_size``, mark, maybe build the bitmap
-  acknowledgement.
+  ``on_burst(views, now) -> [ack_bytes]``: decode the train, place
+  each payload at ``seq * packet_size``, then mark the train in one
+  core call that builds the bitmap acknowledgements falling due.
 * :class:`PartFile` is the crash-persistent ``.part`` + journal
   lifecycle a file-backed receiver wraps around that loop.
 
@@ -35,7 +35,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.core.journal import ReceiverJournal
-from repro.core.manifest import ChunkManifest, VerifyStats, corrupt_ranges
+from repro.core.manifest import (
+    VERIFY_READ_BYTES,
+    ChunkManifest,
+    VerifyStats,
+    corrupt_ranges,
+)
 from repro.core.receiver import FobsReceiver
 from repro.core.sender import FobsSender
 from repro.runtime import wire
@@ -179,21 +184,21 @@ class SendDriver:
             wait = self._sent_at + self._sent_bytes * 8.0 / rate - now
             if wait > 0.0:
                 return min(wait, PACING_CLAMP)
-        batch = (sender.probe_batch() if stall == "probe"
-                 else sender.next_batch())
-        if not batch:
+        seqs, transmissions = (sender.select_probe() if stall == "probe"
+                               else sender.select_batch())
+        if not seqs:
             return IDLE_WAIT
         if self.tuner is not None:
-            self.tuner.maybe_probe(batch[0].seq, now)
+            self.tuner.maybe_probe(seqs[0], now)
         # One codec pass for the whole batch: payloads sliced zero-copy
-        # from the object, one shared buffer behind every datagram
-        # handed to ``send``.
+        # from the object (the slice that runs off its end is the short
+        # last packet), one shared buffer behind every datagram handed
+        # to ``send``.
         psize = sender.config.packet_size
         blob = self._blob
         views = wire.encode_data_burst(
-            batch,
-            [blob[pkt.seq * psize:pkt.seq * psize + pkt.payload_bytes]
-             for pkt in batch],
+            seqs, transmissions, sender.npackets,
+            [blob[seq * psize:(seq + 1) * psize] for seq in seqs],
             checksum=sender.config.checksum, session=self.session)
         self._tail = views[self.send(views):]
         if rate is not None:
@@ -216,6 +221,8 @@ class RecvDriver:
         # Per-datagram constants, read once (the config is frozen).
         self._checksum = receiver.config.checksum
         self._psize = receiver.config.packet_size
+        self._tail = (receiver.total_bytes
+                      - (receiver.npackets - 1) * self._psize)
         #: Typed ``storage fault`` reason once the store (or journal)
         #: raised; the caller fails the *attempt*, not the process.
         self.fault: Optional[str] = None
@@ -224,25 +231,33 @@ class RecvDriver:
         """Process one train of data datagrams, in order; returns the
         ACK bytes to transmit, in order.
 
-        One codec pass for the train, then per datagram: place, mark,
-        maybe acknowledge.  Damaged, stale-epoch and foreign-session
-        datagrams, and ones whose geometry is not this object's, only
-        move their counters and never reach the store — or take their
-        neighbours down.  Stops after the datagram that faulted the
-        store or left the object complete.  One too short to be a data
-        packet raises ``ValueError``, once the rest of the train has
-        been processed.
+        One codec pass for the train, one store call per datagram, then
+        one call into the receiver core to mark what was placed and
+        build the acknowledgements that fall due.  Damaged, stale-epoch
+        and foreign-session datagrams, and ones whose geometry is not
+        this object's, only move their counters and never reach the
+        store — or take their neighbours down.  Stops after the
+        datagram that faulted the store or left the object complete.
+        One too short to be a data packet raises ``ValueError``, once
+        the rest of the train has been processed.
         """
         receiver = self.receiver
-        write_at, on_data = self.write_at, receiver.on_data
+        write_at = self.write_at
         psize, npackets = self._psize, receiver.npackets
-        total_bytes = receiver.total_bytes
+        last, tail = npackets - 1, self._tail
         results, errors = wire.decode_data_burst(
             datagrams, checksum=self._checksum, session=self.session)
         rejects = iter(errors)
-        undecodable = None
+        undecodable = write_fault = None
         acks: list[bytes] = []
-        done = receiver.complete
+        # Placed, not yet marked.
+        seqs: list[int] = []
+        # The object can complete no earlier than the placement that
+        # brings the unmarked ones up to what is still missing, so
+        # marking there — and at the train's end — stops the train at
+        # the datagram a per-packet loop would stop at.
+        room = receiver.bitmap.missing
+        done = room == 0
         for result in results:
             if result is None:
                 _index, exc = next(rejects)
@@ -256,32 +271,46 @@ class RecvDriver:
                 elif undecodable is None:
                     undecodable = exc
             else:
-                pkt, payload = result
-                offset = pkt.seq * psize
-                if (pkt.total != npackets or len(payload) != min(
-                        psize, total_bytes - offset)):
+                seq, total, _transmission, payload = result
+                if (total != npackets or len(payload) != (
+                        psize if seq != last else tail)):
                     # Would land outside its own packet's bytes.
                     receiver.on_corrupt_data(now)
                 else:
-                    # Data before log: the payload must be in the store
-                    # before the journal claims it (on_data journals
-                    # newly marked packets).
+                    # Data before log: every payload of the train is in
+                    # the store before on_train journals its packet.
                     try:
-                        write_at(offset, payload)
-                        ack = on_data(pkt.seq, now)
+                        write_at(seq * psize, payload)
                     except OSError as exc:
-                        self.fault = storage_fault(self.channel, "part", exc)
+                        write_fault = exc
                         break
-                    if ack is not None:
-                        acks.append(wire.encode_ack(
-                            ack, checksum=self._checksum,
-                            session=self.session))
-                        done = receiver.complete
+                    seqs.append(seq)
+                    room -= 1
+                    if room <= 0:
+                        done = self._mark(seqs, now, acks)
+                        seqs = []
+                        room = receiver.bitmap.missing
             if done:
                 break
+        if seqs:
+            self._mark(seqs, now, acks)
+        if write_fault is not None and self.fault is None:
+            self.fault = storage_fault(self.channel, "part", write_fault)
         if undecodable is not None:
             raise undecodable
         return acks
+
+    def _mark(self, seqs: list, now: float, acks: list) -> bool:
+        """Mark a placed train; its acknowledgements join ``acks``.
+        True when that ended the receive: complete, or a journal fault."""
+        try:
+            for ack in self.receiver.on_train(seqs, now):
+                acks.append(wire.encode_ack(
+                    ack, checksum=self._checksum, session=self.session))
+        except OSError as exc:
+            self.fault = storage_fault(self.channel, "part", exc)
+            return True
+        return self.receiver.complete
 
     def on_datagram(self, datagram, now: float) -> Optional[bytes]:
         """:meth:`on_burst` for a train of one."""
@@ -364,7 +393,7 @@ class PartFile:
                 self._fh.truncate(filesize)
             elif manifest is not None and self.journal.bitmap.count:
                 claimed = np.flatnonzero(self.journal.bitmap.array)
-                self._verify("resume", self._fh, claimed.tolist())
+                self._verify("resume", claimed.tolist())
             if replay is not None:
                 self.resume_bitmap = self.journal.bitmap.array
         except OSError as exc:
@@ -388,33 +417,16 @@ class PartFile:
         """
         try:
             self._fh.flush()
-            self._fh.seek(0)
-            blob = self._fh.read(self.filesize)
-        except OSError as exc:
-            return storage_fault(self.channel, "readback", exc)
-        if self.manifest is not None:
-            corrupt = self._verify("complete", blob, None)
-            if corrupt:
-                return (f"verify failed: {corrupt} corrupt chunk(s) "
-                        f"demoted for re-fetch")
-        else:
-            t0 = time.monotonic()
-            stats = VerifyStats(phase="complete", mode="crc32",
-                                chunks_checked=1)
-            crc_ok = zlib.crc32(blob) == self.crc
-            stats.duration = max(time.monotonic() - t0, 1e-9)
-            if not crc_ok:
-                stats.chunks_corrupt = 1
-                stats.bytes_demoted = len(blob)
-                if self.journal is not None:
-                    claimed = np.flatnonzero(self.journal.bitmap.array)
-                    stats.ranges_demoted = len(
-                        corrupt_ranges(claimed.tolist()))
-                    self._demote(claimed)
-            self._record(stats, -(-len(blob) // self.packet_size))
-            if not crc_ok:
+            if self.manifest is not None:
+                corrupt = self._verify("complete", None)
+                if corrupt:
+                    return (f"verify failed: {corrupt} corrupt chunk(s) "
+                            f"demoted for re-fetch")
+            elif not self._verify_crc():
                 return ("CRC mismatch after reassembly; "
                         "all packets demoted for re-fetch")
+        except OSError as exc:
+            return storage_fault(self.channel, "readback", exc)
         failure = self.close()
         if failure is None:
             try:
@@ -425,20 +437,38 @@ class PartFile:
                 self.journal.delete()
         return failure
 
-    def _verify(self, phase: str, target, seqs) -> int:
-        """One digest audit of ``seqs`` (None = the whole object).
+    def _verify_crc(self) -> bool:
+        """The no-manifest completion audit: whole-object CRC32, read
+        back a bounded window at a time.  A mismatch demotes everything
+        the journal claimed."""
+        t0 = time.monotonic()
+        stats = VerifyStats(phase="complete", mode="crc32", chunks_checked=1)
+        self._fh.seek(0)
+        crc = nread = 0
+        for window in iter(lambda: self._fh.read(VERIFY_READ_BYTES), b""):
+            crc = zlib.crc32(window, crc)
+            nread += len(window)
+        crc_ok = crc == self.crc
+        stats.duration = max(time.monotonic() - t0, 1e-9)
+        if not crc_ok:
+            stats.chunks_corrupt = 1
+            stats.bytes_demoted = nread
+            if self.journal is not None:
+                claimed = np.flatnonzero(self.journal.bitmap.array)
+                stats.ranges_demoted = len(corrupt_ranges(claimed.tolist()))
+                self._demote(claimed)
+        self._record(stats, -(-nread // self.packet_size))
+        return crc_ok
 
-        ``target`` is the open part file (resume audit) or the object's
-        bytes (completion audit).  Returns the corrupt-chunk count;
-        those chunks are demoted.
+    def _verify(self, phase: str, seqs) -> int:
+        """One digest audit of the part file's chunks ``seqs`` (None =
+        the whole object).  Returns the corrupt-chunk count; those
+        chunks are demoted.
         """
         t0 = time.monotonic()
         manifest = self.manifest
         stats = VerifyStats(phase=phase, mode="manifest")
-        if isinstance(target, bytes):
-            bad = manifest.verify_blob(target, seqs)
-        else:
-            bad = manifest.verify_file(target, seqs)
+        bad = manifest.verify_file(self._fh, seqs)
         stats.chunks_checked = (manifest.npackets if seqs is None
                                 else len(seqs))
         stats.chunks_corrupt = int(bad.size)

@@ -3,7 +3,7 @@
 A sender driving :class:`FobsSender` and a receiver driving
 :class:`FobsReceiver` on 127.0.0.1, with the paper's three connections:
 a UDP data socket, a UDP acknowledgement socket, and a TCP completion
-connection.  The transferred object is checksummed on both sides.
+connection.  What arrived is compared with what was sent, byte for byte.
 
 The protocol loops themselves live in :mod:`repro.runtime.driver`; this
 module owns the sockets and the blocking around them, written once and
@@ -34,7 +34,6 @@ drives the retry loop over these hooks.
 from __future__ import annotations
 
 import functools
-import hashlib
 import select
 import socket
 import struct
@@ -431,19 +430,21 @@ def run_loopback_transfer(
     ack_out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     data_addr, ack_addr = data_sock.getsockname(), ack_sock.getsockname()
 
+    placed = 0
+
     def place(offset: int, payload) -> None:
-        if kill_rx is not None:
-            stats = receiver.stats
-            handled = stats.packets_new + stats.packets_duplicate
-            if kill_rx.should_fire(handled):
-                # The pending (unflushed) journal run is lost with the
-                # process; the sender must stall-abort.
-                kill_rx.fire(time.monotonic())
-                if journal is not None:
-                    journal.simulate_crash()
-                raise EndpointKilled(f"receiver killed by crash injection "
-                                     f"after {handled} data packets")
+        nonlocal placed
+        if kill_rx is not None and kill_rx.should_fire(placed):
+            # What this train placed but had not yet marked, and the
+            # pending (unflushed) journal run, are lost with the
+            # process; the sender must stall-abort.
+            kill_rx.fire(time.monotonic())
+            if journal is not None:
+                journal.simulate_crash()
+            raise EndpointKilled(f"receiver killed by crash injection "
+                                 f"after {placed} data packets")
         buffer[offset:offset + len(payload)] = payload
+        placed += 1
 
     def send_ack(ack: bytes) -> None:
         if not blackhole_acks:
@@ -498,10 +499,7 @@ def run_loopback_transfer(
 
     crashed = "sender" if tx.crashed else "receiver" if rx.crashed else None
     completed = sender.complete and receiver.complete and crashed is None
-    checksum_ok = completed and (
-        hashlib.sha256(buffer).digest()
-        == hashlib.sha256(data).digest()
-    )
+    checksum_ok = completed and buffer == data
     return LoopbackResult(
         nbytes=nbytes,
         duration=duration,

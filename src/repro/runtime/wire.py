@@ -221,13 +221,18 @@ _DATA_SESSION_HDR = struct.Struct("!IIiQI")
 
 
 def encode_data_burst(
-    packets: "list[DataPacket]",
+    seqs: "list[int]",
+    transmissions: "list[int]",
+    total: int,
     payloads: "list",
     checksum: bool = False,
     session: Optional[SessionContext] = None,
 ) -> list[memoryview]:
     """Serialize a whole batch of DATA datagrams into one buffer.
 
+    The batch comes as columns — packet ``i`` is ``seqs[i]`` of
+    ``total``, on transmission ``transmissions[i]``, carrying
+    ``payloads[i]`` — so the send path builds no object per datagram.
     Byte-identical to calling :func:`encode_data` per packet — the
     burst equivalence property the hypothesis suite pins — but with one
     allocation for the batch: each header (and session extension) is
@@ -236,10 +241,11 @@ def encode_data_burst(
     per datagram, all windows into the shared buffer, ready to hand to
     ``sendmsg``/``sendto`` without further copies.
     """
-    n = len(packets)
-    if len(payloads) != n:
+    n = len(seqs)
+    if len(payloads) != n or len(transmissions) != n:
         raise ValueError(
-            f"{n} packets but {len(payloads)} payloads")
+            f"{n} packets but {len(transmissions)} transmission counts "
+            f"and {len(payloads)} payloads")
     if n == 0:
         return []
     if session is not None:
@@ -255,14 +261,13 @@ def encode_data_burst(
     crc_into = _CRC.pack_into
     views = []
     start = 0
-    for pkt, payload in zip(packets, payloads):
-        if len(payload) != pkt.payload_bytes:
-            raise ValueError(
-                f"payload length {len(payload)} != declared "
-                f"{pkt.payload_bytes}")
-        pack_into(buf, start, pkt.seq, pkt.total, pkt.transmission, *ext)
-        end = start + base + len(payload)
-        mv[start + base:end] = payload
+    for seq, transmission, payload in zip(seqs, transmissions, payloads):
+        body = start + base
+        end = body + len(payload)
+        if end == body:
+            raise ValueError("data packet with empty payload")
+        pack_into(buf, start, seq, total, transmission, *ext)
+        mv[body:end] = payload
         if checksum:
             crc_into(buf, end, crc32(mv[start:end]))
             end += trailer
@@ -278,14 +283,14 @@ def decode_data_burst(
 ) -> tuple[list, list]:
     """Parse a batch of DATA datagrams: the receive path's codec.
 
-    Returns ``(results, errors)``: ``results[i]`` is a
-    ``(DataPacket, memoryview)`` pair — the payload view is zero-copy
-    into the caller's buffer — or ``None`` where datagram ``i`` was
-    rejected; ``errors`` lists ``(index, exception)`` pairs for the
-    rejects, in index order.  Each datagram is validated independently
-    with exactly :func:`decode_data`'s semantics (same checks, same
-    order, same exception types), so one corrupted datagram in a burst
-    never takes its neighbours down.
+    Returns ``(results, errors)``: ``results[i]`` is a plain ``(seq,
+    total, transmission, payload_view)`` tuple — the payload view is
+    zero-copy into the caller's buffer — or ``None`` where datagram
+    ``i`` was rejected; ``errors`` lists ``(index, exception)`` pairs
+    for the rejects, in index order.  Each datagram is validated
+    independently with exactly :func:`decode_data`'s semantics (same
+    checks, same order, same exception types), so one corrupted
+    datagram in a burst never takes its neighbours down.
     """
     results: list = [None] * len(datagrams)
     errors: list = []
@@ -299,7 +304,6 @@ def decode_data_burst(
     trailer = CHECKSUM_TRAILER_BYTES if checksum else 0
     crc32 = zlib.crc32
     crc_from = _CRC.unpack_from
-    packet = DataPacket.unchecked
     for i, datagram in enumerate(datagrams):
         view = memoryview(datagram)
         try:
@@ -315,7 +319,6 @@ def decode_data_burst(
                         "data packet failed CRC32 verification")
             if session is None:
                 seq, total, transmission = unpack_from(view)
-                epoch = 0
             elif body_end < base:
                 raise ValueError(
                     "data datagram shorter than session extension")
@@ -328,12 +331,10 @@ def decode_data_burst(
                     raise StaleEpochError(epoch, my_epoch, "data")
             if body_end == base:
                 raise ValueError("data packet with empty payload")
-            # DataPacket's own range check, without the frozen
-            # dataclass's __init__ + __post_init__ per datagram.
+            # DataPacket's own range check.
             if seq >= total:
                 raise ValueError(f"seq {seq} out of range [0, {total})")
-            results[i] = (packet(seq, total, body_end - base, transmission,
-                                 epoch), view[base:body_end])
+            results[i] = (seq, total, transmission, view[base:body_end])
         except ValueError as exc:  # includes Checksum/Session/Stale
             errors.append((i, exc))
     return results, errors

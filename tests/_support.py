@@ -9,6 +9,8 @@ from __future__ import annotations
 import struct
 
 from repro.core.config import FobsConfig
+from repro.core.packets import DataPacket
+from repro.runtime import wire
 from repro.simnet.topology import HopSpec, MBPS, Network, PathSpec, build_path
 
 
@@ -84,3 +86,26 @@ def raw_offer(filesize: int, packet_size: int, flags: int = 0,
         return struct.pack("!IQIIIIQI", 0xF0B50FF2, *fields, transfer_id,
                            epoch)
     return struct.pack("!IQIIII", 0xF0B50FFE, *fields)
+
+
+def encode_burst(packets, payloads, checksum=False, session=None):
+    """``wire.encode_data_burst`` for a list of ``DataPacket``s: the
+    adapter the packet-object tests reach the column codec through."""
+    for pkt, payload in zip(packets, payloads):
+        if len(payload) != pkt.payload_bytes:
+            raise ValueError(f"payload length {len(payload)} != declared "
+                             f"{pkt.payload_bytes}")
+    return wire.encode_data_burst(
+        [pkt.seq for pkt in packets],
+        [pkt.transmission for pkt in packets],
+        packets[0].total if packets else 0, payloads, checksum, session)
+
+
+def decode_burst(datagrams, checksum=False, session=None):
+    """``wire.decode_data_burst`` with each result tuple made the
+    ``(DataPacket, payload)`` pair ``wire.decode_data`` returns."""
+    results, errors = wire.decode_data_burst(datagrams, checksum, session)
+    epoch = session.epoch if session is not None else 0
+    return [result and (DataPacket.unchecked(
+        result[0], result[1], len(result[3]), result[2], epoch), result[3])
+        for result in results], errors

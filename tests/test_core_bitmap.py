@@ -164,3 +164,44 @@ def test_property_next_missing_is_first_false_circularly(npackets, data):
         if (start + off) % npackets not in marked
     )
     assert result == expected
+
+
+class TestFlagsAndArrayAreOneMemory:
+    """The byte per packet the scalar paths and the ``memchr`` sweep
+    use and the bool array the bulk operations use are the same bytes."""
+
+    def test_scalar_writes_show_in_the_array(self):
+        bm = PacketBitmap(8)
+        view = bm.array
+        bm.mark(5)
+        assert view[5] and bm.flags[5] == 1
+        bm.clear(5)
+        assert not view[5] and bm.flags[5] == 0
+
+    def test_bulk_writes_show_in_find(self):
+        bm = PacketBitmap(8)
+        other = np.ones(8, dtype=np.bool_)
+        other[6] = False
+        bm.merge(other)
+        assert bm.flags.find(0) == 6 and bm.next_missing(7) == 6
+        bm.mark_range(6, 1)
+        assert bm.flags.find(0) == -1 and bm.next_missing(0) is None
+        bm.demote([2, 3])
+        assert bm.flags.find(0, 3) == 3 and bm.count == 6
+        restored = PacketBitmap.from_bytes(bm.to_bytes(), 8)
+        assert bytes(restored.flags) == bytes(bm.flags)
+
+    def test_snapshot_is_an_independent_immutable_copy(self):
+        bm = PacketBitmap(4)
+        bm.mark(1)
+        snap = bm.snapshot()
+        bm.mark(2)
+        assert snap.tolist() == [False, True, False, False]
+        with pytest.raises(ValueError):
+            snap[0] = True
+
+    def test_array_stays_read_only(self):
+        bm = PacketBitmap(4)
+        with pytest.raises(ValueError):
+            bm.array[0] = True
+        assert bm.count == 0 and bm.flags[0] == 0

@@ -1,6 +1,9 @@
 """Tests for the sans-IO FOBS receiver state machine."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import FobsConfig
 from repro.core.receiver import FobsReceiver
@@ -80,3 +83,93 @@ class TestStats:
         for seq in range(3):
             r.on_data(seq, 0.1)
         assert r.stats.acks_built == 3
+
+
+class FailingJournal:
+    """Keeps every ``record`` call; the ``fail_at``-th raises."""
+
+    def __init__(self, fail_at):
+        self.fail_at = fail_at
+        self.records: list = []
+
+    def record(self, seq: int) -> None:
+        self.records.append(seq)
+        if len(self.records) == self.fail_at:
+            raise OSError(28, "No space left on device")
+
+
+def fold_on_data(rx: FobsReceiver, seqs, now: float, acks: list) -> None:
+    """``on_data`` over ``seqs`` one packet at a time, up to and
+    including the one that completes the object: the reference
+    :meth:`FobsReceiver.on_train` is held to."""
+    for seq in seqs:
+        was_complete = rx.complete
+        ack = rx.on_data(seq, now)
+        if ack is not None:
+            acks.append(ack)
+        if rx.complete and not was_complete:
+            break
+
+
+def receiver_state(rx: FobsReceiver) -> dict:
+    return dict(bitmap=rx.bitmap.array.tolist(), count=rx.bitmap.count,
+                stats=dataclasses.asdict(rx.stats),
+                next_ack_id=rx._next_ack_id,
+                new_since_ack=rx._new_since_ack,
+                last_data_time=rx.last_data_time,
+                last_ack_time=rx._last_ack_time,
+                journal=rx.journal.records)
+
+
+@st.composite
+def train_runs(draw):
+    npackets = draw(st.integers(1, 24))
+    # Mostly in range; -1 and npackets are what on_data rejects.
+    seq = st.one_of(st.integers(0, npackets - 1),
+                    st.integers(-1, npackets))
+    trains = draw(st.lists(st.tuples(
+        st.lists(seq, max_size=20),
+        # Some gaps cross ack_refresh_interval (5 s), most do not.
+        st.sampled_from((0.001, 0.5, 6.0)),
+        # The tuner reassigns F between trains.
+        st.one_of(st.none(), st.integers(1, 6)),
+    ), min_size=1, max_size=8))
+    fail_at = draw(st.one_of(st.none(), st.integers(1, 30)))
+    return npackets, draw(st.integers(1, 6)), trains, fail_at
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=train_runs())
+def test_property_on_train_equals_folding_on_data(run):
+    """One ``on_train`` call per train leaves the bitmap, every counter,
+    the ACK numbering, the journal's record sequence and the returned
+    acknowledgements exactly where per-packet ``on_data`` calls do --
+    through duplicates, rejected sequence numbers, refresh-rule gaps,
+    a retuned ``ack_frequency`` and a journal that raises mid-train."""
+    npackets, frequency, trains, fail_at = run
+    config = FobsConfig(ack_frequency=frequency)
+    ours, ref = (FobsReceiver(config, npackets * config.packet_size,
+                              journal=FailingJournal(fail_at), epoch=2)
+                 for _ in range(2))
+    now = 0.0
+    for seqs, gap, retuned in trains:
+        now += gap
+        if retuned is not None:
+            ours.ack_frequency = ref.ack_frequency = retuned
+        ref_acks: list = []
+        ref_error = error = acks = None
+        try:
+            fold_on_data(ref, seqs, now, ref_acks)
+        except (IndexError, OSError) as exc:
+            ref_error = exc
+        try:
+            acks = ours.on_train(seqs, now)
+        except (IndexError, OSError) as exc:
+            error = exc
+        assert (type(error), str(error)) == (type(ref_error), str(ref_error))
+        assert receiver_state(ours) == receiver_state(ref)
+        if error is None:
+            assert [(a.ack_id, a.received_count, a.bitmap.tolist(), a.epoch)
+                    for a in acks] == [
+                (a.ack_id, a.received_count, a.bitmap.tolist(), a.epoch)
+                for a in ref_acks]

@@ -120,6 +120,42 @@ class TestCircular:
                 assert counts.max() - counts.min() <= 1
 
 
+    @pytest.mark.parametrize("missing", [0, 40_959])
+    def test_one_straggler_at_either_end_goes_round(self, missing):
+        """The worst case for a scan: one unacked packet in a
+        paper-sized bitmap, a batch of 64.  Every pick is that packet,
+        every pick after the first closes a round, and the reference
+        agrees."""
+        npackets = 40_960
+        acked = PacketBitmap(npackets)
+        everything = np.ones(npackets, dtype=np.bool_)
+        everything[missing] = False
+        acked.merge(everything)
+        sched, twin = CircularScheduler(npackets), CircularScheduler(npackets)
+        for _ in range(2):
+            got = sched.take_batch(acked, 64)
+            assert got == stepwise(twin, acked, 64)
+            assert got[0] == [missing] * 64
+        assert sched.rounds == twin.rounds >= 127
+        assert np.array_equal(sched.send_count, twin.send_count)
+
+    def test_a_demotion_between_batches_is_seen_by_the_next_sweep(self):
+        """Nothing is cached between batches: a verify pass clearing
+        packets behind the pointer steers the very next pick."""
+        acked = PacketBitmap(8)
+        for seq in range(8):
+            if seq != 6:
+                acked.mark(seq)
+        sched = CircularScheduler(8)
+        assert sched.take_batch(acked, 1) == ([6], [0])
+        acked.clear(7)
+        assert sched.take_batch(acked, 2) == ([7, 6], [0, 1])
+        acked.demote([1, 2])
+        assert sched.take_batch(acked, 4) == ([7, 1, 2, 6], [1, 0, 0, 2])
+        acked.mark(6)
+        assert sched.take_batch(acked, 3) == ([7, 1, 2], [2, 1, 1])
+
+
 class TestSequentialRestart:
     def test_restarts_from_lowest_unacked(self):
         acked = PacketBitmap(100)

@@ -180,9 +180,19 @@ class TestSelectionPath:
         for banned in ("scheduler._", "_circ", "bisect", "next_seq(",
                        "record_sent("):
             assert banned not in sources["sender.py"], banned
-        calls = {name: len(re.findall(r"bisect_left\(", text))
-                 for name, text in sources.items() if "bisect_left(" in text}
-        assert calls == {"scheduling.py": 1}
+        # The sweep scans the flag bytes themselves: no search structure
+        # beside the bitmap is left to go stale.
+        assert not [name for name, text in sources.items()
+                    if "bisect" in text]
         users = [name for name, text in sources.items()
                  if ".take_batch(" in text]
         assert users == ["sender.py"]
+        # Nobody reaches into a bitmap's or a scheduler's privates.
+        src = os.path.join(core, "..")
+        for folder, _dirs, names in os.walk(src):
+            for name in names:
+                if name.endswith(".py"):
+                    with open(os.path.join(folder, name)) as fh:
+                        reach = re.findall(
+                            r"\b(?:bitmap|acked|scheduler)\._\w+", fh.read())
+                    assert not reach, (name, reach)

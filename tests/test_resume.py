@@ -16,6 +16,7 @@ import pytest
 
 from repro.analysis.diagnostics import recovery_report
 from repro.core.config import FobsConfig
+from repro.core.journal import ReceiverJournal
 from repro.core.receiver import FobsReceiver
 from repro.core.sender import FobsSender
 from repro.core.session import FobsTransfer
@@ -26,6 +27,7 @@ from repro.runtime.supervisor import (
     run_resumable_fobs_transfer,
     run_resumable_loopback,
 )
+from repro.runtime.transfer import run_loopback_transfer
 from repro.simnet.faults import KillSwitch
 
 from _support import tiny_path
@@ -291,6 +293,45 @@ class TestLoopbackResume:
                              result.final.checksum_ok))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][1:] == (True, "receiver", True)
+
+
+    def test_receiver_kill_fires_on_the_packet_it_names(self, tmp_path):
+        """A kill "after N data packets" dies before placement N + 1
+        whatever the train size (N is no multiple of the batch), says
+        so, and leaves a journal that claims nothing the buffer does
+        not hold: what the dying train had placed but not yet marked
+        is simply re-sent."""
+        config = loop_config(batch_size=16)
+        psize, npackets, after = config.packet_size, 200, 37
+        nbytes = npackets * psize
+        data = np.random.default_rng(4).integers(
+            0, 256, size=nbytes, dtype=np.uint8).tobytes()
+        buffer = bytearray(nbytes)
+        path = str(tmp_path / "kill.journal")
+
+        def attempt(epoch, **hooks):
+            journal, replay = ReceiverJournal.open(path, 77, nbytes, psize,
+                                                   flush_every=4)
+            resume = replay.bitmap.array if replay is not None else None
+            return resume, run_loopback_transfer(
+                nbytes=nbytes, config=config, data=data, journal=journal,
+                resume_bitmap=resume, buffer=buffer, timeout=30.0,
+                session=wire.SessionContext(77, epoch), **hooks)
+
+        _none, first = attempt(0, kill=KillSwitch(target="receiver",
+                                                  after_packets=after))
+        assert first.crashed == "receiver" and not first.completed
+        assert first.failure_reason == (
+            f"receiver killed by crash injection after {after} data packets")
+        placed = {seq for seq in range(npackets)
+                  if buffer[seq * psize:(seq + 1) * psize]
+                  == data[seq * psize:(seq + 1) * psize]}
+        assert len(placed) == after
+        claimed, second = attempt(1)
+        assert set(np.flatnonzero(claimed).tolist()) <= placed
+        assert second.completed and second.checksum_ok
+        assert second.resumed_packets == int(claimed.sum())
+        assert bytes(buffer) == data
 
 
 hypothesis = pytest.importorskip("hypothesis")

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.bitmap import PacketBitmap
 from repro.core.config import FobsConfig
 from repro.core.packets import DataPacket
 from repro.core.receiver import FobsReceiver
@@ -28,6 +29,7 @@ from repro.runtime.transfer import (
     BurstSend,
     accept_trains,
     drain,
+    run_loopback_transfer,
     udp_offload,
 )
 
@@ -51,9 +53,10 @@ class Endpoint:
         self.store = bytearray((npackets - 1) * PSIZE + tail)
         self.writes = 0
         self.fail_at = fail_at
-        #: (seq, the store's bytes for it at the moment it was logged).
+        #: Sequence numbers, in the order they were logged.
         self.journal: list = []
-        self.last_write = None
+        #: offset -> the payload last written there.
+        self.written: dict = {}
         self.fault = None
         self.receiver = FobsReceiver(
             config, len(self.store), journal=self,
@@ -61,15 +64,15 @@ class Endpoint:
 
     def record(self, seq: int) -> None:
         chunk = bytes(self.store[seq * PSIZE:(seq + 1) * PSIZE])
-        assert self.last_write == (seq * PSIZE, chunk), "log before data"
-        self.journal.append((seq, chunk))
+        assert self.written.get(seq * PSIZE) == chunk, "log before data"
+        self.journal.append(seq)
 
     def write_at(self, offset: int, payload) -> None:
         self.writes += 1
         if self.writes == self.fail_at:
             raise OSError(errno.ENOSPC, "No space left on device")
         self.store[offset:offset + len(payload)] = payload
-        self.last_write = (offset, bytes(payload))
+        self.written[offset] = bytes(payload)
 
     def state(self) -> dict:
         rx = self.receiver
@@ -211,6 +214,36 @@ def test_a_bad_datagram_never_takes_its_neighbours_down():
     acks = driver.on_burst([good[1], good[3], good[0]], 2.0)
     assert end.receiver.complete and len(acks) == 2
     assert end.receiver.stats.packets_duplicate == 0
+
+
+def test_a_clean_loopback_builds_no_packet_object_and_never_rescans(
+        monkeypatch):
+    """Counts that repeat exactly: over one clean 1,024-packet loopback
+    no ``DataPacket`` is constructed by any of its three routes
+    (``DataPacket(...)``, ``DataPacket.unchecked``, the stamping in
+    ``FobsSender.next_batch``) and the bitmap's missing list is never
+    rebuilt -- the send path moves columns, the sweep scans flags."""
+    calls = dict.fromkeys(
+        ("__post_init__", "unchecked", "next_batch", "missing_indices"), 0)
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(DataPacket, "__post_init__")
+    counted(DataPacket, "unchecked")
+    counted(FobsSender, "next_batch")
+    counted(PacketBitmap, "missing_indices")
+    config = FobsConfig(packet_size=1024, ack_frequency=64, batch_size=16,
+                        checksum=True)
+    result = run_loopback_transfer(nbytes=1 << 20, config=config)
+    assert result.completed and result.checksum_ok
+    assert (result.packets_sent, result.acks_sent) == (1024, 16)
+    assert not any(calls.values()), calls
 
 
 # ----------------------------------------------------------------------

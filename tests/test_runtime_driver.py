@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.config import FobsConfig
 from repro.core.journal import ReceiverJournal
+from repro.core.manifest import VERIFY_READ_BYTES, ChunkManifest
 from repro.core.packets import DataPacket
 from repro.core.receiver import FobsReceiver
 from repro.core.sender import FobsSender
@@ -100,9 +101,9 @@ class TestSendDriver:
         monkeypatch.setattr(
             wire, "encode_data_burst",
             lambda *a, **k: calls.append("encode") or real_burst(*a, **k))
-        real_next = drv.sender.next_batch
-        drv.sender.next_batch = (
-            lambda *a, **k: calls.append("pick") or real_next(*a, **k))
+        real_select = drv.sender.select_batch
+        drv.sender.select_batch = (
+            lambda *a, **k: calls.append("pick") or real_select(*a, **k))
         real_send = drv.send
         drv.send = lambda views: calls.append("send") or real_send(views)
 
@@ -452,6 +453,60 @@ class TestPartFile:
         part = PartFile(out, len(data), PSIZE, crc=0, opener=refuse)
         assert part.fault.startswith("storage fault [EIO] at part-open")
 
+    @pytest.mark.parametrize("with_manifest", [False, True])
+    def test_publish_audits_in_bounded_memory(self, tmp_path, with_manifest):
+        """Verify-on-complete never holds the object: no single read of
+        an 8 MB publish is above 1 MiB, and the audit still passes --
+        and still catches one flipped byte."""
+        import zlib
+
+        psize = 1024
+        data = np.random.default_rng(7).integers(
+            0, 256, size=(8 << 20) - 100, dtype=np.uint8).tobytes()
+        manifest = (ChunkManifest.from_data(data, psize) if with_manifest
+                    else None)
+        reads = []
+
+        class Spy:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def read(self, size=-1):
+                got = self._fh.read(size)
+                reads.append((size, len(got)))
+                return got
+
+            def __getattr__(self, name):
+                return getattr(self._fh, name)
+
+        def opener(path, mode):
+            return Spy(open(path, mode))
+
+        for damaged in (False, True):
+            out = str(tmp_path / f"obj{int(damaged)}.bin")
+            part = PartFile(out, len(data), psize, crc=zlib.crc32(data),
+                            transfer_id=5, manifest=manifest, opener=opener)
+            part.write_at(0, data)
+            if damaged:
+                part.write_at(5_000_000, bytes([data[5_000_000] ^ 1]))
+            part.journal.record_range(0, part.journal.bitmap.npackets)
+            del reads[:]
+            failure = part.publish()
+            assert reads and all(0 <= size <= VERIFY_READ_BYTES
+                                 and got <= VERIFY_READ_BYTES
+                                 for size, got in reads), reads
+            assert sum(got for _size, got in reads) == len(data)
+            if not damaged:
+                assert failure is None
+                with open(out, "rb") as fh:
+                    assert fh.read() == data
+            elif with_manifest:
+                assert failure.startswith("verify failed: 1 corrupt chunk(s)")
+                assert part.vstats.corrupt_seqs == [5_000_000 // psize]
+            else:
+                assert failure.startswith("CRC mismatch after reassembly")
+            part.close()
+
 
 def test_the_loops_are_written_once():
     """Each protocol call site appears in exactly one real-socket module."""
@@ -462,13 +517,20 @@ def test_the_loops_are_written_once():
             if name.endswith(".py") and name != "wire.py":
                 with open(os.path.join(root, package, name)) as fh:
                     sources[f"{package}/{name}"] = fh.read()
-    for call in (".next_batch(", ".probe_batch(", ".poll_stall(",
+    for call in (".select_batch(", ".select_probe(", ".poll_stall(",
                  "wire.decode_data_burst(", "wire.decode_ack(",
                  "wire.encode_ack(", "encode_data_burst("):
         users = [m for m, text in sources.items()
                  if re.search(re.escape(call), text)]
         assert users == ["runtime/driver.py"], (call, users)
     assert not any("wire.encode_data(" in text or "TokenBucket" in text
+                   for text in sources.values())
+    # ... and the real-socket path moves columns and tuples: the
+    # per-datagram packet object is the DES's alone.
+    for module in ("runtime/driver.py", "runtime/transfer.py",
+                   "runtime/files.py", "server/daemon.py"):
+        assert "DataPacket" not in sources[module], module
+    assert not any(re.search(r"\.(next|probe)_batch\(", text)
                    for text in sources.values())
     # decode → place → mark → ACK is one loop: the store is written to
     # from one call site.

@@ -1,7 +1,12 @@
 """End-to-end tests for FOBS transfers over the simulated network."""
 
+import dataclasses
+import hashlib
+import json
+
 import pytest
 
+import repro
 from repro.core import FobsConfig, FobsTransfer, run_fobs_transfer
 
 from _support import quick_config, tiny_path
@@ -184,3 +189,39 @@ class TestBatchPolicies:
         net = tiny_path()
         stats = run_fobs_transfer(net, 200_000, quick_config(batch_size=batch))
         assert stats.completed
+
+
+#: SHA-256 of each path's whole ``TransferStats`` at 10 MB, seed 0,
+#: written by the commit *before* the bitmap became flag bytes, the
+#: sweep a ``memchr`` and ``next_batch`` a stamping of ``select_batch``:
+#: the DES is bit-identical across that change, and across any later
+#: one that claims to be.
+DES_CONFIGS = {
+    "default": {},
+    "B16_F16": dict(batch_size=16, ack_frequency=16),
+    "B48_F256": dict(batch_size=48, ack_frequency=256),
+}
+DES_DIGESTS = {
+    ("short_haul", "default"): "825111d0d92af919339634f40151d8133038864e54476be5b63da80e95b1cfa8",
+    ("short_haul", "B16_F16"): "147fe59466fd7fa013300062991ed086b084c8f0b1bb40e8304a14c57be9241b",
+    ("short_haul", "B48_F256"): "ded68cc5eedf3729c542c69004bbe57e1a714ff3ccebf65ae47654fb75464b93",
+    ("long_haul", "default"): "e3b37eddb43851d64bb1501b2e24729aa6eb97dd8c908c87d45f3056e459a375",
+    ("long_haul", "B16_F16"): "b621afbe2497df3525585749f6c268334de06345182a67427b17dc06909550f8",
+    ("long_haul", "B48_F256"): "8939a25a31ea36f7ea67d1f33bcb4e3269cf362a5ecf084be242bd7331e60006",
+    ("contended_path", "default"): "d5b916833640f19ce64a7e7afff740b05b98880f985669ada2a1d65f9bfa4d46",
+    ("contended_path", "B16_F16"): "5ca82377b6d8a4474646b9511e34548001aea6436315426cb75044ce2262fb1c",
+    ("contended_path", "B48_F256"): "a7f456fdbe0150f97f1147e1cb3e5728449fa5f4e17e05c8bd948404045a3984",
+    ("gigabit_path", "default"): "99c07b21d72fca95ee5329a94e0c36f74a693d1d18564f836a48c4826d2b63e2",
+    ("gigabit_path", "B16_F16"): "0b2b7f890c47a5fc50d4e3cf1525f744d777829188ad1fa373bd9367c5ad1353",
+    ("gigabit_path", "B48_F256"): "79b85203cf664c207962fc53a11e05474beb4ead8ca93f1cb6b754758acc2ae9",
+}
+
+
+@pytest.mark.parametrize("path,config", sorted(DES_DIGESTS))
+def test_des_outcomes_are_pinned(path, config):
+    net = getattr(repro, path)(seed=0)
+    stats = run_fobs_transfer(net, 10_000_000,
+                              FobsConfig(**DES_CONFIGS[config]))
+    blob = json.dumps(dataclasses.asdict(stats), sort_keys=True)
+    assert (hashlib.sha256(blob.encode()).hexdigest()
+            == DES_DIGESTS[path, config])

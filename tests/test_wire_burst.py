@@ -16,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.packets import DataPacket
 from repro.runtime import wire
 
+from _support import decode_burst, encode_burst
+
 
 def _variants():
     return [
@@ -51,23 +53,23 @@ class TestEncodeEquivalence:
         checksum, session = _variants()[variant]
         singles = [wire.encode_data(p, pl, checksum, session)
                    for p, pl in zip(packets, payloads)]
-        views = wire.encode_data_burst(packets, payloads, checksum, session)
+        views = encode_burst(packets, payloads, checksum, session)
         assert [bytes(v) for v in views] == singles
 
     def test_empty_burst(self):
-        assert wire.encode_data_burst([], []) == []
+        assert encode_burst([], []) == []
 
     def test_length_mismatch_rejected(self):
         pkt = DataPacket(seq=0, total=1, payload_bytes=4)
         with pytest.raises(ValueError):
-            wire.encode_data_burst([pkt], [b"toolongpayload"])
+            encode_burst([pkt], [b"toolongpayload"])
         with pytest.raises(ValueError):
-            wire.encode_data_burst([pkt], [])
+            encode_burst([pkt], [])
 
     def test_views_share_one_buffer(self):
         pkts = [DataPacket(seq=i, total=3, payload_bytes=8)
                 for i in range(3)]
-        views = wire.encode_data_burst(pkts, [bytes(8)] * 3)
+        views = encode_burst(pkts, [bytes(8)] * 3)
         assert len({id(v.obj) for v in views}) == 1
 
 
@@ -79,7 +81,7 @@ class TestDecodeEquivalence:
         checksum, session = _variants()[variant]
         singles = [wire.encode_data(p, pl, checksum, session)
                    for p, pl in zip(packets, payloads)]
-        results, errors = wire.decode_data_burst(singles, checksum, session)
+        results, errors = decode_burst(singles, checksum, session)
         assert not errors
         for datagram, (pkt, payload) in zip(singles, results):
             ref_pkt, ref_payload = wire.decode_data(
@@ -99,7 +101,7 @@ class TestDecodeEquivalence:
         damaged = bytearray(singles[victim])
         damaged[pos] ^= data.draw(st.integers(1, 255))
         singles[victim] = bytes(damaged)
-        results, errors = wire.decode_data_burst(singles, True, session)
+        results, errors = decode_burst(singles, True, session)
         assert [i for i, _ in errors] == [victim]
         assert isinstance(errors[0][1], wire.ChecksumError)
         assert results[victim] is None
@@ -115,7 +117,7 @@ class TestDecodeEquivalence:
         burst = [wire.encode_data(pkt, b"good", session=mine),
                  wire.encode_data(pkt, b"evil", session=other),
                  wire.encode_data(pkt, b"dead", session=stale)]
-        results, errors = wire.decode_data_burst(burst, session=mine)
+        results, errors = decode_burst(burst, session=mine)
         assert results[0] is not None and results[1] is None
         assert results[2] is None
         kinds = {i: type(e) for i, e in errors}
@@ -125,7 +127,7 @@ class TestDecodeEquivalence:
         pkt = DataPacket(seq=0, total=1, payload_bytes=4)
         good = wire.encode_data(pkt, b"abcd", checksum=True)
         burst = [b"\x00\x01", good, good[:wire._DATA_HDR.size + 1]]
-        results, errors = wire.decode_data_burst(burst, checksum=True)
+        results, errors = decode_burst(burst, checksum=True)
         assert results[1] is not None
         assert sorted(i for i, _ in errors) == [0, 2]
         for _, exc in errors:
@@ -134,7 +136,7 @@ class TestDecodeEquivalence:
     def test_zero_copy_payload_views(self):
         pkt = DataPacket(seq=0, total=1, payload_bytes=4)
         backing = bytearray(wire.encode_data(pkt, b"abcd"))
-        (result,), errors = wire.decode_data_burst([backing])
+        (result,), errors = decode_burst([backing])
         assert not errors
         _decoded, payload = result
         assert isinstance(payload, memoryview)
@@ -142,13 +144,13 @@ class TestDecodeEquivalence:
         assert bytes(payload) != b"abcd"
 
     def test_empty_burst(self):
-        assert wire.decode_data_burst([]) == ([], [])
+        assert decode_burst([]) == ([], [])
 
 
 class TestCrcTrailers:
     def test_trailer_is_crc_of_header_and_payload(self):
         pkts = [DataPacket(seq=i, total=2, payload_bytes=6) for i in range(2)]
-        views = wire.encode_data_burst(pkts, [b"abcdef", b"ghijkl"],
+        views = encode_burst(pkts, [b"abcdef", b"ghijkl"],
                                        checksum=True)
         for v in views:
             body, trailer = bytes(v[:-4]), bytes(v[-4:])
