@@ -120,12 +120,16 @@ class ChunkManifest:
         """Digest an in-memory object chunk by chunk."""
         if not data:
             raise ValueError("cannot build a manifest over an empty object")
-        parts = [
-            _digest_chunk(data[off:off + packet_size], algo)
-            for off in range(0, len(data), packet_size)
-        ]
+        view = memoryview(data)
+        chunks = (view[off:off + packet_size]
+                  for off in range(0, len(data), packet_size))
+        if algo == ALGO_CRC32:
+            crcs = list(map(zlib.crc32, chunks))
+            digests = struct.pack(f"!{len(crcs)}I", *crcs)
+        else:
+            digests = b"".join(_digest_chunk(chunk, algo) for chunk in chunks)
         return cls(total_bytes=len(data), packet_size=packet_size,
-                   algo=algo, digests=b"".join(parts))
+                   algo=algo, digests=digests)
 
     @classmethod
     def from_file(
@@ -239,7 +243,13 @@ class ChunkManifest:
                 return self.verify_file(real, seqs)
         runs = ([(0, self.npackets)] if seqs is None
                 else corrupt_ranges(seqs))
+        if runs and (runs[0][0] < 0 or sum(runs[-1]) > self.npackets):
+            raise IndexError(f"seqs outside [0, {self.npackets})")
         psize = self.packet_size
+        # CRC32 digests are compared as one unpacked column of ints;
+        # check_chunk is the reference, and what everything else takes.
+        crcs = (struct.unpack(f"!{self.npackets}I", self.digests)
+                if self.algo == ALGO_CRC32 else None)
         # Bounded memory, few syscalls: each run of consecutive chunks
         # is read a window at a time and digested through views of it.
         window = max(1, VERIFY_READ_BYTES // psize)
@@ -248,12 +258,19 @@ class ChunkManifest:
             for first in range(start, start + count, window):
                 stop = min(first + window, start + count)
                 fh.seek(first * psize)
-                view = memoryview(fh.read((stop - first) * psize))
-                for seq in range(first, stop):
-                    offset = (seq - first) * psize
-                    if not self.check_chunk(
-                            seq, view[offset:offset + self.chunk_length(seq)]):
-                        bad.append(seq)
+                want = min(stop * psize, self.total_bytes) - first * psize
+                view = memoryview(fh.read(want))
+                chunks = zip(range(first, stop),
+                             (view[off:off + psize]
+                              for off in range(0, want, psize)))
+                if crcs is not None and len(view) == want:
+                    # Every byte asked for is here, so every slice has
+                    # its chunk's length (the last runs off the end).
+                    bad.extend(seq for seq, chunk in chunks
+                               if zlib.crc32(chunk) != crcs[seq])
+                else:
+                    bad.extend(seq for seq, chunk in chunks
+                               if not self.check_chunk(seq, chunk))
         return np.asarray(bad, dtype=np.int64)
 
     def verify_blob(

@@ -60,6 +60,25 @@ PACING_CLAMP = 0.02
 #: Re-poll interval while nothing can be written: the socket is full,
 #: or every packet is out and only an ACK or the completion can help.
 IDLE_WAIT = 0.002
+#: How far below zero the pacing debt may go: what a wakeup that came
+#: late may send at once (a selector that rounds a 150 us wait up to
+#: 1 ms owes 110 KB at 900 Mb/s).
+PACING_CREDIT = 128 * 1024
+#: The follower compares packets sent with packets the receiver reports
+#: over windows at least this long, closed when an ACK arrives ...
+FOLLOW_WINDOW = 0.004
+#: ... less what the edges explain: two batches in flight or not yet
+#: acknowledged.
+FOLLOW_SLACK = 32
+#: Outrun: more than this many packets sent per packet delivered.  Then
+#: pace at FOLLOW_MATCH times what was delivered, and multiply the
+#: allowance by FOLLOW_RAISE per window that delivered everything.
+FOLLOW_OUTRUN = 1.15
+FOLLOW_MATCH = 1.05
+FOLLOW_RAISE = 1.25
+#: A cut cured nothing if the next window still sends this share of
+#: the cut window's packets per packet delivered.
+FOLLOW_CURED = 0.95
 
 Send = Callable[[Sequence], int]
 
@@ -125,12 +144,29 @@ class SendDriver:
         self._blob = memoryview(data)
         #: Encoded datagrams ``send`` has not taken yet, oldest first.
         self._tail: list = []
-        #: Pacing clock: when the last batch left and its wire bytes.
-        #: The next may go once those bytes have drained at the
-        #: *current* rate, so a re-fed rate applies to the wait already
-        #: in progress.  Inactive while the pacing rate is None.
-        self._sent_at = 0.0
-        self._sent_bytes = 0
+        #: Pacing: wire bytes not yet paid for by elapsed time when the
+        #: last batch left, at ``_debt_at``.  Time since pays at the
+        #: *current* rate (a re-fed rate applies to the wait in
+        #: progress); a batch that left late left the debt negative,
+        #: down to ``-PACING_CREDIT``.
+        self._debt = self._debt_at = 0.0
+        self._bytes_out = 0
+        #: The follower (flow control against this receiver, fed by its
+        #: ACKs): the rate matched to its drain rate, None while it
+        #: keeps up; ``step`` paces at the lower of this and
+        #: ``sender.pacing_rate_bps`` (allocator share, tuner ceiling).
+        self._matched: Optional[float] = None
+        #: The open window — (opened at, packets sent, receiver's count)
+        #: then — the newest ACK id seen, and whether the matched rate
+        #: has made ``step`` wait in it.
+        self._window: Optional[tuple] = None
+        self._ack_id = -1
+        self._bound = False
+        #: Packets sent per packet delivered in the window the last cut
+        #: answered (0 = judged); windows left before the next cut may
+        #: be tried, and how many an undone cut will cost.
+        self._cut = 0.0
+        self._hold, self._next_hold = 0, 1
 
     def on_ack_datagram(self, datagram, now: float) -> None:
         """Phase 2: merge one acknowledgement datagram.
@@ -152,6 +188,45 @@ class SendDriver:
             sender.on_stale_ack()
             return
         sender.on_ack(ack, now)
+        if ack.ack_id > self._ack_id:
+            self._ack_id = ack.ack_id
+            self._follow(ack.received_count, now)
+
+    def _follow(self, received: int, now: float) -> None:
+        """Close the window if it is long enough, and decide: a
+        receiver that got everything has the allowance raised (to what
+        it just drained, if more; dropped, if it held nothing back),
+        one outrun is matched — but a cut that left the loss per packet
+        delivered where it was met loss the rate does not explain: it
+        is undone and not tried again for a doubling number of windows."""
+        sent = self.sender.stats.packets_sent
+        if self._window is not None:
+            opened_at, sent0, received0 = self._window
+            elapsed = now - opened_at
+            if elapsed < FOLLOW_WINDOW:
+                return
+            got = received - received0
+            excess = sent - sent0 - FOLLOW_SLACK
+            outrun = excess > FOLLOW_OUTRUN * got
+            drained = ((FOLLOW_MATCH * got + FOLLOW_SLACK)
+                       * self._bytes_out / max(sent, 1) * 8.0 / elapsed)
+            cut, self._cut = self._cut, 0.0
+            if cut and excess >= FOLLOW_CURED * cut * got:
+                self._matched, self._hold = None, self._next_hold
+                self._next_hold *= 2
+            elif not outrun:
+                if cut:
+                    self._next_hold = 1
+                if self._matched is not None and excess <= got:
+                    self._matched = (
+                        max(self._matched * FOLLOW_RAISE, drained)
+                        if self._bound else None)
+            elif self._hold:
+                self._hold -= 1
+            elif got > 0:
+                self._matched, self._cut = drained, excess / got
+        self._window = (now, sent, received)
+        self._bound = False
 
     def on_completion(self, now: float) -> None:
         """The completion signal arrived on the control connection."""
@@ -180,9 +255,13 @@ class SendDriver:
         if stall == "wait":
             return sender.stall_wait_hint(now)
         rate = sender.pacing_rate_bps
+        if self._matched is not None and (rate is None
+                                          or self._matched < rate):
+            rate = self._matched
         if rate is not None:
-            wait = self._sent_at + self._sent_bytes * 8.0 / rate - now
+            wait = self._debt_at + self._debt * 8.0 / rate - now
             if wait > 0.0:
+                self._bound = self._bound or rate == self._matched
                 return min(wait, PACING_CLAMP)
         seqs, transmissions = (sender.select_probe() if stall == "probe"
                                else sender.select_batch())
@@ -201,9 +280,13 @@ class SendDriver:
             [blob[seq * psize:(seq + 1) * psize] for seq in seqs],
             checksum=sender.config.checksum, session=self.session)
         self._tail = views[self.send(views):]
-        if rate is not None:
-            self._sent_at = now
-            self._sent_bytes = sum(map(len, views))
+        nbytes = sum(map(len, views))
+        self._bytes_out += nbytes
+        # ``wait`` <= 0 is how late this batch left: credit, bounded.
+        # An unpaced batch leaves none, to the rate that comes next.
+        self._debt = 0.0 if rate is None else max(
+            wait * rate / 8.0, -PACING_CREDIT) + nbytes
+        self._debt_at = now
         return IDLE_WAIT if self._tail else 0.0
 
 
@@ -379,6 +462,9 @@ class PartFile:
         self.resume_bitmap: Optional[np.ndarray] = None
         self.fault: Optional[str] = None
         self._fh = None
+        #: Where the last ``write_at`` left the file position; None once
+        #: anything else (an audit's reads) has moved it.
+        self._write_end: Optional[int] = None
         try:
             replay = None
             if transfer_id is not None:
@@ -401,8 +487,13 @@ class PartFile:
             self.close()
 
     def write_at(self, offset: int, payload) -> None:
-        self._fh.seek(offset)
+        # A first pass arrives in order, and a seek is a flush and an
+        # lseek on a buffered file: only where the last write did not end.
+        if offset != self._write_end:
+            self._fh.seek(offset)
+        self._write_end = None  # a write that raises leaves it unknown
         self._fh.write(payload)
+        self._write_end = offset + len(payload)
 
     def publish(self) -> Optional[str]:
         """Every packet is marked: the disk gets the last word.
@@ -443,6 +534,7 @@ class PartFile:
         the journal claimed."""
         t0 = time.monotonic()
         stats = VerifyStats(phase="complete", mode="crc32", chunks_checked=1)
+        self._write_end = None
         self._fh.seek(0)
         crc = nread = 0
         for window in iter(lambda: self._fh.read(VERIFY_READ_BYTES), b""):
@@ -468,6 +560,7 @@ class PartFile:
         t0 = time.monotonic()
         manifest = self.manifest
         stats = VerifyStats(phase=phase, mode="manifest")
+        self._write_end = None
         bad = manifest.verify_file(self._fh, seqs)
         stats.chunks_checked = (manifest.npackets if seqs is None
                                 else len(seqs))

@@ -185,20 +185,23 @@ def accept_trains(sock: socket.socket) -> None:
         pass
 
 
-def drain(sock: socket.socket, handle, now: float, rxbuf: bytearray) -> None:
-    """Hand everything queued on non-blocking ``sock`` to
-    ``handle(views, now)``, one call per read: until the kernel has no
-    more (EAGAIN), ``handle`` returns true, or ``handle`` closed the
-    socket.  A read is one datagram, or — after :func:`accept_trains` —
-    a train of them that the ``UDP_GRO`` ancillary datum says to split
-    at that segment size (the last may be shorter).  The views window
-    the one reusable ``rxbuf`` (``recv(65535)`` allocates per datagram),
-    so ``handle`` must consume them before returning.
+def drain(sock: socket.socket, handle, now: float, rxbuf: bytearray,
+          budget: float = float("inf")) -> None:
+    """Hand what is queued on non-blocking ``sock`` to ``handle(views,
+    now)``, one call per read: until the kernel has no more (EAGAIN),
+    ``budget`` datagrams have been handed over (the rest stays queued,
+    the socket readable: for a loop with other work to do between
+    calls), ``handle`` returns true, or ``handle`` closed the socket.
+    A read is one datagram, or — after :func:`accept_trains` — a train
+    of them that the ``UDP_GRO`` ancillary datum says to split at that
+    segment size (the last may be shorter).  The views window the one
+    reusable ``rxbuf`` (``recv(65535)`` allocates per datagram), so
+    ``handle`` must consume them before returning.
     """
     recvmsg_into = sock.recvmsg_into
     rxview = memoryview(rxbuf)
     buffers = [rxbuf]
-    while True:
+    while budget > 0:
         try:
             nrecv, ancdata, _flags, _addr = recvmsg_into(
                 buffers, _GRO_CMSG_SPACE)
@@ -213,6 +216,7 @@ def drain(sock: socket.socket, handle, now: float, rxbuf: bytearray) -> None:
                      for start in range(0, nrecv, size)]
         else:
             views = [rxview[:nrecv]]
+        budget -= len(views)
         if handle(views, now):
             return
 

@@ -59,6 +59,8 @@ _SESSION_EXT = struct.Struct("!QI")
 CHECKSUM_TRAILER_BYTES = _CRC.size
 #: Bytes added to DATA/ACK datagrams by the session extension.
 SESSION_EXT_BYTES = _SESSION_EXT.size
+#: Where it sits in a DATA datagram (:func:`peek_session`'s window).
+DATA_SESSION_EXT = slice(_DATA_HDR.size, _DATA_HDR.size + SESSION_EXT_BYTES)
 #: Largest UDP payload over IPv4: what a DATA datagram, headers and
 #: all, has to fit.
 MAX_DATAGRAM_BYTES = 65507

@@ -103,8 +103,9 @@ from repro.telemetry import (
     TelemetryChannel,
 )
 
-#: Datagrams sent per transfer per pump pass (keeps one big transfer
-#: from starving the event loop).
+#: Datagrams sent per transfer per pump pass, and read per socket per
+#: loop pass: pump and drain take turns, so neither one big send nor a
+#: push that floods the shared socket starves the rest of the loop.
 _PUMP_QUANTUM = 256
 _REJECT_CODES = {
     FULL: wire.REJECT_FULL,
@@ -401,13 +402,13 @@ class ObjectServer:
                         self._accept(now)
                     elif tag == "udp":
                         drain(self._udp, self._route_train, now,
-                              self._rxbuf)
+                              self._rxbuf, _PUMP_QUANTUM)
                     elif tag == "conn":
                         self._on_conn_readable(key.data[1], now)
                     elif tag == "recv_sock":
                         entry = key.data[1]
                         drain(entry.sock, partial(self._on_push_data, entry),
-                              now, self._rxbuf)
+                              now, self._rxbuf, _PUMP_QUANTUM)
                 if now >= next_sweep:
                     next_sweep = now + 0.5
                     self._sweep(now)
@@ -809,12 +810,25 @@ class ObjectServer:
     # Shared-socket demux
     # ------------------------------------------------------------------
     def _route_train(self, views, now: float) -> None:
-        """Route one read of the shared socket, datagram by datagram;
-        consecutive data datagrams of one transfer reach its driver as
-        one burst."""
-        burst: list = []
-        burst_entry = None
-        for datagram in views:
+        """Route one read of the shared socket.  A ``UDP_GRO`` train is
+        one 5-tuple: the first datagram is routed and, when the rest
+        carry its session-extension bytes, the whole read is that
+        transfer's burst (whose decode still verifies id, epoch and CRC
+        per datagram).  Anything else is routed datagram by datagram,
+        consecutive data datagrams of one transfer as one burst."""
+        counters = self.registry.counters
+        stale = counters.stale_epoch
+        burst_entry = self._route_datagram(views[0], now)
+        burst = [views[0]] if burst_entry is not None else []
+        rest = views[1:]
+        # The ACK-offset probe reads inside the compared bytes: where
+        # the first datagram's counted no stale epoch, no other's would.
+        if burst and rest and counters.stale_epoch == stale:
+            ext = views[0][wire.DATA_SESSION_EXT]
+            if all(view[wire.DATA_SESSION_EXT] == ext for view in rest):
+                self._on_push_data(burst_entry, views, now)
+                return
+        for datagram in rest:
             entry = self._route_datagram(datagram, now)
             if entry is not burst_entry and burst:
                 self._on_push_data(burst_entry, burst, now)

@@ -185,3 +185,54 @@ class TestOneByteFlipProperty:
         m = ChunkManifest.from_data(data, 256)
         enc = m.encode() + bytes(extra)
         assert ChunkManifest.decode(enc) == m
+
+
+class TestFastPathIsTheCheckChunkFold:
+    """CRC32 manifests are built and audited over an unpacked column
+    of ints; ``check_chunk`` / ``_digest_chunk`` stay the reference."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        nbytes=st.integers(1, 6000),
+        packet_size=st.sampled_from([64, 256, 1000, 1024]),
+        algo=st.sampled_from([ALGO_CRC32, ALGO_SHA256]),
+        flips=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4),
+        keep=st.floats(0.0, 1.0),
+        subset=st.one_of(st.none(), st.lists(st.floats(
+            0.0, 1.0, exclude_max=True), max_size=12)),
+        window=st.sampled_from([1, 300, 1 << 20]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_digests_and_same_corrupt_indices(
+        self, seed, nbytes, packet_size, algo, flips, keep, subset, window
+    ):
+        from unittest import mock
+
+        from repro.core import manifest as module
+
+        data = np.random.default_rng(seed).integers(
+            0, 256, nbytes, dtype=np.uint8).tobytes()
+        m = ChunkManifest.from_data(data, packet_size, algo)
+        assert m.digests == b"".join(
+            module._digest_chunk(data[off:off + packet_size], algo)
+            for off in range(0, nbytes, packet_size))
+        # Flipped bytes, then a file cut short (or not at all).
+        stored = bytearray(data)
+        for frac in flips:
+            stored[int(frac * nbytes)] ^= 0x10
+        stored = bytes(stored[:int(keep * nbytes)] if keep < 0.9 else stored)
+        seqs = (None if subset is None else
+                [int(frac * m.npackets) for frac in subset])
+        expected = sorted(
+            seq for seq in (range(m.npackets) if seqs is None else seqs)
+            if not m.check_chunk(
+                seq, stored[seq * packet_size:(seq + 1) * packet_size]))
+        # Windows of one chunk, of a few, and of everything at once.
+        with mock.patch.object(module, "VERIFY_READ_BYTES", window):
+            assert m.verify_blob(stored, seqs).tolist() == expected
+
+    def test_a_seq_outside_the_object_is_an_error_not_a_pass(self):
+        m = ChunkManifest.from_data(blob(), PACKET_SIZE)
+        for seqs in ([m.npackets], [3, m.npackets + 5], [-1]):
+            with pytest.raises(IndexError):
+                m.verify_blob(blob(), seqs)

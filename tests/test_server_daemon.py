@@ -5,6 +5,7 @@ import os
 import socket
 import struct
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -14,7 +15,7 @@ from _support import raw_offer
 from repro.core.config import FobsConfig
 from repro.runtime import wire
 from repro.runtime.files import receive_file, send_file
-from repro.runtime.transfer import SEND_BATCH
+from repro.runtime.transfer import SEND_BATCH, drain, udp_offload
 from repro.server import ObjectServer, fetch_file
 
 pytestmark = pytest.mark.loopback
@@ -423,3 +424,84 @@ class TestHandshakeBounds:
             assert len(failed) == 1
             assert "VERIFY of 1073741824 bytes" in failed[0][4]
         assert sum(fed) < 64 * 1024
+
+
+class TestFairness:
+    """The loop serves its sockets and its senders in turns."""
+
+    def test_a_budgeted_drain_stops_and_the_next_call_continues(self):
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as rx, \
+                socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as tx:
+            rx.bind(("127.0.0.1", 0))
+            rx.setblocking(False)
+            for i in range(10):
+                tx.sendto(bytes([i]) * (i + 1), rx.getsockname())
+            seen, rxbuf = [], bytearray(65535)
+
+            def handle(views, _now):
+                seen.extend(bytes(view) for view in views)
+
+            drain(rx, handle, 0.0, rxbuf, 4)
+            assert seen == [bytes([i]) * (i + 1) for i in range(4)]
+            drain(rx, handle, 0.0, rxbuf, 4)
+            assert seen == [bytes([i]) * (i + 1) for i in range(8)]
+            drain(rx, handle, 0.0, rxbuf, 4)     # two left, then EAGAIN
+            drain(rx, handle, 0.0, rxbuf)        # unbounded: nothing more
+            assert seen == [bytes([i]) * (i + 1) for i in range(10)]
+
+    @pytest.mark.skipif(not udp_offload(), reason="needs UDP_SEGMENT/GRO: "
+                        "without trains one process cannot flood itself")
+    def test_a_push_flood_does_not_hold_a_fetch_back(self, tmp_path):
+        """One 4 MB push blasting the shared socket beside one 4 MB
+        fetch: the fetch's client holds a quarter of its packets before
+        the push completes.  (A drain "until the kernel has no more"
+        never returned while the push ran, the pump was not reached and
+        the fetch got its first packet after the push's last.)"""
+        config = FobsConfig(packet_size=1024, ack_frequency=64,
+                            batch_size=SEND_BATCH, checksum=True)
+        root = tmp_path / "root"
+        root.mkdir()
+        rng = np.random.default_rng(9)
+        nbytes = 4 << 20
+        (root / "obj.bin").write_bytes(
+            rng.integers(0, 256, nbytes, dtype=np.uint8).tobytes())
+        src = tmp_path / "push.bin"
+        src.write_bytes(rng.integers(0, 256, nbytes, dtype=np.uint8).tobytes())
+        results = {}
+
+        def fetch():
+            results["fetch"] = fetch_file(
+                "obj.bin", "127.0.0.1", running.port,
+                str(tmp_path / "got.bin"), config=config, timeout=60)
+
+        def push():
+            results["push"] = send_file(
+                str(src), "127.0.0.1", running.port, config=config,
+                timeout=60, resume=True)
+
+        quarter_at = push_done_at = None
+        with RunningServer(root, config=config) as running:
+            threads = [threading.Thread(target=fetch),
+                       threading.Thread(target=push)]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 60
+            while (any(t.is_alive() for t in threads)
+                   and time.monotonic() < deadline):
+                now = time.monotonic()
+                if push_done_at is None and any(
+                        h[1] == "recv" for h in running.server.history):
+                    push_done_at = now
+                if quarter_at is None and any(
+                        t.direction == "send"
+                        and t.packets_done >= t.npackets // 4
+                        for t in running.server.stats().transfers):
+                    quarter_at = now
+                time.sleep(0.0005)
+            for thread in threads:
+                thread.join(timeout=5)
+        assert results["fetch"].completed and results["push"].completed
+        assert (tmp_path / "got.bin").read_bytes() == (
+            root / "obj.bin").read_bytes()
+        assert quarter_at is not None
+        assert push_done_at is None or quarter_at < push_done_at
