@@ -207,30 +207,10 @@ class FobsTransfer:
         # attribute load per ACK.
         self._tuner = None
         if tuning is not None:
-            from repro.core.rate import FixedBatchPolicy
-            from repro.tuning import TransferTuner
-            tuner_tel = NULL_CHANNEL
-            if telemetry is not None and telemetry.enabled:
-                tuner_tel = telemetry.channel(
-                    transfer_id, epoch=epoch, src="tuner", clock=clock)
-            policy = self.sender.batch_policy
-            set_batch = None
-            if isinstance(policy, FixedBatchPolicy):
-                def set_batch(b, _p=policy):
-                    _p.batch_size = b
-            receiver = self.receiver
-            def set_f(f, _r=receiver):
-                _r.ack_frequency = f
-            self._tuner = TransferTuner(
-                tuning,
-                set_rate=self.sender.set_pacing_rate,
-                set_ack_frequency=set_f,
-                set_batch_size=set_batch,
-                telemetry=tuner_tel,
-                rate_bps=self.sender.pacing_rate_bps,
-                ack_frequency=self.config.ack_frequency,
-                batch_size=self.config.batch_size,
-            )
+            from repro.tuning import make_tuner
+            self._tuner = make_tuner(
+                tuning, sender=self.sender, receiver=self.receiver,
+                telemetry=telemetry, transfer_id=transfer_id, clock=clock)
 
         self._bitmap_bytes = bitmap_wire_bytes(self.sender.npackets)
         self._data_sent_count = 0
@@ -267,10 +247,6 @@ class FobsTransfer:
         self._full_frame_bytes = self._full_wire + UDP_HEADER_BYTES
         self._full_recv_cost = self._b_profile.recv_cost(
             self._full_frame_bytes)
-        # ACK frames have one wire size per transfer (fixed bitmap);
-        # memoize the sender-side receive cost for it.
-        self._ack_cost_size = -1
-        self._ack_cost_cached = 0.0
         # True when the data link is a plain finite-bandwidth Link with
         # a vanilla drop-tail queue: the per-datagram loop may then use
         # the inlined admit path (_admit/try_enqueue/_start_tx fused).
@@ -283,21 +259,11 @@ class FobsTransfer:
             and type(link.queue) is DropTailQueue
         )
         # Prebound loop callbacks: the per-packet heap pushes would
-        # otherwise materialize a fresh bound-method object each time.
+        # otherwise materialize a fresh bound-method object each time
+        # (part of the per-datagram price quoted in _sender_step).
         self._cb_sender_step = self._sender_step
         self._cb_recv_step = self._recv_step
         self._cb_recv_after = self._recv_after
-        self._cb_fused_wake = self._fused_wake
-        # Fused queue-full wait state (see _sender_step/_fused_wake):
-        # the snapshot from which the skipped pacing step's wait was
-        # predicted, so the wake can detect and repair a stale
-        # prediction.
-        self._fuse_link: Optional[Link] = None
-        self._fuse_p = 0.0
-        self._fuse_ctx_end = 0.0
-        self._fuse_qbytes = 0
-        self._fuse_frame_bytes = 0
-        self._fuse_log_start = 0
 
         # TCP completion channel: receiver (B) connects to sender (A).
         self._ctrl_listener = TcpListener(
@@ -534,20 +500,9 @@ class FobsTransfer:
         # is always flushed before ACKs or new batches are considered.
         if not self._pending:
             # Phase 2: look for (but do not block on) an acknowledgement.
-            # UdpSocket.poll, inlined (this poll runs once per batch and
-            # almost always finds the buffer empty).
-            ack_in = self.ack_in
-            buf = ack_in._buffer
-            if buf:
-                frame = buf.popleft()
-                ack_in._buffered_bytes -= frame.size_bytes
-                fs = frame.size_bytes
-                if fs == self._ack_cost_size:
-                    cost = self._ack_cost_cached
-                else:
-                    cost = self._a_profile.recv_cost(fs)
-                    self._ack_cost_size = fs
-                    self._ack_cost_cached = cost
+            frame = self.ack_in.poll()
+            if frame is not None:
+                cost = self._a_profile.recv_cost(frame.size_bytes)
                 if frame.corrupted and self.config.checksum:
                     sender.on_corrupt_ack()
                     if self.tracer.enabled:
@@ -573,8 +528,7 @@ class FobsTransfer:
                 if sender.congestion.should_switch_to_tcp():
                     sim.call_in(cost, self._switch_to_tcp)
                     return
-                sim._seq = seq = sim._seq + 1
-                heappush(sim._heap, (now + cost, seq, self._cb_sender_step, _NO_ARG))
+                sim.call_in(cost, self._cb_sender_step)
                 return
 
             # Stalled with no probe due: back off — no new batches until the
@@ -607,8 +561,14 @@ class FobsTransfer:
         # Phase: emit the current batch one packet at a time, pacing on
         # the NIC via the select()-equivalent writability check.  The
         # socket/host layers are inlined here — route, writability
-        # check, frame build and pacing — because this branch runs once
-        # per datagram and dominates the whole simulation.
+        # check, frame build, admission and the pacing push — because
+        # this branch runs once per datagram and dominates the whole
+        # simulation.  Measured price (ISSUE 24, 10 MB short_haul, min
+        # of 6 process_time runs x 6 processes): calling the simnet
+        # originals instead of these inlines and the one in _recv_step
+        # costs 0.0918 -> 0.1052 s of CPU.  Everything that runs per
+        # batch or per ACK calls the original; the allowlist in
+        # tests/test_session.py keeps it that way.
         pkt = self._pending[0]
         wire = pkt.payload_bytes + DATA_HEADER_BYTES
         link = self._data_link
@@ -674,8 +634,6 @@ class FobsTransfer:
                 qs.bytes_enqueued += frame_bytes
                 if nb > qs.peak_bytes:
                     qs.peak_bytes = nb
-                if link._watchers:
-                    link._watch_log.append((now, frame_bytes))
             else:
                 link._busy = True
                 tx = frame_bytes * 8.0 / link.bandwidth_bps
@@ -705,96 +663,8 @@ class FobsTransfer:
             paced = wire * 8.0 / rate
             if paced > delay:
                 delay = paced
-        p = now + delay
-        # Fused queue-full wait: when the pacing step due at ``p``
-        # would provably just rediscover a full queue and re-arm
-        # itself ``wait`` later, predict that wait now and skip the
-        # discovery event entirely (one heap event instead of two
-        # per steady-state packet).  Sound only when nothing can
-        # drain the queue before ``p`` (the in-flight transmission
-        # ends strictly after it) and the skipped step's preamble
-        # is provably a no-op (recent ACK progress, no pending
-        # kill); foreign admissions are caught by the link watch
-        # and repaired in _fused_wake.
-        if plain and not link.faults and self._pending and link._busy:
-            q = link.queue
-            qbytes = q._bytes
-            nxt_wire = self._pending[0].payload_bytes + DATA_HEADER_BYTES
-            fb_next = nxt_wire + UDP_HEADER_BYTES
-            ctx_end = link._current_tx_end
-            if ((qbytes + fb_next > q.capacity_bytes
-                 or (q.capacity_frames is not None
-                     and len(q._frames) >= q.capacity_frames))
-                    and ctx_end > p):
-                pt = sender._progress_time
-                kill = self.kill_switch
-                if (pt is not None and not sender._stalled
-                        and p - pt < self._stall_timeout
-                        and (kill is None or kill.target != "sender"
-                             or not kill.should_fire(
-                                 self._data_sent_count))):
-                    # Exactly the wait the skipped step would have
-                    # computed at p (same operations, same order).
-                    wait = ctx_end - p
-                    overflow = qbytes + fb_next - q.capacity_bytes
-                    if overflow > 0:
-                        wait += overflow * 8.0 / link.bandwidth_bps
-                    if wait < 1e-6:
-                        wait = 1e-6
-                    self._fuse_link = link
-                    self._fuse_p = p
-                    self._fuse_ctx_end = ctx_end
-                    self._fuse_qbytes = qbytes
-                    self._fuse_frame_bytes = fb_next
-                    self._fuse_log_start = len(link._watch_log)
-                    link._watchers += 1
-                    sim._seq = seq = sim._seq + 1
-                    heappush(sim._heap,
-                             (p + wait, seq, self._cb_fused_wake,
-                              _NO_ARG))
-                    return
         sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (p, seq, self._cb_sender_step, _NO_ARG))
-        return
-
-    def _fused_wake(self) -> None:
-        """Wake from a fused queue-full wait (see _sender_step).
-
-        If no frame was accepted by the watched link's queue at or
-        before the skipped pacing instant, the prediction holds and
-        this event IS the wake the two-event chain would have produced.
-        Otherwise recompute the wait exactly as the skipped step would
-        have — with the foreign bytes included — and re-arm a plain
-        sender step at that (later) time.
-        """
-        link = self._fuse_link
-        self._fuse_link = None
-        link._watchers -= 1
-        log = link._watch_log
-        entries = log[self._fuse_log_start:] if log else ()
-        if not link._watchers and log:
-            log.clear()
-        if entries:
-            p = self._fuse_p
-            extra = 0
-            for t, nbytes in entries:
-                if t <= p:
-                    extra += nbytes
-            if extra:
-                wait = self._fuse_ctx_end - p
-                overflow = (self._fuse_qbytes + extra
-                            + self._fuse_frame_bytes
-                            - link.queue.capacity_bytes)
-                if overflow > 0:
-                    wait += overflow * 8.0 / link.bandwidth_bps
-                if wait < 1e-6:
-                    wait = 1e-6
-                sim = self.sim
-                sim._seq = seq = sim._seq + 1
-                heappush(sim._heap,
-                         (p + wait, seq, self._cb_sender_step, _NO_ARG))
-                return
-        self._sender_step()
+        heappush(sim._heap, (now + delay, seq, self._cb_sender_step, _NO_ARG))
 
     # ------------------------------------------------------------------
     # Receiver loop (event-driven, CPU-cost accurate)
@@ -816,7 +686,8 @@ class FobsTransfer:
                 and kill.should_fire(self._data_recv_count)):
             self._crash("receiver")
             return
-        # UdpSocket.poll, inlined (once per received datagram).
+        # UdpSocket.poll, inlined (once per received datagram; its
+        # price is part of the figure quoted in _sender_step).
         data_in = self.data_in
         dbuf = data_in._buffer
         if not dbuf:

@@ -4,10 +4,10 @@ A minimal session protocol on top of the FOBS data plane, so two
 *separate processes* (or machines) can move a file:
 
 1. the receiver listens on a TCP control port;
-2. the sender connects and sends a :data:`FileOffer` (file size,
-   packet size, its UDP acknowledgement port);
+2. the sender connects and sends a :class:`~repro.runtime.wire.Offer`
+   (file size, packet size, its UDP acknowledgement port);
 3. the receiver binds a UDP data socket and replies with a
-   :data:`FileAccept` carrying the data port;
+   :class:`~repro.runtime.wire.Accept` carrying the data port;
 4. FOBS runs — UDP data one way, UDP bitmap ACKs the other;
 5. the receiver sends the completion signal back on the still-open
    TCP control connection and both sides verify a CRC32 of the object.

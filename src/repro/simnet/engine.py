@@ -207,6 +207,9 @@ class Simulator:
             # Compiled fast path: same heap, same dispatch, same
             # (time, seq) order — see _evloop.c.  It maintains
             # _processed itself (including when a callback raises).
+            # Measured price of not having it (ISSUE 24): 1.2-1.3x on a
+            # single flow (short_haul + long_haul at 40 MB, 1.54-1.58 s
+            # -> 1.86-2.04 s of wall), more than des_paper_paths' bound.
             gc_was_enabled = gc.isenabled()
             if gc_was_enabled:
                 gc.disable()
@@ -229,6 +232,9 @@ class Simulator:
                     gc.enable()
                 self._running = False
             return
+        # The one interpreted loop: the reference behaviour, and what
+        # runs where _evloop.c did not build or a bound needs checking
+        # per event (max_events, stop_when).
         pop = heapq.heappop
         push = heapq.heappush
         # Pause cyclic GC for the duration of the loop: the hot path
@@ -243,40 +249,6 @@ class Simulator:
             heap = self._heap
             count = 0
             processed = self._processed
-            if max_events is None and stop_when is None:
-                # Specialized loop for the dominant case (transfer and
-                # fleet runs bound only by ``until``): no per-event
-                # count or predicate checks.
-                limit = until if until is not None else float("inf")
-                while heap:
-                    event = pop(heap)
-                    time = event[0]
-                    if time > limit:
-                        push(heap, event)
-                        self.now = until
-                        return
-                    fn = event[2]
-                    if fn.__class__ is EventHandle:
-                        if fn.cancelled:
-                            continue
-                        self.now = time
-                        handle = fn
-                        fn, args = handle.fn, handle.args
-                        handle.fn = _noop
-                        handle.args = ()
-                        fn(*args)
-                    else:
-                        self.now = time
-                        arg = event[3]
-                        fn(arg) if arg is not _NO_ARG else fn()
-                    processed += 1
-                    if self._stop_requested:
-                        if stop_on_request:
-                            return
-                        self._stop_requested = False
-                if until is not None and until > self.now:
-                    self.now = until
-                return
             while heap:
                 event = pop(heap)
                 time = event[0]

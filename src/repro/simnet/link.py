@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class _FaultHookMixin:
-    """Ingress fault-injection hook shared by both link flavours.
+    """Ingress fault hook and far-end delivery, shared by both flavours.
 
     ``faults`` is a list of :class:`~repro.simnet.faults.FaultInjector`
     applied in order at :meth:`send` time — before the link serializes,
@@ -44,6 +44,7 @@ class _FaultHookMixin:
 
     faults: "list[FaultInjector]"
     sim: Simulator
+    dst_node: "Optional[Node]"
 
     def send(self, frame: Frame) -> bool:
         if not self.faults:
@@ -69,6 +70,26 @@ class _FaultHookMixin:
 
     def _admit(self, frame: Frame) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def _deliver(self, frame: Frame) -> None:
+        frame.hops += 1
+        node = self.dst_node
+        dst = frame.dst
+        # Host.receive, inlined fast path: consecutive frames on a link
+        # almost always demux to the same handler (the one-entry memo);
+        # anything else -- including non-Host sinks that only provide
+        # ``receive`` -- takes the full lookup.
+        try:
+            hit = (dst.host == node.name and frame.proto == node._memo_proto
+                   and dst.port == node._memo_port)
+        except AttributeError:
+            node.receive(frame)
+            return
+        if hit:
+            node.frames_received += 1
+            node._memo_handler(frame)
+            return
+        node.receive(frame)
 
 
 @dataclass
@@ -124,18 +145,6 @@ class DelayLink(_FaultHookMixin):
         # object per event; caching it once keeps the hot push
         # allocation-free beyond the heap tuple itself.
         self._cb_deliver = self._deliver
-        self._cb_deliver_burst = self._deliver_burst
-        # Burst coalescing state: on an uncontended delay hop (no jitter,
-        # no fault hooks) every frame sent from the same simulator event
-        # arrives at the same instant, so one heap event can carry the
-        # whole burst.  ``_burst_seq`` remembers the sequence counter at
-        # push time; coalescing is allowed only while no other event has
-        # been pushed since, which makes the single-event delivery order
-        # provably identical to per-frame events (consecutive sequence
-        # numbers at one timestamp pop back to back anyway).
-        self._burst: Optional[list[Frame]] = None
-        self._burst_time = 0.0
-        self._burst_seq = -1
 
     def connect(self, dst_node: "Node") -> None:
         self.dst_node = dst_node
@@ -159,58 +168,12 @@ class DelayLink(_FaultHookMixin):
             stats.frames_lost_random += 1
             return True
         sim = self.sim
-        if not self.jitter and not self.faults:
-            # Batch-event fast path: constant-delay hop, deterministic
-            # arrival time.  Loss draws already happened above, so the
-            # per-frame RNG order is untouched.
-            t = sim.now + self.prop_delay
-            b = self._burst
-            if (b is not None and self._burst_seq == sim._seq
-                    and self._burst_time == t):
-                b.append(frame)
-                return True
-            b = [frame]
-            self._burst = b
-            self._burst_time = t
-            sim._seq = seq = sim._seq + 1
-            self._burst_seq = seq
-            heappush(sim._heap, (t, seq, self._cb_deliver_burst, b))
-            return True
         delay = self.prop_delay
         if self.jitter:
             delay += self._rng.random() * self.jitter
         sim._seq = seq = sim._seq + 1
         heappush(sim._heap, (sim.now + delay, seq, self._cb_deliver, frame))
         return True
-
-    def _deliver_burst(self, frames: list[Frame]) -> None:
-        # Clearing the slot before delivery keeps a zero-delay hop from
-        # appending to an already-fired burst.
-        if frames is self._burst:
-            self._burst = None
-        deliver = self._deliver
-        for frame in frames:
-            deliver(frame)
-
-    def _deliver(self, frame: Frame) -> None:
-        frame.hops += 1
-        node = self.dst_node
-        dst = frame.dst
-        # Host.receive, inlined fast path: consecutive frames on a link
-        # almost always demux to the same handler (the one-entry memo);
-        # anything else -- including non-Host sinks that only provide
-        # ``receive`` -- takes the full lookup.
-        try:
-            hit = (dst.host == node.name and frame.proto == node._memo_proto
-                   and dst.port == node._memo_port)
-        except AttributeError:
-            node.receive(frame)
-            return
-        if hit:
-            node.frames_received += 1
-            node._memo_handler(frame)
-            return
-        node.receive(frame)
 
 
 class Link(_FaultHookMixin):
@@ -253,20 +216,9 @@ class Link(_FaultHookMixin):
         self.stats = LinkStats()
         self.faults = []
         # Prebound callbacks for the per-frame heap pushes (see
-        # DelayLink.__init__).  Lossless links — every preset NIC and
-        # most bottlenecks — get a _tx_done variant without the loss
-        # branch, chosen once here since loss_rate is immutable.
-        self._cb_tx_done = (self._tx_done if loss_rate
-                            else self._tx_done_lossless)
+        # DelayLink.__init__).
+        self._cb_tx_done = self._tx_done
         self._cb_deliver = self._deliver
-        # Admission watch, for the sender's fused queue-full wait (see
-        # session._sender_step): while any watcher is registered, every
-        # accepted enqueue is logged as (time, size) so a watcher can
-        # detect frames admitted behind its back and recompute the wait
-        # it predicted.  Zero watchers (the overwhelmingly common case)
-        # costs one integer truth test per admission.
-        self._watchers = 0
-        self._watch_log: list[tuple[float, int]] = []
 
     # ------------------------------------------------------------------
     def connect(self, dst_node: "Node") -> None:
@@ -304,10 +256,7 @@ class Link(_FaultHookMixin):
             raise RuntimeError(f"link {self.name} not connected")
         self.stats.frames_offered += 1
         if self._busy:
-            ok = self.queue.try_enqueue(frame)
-            if ok and self._watchers:
-                self._watch_log.append((self.sim.now, frame.size_bytes))
-            return ok
+            return self.queue.try_enqueue(frame)
         self._start_tx(frame)
         return True
 
@@ -350,49 +299,3 @@ class Link(_FaultHookMixin):
         stats.busy_time += tx
         sim._seq = seq = sim._seq + 1
         heappush(sim._heap, (now + tx, seq, self._cb_tx_done, nxt))
-
-    def _tx_done_lossless(self, frame: Frame) -> None:
-        # _tx_done for loss_rate == 0 (decided at construction): the
-        # same body minus the dead random-loss branch, which this
-        # per-transmitted-frame path is too hot to keep re-testing.
-        stats = self.stats
-        sim = self.sim
-        now = sim.now
-        stats.frames_sent += 1
-        stats.bytes_sent += frame.size_bytes
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._heap,
-                 (now + self.prop_delay, seq, self._cb_deliver, frame))
-        q = self.queue
-        frames = q._frames
-        if not frames:
-            self._busy = False
-            return
-        nxt = frames.popleft()
-        q._bytes -= nxt.size_bytes
-        q.stats.dequeued += 1
-        tx = nxt.size_bytes * 8.0 / self.bandwidth_bps
-        self._current_tx_end = now + tx
-        stats.busy_time += tx
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._heap, (now + tx, seq, self._cb_tx_done, nxt))
-
-    def _deliver(self, frame: Frame) -> None:
-        frame.hops += 1
-        node = self.dst_node
-        dst = frame.dst
-        # Host.receive, inlined fast path: consecutive frames on a link
-        # almost always demux to the same handler (the one-entry memo);
-        # anything else -- including non-Host sinks that only provide
-        # ``receive`` -- takes the full lookup.
-        try:
-            hit = (dst.host == node.name and frame.proto == node._memo_proto
-                   and dst.port == node._memo_port)
-        except AttributeError:
-            node.receive(frame)
-            return
-        if hit:
-            node.frames_received += 1
-            node._memo_handler(frame)
-            return
-        node.receive(frame)

@@ -8,17 +8,17 @@ applies decisions through backend-supplied callbacks, publishes the
 decision replayable, and keeps the live waste/stall/knob gauges up to
 date (satellite: these were previously only derivable post-hoc).
 
-All three backends share this class; they differ only in the apply
-callbacks they hand in and in where they call :meth:`on_ack` /
-:meth:`maybe_probe` from.  The real-socket backends build theirs with
-:func:`make_tuner`, which derives the callbacks from the endpoints a
-side owns.  The hot-path contract matches the rest of
-the codebase: backends guard every call site with
+All three backends share this class and build theirs with
+:func:`make_tuner`, which derives the apply callbacks from the
+endpoints a side owns; they differ only in where they call
+:meth:`on_ack` / :meth:`maybe_probe` from.  The hot-path contract
+matches the rest of the codebase: backends guard every call site with
 ``if tuner is not None`` so the untuned path pays one attribute load.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Callable, Optional
 
 from repro.core.rate import FixedBatchPolicy
@@ -308,6 +308,7 @@ def make_tuner(
     telemetry=None,
     transfer_id: int = 0,
     label: str = "",
+    clock=time.monotonic,
 ) -> TransferTuner:
     """Wire a tuner to the endpoints this side of a transfer owns.
 
@@ -317,13 +318,15 @@ def make_tuner(
     frequency F.  A receiver-only tuner still runs the controller —
     its rate tracks measured delivery goodput, which drives the F
     time-cap.  ``telemetry`` is an event bus (or None); decisions are
-    published on a ``src="tuner"`` channel of the endpoint's epoch.
+    published on a ``src="tuner"`` channel of the endpoint's epoch,
+    stamped by ``clock`` (the DES binds it to ``sim.now``).
     """
     endpoint = sender if sender is not None else receiver
     channel = NULL_CHANNEL
     if telemetry is not None and telemetry.enabled:
         channel = telemetry.channel(transfer_id=transfer_id,
-                                    epoch=endpoint.epoch, src="tuner")
+                                    epoch=endpoint.epoch, src="tuner",
+                                    clock=clock)
     set_rate = set_batch = set_f = rate = None
     if sender is not None:
         set_rate, rate = sender.set_pacing_rate, sender.pacing_rate_bps

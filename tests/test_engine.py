@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.simnet import engine
 from repro.simnet.engine import Simulator
 
 
@@ -132,6 +133,28 @@ class TestRunBounds:
         sim.run(stop_when=lambda: len(fired) >= 4)
         assert fired == [0, 1, 2, 3]
 
+    def test_stop_honoured_with_stop_on_request(self, sim):
+        fired = []
+        sim.schedule(1.0, lambda: (fired.append("a"), sim.stop()))
+        sim.schedule(2.0, fired.append, "b")
+        sim.run(until=10.0, stop_on_request=True)
+        assert fired == ["a"]
+        assert sim.now == 1.0  # a stopped run does not jump to `until`
+        sim.run(stop_on_request=True)
+        assert fired == ["a", "b"]
+
+    def test_stop_cleared_without_stop_on_request(self, sim):
+        fired = []
+        sim.schedule(1.0, lambda: (fired.append("a"), sim.stop()))
+        sim.schedule(2.0, fired.append, "b")
+        sim.run()
+        assert fired == ["a", "b"]
+        # ... and the ignored request does not leak into the next run.
+        sim.schedule(1.0, fired.append, "c")
+        sim.schedule(2.0, fired.append, "d")
+        sim.run(stop_on_request=True)
+        assert fired == ["a", "b", "c", "d"]
+
     def test_run_not_reentrant(self, sim):
         def recurse():
             sim.run()
@@ -168,6 +191,35 @@ class TestIntrospection:
 
     def test_peek_time_empty(self, sim):
         assert sim.peek_time() is None
+
+
+# The interpreted loop is what runs where _evloop.c did not build (and
+# under max_events / stop_when everywhere); every case above runs on it
+# too, on every host.  Subclasses rather than a parametrised ``sim``
+# fixture so the cases above keep their test ids.
+@pytest.fixture
+def interpreted(monkeypatch):
+    monkeypatch.setattr(engine, "_evloop", None)
+
+
+@pytest.mark.usefixtures("interpreted")
+class TestSchedulingInterpreted(TestScheduling):
+    pass
+
+
+@pytest.mark.usefixtures("interpreted")
+class TestCancellationInterpreted(TestCancellation):
+    pass
+
+
+@pytest.mark.usefixtures("interpreted")
+class TestRunBoundsInterpreted(TestRunBounds):
+    pass
+
+
+@pytest.mark.usefixtures("interpreted")
+class TestIntrospectionInterpreted(TestIntrospection):
+    pass
 
 
 @given(delays=st.lists(st.floats(min_value=0.0, max_value=1e6,

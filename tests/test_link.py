@@ -169,6 +169,43 @@ class TestDelayLink:
         sim.run()
         assert sink.times == [pytest.approx(0.02), pytest.approx(0.02)]
 
+        # k frames sent from one event: one heap event each, the same
+        # arrival instant, send order kept.
+        sent = [frame(10_000) for _ in range(3)]
+        before = sim.processed
+
+        def burst():
+            for f in sent:
+                link.send(f)
+
+        sim.schedule(0.0, burst)
+        sim.run()
+        assert sim.processed - before == 1 + len(sent)
+        assert len(set(sink.times[2:])) == 1
+        assert ([f.frame_id for f in sink.frames[2:]]
+                == [f.frame_id for f in sent])
+
+        # A zero-delay hop whose sink sends again from inside delivery
+        # neither loses nor reorders a frame.
+        sim = Simulator()
+        hop = DelayLink(sim, "z", prop_delay=0.0)
+        first, second, echo = frame(), frame(), frame()
+
+        class EchoSink(Sink):
+            def receive(self, f):
+                super().receive(f)
+                if f is first:
+                    hop.send(echo)
+
+        sink = EchoSink()
+        hop.connect(sink)
+        hop.send(first)
+        hop.send(second)
+        sim.run()
+        assert ([f.frame_id for f in sink.frames]
+                == [first.frame_id, second.frame_id, echo.frame_id])
+        assert sim.processed == 3
+
     def test_always_has_room(self):
         sim = Simulator()
         link = DelayLink(sim, "d", prop_delay=0.02)

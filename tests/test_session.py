@@ -1,8 +1,10 @@
 """End-to-end tests for FOBS transfers over the simulated network."""
 
+import ast
 import dataclasses
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -225,3 +227,71 @@ def test_des_outcomes_are_pinned(path, config):
     blob = json.dumps(dataclasses.asdict(stats), sort_keys=True)
     assert (hashlib.sha256(blob.encode()).hexdigest()
             == DES_DIGESTS[path, config])
+
+
+#: Heap events and packets sent per 10 MB, seed-0 transfer.  The DES
+#: charges end-host CPU per packet, so one event per datagram per hop is
+#: the model; a fast-path trick has to move one of these deterministic
+#: counts before anyone times it (DESIGN.md "DES fast path").  A protocol
+#: change moves ``packets_sent``, an engine or link change ``events``.
+DES_EVENT_BUDGET = {
+    ("short_haul", 1024, 64): (90_589, 10_136),
+    ("long_haul", 1024, 64): (93_105, 10_594),
+    ("gigabit_path", 1024, 64): (102_140, 10_162),
+    ("contended_path", 1024, 64): (108_479, 10_452),
+    ("gigabit_path", 32768, 16): (3_713, 364),
+}
+
+
+@pytest.mark.parametrize("path,packet_size,ack_frequency",
+                         sorted(DES_EVENT_BUDGET))
+def test_des_event_budget_is_pinned(path, packet_size, ack_frequency):
+    net = getattr(repro, path)(seed=0)
+    config = FobsConfig(packet_size=packet_size, ack_frequency=ack_frequency)
+    stats = FobsTransfer(net, 10_000_000, config).run()
+    events, packets = DES_EVENT_BUDGET[path, packet_size, ack_frequency]
+    assert stats.packets_sent == packets
+    assert net.sim.processed == events
+
+
+#: The ``simnet`` (and ``FobsSender``) privates the per-datagram inlines
+#: of ``core/session.py`` read or write.  Replacing those inlines by the
+#: calls they copy costs a measured ~8 % of short_haul CPU; nothing else
+#: may reach in, so an inline that comes back has to bring its number.
+SESSION_PRIVATE_REACH = {
+    "_busy", "_current_tx_end", "_cb_tx_done",      # Link
+    "_bytes", "_frames",                            # DropTailQueue
+    "_buffer", "_buffered_bytes",                   # UdpSocket
+    "_heap", "_seq",                                # Simulator
+    "_routes", "_default_route",                    # Host
+    "_progress_time", "_stalled",                   # FobsSender
+    "_NO_ARG", "_frame_ids",                        # imports
+}
+DELETED_FAST_PATHS = ("_watch_log", "_watchers", "self._burst",
+                      "_deliver_burst", "_fuse_", "_fused_wake",
+                      "_tx_done_lossless")
+
+
+def test_session_reaches_into_simnet_only_where_measured():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    with open(os.path.join(src, "repro", "core", "session.py")) as fh:
+        tree = ast.parse(fh.read())
+    reached = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value
+            if not (isinstance(owner, ast.Name) and owner.id == "self"):
+                reached.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reached.update(alias.name for alias in node.names)
+    private = {name for name in reached
+               if name.startswith("_") and not name.startswith("__")}
+    assert private <= SESSION_PRIVATE_REACH, private - SESSION_PRIVATE_REACH
+    # ... and what ISSUE 24 measured at zero stays deleted everywhere.
+    for folder, _, names in os.walk(src):
+        for name in names:
+            if name.endswith((".py", ".c")):
+                with open(os.path.join(folder, name)) as fh:
+                    text = fh.read()
+                found = [gone for gone in DELETED_FAST_PATHS if gone in text]
+                assert not found, (name, found)

@@ -51,6 +51,29 @@ def test_tuned_des_run_is_deterministic():
     assert run() == run()
 
 
+def test_des_tuner_events_carry_simulated_time():
+    """The DES builds its tuner with ``make_tuner(clock=sim.now)``: the
+    decision stream is stamped on the simulated clock, like every other
+    event of the run, never on the host's."""
+    from repro.core import run_fobs_transfer
+    from repro.telemetry import EV_TUNE_EPOCH, EventBus, RingBufferSink
+
+    def run():
+        net = contended_path(seed=7)
+        bus = EventBus(sinks=[ring := RingBufferSink(4096)])
+        stats = run_fobs_transfer(net, 4_000_000,
+                                  FobsConfig(ack_frequency=32),
+                                  telemetry=bus, tuning=TuningConfig())
+        assert stats.ok
+        return net.sim.now, [e.time for e in ring.events
+                             if e.kind == EV_TUNE_EPOCH and e.src == "tuner"]
+
+    end, times = run()
+    assert times and times == sorted(times)
+    assert 0.0 < times[0] and times[-1] <= end
+    assert run() == (end, times)      # a host clock never repeats
+
+
 @pytest.mark.loopback
 def test_loopback_completion_is_prompt():
     """Completion-signal regression: the receiver must send DONE when
