@@ -76,6 +76,20 @@ def _digest_chunk(chunk: bytes, algo: int) -> bytes:
     raise ValueError(f"unknown manifest algorithm {algo}")
 
 
+def _digest_chunks(data, chunk_size: int, algo: int) -> bytes:
+    """Digests of every ``chunk_size`` slice of ``data`` (views, never
+    copies), concatenated."""
+    if 0 < len(data) <= chunk_size:  # one chunk: most dataset members
+        return _digest_chunk(data, algo)
+    view = memoryview(data)
+    chunks = (view[off:off + chunk_size]
+              for off in range(0, len(view), chunk_size))
+    if algo == ALGO_CRC32:
+        crcs = list(map(zlib.crc32, chunks))
+        return struct.pack(f"!{len(crcs)}I", *crcs)
+    return b"".join(_digest_chunk(chunk, algo) for chunk in chunks)
+
+
 @dataclass(frozen=True)
 class ChunkManifest:
     """Digests for every packet-sized chunk of one object."""
@@ -120,32 +134,29 @@ class ChunkManifest:
         """Digest an in-memory object chunk by chunk."""
         if not data:
             raise ValueError("cannot build a manifest over an empty object")
-        view = memoryview(data)
-        chunks = (view[off:off + packet_size]
-                  for off in range(0, len(data), packet_size))
-        if algo == ALGO_CRC32:
-            crcs = list(map(zlib.crc32, chunks))
-            digests = struct.pack(f"!{len(crcs)}I", *crcs)
-        else:
-            digests = b"".join(_digest_chunk(chunk, algo) for chunk in chunks)
         return cls(total_bytes=len(data), packet_size=packet_size,
-                   algo=algo, digests=digests)
+                   algo=algo, digests=_digest_chunks(data, packet_size, algo))
 
     @classmethod
     def from_file(
         cls, path: str, packet_size: int, algo: int = ALGO_CRC32
     ) -> "ChunkManifest":
-        """Digest an on-disk object without holding it all in memory."""
-        total = os.path.getsize(path)
-        if total <= 0:
-            raise ValueError("cannot build a manifest over an empty object")
+        """Digest an on-disk object without holding it all in memory:
+        one pass to EOF, a window of whole chunks at a time."""
+        window = max(1, VERIFY_READ_BYTES // packet_size) * packet_size
+        total = 0
         parts: List[bytes] = []
         with open(path, "rb") as fh:
             while True:
-                chunk = fh.read(packet_size)
-                if not chunk:
+                # A buffered read returns short only at EOF, so every
+                # window but the last holds whole chunks.
+                data = fh.read(window)
+                total += len(data)
+                parts.append(_digest_chunks(data, packet_size, algo))
+                if len(data) < window:
                     break
-                parts.append(_digest_chunk(chunk, algo))
+        if total <= 0:
+            raise ValueError("cannot build a manifest over an empty object")
         return cls(total_bytes=total, packet_size=packet_size,
                    algo=algo, digests=b"".join(parts))
 

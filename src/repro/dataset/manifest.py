@@ -29,8 +29,9 @@ Layout of the binary form (all integers big-endian)::
                        nchunks x digest_size raw digests
     TRAILER !I         crc32 over every preceding byte
 
-``scan_tree`` is the deterministic walk: directories and files are
-visited in sorted order, symlinks are skipped, and chunk digests reuse
+``scan_tree`` is the deterministic walk: one ``os.scandir`` pass, one
+``lstat`` per file, paths sorted, symlinks skipped, an unreadable
+directory an error rather than a silent gap, and chunk digests reuse
 :meth:`repro.core.manifest.ChunkManifest.from_file` so the dataset
 layer and the per-object VERIFY layer can never disagree about what a
 chunk's digest is.
@@ -40,7 +41,6 @@ from __future__ import annotations
 
 import json
 import os
-import stat
 import struct
 import zlib
 from dataclasses import dataclass
@@ -58,7 +58,9 @@ from repro.core.manifest import (
     ALGO_CRC32,
     ALGO_NAMES,
     ALGO_SHA256,
+    VERIFY_READ_BYTES,
     ChunkManifest,
+    _digest_chunks,
 )
 
 DATASET_MAGIC = 0xF0B5D5E7
@@ -120,21 +122,31 @@ class FileEntry:
         ``offset`` must sit on a chunk boundary (the packer guarantees
         member ranges do).  Returns the corrupt chunk indices among
         those covered; a short read (torn file) counts as corrupt.
+        Reads :data:`~repro.core.manifest.VERIFY_READ_BYTES` windows and
+        digests views of them, as ``ChunkManifest.verify_file`` does.
         """
         if offset % chunk_size:
             raise ValueError(f"offset {offset} not chunk-aligned")
-        from repro.core.manifest import _digest_chunk
-
+        dsize = _ALGO_SIZES[algo]
         first = offset // chunk_size
         last = -(-(offset + length) // chunk_size)
+        window = max(1, VERIFY_READ_BYTES // chunk_size)
         bad: List[int] = []
-        for index in range(first, last):
-            fh.seek(index * chunk_size)
-            chunk = fh.read(self.chunk_length(index, chunk_size))
-            if (len(chunk) != self.chunk_length(index, chunk_size)
-                    or _digest_chunk(chunk, algo)
-                    != self.chunk_digest(index, algo)):
-                bad.append(index)
+        for start in range(first, last, window):
+            stop = min(start + window, last)
+            want = max(min(stop * chunk_size, self.size)
+                       - start * chunk_size, 0)
+            fh.seek(start * chunk_size)
+            data = fh.read(want)
+            got = _digest_chunks(data, chunk_size, algo)
+            expect = self.digests[start * dsize:stop * dsize]
+            if len(data) == want and got == expect:
+                continue
+            for k, index in enumerate(range(start, stop)):
+                end = k * chunk_size + self.chunk_length(index, chunk_size)
+                if (end > len(data) or got[k * dsize:(k + 1) * dsize]
+                        != expect[k * dsize:(k + 1) * dsize]):
+                    bad.append(index)
         return bad
 
 
@@ -369,30 +381,39 @@ class DatasetManifest:
         return manifest
 
 
+def _walk(root: str) -> Tuple[List[str], List[Tuple[str, os.DirEntry]]]:
+    """One ``os.scandir`` pass over ``root``: sorted directory rel paths
+    and sorted ``(rel path, entry)`` of every regular file.
+
+    Symlinks (to files or directories) are skipped — a dataset is the
+    bytes it holds, not the graph it aliases.  A directory that cannot
+    be listed raises (``os.walk`` would silently leave it out).
+    """
+    dirs: List[str] = []
+    files: List[Tuple[str, os.DirEntry]] = []
+    pending = [""]
+    while pending:
+        prefix = pending.pop()
+        with os.scandir(os.path.join(root, prefix) if prefix else root) as it:
+            for entry in it:
+                rel = prefix + entry.name
+                if entry.is_dir(follow_symlinks=False):
+                    dirs.append(rel)
+                    pending.append(rel + "/")
+                elif entry.is_file(follow_symlinks=False):
+                    files.append((rel, entry))
+    dirs.sort()
+    files.sort(key=lambda pair: pair[0])
+    return dirs, files
+
+
 def iter_tree(root: str) -> Tuple[List[str], List[str]]:
     """Deterministic walk of ``root``: sorted (dirs, files) rel paths.
 
-    Symlinks (to files or directories) are skipped — a dataset is the
-    bytes it holds, not the graph it aliases.
+    Symlinks are skipped; an unreadable directory raises ``OSError``.
     """
-    dirs: List[str] = []
-    files: List[str] = []
-    for cur, dirnames, filenames in os.walk(root, followlinks=False):
-        dirnames.sort()
-        filenames.sort()
-        rel = os.path.relpath(cur, root)
-        if rel != ".":
-            dirs.append(rel.replace(os.sep, "/"))
-        for name in filenames:
-            full = os.path.join(cur, name)
-            st = os.lstat(full)
-            if not stat.S_ISREG(st.st_mode):
-                continue
-            relf = os.path.relpath(full, root).replace(os.sep, "/")
-            files.append(relf)
-    dirs.sort()
-    files.sort()
-    return dirs, files
+    dirs, files = _walk(root)
+    return dirs, [rel for rel, _ in files]
 
 
 def scan_tree(
@@ -412,18 +433,17 @@ def scan_tree(
     if not os.path.isdir(root):
         raise NotADirectoryError(root)
     skip = frozenset(exclude or ())
-    dirs, files = iter_tree(root)
+    dirs, files = _walk(root)
     entries: List[FileEntry] = []
-    for rel in files:
+    for rel, dirent in files:
         if rel in skip:
             continue
-        full = os.path.join(root, rel.replace("/", os.sep))
-        st = os.lstat(full)
-        if st.st_size:
-            digests = ChunkManifest.from_file(full, chunk_size, algo).digests
-        else:
-            digests = b""
-        entries.append(FileEntry(path=rel, size=st.st_size,
+        st = dirent.stat(follow_symlinks=False)
+        size, digests = st.st_size, b""
+        if size:
+            chunks = ChunkManifest.from_file(dirent.path, chunk_size, algo)
+            size, digests = chunks.total_bytes, chunks.digests
+        entries.append(FileEntry(path=rel, size=size,
                                  mtime_ns=st.st_mtime_ns, digests=digests))
     return DatasetManifest(chunk_size=chunk_size, algo=algo,
                            dirs=tuple(d for d in dirs if d not in skip),

@@ -39,7 +39,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.manifest import ALGO_CRC32, _digest_chunk
+from repro.core.manifest import ALGO_CRC32, _digest_chunk, _digest_chunks
 from repro.dataset.manifest import DatasetManifest
 
 OBJECT_MAGIC = 0xF0B50B7E
@@ -222,15 +222,30 @@ def plan_objects(
 
 @dataclass
 class UnpackedMember:
-    """One member recovered (and digest-verified) from an object."""
+    """One member recovered (and digest-verified) from an object.
+
+    ``payload`` is a view into the delivered object, not a copy: it is
+    valid while that object is, and changes if the object is mutated.
+    """
 
     path: str
     file_offset: int
-    payload: bytes
+    payload: memoryview
 
     @property
     def length(self) -> int:
         return len(self.payload)
+
+
+def _pread_into(fd: int, view: memoryview, offset: int) -> int:
+    """Fill ``view`` from ``fd`` at ``offset``; bytes read (short at EOF)."""
+    got = 0
+    while got < len(view):
+        n = os.preadv(fd, [view[got:]], offset + got)
+        if not n:
+            break
+        got += n
+    return got
 
 
 def pack_object(
@@ -238,33 +253,48 @@ def pack_object(
     root: str,
     algo: int = ALGO_CRC32,
     data: Optional[Dict[str, bytes]] = None,
-) -> bytes:
+) -> bytearray:
     """Materialize one planned object from the source tree.
 
-    ``data``, when given, supplies file contents by relative path
-    instead of reading from ``root`` (tests, in-memory pipelines).
+    The object is built in one buffer of ``obj.wire_bytes(algo)``: each
+    member's bytes are read straight into their slot and digested
+    there, and the trailer CRC is written in place.  ``data``, when
+    given, supplies file contents by relative path instead of reading
+    from ``root`` (tests, in-memory pipelines).
     """
-    parts = [_OBJ_HEADER.pack(OBJECT_MAGIC, OBJECT_VERSION, algo, obj.kind,
-                              len(obj.members))]
+    dsize = _ALGO_SIZES[algo]
+    buf = bytearray(obj.wire_bytes(algo))
+    view = memoryview(buf)
+    _OBJ_HEADER.pack_into(buf, 0, OBJECT_MAGIC, OBJECT_VERSION, algo,
+                          obj.kind, len(obj.members))
+    off = _OBJ_HEADER.size
     for m in obj.members:
+        raw = m.path.encode("utf-8")
+        _MEMBER.pack_into(buf, off, len(raw), 0, m.file_offset, m.length)
+        off += _MEMBER.size
+        buf[off:off + len(raw)] = raw
+        digest_at = off + len(raw)
+        off = digest_at + dsize
+        slot = view[off:off + m.length]
         if data is not None:
             payload = data[m.path][m.file_offset:m.file_offset + m.length]
+            got = len(payload)
+            slot[:got] = payload
         else:
-            with open(os.path.join(root, m.path.replace("/", os.sep)),
-                      "rb") as fh:
-                fh.seek(m.file_offset)
-                payload = fh.read(m.length)
-        if len(payload) != m.length:
+            fd = os.open(os.path.join(root, m.path.replace("/", os.sep)),
+                         os.O_RDONLY)
+            try:
+                got = _pread_into(fd, slot, m.file_offset)
+            finally:
+                os.close(fd)
+        if got != m.length:
             raise PackCorrupt(
                 f"{m.path}: source shrank under the packer "
-                f"({len(payload)} of {m.length} bytes at {m.file_offset})")
-        raw = m.path.encode("utf-8")
-        parts.append(_MEMBER.pack(len(raw), 0, m.file_offset, m.length))
-        parts.append(raw)
-        parts.append(_digest_chunk(payload, algo))
-        parts.append(payload)
-    body = b"".join(parts)
-    return body + _CRC.pack(zlib.crc32(body))
+                f"({got} of {m.length} bytes at {m.file_offset})")
+        buf[digest_at:off] = _digest_chunk(slot, algo)
+        off += m.length
+    _CRC.pack_into(buf, off, zlib.crc32(view[:off]))
+    return buf
 
 
 def unpack_object(blob: bytes) -> Tuple[int, List[UnpackedMember]]:
@@ -274,12 +304,14 @@ def unpack_object(blob: bytes) -> Tuple[int, List[UnpackedMember]]:
     the object fails it), then each member's payload digest — a failed
     digest names the member, so callers can demote exactly that byte
     range.  Raises :class:`PackCorrupt` on any damage; partial results
-    are never returned.
+    are never returned.  Every check reads ``blob`` through views, and
+    each member's ``payload`` is one.
     """
     if len(blob) < _OBJ_HEADER.size + _CRC.size:
         raise PackCorrupt("object shorter than its header")
-    body, crc_bytes = blob[:-_CRC.size], blob[-_CRC.size:]
-    if zlib.crc32(body) != _CRC.unpack(crc_bytes)[0]:
+    view = memoryview(blob)
+    body = view[:-_CRC.size]
+    if zlib.crc32(body) != _CRC.unpack_from(view, len(body))[0]:
         raise PackCorrupt("object failed CRC32 verification")
     magic, version, algo, kind, nmembers = _OBJ_HEADER.unpack_from(body)
     if magic != OBJECT_MAGIC:
@@ -297,7 +329,7 @@ def unpack_object(blob: bytes) -> Tuple[int, List[UnpackedMember]]:
         for _ in range(nmembers):
             plen, _rsvd, file_offset, length = _MEMBER.unpack_from(body, off)
             off += _MEMBER.size
-            path = body[off:off + plen].decode("utf-8")
+            path = str(body[off:off + plen], "utf-8")
             off += plen
             digest = body[off:off + dsize]
             off += dsize
@@ -326,9 +358,11 @@ def verify_members_against_manifest(
     Defense in depth for the end-to-end path: the object's own digests
     say the bytes survived the transfer; the manifest digests say they
     are the bytes the dataset *scan* promised.  Returns the paths of
-    members that disagree (empty = all good).
+    members that disagree (empty = all good).  Each manifest chunk the
+    member covers is digested through a view of its payload.
     """
     bad: List[str] = []
+    dsize = manifest.digest_size
     for m in members:
         try:
             entry = manifest.entry_for(m.path)
@@ -337,14 +371,10 @@ def verify_members_against_manifest(
             # error: report it so the caller retries/demotes.
             bad.append(m.path)
             continue
-        first = m.file_offset // manifest.chunk_size
-        for i, chunk_start in enumerate(
-                range(0, len(m.payload), manifest.chunk_size)):
-            chunk = m.payload[chunk_start:chunk_start + manifest.chunk_size]
-            if (_digest_chunk(chunk, manifest.algo)
-                    != entry.chunk_digest(first + i, manifest.algo)):
-                bad.append(m.path)
-                break
+        got = _digest_chunks(m.payload, manifest.chunk_size, manifest.algo)
+        first = m.file_offset // manifest.chunk_size * dsize
+        if got != entry.digests[first:first + len(got)]:
+            bad.append(m.path)
     return bad
 
 

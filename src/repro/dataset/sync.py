@@ -267,15 +267,24 @@ def _audit_done_objects(
     return verified, demoted
 
 
-def _touch_file(path: str, size: int, initialized: Set[str]):
-    """Open a destination file pre-sized to its final length."""
-    if path not in initialized:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        fh = open(path, "r+b" if os.path.exists(path) else "w+b")
-        fh.truncate(size)
-        initialized.add(path)
-        return fh
-    return open(path, "r+b")
+def _write_member(path: str, size: int, offset: int, payload: memoryview,
+                  sized: Set[str]) -> None:
+    """``pwrite`` one member's bytes into its destination file.
+
+    The first member to reach a file sizes it to its final length (a
+    stale longer file is cut back); the others only write.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        if path not in sized:
+            os.ftruncate(fd, size)
+            sized.add(path)
+        while payload:  # a pwrite may land fewer bytes than asked
+            n = os.pwrite(fd, payload, offset)
+            payload = payload[n:]
+            offset += n
+    finally:
+        os.close(fd)
 
 
 def sync_tree(
@@ -348,15 +357,16 @@ def sync_tree(
     try:
         # Materialize the directory skeleton and the zero-byte files
         # up front — they carry no objects, so they must not depend on
-        # any transfer succeeding.
+        # any transfer succeeding.  Every directory a file lands in is
+        # made here, once (a caller-supplied manifest may not list it).
         os.makedirs(dest_root, exist_ok=True)
-        for d in manifest.dirs:
+        parents = {e.path.rpartition("/")[0] for e in manifest.entries}
+        for d in sorted((parents | set(manifest.dirs)) - {""}):
             os.makedirs(os.path.join(dest_root, d.replace("/", os.sep)),
                         exist_ok=True)
         for path in plan.empty_files:
-            full = os.path.join(dest_root, path.replace("/", os.sep))
-            os.makedirs(os.path.dirname(full) or ".", exist_ok=True)
-            with open(full, "wb"):
+            with open(os.path.join(dest_root, path.replace("/", os.sep)),
+                      "wb"):
                 pass
 
         done: Set[int] = set()
@@ -386,7 +396,7 @@ def sync_tree(
                                  objects_total=plan.nobjects,
                                  bytes_skipped=result.bytes_skipped)
 
-        initialized: Set[str] = set()
+        sized: Set[str] = set()
         for position, obj in enumerate(order):
             if obj.index in done:
                 continue
@@ -396,7 +406,13 @@ def sync_tree(
                              lane=_lane_key(obj, spindle_of),
                              position=position,
                              nbytes=obj.payload_bytes)
-            blob = pack_object(obj, src_root, manifest.algo)
+            try:
+                blob = pack_object(obj, src_root, manifest.algo)
+            except PackCorrupt as exc:
+                # The source changed under the packer since the scan.
+                result.failure_reason = (
+                    f"pack failed: object {obj.index} ({obj.name}): {exc}")
+                return result
             if channel.enabled:
                 channel.emit(EV_DATASET_PACK, object=obj.index,
                              obj_kind=obj.kind_name,
@@ -428,12 +444,10 @@ def sync_tree(
                     f"{max_object_attempts} attempt(s): {last_error}")
                 return result
             for m in members:
-                entry = manifest.entry_for(m.path)
-                full = os.path.join(dest_root, m.path.replace("/", os.sep))
-                with _touch_file(full, entry.size, initialized) as fh:
-                    fh.seek(m.file_offset)
-                    fh.write(m.payload)
-                    fh.flush()
+                _write_member(
+                    os.path.join(dest_root, m.path.replace("/", os.sep)),
+                    manifest.entry_for(m.path).size, m.file_offset,
+                    m.payload, sized)
             if channel.enabled:
                 channel.emit(EV_DATASET_UNPACK, object=obj.index,
                              members=len(members),

@@ -68,6 +68,33 @@ class TestScan:
         dirs, files = iter_tree(str(tmp_path))
         assert files == ["real.txt"]
 
+    def test_symlinked_directories_are_skipped(self, tmp_path):
+        make_tree(tmp_path, {"real/inner.txt": b"x" * 10})
+        os.symlink(str(tmp_path / "real"), str(tmp_path / "alias"))
+        dirs, files = iter_tree(str(tmp_path))
+        assert dirs == ["real"]
+        assert files == ["real/inner.txt"]
+        m = scan_tree(str(tmp_path), CHUNK)
+        assert m.dirs == ("real",)
+        assert [e.path for e in m.entries] == ["real/inner.txt"]
+
+    @pytest.mark.parametrize("victim", ["", "sub/deep"])
+    def test_unreadable_directory_fails_the_scan(self, tmp_path, monkeypatch,
+                                                 victim):
+        # Monkeypatched rather than chmod-ed: root can list anything.
+        make_tree(tmp_path, SAMPLE)
+        denied = os.path.normpath(os.path.join(str(tmp_path), victim))
+        real_scandir = os.scandir
+
+        def scandir(path):
+            if os.path.normpath(path) == denied:
+                raise PermissionError(13, "Permission denied", path)
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        with pytest.raises(PermissionError):
+            scan_tree(str(tmp_path), CHUNK)
+
     def test_exclude(self, tmp_path):
         make_tree(tmp_path, {"keep.txt": b"k", ".journal": b"j"})
         m = scan_tree(str(tmp_path), CHUNK, exclude=[".journal"])
@@ -194,3 +221,18 @@ class TestVerifyRange:
             fh.truncate(CHUNK + 10)
         with open(tmp_path / "s.bin", "rb") as fh:
             assert 1 in entry.verify_range(fh, 0, entry.size, CHUNK, m.algo)
+
+    def test_torn_tail_chunk_is_corrupt(self, tmp_path):
+        payload = os.urandom(3 * CHUNK + 50)
+        make_tree(tmp_path, {"t.bin": payload})
+        m = scan_tree(str(tmp_path), CHUNK)
+        entry = m.entry_for("t.bin")
+        # The tail chunk lost 20 of its 50 bytes; its first 30 are intact.
+        with open(tmp_path / "t.bin", "r+b") as fh:
+            fh.truncate(3 * CHUNK + 30)
+        with open(tmp_path / "t.bin", "rb") as fh:
+            assert entry.verify_range(fh, 0, entry.size, CHUNK,
+                                      m.algo) == [3]
+            assert entry.verify_range(fh, 2 * CHUNK, CHUNK + 50, CHUNK,
+                                      m.algo) == [3]
+            assert entry.verify_range(fh, 0, 3 * CHUNK, CHUNK, m.algo) == []

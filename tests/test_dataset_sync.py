@@ -90,6 +90,70 @@ class TestFullSync:
         assert not result.completed
         assert "NotADirectoryError" in (result.failure_reason or "")
 
+    @pytest.mark.parametrize("victim", ["", "big"])
+    def test_unreadable_directory_fails_cleanly(self, tree, tmp_path,
+                                                monkeypatch, victim):
+        # os.walk would leave the directory out and report success.
+        denied = os.path.normpath(os.path.join(tree, victim))
+        real_scandir = os.scandir
+
+        def scandir(path):
+            if os.path.normpath(path) == denied:
+                raise PermissionError(13, "Permission denied", path)
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        result = sync_tree(tree, str(tmp_path / "d"), chunk_size=CHUNK,
+                           packing=PACKING)
+        assert not result.completed
+        assert "PermissionError" in (result.failure_reason or "")
+
+    def test_short_pwrites_still_land_every_byte(self, tree, tmp_path,
+                                                 monkeypatch):
+        real_pwrite = os.pwrite
+        calls = []
+
+        def half_pwrite(fd, data, offset):
+            calls.append(len(data))
+            return real_pwrite(fd, data[:max(1, len(data) // 2)], offset)
+
+        monkeypatch.setattr(os, "pwrite", half_pwrite)
+        dest = str(tmp_path / "dest")
+        result = sync_tree(tree, dest, chunk_size=CHUNK, packing=PACKING)
+        assert result.completed
+        assert len(calls) > result.objects_transferred
+        assert trees_equal(tree, dest)
+
+
+class TestSourceChangesUnderThePacker:
+    """The scan promised bytes the source no longer holds."""
+
+    def test_truncated_source_fails_naming_the_member(self, tree, tmp_path):
+        manifest = scan_tree(tree, CHUNK)
+        with open(os.path.join(tree, "big", "a.blob"), "r+b") as fh:
+            fh.truncate(20 * CHUNK + 5)
+        result = sync_tree(tree, str(tmp_path / "d"), chunk_size=CHUNK,
+                           packing=PACKING, manifest=manifest)
+        assert not result.completed and not result.killed
+        assert "big/a.blob" in result.failure_reason
+        assert "shrank" in result.failure_reason
+
+    def test_same_size_rewrite_fails_the_manifest_cross_check(
+            self, tree, tmp_path):
+        manifest = scan_tree(tree, CHUNK)
+        path = os.path.join(tree, "mid", "whole.bin")
+        with open(path, "r+b") as fh:
+            fh.write(b"\x00" * 64)
+        assert os.path.getsize(path) == manifest.entry_for(
+            "mid/whole.bin").size
+        result = sync_tree(tree, str(tmp_path / "d"), chunk_size=CHUNK,
+                           packing=PACKING, manifest=manifest,
+                           max_object_attempts=2)
+        assert not result.completed
+        assert result.verify_failures == 2
+        assert result.failure_reason.startswith("verify failed")
+        assert "mid/whole.bin" in result.failure_reason
+
 
 class TestResume:
     def test_kill_then_resume_is_lossless(self, tree, tmp_path):
