@@ -6,8 +6,7 @@ Top-level convenience exports; the full API lives in the subpackages:
 * :mod:`repro.core` — FOBS, the paper's protocol;
 * :mod:`repro.simnet` — the deterministic network-testbed substitute;
 * :mod:`repro.tcp` — TCP Reno/NewReno with LWE (window scaling) & SACK;
-* :mod:`repro.psockets`, :mod:`repro.rudp`, :mod:`repro.sabul` —
-  the compared/related protocols;
+* :mod:`repro.psockets` — striped TCP, the paper's Table 2 comparison;
 * :mod:`repro.runtime` — real-socket (loopback) backend for the
   sans-IO FOBS core;
 * :mod:`repro.server` — the concurrent multi-transfer daemon
@@ -15,7 +14,8 @@ Top-level convenience exports; the full API lives in the subpackages:
 * :mod:`repro.dataset` — manifest-driven whole-tree transfers
   (small-file packing, chunk striping, layout-aware scheduling,
   dataset-level crash resume; ``repro sync``, ``docs/DATASET.md``);
-* :mod:`repro.analysis` — per-figure/table experiment harness and CLI.
+* :mod:`repro.analysis` — per-figure/table experiment harness
+  (``repro run`` / ``repro sweep``).
 
 Quickstart::
 
@@ -62,8 +62,6 @@ from repro.simnet import (
 )
 from repro.tcp import TcpOptions, run_bulk_transfer
 from repro.psockets import probe_optimal_sockets, run_striped_transfer
-from repro.rudp import run_rudp_transfer
-from repro.sabul import run_sabul_transfer
 from repro.server import (
     ObjectServer,
     SimTransferSpec,
@@ -121,7 +119,7 @@ from repro.telemetry import (
     read_events,
 )
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "FobsConfig",
@@ -148,8 +146,6 @@ __all__ = [
     "run_bulk_transfer",
     "run_striped_transfer",
     "probe_optimal_sockets",
-    "run_rudp_transfer",
-    "run_sabul_transfer",
     "Event",
     "EventBus",
     "TelemetryChannel",

@@ -1,5 +1,5 @@
 """Experiment harness: metrics, per-figure/table experiment runners,
-plain-text report rendering and the ``fobs-repro`` CLI."""
+and plain-text report rendering (``repro run`` / ``repro sweep``)."""
 
 from repro.analysis.metrics import (
     jain_index,
@@ -37,7 +37,6 @@ from repro.analysis.experiments import (
     ablation_congestion_modes,
     ablation_autotune,
     satellite_scenario,
-    baseline_shootout,
 )
 
 __all__ = [
@@ -71,5 +70,4 @@ __all__ = [
     "ablation_congestion_modes",
     "ablation_autotune",
     "satellite_scenario",
-    "baseline_shootout",
 ]

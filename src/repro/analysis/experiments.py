@@ -4,7 +4,7 @@ Every runner returns an :class:`ExperimentResult` whose ``rows`` carry
 both the measured values and the paper's reference numbers, and whose
 ``render()`` prints the comparison.  The benchmark files under
 ``benchmarks/`` are thin wrappers around these runners; the CLI exposes
-them as ``fobs-repro run <name>``.
+them as ``repro run <name>``.
 
 Default workload: the paper's 40 MB object.  Every runner accepts
 ``nbytes`` so tests can use small objects and users can scale up.
@@ -19,8 +19,6 @@ from repro.analysis.metrics import mean
 from repro.analysis.report import render_series, render_table
 from repro.core import FobsConfig, TransferStats, run_fobs_transfer
 from repro.psockets import probe_optimal_sockets, run_striped_transfer
-from repro.rudp import run_rudp_transfer
-from repro.sabul import run_sabul_transfer
 from repro.simnet import topology
 from repro.simnet.topology import Network
 from repro.tcp import TcpOptions, run_bulk_transfer
@@ -622,45 +620,7 @@ def fairness_scenario(
     )
 
 
-def baseline_shootout(
-    nbytes: int = DEFAULT_NBYTES,
-    seed: int = 0,
-) -> ExperimentResult:
-    """All five protocols on the clean long haul and the contended path.
-
-    Positions FOBS against everything the related-work section
-    discusses: TCP(+LWE), PSockets, RBUDP and SABUL.
-    """
-    rows = []
-    for path_name, make_net in (("long_haul", topology.long_haul),
-                                ("contended", topology.contended_path)):
-        fobs = run_fobs_transfer(make_net(seed=seed), nbytes)
-        tcp = run_bulk_transfer(
-            make_net(seed=seed), nbytes,
-            sender_options=TcpOptions(sack=True), receiver_options=TcpOptions(sack=True),
-        )
-        ps = run_striped_transfer(make_net(seed=seed), nbytes, 20)
-        rudp = run_rudp_transfer(make_net(seed=seed), nbytes)
-        sabul = run_sabul_transfer(make_net(seed=seed), nbytes)
-        rows.append(
-            (
-                path_name,
-                f"{fobs.percent_of_bottleneck:.1f}%",
-                f"{tcp.percent_of_bottleneck:.1f}%",
-                f"{ps.percent_of_bottleneck:.1f}%",
-                f"{rudp.percent_of_bottleneck:.1f}%",
-                f"{sabul.percent_of_bottleneck:.1f}%",
-            )
-        )
-    return ExperimentResult(
-        name="Baseline shootout",
-        description="All protocols, %% of max bandwidth per path",
-        headers=("path", "FOBS", "TCP+LWE", "PSockets(20)", "RBUDP", "SABUL"),
-        rows=rows,
-    )
-
-
-#: Registry used by the CLI: name -> (runner, quick-kwargs).
+#: Registry used by the CLI (``repro run <name>``): name -> runner.
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "figure1": figure1,
     "figure2": figure2,
@@ -673,5 +633,22 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "ablation_autotune": ablation_autotune,
     "satellite": satellite_scenario,
     "fairness": fairness_scenario,
-    "shootout": baseline_shootout,
+}
+
+#: ``repro run --quick`` substitutes a small object so every experiment
+#: finishes in seconds; figures keep their sweep structure with fewer
+#: points.
+QUICK_KWARGS: dict[str, dict] = {
+    "figure1": {"nbytes": 4_000_000, "frequencies": (1, 4, 16, 64, 256)},
+    "figure2": {"nbytes": 4_000_000, "frequencies": (1, 4, 16, 64, 256)},
+    "figure3": {"nbytes": 4_000_000, "packet_sizes": (1024, 4096, 16384, 32768)},
+    "table1": {"nbytes": 10_000_000, "seeds": (0, 1, 2)},
+    "table2": {"nbytes": 10_000_000, "probe_bytes": 2_000_000,
+               "candidates": (1, 4, 8, 16, 20, 32)},
+    "ablation_batch": {"nbytes": 4_000_000},
+    "ablation_selection": {"nbytes": 4_000_000},
+    "ablation_congestion": {"nbytes": 4_000_000},
+    "ablation_autotune": {"nbytes": 10_000_000, "seeds": (0, 1)},
+    "satellite": {"nbytes": 4_000_000},
+    "fairness": {"nbytes": 6_000_000},
 }

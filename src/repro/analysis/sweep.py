@@ -2,7 +2,7 @@
 
 The figure experiments are hand-rolled sweeps; this module provides the
 general tool — sweep any FOBS/TCP knob over any path preset and get a
-rendered series back.  Exposed on the CLI as ``fobs-repro sweep``.
+rendered series back.  Exposed on the CLI as ``repro sweep``.
 """
 
 from __future__ import annotations
@@ -159,9 +159,22 @@ def sweep_tcp(
 
 
 def parse_values(protocol: str, parameter: str, raw: str) -> list[object]:
-    """Parse a comma-separated CLI value list with the param's type."""
+    """Parse a comma-separated CLI value list with the param's type.
+
+    Each value is also checked by building the config it will sweep,
+    so a bad one is refused here, before any point has run.
+    """
     table = FOBS_PARAMS if protocol == "fobs" else TCP_PARAMS
     if parameter not in table:
-        raise ValueError(f"unknown parameter {parameter!r} for {protocol}")
-    parser = table[parameter]
-    return [parser(v.strip()) for v in raw.split(",") if v.strip()]
+        raise ValueError(f"unknown parameter {parameter!r} for {protocol}; "
+                         f"choose from {sorted(table)}")
+    base = FobsConfig() if protocol == "fobs" else TcpOptions()
+    values = []
+    for text in filter(None, (v.strip() for v in raw.split(","))):
+        try:
+            value = table[parameter](text)
+            replace(base, **{parameter: value})
+        except ValueError as exc:
+            raise ValueError(f"bad {parameter} value {text!r}: {exc}") from None
+        values.append(value)
+    return values

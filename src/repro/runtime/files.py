@@ -25,7 +25,7 @@ datagram of a resumable session carries the
 :class:`~repro.runtime.wire.SessionContext` extension, so datagrams
 from a dead attempt are rejected on arrival.
 
-Used by the ``fobs-xfer`` CLI (:mod:`repro.runtime.cli`).
+Used by ``repro send`` / ``repro recv`` (:mod:`repro.server.cli`).
 """
 
 from __future__ import annotations

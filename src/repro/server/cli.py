@@ -1,16 +1,30 @@
-"""``repro`` — the multi-transfer daemon and its fetch client.
+"""``repro`` — the one command line for FOBS transfers and the paper.
 
-Serve a directory of objects::
+Serve a directory of objects, and fetch from it (another process or
+machine)::
 
     repro serve ./objects --port 9900 --max-active 4 --queue-depth 8 \
         --rate-budget 200 --stats-interval 5
-
-Fetch one object (from another process/machine)::
-
     repro fetch big.dat --host 10.0.0.1 --port 9900 --output big.dat \
         --max-attempts 3
 
-Both accept ``--telemetry-out LOG.jsonl`` to record protocol events;
+Move one file between two processes (receiver first; ``--resume`` and
+``--max-attempts N`` on both ends make the session crash-resumable), or
+smoke-test the host's UDP path in one process::
+
+    repro recv --port 9000 --output incoming.bin
+    repro send big.dat --host 127.0.0.1 --port 9000
+    repro loopback --nbytes 1000000
+
+Reproduce the paper's tables and figures on the simulated testbed::
+
+    repro list
+    repro run figure1 --quick
+    repro sweep fobs --path long_haul --param ack_frequency --values 8,64
+
+``repro sync`` replicates a directory tree, ``repro loadtest`` runs a
+fleet scenario, ``repro verify`` audits a file against its manifest.
+``--telemetry-out LOG.jsonl`` records protocol events;
 ``repro stats LOG.jsonl`` aggregates a recording and
 ``repro timeline LOG.jsonl`` reconstructs per-transfer timelines
 (goodput curve, phases, waste, loss attribution) from it.
@@ -21,12 +35,11 @@ reply), rejects the rest with a reason, and splits ``--rate-budget``
 across active transfers by max-min fairness.  SIGTERM (or Ctrl-C)
 drains gracefully: admissions stop, the wait queue is rejected, active
 transfers finish, then the process exits; a second signal stops
-immediately.  Vanilla ``fobs-xfer send`` clients can push files to the
-same port.
+immediately.  ``repro send`` clients can push files to the same port.
 
 Output discipline: one machine-readable ``key=value`` line on stdout,
-progress and stats on stderr (``--quiet`` silences the latter),
-nonzero exit on failure.
+progress and stats on stderr (``--quiet`` silences the latter, never a
+failure), nonzero exit on failure and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -34,20 +47,84 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
-import threading
+import time
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
+from repro.analysis.experiments import EXPERIMENTS, QUICK_KWARGS
+from repro.analysis.sweep import PATHS, parse_values, sweep_fobs, sweep_tcp
 from repro.core.config import FobsConfig
-from repro.runtime.cli import info
+from repro.runtime.files import receive_file, send_file
 from repro.runtime.transfer import SEND_BATCH
 from repro.server.client import fetch_file
 from repro.server.daemon import ObjectServer
 
 
+class UsageError(Exception):
+    """Arguments no command can run with: ``main`` prints one
+    ``<command> FAILED: <reason>`` line on stderr and exits 2."""
+
+
+def info(args: argparse.Namespace, message: str) -> None:
+    """Human-facing progress line: stderr, silenced by ``--quiet``."""
+    if not getattr(args, "quiet", False):
+        print(message, file=sys.stderr)
+
+
+def _positive_nbytes(args: argparse.Namespace) -> None:
+    if args.nbytes is not None and args.nbytes <= 0:
+        raise UsageError("--nbytes must be positive")
+
+
+def _add_hardening_flags(sub: argparse.ArgumentParser) -> None:
+    """Stall/recovery knobs shared by ``send``, ``recv`` and ``loopback``."""
+    sub.add_argument(
+        "--stall-timeout", type=float, default=None, metavar="SECONDS",
+        help="no-ACK-progress interval before the sender probes")
+    sub.add_argument(
+        "--stall-abort-after", type=float, default=None, metavar="SECONDS",
+        help="total stalled time before the transfer aborts with a "
+             "diagnosis")
+    sub.add_argument(
+        "--no-checksum", action="store_true",
+        help="disable per-packet CRC32 (byte-identical legacy wire "
+             "format; corrupted payloads go undetected)")
+    sub.add_argument(
+        "--resume", action="store_true",
+        help="negotiate a crash-resumable session (journal + RESUME "
+             "handshake)")
+    sub.add_argument(
+        "--max-attempts", type=int, default=1, metavar="N",
+        help="retry/re-listen budget; >1 implies --resume")
+    sub.add_argument(
+        "--journal-path", default=None, metavar="PATH",
+        help="receiver write-ahead journal location (default: "
+             "OUTPUT.journal; accepted on every subcommand so both "
+             "ends can share one flag set)")
+    sub.add_argument(
+        "--quiet", action="store_true",
+        help="suppress progress output on stderr (the stdout result "
+             "line and failure diagnoses still print)")
+
+
+def _config_from(args: argparse.Namespace, **extra) -> FobsConfig:
+    kwargs = dict(extra, checksum=not args.no_checksum)
+    if args.stall_timeout is not None:
+        kwargs["stall_timeout"] = args.stall_timeout
+    if args.stall_abort_after is not None:
+        kwargs["stall_abort_after"] = args.stall_abort_after
+    try:
+        return FobsConfig(**kwargs)
+    except ValueError as exc:
+        raise UsageError(exc) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
-        description="Concurrent FOBS object server and fetch client.")
+        description="FOBS transfers over real sockets, the concurrent "
+                    "object server, and the paper's experiments on the "
+                    "simulated testbed.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     serve = sub.add_parser(
@@ -225,6 +302,66 @@ def build_parser() -> argparse.ArgumentParser:
                            "file (replay with 'repro stats PATH')")
     sync.add_argument("--quiet", action="store_true",
                       help="suppress progress output on stderr")
+
+    send = sub.add_parser("send", help="send a file to a listening receiver")
+    send.add_argument("path")
+    send.add_argument("--host", default="127.0.0.1")
+    send.add_argument("--port", type=int, required=True)
+    send.add_argument("--packet-size", type=int, default=1024)
+    send.add_argument("--ack-frequency", type=int, default=32)
+    send.add_argument("--timeout", type=float, default=120.0)
+    send.add_argument(
+        "--telemetry-out", default=None, metavar="PATH",
+        help="record protocol events to a JSONL file (replay with "
+             "'repro timeline PATH')")
+    _add_hardening_flags(send)
+
+    recv = sub.add_parser("recv", help="receive one file")
+    recv.add_argument("--port", type=int, required=True)
+    recv.add_argument("--output", required=True)
+    recv.add_argument("--bind", default="0.0.0.0")
+    recv.add_argument("--timeout", type=float, default=120.0)
+    _add_hardening_flags(recv)
+
+    loop = sub.add_parser(
+        "loopback",
+        help="single-process loopback smoke test (exits nonzero on a "
+             "failed transfer)")
+    loop.add_argument("--nbytes", type=int, default=1_000_000)
+    loop.add_argument("--packet-size", type=int, default=1024)
+    loop.add_argument("--ack-frequency", type=int, default=32)
+    loop.add_argument("--timeout", type=float, default=60.0)
+    loop.add_argument("--drop-rate", type=float, default=0.0,
+                      help="fraction of data datagrams to discard")
+    loop.add_argument("--blackhole-acks", action="store_true",
+                      help="silence the ACK path (forces a stall abort)")
+    loop.add_argument("--seed", type=int, default=0)
+    _add_hardening_flags(loop)
+
+    sub.add_parser("list", help="list the paper's experiments")
+    run = sub.add_parser(
+        "run", help="run one experiment on the simulated testbed and "
+                    "print its table")
+    run.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    run.add_argument("--nbytes", type=int, default=None,
+                     help="object size in bytes (default: the paper's 40 MB)")
+    run.add_argument("--seed", type=int, default=None, help="base RNG seed")
+    run.add_argument("--quick", action="store_true",
+                     help="small object / fewer sweep points, for a fast look")
+    run.add_argument("--csv", metavar="PATH", default=None,
+                     help="also write the result rows as CSV")
+
+    sweep = sub.add_parser(
+        "sweep", help="sweep one protocol parameter over a path preset")
+    sweep.add_argument("protocol", choices=("fobs", "tcp"))
+    sweep.add_argument("--path", default="short_haul", choices=sorted(PATHS),
+                       help="path preset (default short_haul)")
+    sweep.add_argument("--param", required=True,
+                       help="parameter to sweep (e.g. ack_frequency)")
+    sweep.add_argument("--values", required=True,
+                       help="comma-separated values, e.g. 1,4,16,64")
+    sweep.add_argument("--nbytes", type=int, default=10_000_000)
+    sweep.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -234,7 +371,7 @@ def _telemetry_bus(args: argparse.Namespace):
         return None
     from repro.telemetry import EventBus, JsonlSink
 
-    return EventBus(sinks=[JsonlSink(args.telemetry_out, producer="repro")])
+    return EventBus(sinks=[JsonlSink(args.telemetry_out)])
 
 
 def _tuning_config(args: argparse.Namespace):
@@ -279,17 +416,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     signal.signal(signal.SIGTERM, on_signal)
     signal.signal(signal.SIGINT, on_signal)
+    # serve_forever calls ready.set() once its sockets are bound.
+    announce = SimpleNamespace(set=lambda: info(
+        args, f"serving {server.root} on tcp {server.port} "
+              f"(udp {server.udp_port}), max-active "
+              f"{args.max_active}, queue {args.queue_depth}"))
     try:
-        ready = threading.Event()
-
-        def announce():
-            ready.wait(5)
-            info(args, f"serving {server.root} on tcp {server.port} "
-                       f"(udp {server.udp_port}), max-active "
-                       f"{args.max_active}, queue {args.queue_depth}")
-
-        threading.Thread(target=announce, daemon=True).start()
-        snapshot = server.serve_forever(ready)
+        snapshot = server.serve_forever(announce)
     except OSError as exc:
         print(f"serve FAILED: {exc}", file=sys.stderr)
         return 1
@@ -324,17 +457,13 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
 
     multi = len(args.names) > 1
     if multi and args.output:
-        print("fetch FAILED: --output is single-object; use "
-              "--output-dir for multiple names", file=sys.stderr)
-        return 2
+        raise UsageError("--output is single-object; use --output-dir "
+                         "for multiple names")
     if multi and not args.output_dir:
-        print("fetch FAILED: --output-dir is required when fetching "
-              "multiple objects", file=sys.stderr)
-        return 2
+        raise UsageError("--output-dir is required when fetching "
+                         "multiple objects")
     if not args.output and not args.output_dir:
-        print("fetch FAILED: one of --output / --output-dir is required",
-              file=sys.stderr)
-        return 2
+        raise UsageError("one of --output / --output-dir is required")
     if args.output_dir:
         os.makedirs(args.output_dir, exist_ok=True)
 
@@ -421,15 +550,13 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     import os
-    import time
 
     from repro.core.manifest import ChunkManifest, ManifestCorrupt, corrupt_ranges
 
     try:
         manifest = ChunkManifest.load(args.manifest)
     except (OSError, ManifestCorrupt, ValueError) as exc:
-        print(f"verify FAILED: bad manifest: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"bad manifest: {exc}") from None
     start = time.monotonic()
     try:
         size = os.path.getsize(args.file)
@@ -441,8 +568,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         with open(args.file, "rb") as fh:
             bad = manifest.verify_file(fh)
     except OSError as exc:
-        print(f"verify FAILED: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from None
     duration = time.monotonic() - start
     if not args.quiet and len(bad):
         shown = ", ".join(str(s) for s in bad[:16])
@@ -483,9 +609,7 @@ def _cmd_sync(args: argparse.Namespace) -> int:
     )
 
     if not os.path.isdir(args.src):
-        print(f"sync FAILED: {args.src} is not a directory",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"{args.src} is not a directory")
     try:
         packing = PackingConfig(object_bytes=args.object_size,
                                 pack_threshold=args.pack_threshold)
@@ -494,8 +618,7 @@ def _cmd_sync(args: argparse.Namespace) -> int:
         manifest = scan_tree(args.src, args.chunk_size)
         plan = plan_objects(manifest, packing)
     except (ValueError, OSError) as exc:
-        print(f"sync FAILED: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from None
 
     if args.dry_run:
         order = schedule(plan, scheduler)
@@ -703,17 +826,14 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
             print(f"{name}: {SCENARIOS[name].description}")
         return 0
     if args.scenario is None:
-        print("loadtest FAILED: scenario name required (try --list)",
-              file=sys.stderr)
-        return 2
+        raise UsageError("scenario name required (try --list)")
     try:
         result = run_scenario(
             args.scenario, seed=args.seed, clients=args.clients,
             time_limit=args.time_limit,
             telemetry_path=args.telemetry_out)
     except ValueError as exc:
-        print(f"loadtest FAILED: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(exc) from None
     report = result.report
     info(args, f"loadtest {args.scenario}: offered={report['offered']} "
                f"completed={report['transfers']['completed']} "
@@ -725,21 +845,152 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_send(args: argparse.Namespace) -> int:
+    config = _config_from(args, packet_size=args.packet_size,
+                          ack_frequency=args.ack_frequency)
+    bus = _telemetry_bus(args)
+    try:
+        result = send_file(args.path, args.host, args.port,
+                           config=config, timeout=args.timeout,
+                           resume=args.resume, max_attempts=args.max_attempts,
+                           telemetry=bus)
+    except (TimeoutError, ConnectionError, OSError) as exc:
+        print(f"send FAILED: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        if bus is not None:
+            bus.close()
+            info(args, f"telemetry recorded to {args.telemetry_out}")
+    if not result.completed:
+        print(f"send FAILED after {result.attempts} attempt(s): "
+              f"{result.failure_reason}", file=sys.stderr)
+        return 1
+    info(args, f"sent {result.nbytes} bytes in {result.duration:.3f}s "
+               f"({result.throughput_bps / 1e6:.1f} Mb/s)")
+    print(f"send ok nbytes={result.nbytes} duration_s={result.duration:.3f} "
+          f"throughput_mbps={result.throughput_bps / 1e6:.2f} "
+          f"retransmissions={result.packets_retransmitted} "
+          f"attempts={result.attempts} "
+          f"resumed_packets={result.resumed_packets}")
+    return 0
+
+
+def _cmd_recv(args: argparse.Namespace) -> int:
+    config = _config_from(args, ack_frequency=32)
+    try:
+        result = receive_file(args.output, args.port, bind=args.bind,
+                              timeout=args.timeout,
+                              max_attempts=max(args.max_attempts,
+                                               2 if args.resume else 1),
+                              journal_path=args.journal_path,
+                              config=config)
+    except (TimeoutError, ConnectionError, ValueError, OSError) as exc:
+        print(f"receive FAILED: {exc}", file=sys.stderr)
+        return 1
+    if not result.completed or not result.crc_ok:
+        print(f"receive FAILED after {result.attempts} attempt(s): "
+              f"{result.failure_reason or 'CRC mismatch'}", file=sys.stderr)
+        return 1
+    info(args, f"received {result.nbytes} bytes -> {result.path}")
+    print(f"recv ok nbytes={result.nbytes} path={result.path} crc=ok "
+          f"attempts={result.attempts} "
+          f"resumed_packets={result.resumed_packets}")
+    return 0
+
+
+def _cmd_loopback(args: argparse.Namespace) -> int:
+    from repro.runtime.transfer import run_loopback_transfer
+
+    _positive_nbytes(args)
+    config = _config_from(args, packet_size=args.packet_size,
+                          ack_frequency=args.ack_frequency)
+    try:
+        result = run_loopback_transfer(
+            nbytes=args.nbytes, config=config, drop_rate=args.drop_rate,
+            blackhole_acks=args.blackhole_acks, seed=args.seed,
+            timeout=args.timeout)
+    except TimeoutError as exc:
+        # The harness itself gave up — distinct from a protocol-level
+        # abort, which returns a diagnosed result below.
+        print(f"loopback FAILED: timed_out=True ({exc})", file=sys.stderr)
+        return 1
+    if not result.completed or not result.checksum_ok:
+        reason = result.failure_reason or "checksum mismatch"
+        print(f"loopback FAILED: timed_out=False failure_reason={reason!r}",
+              file=sys.stderr)
+        return 1
+    info(args, f"loopback transfer of {result.nbytes} bytes completed in "
+               f"{result.duration:.3f}s")
+    print(f"loopback ok nbytes={result.nbytes} "
+          f"duration_s={result.duration:.3f} "
+          f"throughput_mbps={result.throughput_bps / 1e6:.2f} "
+          f"retransmissions={result.packets_retransmitted} "
+          f"stall_recoveries={result.stall_recoveries}")
+    return 0
+
+
+def _cmd_list(args: argparse.Namespace) -> int:
+    for name in sorted(EXPERIMENTS):
+        doc = (EXPERIMENTS[name].__doc__ or "").strip().splitlines()[0]
+        print(f"{name:<22} {doc}")
+    return 0
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    _positive_nbytes(args)
+    kwargs = dict(QUICK_KWARGS.get(args.experiment, {})) if args.quick else {}
+    if args.nbytes is not None:
+        kwargs["nbytes"] = args.nbytes
+    if args.seed is not None:
+        if args.experiment == "table1":
+            kwargs["seeds"] = (args.seed,)
+        else:
+            kwargs["seed"] = args.seed
+    start = time.perf_counter()
+    result = EXPERIMENTS[args.experiment](**kwargs)
+    elapsed = time.perf_counter() - start
+    print(result.render())
+    if args.csv:
+        import csv
+
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(result.headers)
+            writer.writerows(result.rows)
+        print(f"[rows written to {args.csv}]")
+    print(f"\n[{args.experiment} finished in {elapsed:.1f}s wall clock]")
+    return 0
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    _positive_nbytes(args)
+    try:
+        values = parse_values(args.protocol, args.param, args.values)
+    except ValueError as exc:
+        raise UsageError(exc) from None
+    runner = sweep_fobs if args.protocol == "fobs" else sweep_tcp
+    result = runner(args.path, args.param, values,
+                    nbytes=args.nbytes, seed=args.seed)
+    print(result.render())
+    return 0
+
+
+_COMMANDS = {
+    "serve": _cmd_serve, "fetch": _cmd_fetch, "verify": _cmd_verify,
+    "stats": _cmd_stats, "timeline": _cmd_timeline,
+    "loadtest": _cmd_loadtest, "sync": _cmd_sync, "send": _cmd_send,
+    "recv": _cmd_recv, "loopback": _cmd_loopback, "list": _cmd_list,
+    "run": _cmd_run, "sweep": _cmd_sweep,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "stats":
-        return _cmd_stats(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "timeline":
-        return _cmd_timeline(args)
-    if args.command == "loadtest":
-        return _cmd_loadtest(args)
-    if args.command == "sync":
-        return _cmd_sync(args)
-    return _cmd_fetch(args)
+    try:
+        return _COMMANDS[args.command](args)
+    except UsageError as exc:
+        print(f"{args.command} FAILED: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

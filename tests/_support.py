@@ -6,12 +6,24 @@ and benchmarks run in the same pytest invocation.
 
 from __future__ import annotations
 
+import socket
 import struct
 
 from repro.core.config import FobsConfig
 from repro.core.packets import DataPacket
 from repro.runtime import wire
 from repro.simnet.topology import HopSpec, MBPS, Network, PathSpec, build_path
+
+
+def free_port() -> int:
+    """A TCP port on 127.0.0.1 the kernel just handed out and nobody holds.
+
+    A fixed number in the ephemeral range can already belong to an
+    earlier client socket; asking the kernel cannot.
+    """
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
 
 def tiny_path(

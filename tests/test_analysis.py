@@ -95,11 +95,6 @@ class TestExperimentRunners:
         res = experiments.ablation_batch_size(nbytes=300_000, batch_sizes=(1, 2))
         assert len(res.rows) == 3  # 2 fixed + adaptive
 
-    def test_shootout(self):
-        res = experiments.baseline_shootout(nbytes=1_000_000)
-        assert len(res.rows) == 2
-        assert len(res.headers) == 6
-
     def test_sweep_rejects_unknown_haul(self):
         with pytest.raises(ValueError):
             experiments.ack_frequency_sweep("medium")
@@ -114,31 +109,31 @@ class TestExperimentRunners:
         assert set(experiments.EXPERIMENTS) == {
             "figure1", "figure2", "figure3", "table1", "table2",
             "ablation_batch", "ablation_selection", "ablation_congestion",
-            "ablation_autotune", "satellite", "fairness", "shootout",
+            "ablation_autotune", "satellite", "fairness",
         }
 
 
 class TestCli:
     def test_list(self, capsys):
-        from repro.analysis.cli import main
+        from repro.server.cli import main
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "figure1" in out and "table2" in out
 
     def test_run_small_experiment(self, capsys):
-        from repro.analysis.cli import main
+        from repro.server.cli import main
         assert main(["run", "figure1", "--nbytes", "200000", "--quick"]) == 0
         out = capsys.readouterr().out
         assert "Figure 1" in out
 
     def test_run_rejects_unknown(self):
-        from repro.analysis.cli import main
+        from repro.server.cli import main
         with pytest.raises(SystemExit):
             main(["run", "bogus"])
 
 
     def test_run_with_csv_export(self, capsys, tmp_path):
-        from repro.analysis.cli import main
+        from repro.server.cli import main
         out_csv = tmp_path / "rows.csv"
         assert main(["run", "figure3", "--nbytes", "200000", "--quick",
                      "--csv", str(out_csv)]) == 0

@@ -27,6 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from _support import free_port
 from repro.chaos import (
     ChaosScenario,
     HostFaultSchedule,
@@ -218,7 +219,7 @@ class TestResumeBeatsRestart:
         return data, src, out, thread, result, first
 
     def test_demoted_resume_beats_full_restart(self, tmp_path):
-        port = 39431
+        port = free_port()
         data, src, out, thread, result, first = \
             self._interrupted_first_attempt(tmp_path, port)
 
@@ -249,7 +250,7 @@ class TestResumeBeatsRestart:
 
         # Full restart on the SAME seed and kill point: sever the
         # journal so attempt 2 starts from scratch.
-        port2 = 39432
+        port2 = free_port()
         tmp2 = tmp_path / "restart"
         tmp2.mkdir()
         src2 = tmp2 / "src.bin"

@@ -1,4 +1,4 @@
-"""Adversarial fault-injection harness for the three protocols.
+"""Adversarial fault-injection harness for FOBS.
 
 Every scenario must end in one of two diagnosable outcomes — a
 successful transfer or a clean, attributed failure — never a hang.
@@ -13,8 +13,6 @@ import pytest
 from repro.analysis.diagnostics import loss_breakdown
 from repro.core.config import FobsConfig
 from repro.core.session import FobsTransfer, run_fobs_transfer
-from repro.rudp.protocol import run_rudp_transfer
-from repro.sabul.protocol import run_sabul_transfer
 from repro.simnet import (
     FaultSchedule,
     GilbertElliott,
@@ -217,51 +215,6 @@ class TestFobsUnderFaults:
         stats = run_fobs_transfer(net, 500_000, hardened_config(),
                                   time_limit=120.0)
         assert stats.ok
-
-
-# ---------------------------------------------------------------------------
-# RBUDP and SABUL: complete or fail cleanly, never hang
-# ---------------------------------------------------------------------------
-SCENARIOS = {
-    "blackhole_window": FaultSchedule(blackholes=((0.05, 1.0),)),
-    "ack_loss_only": ack_channel_blackhole(),
-    "duplication": FaultSchedule(duplicate_rate=0.2),
-    "corruption": FaultSchedule(corrupt_rate=0.05),
-}
-
-
-class TestRudpUnderFaults:
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_diagnosable_outcome(self, name):
-        net = short_haul(seed=5)
-        direction = "reverse" if name == "ack_loss_only" else "both"
-        install_faults(net, SCENARIOS[name], direction=direction)
-        stats = run_rudp_transfer(net, 500_000, time_limit=60.0)
-        # Either outcome is acceptable; it must be diagnosable.
-        assert stats.completed != stats.timed_out
-        if name == "corruption":
-            assert stats.completed
-            assert stats.packets_corrupt > 0
-
-
-class TestSabulUnderFaults:
-    @pytest.mark.parametrize("name", sorted(SCENARIOS))
-    def test_diagnosable_outcome(self, name):
-        net = short_haul(seed=6)
-        direction = "reverse" if name == "ack_loss_only" else "both"
-        install_faults(net, SCENARIOS[name], direction=direction)
-        stats = run_sabul_transfer(net, 500_000, time_limit=60.0)
-        assert stats.completed != stats.timed_out
-        if name == "corruption":
-            assert stats.completed
-            assert stats.packets_corrupt > 0
-
-    def test_dead_path_times_out_cleanly(self):
-        net = short_haul(seed=6)
-        install_faults(net, blackhole_window(0.0, 1e9), direction="both")
-        stats = run_sabul_transfer(net, 200_000, time_limit=5.0)
-        assert not stats.completed
-        assert stats.timed_out
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ import pytest
 import repro.simnet as sn
 from repro.core import FobsConfig, run_fobs_transfer
 from repro.psockets import run_striped_transfer
-from repro.rudp import run_rudp_transfer
-from repro.sabul import run_sabul_transfer
 from repro.tcp import TcpOptions, run_bulk_transfer
 
 NBYTES = 4_000_000
@@ -69,19 +67,6 @@ class TestPaperClaims:
         clean = run_fobs_transfer(sn.long_haul(seed=0, loss_rate=0.0), NBYTES)
         lossy = run_fobs_transfer(sn.long_haul(seed=0), NBYTES)
         assert lossy.percent_of_bottleneck > 0.9 * clean.percent_of_bottleneck
-
-    def test_fobs_beats_sabul_on_lossy_path(self):
-        """The FOBS/SABUL contrast: loss-as-congestion costs SABUL."""
-        fobs = run_fobs_transfer(sn.contended_path(), NBYTES)
-        sabul = run_sabul_transfer(sn.contended_path(), NBYTES)
-        assert fobs.percent_of_bottleneck > sabul.percent_of_bottleneck
-
-    def test_rudp_comparable_on_clean_network(self):
-        """RBUDP targets loss-free QoS networks — and matches FOBS
-        there."""
-        fobs = run_fobs_transfer(sn.short_haul(), NBYTES)
-        rudp = run_rudp_transfer(sn.short_haul(), NBYTES)
-        assert abs(fobs.percent_of_bottleneck - rudp.percent_of_bottleneck) < 15
 
     def test_packet_size_matters_on_gigabit_path(self):
         """Figure 3's claim: 'the size of the data packet makes a

@@ -18,8 +18,7 @@ class TestTopLevelExports:
         for name in ("FobsConfig", "run_fobs_transfer", "short_haul",
                      "long_haul", "gigabit_path", "contended_path",
                      "TcpOptions", "run_bulk_transfer",
-                     "run_striped_transfer", "probe_optimal_sockets",
-                     "run_rudp_transfer", "run_sabul_transfer"):
+                     "run_striped_transfer", "probe_optimal_sockets"):
             assert name in repro.__all__
 
     def test_observation_surface(self):
@@ -77,13 +76,13 @@ class TestTopLevelExports:
         parts = repro.__version__.split(".")
         assert len(parts) == 3
         assert all(p.isdigit() for p in parts)
-        assert repro.__version__ == "1.2.0"
+        assert repro.__version__ == "2.0.0"
 
 
 @pytest.mark.parametrize("module", [
     "repro.core", "repro.simnet", "repro.tcp", "repro.psockets",
-    "repro.rudp", "repro.sabul", "repro.runtime", "repro.analysis",
-    "repro.server", "repro.telemetry", "repro.dataset",
+    "repro.runtime", "repro.analysis", "repro.server", "repro.telemetry",
+    "repro.dataset",
 ])
 class TestSubpackages:
     def test_all_exports_resolve(self, module):
@@ -103,18 +102,12 @@ class TestConsoleScripts:
 
         with open("pyproject.toml", "rb") as fh:
             meta = tomllib.load(fh)
-        scripts = meta["project"]["scripts"]
-        assert scripts["fobs-repro"] == "repro.analysis.cli:main"
-        assert scripts["fobs-xfer"] == "repro.runtime.cli:main"
-        assert scripts["repro"] == "repro.server.cli:main"
+        assert meta["project"]["scripts"] == {"repro": "repro.server.cli:main"}
 
     def test_cli_mains_importable(self):
-        from repro.analysis.cli import main as repro_main
-        from repro.runtime.cli import main as xfer_main
-        from repro.server.cli import main as server_main
+        from repro.server.cli import main
 
-        assert callable(repro_main) and callable(xfer_main)
-        assert callable(server_main)
+        assert callable(main)
 
     @pytest.mark.parametrize("script, argv, advertised", [
         ("repro.server.cli", [], ("stats", "timeline")),
@@ -123,8 +116,8 @@ class TestConsoleScripts:
         ("repro.server.cli", ["fetch"],
          ("--telemetry-out", "--autotune", "--rate-mode",
           "--stats-interval")),
-        ("repro.runtime.cli", ["send"], ("--telemetry-out",)),
-    ], ids=["repro", "repro-serve", "repro-fetch", "fobs-xfer-send"])
+        ("repro.server.cli", ["send"], ("--telemetry-out",)),
+    ], ids=["repro", "repro-serve", "repro-fetch", "repro-send"])
     def test_help_advertises_telemetry_and_autotune(self, script, argv,
                                                     advertised, capsys):
         """What operators' scripts rely on: the telemetry subcommands
@@ -135,3 +128,28 @@ class TestConsoleScripts:
         assert exited.value.code == 0
         text = capsys.readouterr().out
         assert [name for name in advertised if name not in text] == []
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["sweep", "fobs", "--path", "medium", "--param", "ack_frequency",
+          "--values", "8"], "invalid choice: 'medium'"),
+        (["sweep", "fobs", "--param", "bogus", "--values", "8"],
+         "sweep FAILED: unknown parameter 'bogus'"),
+        (["sweep", "fobs", "--param", "ack_frequency", "--values", "x"],
+         "sweep FAILED: bad ack_frequency value 'x'"),
+        (["run", "figure1", "--nbytes", "0"],
+         "run FAILED: --nbytes must be positive"),
+        (["loopback", "--packet-size", "0"], "loopback FAILED: packet_size"),
+    ], ids=["path", "param", "values", "nbytes", "packet-size"])
+    def test_a_bad_value_is_a_usage_error(self, argv, reason, capsys):
+        """Exit 2 and one line naming the bad value, before any work
+        starts; never an exception out of ``main``."""
+        from repro.server.cli import main
+
+        try:
+            code = main(argv)
+        except SystemExit as exited:  # argparse's own usage errors
+            code = exited.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert reason in captured.err.splitlines()[-1]

@@ -1,4 +1,5 @@
-"""``fobs-xfer`` CLI: flags, exit codes, resumable file transfers.
+"""``repro send`` / ``recv`` / ``loopback``: flags, exit codes, resumable
+file transfers.
 
 The bugfix under test: a failed transfer must exit nonzero with the
 failure diagnosis on stderr (previously a loopback/stats-only failure
@@ -13,7 +14,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.runtime.cli import build_parser, main
+from _support import free_port
+from repro.server.cli import build_parser, main
 from repro.runtime.files import receive_file
 
 
@@ -120,12 +122,12 @@ class TestSendRecvExitCodes:
         src = tmp_path / "f.bin"
         src.write_bytes(b"x" * 1000)
         rc = main(["send", str(src), "--host", "127.0.0.1",
-                   "--port", "47999", "--timeout", "2"])
+                   "--port", str(free_port()), "--timeout", "2"])
         assert rc == 1
         assert "FAILED" in capsys.readouterr().err
 
     def test_recv_without_sender_exits_nonzero(self, tmp_path, capsys):
-        rc = main(["recv", "--port", "47998", "--bind", "127.0.0.1",
+        rc = main(["recv", "--port", str(free_port()), "--bind", "127.0.0.1",
                    "--output", str(tmp_path / "o.bin"), "--timeout", "1"])
         assert rc == 1
         assert "FAILED" in capsys.readouterr().err
@@ -136,19 +138,20 @@ class TestSendRecvExitCodes:
         src = tmp_path / "src.bin"
         src.write_bytes(blob)
         out = tmp_path / "out.bin"
+        port = free_port()
         ready = threading.Event()
         recv_result = {}
 
         def recv():
             recv_result["r"] = receive_file(
-                str(out), 47997, bind="127.0.0.1", timeout=30, ready=ready,
+                str(out), port, bind="127.0.0.1", timeout=30, ready=ready,
                 max_attempts=3)
 
         thread = threading.Thread(target=recv, daemon=True)
         thread.start()
         ready.wait(timeout=5)
         rc = main(["send", str(src), "--host", "127.0.0.1",
-                   "--port", "47997", "--timeout", "30", "--resume",
+                   "--port", str(port), "--timeout", "30", "--resume",
                    "--max-attempts", "3"])
         thread.join(timeout=30)
         assert rc == 0

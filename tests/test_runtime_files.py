@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from _support import DribbleSocket
+from _support import DribbleSocket, free_port
 from repro.core.config import FobsConfig
 from repro.runtime.files import receive_file, send_file
 
@@ -23,8 +23,9 @@ def make_file(tmp_path, nbytes, seed=0):
     return path, data
 
 
-def run_pair(tmp_path, nbytes, port, config=None, seed=0):
+def run_pair(tmp_path, nbytes, config=None, seed=0):
     src, data = make_file(tmp_path, nbytes, seed)
+    port = free_port()
     out = tmp_path / "out.bin"
     ready = threading.Event()
     result = {}
@@ -45,19 +46,18 @@ def run_pair(tmp_path, nbytes, port, config=None, seed=0):
 
 class TestFileTransfer:
     def test_roundtrip_byte_exact(self, tmp_path):
-        data, out, result = run_pair(tmp_path, 300_000, port=39211)
+        data, out, result = run_pair(tmp_path, 300_000)
         assert out.read_bytes() == data
         assert result["recv"].crc_ok
         assert result["send"].nbytes == 300_000
 
     def test_small_file(self, tmp_path):
-        data, out, result = run_pair(tmp_path, 100, port=39212)
+        data, out, result = run_pair(tmp_path, 100)
         assert out.read_bytes() == data
 
     def test_odd_size_with_custom_packet(self, tmp_path):
         config = FobsConfig(packet_size=4096, ack_frequency=8)
-        data, out, result = run_pair(tmp_path, 123_457, port=39213,
-                                     config=config)
+        data, out, result = run_pair(tmp_path, 123_457, config=config)
         assert out.read_bytes() == data
 
     def test_completion_frame_split_across_reads(self, tmp_path, monkeypatch):
@@ -68,7 +68,7 @@ class TestFileTransfer:
         monkeypatch.setattr(
             socket, "create_connection",
             lambda *args, **kw: DribbleSocket(connect(*args, **kw)))
-        data, out, result = run_pair(tmp_path, 60_000, port=39216)
+        data, out, result = run_pair(tmp_path, 60_000)
         assert out.read_bytes() == data
         assert result["send"].nbytes == 60_000
 
@@ -76,18 +76,19 @@ class TestFileTransfer:
         empty = tmp_path / "empty"
         empty.write_bytes(b"")
         with pytest.raises(ValueError):
-            send_file(str(empty), "127.0.0.1", 39214)
+            send_file(str(empty), "127.0.0.1", free_port())
 
     def test_throughput_reported(self, tmp_path):
-        _, _, result = run_pair(tmp_path, 200_000, port=39215)
+        _, _, result = run_pair(tmp_path, 200_000)
         assert result["send"].throughput_bps > 0
         assert result["recv"].duration > 0
 
 
 class TestResumableFileTransfer:
-    def run_resumable(self, tmp_path, port, kill_plan=None, nbytes=300_000):
+    def run_resumable(self, tmp_path, kill_plan=None, nbytes=300_000):
         from repro.runtime.supervisor import RetryPolicy
 
+        port = free_port()
         src, data = make_file(tmp_path, nbytes, seed=7)
         out = tmp_path / "out.bin"
         config = FobsConfig(ack_frequency=32, stall_timeout=0.1,
@@ -113,7 +114,7 @@ class TestResumableFileTransfer:
         return data, out, result
 
     def test_clean_resumable_session(self, tmp_path):
-        data, out, result = self.run_resumable(tmp_path, port=39217)
+        data, out, result = self.run_resumable(tmp_path)
         assert out.read_bytes() == data
         assert result["send"].completed and result["send"].attempts == 1
         assert result["recv"].crc_ok and result["recv"].attempts == 1
@@ -125,8 +126,7 @@ class TestResumableFileTransfer:
         from repro.simnet.faults import KillSwitch
 
         kill_plan = {0: KillSwitch(target="sender", after_packets=100)}
-        data, out, result = self.run_resumable(tmp_path, port=39218,
-                                               kill_plan=kill_plan)
+        data, out, result = self.run_resumable(tmp_path, kill_plan=kill_plan)
         send, recv = result["send"], result["recv"]
         assert out.read_bytes() == data
         assert send.completed and send.attempts == 2
@@ -152,8 +152,10 @@ class TestResumableFileTransfer:
         ready = threading.Event()
         result = {}
 
+        port = free_port()
+
         def recv():
-            result["recv"] = receive_file(str(out), 39219, bind="127.0.0.1",
+            result["recv"] = receive_file(str(out), port, bind="127.0.0.1",
                                           ready=ready, timeout=15.0,
                                           max_attempts=3, config=config)
 
@@ -162,7 +164,7 @@ class TestResumableFileTransfer:
         assert ready.wait(10)
         from repro.runtime.supervisor import RetryPolicy
 
-        send = send_file(str(src), "127.0.0.1", 39219, config=config,
+        send = send_file(str(src), "127.0.0.1", port, config=config,
                          timeout=15.0, max_attempts=3, kill_plan=kill_plan,
                          policy=RetryPolicy(max_attempts=3, backoff_base=0.05,
                                             jitter=0.0))
@@ -182,9 +184,9 @@ class TestCliProcesses:
 
         src, data = make_file(tmp_path, 200_000, seed=3)
         out = tmp_path / "cli_out.bin"
-        port = 39216
+        port = free_port()
         recv_proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.runtime.cli", "recv",
+            [sys.executable, "-m", "repro", "recv",
              "--port", str(port), "--output", str(out), "--bind", "127.0.0.1",
              "--timeout", "60"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
@@ -195,7 +197,7 @@ class TestCliProcesses:
             send = None
             while time.monotonic() < deadline:
                 send = subprocess.run(
-                    [sys.executable, "-m", "repro.runtime.cli", "send",
+                    [sys.executable, "-m", "repro", "send",
                      str(src), "--host", "127.0.0.1", "--port", str(port),
                      "--timeout", "60"],
                     capture_output=True, text=True, timeout=90,

@@ -2,8 +2,12 @@
 
 import gc
 import os
+import re
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 import weakref
@@ -11,7 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
-from _support import raw_offer
+from _support import free_port, raw_offer
 from repro.core.config import FobsConfig
 from repro.runtime import wire
 from repro.runtime.files import receive_file, send_file
@@ -273,6 +277,44 @@ class TestDrainAndStats:
         assert final.bytes_sent >= 300_000  # wire bytes, headers included
         assert final.draining
 
+    def test_serve_process_announces_and_drains_on_sigterm(self, objects,
+                                                           tmp_path):
+        """The contract scripts rely on: ``python -m repro serve`` names
+        its port on stderr, and SIGTERM drains it to exit 0 with one
+        ``serve done`` line on stdout."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(objects),
+             "--port", "0", "--bind", "127.0.0.1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        # Bounds the blocking readline below: a killed daemon closes
+        # stderr, and the kill shows as a nonzero exit.
+        watchdog = threading.Timer(60, proc.kill)
+        watchdog.start()
+        try:
+            announced = None
+            while announced is None:
+                line = proc.stderr.readline()
+                assert line, "serve exited before announcing its port"
+                announced = re.search(r"on tcp (\d+)", line)
+            result = fetch_file("a.bin", "127.0.0.1",
+                                int(announced.group(1)),
+                                str(tmp_path / "a.bin"), config=CONFIG,
+                                timeout=30)
+            assert result.completed, result.failure_reason
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=30)
+        finally:
+            watchdog.cancel()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == 0, err
+        lines = out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(
+            "serve done completed=1 "), out
+        sent = int(re.search(r"bytes_sent=(\d+)", lines[0]).group(1))
+        assert sent >= (objects / "a.bin").stat().st_size
+
 
 # ----------------------------------------------------------------------
 # Frames that used to end the process (each reproduced at PR 19:
@@ -361,7 +403,7 @@ class TestMalformedControlFrames:
         src = tmp_path / "src.bin"
         src.write_bytes(os.urandom(90_000))
         out = tmp_path / "out.bin"
-        port = 39230 + list(BAD_FRAMES).index(bad)
+        port = free_port()
         ready = threading.Event()
         received = {}
 

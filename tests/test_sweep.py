@@ -77,7 +77,7 @@ class TestParseValues:
 
 class TestCliSweep:
     def test_cli_sweep_fobs(self, capsys):
-        from repro.analysis.cli import main
+        from repro.server.cli import main
         assert main(["sweep", "fobs", "--param", "ack_frequency",
                      "--values", "8,64", "--nbytes", "300000"]) == 0
         out = capsys.readouterr().out
