@@ -9,10 +9,10 @@ crash dimension) — all derived from one seed, so a failing scenario
 replays bit-for-bit.
 
 :func:`run_chaos_transfer` executes the scenario over the real
-two-thread file-transfer stack (loopback TCP control + UDP data, a
-``.part`` file opened through the faulty store, a receiver journal,
-digest verification when ``verify``), then renders the verdict the
-whole subsystem exists to check:
+file-transfer stack, both endpoints on one thread (loopback TCP
+control + UDP data, a ``.part`` file opened through the faulty store,
+a receiver journal, digest verification when ``verify``), then renders
+the verdict the whole subsystem exists to check:
 
     **a transfer either delivers bytes identical to the source or
     reports a failure — never silent corruption.**
@@ -25,7 +25,6 @@ of seeded (network × storage × kill) combinations.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from dataclasses import dataclass, field, fields
 from typing import Optional
@@ -36,6 +35,7 @@ from repro.chaos.hostfaults import FaultyStore, HostFaultSchedule, HostFaultStat
 from repro.core.config import FobsConfig
 from repro.runtime import files
 from repro.runtime.supervisor import RetryPolicy
+from repro.runtime.transfer import run_endpoints
 from repro.simnet.faults import KillSwitch
 
 
@@ -123,33 +123,11 @@ class ChaosResult:
         return not self.silent_corruption
 
 
-def _free_port() -> int:
-    import socket
-
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
-
-
-class _ReceiverThread(threading.Thread):
-    def __init__(self, **kwargs):
-        super().__init__(name="chaos-receiver", daemon=True)
-        self._kwargs = kwargs
-        self.result: Optional[files.FileTransferResult] = None
-        self.error: Optional[BaseException] = None
-
-    def run(self) -> None:
-        try:
-            self.result = files.receive_file(**self._kwargs)
-        except BaseException as exc:  # surfaced by the harness
-            self.error = exc
-
-
 def run_chaos_transfer(scenario: ChaosScenario, workdir: str) -> ChaosResult:
     """Execute one scenario in ``workdir``; never raises on chaos.
 
-    The source object is generated from ``scenario.seed``; input,
-    output, ``.part`` and journal files all live under ``workdir`` (one
+    The source object is generated from ``scenario.seed``; output,
+    ``.part`` and journal files all live under ``workdir`` (one
     directory per scenario keeps verdicts independent).  Only harness
     bugs raise — every injected fault ends up in the returned
     :class:`ChaosResult`.
@@ -157,10 +135,7 @@ def run_chaos_transfer(scenario: ChaosScenario, workdir: str) -> ChaosResult:
     rng = np.random.default_rng(scenario.seed)
     data = rng.integers(0, 256, size=scenario.nbytes,
                         dtype=np.uint8).tobytes()
-    input_path = os.path.join(workdir, "input.bin")
     output_path = os.path.join(workdir, "output.bin")
-    with open(input_path, "wb") as fh:
-        fh.write(data)
 
     config = FobsConfig(
         packet_size=scenario.packet_size,
@@ -171,25 +146,18 @@ def run_chaos_transfer(scenario: ChaosScenario, workdir: str) -> ChaosResult:
         stall_abort_after=3.0,
         receiver_idle_timeout=2.0,
     )
-    port = _free_port()
     store = FaultyStore(scenario.host, seed=scenario.seed)
     kill_plan = ({0: KillSwitch(target="sender",
                                 after_packets=scenario.kill_sender_after)}
                  if scenario.kill_sender_after else None)
 
-    ready = threading.Event()
-    receiver = _ReceiverThread(
-        output_path=output_path, port=port, bind="127.0.0.1",
-        timeout=scenario.timeout, ready=ready,
-        max_attempts=max(scenario.max_attempts, 2),
-        config=config, opener=store.open)
     start = time.monotonic()
-    receiver.start()
-    if not ready.wait(timeout=5.0):
-        raise RuntimeError("chaos receiver never bound its control port")
-
-    sender_result = files.send_file(
-        input_path, "127.0.0.1", port, config,
+    rx = files.receive_endpoint(
+        output_path, 0, bind="127.0.0.1", timeout=scenario.timeout,
+        max_attempts=max(scenario.max_attempts, 2), config=config,
+        opener=store.open)
+    tx = files.send_endpoint(
+        data, "127.0.0.1", rx.socks[0].getsockname()[1], config,
         timeout=scenario.timeout, resume=True,
         max_attempts=scenario.max_attempts,
         policy=RetryPolicy(max_attempts=scenario.max_attempts,
@@ -197,16 +165,12 @@ def run_chaos_transfer(scenario: ChaosScenario, workdir: str) -> ChaosResult:
                            seed=scenario.seed & 0xFFFF),
         kill_plan=kill_plan, verify=scenario.verify,
         drop_rate=scenario.drop_rate, corrupt_rate=scenario.corrupt_rate)
-    receiver.join(timeout=scenario.timeout + 10)
+    run_endpoints([rx, tx])
     duration = max(time.monotonic() - start, 1e-9)
-    if receiver.is_alive():
-        raise TimeoutError("chaos receiver thread did not finish")
-    if receiver.error is not None:
-        raise RuntimeError("chaos receiver crashed") from receiver.error
-    rresult = receiver.result
+    rresult: files.FileTransferResult = rx.result
+    sender_result: files.FileTransferResult = tx.result
 
-    completed = bool(rresult is not None and rresult.completed
-                     and sender_result.completed)
+    completed = rresult.completed and sender_result.completed
     delivered = os.path.exists(output_path)
     byte_identical = False
     if delivered:
@@ -218,8 +182,7 @@ def run_chaos_transfer(scenario: ChaosScenario, workdir: str) -> ChaosResult:
                          or (delivered and not byte_identical))
     failure = None
     if not completed:
-        failure = ((rresult.failure_reason if rresult is not None else None)
-                   or sender_result.failure_reason
+        failure = (rresult.failure_reason or sender_result.failure_reason
                    or "transfer did not complete")
     return ChaosResult(
         scenario=scenario,
@@ -228,17 +191,13 @@ def run_chaos_transfer(scenario: ChaosScenario, workdir: str) -> ChaosResult:
         delivered=delivered,
         silent_corruption=silent_corruption,
         failure_reason=failure,
-        attempts=rresult.attempts if rresult is not None else 0,
+        attempts=rresult.attempts,
         sender_packets_sent=sender_result.packets_sent,
-        packets_demoted=(rresult.packets_demoted if rresult is not None
-                         else 0),
-        ranges_demoted=rresult.ranges_demoted if rresult is not None else 0,
-        bytes_refetched=(rresult.bytes_refetched if rresult is not None
-                         else 0),
-        verify_seconds=(rresult.verify_seconds if rresult is not None
-                        else 0.0),
-        storage_faults=(rresult.storage_faults if rresult is not None
-                        else 0),
+        packets_demoted=rresult.packets_demoted,
+        ranges_demoted=rresult.ranges_demoted,
+        bytes_refetched=rresult.bytes_refetched,
+        verify_seconds=rresult.verify_seconds,
+        storage_faults=rresult.storage_faults,
         duration=duration,
         host_stats=store.stats,
         sender_result=sender_result,

@@ -21,9 +21,9 @@ Transports decouple the dataset layer from the data plane:
   directly (the pack/verify/unpack machinery still runs end to end).
   The default; used by ``repro sync`` on one host.
 * :class:`LoopbackTransport` — each object rides the real-socket FOBS
-  stack (:func:`repro.runtime.files.send_file` /
-  :func:`~repro.runtime.files.receive_file`) with the
-  :class:`~repro.runtime.supervisor.TransferSupervisor` retry loop,
+  stack (:func:`repro.runtime.files.send_endpoint` and
+  :func:`~repro.runtime.files.receive_endpoint`, on one thread) with
+  the :class:`~repro.runtime.supervisor.TransferSupervisor` retry loop,
   per-chunk VERIFY manifests and receiver journals — the full
   object-transfer hardening, per dataset object.
 
@@ -34,9 +34,7 @@ schedule drive :class:`~repro.server.sim.SimObjectServer` specs).
 from __future__ import annotations
 
 import os
-import socket
 import tempfile
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set, Tuple
@@ -110,8 +108,8 @@ class LoopbackTransport:
     """Deliver each object through the real-socket FOBS stack.
 
     Every object is one resumable, VERIFY-audited session over
-    localhost UDP: :func:`~repro.runtime.files.receive_file` listens,
-    :func:`~repro.runtime.files.send_file` blasts, and the
+    localhost UDP, both ends on the calling thread: the packed object
+    is sent from memory into a ``.dst`` spool file, and the
     TransferSupervisor retries on failure.  Slow next to
     :class:`LocalTransport`, but it exercises the genuine wire path —
     ``repro sync --transport loopback`` and the loopback tests use it.
@@ -127,47 +125,25 @@ class LoopbackTransport:
         self.timeout = timeout
         self._spool = tempfile.mkdtemp(prefix="repro-dataset-")
 
-    @staticmethod
-    def _free_port() -> int:
-        with socket.socket() as s:
-            s.bind(("127.0.0.1", 0))
-            return s.getsockname()[1]
-
     def transfer(self, name: str, blob: bytes) -> Tuple[bytes,
                                                         TransportReceipt]:
-        from repro.runtime import files as rt_files
+        from repro.runtime import files as rt_files, transfer as rt_transfer
 
-        src = os.path.join(self._spool, name + ".src")
         dst = os.path.join(self._spool, name + ".dst")
-        with open(src, "wb") as fh:
-            fh.write(blob)
-        port = self._free_port()
-        ready = threading.Event()
-        box: Dict[str, object] = {}
-
-        def run_receiver() -> None:
-            box["rx"] = rt_files.receive_file(
-                dst, port, bind="127.0.0.1", timeout=self.timeout,
-                ready=ready, max_attempts=self.max_attempts,
-                config=self.config)
-
-        thread = threading.Thread(target=run_receiver, daemon=True)
-        thread.start()
-        ready.wait(5)
-        result = rt_files.send_file(
-            src, "127.0.0.1", port, config=self.config,
-            timeout=self.timeout, resume=True,
+        rx = rt_files.receive_endpoint(
+            dst, 0, bind="127.0.0.1", timeout=self.timeout,
+            max_attempts=self.max_attempts, config=self.config)
+        tx = rt_files.send_endpoint(
+            blob, "127.0.0.1", rx.socks[0].getsockname()[1],
+            config=self.config, timeout=self.timeout, resume=True,
             max_attempts=self.max_attempts)
-        thread.join(self.timeout)
-        rx = box.get("rx")
-        if not result.completed or rx is None or not rx.completed:
-            reason = result.failure_reason or (
-                rx.failure_reason if rx is not None else "receiver died")
-            raise PackCorrupt(f"loopback transfer of {name} failed: "
-                              f"{reason}")
+        rt_transfer.run_endpoints([rx, tx])
+        result, received = tx.result, rx.result
+        if not (result.completed and received.completed):
+            reason = result.failure_reason or received.failure_reason
+            raise PackCorrupt(f"loopback transfer of {name} failed: {reason}")
         with open(dst, "rb") as fh:
             delivered = fh.read()
-        os.remove(src)
         os.remove(dst)
         return delivered, TransportReceipt(
             packets_sent=result.packets_sent,

@@ -25,18 +25,22 @@ datagram of a resumable session carries the
 :class:`~repro.runtime.wire.SessionContext` extension, so datagrams
 from a dead attempt are rejected on arrival.
 
-Used by ``repro send`` / ``repro recv`` (:mod:`repro.server.cli`).
+Each end, handshakes and retries included, is one generator of turns
+(:func:`send_endpoint`, :func:`receive_endpoint`) that
+:func:`~repro.runtime.transfer.run_endpoints` drives: :func:`send_file`
+and :func:`receive_file` run one, and a caller holding both ends runs
+the two on one thread.  Used by ``repro send`` / ``repro recv``
+(:mod:`repro.server.cli`).
 """
 
 from __future__ import annotations
 
 import socket
 import sys
-import threading
 import time
 import zlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Generator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.tuning import TuningConfig
@@ -44,11 +48,12 @@ if TYPE_CHECKING:  # pragma: no cover
 import numpy as np
 
 from repro.core.config import FobsConfig
-from repro.core.manifest import ChunkManifest, ManifestCorrupt, VerifyStats
+from repro.core.manifest import ChunkManifest, ManifestCorrupt
 from repro.core.receiver import FobsReceiver
 from repro.core.sender import FobsSender
 from repro.runtime import transfer, wire
 from repro.runtime.driver import (
+    EndpointKilled,
     FaultySend,
     PartFile,
     RecvDriver,
@@ -70,7 +75,7 @@ from repro.telemetry import (
 
 @dataclass
 class FileTransferResult:
-    """Outcome of one file transfer (either side)."""
+    """Outcome of one file transfer, or of one attempt at it (either side)."""
 
     path: str
     nbytes: int
@@ -104,40 +109,42 @@ def derive_transfer_id(filesize: int, crc: int) -> int:
     return ((crc & 0xFFFFFFFF) << 32) | (filesize & 0xFFFFFFFF)
 
 
+#: A receiver's repair counters, summed over its attempts.
+_REPAIRS = ("ranges_demoted", "packets_demoted", "bytes_refetched",
+            "verify_seconds", "storage_faults")
+
+
+def supervised_result(supervised, path: str, nbytes: int
+                      ) -> FileTransferResult:
+    """What a supervised file endpoint reports of its attempts (each a
+    :class:`FileTransferResult` of its own), having moved ``nbytes``
+    (0 for a fetch that failed)."""
+    duration = supervised.final.duration
+    return FileTransferResult(
+        path=path, nbytes=nbytes, duration=duration,
+        throughput_bps=nbytes * 8.0 / duration, crc_ok=supervised.completed,
+        packets_sent=supervised.total_packets_sent,
+        packets_retransmitted=sum(
+            r.retransmissions for r in supervised.attempt_records),
+        resumed_packets=supervised.packets_salvaged,
+        **{name: getattr(supervised, name) for name in (
+            "completed", "failure_reason", "attempts", "stale_epoch_dropped",
+            *_REPAIRS)})
+
+
 # ----------------------------------------------------------------------
 # Sender
 # ----------------------------------------------------------------------
 
-@dataclass
-class _SendOutcome:
-    """One sender attempt, in the supervisor's duck-typed vocabulary."""
-
-    completed: bool
-    duration: float = 0.0
-    failure_reason: Optional[str] = None
-    crashed: Optional[str] = None
-    packets_sent: int = 0
-    retransmissions: int = 0
-    resumed_packets: int = 0
-    stale_epoch_dropped: int = 0
-
-
 def _send_attempt(
-    data: bytes,
-    crc: int,
-    host: str,
-    port: int,
-    config: FobsConfig,
-    timeout: float,
-    session: Optional[wire.SessionContext],
-    kill=None,
-    telemetry: Optional[EventBus] = None,
-    manifest: Optional[ChunkManifest] = None,
-    drop_rate: float = 0.0,
-    corrupt_rate: float = 0.0,
-    fault_seed: int = 0,
-) -> _SendOutcome:
-    """Run one connect→offer→blast attempt; never raises on failure."""
+    end: transfer.Endpoint, data: bytes, crc: int, host: str, port: int,
+    config: FobsConfig, timeout: float,
+    session: Optional[wire.SessionContext], kill,
+    telemetry: Optional[EventBus], manifest: Optional[ChunkManifest],
+    drop_rate: float, corrupt_rate: float, fault_seed: int,
+) -> Generator[float, None, FileTransferResult]:
+    """One connect→offer→blast attempt of ``end``, as turns; never
+    raises on failure."""
     deadline = time.monotonic() + timeout
     resumable = session is not None
     tid = session.transfer_id if resumable else 0
@@ -163,15 +170,15 @@ def _send_attempt(
                      role="sender")
     start = time.monotonic()
     failure: Optional[str] = None
-    crashed = None
     try:
-        with socket.create_connection((host, port), timeout=timeout) as ctrl:
-            ctrl.sendall(announce_offer(
+        ctrl = yield from transfer.connecting(end, (host, port), deadline)
+        with ctrl:
+            yield from transfer.writing(end, ctrl, announce_offer(
                 len(data), crc, config, ack_sock.getsockname()[1], session,
-                manifest))
+                manifest), deadline)
             decoder = wire.ControlDecoder(sender.npackets)
             reply = wire.expect(
-                wire.read_frame(ctrl, decoder),
+                (yield from transfer.reading(end, ctrl, decoder, deadline)),
                 wire.ResumeInfo if resumable else wire.Accept)
             if resumable:
                 if reply.transfer_id != session.transfer_id:
@@ -184,12 +191,13 @@ def _send_attempt(
                 send = FaultySend(send, drop_rate, corrupt_rate, kill,
                                   fault_seed)
             driver = SendDriver(sender, data, send, session)
-            ctrl.setblocking(False)
             start = time.monotonic()
             blessed = False
 
             def poll_completion() -> Optional[str]:
                 nonlocal blessed
+                if time.monotonic() > deadline:
+                    raise TimeoutError("transfer deadline exceeded")
                 try:
                     frame = wire.read_frame(ctrl, decoder)
                 except wire.ControlClosed:
@@ -197,7 +205,9 @@ def _send_attempt(
                     # ended its attempt without blessing delivery — its
                     # audit demoted corrupt chunks, or it hit a storage
                     # fault.  Fail this attempt so the retry's RESUME
-                    # learns which packets to re-send.
+                    # learns which packets to re-send.  A legacy
+                    # session rides on, on its ACKs alone.
+                    end.reads = [ack_sock]
                     return ("control connection closed before completion"
                             " (receiver did not bless delivery)"
                             if resumable else None)
@@ -209,13 +219,12 @@ def _send_attempt(
                     driver.on_completion(time.monotonic())
                 return None
 
-            end = transfer.Endpoint(
-                transfer.sender_turns(driver, ack_sock, poll_completion),
-                [ack_sock, data_sock])
-            transfer.run_endpoints([end], deadline)
-            failure = end.failure_reason
-            if end.crashed:
-                crashed = "sender"
+            end.reads, end.writes = [ack_sock, ctrl], ()
+            try:
+                failure = yield from transfer.sender_turns(
+                    driver, ack_sock, poll_completion)
+            except EndpointKilled as exc:
+                failure = str(exc)
             if (failure is None and resumable and not blessed
                     and sender.stats.completion_timeouts):
                 # Every packet was acknowledged but the receiver never
@@ -229,27 +238,30 @@ def _send_attempt(
     except (OSError, ValueError, wire.ChecksumError) as exc:
         failure = f"{type(exc).__name__}: {exc}"
     finally:
+        # Closed at once, as a killed process's are; and nothing of
+        # this attempt is waited on any more.
         ack_sock.close()
         data_sock.close()
-    outcome = _SendOutcome(
-        completed=failure is None,
-        duration=max(time.monotonic() - start, 1e-9),
+        end.reads = end.writes = ()
+    ok = failure is None
+    duration = max(time.monotonic() - start, 1e-9)
+    outcome = FileTransferResult(
+        "", len(data), duration,
+        sender.total_bytes * 8.0 / duration if ok else 0.0, ok,
+        completed=ok,
         failure_reason=failure,
-        crashed=crashed,
         packets_sent=sender.stats.packets_sent,
-        retransmissions=sender.stats.retransmissions,
+        packets_retransmitted=sender.stats.retransmissions,
         resumed_packets=sender.stats.resumed_packets,
         stale_epoch_dropped=sender.stats.stale_epoch_acks,
     )
     if channel.enabled:
         channel.emit(
-            EV_TRANSFER_END, completed=outcome.completed,
-            failed=not outcome.completed, duration=outcome.duration,
-            throughput_bps=(sender.total_bytes * 8.0 / outcome.duration
-                            if outcome.completed else 0.0),
+            EV_TRANSFER_END, completed=ok, failed=not ok, duration=duration,
+            throughput_bps=outcome.throughput_bps,
             wasted_fraction=sender.stats.wasted_fraction(sender.npackets),
             packets_sent=outcome.packets_sent,
-            retransmissions=outcome.retransmissions,
+            retransmissions=outcome.packets_retransmitted,
             resumed_packets=outcome.resumed_packets,
             failure_reason=failure or "")
     return outcome
@@ -293,11 +305,41 @@ def send_file(
     file-transfer stack (``repro.chaos`` composes them with host-side
     storage faults).
     """
-    config = config if config is not None else FobsConfig(ack_frequency=32)
     with open(path, "rb") as fh:
         data = fh.read()
     if not data:
         raise ValueError(f"{path} is empty")
+    end = send_endpoint(data, host, port, config, timeout, resume,
+                        max_attempts, transfer_id, policy, kill_plan,
+                        telemetry, verify, drop_rate, corrupt_rate)
+    transfer.run_endpoints([end])
+    result: FileTransferResult = end.result
+    if not (resume or max_attempts > 1 or result.completed):
+        raise TimeoutError(f"file send failed: {result.failure_reason}")
+    result.path = path
+    return result
+
+
+def send_endpoint(
+    data,
+    host: str,
+    port: int,
+    config: Optional[FobsConfig] = None,
+    timeout: float = 120.0,
+    resume: bool = False,
+    max_attempts: int = 1,
+    transfer_id: Optional[int] = None,
+    policy: Optional[RetryPolicy] = None,
+    kill_plan=None,
+    telemetry: Optional[EventBus] = None,
+    verify: bool = True,
+    drop_rate: float = 0.0,
+    corrupt_rate: float = 0.0,
+) -> transfer.Endpoint:
+    """:func:`send_file` of the bytes ``data`` as an endpoint of
+    :func:`~repro.runtime.transfer.run_endpoints`, to run beside others;
+    its result is the :class:`FileTransferResult`, never raised."""
+    config = config if config is not None else FobsConfig(ack_frequency=32)
     crc = zlib.crc32(data)
     resumable = resume or max_attempts > 1
     tid = transfer_id if transfer_id is not None else derive_transfer_id(
@@ -308,36 +350,22 @@ def send_file(
                              backoff_base=0.2, seed=tid & 0xFFFF)
     manifest = (ChunkManifest.from_data(data, config.packet_size)
                 if verify and resumable else None)
+    end = transfer.Endpoint()
 
-    def attempt_fn(attempt: int, epoch: int) -> _SendOutcome:
-        session = wire.SessionContext(tid, epoch) if resumable else None
-        return _send_attempt(data, crc, host, port, config, timeout,
-                             session=session,
-                             kill=kill_for_attempt(kill_plan, attempt),
-                             telemetry=telemetry, manifest=manifest,
-                             drop_rate=drop_rate, corrupt_rate=corrupt_rate,
-                             fault_seed=tid + epoch)
+    def attempt_fn(attempt: int, epoch: int):
+        return _send_attempt(
+            end, data, crc, host, port, config, timeout,
+            wire.SessionContext(tid, epoch) if resumable else None,
+            kill_for_attempt(kill_plan, attempt), telemetry, manifest,
+            drop_rate, corrupt_rate, tid + epoch)
 
-    supervised = TransferSupervisor(policy=policy).run(
-        attempt_fn, npackets=config.npackets(len(data)))
-    if not (resumable or supervised.completed):
-        raise TimeoutError(f"file send failed: {supervised.failure_reason}")
-    final: _SendOutcome = supervised.final
-    return FileTransferResult(
-        path=path,
-        nbytes=len(data),
-        duration=final.duration,
-        throughput_bps=len(data) * 8.0 / final.duration,
-        crc_ok=supervised.completed,
-        packets_sent=supervised.total_packets_sent,
-        packets_retransmitted=sum(
-            r.retransmissions for r in supervised.attempt_records),
-        completed=supervised.completed,
-        failure_reason=supervised.failure_reason,
-        attempts=supervised.attempts,
-        resumed_packets=supervised.packets_salvaged,
-        stale_epoch_dropped=supervised.stale_epoch_dropped,
-    )
+    def turns():
+        supervised = yield from TransferSupervisor(policy=policy).turns(
+            attempt_fn, npackets=config.npackets(len(data)))
+        return supervised_result(supervised, "", len(data))
+
+    end.turns = turns()
+    return end
 
 
 # ----------------------------------------------------------------------
@@ -427,6 +455,7 @@ def attempt_config_for(offer: wire.Offer, base: Optional[FobsConfig]) -> FobsCon
 
 
 def receive_offer(
+    end: transfer.Endpoint,
     ctrl: socket.socket,
     decoder: wire.ControlDecoder,
     peer: tuple[str, int],
@@ -440,17 +469,17 @@ def receive_offer(
     opener=open,
     tuning: Optional["TuningConfig"] = None,
     stats_interval: float = 0.0,
-) -> tuple[bool, Optional[str], Optional[FobsReceiver], float, VerifyStats]:
-    """Serve one already-negotiated offer as the receiving endpoint.
+) -> Generator[float, None, FileTransferResult]:
+    """Serve one already-negotiated offer as the receiving endpoint
+    ``end``, in its turns.
 
     The shared receive path of :func:`receive_file` (push: a sender
     connected to us) and :func:`repro.server.fetch_file` (pull: we
     connected and the server offered) — journal management, the
     crash-persistent ``.part`` reassembly buffer, the transfer loop,
     the verify passes, the completion signal and the atomic rename all
-    live here.  ``decoder`` is the one ``offer`` was read from ``ctrl``
-    through.  Returns ``(ok, failure_reason, receiver, duration,
-    verify_stats)``.
+    live here.  ``decoder`` is the one ``offer`` was read from the
+    non-blocking ``ctrl`` through.
 
     When ``offer.verify`` is set the VERIFY frame is read from ``ctrl``
     and two audits run: journal-claimed chunks *before* the RESUME reply
@@ -475,10 +504,13 @@ def receive_offer(
     manifest = None
     if offer.verify:
         try:
-            frame = wire.expect(wire.read_frame(ctrl, decoder), wire.Verify)
-        except (ConnectionError, ValueError) as exc:
-            return (False, f"bad verify frame: {exc}", None, 1e-9,
-                    VerifyStats())
+            frame = wire.expect(
+                (yield from transfer.reading(end, ctrl, decoder, deadline)),
+                wire.Verify)
+        except (OSError, ValueError) as exc:
+            return FileTransferResult(
+                output_path, offer.filesize, 1e-9, 0.0, False,
+                completed=False, failure_reason=f"bad verify frame: {exc}")
         manifest = manifest_for(frame.manifest, offer)
     if telemetry is not None and telemetry.enabled:
         channel = telemetry.channel(transfer_id=offer.transfer_id,
@@ -510,12 +542,14 @@ def receive_offer(
                                          data_sock.getsockname()[1],
                                          telemetry)
             receiver = driver.receiver
-            ctrl.sendall(reply)
+            yield from transfer.writing(end, ctrl, reply, deadline)
             ack_addr = (peer[0], offer.ack_port)
             progress = _progress_tick(offer, receiver, telemetry, tuning,
                                       stats_interval)
 
             def tick(now: float) -> None:
+                if now > deadline:
+                    raise TimeoutError("transfer deadline exceeded")
                 try:
                     frame = wire.read_frame(ctrl, decoder)
                     if frame is not None:
@@ -525,16 +559,10 @@ def receive_offer(
                 if progress is not None:
                     progress(now)
 
-            end = transfer.Endpoint(
-                transfer.receiver_turns(
-                    driver, data_sock,
-                    lambda ack: ack_sock.sendto(ack, ack_addr), tick),
-                [data_sock, ack_sock])
-            # Non-blocking from here on: polled each turn, and the one
-            # write left is the 12-byte completion signal.
-            ctrl.setblocking(False)
-            transfer.run_endpoints([end], deadline)
-            failure = end.failure_reason
+            end.reads, end.writes = [data_sock, ctrl], ()
+            failure = yield from transfer.receiver_turns(
+                driver, data_sock,
+                lambda ack: ack_sock.sendto(ack, ack_addr), tick)
         if failure is None:
             # The receiver's bitmap says every packet arrived; the disk
             # gets the last word before the object is published.
@@ -547,23 +575,38 @@ def receive_offer(
         part.close()
         data_sock.close()
         ack_sock.close()
-    duration = max(time.monotonic() - start, 1e-9)
+        end.reads = end.writes = ()
     ok = failure is None
+    duration = max(time.monotonic() - start, 1e-9)
+    stats = receiver.stats if receiver is not None else None
+    vstats = part.vstats
+    outcome = FileTransferResult(
+        output_path, offer.filesize, duration,
+        offer.filesize * 8.0 / duration if ok else 0.0, ok,
+        completed=ok,
+        failure_reason=failure,
+        resumed_packets=stats.resumed_packets if stats else 0,
+        stale_epoch_dropped=stats.stale_epoch_data if stats else 0,
+        ranges_demoted=vstats.ranges_demoted,
+        packets_demoted=vstats.chunks_corrupt,
+        bytes_refetched=vstats.bytes_demoted,
+        verify_seconds=vstats.duration,
+        storage_faults=int(is_storage_fault(failure)))
     if channel.enabled:
         channel.emit(
             EV_TRANSFER_END, completed=ok, failed=not ok, duration=duration,
-            throughput_bps=offer.filesize * 8.0 / duration if ok else 0.0,
-            resumed_packets=(receiver.stats.resumed_packets
-                             if receiver is not None else 0),
+            throughput_bps=outcome.throughput_bps,
+            resumed_packets=outcome.resumed_packets,
             failure_reason=failure or "")
     if ok:
         # Blessing follows publication: a sender told "delivered" can
-        # rely on the object being in place.
+        # rely on the object being in place.  Twelve bytes, the only
+        # ones in the buffer: one non-blocking send takes them.
         try:
-            ctrl.sendall(wire.encode_completion(receiver.npackets))
+            ctrl.send(wire.encode_completion(receiver.npackets))
         except OSError:
             pass  # sender may already have concluded
-    return ok, failure, receiver, duration, part.vstats
+    return outcome
 
 
 def _progress_tick(offer: wire.Offer, receiver: FobsReceiver,
@@ -614,7 +657,6 @@ def receive_file(
     port: int,
     bind: str = "0.0.0.0",
     timeout: float = 120.0,
-    ready: Optional[threading.Event] = None,
     max_attempts: int = 1,
     journal_path: Optional[str] = None,
     config: Optional[FobsConfig] = None,
@@ -622,83 +664,78 @@ def receive_file(
 ) -> FileTransferResult:
     """Accept one file from a :func:`send_file` peer; returns on completion.
 
-    ``ready`` (a :class:`threading.Event`), when given, is set once the
-    control port is listening — lets tests start the sender without
-    racing the bind.
-
     ``max_attempts`` keeps the control port listening across failed
     attempts: when a resumable sender crashes (or the connection is
-    lost), the receiver's journal and ``.part`` file survive and the
-    next connection resumes from them.  ``journal_path`` defaults to
-    ``output_path + ".journal"``.  ``config``, when given, supplies
-    stall/liveness tuning (``receiver_idle_timeout``, timeouts); the
-    data-plane parameters (packet size, checksumming) always come from
-    the sender's offer.
+    lost, or a peer connects and never offers), the receiver's journal
+    and ``.part`` file survive and the next connection resumes from
+    them.  ``journal_path`` defaults to ``output_path + ".journal"``.
+    ``config``, when given, supplies stall/liveness tuning
+    (``receiver_idle_timeout``, timeouts); the data-plane parameters
+    (packet size, checksumming) always come from the sender's offer.
     """
+    end = receive_endpoint(output_path, port, bind, timeout, max_attempts,
+                           journal_path, config, opener)
+    transfer.run_endpoints([end])
+    result: FileTransferResult = end.result
+    if not result.completed and max_attempts <= 1:
+        raise TimeoutError(f"file receive failed: {result.failure_reason}")
+    return result
+
+
+def receive_endpoint(
+    output_path: str,
+    port: int,
+    bind: str = "0.0.0.0",
+    timeout: float = 120.0,
+    max_attempts: int = 1,
+    journal_path: Optional[str] = None,
+    config: Optional[FobsConfig] = None,
+    opener=open,
+) -> transfer.Endpoint:
+    """:func:`receive_file` as an endpoint of
+    :func:`~repro.runtime.transfer.run_endpoints`, its control port
+    already listening (``port`` 0: ``end.socks[0].getsockname()`` says
+    which); its result is the :class:`FileTransferResult`, never raised."""
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     listener.bind((bind, port))
     listener.listen(1)
-    listener.settimeout(timeout)
-    if ready is not None:
-        ready.set()
-    deadline = time.monotonic() + timeout
+    listener.setblocking(False)
+    end = transfer.Endpoint(socks=[listener])
 
-    attempts = 0
-    ok = False
-    failure: Optional[str] = None
-    receiver: Optional[FobsReceiver] = None
-    offer: Optional[wire.Offer] = None
-    duration = 1e-9
-    vtotal = VerifyStats()
-    storage_faults = 0
-    try:
-        while attempts < max(max_attempts, 1):
+    def turns():
+        deadline = time.monotonic() + timeout
+        attempts, failure = 0, None
+        offered = [FileTransferResult(output_path, 0, 1e-9, 0.0, False,
+                                      completed=False)]
+        while attempts < max(max_attempts, 1) and time.monotonic() <= deadline:
             attempts += 1
             try:
-                ctrl, peer = listener.accept()
-            except socket.timeout:
+                ctrl, peer = yield from transfer.accepting(end, listener,
+                                                           deadline)
+            except TimeoutError:
                 failure = "timed out waiting for a sender connection"
                 break
             with ctrl:
-                ctrl.settimeout(timeout)
                 decoder = wire.ControlDecoder()
                 try:
-                    offer = wire.expect(wire.read_frame(ctrl, decoder),
-                                        wire.Offer)
-                except (ConnectionError, ValueError) as exc:
+                    offer = wire.expect((yield from transfer.reading(
+                        end, ctrl, decoder, deadline)), wire.Offer)
+                except (OSError, ValueError) as exc:
+                    # A silent peer's deadline too: a failed attempt.
                     failure = f"bad offer: {exc}"
                     continue
-                ok, failure, receiver, duration, vstats = receive_offer(
-                    ctrl, decoder, peer, offer, output_path, deadline,
+                offered.append((yield from receive_offer(
+                    end, ctrl, decoder, peer, offer, output_path, deadline,
                     config=config, journal_path=journal_path, bind=bind,
-                    opener=opener)
-                vtotal.merge(vstats)
-                if is_storage_fault(failure):
-                    storage_faults += 1
-                if ok or time.monotonic() > deadline:
+                    opener=opener)))
+                failure = offered[-1].failure_reason
+                if failure is None:
                     break
-    finally:
-        listener.close()
-    if not ok and max_attempts <= 1:
-        raise TimeoutError(f"file receive failed: {failure}")
-    nbytes = offer.filesize if offer is not None else 0
-    return FileTransferResult(
-        path=output_path,
-        nbytes=nbytes,
-        duration=duration,
-        throughput_bps=nbytes * 8.0 / duration if ok else 0.0,
-        crc_ok=ok,
-        completed=ok,
-        failure_reason=failure,
-        attempts=attempts,
-        resumed_packets=(receiver.stats.resumed_packets
-                         if receiver is not None else 0),
-        stale_epoch_dropped=(receiver.stats.stale_epoch_data
-                             if receiver is not None else 0),
-        ranges_demoted=vtotal.ranges_demoted,
-        packets_demoted=vtotal.chunks_corrupt,
-        bytes_refetched=vtotal.bytes_demoted,
-        verify_seconds=vtotal.duration,
-        storage_faults=storage_faults,
-    )
+        # The last offer's result, whatever came after it failing.
+        return replace(offered[-1], failure_reason=failure, attempts=attempts,
+                       **{name: sum(getattr(o, name) for o in offered)
+                          for name in _REPAIRS})
+
+    end.turns = turns()
+    return end

@@ -25,16 +25,17 @@ through the concrete backends:
 Both persist the receiver bitmap through a
 :class:`~repro.core.journal.ReceiverJournal` and seed each retry with
 the replayed bitmap, so a resumed attempt retransmits only packets the
-journal never saw.  ``repro.runtime.files`` wires the same supervisor
-through the two-process file-transfer session with a real RESUME
-handshake on the control connection.
+journal never saw.  ``repro.runtime.files`` and the fetch client run
+the same retry loop as turns of their endpoints (backoff included),
+with a real RESUME handshake on the control connection.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from types import GeneratorType
+from typing import Callable, Generator, Optional
 
 import numpy as np
 
@@ -153,12 +154,19 @@ class SupervisedResult:
                 f"salvaged {self.packets_salvaged}/{self.npackets} packets)")
 
 
-#: An attempt function: (attempt index, epoch) -> backend outcome.  The
-#: outcome is duck-typed; the supervisor reads ``completed``/``ok``,
-#: ``failure_reason``, ``crashed``, ``packets_sent``,
-#: ``packets_retransmitted``/``retransmissions``, ``resumed_packets``
-#: and ``stale_epoch_dropped`` when present.
+#: An attempt function: (attempt index, epoch) -> backend outcome, or
+#: the turns of a :func:`~repro.runtime.transfer.run_endpoints` endpoint
+#: that return it.  The outcome is duck-typed; the supervisor reads
+#: ``completed``/``ok``, ``failure_reason``, ``crashed``,
+#: ``packets_retransmitted``/``retransmissions`` and the counters below
+#: when present.
 AttemptFn = Callable[[int, int], object]
+#: What an :class:`AttemptRecord` reads off its outcome by name (0 where
+#: a backend counts nothing), and what a :class:`SupervisedResult` sums.
+_COUNTERS = ("packets_sent", "resumed_packets", "stale_epoch_dropped",
+             "ranges_demoted", "packets_demoted", "bytes_refetched",
+             "verify_seconds", "storage_faults")
+_SUMMED = _COUNTERS[2:]
 
 
 def _get(outcome: object, *names: str, default=0):
@@ -172,7 +180,10 @@ def _get(outcome: object, *names: str, default=0):
 class TransferSupervisor:
     """Run an attempt function under a :class:`RetryPolicy`.
 
-    ``sleep`` is injectable for tests (pass ``None`` to skip backoff
+    One retry loop, two ways to drive it: :meth:`turns` for an endpoint
+    of :func:`~repro.runtime.transfer.run_endpoints` (attempts and
+    backoff are turns), :meth:`run` for a blocking caller.  ``sleep`` is
+    :meth:`run`'s, injectable for tests (pass ``None`` to skip backoff
     entirely).  Epochs are the attempt indices: attempt *k* runs with
     epoch *k*, so every retry invalidates all datagrams of its
     predecessors.
@@ -188,7 +199,26 @@ class TransferSupervisor:
         self._rng = np.random.default_rng(self.policy.seed)
 
     def run(self, attempt_fn: AttemptFn, npackets: int = 0) -> SupervisedResult:
-        """Retry ``attempt_fn`` until success or the attempts budget."""
+        """Retry ``attempt_fn`` until success or the attempts budget,
+        sleeping each backoff through ``sleep``."""
+        loop = self.turns(attempt_fn, npackets)
+        slept = None
+        while True:
+            try:
+                wait = loop.send(slept)
+            except StopIteration as done:
+                return done.value
+            if self._sleep is not None:
+                self._sleep(wait)
+            slept = True
+
+    def turns(self, attempt_fn: AttemptFn, npackets: int = 0
+              ) -> Generator[float, Optional[bool], SupervisedResult]:
+        """The retry loop as turns: ``attempt_fn(attempt, epoch)``
+        returns the outcome, or one attempt's turns that return it; the
+        backoff before a retry is yielded until the clock has run it
+        out — or at once, when the driver sends True for a wait it
+        slept itself (:meth:`run`)."""
         records: list[AttemptRecord] = []
         outcome: object = None
         total_backoff = 0.0
@@ -197,10 +227,13 @@ class TransferSupervisor:
             if attempt > 0:
                 backoff = self.policy.delay(attempt - 1, self._rng)
                 total_backoff += backoff
-                if self._sleep is not None and backoff > 0:
-                    self._sleep(backoff)
+                until, left = time.monotonic() + backoff, backoff
+                while left > 0 and not (yield left):
+                    left = until - time.monotonic()
             start = time.monotonic()
             outcome = attempt_fn(attempt, attempt)
+            if isinstance(outcome, GeneratorType):
+                outcome = yield from outcome
             completed = bool(_get(outcome, "ok", "completed", default=False))
             records.append(AttemptRecord(
                 attempt=attempt,
@@ -208,18 +241,11 @@ class TransferSupervisor:
                 completed=completed,
                 failure_reason=_get(outcome, "failure_reason", default=None),
                 crashed=_get(outcome, "crashed", default=None),
-                packets_sent=_get(outcome, "packets_sent"),
                 retransmissions=_get(outcome, "retransmissions",
                                      "packets_retransmitted"),
-                resumed_packets=_get(outcome, "resumed_packets"),
-                stale_epoch_dropped=_get(outcome, "stale_epoch_dropped"),
                 duration=time.monotonic() - start,
                 backoff_before=backoff,
-                ranges_demoted=_get(outcome, "ranges_demoted"),
-                packets_demoted=_get(outcome, "packets_demoted"),
-                bytes_refetched=_get(outcome, "bytes_refetched"),
-                verify_seconds=_get(outcome, "verify_seconds", default=0.0),
-                storage_faults=_get(outcome, "storage_faults"),
+                **{name: _get(outcome, name) for name in _COUNTERS},
             ))
             if completed:
                 break
@@ -231,15 +257,11 @@ class TransferSupervisor:
             packets_salvaged=last.resumed_packets,
             total_packets_sent=sum(r.packets_sent for r in records),
             failure_reason=None if last.completed else last.failure_reason,
-            stale_epoch_dropped=sum(r.stale_epoch_dropped for r in records),
             total_backoff=total_backoff,
-            ranges_demoted=sum(r.ranges_demoted for r in records),
-            packets_demoted=sum(r.packets_demoted for r in records),
-            bytes_refetched=sum(r.bytes_refetched for r in records),
-            verify_seconds=sum(r.verify_seconds for r in records),
-            storage_faults=sum(r.storage_faults for r in records),
             attempt_records=records,
             final=outcome,
+            **{name: sum(getattr(r, name) for r in records)
+               for name in _SUMMED},
         )
 
 

@@ -11,7 +11,10 @@ single-threaded (the paper's endpoints are *non-blocking polling
 loops*; under one GIL a thread each only adds hand-off): :func:`drain`
 what the kernel queued into the driver, take one sender or receiver
 turn, sleep until the earliest wakeup asked for (:func:`run_endpoints`
-— with both endpoints here, with one in :mod:`repro.runtime.files`).
+— with both endpoints here; the file endpoints of
+:mod:`repro.runtime.files` take their handshakes as turns too, through
+:func:`connecting`, :func:`accepting`, :func:`writing` and
+:func:`reading`).
 
 An optional ``drop_rate`` discards outgoing data datagrams at the
 sender (deterministic RNG) to exercise the retransmission machinery on
@@ -33,13 +36,16 @@ drives the retry loop over these hooks.
 
 from __future__ import annotations
 
+import errno
 import functools
+import os
 import select
 import socket
 import struct
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from dataclasses import dataclass, field
+from typing import (TYPE_CHECKING, Callable, Generator, Iterator, Optional,
+                    Sequence)
 
 import numpy as np
 
@@ -315,20 +321,27 @@ class Endpoint:
     """One end of a transfer in :func:`run_endpoints`, and how it ended."""
 
     #: Each ``next`` is one turn and yields the seconds until the next
-    #: is due; the return value is the failure (None = completed).
-    turns: Iterator[float]
-    #: Sockets it owns, closed as it leaves the loop; data arriving on
-    #: the first ends the loop's sleep early.
-    socks: list
-    failure_reason: Optional[str] = None
+    #: is due; what it returns becomes :attr:`result`.
+    turns: Optional[Iterator[float]] = None
+    #: Sockets it owns, closed as it leaves the loop.
+    socks: list = field(default_factory=list)
+    #: What its next turn reads (writes): one turning ready ends the
+    #: loop's sleep early.  Nothing may be here that the turns leave
+    #: unread, or the loop spins.
+    reads: Sequence = ()
+    writes: Sequence = ()
+    #: What the turns returned (the data plane's: the failure, None =
+    #: completed), or the crash's message.
+    result: object = None
     #: Ended by crash injection (:class:`EndpointKilled`).
     crashed: bool = False
 
 
-def run_endpoints(endpoints: list, deadline: float) -> None:
+def run_endpoints(endpoints: list, deadline: float = float("inf")) -> None:
     """Give every live :class:`Endpoint` its turn, on this thread, then
-    sleep until the earliest wakeup asked for or until data arrives.
-    Any exception but the crash injection reaches the caller as raised;
+    sleep until the earliest wakeup asked for or until a socket one of
+    them waits on turns ready.  Any exception but the crash injection
+    reaches the caller as raised, the other endpoints' turns closed;
     ``TimeoutError`` past ``deadline``.
     """
     live = list(endpoints)
@@ -345,17 +358,85 @@ def run_endpoints(endpoints: list, deadline: float) -> None:
                     # the sockets close as a SIGKILLed process's do, the
                     # peer sees silence and must diagnose it by itself.
                     end.crashed = isinstance(ended, EndpointKilled)
-                    end.failure_reason = (str(ended) if end.crashed
-                                          else ended.value)
+                    end.result = str(ended) if end.crashed else ended.value
                     live.remove(end)
                     for sock in end.socks:
                         sock.close()
             if live and wait > 0.0:
-                select.select([end.socks[0] for end in live], (), (), wait)
+                select.select([sock for end in live for sock in end.reads],
+                              [sock for end in live for sock in end.writes],
+                              (), wait)
     finally:
         for end in live:
+            getattr(end.turns, "close", lambda: None)()
             for sock in end.socks:
                 sock.close()
+
+
+# The control plane's turns: a handshake waits in run_endpoints' one
+# select, never in a blocking call, so its peer may share the thread.
+
+def waiting(end: Endpoint, deadline: float, reads: Sequence = (),
+            writes: Sequence = ()) -> Iterator[float]:
+    """One turn of ``end`` spent until ``reads`` turn readable or
+    ``writes`` writable; ``TimeoutError`` past ``deadline``."""
+    if time.monotonic() > deadline:
+        raise TimeoutError("transfer deadline exceeded")
+    end.reads, end.writes = reads, writes
+    yield MAX_WAIT
+
+
+def connecting(end: Endpoint, addr, deadline: float
+               ) -> Generator[float, None, socket.socket]:
+    """A non-blocking TCP connection to ``addr``, made across turns
+    (asked again, connect says whether the handshake has finished)."""
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setblocking(False)
+    try:
+        while (err := sock.connect_ex(addr)) in (errno.EINPROGRESS,
+                                                  errno.EALREADY):
+            yield from waiting(end, deadline, writes=[sock])
+        if err not in (0, errno.EISCONN):
+            raise OSError(err, os.strerror(err))
+    except BaseException:
+        sock.close()
+        raise
+    return sock
+
+
+def accepting(end: Endpoint, listener: socket.socket, deadline: float
+              ) -> Generator[float, None, tuple]:
+    """The next connection on non-blocking ``listener``, non-blocking."""
+    while True:
+        try:
+            conn, peer = listener.accept()
+        except BlockingIOError:
+            yield from waiting(end, deadline, reads=[listener])
+        else:
+            conn.setblocking(False)
+            return conn, peer
+
+
+def writing(end: Endpoint, sock: socket.socket, payload: bytes,
+            deadline: float) -> Iterator[float]:
+    """``payload`` onto non-blocking ``sock``, what its buffer takes a
+    turn: a VERIFY manifest or RESUME bitmap can outgrow it, and a
+    ``sendall`` would wait on a peer that needs this thread to read."""
+    view = memoryview(payload)
+    while view:
+        try:
+            view = view[sock.send(view):]
+        except BlockingIOError:
+            yield from waiting(end, deadline, writes=[sock])
+
+
+def reading(end: Endpoint, sock: socket.socket, decoder: wire.ControlDecoder,
+            deadline: float) -> Generator[float, None, object]:
+    """The next control frame on non-blocking ``sock``, through its
+    ``decoder``."""
+    while (frame := wire.read_frame(sock, decoder)) is None:
+        yield from waiting(end, deadline, reads=[sock])
+    return frame
 
 
 def _bound(kind: int, rcvbuf: int = 0) -> socket.socket:
@@ -494,9 +575,9 @@ def run_loopback_transfer(
                         wire.Completion)
             driver.on_completion(time.monotonic())
 
-    rx = Endpoint(receive(), [data_sock, ack_out])
+    rx = Endpoint(receive(), [data_sock, ack_out], [data_sock])
     tx = Endpoint(sender_turns(driver, ack_sock, poll_completion),
-                  [ack_sock, data_out, listener])
+                  [ack_sock, data_out, listener], [ack_sock])
     start = time.monotonic()
     run_endpoints([tx, rx], deadline)
     duration = max(time.monotonic() - start, 1e-9)
@@ -515,8 +596,7 @@ def run_loopback_transfer(
         acks_sent=receiver.stats.acks_built,
         wasted_fraction=sender.wasted_fraction,
         completed=completed,
-        failure_reason=(rx.failure_reason if rx.crashed
-                        else tx.failure_reason or rx.failure_reason),
+        failure_reason=rx.result if rx.crashed else tx.result or rx.result,
         stall_events=sender.stats.stall_events,
         stall_recoveries=sender.stats.stall_recoveries,
         corrupt_dropped=(receiver.stats.packets_corrupt

@@ -9,7 +9,9 @@ receiver runs.  Retries ride the existing
 :class:`~repro.runtime.supervisor.TransferSupervisor`: each attempt
 re-sends FETCH with a bumped epoch, and the server's offer carries the
 same transfer id (content XOR our stable nonce), so the journal from a
-killed attempt seeds the next one.
+killed attempt seeds the next one.  The whole exchange, backoff
+included, is the turns of one
+:class:`~repro.runtime.transfer.Endpoint`.
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ import os
 import socket
 import time
 import zlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Generator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.tuning import TuningConfig
 
 from repro.core.config import FobsConfig
-from repro.runtime import files, wire
+from repro.runtime import files, transfer, wire
 from repro.runtime.supervisor import RetryPolicy, TransferSupervisor
 from repro.telemetry import EventBus
 
@@ -42,104 +43,6 @@ def default_client_nonce(output_path: str) -> int:
     ident = f"{socket.gethostname()}:{os.path.abspath(output_path)}"
     raw = ident.encode("utf-8")
     return (zlib.crc32(raw) << 32) | zlib.crc32(raw[::-1])
-
-
-@dataclass
-class _FetchOutcome:
-    """One fetch attempt, in the supervisor's duck-typed vocabulary."""
-
-    completed: bool
-    duration: float = 0.0
-    failure_reason: Optional[str] = None
-    queued_position: int = 0
-    resumed_packets: int = 0
-    stale_epoch_dropped: int = 0
-    npackets: int = 0
-    rejected: bool = False
-    reject_code: int = 0
-    #: Corruption-repair and disk-fault counters (one attempt's worth).
-    ranges_demoted: int = 0
-    packets_demoted: int = 0
-    bytes_refetched: int = 0
-    verify_seconds: float = 0.0
-    storage_faults: int = 0
-    #: The offered object size — lets the caller audit the delivered
-    #: file instead of trusting the attempt's own success claim.
-    expected_nbytes: int = 0
-
-
-def _fetch_attempt(
-    name: str,
-    host: str,
-    port: int,
-    output_path: str,
-    config: Optional[FobsConfig],
-    timeout: float,
-    epoch: int,
-    nonce: int,
-    rate_cap_bps: int,
-    journal_path: Optional[str],
-    checksum: bool,
-    telemetry: Optional[EventBus] = None,
-    verify: bool = True,
-    opener=open,
-    tuning: Optional["TuningConfig"] = None,
-    stats_interval: float = 0.0,
-) -> _FetchOutcome:
-    """One connect → FETCH → (queue?) → receive attempt; never raises."""
-    deadline = time.monotonic() + timeout
-    start = time.monotonic()
-    flags = wire.FETCH_FLAG_RESUME | (wire.FETCH_FLAG_CHECKSUM if checksum
-                                      else 0)
-    if verify:
-        flags |= wire.FETCH_FLAG_VERIFY
-    queued_position = 0
-    try:
-        with socket.create_connection((host, port), timeout=timeout) as ctrl:
-            ctrl.settimeout(timeout)
-            ctrl.sendall(wire.encode_fetch(wire.FetchRequest(
-                name=name, flags=flags, epoch=epoch, client_nonce=nonce,
-                rate_cap_bps=rate_cap_bps)))
-            decoder = wire.ControlDecoder()
-            reply = wire.read_frame(ctrl, decoder)
-            while isinstance(reply, wire.Queued):  # OFFER or REJECT follows
-                queued_position = reply.position
-                reply = wire.read_frame(ctrl, decoder)
-            if isinstance(reply, wire.Reject):
-                return _FetchOutcome(
-                    completed=False,
-                    duration=max(time.monotonic() - start, 1e-9),
-                    failure_reason=wire.reject_reason(reply.code),
-                    queued_position=queued_position,
-                    rejected=True, reject_code=reply.code)
-            offer = wire.expect(reply, wire.Offer)
-            ok, failure, receiver, duration, vstats = files.receive_offer(
-                ctrl, decoder, (host, port), offer, output_path, deadline,
-                config=config, journal_path=journal_path,
-                telemetry=telemetry, opener=opener, tuning=tuning,
-                stats_interval=stats_interval)
-            return _FetchOutcome(
-                completed=ok,
-                duration=duration,
-                failure_reason=failure,
-                queued_position=queued_position,
-                resumed_packets=(receiver.stats.resumed_packets
-                                 if receiver is not None else 0),
-                stale_epoch_dropped=(receiver.stats.stale_epoch_data
-                                     if receiver is not None else 0),
-                npackets=receiver.npackets if receiver is not None else 0,
-                ranges_demoted=vstats.ranges_demoted,
-                packets_demoted=vstats.chunks_corrupt,
-                bytes_refetched=vstats.bytes_demoted,
-                verify_seconds=vstats.duration,
-                storage_faults=1 if files.is_storage_fault(failure) else 0,
-                expected_nbytes=offer.filesize)
-    except (OSError, ValueError, wire.ChecksumError) as exc:
-        return _FetchOutcome(
-            completed=False,
-            duration=max(time.monotonic() - start, 1e-9),
-            failure_reason=f"{type(exc).__name__}: {exc}",
-            queued_position=queued_position)
 
 
 def fetch_file(
@@ -185,20 +88,51 @@ def fetch_file(
         policy = RetryPolicy(max_attempts=max(max_attempts, 1),
                              backoff_base=0.2, seed=nonce & 0xFFFF)
 
-    def attempt_fn(attempt: int, epoch: int) -> _FetchOutcome:
-        del attempt
-        return _fetch_attempt(name, host, port, output_path, config,
-                              timeout, epoch, nonce, rate_cap_bps,
-                              journal_path, checksum, telemetry=telemetry,
-                              verify=verify, opener=opener, tuning=tuning,
-                              stats_interval=stats_interval)
+    flags = wire.FETCH_FLAG_RESUME
+    flags |= wire.FETCH_FLAG_CHECKSUM if checksum else 0
+    flags |= wire.FETCH_FLAG_VERIFY if verify else 0
+    end = transfer.Endpoint()
 
-    supervised = TransferSupervisor(policy=policy).run(attempt_fn)
-    final: _FetchOutcome = supervised.final
-    completed = supervised.completed
-    failure = supervised.failure_reason
-    nbytes = 0
-    if completed:
+    def attempt(_attempt: int, epoch: int
+                ) -> Generator[float, None, files.FileTransferResult]:
+        """One connect → FETCH → (queue?) → receive attempt, as turns;
+        never raises."""
+        deadline = time.monotonic() + timeout
+        start = time.monotonic()
+        try:
+            ctrl = yield from transfer.connecting(end, (host, port), deadline)
+            with ctrl:
+                yield from transfer.writing(end, ctrl, wire.encode_fetch(
+                    wire.FetchRequest(name=name, flags=flags, epoch=epoch,
+                                      client_nonce=nonce,
+                                      rate_cap_bps=rate_cap_bps)), deadline)
+                decoder = wire.ControlDecoder()
+                reply = wire.Queued(0)
+                while isinstance(reply, wire.Queued):  # until OFFER/REJECT
+                    reply = yield from transfer.reading(end, ctrl, decoder,
+                                                        deadline)
+                if isinstance(reply, wire.Reject):
+                    failure = wire.reject_reason(reply.code)
+                else:
+                    return (yield from files.receive_offer(
+                        end, ctrl, decoder, (host, port),
+                        wire.expect(reply, wire.Offer), output_path,
+                        deadline, config=config, journal_path=journal_path,
+                        telemetry=telemetry, opener=opener, tuning=tuning,
+                        stats_interval=stats_interval))
+        except (OSError, ValueError, wire.ChecksumError) as exc:
+            failure = f"{type(exc).__name__}: {exc}"
+        finally:
+            end.reads = end.writes = ()
+        return files.FileTransferResult(
+            output_path, 0, max(time.monotonic() - start, 1e-9), 0.0, False,
+            completed=False, failure_reason=failure)
+
+    end.turns = TransferSupervisor(policy=policy).turns(attempt)
+    transfer.run_endpoints([end])
+    offered = end.result.final.nbytes
+    result = files.supervised_result(end.result, output_path, 0)
+    if result.completed:
         # Independent delivery audit: never report success on output
         # that is missing or byte-incomplete, whatever the attempt's
         # own bookkeeping claims.
@@ -206,25 +140,12 @@ def fetch_file(
             nbytes = os.path.getsize(output_path)
         except OSError:
             nbytes = -1
-        if final.expected_nbytes and nbytes != final.expected_nbytes:
-            completed = False
-            failure = (f"verify failed: output is {max(nbytes, 0)} bytes, "
-                       f"offer promised {final.expected_nbytes}")
-            nbytes = 0
-    return files.FileTransferResult(
-        path=output_path,
-        nbytes=nbytes,
-        duration=final.duration,
-        throughput_bps=(nbytes * 8.0 / final.duration if completed else 0.0),
-        crc_ok=completed,
-        completed=completed,
-        failure_reason=failure,
-        attempts=supervised.attempts,
-        resumed_packets=supervised.packets_salvaged,
-        stale_epoch_dropped=supervised.stale_epoch_dropped,
-        ranges_demoted=supervised.ranges_demoted,
-        packets_demoted=supervised.packets_demoted,
-        bytes_refetched=supervised.bytes_refetched,
-        verify_seconds=supervised.verify_seconds,
-        storage_faults=supervised.storage_faults,
-    )
+        if nbytes == offered:
+            result.nbytes = nbytes
+            result.throughput_bps = nbytes * 8.0 / result.duration
+        else:
+            result.completed = result.crc_ok = False
+            result.failure_reason = (f"verify failed: output is "
+                                     f"{max(nbytes, 0)} bytes, offer "
+                                     f"promised {offered}")
+    return result

@@ -1,7 +1,7 @@
 """The composed chaos matrix: network × storage × kill, ≥200 scenarios.
 
-Every scenario runs a real two-thread loopback transfer (TCP control +
-UDP data) with seeded faults on all three axes and checks the single
+Every scenario runs a real loopback transfer, both ends on one thread
+(TCP control + UDP data), with seeded faults on all three axes and checks the single
 invariant the robustness work exists to provide:
 
     a transfer either delivers bytes identical to the source or
@@ -27,14 +27,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from _support import free_port
 from repro.chaos import (
     ChaosScenario,
     HostFaultSchedule,
     run_chaos_transfer,
 )
 from repro.core.config import FobsConfig
-from repro.runtime.files import receive_file, send_file
+from repro.runtime.files import receive_endpoint, send_file
+from repro.runtime.transfer import run_endpoints
 from repro.simnet.faults import KillSwitch
 
 pytestmark = [pytest.mark.loopback, pytest.mark.chaos]
@@ -165,20 +165,15 @@ def _config():
                       receiver_idle_timeout=1.5)
 
 
-def _spawn_receiver(out, port, attempts=3):
-    ready = threading.Event()
-    result = {}
-
-    def recv():
-        result["recv"] = receive_file(str(out), port, bind="127.0.0.1",
-                                      ready=ready, timeout=60.0,
-                                      max_attempts=attempts,
-                                      config=_config())
-
-    thread = threading.Thread(target=recv, daemon=True)
+def _spawn_receiver(out, attempts=3):
+    """A receiver that outlives single-attempt senders (and the disk
+    damage between them) keeps a thread; it listens before it starts."""
+    rx = receive_endpoint(str(out), 0, bind="127.0.0.1", timeout=60.0,
+                          max_attempts=attempts, config=_config())
+    thread = threading.Thread(target=run_endpoints, args=([rx],),
+                              daemon=True)
     thread.start()
-    assert ready.wait(10)
-    return thread, result
+    return thread, rx, rx.socks[0].getsockname()[1]
 
 
 def _send_once(src, port, kill_after=0):
@@ -206,22 +201,21 @@ class TestResumeBeatsRestart:
     """Acceptance: a verify-demoted resume re-sends strictly fewer
     packets than a full restart of the same interrupted transfer."""
 
-    def _interrupted_first_attempt(self, tmp_path, port):
+    def _interrupted_first_attempt(self, tmp_path):
         data = np.random.default_rng(12).integers(
             0, 256, NBYTES, dtype=np.uint8).tobytes()
         src = tmp_path / "src.bin"
         src.write_bytes(data)
         out = tmp_path / "out.bin"
-        thread, result = _spawn_receiver(out, port)
+        thread, rx, port = _spawn_receiver(out)
         first = _send_once(src, port, kill_after=120)
         assert not first.completed
         _wait_attempt_boundary()
-        return data, src, out, thread, result, first
+        return data, src, out, thread, rx, port, first
 
     def test_demoted_resume_beats_full_restart(self, tmp_path):
-        port = free_port()
-        data, src, out, thread, result, first = \
-            self._interrupted_first_attempt(tmp_path, port)
+        data, src, out, thread, rx, port, first = \
+            self._interrupted_first_attempt(tmp_path)
 
         # Storage chaos between attempts: corrupt journal-claimed bytes
         # in the .part file (deterministic offsets inside the first 120
@@ -236,7 +230,7 @@ class TestResumeBeatsRestart:
         second = _send_once(src, port)
         thread.join(30)
         assert not thread.is_alive()
-        recv = result["recv"]
+        recv = rx.result
         assert second.completed and recv.completed
         assert out.read_bytes() == data
         # Verify-on-resume demoted the corrupted chunks...
@@ -250,13 +244,12 @@ class TestResumeBeatsRestart:
 
         # Full restart on the SAME seed and kill point: sever the
         # journal so attempt 2 starts from scratch.
-        port2 = free_port()
         tmp2 = tmp_path / "restart"
         tmp2.mkdir()
         src2 = tmp2 / "src.bin"
         src2.write_bytes(data)
         out2 = tmp2 / "out.bin"
-        thread2, result2 = _spawn_receiver(out2, port2)
+        thread2, rx2, port2 = _spawn_receiver(out2)
         first2 = _send_once(src2, port2, kill_after=120)
         assert not first2.completed
         _wait_attempt_boundary()
@@ -265,7 +258,7 @@ class TestResumeBeatsRestart:
                 stale.unlink()
         second2 = _send_once(src2, port2)
         thread2.join(30)
-        assert second2.completed and result2["recv"].completed
+        assert second2.completed and rx2.result.completed
         assert out2.read_bytes() == data
         restart_total = _first_sends(first2) + _first_sends(second2)
 

@@ -270,14 +270,25 @@ class TestDES:
 
 @pytest.mark.loopback
 class TestLoopback:
-    def test_sync_over_real_sockets(self, tmp_path):
+    def sync(self, tmp_path, during=None, monkeypatch=None):
+        """A loopback sync of a three-file tree; ``during(transport)``
+        runs each time a transfer loop starts."""
         from repro.dataset import LoopbackTransport
+        from repro.runtime import transfer
 
         src = str(tmp_path / "src")
         dest = str(tmp_path / "dest")
         TreeSpec(sizes={"a/f1": 5000, "a/f2": 333, "b/big": 200_000},
                  seed=21).generate(src)
         transport = LoopbackTransport()
+        if during is not None:
+            run_endpoints = transfer.run_endpoints
+
+            def watched(*args, **kwargs):
+                during(transport)
+                return run_endpoints(*args, **kwargs)
+
+            monkeypatch.setattr(transfer, "run_endpoints", watched)
         try:
             result = sync_tree(src, dest, chunk_size=CHUNK,
                                packing=PackingConfig(
@@ -287,8 +298,31 @@ class TestLoopback:
         finally:
             transport.close()
         assert result.completed and result.verify_failures == 0
-        assert result.retransmissions >= 0
         assert trees_equal(src, dest)
+        return result
+
+    def test_sync_over_real_sockets(self, tmp_path):
+        result = self.sync(tmp_path)
+        assert result.retransmissions >= 0
+
+    def test_a_loopback_sync_starts_no_thread(self, tmp_path, monkeypatch):
+        """Both ends of each object run on the calling thread."""
+        import threading
+
+        before = threading.active_count()
+        counts = []
+        self.sync(tmp_path, lambda _transport: counts.append(
+            threading.active_count()), monkeypatch)
+        assert counts and max(counts) == before
+
+    def test_a_loopback_sync_spools_no_source_copy(self, tmp_path,
+                                                   monkeypatch):
+        """The sender sends the packed object from memory: no ``.src``
+        file of it lands in the spool."""
+        spooled = []
+        self.sync(tmp_path, lambda transport: spooled.extend(
+            os.listdir(transport._spool)), monkeypatch)
+        assert not [name for name in spooled if name.endswith(".src")]
 
 
 class TestTelemetry:

@@ -16,7 +16,8 @@ import pytest
 
 from _support import free_port
 from repro.server.cli import build_parser, main
-from repro.runtime.files import receive_file
+from repro.runtime.files import receive_endpoint
+from repro.runtime.transfer import run_endpoints
 
 
 class TestParser:
@@ -138,25 +139,20 @@ class TestSendRecvExitCodes:
         src = tmp_path / "src.bin"
         src.write_bytes(blob)
         out = tmp_path / "out.bin"
-        port = free_port()
-        ready = threading.Event()
-        recv_result = {}
-
-        def recv():
-            recv_result["r"] = receive_file(
-                str(out), port, bind="127.0.0.1", timeout=30, ready=ready,
-                max_attempts=3)
-
-        thread = threading.Thread(target=recv, daemon=True)
+        # The other end is the blocking CLI, so the receiver keeps a
+        # thread; its port listens before the thread starts.
+        rx = receive_endpoint(str(out), 0, bind="127.0.0.1", timeout=30,
+                              max_attempts=3)
+        thread = threading.Thread(target=run_endpoints, args=([rx],),
+                                  daemon=True)
         thread.start()
-        ready.wait(timeout=5)
         rc = main(["send", str(src), "--host", "127.0.0.1",
-                   "--port", str(port), "--timeout", "30", "--resume",
-                   "--max-attempts", "3"])
+                   "--port", str(rx.socks[0].getsockname()[1]),
+                   "--timeout", "30", "--resume", "--max-attempts", "3"])
         thread.join(timeout=30)
         assert rc == 0
         assert out.read_bytes() == blob
-        assert recv_result["r"].crc_ok
+        assert rx.result.crc_ok
         captured = capsys.readouterr()
         assert "send ok" in captured.out
         assert "attempts=" in captured.out

@@ -8,6 +8,7 @@ clock, so each property is exact rather than a wall-clock race.
 
 from __future__ import annotations
 
+import ast
 import collections
 import itertools
 import os
@@ -569,6 +570,36 @@ def test_the_loops_are_written_once():
         "server/daemon.py"]
 
 
+#: What starts a thread; no endpoint needs one since handshakes are turns.
+THREAD_MODULES = {"threading", "_thread", "concurrent.futures"}
+
+
+def test_no_module_under_src_imports_a_thread_library():
+    """Every endpoint — both ends of a loopback file transfer, the chaos
+    harness, dataset sync over FOBS — is turns of ``run_endpoints`` on
+    the caller's thread; ``serve_forever`` is a loop of its own."""
+    root = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
+    found = []
+    for folder, _, names in os.walk(root):
+        for name in names:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(folder, name)
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    imported = [node.module] + [
+                        f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                found += [(os.path.relpath(path, root), module)
+                          for module in imported if module in THREAD_MODULES]
+    assert found == []
+
+
 class TestRunEndpoints:
     """The one loop around the turns, on socketpairs."""
 
@@ -589,9 +620,9 @@ class TestRunEndpoints:
         victim, other = Endpoint(killed(), [a]), Endpoint(survivor(), [b])
         run_endpoints([victim, other], time.monotonic() + 5)
         assert victim.crashed
-        assert victim.failure_reason == "killed after 1 turn"
+        assert victim.result == "killed after 1 turn"
         assert not other.crashed
-        assert other.failure_reason == "stalled: gave up by itself"
+        assert other.result == "stalled: gave up by itself"
         # The victim's socket closed the turn it died, not at the end.
         assert seen == [False, True, True, True]
         assert b.fileno() == -1
@@ -613,7 +644,7 @@ class TestRunEndpoints:
         a, b = socket.socketpair()
         b.send(b"x")  # readable: the 50 ms sleeps end at once
         turns = itertools.count()
-        idle = Endpoint((MAX_WAIT for _ in turns), [a])
+        idle = Endpoint((MAX_WAIT for _ in turns), [a], reads=[a])
         with pytest.raises(TimeoutError):
             run_endpoints([idle], time.monotonic() + 0.02)
         assert next(turns) > 2 and a.fileno() == -1

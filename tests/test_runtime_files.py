@@ -3,14 +3,14 @@
 import socket
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
 
-from _support import DribbleSocket, free_port
+from _support import free_port
 from repro.core.config import FobsConfig
-from repro.runtime.files import receive_file, send_file
+from repro.runtime.files import receive_endpoint, send_endpoint, send_file
+from repro.runtime.transfer import run_endpoints
 
 pytestmark = pytest.mark.loopback
 
@@ -23,24 +23,21 @@ def make_file(tmp_path, nbytes, seed=0):
     return path, data
 
 
+def both_ends(out, data, receive=(), send=()):
+    """Receiver and sender of ``data`` into ``out``, run to their end on
+    this thread; their results as ``{"recv": ..., "send": ...}``."""
+    rx = receive_endpoint(str(out), 0, bind="127.0.0.1", **dict(receive))
+    tx = send_endpoint(data, "127.0.0.1", rx.socks[0].getsockname()[1],
+                       **dict(send))
+    run_endpoints([rx, tx])
+    return {"recv": rx.result, "send": tx.result}
+
+
 def run_pair(tmp_path, nbytes, config=None, seed=0):
-    src, data = make_file(tmp_path, nbytes, seed)
-    port = free_port()
+    _, data = make_file(tmp_path, nbytes, seed)
     out = tmp_path / "out.bin"
-    ready = threading.Event()
-    result = {}
-
-    def recv():
-        result["recv"] = receive_file(str(out), port, bind="127.0.0.1",
-                                      ready=ready, timeout=60.0)
-
-    thread = threading.Thread(target=recv, daemon=True)
-    thread.start()
-    assert ready.wait(10)
-    result["send"] = send_file(str(src), "127.0.0.1", port,
-                               config=config, timeout=60.0)
-    thread.join(15)
-    assert not thread.is_alive()
+    result = both_ends(out, data, dict(timeout=60.0),
+                       dict(config=config, timeout=60.0))
     return data, out, result
 
 
@@ -64,10 +61,9 @@ class TestFileTransfer:
         """A control connection that yields 5 bytes a read (so the
         completion frame takes three polls) must not fail an attempt
         whose delivery the receiver blessed."""
-        connect = socket.create_connection
-        monkeypatch.setattr(
-            socket, "create_connection",
-            lambda *args, **kw: DribbleSocket(connect(*args, **kw)))
+        recv = socket.socket.recv
+        monkeypatch.setattr(socket.socket, "recv",
+                            lambda sock, nbytes: recv(sock, min(nbytes, 5)))
         data, out, result = run_pair(tmp_path, 60_000)
         assert out.read_bytes() == data
         assert result["send"].nbytes == 60_000
@@ -88,29 +84,16 @@ class TestResumableFileTransfer:
     def run_resumable(self, tmp_path, kill_plan=None, nbytes=300_000):
         from repro.runtime.supervisor import RetryPolicy
 
-        port = free_port()
-        src, data = make_file(tmp_path, nbytes, seed=7)
+        _, data = make_file(tmp_path, nbytes, seed=7)
         out = tmp_path / "out.bin"
         config = FobsConfig(ack_frequency=32, stall_timeout=0.1,
                             stall_abort_after=0.5, receiver_idle_timeout=1.5)
-        ready = threading.Event()
-        result = {}
-
-        def recv():
-            result["recv"] = receive_file(str(out), port, bind="127.0.0.1",
-                                          ready=ready, timeout=60.0,
-                                          max_attempts=3, config=config)
-
-        thread = threading.Thread(target=recv, daemon=True)
-        thread.start()
-        assert ready.wait(10)
-        result["send"] = send_file(
-            str(src), "127.0.0.1", port, config=config, timeout=60.0,
-            max_attempts=3, kill_plan=kill_plan,
-            policy=RetryPolicy(max_attempts=3, backoff_base=0.05,
-                               jitter=0.0))
-        thread.join(30)
-        assert not thread.is_alive()
+        result = both_ends(
+            out, data, dict(timeout=60.0, max_attempts=3, config=config),
+            dict(config=config, timeout=60.0, max_attempts=3,
+                 kill_plan=kill_plan,
+                 policy=RetryPolicy(max_attempts=3, backoff_base=0.05,
+                                    jitter=0.0)))
         return data, out, result
 
     def test_clean_resumable_session(self, tmp_path):
@@ -145,30 +128,18 @@ class TestResumableFileTransfer:
 
         kill_plan = {a: KillSwitch(target="sender", after_packets=50)
                      for a in range(3)}
-        src, data = make_file(tmp_path, 200_000, seed=8)
+        from repro.runtime.supervisor import RetryPolicy
+
+        _, data = make_file(tmp_path, 200_000, seed=8)
         out = tmp_path / "dead.bin"
         config = FobsConfig(ack_frequency=32, stall_timeout=0.1,
                             stall_abort_after=0.5, receiver_idle_timeout=1.0)
-        ready = threading.Event()
-        result = {}
-
-        port = free_port()
-
-        def recv():
-            result["recv"] = receive_file(str(out), port, bind="127.0.0.1",
-                                          ready=ready, timeout=15.0,
-                                          max_attempts=3, config=config)
-
-        thread = threading.Thread(target=recv, daemon=True)
-        thread.start()
-        assert ready.wait(10)
-        from repro.runtime.supervisor import RetryPolicy
-
-        send = send_file(str(src), "127.0.0.1", port, config=config,
-                         timeout=15.0, max_attempts=3, kill_plan=kill_plan,
-                         policy=RetryPolicy(max_attempts=3, backoff_base=0.05,
-                                            jitter=0.0))
-        thread.join(30)
+        send = both_ends(
+            out, data, dict(timeout=15.0, max_attempts=3, config=config),
+            dict(config=config, timeout=15.0, max_attempts=3,
+                 kill_plan=kill_plan,
+                 policy=RetryPolicy(max_attempts=3, backoff_base=0.05,
+                                    jitter=0.0)))["send"]
         assert not send.completed
         assert send.attempts == 3
         assert "killed by crash injection" in send.failure_reason

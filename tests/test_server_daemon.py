@@ -18,8 +18,8 @@ import pytest
 from _support import free_port, raw_offer
 from repro.core.config import FobsConfig
 from repro.runtime import wire
-from repro.runtime.files import receive_file, send_file
-from repro.runtime.transfer import SEND_BATCH, drain, udp_offload
+from repro.runtime.files import receive_endpoint, receive_file, send_file
+from repro.runtime.transfer import SEND_BATCH, drain, run_endpoints, udp_offload
 from repro.server import ObjectServer, fetch_file
 
 pytestmark = pytest.mark.loopback
@@ -403,18 +403,14 @@ class TestMalformedControlFrames:
         src = tmp_path / "src.bin"
         src.write_bytes(os.urandom(90_000))
         out = tmp_path / "out.bin"
-        port = free_port()
-        ready = threading.Event()
-        received = {}
-
-        def recv():
-            received["r"] = receive_file(str(out), port, bind="127.0.0.1",
-                                         ready=ready, timeout=30,
-                                         max_attempts=2)
-
-        listener = threading.Thread(target=recv, daemon=True)
+        # The bad peer is a blocking socket, so the receiver keeps a
+        # thread; its port listens before the thread starts.
+        rx = receive_endpoint(str(out), 0, bind="127.0.0.1", timeout=30,
+                              max_attempts=2)
+        port = rx.socks[0].getsockname()[1]
+        listener = threading.Thread(target=run_endpoints, args=([rx],),
+                                    daemon=True)
         listener.start()
-        assert ready.wait(5)
         with socket.create_connection(("127.0.0.1", port),
                                       timeout=5) as ctrl:
             ctrl.sendall(make_frames(ctrl))
@@ -425,8 +421,41 @@ class TestMalformedControlFrames:
         listener.join(timeout=30)
         assert not listener.is_alive()
         assert sent.completed
-        assert received["r"].completed and received["r"].attempts == 2
+        assert rx.result.completed and rx.result.attempts == 2
         assert out.read_bytes() == src.read_bytes()
+
+
+def test_receive_file_fails_the_attempt_of_a_peer_that_never_offers(
+        tmp_path):
+    """A peer connects and sends nothing: past the deadline that is one
+    failed attempt, returned as ``completed=False`` like any other, not
+    the offer read's ``TimeoutError`` out of ``receive_file``."""
+    port = free_port()
+    peers = []
+
+    def connect_and_say_nothing():
+        deadline = time.monotonic() + 5
+        while not peers and time.monotonic() < deadline:
+            try:
+                peers.append(socket.create_connection(("127.0.0.1", port)))
+            except ConnectionRefusedError:
+                time.sleep(0.01)  # not listening yet
+
+    silent = threading.Thread(target=connect_and_say_nothing, daemon=True)
+    silent.start()
+    try:
+        result = receive_file(str(tmp_path / "out.bin"), port,
+                              bind="127.0.0.1", max_attempts=3, timeout=1.0)
+    finally:
+        silent.join(timeout=10)
+        for peer in peers:
+            peer.close()
+    assert not silent.is_alive()
+    assert peers, "the silent peer never connected"
+    assert not result.completed
+    assert result.attempts == 1
+    assert result.failure_reason.startswith("bad offer")
+    assert not (tmp_path / "out.bin").exists()
 
 
 class TestHandshakeBounds:
