@@ -340,8 +340,9 @@ def send_endpoint(
     :func:`~repro.runtime.transfer.run_endpoints`, to run beside others;
     its result is the :class:`FileTransferResult`, never raised."""
     config = config if config is not None else FobsConfig(ack_frequency=32)
-    crc = zlib.crc32(data)
     resumable = resume or max_attempts > 1
+    wire.check_npackets(config.npackets(len(data)), resumable)
+    crc = zlib.crc32(data)
     tid = transfer_id if transfer_id is not None else derive_transfer_id(
         len(data), crc)
     if policy is None or not resumable:

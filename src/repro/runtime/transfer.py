@@ -363,9 +363,18 @@ def run_endpoints(endpoints: list, deadline: float = float("inf")) -> None:
                     for sock in end.socks:
                         sock.close()
             if live and wait > 0.0:
-                select.select([sock for end in live for sock in end.reads],
-                              [sock for end in live for sock in end.writes],
-                              (), wait)
+                # poll (no FD_SETSIZE bound) counts whole milliseconds: a
+                # shorter wait, a paced batch's, sleeps if nothing is ready.
+                waiter = select.poll()
+                for end in live:
+                    for sock in end.reads:
+                        waiter.register(sock, select.POLLIN)
+                    for sock in end.writes:
+                        waiter.register(sock, select.POLLOUT)
+                if wait >= 1e-3:
+                    waiter.poll(wait * 1e3)
+                elif not waiter.poll(0):
+                    time.sleep(wait)
     finally:
         for end in live:
             getattr(end.turns, "close", lambda: None)()
@@ -374,7 +383,7 @@ def run_endpoints(endpoints: list, deadline: float = float("inf")) -> None:
 
 
 # The control plane's turns: a handshake waits in run_endpoints' one
-# select, never in a blocking call, so its peer may share the thread.
+# poll, never in a blocking call, so its peer may share the thread.
 
 def waiting(end: Endpoint, deadline: float, reads: Sequence = (),
             writes: Sequence = ()) -> Iterator[float]:
@@ -483,6 +492,7 @@ def run_loopback_transfer(
     full retry loop.
     """
     config = config if config is not None else FobsConfig(ack_frequency=32)
+    wire.check_npackets(config.npackets(nbytes), session is not None)
     if data is None:
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 256, size=nbytes, dtype=np.uint8).tobytes()

@@ -360,6 +360,15 @@ def encode_ack(
     return out + packed
 
 
+def check_npackets(npackets: int, session: bool) -> None:
+    """Refuse more packets than the bitmap of one ACK datagram covers:
+    523,832 with the ``session`` extension, 523,928 without."""
+    room = MAX_DATAGRAM_BYTES - _ACK_HDR.size - SESSION_EXT_BYTES * session
+    if npackets > room * 8:
+        raise ValueError(f"an object of {npackets} packets: one ACK's "
+                         f"bitmap covers at most {room * 8}")
+
+
 def decode_ack(
     datagram: bytes,
     checksum: bool = False,
@@ -441,6 +450,7 @@ class Offer:
         if self.filesize < 1 or not 1 <= self.packet_size <= room:
             raise ValueError(f"offer of {self.filesize} bytes in packets of "
                              f"{self.packet_size} (1..{room}) is no object")
+        check_npackets(self.npackets, self.resumable)
 
     @property
     def resumable(self) -> bool:

@@ -30,7 +30,11 @@ from repro.server.admission import (
     AdmissionDecision,
 )
 from repro.server.allocator import BandwidthAllocator
-from repro.server.client import default_client_nonce, fetch_file
+from repro.server.client import (
+    default_client_nonce,
+    fetch_endpoint,
+    fetch_file,
+)
 from repro.server.daemon import ObjectServer, serve_root
 from repro.server.registry import (
     RECEIVING,
@@ -66,6 +70,7 @@ __all__ = [
     "TransferRegistry",
     "TransferSnapshot",
     "default_client_nonce",
+    "fetch_endpoint",
     "fetch_file",
     "run_sim_server",
     "serve_root",

@@ -48,14 +48,13 @@ import argparse
 import signal
 import sys
 import time
-from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from repro.analysis.experiments import EXPERIMENTS, QUICK_KWARGS
 from repro.analysis.sweep import PATHS, parse_values, sweep_fobs, sweep_tcp
 from repro.core.config import FobsConfig
 from repro.runtime.files import receive_file, send_file
-from repro.runtime.transfer import SEND_BATCH
+from repro.runtime.transfer import SEND_BATCH, run_endpoints
 from repro.server.client import fetch_file
 from repro.server.daemon import ObjectServer
 
@@ -416,13 +415,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     signal.signal(signal.SIGTERM, on_signal)
     signal.signal(signal.SIGINT, on_signal)
-    # serve_forever calls ready.set() once its sockets are bound.
-    announce = SimpleNamespace(set=lambda: info(
-        args, f"serving {server.root} on tcp {server.port} "
-              f"(udp {server.udp_port}), max-active "
-              f"{args.max_active}, queue {args.queue_depth}"))
     try:
-        snapshot = server.serve_forever(announce)
+        end = server.endpoint()
+        info(args, f"serving {server.root} on tcp {server.port} "
+                   f"(udp {server.udp_port}), max-active "
+                   f"{args.max_active}, queue {args.queue_depth}")
+        run_endpoints([end])
     except OSError as exc:
         print(f"serve FAILED: {exc}", file=sys.stderr)
         return 1
@@ -430,6 +428,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if bus is not None:
             bus.close()
             info(args, f"telemetry recorded to {args.telemetry_out}")
+    snapshot = server.stats()
     print(f"serve done completed={snapshot.completed} "
           f"failed={snapshot.failed} rejected={snapshot.rejected} "
           f"bytes_sent={snapshot.bytes_sent} "

@@ -11,7 +11,7 @@ re-sends FETCH with a bumped epoch, and the server's offer carries the
 same transfer id (content XOR our stable nonce), so the journal from a
 killed attempt seeds the next one.  The whole exchange, backoff
 included, is the turns of one
-:class:`~repro.runtime.transfer.Endpoint`.
+:class:`~repro.runtime.transfer.Endpoint` (:func:`fetch_endpoint`).
 """
 
 from __future__ import annotations
@@ -82,6 +82,35 @@ def fetch_file(
     checked against the server's offer — a byte-incomplete output is
     reported as ``verify failed``, never as success.
     """
+    end = fetch_endpoint(name, host, port, output_path, config, timeout,
+                         max_attempts, rate_cap_bps, client_nonce,
+                         journal_path, checksum, policy, telemetry, verify,
+                         opener, tuning, stats_interval)
+    transfer.run_endpoints([end])
+    return end.result
+
+
+def fetch_endpoint(
+    name: str,
+    host: str,
+    port: int,
+    output_path: str,
+    config: Optional[FobsConfig] = None,
+    timeout: float = 120.0,
+    max_attempts: int = 1,
+    rate_cap_bps: int = 0,
+    client_nonce: Optional[int] = None,
+    journal_path: Optional[str] = None,
+    checksum: bool = True,
+    policy: Optional[RetryPolicy] = None,
+    telemetry: Optional[EventBus] = None,
+    verify: bool = True,
+    opener=open,
+    tuning: Optional["TuningConfig"] = None,
+    stats_interval: float = 0.0,
+) -> transfer.Endpoint:
+    """:func:`fetch_file` as an endpoint of
+    :func:`~repro.runtime.transfer.run_endpoints`, with its result."""
     nonce = (client_nonce if client_nonce is not None
              else default_client_nonce(output_path))
     if policy is None:
@@ -128,24 +157,28 @@ def fetch_file(
             output_path, 0, max(time.monotonic() - start, 1e-9), 0.0, False,
             completed=False, failure_reason=failure)
 
-    end.turns = TransferSupervisor(policy=policy).turns(attempt)
-    transfer.run_endpoints([end])
-    offered = end.result.final.nbytes
-    result = files.supervised_result(end.result, output_path, 0)
-    if result.completed:
-        # Independent delivery audit: never report success on output
-        # that is missing or byte-incomplete, whatever the attempt's
-        # own bookkeeping claims.
-        try:
-            nbytes = os.path.getsize(output_path)
-        except OSError:
-            nbytes = -1
-        if nbytes == offered:
-            result.nbytes = nbytes
-            result.throughput_bps = nbytes * 8.0 / result.duration
-        else:
-            result.completed = result.crc_ok = False
-            result.failure_reason = (f"verify failed: output is "
-                                     f"{max(nbytes, 0)} bytes, offer "
-                                     f"promised {offered}")
-    return result
+    def turns() -> Generator[float, None, files.FileTransferResult]:
+        supervised = yield from TransferSupervisor(policy=policy).turns(
+            attempt)
+        offered = supervised.final.nbytes
+        result = files.supervised_result(supervised, output_path, 0)
+        if result.completed:
+            # Independent delivery audit: never report success on output
+            # that is missing or byte-incomplete, whatever the attempt's
+            # own bookkeeping claims.
+            try:
+                nbytes = os.path.getsize(output_path)
+            except OSError:
+                nbytes = -1
+            if nbytes == offered:
+                result.nbytes = nbytes
+                result.throughput_bps = nbytes * 8.0 / result.duration
+            else:
+                result.completed = result.crc_ok = False
+                result.failure_reason = (f"verify failed: output is "
+                                         f"{max(nbytes, 0)} bytes, offer "
+                                         f"promised {offered}")
+        return result
+
+    end.turns = turns()
+    return end

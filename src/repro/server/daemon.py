@@ -1,13 +1,15 @@
 """The real-socket multi-transfer daemon (``repro serve``).
 
-One process serves many concurrent FOBS transfers:
+One process serves many concurrent FOBS transfers, as one endpoint of
+:func:`repro.runtime.transfer.run_endpoints` (:meth:`ObjectServer.endpoint`):
 
-* a ``selectors`` event loop multiplexes the TCP control listener, every
-  per-client control connection, and **one shared UDP data socket** that
-  carries all fetch DATA out, all fetch ACKs in, and all v2 push DATA
-  in — datagrams are routed to their transfer by the session extension
+* each turn accepts on the TCP control listener, drains **one shared
+  UDP data socket** — all fetch DATA out, all fetch ACKs in, all v2 push
+  DATA in, routed to their transfer by the session extension
   (:func:`repro.runtime.wire.peek_session` +
-  :class:`repro.server.registry.TransferRegistry`);
+  :class:`repro.server.registry.TransferRegistry`) — pumps every send
+  and takes one turn of each control connection, itself one generator
+  of ``reading``/``writing``/``waiting`` turns;
 * admission control (:class:`repro.server.admission.AdmissionController`)
   bounds concurrency: past ``max_active`` a fetch gets an explicit
   QUEUED reply and waits its FIFO turn; past ``queue_depth`` (or a
@@ -39,21 +41,21 @@ the vanilla client; a rejected push sees its connection closed and its
 supervisor retries with backoff.
 
 The protocol loops are :mod:`repro.runtime.driver`'s: the pump calls
-each send entry's ``step(now)`` and sleeps for the smallest wakeup any
-of them asked for; the demux pushes every datagram into its entry's
+each send entry's ``step(now)`` and the turn yields the smallest wakeup
+any of them asked for; the demux pushes every datagram into its entry's
 driver.
 """
 
 from __future__ import annotations
 
+import math
 import os
-import selectors
 import socket
 import time
 import zlib
 from dataclasses import replace
 from functools import partial
-from typing import TYPE_CHECKING, Optional, TextIO
+from typing import TYPE_CHECKING, Generator, Iterator, Optional, TextIO
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.tuning import TuningConfig
@@ -75,8 +77,13 @@ from repro.runtime.driver import (
 from repro.runtime.transfer import (
     SEND_BATCH,
     BurstSend,
+    Endpoint,
     accept_trains,
     drain,
+    reading,
+    run_endpoints,
+    waiting,
+    writing,
 )
 from repro.server.admission import (
     ADMIT,
@@ -84,6 +91,7 @@ from repro.server.admission import (
     FULL,
     QUEUE,
     AdmissionController,
+    AdmissionDecision,
 )
 from repro.server.allocator import BandwidthAllocator
 from repro.server.registry import (
@@ -112,73 +120,59 @@ _REJECT_CODES = {
     DRAINING: wire.REJECT_DRAINING,
     "client_cap": wire.REJECT_CLIENT_CAP,
 }
+_NOT_FOUND = wire.encode_reject(wire.REJECT_NOT_FOUND)
 
 
-class _Conn:
-    """One TCP control connection and its protocol state."""
-
-    __slots__ = ("sock", "addr", "decoder", "state", "deadline", "entry",
-                 "key", "fetch", "offer", "manifest")
-
-    # States: "request" → ("queued" →) "await_resume" → "sending"
-    #                   | ("await_verify" →) ("queued" →) "receiving"
-    def __init__(self, sock: socket.socket, addr, deadline: float):
-        self.sock = sock
-        self.addr = addr
-        self.decoder = wire.ControlDecoder()
-        self.state = "request"
-        #: The handshake must move on by then; None once the connection
-        #: is queued or carries a running transfer.
-        self.deadline: Optional[float] = deadline
-        self.entry = None
-        self.key = None
-        self.fetch: Optional[wire.FetchRequest] = None
-        self.offer: Optional[wire.Offer] = None
-        #: Digest manifest from a push client's VERIFY frame.
-        self.manifest: Optional[ChunkManifest] = None
+def _expect(frame, kind: type, phase: str):
+    """``frame``, which must be a ``kind`` at this ``phase``."""
+    if not isinstance(frame, kind):
+        raise ValueError(f"{type(frame).__name__} frame while {phase}")
+    return frame
 
 
 class _SendEntry:
     """Server → client transfer (a fetch) on the shared socket."""
 
     kind = SENDING
-    __slots__ = ("key", "transfer_id", "epoch", "sender", "conn", "name",
-                 "client", "burst", "driver", "started_at")
+    __slots__ = ("key", "transfer_id", "epoch", "sender", "name", "client",
+                 "burst", "driver", "started_at", "ok")
 
-    def __init__(self, key, session: wire.SessionContext, sender, conn, name):
+    def __init__(self, key, session: wire.SessionContext, sender, client,
+                 name):
         self.key = key
         self.transfer_id, self.epoch = session.transfer_id, session.epoch
         self.sender: FobsSender = sender
-        self.conn: _Conn = conn
         self.name = name
-        self.client = conn.addr[0]
+        self.client = client
         #: Its send onto the shared socket; the address arrives with
         #: the client's RESUME.
         self.burst: Optional[BurstSend] = None
         self.driver: Optional[SendDriver] = None
         self.started_at = 0.0
+        #: How it ended (None while it runs): its connection's cue.
+        self.ok: Optional[bool] = None
 
 
 class _RecvEntry:
     """Client → server transfer (a push)."""
 
     kind = RECEIVING
-    __slots__ = ("key", "driver", "receiver", "part", "conn", "offer",
+    __slots__ = ("key", "driver", "receiver", "part", "offer",
                  "transfer_id", "epoch", "name", "client", "sock",
-                 "started_at")
+                 "started_at", "ok")
 
-    def __init__(self, key, driver, part, conn, offer, name):
+    def __init__(self, key, driver, part, client, offer, name):
         self.key = key
         self.driver: RecvDriver = driver
         self.receiver: FobsReceiver = driver.receiver
         self.part: PartFile = part
-        self.conn: _Conn = conn
         self.offer: wire.Offer = offer
         self.transfer_id, self.epoch = offer.transfer_id, offer.epoch
         self.name = name
-        self.client = conn.addr[0]
+        self.client = client
         self.sock: Optional[socket.socket] = None  # dedicated (v1) only
         self.started_at = 0.0
+        self.ok: Optional[bool] = None
 
 
 class ObjectServer:
@@ -218,8 +212,6 @@ class ObjectServer:
         self.allocator = BandwidthAllocator(rate_budget_bps)
         self.registry = TransferRegistry()
         self.drain_timeout = drain_timeout
-        self.stats_interval = stats_interval
-        self.stats_out = stats_out
         self.handshake_timeout = handshake_timeout
         self.kill = kill
         #: Autotune sends (None = fixed-knob sends, the default).
@@ -242,19 +234,19 @@ class ObjectServer:
         #: Finished-transfer log: (name, direction, client, ok, reason).
         self.history: list[tuple[str, str, str, bool, Optional[str]]] = []
 
-        self._sel: Optional[selectors.BaseSelector] = None
         self._listener: Optional[socket.socket] = None
         self._udp: Optional[socket.socket] = None
         # Reusable datagram receive buffer shared by every UDP drain
         # (single-threaded event loop; each datagram is fully consumed
         # before the next receive overwrites the buffer).
         self._rxbuf = bytearray(65535)
-        self._conns: set[_Conn] = set()
+        #: Every open control connection, one private endpoint each.
+        self._conns: list[Endpoint] = []
         self._send_entries: dict[object, _SendEntry] = {}
         self._recv_entries: dict[object, _RecvEntry] = {}
-        self._waiting_conns: dict[object, _Conn] = {}
+        #: Queued request key -> its connection, until it sees it admitted.
+        self._waiting_conns: dict[object, Endpoint] = {}
         self._anon_pushes = 0
-        self._data_packets_sent = 0
         self._completed = 0
         self._failed = 0
         self._rejected_other = 0   # NOT_FOUND + queue drained
@@ -326,10 +318,11 @@ class ObjectServer:
             transfers=tuple(transfers))
 
     # ------------------------------------------------------------------
-    # Socket plumbing
+    # The daemon as an endpoint
     # ------------------------------------------------------------------
-    def _open_sockets(self) -> None:
-        self._sel = selectors.DefaultSelector()
+    def endpoint(self) -> Endpoint:
+        """Bind the TCP listener and the shared UDP socket (``port``,
+        ``udp_port``); the daemon, until drained, stopped or killed."""
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((self.bind, self.port))
@@ -342,249 +335,251 @@ class ObjectServer:
         self._udp.bind((self.bind, 0))
         self._udp.setblocking(False)
         self.udp_port = self._udp.getsockname()[1]
-        self._sel.register(self._listener, selectors.EVENT_READ,
-                           ("listener",))
-        self._sel.register(self._udp, selectors.EVENT_READ, ("udp",))
-
-    def _close_conn(self, conn: _Conn) -> None:
-        if conn.state == "closed":
-            return
-        conn.state = "closed"
-        # Its entry points back at it: let go, or a finished transfer's
-        # object bytes stay until some later cycle collection.
-        conn.entry = None
-        self._conns.discard(conn)
-        try:
-            self._sel.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
-            conn.sock.close()
-        except OSError:
-            pass
-
-    def _send_ctrl(self, conn: _Conn, payload: bytes) -> bool:
-        try:
-            conn.sock.sendall(payload)
-            return True
-        except OSError:
-            return False
-
-    # ------------------------------------------------------------------
-    # The event loop
-    # ------------------------------------------------------------------
-    def serve_forever(self, ready=None) -> ServerSnapshot:
-        """Run until drained (or stopped/killed); returns final stats."""
-        self._open_sockets()
         self._started_at = time.monotonic()
+        end = Endpoint(socks=[self._listener, self._udp])
+        end.turns = self._turns(end)
+        return end
+
+    def serve_forever(self) -> ServerSnapshot:
+        """Run until drained (or stopped/killed); returns final stats."""
+        run_endpoints([self.endpoint()])
+        return self.stats()
+
+    def _turns(self, end: Endpoint) -> Iterator[float]:
+        """Each turn yields the pump's wakeup, or a sooner one a control
+        connection asked for; their sockets join ``end``'s wait."""
         next_sweep = self._started_at
-        if ready is not None:
-            ready.set()
         try:
-            while True:
+            while not self._stop:
                 now = time.monotonic()
-                if self._stop:
-                    break
                 if self._drain_requested and not self._draining:
                     self._begin_drain(now)
-                if self._draining:
-                    if not self._send_entries and not self._recv_entries:
+                if self._draining and now > self._drain_deadline:
+                    self._fail_all("drain timeout expired")
+                    return
+                while True:
+                    try:
+                        sock, addr = self._listener.accept()
+                    except OSError:
                         break
-                    if now > self._drain_deadline:
-                        self._fail_all("drain timeout expired")
-                        break
-                hint = self._pump(now)
-                events = self._sel.select(min(hint, 0.05))
-                now = time.monotonic()
-                for key, _mask in events:
-                    tag = key.data[0]
-                    if tag == "listener":
-                        self._accept(now)
-                    elif tag == "udp":
-                        drain(self._udp, self._route_train, now,
-                              self._rxbuf, _PUMP_QUANTUM)
-                    elif tag == "conn":
-                        self._on_conn_readable(key.data[1], now)
-                    elif tag == "recv_sock":
-                        entry = key.data[1]
+                    sock.setblocking(False)
+                    conn = Endpoint()
+                    conn.turns = self._control(conn, sock, addr)
+                    self._conns.append(conn)
+                drain(self._udp, self._route_train, now, self._rxbuf,
+                      _PUMP_QUANTUM)
+                for entry in list(self._recv_entries.values()):
+                    if entry.sock is not None:
                         drain(entry.sock, partial(self._on_push_data, entry),
                               now, self._rxbuf, _PUMP_QUANTUM)
-                if now >= next_sweep:
+                wait = self._pump(now)
+                if now >= next_sweep:  # receiver liveness
                     next_sweep = now + 0.5
-                    self._sweep(now)
+                    for entry in list(self._recv_entries.values()):
+                        failure = entry.receiver.liveness_failure(
+                            now, entry.started_at)
+                        if failure is not None:
+                            self._finish(entry, ok=False, reason=failure)
+                conns, reads, writes = [], [self._listener, self._udp], []
+                for conn in self._conns:
+                    try:
+                        wait = min(wait, next(conn.turns))
+                    except StopIteration:
+                        continue
+                    conns.append(conn)
+                    reads += conn.reads
+                    writes += conn.writes
+                self._conns = conns
+                reads += [entry.sock for entry in self._recv_entries.values()
+                          if entry.sock is not None]
+                end.reads, end.writes = reads, writes
                 if self._snapshot_sink is not None:
                     self._snapshot_sink.maybe_emit(now)
+                # Drained? Asked last: this turn may have ended the last.
+                if self._draining and not (self._send_entries
+                                           or self._recv_entries):
+                    return
+                yield wait
         except EndpointKilled:
-            # Crash injection fired inside the send pump.
-            self._crash_teardown()
-            return self.stats()
+            # Crash injection fired inside the send pump: abrupt death,
+            # unflushed journal writes lost.
+            self.crashed = True
+            for entry in self._recv_entries.values():
+                entry.part.crash()
+            raise
         finally:
             if not self.crashed:
-                self._graceful_teardown()
-        return self.stats()
+                self._fail_all("server shut down")
+            for conn in self._conns:
+                conn.turns.close()
 
     def _begin_drain(self, now: float) -> None:
         self._draining = True
         self._drain_deadline = now + self.drain_timeout
-        for key in self.admission.drain():
-            conn = self._waiting_conns.pop(key, None)
-            if conn is None:
-                continue
-            self._rejected_other += 1
-            if conn.fetch is not None:
-                self._send_ctrl(conn, wire.encode_reject(
-                    wire.REJECT_DRAINING))
-            self._close_conn(conn)
+        for key in self.admission.drain():  # their connections reject
+            if self._waiting_conns.pop(key, None) is not None:
+                self._rejected_other += 1
 
     def _fail_all(self, reason: str) -> None:
         for entries in (self._send_entries, self._recv_entries):
             for entry in list(entries.values()):
                 self._finish(entry, ok=False, reason=reason)
 
-    def _graceful_teardown(self) -> None:
-        self._fail_all("server shut down")
-        self._close_sockets()
-
-    def _crash_teardown(self) -> None:
-        """Abrupt death: close fds, lose unflushed journal writes."""
-        self.crashed = True
-        for entry in self._recv_entries.values():
-            entry.part.crash()
-        self._close_sockets()
-
-    def _close_sockets(self) -> None:
-        for conn in list(self._conns):
-            self._close_conn(conn)
-        for sock in (self._listener, self._udp):
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-        if self._sel is not None:
-            self._sel.close()
-
-    def _sweep(self, now: float) -> None:
-        """Periodic housekeeping: handshake deadlines, receiver liveness."""
-        for conn in list(self._conns):
-            if conn.deadline is not None and now > conn.deadline:
-                self._fail_conn(conn, "handshake timed out")
-        for entry in list(self._recv_entries.values()):
-            failure = entry.receiver.liveness_failure(now, entry.started_at)
-            if failure is not None:
-                self._finish(entry, ok=False, reason=failure)
-
     # ------------------------------------------------------------------
-    # TCP control plane
+    # TCP control plane: one generator per connection
     # ------------------------------------------------------------------
-    def _accept(self, now: float) -> None:
-        while True:
-            try:
-                sock, addr = self._listener.accept()
-            except (BlockingIOError, OSError):
-                return
-            sock.setblocking(False)
-            conn = _Conn(sock, addr, now + self.handshake_timeout)
-            self._conns.add(conn)
-            self._sel.register(sock, selectors.EVENT_READ, ("conn", conn))
-
-    def _on_conn_readable(self, conn: _Conn, now: float) -> None:
-        # One read a wakeup (the selector is level-triggered), so the
-        # decoder refuses an oversized or unframed stream before the
-        # next read can add to it.
-        if conn.state == "closed":
-            return
-        try:
-            chunk = conn.sock.recv(65536)
-        except BlockingIOError:
-            return
-        except OSError:
-            chunk = b""
-        if chunk:
-            conn.decoder.feed(chunk)
-            self._service_conn(conn, now)
-        else:
-            self._on_conn_lost(conn)
-
-    def _on_conn_lost(self, conn: _Conn) -> None:
-        entry = conn.entry
-        if (entry is not None and entry.kind == SENDING
-                and entry.sender.complete):
-            # The client may close immediately after its completion
-            # signal; an EOF behind a processed completion is a clean
-            # finish, not a lost connection.
-            self._finish(entry, ok=True)
-        else:
-            self._fail_conn(conn, "control connection lost")
-
-    def _fail_conn(self, conn: _Conn, reason: str) -> None:
-        """Close ``conn``, failing the transfer it carries (if any) with
-        ``reason`` and giving up its place in the queue (if it has one)."""
-        if conn.entry is not None:
-            self._finish(conn.entry, ok=False, reason=reason)
-            return
-        if conn.state == "queued":
-            self.admission.cancel(conn.key)
-            self._waiting_conns.pop(conn.key, None)
-        self._close_conn(conn)
-
-    def _service_conn(self, conn: _Conn, now: float) -> None:
-        """Hand every whole frame to the handler for ``(state, frame
-        type)``.  A frame that does not decode, does not validate or has
-        no handler in this state — a push client, for one, never speaks
-        between its offer and our completion signal — fails this
+    def _control(self, end: Endpoint, sock: socket.socket,
+                 addr) -> Iterator[float]:
+        """One accepted control connection, as the turns of its private
+        ``end``.  A frame that does not decode, does not validate or
+        comes where the exchange has no place for it fails this
         connection, with the reason on record, and nothing else."""
-        try:
-            while conn.state != "closed":
-                frame = conn.decoder.next_frame()
-                if frame is None:
-                    return
-                handler = self._ON_FRAME.get((conn.state, type(frame)))
-                if handler is None:
-                    raise ValueError(f"{type(frame).__name__} frame while "
-                                     f"{conn.state}")
-                handler(self, conn, frame, now)
-        except ValueError as exc:
-            reason = f"bad control frame: {exc}"
-            if conn.entry is None:
+        decoder = wire.ControlDecoder()
+        deadline = time.monotonic() + self.handshake_timeout
+        with sock:
+            try:
+                request = yield from reading(end, sock, decoder, deadline)
+                if isinstance(request, wire.FetchRequest):
+                    started = yield from self._admit_fetch(
+                        end, sock, decoder, addr[0], request, deadline)
+                else:
+                    started = yield from self._admit_push(
+                        end, sock, decoder, addr[0],
+                        _expect(request, wire.Offer, "request"), deadline)
+            except ValueError as exc:
                 # No transfer to carry the reason: the connection is
                 # the failed operation.
                 self._failed += 1
-                self.history.append(("-", "ctrl", conn.addr[0], False,
-                                     reason))
-            self._fail_conn(conn, reason)
+                self.history.append(("-", "ctrl", addr[0], False,
+                                     f"bad control frame: {exc}"))
+                return
+            except OSError:  # gone, reset, or silent past the deadline
+                return
+            if started is not None:
+                yield from self._carry(end, sock, decoder, *started)
 
-    def _on_offer(self, conn: _Conn, offer: wire.Offer, now: float) -> None:
-        conn.offer = offer
-        if offer.verify:
-            # A VERIFY frame (digest manifest) follows the offer; hold
-            # admission until it arrives so the resume audit has digests
-            # from the start.
-            conn.state = "await_verify"
-        else:
-            self._handle_push(conn, now)
+    def _carry(self, end: Endpoint, sock: socket.socket,
+               decoder: wire.ControlDecoder, entry,
+               reply: bytes) -> Iterator[float]:
+        """A started transfer's connection: ``reply``, a fetch's RESUME,
+        the client watched until the transfer ends, our push completion."""
+        sending = entry.kind == SENDING
+        deadline = time.monotonic() + self.handshake_timeout
+        try:
+            yield from writing(end, sock, reply, deadline)
+        except OSError:
+            self._finish(entry, ok=False,
+                         reason="client vanished before offer" if sending
+                         else "client vanished before accept")
+            return
+        awaiting = sending  # a fetch's RESUME, within the deadline
+        if sending:
+            decoder.npackets = entry.sender.npackets  # what we offered
+        try:
+            while entry.ok is None:
+                frame = wire.read_frame(sock, decoder)
+                if frame is None:
+                    yield from waiting(end, deadline if awaiting else math.inf,
+                                       reads=[sock])
+                elif awaiting:
+                    resume = _expect(frame, wire.ResumeInfo, "await_resume")
+                    if (resume.transfer_id, resume.epoch) != (
+                            entry.transfer_id, entry.epoch):
+                        raise ValueError("RESUME for a different session")
+                    entry.sender.resume_from(resume.bitmap)
+                    entry.burst.addr = (entry.client, resume.data_port)
+                    entry.started_at = time.monotonic()
+                    awaiting = False
+                    yield 0.0  # its first batch is due at once
+                elif sending:
+                    _expect(frame, wire.Completion, "sending")
+                    entry.sender.on_completion(time.monotonic())
+                    yield 0.0  # the pump finishes it
+                else:
+                    raise ValueError(f"{type(frame).__name__} frame while "
+                                     f"receiving")
+        except TimeoutError:
+            self._finish(entry, ok=False, reason="handshake timed out")
+        except OSError:
+            # The client may close immediately after its completion
+            # signal; an EOF behind a processed completion is a clean
+            # finish, not a lost connection.
+            done = sending and entry.sender.complete
+            self._finish(entry, ok=done,
+                         reason=None if done else "control connection lost")
+        except ValueError as exc:
+            self._finish(entry, ok=False, reason=f"bad control frame: {exc}")
+        if entry.ok and not sending:
+            yield from self._tell(end, sock, wire.encode_completion(
+                entry.receiver.npackets))
 
-    def _on_verify(self, conn: _Conn, frame: wire.Verify, now: float) -> None:
-        # An unusable manifest falls back to the whole-object CRC rather
-        # than refusing the transfer.
-        conn.manifest = files.manifest_for(frame.manifest, conn.offer)
-        self._handle_push(conn, now)
+    def _tell(self, end: Endpoint, sock: socket.socket,
+              frame: bytes) -> Iterator[float]:
+        """``frame`` to a client about to be closed on, best effort."""
+        try:
+            yield from writing(end, sock, frame,
+                               time.monotonic() + self.handshake_timeout)
+        except OSError:
+            pass
 
-    def _on_resume(self, conn: _Conn, resume: wire.ResumeInfo,
-                   now: float) -> None:
-        entry: _SendEntry = conn.entry
-        if (resume.transfer_id, resume.epoch) != (entry.transfer_id,
-                                                  entry.epoch):
-            raise ValueError("RESUME for a different session")
-        entry.sender.resume_from(resume.bitmap)
-        entry.burst.addr = (conn.addr[0], resume.data_port)
-        entry.started_at = now
-        conn.state = "sending"
-        conn.deadline = None
+    def _request(self, key, name: str, client: str) -> AdmissionDecision:
+        """Put a request, now known as ``key``, to admission control."""
+        if isinstance(key, int):
+            # A retry of a crashed attempt re-uses the transfer id; the
+            # old attempt (if its death went unnoticed) is superseded,
+            # running or still waiting.
+            prior = self.registry.get(key)
+            if prior is not None:
+                self._finish(prior.entry, ok=False,
+                             reason="superseded by a newer attempt")
+            if self._waiting_conns.pop(key, None) is not None:
+                self.admission.cancel(key)
+        decision = self.admission.request(key, client=client)
+        self._emit_admission(key, name, client, decision.action,
+                             reason=decision.reason or "",
+                             position=decision.position)
+        return decision
 
-    def _on_completion(self, conn: _Conn, _frame: wire.Completion,
-                       now: float) -> None:
-        conn.entry.sender.on_completion(now)
+    def _await_slot(self, end: Endpoint, sock: socket.socket,
+                    decoder: wire.ControlDecoder, key,
+                    decision: AdmissionDecision, deadline: float,
+                    fetch: bool) -> Generator[float, None, bool]:
+        """A request admission did not start at once: refused, or queued
+        until admitted (True), drained, superseded or gone.  Only a
+        fetch client is told (a vanilla sender does not speak QUEUED or
+        REJECT: it waits longer for its ACCEPT/RESUME, or sees a close)."""
+        if decision.action != QUEUE:
+            if fetch:
+                yield from self._tell(end, sock, wire.encode_reject(
+                    _REJECT_CODES.get(decision.reason, wire.REJECT_FULL)))
+            return False
+        self._waiting_conns[key] = end
+        try:
+            if fetch:
+                yield from writing(end, sock,
+                                   wire.encode_queued(decision.position),
+                                   deadline)
+            while self._waiting_conns.get(key) is end:
+                if key in self.admission.active:
+                    del self._waiting_conns[key]
+                    return True
+                # No deadline, but the client's going away (or speaking)
+                # gives up its place.
+                frame = wire.read_frame(sock, decoder)
+                if frame is not None:
+                    raise ValueError(f"{type(frame).__name__} frame while "
+                                     f"queued")
+                yield from waiting(end, math.inf, reads=[sock])
+        except BaseException:
+            if self._waiting_conns.get(key) is end:
+                del self._waiting_conns[key]
+                self.admission.cancel(key)
+                self._release_and_promote(key)
+            raise
+        if fetch and self._draining:
+            yield from self._tell(end, sock,
+                                  wire.encode_reject(wire.REJECT_DRAINING))
+        return False
 
     # ------------------------------------------------------------------
     # Telemetry
@@ -610,98 +605,65 @@ class ObjectServer:
     # ------------------------------------------------------------------
     # Fetch (server sends)
     # ------------------------------------------------------------------
-    def _resolve(self, name: str) -> Optional[str]:
-        """Resolve an object name inside the served root, or None."""
+    def _read(self, name: str) -> Optional[bytes]:
+        """The bytes of object ``name`` inside the served root, or None
+        (no such object, or an empty one)."""
         path = os.path.normpath(os.path.join(self.root, name))
-        if not (path == self.root or path.startswith(self.root + os.sep)):
+        if not (path.startswith(self.root + os.sep)
+                and os.path.isfile(path)):
             return None
-        if not os.path.isfile(path):
-            return None
-        return path
-
-    def _handle_fetch(self, conn: _Conn, req: wire.FetchRequest,
-                      now: float) -> None:
-        path = self._resolve(req.name)
-        if path is None or os.path.getsize(path) == 0:
-            self._emit_admission(0, req.name, conn.addr[0], "reject",
-                                 reason="not_found")
-            self._reject_not_found(conn)
-            return
         with open(path, "rb") as fh:
-            data = fh.read()
-        conn.fetch = req
-        self._admit(conn, req.client_nonce ^ files.derive_transfer_id(
-            len(data), zlib.crc32(data)), req.name, now, data)
+            return fh.read() or None
 
-    def _admit(self, conn: _Conn, key, name: str, now: float,
-               data: Optional[bytes] = None) -> None:
-        """Put ``conn``'s request, now known as ``key``, to admission
-        control: start it, queue it or refuse it.  Only a fetch client
-        is told which — a vanilla sender does not speak QUEUED or
-        REJECT: queued, it simply waits longer for its ACCEPT/RESUME;
-        refused, it sees the connection close and its supervisor backs
-        off and retries."""
-        conn.key = key
-        if isinstance(key, int):
-            # A retry of a crashed attempt re-uses the transfer id; the
-            # old attempt (if its death went unnoticed) is superseded,
-            # running or still waiting.
-            prior = self.registry.get(key)
-            if prior is not None:
-                self._finish(prior.entry, ok=False,
-                             reason="superseded by a newer attempt")
-            stale_conn = self._waiting_conns.pop(key, None)
-            if stale_conn is not None:
-                self.admission.cancel(key)
-                self._close_conn(stale_conn)
-        decision = self.admission.request(key, client=conn.addr[0])
-        self._emit_admission(key, name, conn.addr[0], decision.action,
-                             reason=decision.reason or "",
-                             position=decision.position)
-        if decision.action == ADMIT:
-            self._begin(conn, now, data)
-        elif decision.action == QUEUE:
-            conn.state = "queued"
-            conn.deadline = None
-            self._waiting_conns[key] = conn
-            if conn.fetch is not None:
-                self._send_ctrl(conn, wire.encode_queued(decision.position))
-        else:
-            if conn.fetch is not None:
-                self._send_ctrl(conn, wire.encode_reject(
-                    _REJECT_CODES.get(decision.reason, wire.REJECT_FULL)))
-            self._close_conn(conn)
-
-    def _begin(self, conn: _Conn, now: float,
-               data: Optional[bytes] = None) -> None:
-        """Start the transfer ``conn`` asked for: it holds a slot."""
-        if conn.fetch is not None:
-            self._begin_fetch_send(conn, data, now)
-        else:
-            self._begin_push_recv(conn, now)
-
-    def _begin_fetch_send(self, conn: _Conn, data: Optional[bytes],
-                          now: float) -> None:
-        req = conn.fetch
+    def _admit_fetch(self, end: Endpoint, sock: socket.socket,
+                     decoder: wire.ControlDecoder, client: str,
+                     req: wire.FetchRequest, deadline: float
+                     ) -> Generator[float, None, Optional[tuple]]:
+        """A FETCH up to its transfer: its object found (and one ACK's
+        bitmap enough for it), then admitted; the entry and its OFFER."""
+        data = self._read(req.name)
         if data is None:
-            path = self._resolve(req.name)
-            if path is None:
+            self._emit_admission(0, req.name, client, "reject",
+                                 reason="not_found")
+            self._rejected_other += 1
+            yield from self._tell(end, sock, _NOT_FOUND)
+            return None
+        try:
+            wire.check_npackets(self.config.npackets(len(data)), True)
+        except ValueError as exc:
+            self._failed += 1
+            self.history.append((req.name, "send", client, False, str(exc)))
+            return None
+        key = req.client_nonce ^ files.derive_transfer_id(
+            len(data), zlib.crc32(data))
+        decision = self._request(key, req.name, client)
+        if decision.action != ADMIT:
+            data = None  # not held while it waits; read again once admitted
+            if not (yield from self._await_slot(end, sock, decoder, key,
+                                                decision, deadline,
+                                                fetch=True)):
+                return None
+            data = self._read(req.name)
+            if data is None:
                 # Admitted from the queue, but the object has since gone.
-                self._reject_not_found(conn)
-                self._release_and_promote(conn.key)
-                return
-            with open(path, "rb") as fh:
-                data = fh.read()
-        tid = conn.key
+                self._release_and_promote(key)
+                self._rejected_other += 1
+                yield from self._tell(end, sock, _NOT_FOUND)
+                return None
+        return self._begin_fetch_send(req, key, client, data)
+
+    def _begin_fetch_send(self, req: wire.FetchRequest, key, client: str,
+                          data: bytes) -> tuple[_SendEntry, bytes]:
+        """Start the fetch ``req`` asked for, now that it holds a slot."""
         config = replace(self.config, checksum=req.checksum)
-        session = wire.SessionContext(tid, req.epoch)
+        session = wire.SessionContext(key, req.epoch)
         sender = FobsSender(config, len(data),
-                            rng=np.random.default_rng(tid & 0xFFFFFFFF),
+                            rng=np.random.default_rng(key & 0xFFFFFFFF),
                             epoch=req.epoch,
                             telemetry=self._transfer_channel(
-                                tid, req.epoch, src="sender"))
-        entry = _SendEntry(tid, session, sender, conn, req.name)
-        entry.started_at = now
+                                key, req.epoch, src="sender"))
+        entry = _SendEntry(key, session, sender, client, req.name)
+        entry.started_at = time.monotonic()
         tuner = None
         if self.tuning is not None:
             from repro.tuning import make_tuner
@@ -710,67 +672,74 @@ class ObjectServer:
             # own F-tuner.  The daemon's tuner drives pacing rate and
             # batch size, with the max-min share as its rate ceiling.
             tuner = make_tuner(self.tuning, sender=sender,
-                               telemetry=self.telemetry, transfer_id=tid,
+                               telemetry=self.telemetry, transfer_id=key,
                                label=req.name)
         entry.driver = SendDriver(sender, data, self._send_for(entry),
                                   session, tuner)
-        self._transfer_channel(tid, req.epoch).emit(
+        self._transfer_channel(key, req.epoch).emit(
             EV_TRANSFER_START, nbytes=len(data), npackets=sender.npackets,
             packet_size=config.packet_size,
             ack_frequency=config.ack_frequency, backend="server",
-            role="sender", name=req.name, client=conn.addr[0])
-        conn.entry = entry
-        conn.decoder.npackets = sender.npackets  # what we are offering
-        conn.state = "await_resume"
-        conn.deadline = now + self.handshake_timeout
-        self._send_entries[tid] = entry
-        self.registry.add(RegisteredTransfer(tid, req.epoch, SENDING, entry))
+            role="sender", name=req.name, client=client)
+        self._send_entries[key] = entry
+        self.registry.add(RegisteredTransfer(key, req.epoch, SENDING, entry))
         self.allocator.register(
-            tid, tuner.set_ceiling if tuner else sender.set_pacing_rate,
+            key, tuner.set_ceiling if tuner else sender.set_pacing_rate,
             demand_bps=req.rate_cap_bps or None)
         self.allocator.reallocate()
         manifest = (ChunkManifest.from_data(data, config.packet_size)
                     if req.verify else None)
-        if not self._send_ctrl(conn, files.announce_offer(
-                len(data), zlib.crc32(data), config, self.udp_port, session,
-                manifest)):
-            self._finish(entry, ok=False,
-                              reason="client vanished before offer")
-
-    def _reject_not_found(self, conn: _Conn) -> None:
-        self._rejected_other += 1
-        self._send_ctrl(conn, wire.encode_reject(wire.REJECT_NOT_FOUND))
-        self._close_conn(conn)
+        return entry, files.announce_offer(
+            len(data), zlib.crc32(data), config, self.udp_port, session,
+            manifest)
 
     # ------------------------------------------------------------------
     # Push (server receives)
     # ------------------------------------------------------------------
-    def _handle_push(self, conn: _Conn, now: float) -> None:
-        if conn.offer.resumable:
-            key = conn.offer.transfer_id
+    def _admit_push(self, end: Endpoint, sock: socket.socket,
+                    decoder: wire.ControlDecoder, client: str,
+                    offer: wire.Offer, deadline: float
+                    ) -> Generator[float, None, Optional[tuple]]:
+        """An OFFER up to its transfer; the entry and its ACCEPT/RESUME."""
+        manifest = None
+        if offer.verify:
+            # A VERIFY frame (digest manifest) follows the offer; hold
+            # admission until it arrives so the resume audit has digests
+            # from the start.  An unusable manifest falls back to the
+            # whole-object CRC rather than refusing the transfer.
+            verify = _expect((yield from reading(end, sock, decoder,
+                                                 deadline)),
+                             wire.Verify, "await_verify")
+            manifest = files.manifest_for(verify.manifest, offer)
+        if offer.resumable:
+            key = offer.transfer_id
         else:
             self._anon_pushes += 1
             key = ("push-v1", self._anon_pushes)
-        self._admit(conn, key, "push", now)
+        decision = self._request(key, "push", client)
+        if decision.action != ADMIT and not (yield from self._await_slot(
+                end, sock, decoder, key, decision, deadline, fetch=False)):
+            return None
+        return self._begin_push_recv(offer, key, manifest, client)
 
-    def _begin_push_recv(self, conn: _Conn, now: float) -> None:
-        offer = conn.offer
+    def _begin_push_recv(self, offer: wire.Offer, key,
+                         manifest: Optional[ChunkManifest],
+                         client: str) -> Optional[tuple[_RecvEntry, bytes]]:
+        """Start the push ``offer`` made, now that it holds a slot."""
         config = files.attempt_config_for(offer, self.config)
         name = (f"push-{offer.transfer_id:016x}.bin" if offer.resumable
-                else f"push-anon-{conn.key[1]}.bin")
+                else f"push-anon-{key[1]}.bin")
         channel = self._transfer_channel(offer.transfer_id, offer.epoch)
         part = PartFile(
             os.path.join(self.root, name), offer.filesize,
             offer.packet_size, offer.crc,
             transfer_id=offer.transfer_id if offer.resumable else None,
-            manifest=conn.manifest, opener=self.opener, channel=channel)
+            manifest=manifest, opener=self.opener, channel=channel)
         if part.fault is not None:
             self._failed += 1
-            self.history.append((name, "recv", conn.addr[0], False,
-                                 part.fault))
-            self._close_conn(conn)
-            self._release_and_promote(conn.key)
-            return
+            self.history.append((name, "recv", client, False, part.fault))
+            self._release_and_promote(key)
+            return None
         sock = None
         data_port = self.udp_port
         if not offer.resumable:
@@ -784,27 +753,19 @@ class ObjectServer:
             data_port = sock.getsockname()[1]
         driver, reply = files.accept_offer(offer, config, part, data_port,
                                            self.telemetry)
-        entry = _RecvEntry(conn.key, driver, part, conn, offer, name)
+        entry = _RecvEntry(key, driver, part, client, offer, name)
         entry.sock = sock
         channel.emit(
             EV_TRANSFER_START, nbytes=offer.filesize,
             npackets=entry.receiver.npackets, packet_size=offer.packet_size,
             ack_frequency=config.ack_frequency, backend="server",
-            role="receiver", name=name, client=conn.addr[0])
-        entry.started_at = now
-        conn.entry = entry
-        conn.state = "receiving"
-        conn.deadline = None
-        self._recv_entries[conn.key] = entry
-        if sock is not None:
-            self._sel.register(sock, selectors.EVENT_READ,
-                               ("recv_sock", entry))
-        else:
+            role="receiver", name=name, client=client)
+        entry.started_at = time.monotonic()
+        self._recv_entries[key] = entry
+        if sock is None:
             self.registry.add(RegisteredTransfer(
                 offer.transfer_id, offer.epoch, RECEIVING, entry))
-        if not self._send_ctrl(conn, reply):
-            self._finish(entry, ok=False,
-                              reason="client vanished before accept")
+        return entry, reply
 
     # ------------------------------------------------------------------
     # Shared-socket demux
@@ -888,7 +849,7 @@ class ObjectServer:
         sock = entry.sock if entry.sock is not None else self._udp
         for ack in acks:
             try:
-                sock.sendto(ack, (entry.conn.addr[0], entry.offer.ack_port))
+                sock.sendto(ack, (entry.client, entry.offer.ack_port))
             except OSError:
                 pass
         if entry.receiver.complete:
@@ -937,26 +898,20 @@ class ObjectServer:
     # ------------------------------------------------------------------
     # Completion / failure
     # ------------------------------------------------------------------
-    def _start_promoted(self, key) -> None:
-        conn = self._waiting_conns.pop(key, None)
-        if conn is None:
-            self._release_and_promote(key)
-        else:
-            self._begin(conn, time.monotonic())
-
     def _release_and_promote(self, key) -> None:
-        for promoted in self.admission.release(key):
-            self._start_promoted(promoted)
+        # A promoted request's connection starts it at its next turn.
+        self.admission.release(key)
         self.allocator.reallocate()
 
     def _finish(self, entry, ok: bool, reason: Optional[str] = None) -> None:
         """End ``entry``'s transfer either way: out of the tables, its
-        outcome onto the counters, the event stream and ``history``, its
-        connection closed and its slot handed on."""
+        outcome onto the counters, the event stream, ``history`` and
+        ``entry.ok`` (its connection's cue to close), its slot handed
+        on."""
+        if entry.ok is not None:
+            return
         sending = entry.kind == SENDING
         entries = self._send_entries if sending else self._recv_entries
-        if entry.key not in entries:
-            return
         del entries[entry.key]
         reg = self.registry.get(entry.transfer_id)
         if reg is not None and reg.entry is entry:
@@ -989,7 +944,7 @@ class ObjectServer:
             name=entry.name, failure_reason=reason or "", **counters)
         self.history.append((entry.name, "send" if sending else "recv",
                              entry.client, ok, reason))
-        self._close_conn(entry.conn)
+        entry.ok = ok
         self._release_and_promote(entry.key)
 
     def _close_push(self, entry: _RecvEntry, ok: bool,
@@ -997,10 +952,6 @@ class ObjectServer:
         """Release a push's socket and part file; a complete one is
         audited and published first, which has the last word on ``ok``."""
         if entry.sock is not None:
-            try:
-                self._sel.unregister(entry.sock)
-            except (KeyError, ValueError):
-                pass
             entry.sock.close()
         if ok:
             # Verify-on-complete: per-chunk digests when the client
@@ -1009,21 +960,8 @@ class ObjectServer:
             # the retry re-fetches them instead of publishing garbage.
             reason = entry.part.publish()
             ok = reason is None
-            if ok:
-                self._send_ctrl(entry.conn, wire.encode_completion(
-                    entry.receiver.npackets))
         entry.part.close()
         return ok, reason
-
-    #: (connection state, frame type) -> handler(self, conn, frame, now);
-    #: every other pairing is a protocol violation.
-    _ON_FRAME = {
-        ("request", wire.FetchRequest): _handle_fetch,
-        ("request", wire.Offer): _on_offer,
-        ("await_verify", wire.Verify): _on_verify,
-        ("await_resume", wire.ResumeInfo): _on_resume,
-        ("sending", wire.Completion): _on_completion,
-    }
 
 
 def serve_root(root: str, port: int, **kwargs) -> ServerSnapshot:

@@ -8,11 +8,90 @@ from __future__ import annotations
 
 import socket
 import struct
+import threading
+import time
 
 from repro.core.config import FobsConfig
 from repro.core.packets import DataPacket
 from repro.runtime import wire
+from repro.runtime.transfer import run_endpoints
+from repro.server import ObjectServer
 from repro.simnet.topology import HopSpec, MBPS, Network, PathSpec, build_path
+
+
+class RunningServer:
+    """An :class:`ObjectServer` on 127.0.0.1, bound (``port`` known)
+    before anything runs.
+
+    :meth:`run` runs it and the clients' endpoints in one
+    ``run_endpoints`` call on the calling thread and drains it once the
+    last client has ended.  As a context manager it serves from a
+    thread instead, drained on exit, for a peer that must block: a raw
+    blocking socket, a client that outlives a daemon.
+    """
+
+    def __init__(self, root, **kwargs):
+        kwargs.setdefault("bind", "127.0.0.1")
+        self.server = ObjectServer(str(root), **kwargs)
+        self.daemon = self.server.endpoint()
+        #: Its stats once it has stopped.
+        self.snapshot = None
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    @property
+    def port(self):
+        return self.server.port
+
+    def run(self, *clients, timeout=60.0):
+        """The clients' results, each client an endpoint."""
+        pending = len(clients)
+
+        def then_drain(turns):
+            nonlocal pending
+            try:
+                return (yield from turns)
+            finally:
+                pending -= 1
+                if not pending:
+                    self.server.request_drain()
+
+        for end in clients:
+            end.turns = then_drain(end.turns)
+        self._serve(clients, time.monotonic() + timeout)
+        return [end.result for end in clients]
+
+    def _serve(self, clients=(), deadline=float("inf")):
+        try:
+            # The daemon's turn follows the clients': the one after the
+            # last client's sees the drain and ends the loop.
+            run_endpoints([*clients, self.daemon], deadline)
+        finally:
+            self.snapshot = self.server.stats()
+
+    def start(self):
+        self._thread.start()
+        return self
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc):
+        self.server.request_drain()
+        self._thread.join(timeout=30)
+        if self._thread.is_alive():
+            self.server.stop()
+            self._thread.join(timeout=5)
+
+
+def after(ready, end):
+    """``end``, its first turn held back until ``ready()``."""
+    def turns(inner=end.turns):
+        while not ready():
+            yield 0.005
+        return (yield from inner)
+
+    end.turns = turns()
+    return end
 
 
 def free_port() -> int:

@@ -541,12 +541,11 @@ def test_the_loops_are_written_once():
     assert len(re.findall(r"(?<!def )(?<!`)write_at\(",
                           sources["runtime/driver.py"])) == 1
     # The blocking around the loops is written once too, single-threaded:
-    # one train read, one segmented send, one select, all in
-    # runtime/transfer.py (the daemon keeps its ``selectors`` loop but
-    # drains through the shared one); no per-datagram receive is left.
+    # one train read, one segmented send, one wait, all in
+    # runtime/transfer.py; no per-datagram receive is left.
     assert "threading" not in sources["runtime/transfer.py"]
     for call, count in (("recvmsg_into(", 1), ("sendmsg(", 1),
-                        ("select.select(", 1)):
+                        ("select.poll(", 1)):
         users = {m: text.count(call) for m, text in sources.items()
                  if call in text}
         assert users == {"runtime/transfer.py": count}, (call, users)
@@ -564,20 +563,17 @@ def test_the_loops_are_written_once():
         for framing in ("recv_exact", "_MAGIC", "struct.Struct(", ".unpack",
                         "len(buf) <"):
             assert framing not in text, (module, framing)
-    # ... and only the daemon, which owns its reads, pulls frames out
-    # of a decoder itself; everyone else goes through wire.read_frame.
-    assert [m for m, text in sources.items() if "next_frame(" in text] == [
-        "server/daemon.py"]
+    # ... and every endpoint reads its frames through wire.read_frame.
+    assert [m for m, text in sources.items() if "next_frame(" in text] == []
 
 
 #: What starts a thread; no endpoint needs one since handshakes are turns.
 THREAD_MODULES = {"threading", "_thread", "concurrent.futures"}
 
 
-def test_no_module_under_src_imports_a_thread_library():
-    """Every endpoint — both ends of a loopback file transfer, the chaos
-    harness, dataset sync over FOBS — is turns of ``run_endpoints`` on
-    the caller's thread; ``serve_forever`` is a loop of its own."""
+def imports_under_src(modules) -> list:
+    """Every ``(file, module)`` import of one of ``modules`` under
+    ``src/repro``."""
     root = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
     found = []
     for folder, _, names in os.walk(root):
@@ -596,8 +592,21 @@ def test_no_module_under_src_imports_a_thread_library():
                 else:
                     continue
                 found += [(os.path.relpath(path, root), module)
-                          for module in imported if module in THREAD_MODULES]
-    assert found == []
+                          for module in imported if module in modules]
+    return found
+
+
+def test_no_module_under_src_imports_a_thread_library():
+    """Every endpoint — both ends of a loopback file transfer, the chaos
+    harness, dataset sync over FOBS, the daemon — is turns of
+    ``run_endpoints`` on the caller's thread."""
+    assert imports_under_src(THREAD_MODULES) == []
+
+
+def test_no_module_under_src_imports_selectors():
+    """``run_endpoints`` is the one wait: the daemon is one of its
+    endpoints, not an event loop of its own."""
+    assert imports_under_src({"selectors"}) == []
 
 
 class TestRunEndpoints:
@@ -639,6 +648,50 @@ class TestRunEndpoints:
                            Endpoint(itertools.repeat(0.0), [b])],
                           time.monotonic() + 5)
         assert a.fileno() == -1 and b.fileno() == -1
+
+    @pytest.mark.loopback
+    def test_sockets_past_fd_setsize(self, tmp_path):
+        """A busy process holds descriptors past ``FD_SETSIZE`` (1024):
+        a file pair and a daemon fetch, every socket above it, share
+        the one loop (``select`` raised ``ValueError`` there)."""
+        import resource
+
+        from _support import RunningServer
+        from repro.runtime.files import receive_endpoint, send_endpoint
+        from repro.server import fetch_endpoint
+
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        if soft < 1200:
+            if hard != resource.RLIM_INFINITY and hard < 1200:
+                pytest.skip(f"RLIMIT_NOFILE hard limit {hard} < 1200")
+            resource.setrlimit(resource.RLIMIT_NOFILE, (1200, hard))
+        fillers = [os.open(os.devnull, os.O_RDONLY) for _ in range(1030)]
+        try:
+            config = kcfg()
+            blob = kblob(64)
+            root = tmp_path / "root"
+            root.mkdir()
+            (root / "obj.bin").write_bytes(blob)
+            rx = receive_endpoint(str(tmp_path / "pair.bin"), 0,
+                                  bind="127.0.0.1", timeout=30)
+            running = RunningServer(root, config=config)
+            assert min(rx.socks[0].fileno(),
+                       running.daemon.socks[0].fileno()) >= 1024
+            results = running.run(
+                rx,
+                send_endpoint(blob, "127.0.0.1",
+                              rx.socks[0].getsockname()[1], config=config,
+                              timeout=30),
+                fetch_endpoint("obj.bin", "127.0.0.1", running.port,
+                               str(tmp_path / "got.bin"), config=config,
+                               timeout=30))
+        finally:
+            for fd in fillers:
+                os.close(fd)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        assert all(result.completed for result in results)
+        assert (tmp_path / "pair.bin").read_bytes() == blob
+        assert (tmp_path / "got.bin").read_bytes() == blob
 
     def test_deadline_and_early_wakeup(self):
         a, b = socket.socketpair()
@@ -769,29 +822,21 @@ class TestPacingDebt:
         """End to end: ``repro serve --rate-budget 900`` moved an 8 MB
         fetch at 116 Mb/s (13 %) because every pacing wait became a
         1 ms sleep and the lateness was forgotten."""
-        import threading
-
-        from repro.server import ObjectServer, fetch_file
+        from _support import RunningServer
+        from repro.server import fetch_endpoint
 
         data = kblob(8192)
         (tmp_path / "obj.bin").write_bytes(data)
         config = kcfg(ack_frequency=64)
-        server = ObjectServer(str(tmp_path), bind="127.0.0.1", config=config,
-                              rate_budget_bps=self.RATE)
-        ready = threading.Event()
-        thread = threading.Thread(target=server.serve_forever, args=(ready,),
-                                  daemon=True)
-        thread.start()
-        try:
-            assert ready.wait(5)
-            t0 = time.monotonic()
-            result = fetch_file("obj.bin", "127.0.0.1", server.port,
-                                str(tmp_path / "got.bin"), config=config,
-                                timeout=30)
-            elapsed = time.monotonic() - t0
-        finally:
-            server.request_drain()
-            thread.join(timeout=30)
+        running = RunningServer(tmp_path, config=config,
+                                rate_budget_bps=self.RATE)
+        server = running.server
+        fetch = fetch_endpoint("obj.bin", "127.0.0.1", server.port,
+                               str(tmp_path / "got.bin"), config=config,
+                               timeout=30)
+        t0 = time.monotonic()
+        (result,) = running.run(fetch)
+        elapsed = time.monotonic() - t0
         assert result.completed and result.crc_ok
         assert (tmp_path / "got.bin").read_bytes() == data
         assert len(data) * 8 / elapsed >= 0.5 * self.RATE

@@ -9,8 +9,9 @@ import pytest
 
 from _support import free_port
 from repro.core.config import FobsConfig
+from repro.runtime import wire
 from repro.runtime.files import receive_endpoint, send_endpoint, send_file
-from repro.runtime.transfer import run_endpoints
+from repro.runtime.transfer import run_endpoints, run_loopback_transfer
 
 pytestmark = pytest.mark.loopback
 
@@ -73,6 +74,34 @@ class TestFileTransfer:
         empty.write_bytes(b"")
         with pytest.raises(ValueError):
             send_file(str(empty), "127.0.0.1", free_port())
+
+    def test_an_object_one_ack_cannot_cover_is_refused_before_a_socket(
+            self, tmp_path, monkeypatch):
+        """Every ACK carries the whole bitmap in one datagram: 523,832
+        packets with the session extension, 523,928 without.  Past
+        that, like an empty file, the object is refused before any
+        socket opens, not by the kernel at the first ACK."""
+        big = tmp_path / "big"
+        big.write_bytes(bytes(523_833))
+        one_byte = FobsConfig(packet_size=1, ack_frequency=64)
+
+        def opened(*_args, **_kwargs):
+            raise AssertionError("a socket was opened")
+
+        monkeypatch.setattr(socket, "socket", opened)
+        with pytest.raises(ValueError, match="an object of 523833 packets: "
+                           "one ACK's bitmap covers at most 523832"):
+            send_file(str(big), "127.0.0.1", 9, config=one_byte, resume=True)
+        with pytest.raises(ValueError, match="covers at most 523832"):
+            run_loopback_transfer(523_833, one_byte,
+                                  session=wire.SessionContext(7))
+        with pytest.raises(ValueError, match="covers at most 523928"):
+            send_endpoint(bytes(523_929), "127.0.0.1", 9, config=one_byte)
+        # At the bound itself the endpoints are built (and open nothing
+        # until they run).
+        send_endpoint(bytes(523_832), "127.0.0.1", 9, config=one_byte,
+                      resume=True, verify=False)
+        send_endpoint(bytes(523_928), "127.0.0.1", 9, config=one_byte)
 
     def test_throughput_reported(self, tmp_path):
         _, _, result = run_pair(tmp_path, 200_000)

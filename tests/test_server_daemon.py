@@ -1,5 +1,6 @@
 """Real-socket daemon tests: concurrent fetches, queueing, push, drain."""
 
+import functools
 import gc
 import os
 import re
@@ -15,47 +16,25 @@ import weakref
 import numpy as np
 import pytest
 
-from _support import free_port, raw_offer
+import _support
+from _support import after, free_port, raw_offer
 from repro.core.config import FobsConfig
-from repro.runtime import wire
-from repro.runtime.files import receive_endpoint, receive_file, send_file
+from repro.runtime import transfer, wire
+from repro.runtime.files import (
+    receive_endpoint,
+    receive_file,
+    receive_offer,
+    send_endpoint,
+    send_file,
+)
 from repro.runtime.transfer import SEND_BATCH, drain, run_endpoints, udp_offload
-from repro.server import ObjectServer, fetch_file
+from repro.server import ObjectServer, fetch_endpoint, fetch_file
+from repro.server.registry import RECEIVING
 
 pytestmark = pytest.mark.loopback
 
 CONFIG = FobsConfig(ack_frequency=16)
-
-
-class RunningServer:
-    """Start an ObjectServer on a thread; drain and join on exit."""
-
-    def __init__(self, root, **kwargs):
-        kwargs.setdefault("config", CONFIG)
-        kwargs.setdefault("bind", "127.0.0.1")
-        self.server = ObjectServer(str(root), port=0, **kwargs)
-        self.snapshot = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self):
-        self.snapshot = self.server.serve_forever(self._ready)
-
-    def __enter__(self):
-        self._ready = threading.Event()
-        self._thread.start()
-        assert self._ready.wait(5), "server failed to start"
-        return self
-
-    def __exit__(self, *exc):
-        self.server.request_drain()
-        self._thread.join(timeout=30)
-        if self._thread.is_alive():
-            self.server.stop()
-            self._thread.join(timeout=5)
-
-    @property
-    def port(self):
-        return self.server.port
+RunningServer = functools.partial(_support.RunningServer, config=CONFIG)
 
 
 @pytest.fixture
@@ -70,28 +49,19 @@ def objects(tmp_path):
     return root
 
 
-def fetch_many(names, port, outdir):
-    results = {}
-
-    def one(name):
-        results[name] = fetch_file(
-            name, "127.0.0.1", port, str(outdir / name), config=CONFIG,
-            timeout=30)
-
-    threads = [threading.Thread(target=one, args=(n,)) for n in names]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=40)
-    return results
+def fetch_many(names, running, outdir):
+    """Every fetch beside the daemon, in one loop."""
+    return dict(zip(names, running.run(*[
+        fetch_endpoint(name, "127.0.0.1", running.port, str(outdir / name),
+                       config=CONFIG, timeout=30) for name in names])))
 
 
 class TestConcurrentFetch:
     def test_two_simultaneous_fetches_byte_correct(self, objects, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
-        with RunningServer(objects) as running:
-            results = fetch_many(["a.bin", "b.bin"], running.port, out)
+        running = RunningServer(objects)
+        results = fetch_many(["a.bin", "b.bin"], running, out)
         for name, result in results.items():
             assert result.completed and result.crc_ok, result.failure_reason
             assert (out / name).read_bytes() == (objects / name).read_bytes()
@@ -101,9 +71,8 @@ class TestConcurrentFetch:
     def test_queue_then_run_under_max_active_one(self, objects, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
-        with RunningServer(objects, max_active=1, queue_depth=4) as running:
-            results = fetch_many(["a.bin", "b.bin", "c.bin"],
-                                 running.port, out)
+        running = RunningServer(objects, max_active=1, queue_depth=4)
+        results = fetch_many(["a.bin", "b.bin", "c.bin"], running, out)
         assert all(r.completed for r in results.values())
         assert running.snapshot.completed == 3
         counters = running.server.admission.counters
@@ -125,10 +94,11 @@ class TestConcurrentFetch:
             return recording
 
         monkeypatch.setattr(ObjectServer, "_send_for", recording_send_for)
-        with RunningServer(objects, config=None) as running:
-            assert running.server.config.batch_size == SEND_BATCH == 16
-            result = fetch_file("a.bin", "127.0.0.1", running.port,
-                                str(tmp_path / "a.bin"), timeout=30)
+        running = RunningServer(objects, config=None)
+        assert running.server.config.batch_size == SEND_BATCH == 16
+        (result,) = running.run(fetch_endpoint(
+            "a.bin", "127.0.0.1", running.port, str(tmp_path / "a.bin"),
+            timeout=30))
         assert result.completed and result.crc_ok, result.failure_reason
         blob = (objects / "a.bin").read_bytes()
         assert len(blob) >= 64 * running.server.config.packet_size
@@ -152,20 +122,20 @@ class TestConcurrentFetch:
         gc.collect()
         gc.disable()
         try:
-            with RunningServer(objects) as running:
-                result = fetch_file("b.bin", "127.0.0.1", running.port,
-                                    str(tmp_path / "b.bin"), config=CONFIG,
-                                    timeout=30)
+            running = RunningServer(objects)
+            (result,) = running.run(fetch_endpoint(
+                "b.bin", "127.0.0.1", running.port, str(tmp_path / "b.bin"),
+                config=CONFIG, timeout=30))
             assert result.completed, result.failure_reason
             assert len(senders) == 1 and senders[0]() is None
         finally:
             gc.enable()
 
     def test_not_found_rejected_cleanly(self, objects, tmp_path):
-        with RunningServer(objects) as running:
-            result = fetch_file("missing.bin", "127.0.0.1", running.port,
-                                str(tmp_path / "m.bin"), config=CONFIG,
-                                timeout=10)
+        running = RunningServer(objects)
+        (result,) = running.run(fetch_endpoint(
+            "missing.bin", "127.0.0.1", running.port, str(tmp_path / "m.bin"),
+            config=CONFIG, timeout=10))
         assert not result.completed
         assert "no such object" in result.failure_reason
         assert not os.path.exists(tmp_path / "m.bin")
@@ -173,54 +143,40 @@ class TestConcurrentFetch:
     def test_queue_overflow_rejected_with_reason(self, objects, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
-        with RunningServer(objects, max_active=1,
-                           queue_depth=0) as running:
-            # Occupy the only slot with a paced (slow) fetch...
-            slow = {}
-
-            def fetch_slow():
-                slow["r"] = fetch_file(
-                    "a.bin", "127.0.0.1", running.port, str(out / "a.bin"),
-                    config=CONFIG, timeout=30, rate_cap_bps=int(2e6))
-
-            thread = threading.Thread(target=fetch_slow)
-            thread.start()
-            deadline = 50
-            while running.server.admission.active == () and deadline:
-                threading.Event().wait(0.05)
-                deadline -= 1
-            # ...then a second request must be rejected "full".
-            rejected = fetch_file(
-                "b.bin", "127.0.0.1", running.port, str(out / "b.bin"),
-                config=CONFIG, timeout=10)
-            thread.join(timeout=40)
-        assert slow["r"].completed
+        running = RunningServer(objects, max_active=1, queue_depth=0)
+        # Occupy the only slot with a paced (slow) fetch...
+        slow = fetch_endpoint(
+            "a.bin", "127.0.0.1", running.port, str(out / "a.bin"),
+            config=CONFIG, timeout=30, rate_cap_bps=int(2e6))
+        # ...then a second request must be rejected "full".
+        late = fetch_endpoint(
+            "b.bin", "127.0.0.1", running.port, str(out / "b.bin"),
+            config=CONFIG, timeout=10)
+        _, rejected = running.run(
+            slow, after(lambda: running.server.admission.active, late))
+        assert slow.result.completed
         assert not rejected.completed
         assert "full" in rejected.failure_reason
 
 
 class TestPushCompat:
-    def test_vanilla_v1_push_lands_in_root(self, objects, tmp_path):
-        src = tmp_path / "push_src.bin"
+    def test_vanilla_v1_push_lands_in_root(self, objects):
         blob = os.urandom(120_000)
-        src.write_bytes(blob)
-        with RunningServer(objects) as running:
-            result = send_file(str(src), "127.0.0.1", running.port,
-                               config=CONFIG, timeout=30)
+        running = RunningServer(objects)
+        (result,) = running.run(send_endpoint(
+            blob, "127.0.0.1", running.port, config=CONFIG, timeout=30))
         assert result.completed
         pushed = [p for p in os.listdir(objects)
                   if p.startswith("push-") and p.endswith(".bin")]
         assert len(pushed) == 1
         assert (objects / pushed[0]).read_bytes() == blob
 
-    def test_resumable_v2_push_shares_udp_socket(self, objects, tmp_path):
-        src = tmp_path / "push_src.bin"
+    def test_resumable_v2_push_shares_udp_socket(self, objects):
         blob = os.urandom(150_000)
-        src.write_bytes(blob)
-        with RunningServer(objects) as running:
-            result = send_file(str(src), "127.0.0.1", running.port,
-                               config=CONFIG, timeout=30, resume=True,
-                               max_attempts=2)
+        running = RunningServer(objects)
+        (result,) = running.run(send_endpoint(
+            blob, "127.0.0.1", running.port, config=CONFIG, timeout=30,
+            resume=True, max_attempts=2))
         assert result.completed and result.attempts == 1
         pushed = [p for p in os.listdir(objects)
                   if p.startswith("push-") and p.endswith(".bin")]
@@ -229,46 +185,156 @@ class TestPushCompat:
         assert running.snapshot.bytes_received >= len(blob)
 
 
+class TestOneLoop:
+    """The daemon is an endpoint: it and its clients share one loop."""
+
+    def test_a_fetch_and_a_push_beside_the_daemon_on_one_thread(
+            self, objects, tmp_path):
+        threads = set(threading.enumerate())
+        started = []  # threads that were not there before, mid-run
+        running = RunningServer(objects)
+        blob = os.urandom(100_000)
+        fetched, pushed = running.run(
+            after(lambda: started.append(
+                      set(threading.enumerate()) - threads) or True,
+                  fetch_endpoint("a.bin", "127.0.0.1", running.port,
+                                 str(tmp_path / "a.bin"), config=CONFIG,
+                                 timeout=30)),
+            send_endpoint(blob, "127.0.0.1", running.port, config=CONFIG,
+                          timeout=30, resume=True))
+        assert fetched.completed and pushed.completed
+        assert started == [set()]
+        assert set(threading.enumerate()) <= threads
+        assert (tmp_path / "a.bin").read_bytes() == (
+            objects / "a.bin").read_bytes()
+        pushed_as = [p for p in os.listdir(objects) if p.startswith("push-")]
+        assert (objects / pushed_as[0]).read_bytes() == blob
+        assert running.snapshot.completed == 2
+
+    def test_an_offer_outgrowing_the_socket_buffers_reaches_a_late_reader(
+            self, tmp_path):
+        """About 32 KB of OFFER+VERIFY (8 MB at 1 KiB packets) onto
+        4 KiB socket buffers, to a client that reads 0.3 s late: the
+        frames go out across turns and the verified fetch completes (a
+        ``sendall`` on the non-blocking socket gave up at once and
+        recorded ``client vanished before offer``)."""
+        config = FobsConfig(packet_size=1024, ack_frequency=64,
+                            batch_size=SEND_BATCH)
+        root = tmp_path / "root"
+        root.mkdir()
+        blob = np.random.default_rng(5).integers(
+            0, 256, 8 << 20, dtype=np.uint8).tobytes()
+        (root / "big.bin").write_bytes(blob)
+        running = RunningServer(root, config=config)
+        # An accepted connection inherits the listener's buffer size.
+        running.server._listener.setsockopt(socket.SOL_SOCKET,
+                                            socket.SO_SNDBUF, 4096)
+        ctrl = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        ctrl.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        ctrl.connect(("127.0.0.1", running.port))  # the backlog takes it
+        ctrl.setblocking(False)
+        out = tmp_path / "big.bin"
+        late = transfer.Endpoint()
+
+        def turns():
+            deadline = time.monotonic() + 30
+            with ctrl:
+                yield from transfer.writing(late, ctrl, wire.encode_fetch(
+                    wire.FetchRequest("big.bin", flags=(
+                        wire.FETCH_FLAG_CHECKSUM | wire.FETCH_FLAG_RESUME
+                        | wire.FETCH_FLAG_VERIFY), client_nonce=5)),
+                    deadline)
+                late.reads = late.writes = ()
+                until = time.monotonic() + 0.3
+                while time.monotonic() < until:
+                    yield 0.01
+                decoder = wire.ControlDecoder()
+                offer = wire.expect((yield from transfer.reading(
+                    late, ctrl, decoder, deadline)), wire.Offer)
+                return (yield from receive_offer(
+                    late, ctrl, decoder, ("127.0.0.1", running.port), offer,
+                    str(out), deadline, config=config))
+
+        late.turns = turns()
+        (result,) = running.run(late)
+        assert result.completed, result.failure_reason
+        assert out.read_bytes() == blob
+        assert running.server.history == [
+            ("big.bin", "send", "127.0.0.1", True, None)]
+
+    def test_a_fetch_one_ack_cannot_cover_is_refused_before_admission(
+            self, tmp_path):
+        """523,832 packets of one byte are the most one ACK's bitmap
+        covers: one more and the FETCH is refused, its reason on record,
+        before it takes a slot (at 64 MB in 64 B packets the fetch used
+        to fail after its handshake, on the kernel's EMSGSIZE)."""
+        root = tmp_path / "root"
+        root.mkdir()
+        (root / "fits.bin").write_bytes(bytes(523_832))
+        (root / "too-big.bin").write_bytes(bytes(523_833))
+        running = RunningServer(
+            root, config=FobsConfig(packet_size=1, ack_frequency=64))
+
+        def ask(name):
+            """The server's first reply to a FETCH for ``name``."""
+            end = transfer.Endpoint()
+
+            def turns():
+                deadline = time.monotonic() + 30
+                ctrl = yield from transfer.connecting(
+                    end, ("127.0.0.1", running.port), deadline)
+                with ctrl:
+                    yield from transfer.writing(end, ctrl, wire.encode_fetch(
+                        wire.FetchRequest(name, client_nonce=3)), deadline)
+                    try:
+                        return (yield from transfer.reading(
+                            end, ctrl, wire.ControlDecoder(), deadline))
+                    except wire.ControlClosed as exc:
+                        return exc
+
+            end.turns = turns()
+            return end
+
+        fits, too_big = running.run(ask("fits.bin"), ask("too-big.bin"))
+        assert isinstance(fits, wire.Offer) and fits.npackets == 523_832
+        assert isinstance(too_big, wire.ControlClosed)
+        assert ("too-big.bin", "send", "127.0.0.1", False,
+                "an object of 523833 packets: one ACK's bitmap covers at "
+                "most 523832") in running.server.history
+        assert running.server.admission.counters.admitted == 1
+
+
 class TestDrainAndStats:
     def test_drain_finishes_actives_rejects_newcomers(self, objects,
                                                       tmp_path):
         out = tmp_path / "out"
         out.mkdir()
-        with RunningServer(objects) as running:
-            active = {}
+        running = RunningServer(objects)
+        drained_at = []
 
-            def fetch_active():
-                active["r"] = fetch_file(
-                    "a.bin", "127.0.0.1", running.port, str(out / "a.bin"),
-                    config=CONFIG, timeout=30, rate_cap_bps=int(4e6))
+        def active_then_drain():
+            if running.server.admission.active and not drained_at:
+                running.server.request_drain()
+                drained_at.append(time.monotonic())
+            return drained_at and time.monotonic() > drained_at[0] + 0.2
 
-            thread = threading.Thread(target=fetch_active)
-            thread.start()
-            deadline = 50
-            while not running.server.admission.active and deadline:
-                threading.Event().wait(0.05)
-                deadline -= 1
-            running.server.request_drain()
-            threading.Event().wait(0.2)
-            late = fetch_file("b.bin", "127.0.0.1", running.port,
-                              str(out / "b.bin"), config=CONFIG, timeout=10)
-            thread.join(timeout=40)
-        assert active["r"].completed  # the active transfer finished
+        active, late = running.run(
+            fetch_endpoint("a.bin", "127.0.0.1", running.port,
+                           str(out / "a.bin"), config=CONFIG, timeout=30,
+                           rate_cap_bps=int(4e6)),
+            after(active_then_drain, fetch_endpoint(
+                "b.bin", "127.0.0.1", running.port, str(out / "b.bin"),
+                config=CONFIG, timeout=10)))
+        assert active.completed  # the active transfer finished
         assert not late.completed     # the late request was turned away
         assert running.snapshot.completed == 1
 
     def test_stats_snapshot_renders(self, objects, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
-        with RunningServer(objects, rate_budget_bps=200e6) as running:
-            fetch_many(["a.bin"], running.port, out)
-            # The client returns on its own completion signal; give the
-            # server's loop a moment to record the finished transfer.
-            for _ in range(100):
-                snap = running.server.stats()
-                if snap.completed:
-                    break
-                threading.Event().wait(0.05)
+        running = RunningServer(objects, rate_budget_bps=200e6)
+        fetch_many(["a.bin"], running, out)
+        snap = running.server.stats()
         assert snap.completed == 1
         line = snap.render()
         assert "done=1" in line and "budget=" in line
@@ -550,29 +616,31 @@ class TestFairness:
                 str(src), "127.0.0.1", running.port, config=config,
                 timeout=60, resume=True)
 
-        quarter_at = push_done_at = None
-        with RunningServer(root, config=config) as running:
+        # Where the fetch stands the moment the daemon finishes the
+        # push, read on the daemon's own thread.
+        quarter_at_push_done = []
+        running = RunningServer(root, config=config)
+        finish = running.server._finish
+
+        def noting_finish(entry, ok, reason=None):
+            if entry.kind == RECEIVING and not quarter_at_push_done:
+                server = running.server
+                quarter_at_push_done.append(
+                    any(h[1] == "send" for h in server.history) or any(
+                        t.direction == "send"
+                        and t.packets_done >= t.npackets // 4
+                        for t in server.stats().transfers))
+            finish(entry, ok, reason)
+
+        running.server._finish = noting_finish
+        with running:
             threads = [threading.Thread(target=fetch),
                        threading.Thread(target=push)]
             for thread in threads:
                 thread.start()
-            deadline = time.monotonic() + 60
-            while (any(t.is_alive() for t in threads)
-                   and time.monotonic() < deadline):
-                now = time.monotonic()
-                if push_done_at is None and any(
-                        h[1] == "recv" for h in running.server.history):
-                    push_done_at = now
-                if quarter_at is None and any(
-                        t.direction == "send"
-                        and t.packets_done >= t.npackets // 4
-                        for t in running.server.stats().transfers):
-                    quarter_at = now
-                time.sleep(0.0005)
             for thread in threads:
-                thread.join(timeout=5)
+                thread.join(timeout=60)
         assert results["fetch"].completed and results["push"].completed
         assert (tmp_path / "got.bin").read_bytes() == (
             root / "obj.bin").read_bytes()
-        assert quarter_at is not None
-        assert push_done_at is None or quarter_at < push_done_at
+        assert quarter_at_push_done == [True]

@@ -159,14 +159,14 @@ def demux_server(tmp_path, sending=FETCH):
     server._udp = SimpleNamespace(sendto=lambda ack, addr: len(ack))
     log = []
     nbytes = NPACKETS * DEMUX.packet_size
-    conn = SimpleNamespace(addr=("127.0.0.1", 1))
+    client = "127.0.0.1"
     for name, session in (("a", PUSH_A), ("b", PUSH_B)):
         driver = RecvDriver(
             FobsReceiver(DEMUX, nbytes, epoch=session.epoch),
             lambda offset, payload: None, session)
         offer = SimpleNamespace(transfer_id=session.transfer_id,
                                 epoch=session.epoch, ack_port=2)
-        entry = _RecvEntry(session.transfer_id, driver, None, conn, offer,
+        entry = _RecvEntry(session.transfer_id, driver, None, client, offer,
                            name)
         real = driver.on_burst
         driver.on_burst = (lambda views, now, name=name, real=real: log.append(
@@ -175,7 +175,7 @@ def demux_server(tmp_path, sending=FETCH):
         server.registry.add(RegisteredTransfer(
             session.transfer_id, session.epoch, RECEIVING, entry))
     sender = FobsSender(DEMUX, nbytes, epoch=sending.epoch)
-    entry = _SendEntry(sending.transfer_id, sending, sender, conn, "s")
+    entry = _SendEntry(sending.transfer_id, sending, sender, client, "s")
     entry.driver = SendDriver(sender, bytes(nbytes), len, sending)
     real_ack = entry.driver.on_ack_datagram
     entry.driver.on_ack_datagram = lambda datagram, now: log.append(

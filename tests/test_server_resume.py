@@ -14,9 +14,10 @@ import time
 import numpy as np
 import pytest
 
+from _support import RunningServer, after
 from repro.core.config import FobsConfig
 from repro.runtime.supervisor import RetryPolicy
-from repro.server import ObjectServer, fetch_file
+from repro.server import fetch_endpoint, fetch_file
 from repro.simnet import KillSwitch
 from repro.telemetry import EV_TRANSFER_END, EventBus
 
@@ -25,19 +26,15 @@ pytestmark = pytest.mark.loopback
 CONFIG = FobsConfig(ack_frequency=16)
 
 
+def daemon(root, port=0, kill=None):
+    return RunningServer(root, port=port, config=CONFIG, max_active=4,
+                         kill=kill)
+
+
 def start_server(root, port=0, kill=None):
-    server = ObjectServer(str(root), port=port, bind="127.0.0.1",
-                          config=CONFIG, max_active=4, kill=kill)
-    ready = threading.Event()
-    holder = {}
-
-    def run():
-        holder["snapshot"] = server.serve_forever(ready)
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert ready.wait(5), "server failed to start"
-    return server, thread, holder
+    """A daemon serving from a thread: its clients outlive it."""
+    running = daemon(root, port, kill).start()
+    return running.server, running._thread, running
 
 
 class AttemptEnds:
@@ -132,15 +129,13 @@ class TestKillAndRestart:
         (root / "one.bin").write_bytes(first)
         (root / "two.bin").write_bytes(second)
 
-        server, thread, _ = start_server(root)
-        try:
-            r1 = fetch_file("one.bin", "127.0.0.1", server.port,
-                            str(out / "o.bin"), config=CONFIG, timeout=30)
-            r2 = fetch_file("two.bin", "127.0.0.1", server.port,
-                            str(out / "o.bin"), config=CONFIG, timeout=30)
-        finally:
-            server.request_drain()
-            thread.join(timeout=30)
+        running = daemon(root)
+        one = fetch_endpoint("one.bin", "127.0.0.1", running.port,
+                             str(out / "o.bin"), config=CONFIG, timeout=30)
+        r1, r2 = running.run(one, after(
+            lambda: one.result is not None, fetch_endpoint(
+                "two.bin", "127.0.0.1", running.port, str(out / "o.bin"),
+                config=CONFIG, timeout=30)))
         assert r1.completed and r2.completed
         assert r1.resumed_packets == 0 and r2.resumed_packets == 0
         assert (out / "o.bin").read_bytes() == second

@@ -1,8 +1,8 @@
 """Daemon-side verify + storage-chaos tests, and the CLI contracts.
 
 The daemon has its own copies of the verify/demote/storage-fault paths
-(shared-socket demux, one selector thread), so the chaos matrix over
-``runtime.files`` does not cover it.  These tests prove:
+(shared-socket demux, many transfers in one endpoint), so the chaos
+matrix over ``runtime.files`` does not cover it.  These tests prove:
 
 * VERIFY negotiation works through the daemon for both directions;
 * a faulty daemon disk (torn writes) self-repairs on a verified push;
@@ -13,54 +13,25 @@ The daemon has its own copies of the verify/demote/storage-fault paths
 * ``repro verify`` audits a file against a sidecar manifest.
 """
 
-import threading
+import functools
 
 import numpy as np
 import pytest
 
+import _support
 from repro.chaos import FaultyStore, disk_full_at, torn_writes
 from repro.core.config import FobsConfig
 from repro.core.manifest import ChunkManifest
-from repro.runtime.files import send_file
+from repro.runtime.files import send_endpoint
 from repro.runtime.supervisor import RetryPolicy
-from repro.server import ObjectServer, fetch_file
+from repro.server import fetch_endpoint
 from repro.server.cli import main
 
 pytestmark = pytest.mark.loopback
 
 CONFIG = FobsConfig(ack_frequency=16, stall_timeout=0.3,
                     stall_abort_after=2.0, receiver_idle_timeout=2.0)
-
-
-class RunningServer:
-    """Start an ObjectServer on a thread; drain and join on exit."""
-
-    def __init__(self, root, **kwargs):
-        kwargs.setdefault("config", CONFIG)
-        kwargs.setdefault("bind", "127.0.0.1")
-        self.server = ObjectServer(str(root), port=0, **kwargs)
-        self.snapshot = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self):
-        self.snapshot = self.server.serve_forever(self._ready)
-
-    def __enter__(self):
-        self._ready = threading.Event()
-        self._thread.start()
-        assert self._ready.wait(5), "server failed to start"
-        return self
-
-    def __exit__(self, *exc):
-        self.server.request_drain()
-        self._thread.join(timeout=30)
-        if self._thread.is_alive():
-            self.server.stop()
-            self._thread.join(timeout=5)
-
-    @property
-    def port(self):
-        return self.server.port
+RunningServer = functools.partial(_support.RunningServer, config=CONFIG)
 
 
 @pytest.fixture
@@ -74,11 +45,11 @@ def objects(tmp_path):
 
 
 def push(src, port, attempts=3, verify=True):
-    return send_file(str(src), "127.0.0.1", port, CONFIG, timeout=30.0,
-                     resume=True, max_attempts=attempts,
-                     policy=RetryPolicy(max_attempts=attempts,
-                                        backoff_base=0.05, jitter=0.0),
-                     verify=verify)
+    return send_endpoint(src.read_bytes(), "127.0.0.1", port, CONFIG,
+                         timeout=30.0, resume=True, max_attempts=attempts,
+                         policy=RetryPolicy(max_attempts=attempts,
+                                            backoff_base=0.05, jitter=0.0),
+                         verify=verify)
 
 
 def pushed_blob(root):
@@ -89,10 +60,10 @@ def pushed_blob(root):
 
 class TestDaemonVerify:
     def test_verified_fetch_round_trip(self, objects, tmp_path):
-        with RunningServer(objects) as running:
-            result = fetch_file("a.bin", "127.0.0.1", running.port,
-                                str(tmp_path / "out.bin"), config=CONFIG,
-                                timeout=30, verify=True)
+        running = RunningServer(objects)
+        (result,) = running.run(fetch_endpoint(
+            "a.bin", "127.0.0.1", running.port, str(tmp_path / "out.bin"),
+            config=CONFIG, timeout=30, verify=True))
         assert result.completed
         assert ((tmp_path / "out.bin").read_bytes()
                 == (objects / "a.bin").read_bytes())
@@ -104,8 +75,8 @@ class TestDaemonVerify:
         blob = np.random.default_rng(8).integers(
             0, 256, 150_000, dtype=np.uint8).tobytes()
         src.write_bytes(blob)
-        with RunningServer(objects) as running:
-            result = push(src, running.port)
+        running = RunningServer(objects)
+        (result,) = running.run(push(src, running.port))
         assert result.completed
         assert pushed_blob(objects) == blob
 
@@ -117,8 +88,8 @@ class TestDaemonVerify:
             0, 256, 120_000, dtype=np.uint8).tobytes()
         src.write_bytes(blob)
         store = FaultyStore(torn_writes(0.10), seed=9)
-        with RunningServer(objects, opener=store.open) as running:
-            result = push(src, running.port, attempts=8)
+        running = RunningServer(objects, opener=store.open)
+        (result,) = running.run(push(src, running.port, attempts=8))
         assert result.completed, result.failure_reason
         assert pushed_blob(objects) == blob
         assert store.stats.torn_writes > 0  # chaos actually fired
@@ -134,16 +105,17 @@ class TestDaemonVerify:
             0, 256, 100_000, dtype=np.uint8).tobytes()
         src.write_bytes(blob)
         store = FaultyStore(disk_full_at(3, "EIO"), seed=10)
-        with RunningServer(objects, opener=store.open) as running:
-            result = push(src, running.port, attempts=4)
-            assert result.completed, result.failure_reason
-            assert result.attempts >= 2  # first attempt ate the EIO
-            assert store.stats.errors_injected == 1
-            # Daemon alive and serving.
-            after = fetch_file("a.bin", "127.0.0.1", running.port,
-                               str(tmp_path / "after.bin"), config=CONFIG,
-                               timeout=30)
-            assert after.completed
+        running = RunningServer(objects, opener=store.open)
+        pushed = push(src, running.port, attempts=4)
+        # Daemon alive and serving, once the push is through.
+        result, after = running.run(pushed, _support.after(
+            lambda: pushed.result is not None, fetch_endpoint(
+                "a.bin", "127.0.0.1", running.port,
+                str(tmp_path / "after.bin"), config=CONFIG, timeout=30)))
+        assert result.completed, result.failure_reason
+        assert result.attempts >= 2  # first attempt ate the EIO
+        assert store.stats.errors_injected == 1
+        assert after.completed
         assert pushed_blob(objects) == blob
 
     def test_legacy_noverify_push_still_lands(self, objects, tmp_path):
@@ -151,8 +123,8 @@ class TestDaemonVerify:
         blob = np.random.default_rng(11).integers(
             0, 256, 80_000, dtype=np.uint8).tobytes()
         src.write_bytes(blob)
-        with RunningServer(objects) as running:
-            result = push(src, running.port, verify=False)
+        running = RunningServer(objects)
+        (result,) = running.run(push(src, running.port, verify=False))
         assert result.completed
         assert pushed_blob(objects) == blob
 

@@ -241,6 +241,17 @@ class TestGeometry:
         with pytest.raises(ValueError):
             wire.Offer(filesize, packet_size, 40001, flags, 0)
 
+    @pytest.mark.parametrize("flags, most", [
+        (wire.FLAG_RESUME, 523_832),   # the ACK's session extension
+        (0, 523_928),
+    ])
+    def test_an_object_one_ack_cannot_cover_is_no_offer(self, flags, most):
+        assert wire.Offer(most, 1, 40001, flags, 0).npackets == most
+        decoder = wire.ControlDecoder()
+        decoder.feed(raw_offer(most + 1, 1, flags))
+        with pytest.raises(ValueError, match=f"covers at most {most}"):
+            decoder.next_frame()
+
     def test_the_largest_packets_udp_can_carry_are_offers(self):
         assert decode_all([raw_offer(10**6, 65495)])[0].packet_size == 65495
         assert decode_all([raw_offer(10**6, 65491, wire.FLAG_CHECKSUM)])
