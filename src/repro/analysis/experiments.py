@@ -560,6 +560,7 @@ def fairness_scenario(
     """
     from repro.core.session import FobsTransfer
     from repro.simnet.packet import Address
+    from repro.tcp.bulk import DeliveryTarget
     from repro.tcp.connection import TcpConnection, TcpListener
 
     def tcp_alone() -> float:
@@ -576,27 +577,22 @@ def fairness_scenario(
         # uncontended tail after FOBS finishes.
         fobs = FobsTransfer(net, 3 * nbytes, FobsConfig(congestion_mode=fobs_mode))
         opts = TcpOptions(sack=True)
-        state = {"delivered": 0, "done_at": None}
-
-        def on_conn(conn):
-            def on_deliver(n):
-                state["delivered"] += n
-                if state["delivered"] >= nbytes and state["done_at"] is None:
-                    state["done_at"] = sim.now
-
-            conn.on_deliver = on_deliver
-
-        TcpListener(sim, net.b, 5002, options=opts, on_connection=on_conn)
+        tcp = DeliveryTarget(sim, nbytes)
+        TcpListener(sim, net.b, 5002, options=opts,
+                    on_connection=tcp.on_connection)
         client = TcpConnection(sim, net.a, net.a.allocate_port(),
                                peer=Address(net.b.name, 5002), options=opts)
         client.on_established = lambda: client.app_write(nbytes)
         fobs.start()
         client.connect()
-        sim.run(until=600.0,
-                stop_when=lambda: state["done_at"] is not None and fobs.sender.complete)
+        # Both flows request a stop when they finish: run on until the
+        # second of them has.
+        while (sim.run(until=600.0, stop_on_request=True)
+               and not (tcp.done_at is not None and fobs.sender.complete)):
+            pass
         fobs_stats = fobs.collect_stats()
-        tcp_end = state["done_at"] if state["done_at"] is not None else sim.now
-        tcp_pct = 100.0 * state["delivered"] * 8.0 / max(tcp_end, 1e-12) / net.spec.bottleneck_bps
+        tcp_end = tcp.done_at if tcp.done_at is not None else sim.now
+        tcp_pct = 100.0 * tcp.delivered * 8.0 / max(tcp_end, 1e-12) / net.spec.bottleneck_bps
         return fobs_stats.percent_of_bottleneck, tcp_pct
 
     alone = tcp_alone()

@@ -15,6 +15,7 @@ from typing import Optional
 
 from repro.simnet.packet import Address
 from repro.simnet.topology import Network
+from repro.tcp.bulk import DeliveryTarget
 from repro.tcp.connection import ConnStats, TcpConnection, TcpListener
 from repro.tcp.options import TcpOptions
 
@@ -69,18 +70,9 @@ def run_striped_transfer(
     options = options if options is not None else TcpOptions(window_scaling=False)
     sizes = stripe_sizes(nbytes, nsockets)
     sim = net.sim
-    state = {"delivered": 0, "done_at": None}
-
-    def on_server_connection(conn: TcpConnection) -> None:
-        def on_deliver(n: int) -> None:
-            state["delivered"] += n
-            if state["delivered"] >= nbytes and state["done_at"] is None:
-                state["done_at"] = sim.now
-
-        conn.on_deliver = on_deliver
-
+    target = DeliveryTarget(sim, nbytes)
     listener = TcpListener(
-        sim, net.b, port, options=options, on_connection=on_server_connection
+        sim, net.b, port, options=options, on_connection=target.on_connection
     )
     clients: list[TcpConnection] = []
     for size in sizes:
@@ -96,12 +88,12 @@ def run_striped_transfer(
     start = sim.now
     for conn in clients:
         conn.connect()
-    sim.run(until=start + time_limit, stop_when=lambda: state["done_at"] is not None)
+    sim.run(until=start + time_limit, stop_on_request=True)
 
-    completed = state["done_at"] is not None
-    end = state["done_at"] if completed else sim.now
+    completed = target.done_at is not None
+    end = target.done_at if completed else sim.now
     duration = max(end - start, 1e-12)
-    throughput = state["delivered"] * 8.0 / duration
+    throughput = target.delivered * 8.0 / duration
     result = StripedResult(
         nsockets=nsockets,
         nbytes=nbytes,

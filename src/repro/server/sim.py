@@ -218,6 +218,7 @@ class SimObjectServer:
             self._emit_admission(index, "reject", reason=decision.reason)
             self._result.rejected.append(index)
             self._resolved += 1
+            self._stop_if_all_done()
 
     def _finish(self, index: int) -> None:
         transfer = self._active.pop(index)
@@ -240,6 +241,7 @@ class SimObjectServer:
                     if t.sender.complete or t.failed]
         for index in finished:
             self._finish(index)
+        self._stop_if_all_done()
         self._schedule_poll()
 
     def _schedule_poll(self) -> None:
@@ -250,11 +252,22 @@ class SimObjectServer:
     def _all_done(self) -> bool:
         return self._resolved >= len(self.specs)
 
+    def _stop_if_all_done(self) -> None:
+        """Called at the end of the two events that resolve requests
+        (an arrival rejected, a poll that finishes transfers), so the
+        run ends after the one that resolves the last."""
+        if self._all_done():
+            self.sim.stop()
+
     # ------------------------------------------------------------------
     def run(self, time_limit: float = 600.0) -> SimServerResult:
         for index, spec in enumerate(self.specs):
             self.sim.schedule(spec.arrival, self._arrive, index)
-        self.sim.run(until=time_limit, stop_when=self._all_done)
+        # Each transfer requests a stop when it finishes, too: run on
+        # until the server's own condition holds.
+        while (self.sim.run(until=time_limit, stop_on_request=True)
+               and not self._all_done()):
+            pass
         # Anything still active (or queued) when the clock expired is a
         # timeout, reported per-transfer rather than silently dropped.
         for index, transfer in list(self._active.items()):

@@ -206,7 +206,8 @@ flush_processed(PyObject *sim, long long processed)
 /* ------------------------------------------------------------------ */
 /* run(sim, heap, limit, has_limit, stop_on_request) -> bool           */
 /*                                                                     */
-/* Mirrors the specialized loop in Simulator.run:                      */
+/* The interpreted loop in Simulator.run without its per-event         */
+/* max_events / stop_when checks (a run that has either stays there):  */
 /*   - pops events while the heap is non-empty and time <= limit       */
 /*   - skips cancelled EventHandles (not counted as processed)         */
 /*   - sets sim.now before each callback                               */

@@ -182,8 +182,11 @@ class Simulator:
         max_events: Optional[int] = None,
         stop_when: Optional[Callable[[], bool]] = None,
         stop_on_request: bool = False,
-    ) -> None:
+    ) -> bool:
         """Run events until the heap drains or a bound is hit.
+
+        Returns True when the run ended because an event called
+        :meth:`stop` (``stop_on_request`` only), False otherwise.
 
         Parameters
         ----------
@@ -194,10 +197,18 @@ class Simulator:
             Safety valve for runaway simulations.
         stop_when:
             Predicate checked after every event; return True to stop.
+            It costs the interpreted loop (never ``_evloop.c``) plus one
+            Python call per event: a third of a Table 1 TCP run's CPU
+            when its harness still used one.  No module under
+            ``src/repro`` passes it; a harness whose condition can
+            become true makes the event that makes it true call
+            :meth:`stop` instead.
         stop_on_request:
             Honour :meth:`stop` calls made by events during this run.
-            Far cheaper than an equivalent ``stop_when`` predicate for
-            event counts in the hundreds of thousands.
+            Where several workloads in one simulator request stops, the
+            harness re-enters ``run`` while it returns True and its own
+            condition does not hold yet: the run still ends after
+            exactly the event a ``stop_when`` check would have stopped at.
         """
         if self._running:
             raise RuntimeError("Simulator.run() is not reentrant")
@@ -214,24 +225,24 @@ class Simulator:
             if gc_was_enabled:
                 gc.disable()
             try:
-                hit_limit = _evloop.run(
+                _evloop.run(
                     self, self._heap,
                     until if until is not None else 0.0,
                     until is not None,
                     stop_on_request,
                 )
-                if until is not None and not self._stop_requested:
+                if self._stop_requested:
+                    return True
+                if until is not None and until > self.now:
                     # Heap drained or the next event lies beyond the
                     # deadline: the clock advances to the deadline,
                     # exactly as the interpreted loop does.
-                    del hit_limit
-                    if until > self.now:
-                        self.now = until
+                    self.now = until
+                return False
             finally:
                 if gc_was_enabled:
                     gc.enable()
                 self._running = False
-            return
         # The one interpreted loop: the reference behaviour, and what
         # runs where _evloop.c did not build or a bound needs checking
         # per event (max_events, stop_when).
@@ -255,7 +266,7 @@ class Simulator:
                 if until is not None and time > until:
                     push(heap, event)
                     self.now = until
-                    return
+                    return False
                 fn = event[2]
                 if fn.__class__ is EventHandle:
                     if fn.cancelled:
@@ -274,14 +285,15 @@ class Simulator:
                 count += 1
                 if self._stop_requested:
                     if stop_on_request:
-                        return
+                        return True
                     self._stop_requested = False
                 if max_events is not None and count >= max_events:
-                    return
+                    return False
                 if stop_when is not None and stop_when():
-                    return
+                    return False
             if until is not None and until > self.now:
                 self.now = until
+            return False
         finally:
             if gc_was_enabled:
                 gc.enable()

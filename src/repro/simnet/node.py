@@ -124,13 +124,17 @@ class Router(Node):
         self.frames_unroutable = 0
 
     def receive(self, frame: Frame) -> None:
-        try:
-            link = self.route_for(frame)
-        except RuntimeError:
+        # route_for and link.send, in one call per forwarded frame: a
+        # link with no faults admits the frame straight away.
+        link = self._routes.get(frame.dst.host, self._default_route)
+        if link is None:
             self.frames_unroutable += 1
             return
         self.frames_forwarded += 1
-        link.send(frame)
+        if link.faults:
+            link.send(frame)
+        else:
+            link._admit(frame)
 
 
 class Host(Node):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.simnet.engine import Simulator
 from repro.simnet.packet import Address
 from repro.simnet.topology import Network
 from repro.tcp.connection import ConnStats, TcpConnection, TcpListener
@@ -39,6 +40,33 @@ class BulkResult:
         )
 
 
+class DeliveryTarget:
+    """Counts the bytes a listener's connections deliver in order.
+
+    The delivery that reaches ``nbytes`` records ``done_at`` and calls
+    ``sim.stop()``, so a harness runs with ``stop_on_request=True`` and
+    ends after exactly that event, on the compiled loop.  Pass
+    :meth:`on_connection` as the listener's ``on_connection``.
+    """
+
+    __slots__ = ("sim", "nbytes", "delivered", "done_at")
+
+    def __init__(self, sim: Simulator, nbytes: int):
+        self.sim = sim
+        self.nbytes = nbytes
+        self.delivered = 0
+        self.done_at: Optional[float] = None
+
+    def on_connection(self, conn: TcpConnection) -> None:
+        conn.on_deliver = self.on_deliver
+
+    def on_deliver(self, n: int) -> None:
+        self.delivered += n
+        if self.delivered >= self.nbytes and self.done_at is None:
+            self.done_at = self.sim.now
+            self.sim.stop()
+
+
 def run_bulk_transfer(
     net: Network,
     nbytes: int,
@@ -60,18 +88,9 @@ def run_bulk_transfer(
     receiver_options = receiver_options if receiver_options is not None else TcpOptions()
 
     sim = net.sim
-    state = {"delivered": 0, "done_at": None}
-
-    def on_server_connection(conn: TcpConnection) -> None:
-        def on_deliver(n: int) -> None:
-            state["delivered"] += n
-            if state["delivered"] >= nbytes and state["done_at"] is None:
-                state["done_at"] = sim.now
-
-        conn.on_deliver = on_deliver
-
+    target = DeliveryTarget(sim, nbytes)
     listener = TcpListener(sim, net.b, port, options=receiver_options,
-                           on_connection=on_server_connection)
+                           on_connection=target.on_connection)
     client = TcpConnection(
         sim, net.a, net.a.allocate_port(), peer=Address(net.b.name, port),
         options=sender_options,
@@ -80,12 +99,12 @@ def run_bulk_transfer(
 
     start = sim.now
     client.connect()
-    sim.run(until=start + time_limit, stop_when=lambda: state["done_at"] is not None)
+    sim.run(until=start + time_limit, stop_on_request=True)
 
-    completed = state["done_at"] is not None
-    end = state["done_at"] if completed else sim.now
+    completed = target.done_at is not None
+    end = target.done_at if completed else sim.now
     duration = max(end - start, 1e-12)
-    throughput = state["delivered"] * 8.0 / duration
+    throughput = target.delivered * 8.0 / duration
     result = BulkResult(
         nbytes=nbytes,
         duration=duration,

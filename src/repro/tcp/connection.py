@@ -39,6 +39,59 @@ from repro.tcp.rtt import RttEstimator
 from repro.tcp.segments import Segment, segment_option_bytes
 
 
+class _Timer:
+    """A re-armable timer that keeps at most one live heap entry.
+
+    Re-arming moves the deadline; the entry already queued fires no
+    later than it and, when the deadline has moved on, re-schedules
+    itself with ``schedule_at(deadline)`` — the same float a fresh
+    ``schedule(delay)`` at arming time would have produced.  Only a
+    deadline that moves *earlier* than the queued entry cancels it, so
+    re-arming per advancing ACK (RTO) or per odd segment (delayed ACK)
+    pushes no handle and leaves no dead entry in the heap.
+    """
+
+    __slots__ = ("sim", "fn", "deadline", "_entry")
+
+    def __init__(self, sim: Simulator, fn: Callable[[], None]):
+        self.sim = sim
+        self.fn = fn
+        #: When ``fn`` is due; None while disarmed.
+        self.deadline: Optional[float] = None
+        self._entry: Optional[EventHandle] = None
+
+    def arm(self, deadline: float) -> None:
+        self.deadline = deadline
+        entry = self._entry
+        if entry is not None:
+            if entry.time <= deadline:
+                return
+            entry.cancel()
+        self._entry = self.sim.schedule_at(deadline, self._due)
+
+    def disarm(self) -> None:
+        """Forget the deadline; a queued entry fires and does nothing."""
+        self.deadline = None
+
+    def cancel(self) -> None:
+        """Disarm and drop the queued entry (the connection is closing)."""
+        self.deadline = None
+        if self._entry is not None:
+            self._entry.cancel()
+            self._entry = None
+
+    def _due(self) -> None:
+        self._entry = None
+        deadline = self.deadline
+        if deadline is None:
+            return
+        if self.sim.now < deadline:
+            self._entry = self.sim.schedule_at(deadline, self._due)
+            return
+        self.deadline = None
+        self.fn()
+
+
 @dataclass
 class ConnStats:
     """Counters for one connection's lifetime."""
@@ -103,7 +156,7 @@ class TcpConnection:
         self.rtt = RttEstimator(
             self.options.initial_rto, self.options.min_rto, self.options.max_rto
         )
-        self._rto_timer: Optional[EventHandle] = None
+        self._rto = _Timer(sim, self._on_rto)
         self._rtt_probe: Optional[tuple[int, float]] = None
         self._send_retry: Optional[EventHandle] = None
         #: sender-side SACK scoreboard: disjoint sorted (start, end)
@@ -111,7 +164,7 @@ class TcpConnection:
 
         # --- receiver state ---
         self.reasm = ReassemblyBuffer()
-        self._delack_timer: Optional[EventHandle] = None
+        self._delack = _Timer(sim, self._on_delack)
         self._unacked_segments = 0
         # Receive-buffer auto-tuning (DRS-style): grow the effective
         # buffer toward options.recv_buffer as delivery-rate x RTT
@@ -159,10 +212,11 @@ class TcpConnection:
 
     def close(self) -> None:
         """Release timers and the port binding."""
-        for timer in (self._rto_timer, self._delack_timer, self._send_retry):
-            if timer is not None:
-                timer.cancel()
-        self._rto_timer = self._delack_timer = self._send_retry = None
+        self._rto.cancel()
+        self._delack.cancel()
+        if self._send_retry is not None:
+            self._send_retry.cancel()
+            self._send_retry = None
         if self._owns_port:
             self.host.unbind_handler("tcp", self.local.port)
 
@@ -477,19 +531,15 @@ class TcpConnection:
     # Sender: retransmission timer
     # ------------------------------------------------------------------
     def _arm_rto(self, restart: bool = False) -> None:
-        if self._rto_timer is not None:
-            if not restart:
-                return
-            self._rto_timer.cancel()
-        self._rto_timer = self.sim.schedule(self.rtt.rto, self._on_rto)
+        if restart or self._rto.deadline is None:
+            self._rto.arm(self.sim.now + self.rtt.rto)
 
     def _cancel_rto(self) -> None:
-        if self._rto_timer is not None:
-            self._rto_timer.cancel()
-            self._rto_timer = None
+        # Nothing left to time (handshake done, or every byte acked):
+        # rare, so the entry goes rather than firing as a no-op later.
+        self._rto.cancel()
 
     def _on_rto(self) -> None:
-        self._rto_timer = None
         if self.state == "syn_sent":
             self.rtt.backoff()
             self._send_syn()
@@ -529,21 +579,16 @@ class TcpConnection:
         self._unacked_segments += 1
         if self._unacked_segments >= 2:
             self._send_ack()
-        elif self._delack_timer is None:
-            self._delack_timer = self.sim.schedule(
-                self.options.delayed_ack_timeout, self._on_delack
-            )
+        elif self._delack.deadline is None:
+            self._delack.arm(self.sim.now + self.options.delayed_ack_timeout)
 
     def _on_delack(self) -> None:
-        self._delack_timer = None
         if self._unacked_segments > 0:
             self._send_ack()
 
     def _send_ack(self) -> None:
         self._unacked_segments = 0
-        if self._delack_timer is not None:
-            self._delack_timer.cancel()
-            self._delack_timer = None
+        self._delack.disarm()
         blocks = self.reasm.sack_blocks() if self.eff_sack else ()
         seg = Segment(
             seq=self.snd_nxt,

@@ -19,6 +19,8 @@ class ReassemblyBuffer:
         self.rcv_nxt = rcv_nxt
         #: disjoint, sorted (start, end) intervals strictly above rcv_nxt
         self._ooo: list[tuple[int, int]] = []
+        #: total length of ``_ooo``, kept as it changes: read per segment
+        self._ooo_bytes = 0
         #: most recently created/extended interval, reported first in SACK
         self._recent: tuple[int, int] | None = None
         self.duplicate_bytes = 0
@@ -54,6 +56,7 @@ class ReassemblyBuffer:
             start = prev_start
             end = max(prev_end, end)
             del ooo[i]
+            self._ooo_bytes -= prev_end - prev_start
         # Merge with successors.
         while i < len(ooo) and ooo[i][0] <= end:
             nxt_start, nxt_end = ooo[i]
@@ -63,17 +66,18 @@ class ReassemblyBuffer:
                 self.duplicate_bytes += overlap
             end = max(end, nxt_end)
             del ooo[i]
+            self._ooo_bytes -= nxt_end - nxt_start
+        ooo.insert(i, (start, end))
+        self._ooo_bytes += end - start
+        self._recent = (start, end)
         if new_bytes <= 0:
             # fully duplicate of existing out-of-order data
-            ooo.insert(i, (start, end))
-            self._recent = (start, end)
             return 0
-        ooo.insert(i, (start, end))
-        self._recent = (start, end)
 
         # Advance the cumulative point through any now-contiguous data.
         while ooo and ooo[0][0] <= self.rcv_nxt:
             s, e = ooo.pop(0)
+            self._ooo_bytes -= e - s
             if e > self.rcv_nxt:
                 self.rcv_nxt = e
         if self._recent and self._recent[1] <= self.rcv_nxt:
@@ -84,7 +88,7 @@ class ReassemblyBuffer:
     @property
     def ooo_bytes(self) -> int:
         """Out-of-order bytes held above the cumulative point."""
-        return sum(e - s for s, e in self._ooo)
+        return self._ooo_bytes
 
     def sack_blocks(self, max_blocks: int = 3) -> tuple[tuple[int, int], ...]:
         """Up to ``max_blocks`` SACK blocks, most recent first (RFC 2018)."""

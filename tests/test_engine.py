@@ -155,6 +155,36 @@ class TestRunBounds:
         sim.run(stop_on_request=True)
         assert fired == ["a", "b", "c", "d"]
 
+    def test_run_says_whether_an_event_stopped_it(self, sim):
+        sim.schedule(1.0, sim.stop)
+        sim.schedule(2.0, lambda: None)
+        assert sim.run(until=10.0, stop_on_request=True) is True
+        assert sim.run(until=10.0, stop_on_request=True) is False
+        assert sim.now == 10.0
+        sim.schedule(1.0, sim.stop)
+        assert sim.run() is False
+
+    def test_reentering_on_requests_ends_where_the_predicate_would(self, sim):
+        """Two workloads request stops; the harness runs on until both
+        are done, and ends after exactly the event a ``stop_when`` check
+        of the same condition stops at."""
+        fired, done = [], set()
+
+        def finish(name):
+            fired.append(name)
+            done.add(name)
+            sim.stop()
+
+        sim.schedule(1.0, finish, "a")
+        sim.schedule(2.0, fired.append, "x")
+        sim.schedule(3.0, finish, "b")
+        sim.schedule(4.0, fired.append, "y")
+        while (sim.run(until=10.0, stop_on_request=True)
+               and done != {"a", "b"}):
+            pass
+        assert fired == ["a", "x", "b"]
+        assert sim.now == 3.0
+
     def test_run_not_reentrant(self, sim):
         def recurse():
             sim.run()

@@ -571,11 +571,9 @@ def test_the_loops_are_written_once():
 THREAD_MODULES = {"threading", "_thread", "concurrent.futures"}
 
 
-def imports_under_src(modules) -> list:
-    """Every ``(file, module)`` import of one of ``modules`` under
-    ``src/repro``."""
+def nodes_under_src():
+    """Every ``(file, node)`` of every module's AST under ``src/repro``."""
     root = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
-    found = []
     for folder, _, names in os.walk(root):
         for name in names:
             if not name.endswith(".py"):
@@ -584,15 +582,22 @@ def imports_under_src(modules) -> list:
             with open(path) as fh:
                 tree = ast.parse(fh.read())
             for node in ast.walk(tree):
-                if isinstance(node, ast.Import):
-                    imported = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom) and node.module:
-                    imported = [node.module] + [
-                        f"{node.module}.{alias.name}" for alias in node.names]
-                else:
-                    continue
-                found += [(os.path.relpath(path, root), module)
-                          for module in imported if module in modules]
+                yield os.path.relpath(path, root), node
+
+
+def imports_under_src(modules) -> list:
+    """Every ``(file, module)`` import of one of ``modules`` under
+    ``src/repro``."""
+    found = []
+    for path, node in nodes_under_src():
+        if isinstance(node, ast.Import):
+            imported = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported = [node.module] + [
+                f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [(path, module) for module in imported if module in modules]
     return found
 
 
@@ -607,6 +612,15 @@ def test_no_module_under_src_imports_selectors():
     """``run_endpoints`` is the one wait: the daemon is one of its
     endpoints, not an event loop of its own."""
     assert imports_under_src({"selectors"}) == []
+
+
+def test_no_module_under_src_stops_a_simulation_by_predicate():
+    """A ``stop_when`` predicate puts ``Simulator.run`` on the
+    interpreted loop with one Python call per event; every harness ends
+    its run from the event that finishes it (``sim.stop()``) instead."""
+    assert [(path, node.lineno) for path, node in nodes_under_src()
+            if isinstance(node, ast.Call)
+            and any(kw.arg == "stop_when" for kw in node.keywords)] == []
 
 
 class TestRunEndpoints:

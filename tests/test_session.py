@@ -10,6 +10,7 @@ import pytest
 
 import repro
 from repro.core import FobsConfig, FobsTransfer, run_fobs_transfer
+from repro.tcp import TcpOptions, run_bulk_transfer
 
 from _support import quick_config, tiny_path
 
@@ -251,6 +252,24 @@ def test_des_event_budget_is_pinned(path, packet_size, ack_frequency):
     stats = FobsTransfer(net, 10_000_000, config).run()
     events, packets = DES_EVENT_BUDGET[path, packet_size, ack_frequency]
     assert stats.packets_sent == packets
+    assert net.sim.processed == events
+
+
+#: The same pair for Table 1's TCP (long haul, LWE + SACK, 10 MB, seed
+#: 0): heap events and segments sent.  57,368 events before each TCP
+#: timer kept one live heap entry: a cancelled entry was never counted,
+#: while an entry that fires before its moved deadline (and re-schedules
+#: itself) now is.
+TCP_EVENT_BUDGET = (57_380, 6_852)
+
+
+def test_tcp_event_budget_is_pinned():
+    net = repro.long_haul(seed=0)
+    opts = TcpOptions(window_scaling=True, sack=True)
+    res = run_bulk_transfer(net, 10_000_000, sender_options=opts,
+                            receiver_options=opts)
+    events, segments = TCP_EVENT_BUDGET
+    assert res.sender_stats.segments_sent == segments
     assert net.sim.processed == events
 
 

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.simnet.engine import EventHandle, Simulator
 from repro.simnet.packet import Address
-from repro.tcp.connection import TcpConnection, TcpListener
+from repro.tcp.bulk import run_bulk_transfer
+from repro.tcp.connection import TcpConnection, TcpListener, _Timer
 from repro.tcp.options import TcpOptions
 
 from _support import tiny_path
@@ -221,6 +223,59 @@ class TestDelayedAck:
         net.sim.run(until=5.0)
         assert sum(delivered) == 1000
         assert client.all_acked
+
+
+class TestOneLiveEntryTimer:
+    """A re-armed timer moves its deadline instead of pushing a handle."""
+
+    def make(self):
+        sim = Simulator()
+        fired = []
+        return sim, fired, _Timer(sim, lambda: fired.append(sim.now))
+
+    def test_a_later_deadline_keeps_the_one_entry(self):
+        sim, fired, timer = self.make()
+        for deadline in (1.0, 1.5, 2.0):
+            timer.arm(deadline)
+        assert sim.pending == 1
+        sim.run()
+        assert fired == [2.0]
+        # The entry fired at 1.0, found the deadline moved on and
+        # re-scheduled itself for it once.
+        assert sim.processed == 2
+
+    def test_an_earlier_deadline_replaces_the_entry(self):
+        sim, fired, timer = self.make()
+        timer.arm(2.0)
+        timer.arm(1.0)
+        sim.run()
+        assert fired == [1.0]
+        assert sim.processed == 1
+
+    def test_a_disarmed_entry_fires_as_a_no_op(self):
+        sim, fired, timer = self.make()
+        timer.arm(1.0)
+        timer.disarm()
+        sim.run()
+        assert fired == [] and sim.processed == 1
+        timer.arm(3.0)
+        sim.run()
+        assert fired == [3.0]
+
+    def test_cancel_drops_the_entry(self):
+        sim, fired, timer = self.make()
+        timer.arm(1.0)
+        timer.cancel()
+        sim.run()
+        assert fired == [] and sim.processed == 0
+
+    def test_a_transfer_leaves_one_entry_per_timer(self):
+        """Cancel-and-push per advancing ACK and per odd segment left
+        over a thousand dead entries in the heap of a 2 MB transfer."""
+        net = tiny_path(delay=0.01)
+        assert run_bulk_transfer(net, 2_000_000).completed
+        handles = [e for e in net.sim._heap if isinstance(e[2], EventHandle)]
+        assert len(handles) <= 4  # RTO and delayed ACK, two connections
 
 
 class TestStats:
