@@ -99,7 +99,7 @@ def figure1(
         )
     return ExperimentResult(
         name="Figure 1",
-        description="FOBS %% of max bandwidth vs acknowledgement frequency",
+        description="FOBS % of max bandwidth vs acknowledgement frequency",
         headers=("ack_freq", "short haul", "long haul"),
         rows=rows,
         series={
@@ -191,7 +191,7 @@ def figure3(
         points.append((f"{size // 1024}K", stats.percent_of_bottleneck))
     return ExperimentResult(
         name="Figure 3",
-        description="FOBS %% of max bandwidth vs UDP packet size (GigE / OC-12)",
+        description="FOBS % of max bandwidth vs UDP packet size (GigE / OC-12)",
         headers=("packet size", "% of max bandwidth", "waste"),
         rows=rows,
         series={"% of OC-12 vs packet size (paper: rises to ~52%)": points},
@@ -207,7 +207,7 @@ def table1(
     nbytes: int = DEFAULT_NBYTES,
     seeds: Sequence[int] = tuple(range(8)),
 ) -> ExperimentResult:
-    """Table 1: TCP %% of max bandwidth across the three configurations.
+    """Table 1: TCP % of max bandwidth across the three configurations.
 
     Paper: short haul with LWE 86%, long haul with LWE 51%, long haul
     without LWE 11%.  The long-haul rows are averaged over seeds: rare
@@ -235,7 +235,7 @@ def table1(
     ]
     return ExperimentResult(
         name="Table 1",
-        description="TCP %% of maximum bandwidth with/without Large Window Extensions",
+        description="TCP % of maximum bandwidth with/without Large Window Extensions",
         headers=("network connection", "measured", "paper"),
         rows=rows,
         notes=f"Averaged over {len(seeds)} seeds per row.",

@@ -44,8 +44,10 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     BinaryIO,
+    Callable,
     Iterable,
     List,
     Mapping,
@@ -215,7 +217,7 @@ class DatasetManifest:
     def algo_name(self) -> str:
         return ALGO_NAMES[self.algo]
 
-    @property
+    @cached_property
     def dataset_id(self) -> int:
         """Content-derived 64-bit identity.
 
@@ -233,17 +235,10 @@ class DatasetManifest:
             g = zlib.crc32(entry.digests, zlib.crc32(raw[::-1], g))
         return ((h & 0xFFFFFFFF) << 32) | (g & 0xFFFFFFFF)
 
-    def entry_for(self, path: str) -> FileEntry:
-        lo, hi = 0, len(self.entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.entries[mid].path < path:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.entries) and self.entries[lo].path == path:
-            return self.entries[lo]
-        raise KeyError(path)
+    @cached_property
+    def entry_for(self) -> Callable[[str], FileEntry]:
+        """``path -> FileEntry`` (``KeyError`` if absent): one dict lookup."""
+        return {entry.path: entry for entry in self.entries}.__getitem__
 
     # ------------------------------------------------------------------
     # Binary codec

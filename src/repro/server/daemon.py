@@ -634,8 +634,8 @@ class ObjectServer:
             self._failed += 1
             self.history.append((req.name, "send", client, False, str(exc)))
             return None
-        key = req.client_nonce ^ files.derive_transfer_id(
-            len(data), zlib.crc32(data))
+        crc = zlib.crc32(data)
+        key = req.client_nonce ^ files.derive_transfer_id(len(data), crc)
         decision = self._request(key, req.name, client)
         if decision.action != ADMIT:
             data = None  # not held while it waits; read again once admitted
@@ -650,10 +650,11 @@ class ObjectServer:
                 self._rejected_other += 1
                 yield from self._tell(end, sock, _NOT_FOUND)
                 return None
-        return self._begin_fetch_send(req, key, client, data)
+            crc = zlib.crc32(data)  # what the OFFER announces: these bytes
+        return self._begin_fetch_send(req, key, client, data, crc)
 
     def _begin_fetch_send(self, req: wire.FetchRequest, key, client: str,
-                          data: bytes) -> tuple[_SendEntry, bytes]:
+                          data: bytes, crc: int) -> tuple[_SendEntry, bytes]:
         """Start the fetch ``req`` asked for, now that it holds a slot."""
         config = replace(self.config, checksum=req.checksum)
         session = wire.SessionContext(key, req.epoch)
@@ -690,7 +691,7 @@ class ObjectServer:
         manifest = (ChunkManifest.from_data(data, config.packet_size)
                     if req.verify else None)
         return entry, files.announce_offer(
-            len(data), zlib.crc32(data), config, self.udp_port, session,
+            len(data), crc, config, self.udp_port, session,
             manifest)
 
     # ------------------------------------------------------------------

@@ -20,6 +20,11 @@ try:
     # @reproduce_failure blob in the CI log, so a stall/recovery
     # regression found by a random seed can be replayed exactly.
     _hypothesis_settings.register_profile("repro", print_blob=True)
+    # CI's dataset job runs the folded-trailer properties under this
+    # (``--hypothesis-profile=dataset-ci``); tier-1 keeps the default.
+    _hypothesis_settings.register_profile(
+        "dataset-ci", _hypothesis_settings.get_profile("repro"),
+        max_examples=1_000)
     _hypothesis_settings.load_profile("repro")
 except ImportError:  # hypothesis is an optional test dependency
     pass

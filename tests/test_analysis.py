@@ -70,6 +70,7 @@ class TestExperimentRunners:
         assert len(res.rows) == 2
         assert len(res.series) == 2
         assert "90%" in res.notes
+        assert "%%" not in res.render()
 
     def test_figure2_structure(self):
         res = experiments.figure2(nbytes=300_000, frequencies=(8, 64))
@@ -79,11 +80,13 @@ class TestExperimentRunners:
     def test_figure3_structure(self):
         res = experiments.figure3(nbytes=300_000, packet_sizes=(1024, 8192))
         assert [row[0] for row in res.rows] == ["1K", "8K"]
+        assert "%%" not in res.render()
 
     def test_table1_structure(self):
         res = experiments.table1(nbytes=2_000_000, seeds=(0,))
         assert len(res.rows) == 3
         assert res.rows[0][2] == "86%"  # paper reference column
+        assert "%%" not in res.render()
 
     def test_table2_structure(self):
         res = experiments.table2(nbytes=2_000_000, probe_bytes=500_000,

@@ -3,22 +3,37 @@
 from __future__ import annotations
 
 import os
+import random
+import struct
+import zlib
+from typing import List, Tuple
 
 import pytest
 
-from repro.core.manifest import ALGO_CRC32, ALGO_SHA256
+from repro.core.manifest import ALGO_CRC32, ALGO_SHA256, _digest_chunk
 from repro.dataset.manifest import manifest_from_files
 from repro.dataset.packing import (
+    _ALGO_SIZES,
+    _CRC,
+    _FOLD_MIN,
+    _MEMBER,
+    _OBJ_HEADER,
+    KIND_NAMES,
     KIND_PACKED,
     KIND_STRIPE,
     KIND_WHOLE,
+    OBJECT_MAGIC,
+    OBJECT_VERSION,
     PackCorrupt,
     PackingConfig,
+    UnpackedMember,
+    _crc32_combine,
     pack_object,
     plan_objects,
     unpack_object,
     verify_members_against_manifest,
 )
+from repro.dataset.sync import mixed_tree_spec, sync_tree, trees_equal
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -213,3 +228,221 @@ class TestTamper:
                            ALGO_CRC32, data=other)
         _, members = unpack_object(blob)
         assert verify_members_against_manifest(members, m) == ["stranger"]
+
+
+class TestCombine:
+    @settings(deadline=None)
+    @given(a=st.binary(max_size=300),
+           len_b=st.one_of(
+               st.sampled_from([0, 1, 63, 65535, 65536, 65537]),
+               st.integers(0, 1 << 17),
+               st.integers(1 << 21, 6 << 20)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_combine_is_the_crc_of_the_concatenation(self, a, len_b, seed):
+        b = random.Random(seed).randbytes(len_b)
+        assert _crc32_combine(zlib.crc32(a), zlib.crc32(b), len_b) == \
+            zlib.crc32(a + b)
+
+
+def _parent_unpack_object(blob: bytes) -> Tuple[int, List[UnpackedMember]]:
+    """``unpack_object`` as it was with one plain CRC pass over the body
+    (verbatim): the reference for every verdict and its order."""
+    if len(blob) < _OBJ_HEADER.size + _CRC.size:
+        raise PackCorrupt("object shorter than its header")
+    view = memoryview(blob)
+    body = view[:-_CRC.size]
+    if zlib.crc32(body) != _CRC.unpack_from(view, len(body))[0]:
+        raise PackCorrupt("object failed CRC32 verification")
+    magic, version, algo, kind, nmembers = _OBJ_HEADER.unpack_from(body)
+    if magic != OBJECT_MAGIC:
+        raise PackCorrupt(f"bad object magic {magic:#x}")
+    if version != OBJECT_VERSION:
+        raise PackCorrupt(f"unsupported object version {version}")
+    dsize = _ALGO_SIZES.get(algo)
+    if dsize is None:
+        raise PackCorrupt(f"unknown digest algorithm {algo}")
+    if kind not in KIND_NAMES:
+        raise PackCorrupt(f"unknown object kind {kind}")
+    off = _OBJ_HEADER.size
+    members: List[UnpackedMember] = []
+    try:
+        for _ in range(nmembers):
+            plen, _rsvd, file_offset, length = _MEMBER.unpack_from(body, off)
+            off += _MEMBER.size
+            path = str(body[off:off + plen], "utf-8")
+            off += plen
+            digest = body[off:off + dsize]
+            off += dsize
+            payload = body[off:off + length]
+            off += length
+            if len(payload) != length:
+                raise PackCorrupt(f"{path}: member payload truncated")
+            if _digest_chunk(payload, algo) != digest:
+                raise PackCorrupt(f"{path}: member digest mismatch at "
+                                  f"offset {file_offset}")
+            members.append(UnpackedMember(path=path, file_offset=file_offset,
+                                          payload=payload))
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise PackCorrupt(f"object framing undecodable: {exc}") from exc
+    if off != len(body):
+        raise PackCorrupt(f"{len(body) - off} trailing bytes after last "
+                          f"member")
+    return kind, members
+
+
+#: Members on both sides of the fold size: packed (< 2 * _FOLD_MIN),
+#: whole (< 4 * _FOLD_MIN) and striped objects.
+FOLD_CFG = PackingConfig(object_bytes=4 * _FOLD_MIN,
+                         pack_threshold=2 * _FOLD_MIN)
+_SIZES = st.one_of(st.integers(0, 600),
+                   st.integers(_FOLD_MIN - 2, 2 * _FOLD_MIN + 2),
+                   st.integers(4 * _FOLD_MIN - 1, 5 * _FOLD_MIN))
+
+
+def _seeded_files(sizes, seed):
+    rng = random.Random(seed)
+    return {f"d/f{i}": rng.randbytes(n) for i, n in enumerate(sizes)}
+
+
+def _member_offsets(obj, algo):
+    """Where each member's header starts in the packed object."""
+    offsets, off = [], _OBJ_HEADER.size
+    for m in obj.members:
+        offsets.append(off)
+        off += (_MEMBER.size + len(m.path.encode()) + _ALGO_SIZES[algo]
+                + m.length)
+    return offsets
+
+
+@st.composite
+def damaged_objects(draw):
+    """A packed object, maybe damaged, maybe resealed with a trailer
+    that matches the damage so the checks after the CRC see it."""
+    algo = draw(st.sampled_from([ALGO_CRC32, ALGO_SHA256]))
+    files = _seeded_files(draw(st.lists(_SIZES, min_size=1, max_size=4)),
+                          draw(st.integers(0, 2**32 - 1)))
+    plan = plan_objects(manifest_from_files(files, CHUNK, algo), FOLD_CFG)
+    if not plan.objects:
+        files["d/one"] = b"1"
+        plan = plan_objects(manifest_from_files(files, CHUNK, algo), FOLD_CFG)
+    obj = draw(st.sampled_from(plan.objects))
+    blob = bytearray(pack_object(obj, "", algo, data=files))
+    at = draw(st.sampled_from(_member_offsets(obj, algo)))
+    how = draw(st.sampled_from(["none", "flip", "trailer", "truncate",
+                                "extend", "length", "nmembers", "algo",
+                                "path_len"]))
+    if how in ("flip", "trailer"):
+        pos = draw(st.one_of(st.integers(0, min(len(blob), 64) - 1),
+                             st.integers(0, len(blob) - 1))
+                   if how == "flip" else st.integers(len(blob) - 4,
+                                                     len(blob) - 1))
+        blob[pos] ^= draw(st.integers(1, 255))
+    elif how == "truncate":
+        del blob[draw(st.integers(0, len(blob) - 1)):]
+    elif how == "extend":
+        blob += draw(st.binary(min_size=1, max_size=8))
+    elif how == "length":
+        old = struct.unpack_from("!Q", blob, at + 12)[0]
+        struct.pack_into("!Q", blob, at + 12, draw(st.one_of(
+            st.integers(max(old - 64, 0), old + 64),
+            st.integers(0, 2**64 - 1))))
+    elif how == "nmembers":
+        struct.pack_into("!I", blob, 8, draw(st.one_of(
+            st.integers(0, len(obj.members) + 2),
+            st.integers(0, 2**32 - 1))))
+    elif how == "algo":
+        blob[6] = draw(st.integers(0, 255))
+    elif how == "path_len":
+        struct.pack_into("!H", blob, at, draw(st.integers(0, 65535)))
+    if len(blob) >= _CRC.size and draw(st.booleans()):
+        _CRC.pack_into(blob, len(blob) - _CRC.size,
+                       zlib.crc32(blob[:-_CRC.size]))
+    return bytes(blob)
+
+
+def _outcome(unpack, blob):
+    try:
+        kind, members = unpack(blob)
+    except Exception as exc:  # the verdict itself is under test
+        return type(exc), str(exc)
+    return kind, [(m.path, m.file_offset, bytes(m.payload)) for m in members]
+
+
+class TestFoldedTrailer:
+    @settings(deadline=None)
+    @given(blob=damaged_objects())
+    def test_unpack_gives_the_plain_pass_verdict(self, blob):
+        assert _outcome(unpack_object, blob) == \
+            _outcome(_parent_unpack_object, blob)
+
+    @pytest.mark.parametrize("algo", [ALGO_CRC32, ALGO_SHA256])
+    def test_objects_are_the_plain_pass_bytes(self, algo):
+        files = _seeded_files([300, _FOLD_MIN - 1, _FOLD_MIN, 2 * _FOLD_MIN,
+                               3 * _FOLD_MIN + 7, 9 * _FOLD_MIN + 5], 7)
+        plan = plan_objects(manifest_from_files(files, CHUNK, algo), FOLD_CFG)
+        for obj in plan.objects:
+            blob = pack_object(obj, "", algo, data=files)
+            assert _CRC.unpack_from(blob, len(blob) - _CRC.size)[0] == \
+                zlib.crc32(blob[:-_CRC.size])
+            assert _outcome(unpack_object, bytes(blob)) == \
+                _outcome(_parent_unpack_object, bytes(blob))
+
+
+@pytest.fixture
+def crc_bytes(monkeypatch):
+    """Bytes passed to ``zlib.crc32`` since the last reset."""
+    counted = [0]
+    real = zlib.crc32
+
+    def spy(data, value=0):
+        counted[0] += len(data)
+        return real(data, value)
+
+    monkeypatch.setattr(zlib, "crc32", spy)
+    return counted
+
+
+class TestCrcBudget:
+    """A CRC-32 object's payload is CRC'd once on each side (a plain
+    trailer pass CRC'd it twice); members under ``_FOLD_MIN`` twice."""
+
+    def test_pack_and_unpack_each_crc_a_payload_once(self, crc_bytes):
+        files = _seeded_files([_FOLD_MIN, 3 * _FOLD_MIN // 2,
+                               3 * _FOLD_MIN, 9 * _FOLD_MIN + 5], 3)
+        plan = plan_objects(manifest_from_files(files, CHUNK), FOLD_CFG)
+        assert {o.kind for o in plan.objects} == {
+            KIND_PACKED, KIND_WHOLE, KIND_STRIPE}
+        for obj in plan.objects:
+            framing = obj.wire_bytes() - obj.payload_bytes
+            crc_bytes[0] = 0
+            blob = pack_object(obj, "", ALGO_CRC32, data=files)
+            assert crc_bytes[0] <= obj.payload_bytes + framing
+            crc_bytes[0] = 0
+            unpack_object(blob)
+            assert crc_bytes[0] <= obj.payload_bytes + framing
+
+    def test_members_under_the_fold_size_are_crcd_twice(self, crc_bytes):
+        files = _seeded_files([100, 300, _FOLD_MIN - 1, _FOLD_MIN], 5)
+        (obj,) = plan_objects(manifest_from_files(files, CHUNK),
+                              FOLD_CFG).objects
+        small = sum(m.length for m in obj.members if m.length < _FOLD_MIN)
+        framing = obj.wire_bytes() - obj.payload_bytes
+        crc_bytes[0] = 0
+        blob = pack_object(obj, "", ALGO_CRC32, data=files)
+        assert crc_bytes[0] <= obj.payload_bytes + framing + small
+        crc_bytes[0] = 0
+        unpack_object(blob)
+        assert crc_bytes[0] <= obj.payload_bytes + framing + small
+
+    def test_a_sync_crcs_each_byte_four_times(self, tmp_path, crc_bytes):
+        """Scan, pack, unpack and the manifest cross-check: one pass
+        each (a plain trailer pass made it six)."""
+        src, dst = str(tmp_path / "src"), str(tmp_path / "dst")
+        spec = mixed_tree_spec(nsmall=100, small_bytes=400, nmedium=6,
+                               medium_bytes=200_000, nlarge=1,
+                               large_bytes=5_000_000)
+        spec.generate(src)
+        crc_bytes[0] = 0
+        assert sync_tree(src, dst).completed
+        assert crc_bytes[0] <= 4.05 * sum(spec.sizes.values())
+        assert trees_equal(src, dst)

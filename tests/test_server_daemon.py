@@ -11,7 +11,9 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from repro.runtime.files import (
     send_file,
 )
 from repro.runtime.transfer import SEND_BATCH, drain, run_endpoints, udp_offload
-from repro.server import ObjectServer, fetch_endpoint, fetch_file
+from repro.server import ObjectServer, daemon, fetch_endpoint, fetch_file
 from repro.server.registry import RECEIVING
 
 pytestmark = pytest.mark.loopback
@@ -130,6 +132,59 @@ class TestConcurrentFetch:
             assert len(senders) == 1 and senders[0]() is None
         finally:
             gc.enable()
+
+    @pytest.fixture
+    def object_crcs(self, monkeypatch):
+        """Lengths of the buffers the daemon CRCs, in call order."""
+        lengths = []
+
+        def crc32(data, value=0):
+            lengths.append(len(data))
+            return zlib.crc32(data, value)
+
+        monkeypatch.setattr(daemon, "zlib", types.SimpleNamespace(crc32=crc32))
+        return lengths
+
+    def test_an_admitted_fetch_crcs_its_object_once(self, objects, tmp_path,
+                                                    object_crcs):
+        running = RunningServer(objects)
+        (result,) = running.run(fetch_endpoint(
+            "b.bin", "127.0.0.1", running.port, str(tmp_path / "b.bin"),
+            config=CONFIG, timeout=30))
+        assert result.completed and result.crc_ok, result.failure_reason
+        # The transfer id and the OFFER share one pass.
+        assert object_crcs == [200_000]
+
+    def test_a_queued_fetch_offers_the_crc_of_the_bytes_it_sends(
+            self, objects, tmp_path, object_crcs, monkeypatch):
+        """The object changes while its fetch waits for a slot: the OFFER
+        announces the CRC of the bytes read once admitted."""
+        new = os.urandom(180_000)
+        await_slot = ObjectServer._await_slot
+
+        def rewrite_then_wait(server, *args, **kwargs):
+            (objects / "b.bin").write_bytes(new)
+            return (yield from await_slot(server, *args, **kwargs))
+
+        monkeypatch.setattr(ObjectServer, "_await_slot", rewrite_then_wait)
+        running = RunningServer(objects, max_active=1, queue_depth=4)
+        slow = fetch_endpoint(
+            "c.bin", "127.0.0.1", running.port, str(tmp_path / "c.bin"),
+            config=CONFIG, timeout=30, rate_cap_bps=int(4e6))
+        # No digest manifest: the client audits what it received against
+        # the OFFER's CRC.
+        late = fetch_endpoint(
+            "b.bin", "127.0.0.1", running.port, str(tmp_path / "b.bin"),
+            config=CONFIG, timeout=30, verify=False)
+        running.run(slow, after(lambda: running.server.admission.active,
+                                late))
+        assert slow.result.completed and slow.result.crc_ok
+        assert late.result.completed and late.result.crc_ok, \
+            late.result.failure_reason
+        assert (tmp_path / "b.bin").read_bytes() == new
+        assert running.server.admission.counters.queued == 1
+        # c.bin once; b.bin at its request, then its new bytes.
+        assert object_crcs == [150_000, 200_000, 180_000]
 
     def test_not_found_rejected_cleanly(self, objects, tmp_path):
         running = RunningServer(objects)
