@@ -158,8 +158,7 @@ def run_chaos_transfer(scenario: ChaosScenario, workdir: str) -> ChaosResult:
         opener=store.open)
     tx = files.send_endpoint(
         data, "127.0.0.1", rx.socks[0].getsockname()[1], config,
-        timeout=scenario.timeout, resume=True,
-        max_attempts=scenario.max_attempts,
+        timeout=scenario.timeout, max_attempts=scenario.max_attempts,
         policy=RetryPolicy(max_attempts=scenario.max_attempts,
                            backoff_base=0.02, max_delay=0.2,
                            seed=scenario.seed & 0xFFFF),

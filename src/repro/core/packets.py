@@ -26,8 +26,8 @@ DATA_HEADER_BYTES = 12
 ACK_HEADER_BYTES = 16
 #: Bytes carried by the completion signal.
 COMPLETION_BYTES = 12
-#: Bytes of the negotiated session extension (transfer id + epoch)
-#: carried by resumable sessions on both DATA and ACK datagrams.
+#: Bytes of the session extension (transfer id + epoch) every
+#: real-socket DATA and ACK datagram carries.
 SESSION_EXT_BYTES = 12
 
 
@@ -41,8 +41,8 @@ class DataPacket:
     #: How many times this seq had been sent when this copy left (for
     #: diagnostics; 0 = first transmission).
     transmission: int = 0
-    #: Attempt epoch of the session that produced this packet (0 for
-    #: non-resumable transfers).  A receiver in a resumed session drops
+    #: Attempt epoch of the session that produced this packet (0 on a
+    #: first attempt and in the simulator).  A receiver in a resumed session drops
     #: datagrams from any other epoch — a zombie sender from a previous
     #: attempt can never land bytes in the resumed object.
     epoch: int = 0

@@ -135,7 +135,7 @@ class LoopbackTransport:
             max_attempts=self.max_attempts, config=self.config)
         tx = rt_files.send_endpoint(
             blob, "127.0.0.1", rx.socks[0].getsockname()[1],
-            config=self.config, timeout=self.timeout, resume=True,
+            config=self.config, timeout=self.timeout,
             max_attempts=self.max_attempts)
         rt_transfer.run_endpoints([rx, tx])
         result, received = tx.result, rx.result

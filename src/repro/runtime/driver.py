@@ -135,7 +135,7 @@ class SendDriver:
     """The FOBS sender loop over one ``send`` callable."""
 
     def __init__(self, sender: FobsSender, data, send: Send,
-                 session: Optional[wire.SessionContext] = None, tuner=None):
+                 session: wire.SessionContext, tuner=None):
         self.sender = sender
         self.send = send
         self.session = session
@@ -295,7 +295,7 @@ class RecvDriver:
 
     def __init__(self, receiver: FobsReceiver,
                  write_at: Callable[[int, object], None],
-                 session: Optional[wire.SessionContext] = None,
+                 session: wire.SessionContext,
                  channel: TelemetryChannel = NULL_CHANNEL):
         self.receiver = receiver
         self.write_at = write_at
@@ -428,10 +428,10 @@ def is_storage_fault(reason: Optional[str]) -> bool:
 class PartFile:
     """The ``.part`` reassembly file and its journal, for one attempt.
 
-    Opening replays the journal (``transfer_id`` given = resumable) and
-    reopens a ``.part`` of the right size ``r+b`` only when that replay
-    succeeded — without it nothing on disk is claimed, so the file is
-    recreated.  With a manifest, every journal-claimed chunk is audited
+    Opening replays the journal of ``transfer_id`` and reopens a
+    ``.part`` of the right size ``r+b`` only when that replay succeeded
+    — without it nothing on disk is claimed, so the file is recreated.
+    With a manifest, every journal-claimed chunk is audited
     *before* the resume bitmap is handed out (verify-on-resume), so a
     torn write or bit rot under a crashed attempt is demoted and
     re-fetched, never resurrected.  :meth:`publish` is verify-on-complete
@@ -443,7 +443,7 @@ class PartFile:
     """
 
     def __init__(self, output_path: str, filesize: int, packet_size: int,
-                 crc: int, transfer_id: Optional[int] = None,
+                 crc: int, transfer_id: int,
                  journal_path: Optional[str] = None,
                  manifest: Optional[ChunkManifest] = None, opener=open,
                  channel: TelemetryChannel = NULL_CHANNEL):
@@ -466,10 +466,8 @@ class PartFile:
         #: anything else (an audit's reads) has moved it.
         self._write_end: Optional[int] = None
         try:
-            replay = None
-            if transfer_id is not None:
-                self.journal, replay = ReceiverJournal.open(
-                    self.journal_path, transfer_id, filesize, packet_size)
+            self.journal, replay = ReceiverJournal.open(
+                self.journal_path, transfer_id, filesize, packet_size)
             resumed = (replay is not None
                        and os.path.exists(self.part_path)
                        and os.path.getsize(self.part_path) == filesize)
@@ -524,8 +522,7 @@ class PartFile:
                 os.replace(self.part_path, self.output_path)
             except OSError as exc:
                 return storage_fault(self.channel, "finalize", exc)
-            if self.journal is not None:
-                self.journal.delete()
+            self.journal.delete()
         return failure
 
     def _verify_crc(self) -> bool:
@@ -545,10 +542,9 @@ class PartFile:
         if not crc_ok:
             stats.chunks_corrupt = 1
             stats.bytes_demoted = nread
-            if self.journal is not None:
-                claimed = np.flatnonzero(self.journal.bitmap.array)
-                stats.ranges_demoted = len(corrupt_ranges(claimed.tolist()))
-                self._demote(claimed)
+            claimed = np.flatnonzero(self.journal.bitmap.array)
+            stats.ranges_demoted = len(corrupt_ranges(claimed.tolist()))
+            self._demote(claimed)
         self._record(stats, -(-nread // self.packet_size))
         return crc_ok
 
@@ -579,7 +575,7 @@ class PartFile:
         """Demote ``seqs`` back to unreceived, through the journal so it
         is crash-durable — a kill right after an audit cannot resurrect
         corrupt ranges."""
-        if self.journal is None or not len(seqs):
+        if not len(seqs):
             return
         try:
             self.journal.demote(seqs)

@@ -5,25 +5,24 @@ A minimal session protocol on top of the FOBS data plane, so two
 
 1. the receiver listens on a TCP control port;
 2. the sender connects and sends a :class:`~repro.runtime.wire.Offer`
-   (file size, packet size, its UDP acknowledgement port);
-3. the receiver binds a UDP data socket and replies with a
-   :class:`~repro.runtime.wire.Accept` carrying the data port;
+   (file size, packet size, its UDP acknowledgement port, a 64-bit
+   transfer id and a 32-bit attempt epoch), followed by the VERIFY
+   digest manifest when it flags one;
+3. the receiver opens (or replays) its journal, binds a UDP data
+   socket and replies with a RESUME message carrying the data port
+   and its journal-reconstructed bitmap;
 4. FOBS runs — UDP data one way, UDP bitmap ACKs the other;
 5. the receiver sends the completion signal back on the still-open
    TCP control connection and both sides verify a CRC32 of the object.
 
-Crash-resumable sessions (PROTOCOL.md §8) extend step 2/3: a sender
-offering ``FLAG_RESUME`` sends the v2 offer — the v1 fields plus a
-64-bit transfer id and a 32-bit attempt epoch — and the receiver
-answers with a RESUME message instead of the plain accept, carrying
-its journal-reconstructed bitmap.  The receiver writes arriving
-payloads through to a ``.part`` file and journals every newly
-received packet (:class:`~repro.core.journal.ReceiverJournal`), so a
-crash on either side loses only unflushed progress; the sender merges
-the RESUME bitmap and retransmits only the gap.  Every data/ACK
-datagram of a resumable session carries the
-:class:`~repro.runtime.wire.SessionContext` extension, so datagrams
-from a dead attempt are rejected on arrival.
+Every session is crash-resumable (PROTOCOL.md §8).  The receiver
+writes arriving payloads through to a ``.part`` file and journals
+every newly received packet
+(:class:`~repro.core.journal.ReceiverJournal`), so a crash on either
+side loses only unflushed progress; the sender merges the RESUME
+bitmap and retransmits only the gap.  Every data/ACK datagram carries
+the :class:`~repro.runtime.wire.SessionContext` extension, so
+datagrams from a dead attempt are rejected on arrival.
 
 Each end, handshakes and retries included, is one generator of turns
 (:func:`send_endpoint`, :func:`receive_endpoint`) that
@@ -139,16 +138,14 @@ def supervised_result(supervised, path: str, nbytes: int
 def _send_attempt(
     end: transfer.Endpoint, data: bytes, crc: int, host: str, port: int,
     config: FobsConfig, timeout: float,
-    session: Optional[wire.SessionContext], kill,
+    session: wire.SessionContext, kill,
     telemetry: Optional[EventBus], manifest: Optional[ChunkManifest],
     drop_rate: float, corrupt_rate: float, fault_seed: int,
 ) -> Generator[float, None, FileTransferResult]:
     """One connect→offer→blast attempt of ``end``, as turns; never
     raises on failure."""
     deadline = time.monotonic() + timeout
-    resumable = session is not None
-    tid = session.transfer_id if resumable else 0
-    epoch = session.epoch if resumable else 0
+    tid, epoch = session.transfer_id, session.epoch
     if telemetry is not None and telemetry.enabled:
         channel = telemetry.channel(transfer_id=tid, epoch=epoch,
                                     src="runtime")
@@ -179,13 +176,12 @@ def _send_attempt(
             decoder = wire.ControlDecoder(sender.npackets)
             reply = wire.expect(
                 (yield from transfer.reading(end, ctrl, decoder, deadline)),
-                wire.ResumeInfo if resumable else wire.Accept)
-            if resumable:
-                if reply.transfer_id != session.transfer_id:
-                    raise ValueError("RESUME for a different transfer id")
-                if reply.epoch != session.epoch:
-                    raise ValueError("RESUME for a different attempt epoch")
-                sender.resume_from(reply.bitmap)
+                wire.ResumeInfo)
+            if reply.transfer_id != tid:
+                raise ValueError("RESUME for a different transfer id")
+            if reply.epoch != epoch:
+                raise ValueError("RESUME for a different attempt epoch")
+            sender.resume_from(reply.bitmap)
             send = transfer.BurstSend(data_sock, (host, reply.data_port))
             if drop_rate or corrupt_rate or kill is not None:
                 send = FaultySend(send, drop_rate, corrupt_rate, kill,
@@ -205,12 +201,9 @@ def _send_attempt(
                     # ended its attempt without blessing delivery — its
                     # audit demoted corrupt chunks, or it hit a storage
                     # fault.  Fail this attempt so the retry's RESUME
-                    # learns which packets to re-send.  A legacy
-                    # session rides on, on its ACKs alone.
-                    end.reads = [ack_sock]
+                    # learns which packets to re-send.
                     return ("control connection closed before completion"
-                            " (receiver did not bless delivery)"
-                            if resumable else None)
+                            " (receiver did not bless delivery)")
                 except OSError:
                     return "control connection lost mid-transfer"
                 if frame is not None:
@@ -225,7 +218,7 @@ def _send_attempt(
                     driver, ack_sock, poll_completion)
             except EndpointKilled as exc:
                 failure = str(exc)
-            if (failure is None and resumable and not blessed
+            if (failure is None and not blessed
                     and sender.stats.completion_timeouts):
                 # Every packet was acknowledged but the receiver never
                 # blessed the delivery.  Without verification that used
@@ -285,18 +278,20 @@ def send_file(
 ) -> FileTransferResult:
     """Send ``path`` to a :func:`receive_file` peer at ``host:port``.
 
-    With ``resume`` (or ``max_attempts > 1``) the session is resumable:
-    each attempt offers the v2 handshake, merges the receiver's RESUME
-    bitmap, and frames every datagram with the session extension.  The
-    supervisor retries failed attempts with exponential backoff up to
-    ``max_attempts``; an exhausted budget *returns* a result with
-    ``completed=False`` (it does not raise), so callers can report the
-    failure.  The legacy single-shot path (default) is byte-identical
-    on the wire to the original protocol and raises on timeout.
+    Every send is a resumable session: each attempt offers the OFFER2
+    handshake under the transfer id (``transfer_id``, or one derived
+    from the content) and its attempt epoch, merges the receiver's
+    RESUME bitmap, and frames every datagram with the session
+    extension.  The supervisor retries failed attempts with exponential
+    backoff up to ``max_attempts``.  ``resume`` selects no wire format,
+    only how a failure is reported: with ``resume`` (or
+    ``max_attempts > 1``) an exhausted budget *returns* a result with
+    ``completed=False``, so callers can report the failure; without
+    either, the single attempt raises ``TimeoutError`` when it fails.
 
-    ``verify`` (resumable sessions only) sends the per-chunk digest
-    manifest as a VERIFY frame so the receiver can audit its disk and
-    demote corrupt chunks for re-fetch instead of delivering them.
+    ``verify`` (on by default) sends the per-chunk digest manifest as a
+    VERIFY frame so the receiver can audit its disk and demote corrupt
+    chunks for re-fetch instead of delivering them.
 
     ``drop_rate`` discards that fraction of outgoing data datagrams
     (deterministic RNG) and ``corrupt_rate`` flips one byte in that
@@ -309,9 +304,9 @@ def send_file(
         data = fh.read()
     if not data:
         raise ValueError(f"{path} is empty")
-    end = send_endpoint(data, host, port, config, timeout, resume,
-                        max_attempts, transfer_id, policy, kill_plan,
-                        telemetry, verify, drop_rate, corrupt_rate)
+    end = send_endpoint(data, host, port, config, timeout, max_attempts,
+                        transfer_id, policy, kill_plan, telemetry, verify,
+                        drop_rate, corrupt_rate)
     transfer.run_endpoints([end])
     result: FileTransferResult = end.result
     if not (resume or max_attempts > 1 or result.completed):
@@ -326,7 +321,6 @@ def send_endpoint(
     port: int,
     config: Optional[FobsConfig] = None,
     timeout: float = 120.0,
-    resume: bool = False,
     max_attempts: int = 1,
     transfer_id: Optional[int] = None,
     policy: Optional[RetryPolicy] = None,
@@ -340,23 +334,21 @@ def send_endpoint(
     :func:`~repro.runtime.transfer.run_endpoints`, to run beside others;
     its result is the :class:`FileTransferResult`, never raised."""
     config = config if config is not None else FobsConfig(ack_frequency=32)
-    resumable = resume or max_attempts > 1
-    wire.check_npackets(config.npackets(len(data)), resumable)
+    wire.check_npackets(config.npackets(len(data)))
     crc = zlib.crc32(data)
     tid = transfer_id if transfer_id is not None else derive_transfer_id(
         len(data), crc)
-    if policy is None or not resumable:
-        # The legacy single shot is a supervised run of one attempt.
+    if policy is None:
         policy = RetryPolicy(max_attempts=max(max_attempts, 1),
                              backoff_base=0.2, seed=tid & 0xFFFF)
     manifest = (ChunkManifest.from_data(data, config.packet_size)
-                if verify and resumable else None)
+                if verify else None)
     end = transfer.Endpoint()
 
     def attempt_fn(attempt: int, epoch: int):
         return _send_attempt(
             end, data, crc, host, port, config, timeout,
-            wire.SessionContext(tid, epoch) if resumable else None,
+            wire.SessionContext(tid, epoch),
             kill_for_attempt(kill_plan, attempt), telemetry, manifest,
             drop_rate, corrupt_rate, tid + epoch)
 
@@ -387,19 +379,18 @@ def manifest_for(body: bytes, offer: wire.Offer) -> Optional[ChunkManifest]:
 
 
 def announce_offer(nbytes: int, crc: int, config: FobsConfig, ack_port: int,
-                   session: Optional[wire.SessionContext] = None,
+                   session: wire.SessionContext,
                    manifest: Optional[ChunkManifest] = None) -> bytes:
-    """A sender's opening frames: the OFFER (v2 iff there is a session),
-    then — ahead of the peer's RESUME reply (PROTOCOL.md §10), so the
-    receiver holds the digests before it decides which journal-claimed
-    packets to trust — the VERIFY frame carrying ``manifest``."""
-    flags = ((wire.FLAG_CHECKSUM if config.checksum else 0)
-             | (wire.FLAG_RESUME if session is not None else 0)
+    """A sender's opening frames: the OFFER of ``session``, then —
+    ahead of the peer's RESUME reply (PROTOCOL.md §10), so the receiver
+    holds the digests before it decides which journal-claimed packets
+    to trust — the VERIFY frame carrying ``manifest``."""
+    flags = (wire.FLAG_RESUME
+             | (wire.FLAG_CHECKSUM if config.checksum else 0)
              | (wire.FLAG_VERIFY if manifest is not None else 0))
-    tid, epoch = ((session.transfer_id, session.epoch)
-                  if session is not None else (0, 0))
     frames = wire.encode_offer(wire.Offer(
-        nbytes, config.packet_size, ack_port, flags, crc, tid, epoch))
+        nbytes, config.packet_size, ack_port, flags, crc,
+        session.transfer_id, session.epoch))
     if manifest is not None:
         frames += wire.encode_verify(manifest.encode())
     return frames
@@ -415,9 +406,8 @@ def accept_offer(
     """The receiving end of one negotiated offer.
 
     Returns its driver, reassembling into ``part`` from whatever the
-    journal salvaged, and the reply that starts the sender: RESUME
-    (carrying that bitmap) for a resumable offer, the plain ACCEPT
-    otherwise, either naming ``data_port``.
+    journal salvaged, and the reply that starts the sender: RESUME,
+    carrying that bitmap and naming ``data_port``.
     """
     receiver_tel = NULL_CHANNEL
     if telemetry is not None and telemetry.enabled:
@@ -427,11 +417,8 @@ def accept_offer(
                             resume_bitmap=part.resume_bitmap,
                             journal=part.journal, epoch=offer.epoch,
                             telemetry=receiver_tel)
-    session = (wire.SessionContext(offer.transfer_id, offer.epoch)
-               if offer.resumable else None)
+    session = wire.SessionContext(offer.transfer_id, offer.epoch)
     driver = RecvDriver(receiver, part.write_at, session, part.channel)
-    if session is None:
-        return driver, wire.encode_accept(data_port)
     return driver, wire.encode_resume(
         offer.transfer_id, offer.epoch, data_port, receiver.bitmap.snapshot())
 
@@ -489,8 +476,8 @@ def receive_offer(
     chunks are durably demoted and the attempt fails *retryably* — the
     next attempt re-fetches only the demoted gap.  Without a manifest
     the whole-object CRC32 is the fallback: a mismatch demotes every
-    claimed packet instead of raising, so even legacy peers self-repair
-    rather than loop on a poisoned journal.  Disk faults (ENOSPC/EIO)
+    claimed packet instead of raising, so a peer that sent no manifest
+    self-repairs rather than loop on a poisoned journal.  Disk faults (ENOSPC/EIO)
     surface as ``storage fault`` failures, never exceptions.
 
     The peer says nothing between its offer and our completion signal,
@@ -526,8 +513,7 @@ def receive_offer(
     start = time.monotonic()
     part = PartFile(
         output_path, offer.filesize, offer.packet_size, offer.crc,
-        transfer_id=offer.transfer_id if offer.resumable else None,
-        journal_path=journal_path, manifest=manifest, opener=opener,
+        offer.transfer_id, journal_path=journal_path, manifest=manifest, opener=opener,
         channel=channel)
     receiver: Optional[FobsReceiver] = None
     failure = part.fault

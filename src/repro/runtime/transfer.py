@@ -24,14 +24,15 @@ and ``blackhole_acks`` silences the receiver's acknowledgement and
 completion channels entirely — the adversarial case that must end in a
 clean stall abort rather than a hang.
 
-Crash-resume support: ``kill`` (a
+Every datagram carries the transfer id and attempt epoch of
+``session`` (a :class:`~repro.runtime.wire.SessionContext`), so zombies
+from a killed attempt are rejected.  Crash-resume support: ``kill`` (a
 :class:`~repro.simnet.faults.KillSwitch`) makes one endpoint die
-abruptly at a packet count; ``journal`` persists the receiver's bitmap
-so a later attempt can be seeded with ``resume_bitmap``; ``session`` (a
-:class:`~repro.runtime.wire.SessionContext`) stamps every datagram with
-the transfer id and attempt epoch so zombies from a killed attempt are
-rejected.  :func:`repro.runtime.supervisor.run_resumable_loopback`
-drives the retry loop over these hooks.
+abruptly at a packet count; ``journal`` (opt-in) persists the
+receiver's bitmap so a later attempt can be seeded with
+``resume_bitmap`` under the next epoch's session.
+:func:`repro.runtime.supervisor.run_resumable_loopback` drives the
+retry loop over these hooks.
 """
 
 from __future__ import annotations
@@ -469,7 +470,7 @@ def run_loopback_transfer(
     data: Optional[bytes] = None,
     journal: Optional["ReceiverJournal"] = None,
     resume_bitmap: Optional[np.ndarray] = None,
-    session: Optional[wire.SessionContext] = None,
+    session: wire.SessionContext = wire.SessionContext(0),
     kill: Optional["KillSwitch"] = None,
     buffer: Optional[bytearray] = None,
     tuning: Optional["TuningConfig"] = None,
@@ -492,14 +493,14 @@ def run_loopback_transfer(
     full retry loop.
     """
     config = config if config is not None else FobsConfig(ack_frequency=32)
-    wire.check_npackets(config.npackets(nbytes), session is not None)
+    wire.check_npackets(config.npackets(nbytes))
     if data is None:
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 256, size=nbytes, dtype=np.uint8).tobytes()
     elif len(data) != nbytes:
         raise ValueError("len(data) must equal nbytes")
 
-    epoch = session.epoch if session is not None else 0
+    epoch = session.epoch
     receiver = FobsReceiver(config, nbytes, resume_bitmap=resume_bitmap,
                             journal=journal, epoch=epoch)
     sender = FobsSender(config, nbytes, rng=np.random.default_rng(seed),
@@ -572,7 +573,7 @@ def run_loopback_transfer(
 
         driver.tuner = make_tuner(
             tuning, sender=sender, receiver=receiver, telemetry=telemetry,
-            transfer_id=session.transfer_id if session is not None else 0)
+            transfer_id=session.transfer_id)
 
     def poll_completion() -> None:
         try:

@@ -3,40 +3,39 @@
 All integers are big-endian (network order).  Layouts::
 
     DATA        !IIi  seq, total, transmission
-                [+ !QI transfer_id, epoch when a session is negotiated]
+                + !QI transfer_id, epoch (the session extension)
                 + payload bytes
-                [+ !I crc32(header + payload) trailer when checksumming]
+                [+ !I crc32(header + extension + payload) trailer
+                   when checksumming]
     ACK         !IIII ack_id, received_count, npackets, checksum
-                [+ !QI transfer_id, epoch when a session is negotiated]
+                + !QI transfer_id, epoch (the session extension)
                 + packed bitmap (1 bit per packet, numpy packbits order)
 
-The nine TCP control frames (PROTOCOL.md §3.3) are one table,
+The TCP control frames (PROTOCOL.md §3.3) are one table,
 :data:`CONTROL_FRAMES`, decoded by one :class:`ControlDecoder`.
 
 Checksumming is negotiated out of band (both endpoints share a
 :class:`~repro.core.config.FobsConfig`; its ``checksum`` flag selects
 the format).  With checksumming on, data packets carry a 4-byte CRC32
-trailer over header+payload, and the ACK header's fourth word — spare
-("reserved") in the original format — carries the CRC32 of the packed
-bitmap.  With checksumming off the formats are byte-identical to the
-original protocol: the fallback costs nothing on trusted paths, at the
+trailer over header+extension+payload, and the ACK header's fourth
+word — spare ("reserved") in the original format — carries the CRC32
+of the packed bitmap.  With checksumming off there is no trailer and
+that word is 0: the fallback costs nothing on trusted paths, at the
 price of silently accepting corrupted payloads.
 
-Resumable sessions (PROTOCOL.md §8) negotiate a second extension the
-same way: a :class:`SessionContext` — a 64-bit transfer id plus a
-32-bit attempt *epoch* — inserted between the base header and the
-payload of every DATA and ACK datagram.  Decoding with a session
-verifies both: a foreign transfer id raises
-:class:`SessionMismatchError`, a non-current epoch raises
+Every transfer is a resumable session (PROTOCOL.md §8): a
+:class:`SessionContext` — a 64-bit transfer id plus a 32-bit attempt
+*epoch* — sits between the base header and the payload of every DATA
+and ACK datagram.  Decoding verifies both: a foreign transfer id
+raises :class:`SessionMismatchError`, a non-current epoch raises
 :class:`StaleEpochError`, so a zombie endpoint from a crashed attempt
 can never land bytes (or acknowledgement bits) in a resumed session.
-When checksumming is also on, the CRC trailer covers the extension.
 
 The simulator's :class:`~repro.core.packets.DataPacket` /
-:class:`~repro.core.packets.AckPacket` header-size constants are kept
-consistent with the plain layouts (12 and 16 bytes); the 4-byte
-trailer and the 12-byte session extension are accounted only by the
-real-socket backend.
+:class:`~repro.core.packets.AckPacket` header-size constants are the
+paper's base headers (12 and 16 bytes); the 4-byte trailer and the
+12-byte session extension are accounted only by the real-socket
+backend.
 """
 
 from __future__ import annotations
@@ -55,6 +54,10 @@ _DATA_HDR = struct.Struct("!IIi")
 _ACK_HDR = struct.Struct("!IIII")
 _CRC = struct.Struct("!I")
 _SESSION_EXT = struct.Struct("!QI")
+# The session extension rides right behind the base header, so one
+# struct covers both.
+_DATA_SESSION_HDR = struct.Struct("!IIiQI")
+_ACK_SESSION_HDR = struct.Struct("!IIIIQI")
 #: Bytes added to a data packet by the checksum trailer.
 CHECKSUM_TRAILER_BYTES = _CRC.size
 #: Bytes added to DATA/ACK datagrams by the session extension.
@@ -68,12 +71,11 @@ MAX_DATAGRAM_BYTES = 65507
 # TCP control frames: header structs (every one opens with its magic)
 # and magics.  The table that frames them is CONTROL_FRAMES below.
 _MAGIC = struct.Struct("!I")
-# magic, filesize, packet_size, ack_port, flags, crc32(object)
+# The v1 offer (magic, filesize, packet_size, ack_port, flags,
+# crc32(object)): decoded only to be refused.
 _OFFER = struct.Struct("!IQIIII")
-# v2 appends: transfer_id (u64), attempt epoch (u32)
+# The offer: v1's fields, then transfer_id (u64), attempt epoch (u32)
 _OFFER2 = struct.Struct("!IQIIIIQI")
-# magic, data_port, reserved
-_ACCEPT = struct.Struct("!III")
 # magic, transfer_id, epoch, data_port, npackets, crc32(packed bitmap);
 # the packed bitmap follows.
 _RESUME_HDR = struct.Struct("!IQIIII")
@@ -88,7 +90,6 @@ _FETCH_HDR = struct.Struct("!IIIQIH")
 _SERVER_REPLY = struct.Struct("!III")
 OFFER_MAGIC = 0xF0B50FFE
 OFFER2_MAGIC = 0xF0B50FF2
-ACCEPT_MAGIC = 0xF0B5ACC0
 RESUME_MAGIC = 0xF0B5BE5A
 VERIFY_MAGIC = 0xF0B5E51F
 COMPLETION_MAGIC = 0xF0B5D011
@@ -157,21 +158,18 @@ def encode_data(
     packet: DataPacket,
     payload: bytes,
     checksum: bool = False,
-    session: Optional[SessionContext] = None,
+    *,
+    session: SessionContext,
 ) -> bytes:
-    """Serialize a data packet header plus its payload slice.
-
-    With ``session``, the transfer id and attempt epoch are inserted
-    between header and payload (the resumable-session extension).
-    """
+    """Serialize a data packet: header, the ``session`` extension (its
+    transfer id and attempt epoch), then the payload slice."""
     if len(payload) != packet.payload_bytes:
         raise ValueError(
             f"payload length {len(payload)} != declared {packet.payload_bytes}"
         )
-    datagram = _DATA_HDR.pack(packet.seq, packet.total, packet.transmission)
-    if session is not None:
-        datagram += _SESSION_EXT.pack(session.transfer_id, session.epoch)
-    datagram += payload
+    datagram = _DATA_SESSION_HDR.pack(
+        packet.seq, packet.total, packet.transmission,
+        session.transfer_id, session.epoch) + payload
     if checksum:
         datagram += _CRC.pack(zlib.crc32(datagram))
     return datagram
@@ -180,13 +178,14 @@ def encode_data(
 def decode_data(
     datagram: bytes,
     checksum: bool = False,
-    session: Optional[SessionContext] = None,
+    *,
+    session: SessionContext,
 ) -> tuple[DataPacket, bytes]:
     """Parse a data datagram; returns (header, payload bytes).
 
     With ``checksum`` set, verifies and strips the CRC32 trailer,
-    raising :class:`ChecksumError` on mismatch.  With ``session`` set,
-    verifies the transfer id and attempt epoch — raising
+    raising :class:`ChecksumError` on mismatch.  Then verifies the
+    transfer id and attempt epoch against ``session`` — raising
     :class:`SessionMismatchError` / :class:`StaleEpochError` — *after*
     the CRC check, so a corrupted extension reads as corruption, not as
     a stale datagram.
@@ -202,12 +201,8 @@ def decode_data(
             raise ChecksumError("data packet failed CRC32 verification")
         datagram = body
     seq, total, transmission = _DATA_HDR.unpack_from(datagram)
-    offset = _DATA_HDR.size
-    epoch = 0
-    if session is not None:
-        epoch = _check_session(datagram, offset, session, "data")
-        offset += SESSION_EXT_BYTES
-    payload = datagram[offset:]
+    epoch = _check_session(datagram, _DATA_HDR.size, session, "data")
+    payload = datagram[_DATA_SESSION_HDR.size:]
     if not payload:
         raise ValueError("data packet with empty payload")
     pkt = DataPacket(
@@ -217,18 +212,14 @@ def decode_data(
     return pkt, payload
 
 
-# The session extension rides right behind the base header, so one
-# struct covers both when a session is negotiated.
-_DATA_SESSION_HDR = struct.Struct("!IIiQI")
-
-
 def encode_data_burst(
     seqs: "list[int]",
     transmissions: "list[int]",
     total: int,
     payloads: "list",
     checksum: bool = False,
-    session: Optional[SessionContext] = None,
+    *,
+    session: SessionContext,
 ) -> list[memoryview]:
     """Serialize a whole batch of DATA datagrams into one buffer.
 
@@ -237,7 +228,7 @@ def encode_data_burst(
     ``payloads[i]`` — so the send path builds no object per datagram.
     Byte-identical to calling :func:`encode_data` per packet — the
     burst equivalence property the hypothesis suite pins — but with one
-    allocation for the batch: each header (and session extension) is
+    allocation for the batch: each header and session extension is
     packed in place, each payload copied once, each CRC32 trailer
     computed over the finished region.  Returns one writable memoryview
     per datagram, all windows into the shared buffer, ready to hand to
@@ -250,12 +241,8 @@ def encode_data_burst(
             f"and {len(payloads)} payloads")
     if n == 0:
         return []
-    if session is not None:
-        pack_into, base = _DATA_SESSION_HDR.pack_into, _DATA_SESSION_HDR.size
-        ext = (session.transfer_id, session.epoch)
-    else:
-        pack_into, base = _DATA_HDR.pack_into, _DATA_HDR.size
-        ext = ()
+    pack_into, base = _DATA_SESSION_HDR.pack_into, _DATA_SESSION_HDR.size
+    tid, epoch = session.transfer_id, session.epoch
     trailer = CHECKSUM_TRAILER_BYTES if checksum else 0
     buf = bytearray((base + trailer) * n + sum(map(len, payloads)))
     mv = memoryview(buf)
@@ -268,7 +255,7 @@ def encode_data_burst(
         end = body + len(payload)
         if end == body:
             raise ValueError("data packet with empty payload")
-        pack_into(buf, start, seq, total, transmission, *ext)
+        pack_into(buf, start, seq, total, transmission, tid, epoch)
         mv[body:end] = payload
         if checksum:
             crc_into(buf, end, crc32(mv[start:end]))
@@ -281,7 +268,8 @@ def encode_data_burst(
 def decode_data_burst(
     datagrams: "list",
     checksum: bool = False,
-    session: Optional[SessionContext] = None,
+    *,
+    session: SessionContext,
 ) -> tuple[list, list]:
     """Parse a batch of DATA datagrams: the receive path's codec.
 
@@ -297,12 +285,8 @@ def decode_data_burst(
     results: list = [None] * len(datagrams)
     errors: list = []
     hdr_size = _DATA_HDR.size
-    if session is not None:
-        unpack_from, base = (_DATA_SESSION_HDR.unpack_from,
-                             _DATA_SESSION_HDR.size)
-        my_tid, my_epoch = session.transfer_id, session.epoch
-    else:
-        unpack_from, base = _DATA_HDR.unpack_from, hdr_size
+    unpack_from, base = _DATA_SESSION_HDR.unpack_from, _DATA_SESSION_HDR.size
+    my_tid, my_epoch = session.transfer_id, session.epoch
     trailer = CHECKSUM_TRAILER_BYTES if checksum else 0
     crc32 = zlib.crc32
     crc_from = _CRC.unpack_from
@@ -319,18 +303,15 @@ def decode_data_burst(
                 if crc32(view[:body_end]) != crc_from(view, body_end)[0]:
                     raise ChecksumError(
                         "data packet failed CRC32 verification")
-            if session is None:
-                seq, total, transmission = unpack_from(view)
-            elif body_end < base:
+            if body_end < base:
                 raise ValueError(
                     "data datagram shorter than session extension")
-            else:
-                seq, total, transmission, tid, epoch = unpack_from(view)
-                if tid != my_tid:
-                    raise SessionMismatchError(
-                        f"data for transfer {tid:#x}, expected {my_tid:#x}")
-                if epoch != my_epoch:
-                    raise StaleEpochError(epoch, my_epoch, "data")
+            seq, total, transmission, tid, epoch = unpack_from(view)
+            if tid != my_tid:
+                raise SessionMismatchError(
+                    f"data for transfer {tid:#x}, expected {my_tid:#x}")
+            if epoch != my_epoch:
+                raise StaleEpochError(epoch, my_epoch, "data")
             if body_end == base:
                 raise ValueError("data packet with empty payload")
             # DataPacket's own range check.
@@ -345,25 +326,25 @@ def decode_data_burst(
 def encode_ack(
     ack: AckPacket,
     checksum: bool = False,
-    session: Optional[SessionContext] = None,
+    *,
+    session: SessionContext,
 ) -> bytes:
-    """Serialize an acknowledgement: header [+ session ext] + bitmap.
+    """Serialize an acknowledgement: header + session ext + bitmap.
 
     The header's fourth word carries the bitmap CRC32 when checksumming
     (zero otherwise, matching the original reserved field).
     """
     packed = np.packbits(np.asarray(ack.bitmap)).tobytes()
     crc = zlib.crc32(packed) if checksum else 0
-    out = _ACK_HDR.pack(ack.ack_id, ack.received_count, ack.npackets, crc)
-    if session is not None:
-        out += _SESSION_EXT.pack(session.transfer_id, session.epoch)
-    return out + packed
+    return _ACK_SESSION_HDR.pack(
+        ack.ack_id, ack.received_count, ack.npackets, crc,
+        session.transfer_id, session.epoch) + packed
 
 
-def check_npackets(npackets: int, session: bool) -> None:
-    """Refuse more packets than the bitmap of one ACK datagram covers:
-    523,832 with the ``session`` extension, 523,928 without."""
-    room = MAX_DATAGRAM_BYTES - _ACK_HDR.size - SESSION_EXT_BYTES * session
+def check_npackets(npackets: int) -> None:
+    """Refuse more packets than the bitmap of one ACK datagram covers
+    (523,832)."""
+    room = MAX_DATAGRAM_BYTES - _ACK_SESSION_HDR.size
     if npackets > room * 8:
         raise ValueError(f"an object of {npackets} packets: one ACK's "
                          f"bitmap covers at most {room * 8}")
@@ -372,17 +353,16 @@ def check_npackets(npackets: int, session: bool) -> None:
 def decode_ack(
     datagram: bytes,
     checksum: bool = False,
-    session: Optional[SessionContext] = None,
+    *,
+    session: SessionContext,
 ) -> AckPacket:
-    """Parse an acknowledgement datagram, verifying the bitmap CRC."""
+    """Parse an acknowledgement datagram, verifying its ``session``
+    extension and the bitmap CRC."""
     if len(datagram) < _ACK_HDR.size:
         raise ValueError("datagram shorter than ack header")
     ack_id, received_count, npackets, crc = _ACK_HDR.unpack_from(datagram)
-    offset = _ACK_HDR.size
-    epoch = 0
-    if session is not None:
-        epoch = _check_session(datagram, offset, session, "ack")
-        offset += SESSION_EXT_BYTES
+    epoch = _check_session(datagram, _ACK_HDR.size, session, "ack")
+    offset = _ACK_SESSION_HDR.size
     packed = np.frombuffer(datagram, dtype=np.uint8, offset=offset)
     expected = -(-npackets // 8)
     if packed.shape[0] < expected:
@@ -405,17 +385,17 @@ def decode_ack(
 #: The receiver adopts whatever the sender offers — the negotiated
 #: fallback for the checksum field in the wire formats.
 FLAG_CHECKSUM = 1
-#: Offer flag bit (v2 offers only): resumable session.  The receiver
-#: journals progress and replies with RESUME instead of ACCEPT.
+#: Offer flag bit, set on every offer: a resumable session.  The
+#: receiver journals progress and replies with RESUME.
 FLAG_RESUME = 2
-#: Offer flag bit (v2 offers only, requires FLAG_RESUME): a VERIFY
-#: frame carrying the per-chunk digest manifest follows the offer on
-#: the control channel (PROTOCOL.md §10).
+#: Offer flag bit: a VERIFY frame carrying the per-chunk digest
+#: manifest follows the offer on the control channel (PROTOCOL.md §10).
 FLAG_VERIFY = 4
 
 #: FETCH flag bit: per-packet CRC32 checksumming requested.
 FETCH_FLAG_CHECKSUM = 1
-#: FETCH flag bit: crash-resumable session (journal + RESUME reply).
+#: FETCH flag bit, set on every FETCH: a resumable session (journal +
+#: RESUME reply).  A FETCH without it is refused, as an offer is.
 FETCH_FLAG_RESUME = 2
 #: FETCH flag bit: per-chunk digest manifest (VERIFY frame) requested.
 FETCH_FLAG_VERIFY = 4
@@ -429,48 +409,40 @@ REJECT_CLIENT_CAP = 4    # this client already holds its per-client cap
 
 @dataclass
 class Offer:
-    """A v1 or v2 OFFER: the data source describes its object and names
-    its UDP acknowledgement port.  Construction checks the geometry, so
-    an ``Offer``, decoded or not, always describes an object FOBS can
-    move: at least one byte, in packets that fit a UDP datagram beside
-    the headers its flags negotiate."""
+    """An OFFER: the data source describes its object, names its UDP
+    acknowledgement port and the session (transfer id, attempt epoch)
+    every datagram will carry.  Construction checks the flags and the
+    geometry, so an ``Offer``, decoded or not, always opens a resumable
+    session of an object FOBS can move: at least one byte, in packets
+    that fit a UDP datagram beside the headers."""
 
     filesize: int
     packet_size: int
     ack_port: int
     flags: int
     crc: int
-    transfer_id: int = 0
-    epoch: int = 0
+    transfer_id: int
+    epoch: int
 
     def __post_init__(self) -> None:
-        room = (MAX_DATAGRAM_BYTES - _DATA_HDR.size
-                - SESSION_EXT_BYTES * self.resumable
+        if not self.flags & FLAG_RESUME:
+            raise ValueError("offer without FLAG_RESUME refused: every "
+                             "transfer is a resumable session")
+        room = (MAX_DATAGRAM_BYTES - _DATA_SESSION_HDR.size
                 - CHECKSUM_TRAILER_BYTES * bool(self.flags & FLAG_CHECKSUM))
         if self.filesize < 1 or not 1 <= self.packet_size <= room:
             raise ValueError(f"offer of {self.filesize} bytes in packets of "
                              f"{self.packet_size} (1..{room}) is no object")
-        check_npackets(self.npackets, self.resumable)
-
-    @property
-    def resumable(self) -> bool:
-        return bool(self.flags & FLAG_RESUME)
+        check_npackets(self.npackets)
 
     @property
     def verify(self) -> bool:
         """A VERIFY frame (digest manifest) follows this offer."""
-        return self.resumable and bool(self.flags & FLAG_VERIFY)
+        return bool(self.flags & FLAG_VERIFY)
 
     @property
     def npackets(self) -> int:
         return -(-self.filesize // self.packet_size)
-
-
-@dataclass(frozen=True)
-class Accept:
-    """The receiver's reply to a non-resumable offer: its UDP data port."""
-
-    data_port: int
 
 
 @dataclass(frozen=True)
@@ -532,9 +504,10 @@ class FetchRequest:
     client_nonce: int = 0
     rate_cap_bps: int = 0
 
-    @property
-    def resumable(self) -> bool:
-        return bool(self.flags & FETCH_FLAG_RESUME)
+    def __post_init__(self) -> None:
+        if not self.flags & FETCH_FLAG_RESUME:
+            raise ValueError("FETCH without FETCH_FLAG_RESUME refused: "
+                             "every transfer is a resumable session")
 
     @property
     def checksum(self) -> bool:
@@ -560,18 +533,10 @@ class Reject:
 
 
 def encode_offer(offer: Offer) -> bytes:
-    """Serialize an offer (v2 iff it carries the resume flag)."""
-    if offer.resumable:
-        return _OFFER2.pack(OFFER2_MAGIC, offer.filesize, offer.packet_size,
-                            offer.ack_port, offer.flags, offer.crc,
-                            offer.transfer_id, offer.epoch)
-    return _OFFER.pack(OFFER_MAGIC, offer.filesize, offer.packet_size,
-                       offer.ack_port, offer.flags, offer.crc)
-
-
-def encode_accept(data_port: int) -> bytes:
-    """Serialize the ACCEPT reply (receiver → sender)."""
-    return _ACCEPT.pack(ACCEPT_MAGIC, data_port, 0)
+    """Serialize an offer (the OFFER2 frame)."""
+    return _OFFER2.pack(OFFER2_MAGIC, offer.filesize, offer.packet_size,
+                        offer.ack_port, offer.flags, offer.crc,
+                        offer.transfer_id, offer.epoch)
 
 
 def encode_resume(
@@ -664,6 +629,11 @@ def _resume(fields: tuple, packed: bytes) -> ResumeInfo:
                       bitmap=bits)
 
 
+def _refuse_v1_offer(fields: tuple, _body: bytes):
+    raise ValueError("v1 OFFER refused: its datagrams would carry no "
+                     "session extension")
+
+
 def _fetch(fields: tuple, name: bytes) -> FetchRequest:
     _magic, flags, epoch, nonce, cap_kbps, _name_len = fields
     return FetchRequest(name=name.decode("utf-8"), flags=flags, epoch=epoch,
@@ -688,10 +658,10 @@ class FrameSpec:
 
 #: Every frame of the TCP control connection (PROTOCOL.md §3.3 renders
 #: this table; ``tests/test_wire_control.py`` holds the two together).
+#: The v1 OFFER is decoded only to be refused by name.
 CONTROL_FRAMES = (
-    FrameSpec("OFFER", OFFER_MAGIC, _OFFER, lambda f, _: Offer(*f[1:])),
+    FrameSpec("OFFER", OFFER_MAGIC, _OFFER, _refuse_v1_offer),
     FrameSpec("OFFER2", OFFER2_MAGIC, _OFFER2, lambda f, _: Offer(*f[1:])),
-    FrameSpec("ACCEPT", ACCEPT_MAGIC, _ACCEPT, lambda f, _: Accept(f[1])),
     FrameSpec("RESUME", RESUME_MAGIC, _RESUME_HDR, _resume, _resume_body),
     FrameSpec("VERIFY", VERIFY_MAGIC, _VERIFY_HDR,
               lambda _, body: Verify(body), _verify_body),
@@ -711,11 +681,12 @@ class ControlDecoder:
 
     :meth:`feed` it whatever the stream yields, in any pieces;
     :meth:`next_frame` returns the next whole frame as its typed result
-    (:class:`Offer`, :class:`Accept`, :class:`ResumeInfo`,
-    :class:`Verify`, :class:`Completion`, :class:`FetchRequest`,
-    :class:`Queued`, :class:`Reject`), None while it is incomplete, and
-    raises ``ValueError`` for what is no frame: an unknown magic, an
-    offer that cannot be an object, a body that fails its check, a
+    (:class:`Offer`, :class:`ResumeInfo`, :class:`Verify`,
+    :class:`Completion`, :class:`FetchRequest`, :class:`Queued`,
+    :class:`Reject`), None while it is incomplete, and raises
+    ``ValueError`` for what is no frame: an unknown magic, a v1 offer or
+    one without ``FLAG_RESUME``, an offer that cannot be an object, a
+    body that fails its check, a
     RESUME or VERIFY sized for another object than the negotiated
     ``npackets`` — refused on the header, before the declared body is
     waited for.  An endpoint that *sent* the offer passes ``npackets``

@@ -8,9 +8,10 @@ machine)::
     repro fetch big.dat --host 10.0.0.1 --port 9900 --output big.dat \
         --max-attempts 3
 
-Move one file between two processes (receiver first; ``--resume`` and
-``--max-attempts N`` on both ends make the session crash-resumable), or
-smoke-test the host's UDP path in one process::
+Move one file between two processes (receiver first; every session is
+crash-resumable, and ``--max-attempts N`` on both ends retries it from
+the receiver's journal), or smoke-test the host's UDP path in one
+process::
 
     repro recv --port 9000 --output incoming.bin
     repro send big.dat --host 127.0.0.1 --port 9000
@@ -86,12 +87,13 @@ def _add_hardening_flags(sub: argparse.ArgumentParser) -> None:
              "diagnosis")
     sub.add_argument(
         "--no-checksum", action="store_true",
-        help="disable per-packet CRC32 (byte-identical legacy wire "
-             "format; corrupted payloads go undetected)")
+        help="disable per-packet CRC32 (corrupted payloads go "
+             "undetected)")
     sub.add_argument(
         "--resume", action="store_true",
-        help="negotiate a crash-resumable session (journal + RESUME "
-             "handshake)")
+        help="every session is resumable; this selects no wire format. "
+             "send: a failed attempt is reported, not raised; recv: keep "
+             "listening for a second attempt")
     sub.add_argument(
         "--max-attempts", type=int, default=1, metavar="N",
         help="retry/re-listen budget; >1 implies --resume")

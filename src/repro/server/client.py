@@ -1,7 +1,7 @@
 """Fetch client for the multi-transfer daemon (``repro fetch``).
 
 Sends a FETCH request, rides out QUEUED replies, and — once the server
-answers with a v2 offer — becomes an ordinary resumable receiver: the
+answers with an offer — becomes an ordinary resumable receiver: the
 whole data plane (RESUME reply, journal, ``.part`` reassembly, CRC
 verification, completion signal) is
 :func:`repro.runtime.files.receive_offer`, exactly the code path a push

@@ -4,7 +4,7 @@ One process serves many concurrent FOBS transfers, as one endpoint of
 :func:`repro.runtime.transfer.run_endpoints` (:meth:`ObjectServer.endpoint`):
 
 * each turn accepts on the TCP control listener, drains **one shared
-  UDP data socket** — all fetch DATA out, all fetch ACKs in, all v2 push
+  UDP data socket** — all fetch DATA out, all fetch ACKs in, all push
   DATA in, routed to their transfer by the session extension
   (:func:`repro.runtime.wire.peek_session` +
   :class:`repro.server.registry.TransferRegistry`) — pumps every send
@@ -24,7 +24,7 @@ One process serves many concurrent FOBS transfers, as one endpoint of
 
 Fetch protocol (client pulls; PROTOCOL.md §9): the client sends FETCH
 (name, flags, attempt epoch, client nonce, rate cap); the server
-replies QUEUED/REJECT or a v2 OFFER whose transfer id is the
+replies QUEUED/REJECT or an OFFER whose transfer id is the
 content-addressed id XOR the client's nonce — so two clients fetching
 the same object get disjoint sessions, while one client's retries (and
 its receiver journal) see a stable id.  From the OFFER on, the exchange
@@ -32,13 +32,13 @@ its receiver journal) see a stable id.  From the OFFER on, the exchange
 data port and journal bitmap, DATA flows out of the shared socket,
 bitmap ACKs flow back into it, and the TCP completion signal finishes.
 
-Push compatibility: a vanilla :func:`repro.runtime.files.send_file`
-client can connect and offer a file.  v2 (resumable) pushes share the
-UDP socket via their session extension; v1 pushes get a dedicated
-per-transfer socket (their datagrams carry nothing to demux on).  A
-queued push simply waits — the delayed ACCEPT/RESUME is transparent to
-the vanilla client; a rejected push sees its connection closed and its
-supervisor retries with backoff.
+Push: a vanilla :func:`repro.runtime.files.send_file` client can
+connect and offer a file.  Its datagrams share the UDP socket, routed
+by their session extension like a fetch's; an offer that is not a
+resumable session (a v1 OFFER, or one without ``FLAG_RESUME``) is
+refused on decode.  A queued push simply waits — the delayed RESUME
+is transparent to the vanilla client; a rejected push sees its
+connection closed and its supervisor retries with backoff.
 
 The protocol loops are :mod:`repro.runtime.driver`'s: the pump calls
 each send entry's ``step(now)`` and the turn yields the smallest wakeup
@@ -54,7 +54,6 @@ import socket
 import time
 import zlib
 from dataclasses import replace
-from functools import partial
 from typing import TYPE_CHECKING, Generator, Iterator, Optional, TextIO
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -158,8 +157,8 @@ class _RecvEntry:
 
     kind = RECEIVING
     __slots__ = ("key", "driver", "receiver", "part", "offer",
-                 "transfer_id", "epoch", "name", "client", "sock",
-                 "started_at", "ok")
+                 "transfer_id", "epoch", "name", "client", "started_at",
+                 "ok")
 
     def __init__(self, key, driver, part, client, offer, name):
         self.key = key
@@ -170,7 +169,6 @@ class _RecvEntry:
         self.transfer_id, self.epoch = offer.transfer_id, offer.epoch
         self.name = name
         self.client = client
-        self.sock: Optional[socket.socket] = None  # dedicated (v1) only
         self.started_at = 0.0
         self.ok: Optional[bool] = None
 
@@ -246,7 +244,6 @@ class ObjectServer:
         self._recv_entries: dict[object, _RecvEntry] = {}
         #: Queued request key -> its connection, until it sees it admitted.
         self._waiting_conns: dict[object, Endpoint] = {}
-        self._anon_pushes = 0
         self._completed = 0
         self._failed = 0
         self._rejected_other = 0   # NOT_FOUND + queue drained
@@ -368,10 +365,6 @@ class ObjectServer:
                     self._conns.append(conn)
                 drain(self._udp, self._route_train, now, self._rxbuf,
                       _PUMP_QUANTUM)
-                for entry in list(self._recv_entries.values()):
-                    if entry.sock is not None:
-                        drain(entry.sock, partial(self._on_push_data, entry),
-                              now, self._rxbuf, _PUMP_QUANTUM)
                 wait = self._pump(now)
                 if now >= next_sweep:  # receiver liveness
                     next_sweep = now + 0.5
@@ -390,8 +383,6 @@ class ObjectServer:
                     reads += conn.reads
                     writes += conn.writes
                 self._conns = conns
-                reads += [entry.sock for entry in self._recv_entries.values()
-                          if entry.sock is not None]
                 end.reads, end.writes = reads, writes
                 if self._snapshot_sink is not None:
                     self._snapshot_sink.maybe_emit(now)
@@ -522,18 +513,19 @@ class ObjectServer:
         except OSError:
             pass
 
-    def _request(self, key, name: str, client: str) -> AdmissionDecision:
-        """Put a request, now known as ``key``, to admission control."""
-        if isinstance(key, int):
-            # A retry of a crashed attempt re-uses the transfer id; the
-            # old attempt (if its death went unnoticed) is superseded,
-            # running or still waiting.
-            prior = self.registry.get(key)
-            if prior is not None:
-                self._finish(prior.entry, ok=False,
-                             reason="superseded by a newer attempt")
-            if self._waiting_conns.pop(key, None) is not None:
-                self.admission.cancel(key)
+    def _request(self, key: int, name: str,
+                 client: str) -> AdmissionDecision:
+        """Put a request, now known by its transfer id ``key``, to
+        admission control."""
+        # A retry of a crashed attempt re-uses the transfer id; the old
+        # attempt (if its death went unnoticed) is superseded, running
+        # or still waiting.
+        prior = self.registry.get(key)
+        if prior is not None:
+            self._finish(prior.entry, ok=False,
+                         reason="superseded by a newer attempt")
+        if self._waiting_conns.pop(key, None) is not None:
+            self.admission.cancel(key)
         decision = self.admission.request(key, client=client)
         self._emit_admission(key, name, client, decision.action,
                              reason=decision.reason or "",
@@ -547,7 +539,7 @@ class ObjectServer:
         """A request admission did not start at once: refused, or queued
         until admitted (True), drained, superseded or gone.  Only a
         fetch client is told (a vanilla sender does not speak QUEUED or
-        REJECT: it waits longer for its ACCEPT/RESUME, or sees a close)."""
+        REJECT: it waits longer for its RESUME, or sees a close)."""
         if decision.action != QUEUE:
             if fetch:
                 yield from self._tell(end, sock, wire.encode_reject(
@@ -584,14 +576,13 @@ class ObjectServer:
     # ------------------------------------------------------------------
     # Telemetry
     # ------------------------------------------------------------------
-    def _emit_admission(self, key, name: str, client: str, action: str,
+    def _emit_admission(self, key: int, name: str, client: str, action: str,
                         reason: str = "", position: int = 0) -> None:
         """Publish one admission decision (admit/queue/reject)."""
         if self.telemetry is None:
             return
-        tid = key if isinstance(key, int) else 0
         self._server_tel.emit(
-            EV_ADMISSION, tid_hint=tid, name=name, client=client,
+            EV_ADMISSION, tid_hint=key, name=name, client=client,
             action=action, reason=reason, position=position,
             active=len(self.admission.active),
             queued=len(self.admission.waiting))
@@ -629,7 +620,7 @@ class ObjectServer:
             yield from self._tell(end, sock, _NOT_FOUND)
             return None
         try:
-            wire.check_npackets(self.config.npackets(len(data)), True)
+            wire.check_npackets(self.config.npackets(len(data)))
         except ValueError as exc:
             self._failed += 1
             self.history.append((req.name, "send", client, False, str(exc)))
@@ -701,7 +692,7 @@ class ObjectServer:
                     decoder: wire.ControlDecoder, client: str,
                     offer: wire.Offer, deadline: float
                     ) -> Generator[float, None, Optional[tuple]]:
-        """An OFFER up to its transfer; the entry and its ACCEPT/RESUME."""
+        """An OFFER up to its transfer; the entry and its RESUME."""
         manifest = None
         if offer.verify:
             # A VERIFY frame (digest manifest) follows the offer; hold
@@ -712,50 +703,32 @@ class ObjectServer:
                                                  deadline)),
                              wire.Verify, "await_verify")
             manifest = files.manifest_for(verify.manifest, offer)
-        if offer.resumable:
-            key = offer.transfer_id
-        else:
-            self._anon_pushes += 1
-            key = ("push-v1", self._anon_pushes)
+        key = offer.transfer_id
         decision = self._request(key, "push", client)
         if decision.action != ADMIT and not (yield from self._await_slot(
                 end, sock, decoder, key, decision, deadline, fetch=False)):
             return None
         return self._begin_push_recv(offer, key, manifest, client)
 
-    def _begin_push_recv(self, offer: wire.Offer, key,
+    def _begin_push_recv(self, offer: wire.Offer, key: int,
                          manifest: Optional[ChunkManifest],
                          client: str) -> Optional[tuple[_RecvEntry, bytes]]:
         """Start the push ``offer`` made, now that it holds a slot."""
         config = files.attempt_config_for(offer, self.config)
-        name = (f"push-{offer.transfer_id:016x}.bin" if offer.resumable
-                else f"push-anon-{key[1]}.bin")
+        name = f"push-{offer.transfer_id:016x}.bin"
         channel = self._transfer_channel(offer.transfer_id, offer.epoch)
         part = PartFile(
             os.path.join(self.root, name), offer.filesize,
-            offer.packet_size, offer.crc,
-            transfer_id=offer.transfer_id if offer.resumable else None,
+            offer.packet_size, offer.crc, offer.transfer_id,
             manifest=manifest, opener=self.opener, channel=channel)
         if part.fault is not None:
             self._failed += 1
             self.history.append((name, "recv", client, False, part.fault))
             self._release_and_promote(key)
             return None
-        sock = None
-        data_port = self.udp_port
-        if not offer.resumable:
-            # v1 datagrams carry no session extension to demux on: give
-            # the transfer its own socket.
-            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 1 << 20)
-            accept_trains(sock)
-            sock.bind((self.bind, 0))
-            sock.setblocking(False)
-            data_port = sock.getsockname()[1]
-        driver, reply = files.accept_offer(offer, config, part, data_port,
+        driver, reply = files.accept_offer(offer, config, part, self.udp_port,
                                            self.telemetry)
         entry = _RecvEntry(key, driver, part, client, offer, name)
-        entry.sock = sock
         channel.emit(
             EV_TRANSFER_START, nbytes=offer.filesize,
             npackets=entry.receiver.npackets, packet_size=offer.packet_size,
@@ -763,9 +736,8 @@ class ObjectServer:
             role="receiver", name=name, client=client)
         entry.started_at = time.monotonic()
         self._recv_entries[key] = entry
-        if sock is None:
-            self.registry.add(RegisteredTransfer(
-                offer.transfer_id, offer.epoch, RECEIVING, entry))
+        self.registry.add(RegisteredTransfer(
+            offer.transfer_id, offer.epoch, RECEIVING, entry))
         return entry, reply
 
     # ------------------------------------------------------------------
@@ -847,10 +819,9 @@ class ObjectServer:
             # supervisor re-offers through admission.
             self._finish(entry, ok=False, reason=entry.driver.fault)
             return
-        sock = entry.sock if entry.sock is not None else self._udp
         for ack in acks:
             try:
-                sock.sendto(ack, (entry.client, entry.offer.ack_port))
+                self._udp.sendto(ack, (entry.client, entry.offer.ack_port))
             except OSError:
                 pass
         if entry.receiver.complete:
@@ -950,10 +921,8 @@ class ObjectServer:
 
     def _close_push(self, entry: _RecvEntry, ok: bool,
                     reason: Optional[str]) -> tuple[bool, Optional[str]]:
-        """Release a push's socket and part file; a complete one is
-        audited and published first, which has the last word on ``ok``."""
-        if entry.sock is not None:
-            entry.sock.close()
+        """Release a push's part file; a complete one is audited and
+        published first, which has the last word on ``ok``."""
         if ok:
             # Verify-on-complete: per-chunk digests when the client
             # sent a manifest, whole-object CRC32 fallback otherwise;

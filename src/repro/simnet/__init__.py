@@ -50,7 +50,6 @@ from repro.simnet.faults import (
 )
 from repro.simnet.trace import Tracer, TraceRecord
 from repro.simnet.monitor import Monitor, Series
-from repro.simnet.graph import MeshNetwork, PairView, abilene_like
 from repro.simnet.process import Event, Process
 
 __all__ = [
@@ -107,9 +106,6 @@ __all__ = [
     "TraceRecord",
     "Monitor",
     "Series",
-    "MeshNetwork",
-    "PairView",
-    "abilene_like",
     "Process",
     "Event",
 ]

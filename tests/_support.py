@@ -168,18 +168,20 @@ class DribbleSocket:
         self._sock.close()
 
 
+#: The session the codec tests frame their datagrams with.
+SESSION = wire.SessionContext(0x5E55)
+
+
 def raw_offer(filesize: int, packet_size: int, flags: int = 0,
               transfer_id: int = 0x5EED, epoch: int = 0) -> bytes:
-    """OFFER bytes packed by hand (v2 iff the resume bit is set), so a
+    """OFFER bytes packed by hand (``FLAG_RESUME`` always set), so a
     test can put on the wire what ``wire.Offer`` refuses to construct."""
-    fields = (filesize, packet_size, 40001, flags, 0)
-    if flags & 2:
-        return struct.pack("!IQIIIIQI", 0xF0B50FF2, *fields, transfer_id,
-                           epoch)
-    return struct.pack("!IQIIII", 0xF0B50FFE, *fields)
+    return struct.pack("!IQIIIIQI", wire.OFFER2_MAGIC, filesize,
+                       packet_size, 40001, flags | wire.FLAG_RESUME, 0,
+                       transfer_id, epoch)
 
 
-def encode_burst(packets, payloads, checksum=False, session=None):
+def encode_burst(packets, payloads, checksum=False, session=SESSION):
     """``wire.encode_data_burst`` for a list of ``DataPacket``s: the
     adapter the packet-object tests reach the column codec through."""
     for pkt, payload in zip(packets, payloads):
@@ -189,14 +191,16 @@ def encode_burst(packets, payloads, checksum=False, session=None):
     return wire.encode_data_burst(
         [pkt.seq for pkt in packets],
         [pkt.transmission for pkt in packets],
-        packets[0].total if packets else 0, payloads, checksum, session)
+        packets[0].total if packets else 0, payloads, checksum,
+        session=session)
 
 
-def decode_burst(datagrams, checksum=False, session=None):
+def decode_burst(datagrams, checksum=False, session=SESSION):
     """``wire.decode_data_burst`` with each result tuple made the
     ``(DataPacket, payload)`` pair ``wire.decode_data`` returns."""
-    results, errors = wire.decode_data_burst(datagrams, checksum, session)
-    epoch = session.epoch if session is not None else 0
+    results, errors = wire.decode_data_burst(datagrams, checksum,
+                                             session=session)
     return [result and (DataPacket.unchecked(
-        result[0], result[1], len(result[3]), result[2], epoch), result[3])
+        result[0], result[1], len(result[3]), result[2], session.epoch),
+        result[3])
         for result in results], errors

@@ -49,8 +49,3 @@ class TestExamples:
         out = run_example("congestion_fallback.py")
         assert "greedy" in out
         assert "tcp_switch" in out
-
-    def test_multi_site_grid(self):
-        out = run_example("multi_site_grid.py")
-        assert "anl->lcse" in out
-        assert "utilization" in out

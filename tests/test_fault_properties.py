@@ -23,7 +23,7 @@ from repro.core.session import FobsTransfer
 from repro.runtime import wire
 from repro.simnet import FaultSchedule, Tracer, install_faults
 
-from _support import tiny_path
+from _support import SESSION, tiny_path
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -101,8 +101,8 @@ class TestWireProperties:
     def test_data_round_trip(self, payload, seq, transmission):
         pkt = DataPacket(seq=seq, total=seq + 1, payload_bytes=len(payload),
                          transmission=transmission)
-        datagram = wire.encode_data(pkt, payload, checksum=True)
-        decoded, out = wire.decode_data(datagram, checksum=True)
+        datagram = wire.encode_data(pkt, payload, checksum=True, session=SESSION)
+        decoded, out = wire.decode_data(datagram, checksum=True, session=SESSION)
         assert out == payload
         assert (decoded.seq, decoded.transmission) == (seq, transmission)
 
@@ -113,12 +113,12 @@ class TestWireProperties:
         """Any single-byte flip anywhere in a checksummed data datagram
         raises ChecksumError — silent payload corruption is impossible."""
         pkt = DataPacket(seq=3, total=10, payload_bytes=len(payload))
-        datagram = bytearray(wire.encode_data(pkt, payload, checksum=True))
+        datagram = bytearray(wire.encode_data(pkt, payload, checksum=True, session=SESSION))
         pos = flip % len(datagram)
         delta = data.draw(st.integers(1, 255))
         datagram[pos] ^= delta
         with pytest.raises(wire.ChecksumError):
-            wire.decode_data(bytes(datagram), checksum=True)
+            wire.decode_data(bytes(datagram), checksum=True, session=SESSION)
 
     @settings(max_examples=50, deadline=None)
     @given(bits=st.lists(st.booleans(), min_size=1, max_size=400),
@@ -127,8 +127,9 @@ class TestWireProperties:
         bitmap = np.asarray(bits, dtype=np.bool_)
         ack = AckPacket(ack_id=ack_id, received_count=int(bitmap.sum()),
                         bitmap=bitmap)
-        decoded = wire.decode_ack(wire.encode_ack(ack, checksum=True),
-                                  checksum=True)
+        decoded = wire.decode_ack(
+            wire.encode_ack(ack, checksum=True, session=SESSION),
+            checksum=True, session=SESSION)
         assert decoded.ack_id == ack_id
         assert np.array_equal(decoded.bitmap, bitmap)
 
@@ -141,12 +142,13 @@ class TestWireProperties:
         bitmap = np.asarray(bits, dtype=np.bool_)
         ack = AckPacket(ack_id=7, received_count=int(bitmap.sum()),
                         bitmap=bitmap)
-        datagram = bytearray(wire.encode_ack(ack, checksum=True))
+        datagram = bytearray(wire.encode_ack(ack, checksum=True, session=SESSION))
         pos = flip % len(datagram)
         delta = data.draw(st.integers(1, 255))
         datagram[pos] ^= delta
         try:
-            decoded = wire.decode_ack(bytes(datagram), checksum=True)
+            decoded = wire.decode_ack(bytes(datagram), checksum=True,
+                                      session=SESSION)
         except ValueError:
             return  # detected (ChecksumError is a ValueError)
         # A flip in the uncovered header words may survive, but it can
@@ -158,15 +160,16 @@ class TestWireProperties:
         assert not decoded.bitmap[n:].any()
 
     def test_fallback_format_is_byte_identical(self):
-        """checksum=False reproduces the original wire format exactly."""
+        """checksum=False is the checksummed format without its trailer,
+        and with the ACK's CRC word (the original reserved one) zero."""
         pkt = DataPacket(seq=1, total=4, payload_bytes=3)
-        plain = wire.encode_data(pkt, b"abc", checksum=False)
-        summed = wire.encode_data(pkt, b"abc", checksum=True)
+        plain = wire.encode_data(pkt, b"abc", checksum=False, session=SESSION)
+        summed = wire.encode_data(pkt, b"abc", checksum=True, session=SESSION)
         assert summed[:-wire.CHECKSUM_TRAILER_BYTES] == plain
         bitmap = np.asarray([True, False, True, False])
         ack = AckPacket(ack_id=0, received_count=2, bitmap=bitmap)
-        plain_ack = wire.encode_ack(ack, checksum=False)
-        summed_ack = wire.encode_ack(ack, checksum=True)
+        plain_ack = wire.encode_ack(ack, checksum=False, session=SESSION)
+        summed_ack = wire.encode_ack(ack, checksum=True, session=SESSION)
         # Only the formerly reserved fourth header word differs.
         assert plain_ack[:12] == summed_ack[:12]
         assert plain_ack[16:] == summed_ack[16:]

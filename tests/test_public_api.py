@@ -1,6 +1,10 @@
 """Public-API stability tests: the names README/docs promise exist."""
 
 import importlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -108,6 +112,18 @@ class TestConsoleScripts:
         from repro.server.cli import main
 
         assert callable(main)
+
+    def test_import_and_list_need_no_undeclared_package(self):
+        """``pyproject.toml`` declares numpy alone, so ``import repro``
+        and ``repro list`` run where networkx cannot be imported."""
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys; sys.modules['networkx'] = None; import repro; "
+                "from repro.server.cli import main; sys.exit(main(['list']))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        assert "figure1" in proc.stdout
 
     @pytest.mark.parametrize("script, argv, advertised", [
         ("repro.server.cli", [], ("stats", "timeline")),

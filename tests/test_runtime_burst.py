@@ -35,8 +35,7 @@ from repro.runtime.transfer import (
 
 PSIZE = 16
 SESSION = wire.SessionContext(transfer_id=0xF0B5, epoch=3)
-VARIANTS = [(checksum, session) for checksum in (False, True)
-            for session in (None, SESSION)]
+VARIANTS = [(checksum, SESSION) for checksum in (False, True)]
 
 
 # ----------------------------------------------------------------------
@@ -59,8 +58,7 @@ class Endpoint:
         self.written: dict = {}
         self.fault = None
         self.receiver = FobsReceiver(
-            config, len(self.store), journal=self,
-            epoch=session.epoch if session is not None else 0)
+            config, len(self.store), journal=self, epoch=session.epoch)
 
     def record(self, seq: int) -> None:
         chunk = bytes(self.store[seq * PSIZE:(seq + 1) * PSIZE])
@@ -167,7 +165,7 @@ def _encode(seq, total, payload, checksum, session) -> bytes:
     """``wire.encode_data`` minus DataPacket's range check, so a train
     can carry ``seq >= total``."""
     pkt = DataPacket.unchecked(seq, total, len(payload), 0, 0)
-    return wire.encode_data(pkt, payload, checksum, session)
+    return wire.encode_data(pkt, payload, checksum, session=session)
 
 
 @settings(max_examples=200, deadline=None)
@@ -378,7 +376,8 @@ def test_a_full_socket_stops_at_a_run_boundary_and_the_tail_follows():
     data = bytes(range(256)) * 5                     # 80 packets of 16
     sock = FakeSocket(refuse=[None, BlockingIOError()])
     sender = FobsSender(config, len(data), rng=np.random.default_rng(0))
-    driver = SendDriver(sender, data, BurstSend(sock, ("127.0.0.1", 9)))
+    driver = SendDriver(sender, data, BurstSend(sock, ("127.0.0.1", 9)),
+                        SESSION)
     assert driver.step(0.0) == IDLE_WAIT             # 64 out, 6 kept
     assert sock.runs == [64] and sock.sendmsg_calls == 2
     # EAGAIN is not a refusal: the driver's tail goes out first, still
@@ -386,7 +385,8 @@ def test_a_full_socket_stops_at_a_run_boundary_and_the_tail_follows():
     driver.step(0.01)
     assert sock.runs[:2] == [64, 6]
     assert {how for how, _d in sock.wire} == {"sendmsg"}
-    seqs = [wire.decode_data(d, checksum=True)[0].seq for _h, d in sock.wire]
+    seqs = [wire.decode_data(d, checksum=True, session=SESSION)[0].seq
+            for _h, d in sock.wire]
     assert seqs[:70] == list(range(70))
 
 

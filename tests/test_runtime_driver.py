@@ -41,6 +41,8 @@ from repro.runtime.transfer import MAX_WAIT, Endpoint, run_endpoints
 from repro.simnet.faults import KillSwitch
 from repro.telemetry import EV_STORAGE_FAULT, EventBus, RingBufferSink
 
+from _support import SESSION
+
 PSIZE = 64
 
 
@@ -70,21 +72,20 @@ class Wire:
         self.datagrams.extend(bytes(v) for v in views)
         return len(views)
 
-    def seqs(self, config, session=None) -> list[int]:
+    def seqs(self, config, session=SESSION) -> list[int]:
         return [wire.decode_data(d, checksum=config.checksum,
                                  session=session)[0].seq
                 for d in self.datagrams]
 
 
-def make_sender(config, data, send, session=None) -> SendDriver:
+def make_sender(config, data, send, session=SESSION) -> SendDriver:
     sender = FobsSender(config, len(data), rng=np.random.default_rng(0),
-                        epoch=session.epoch if session else 0)
+                        epoch=session.epoch)
     return SendDriver(sender, data, send, session)
 
 
-def ack_for(config, npackets, seqs, ack_id=0, session=None) -> bytes:
-    rx = FobsReceiver(config, npackets * PSIZE,
-                      epoch=session.epoch if session else 0)
+def ack_for(config, npackets, seqs, ack_id=0, session=SESSION) -> bytes:
+    rx = FobsReceiver(config, npackets * PSIZE, epoch=session.epoch)
     for seq in seqs:
         rx.bitmap.mark(seq)
     rx._next_ack_id = ack_id
@@ -120,7 +121,8 @@ class TestSendDriver:
         assert calls == ["pick", "encode", "send"] * 2
         assert out.seqs(config)[4:] == [8, 9, 10, 11]
         # Payloads are the object's own bytes, tail packet short.
-        last = wire.decode_data(out.datagrams[-1], checksum=True)[1]
+        last = wire.decode_data(out.datagrams[-1], checksum=True,
+                                session=SESSION)[1]
         assert bytes(last) == data[11 * PSIZE:]
 
     def test_every_queued_ack_steers_the_next_batch(self):
@@ -293,7 +295,8 @@ class TestFaultySend:
         damaged = 0
         for datagram in first:
             try:
-                pkt, payload = wire.decode_data(datagram, checksum=True)
+                pkt, payload = wire.decode_data(datagram, checksum=True,
+                                                session=SESSION)
             except wire.ChecksumError:
                 damaged += 1
                 continue
@@ -312,14 +315,13 @@ class TestFaultySend:
 
 
 class TestRecvDriver:
-    def make(self, config, nbytes, session=None, channel=None):
+    def make(self, config, nbytes, session=SESSION, channel=None):
         store = bytearray(nbytes)
 
         def write_at(offset, payload):
             store[offset:offset + len(payload)] = payload
 
-        rx = FobsReceiver(config, nbytes,
-                          epoch=session.epoch if session else 0)
+        rx = FobsReceiver(config, nbytes, epoch=session.epoch)
         kwargs = {"channel": channel} if channel is not None else {}
         return RecvDriver(rx, write_at, session, **kwargs), store
 
@@ -386,10 +388,11 @@ class TestRecvDriver:
         def write_at(offset, payload):
             raise OSError(28, "No space left on device")
 
-        drv = RecvDriver(rx, write_at, channel=bus.channel(transfer_id=1))
+        drv = RecvDriver(rx, write_at, SESSION,
+                         channel=bus.channel(transfer_id=1))
         pkt = DataPacket(seq=0, total=4, payload_bytes=PSIZE, transmission=0)
-        assert drv.on_datagram(wire.encode_data(pkt, b"x" * PSIZE,
-                                                checksum=True), 0.0) is None
+        assert drv.on_datagram(wire.encode_data(
+            pkt, b"x" * PSIZE, checksum=True, session=SESSION), 0.0) is None
         assert drv.fault.startswith("storage fault [ENOSPC] at part")
         assert rx.bitmap.count == 0          # data before log: unmarked
         (event,) = [e for e in ring.events if e.kind == EV_STORAGE_FAULT]
@@ -420,10 +423,6 @@ class TestPartFile:
         part.close()
         with open(out + ".part", "rb") as fh:
             assert fh.read(PSIZE) == b"\x01" * PSIZE
-        # Not resumable: always recreated, and no journal is kept.
-        part = PartFile(out, nbytes, PSIZE, crc=0)
-        assert part.journal is None and part.resume_bitmap is None
-        part.close()
 
     def test_publish_audit_and_typed_open_fault(self, tmp_path):
         import zlib
@@ -454,7 +453,8 @@ class TestPartFile:
         def refuse(path, mode):
             raise OSError(5, "Input/output error")
 
-        part = PartFile(out, len(data), PSIZE, crc=0, opener=refuse)
+        part = PartFile(out, len(data), PSIZE, crc=0, transfer_id=3,
+                        opener=refuse)
         assert part.fault.startswith("storage fault [EIO] at part-open")
 
     @pytest.mark.parametrize("with_manifest", [False, True])
@@ -623,6 +623,50 @@ def test_no_module_under_src_stops_a_simulation_by_predicate():
             and any(kw.arg == "stop_when" for kw in node.keywords)] == []
 
 
+def _session_optional(path: str, node) -> list:
+    """What in ``node`` lets a session be absent: a ``session is
+    (not) None`` test, a ``session`` parameter defaulting to None, an
+    annotation that admits None beside a ``SessionContext``."""
+    found = []
+    if isinstance(node, ast.Compare) and all(
+            isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+        operands = [node.left, *node.comparators]
+        if any(isinstance(o, ast.Constant) and o.value is None
+               for o in operands) and any(
+                isinstance(o, ast.Name) and o.id == "session"
+                or isinstance(o, ast.Attribute) and o.attr == "session"
+                for o in operands):
+            found.append(ast.unparse(node))
+    if isinstance(node, ast.arguments):
+        params = [*node.posonlyargs, *node.args]
+        pairs = [*zip(params[len(params) - len(node.defaults):],
+                      node.defaults), *zip(node.kwonlyargs, node.kw_defaults)]
+        found += [f"{arg.arg}=None" for arg, default in pairs
+                  if arg.arg == "session" and isinstance(default, ast.Constant)
+                  and default.value is None]
+    annotation = (node.annotation if isinstance(node, (ast.arg, ast.AnnAssign))
+                  else node.returns if isinstance(node, ast.FunctionDef)
+                  else None)
+    if annotation is not None:
+        text = ast.unparse(annotation)
+        if "SessionContext" in text and ("Optional[" in text
+                                         or "None" in text):
+            found.append(text)
+    return [(path, node.lineno if hasattr(node, "lineno") else 0, what)
+            for what in found]
+
+
+def test_every_datagram_carries_the_session_extension():
+    """One session shape: no module of the real-socket backend tests for
+    a missing session or admits one, so every DATA and ACK datagram is
+    framed with its ``(transfer id, epoch)`` extension."""
+    found = []
+    for path, node in nodes_under_src():
+        if path.startswith(("runtime" + os.sep, "server" + os.sep)):
+            found += _session_optional(path, node)
+    assert found == []
+
+
 class TestRunEndpoints:
     """The one loop around the turns, on socketpairs."""
 
@@ -754,7 +798,7 @@ def test_part_file_seeks_only_where_a_write_does_not_follow_the_last(tmp_path):
     opener = SeekCounting()
     data = blob(16)
     part = PartFile(str(tmp_path / "obj.bin"), len(data), PSIZE,
-                    crc=zlib.crc32(data), opener=opener)
+                    crc=zlib.crc32(data), transfer_id=3, opener=opener)
 
     def place(seqs):
         del opener.calls[:]
@@ -777,8 +821,8 @@ def test_part_file_seeks_only_where_a_write_does_not_follow_the_last(tmp_path):
 # Pacing debt and the follower, on a fake clock
 # ----------------------------------------------------------------------
 KB = 1024
-#: A 1 KiB DATA datagram with its CRC and no session extension.
-WIRE_1K = KB + 16
+#: A 1 KiB DATA datagram with its CRC and session extension.
+WIRE_1K = KB + 28
 
 
 def kcfg(**overrides) -> FobsConfig:
@@ -856,7 +900,7 @@ class TestPacingDebt:
         assert len(data) * 8 / elapsed >= 0.5 * self.RATE
         # Paced inside what the receiver drains: nothing is sent twice
         # but what the last acknowledgement's flight time wraps around.
-        required = len(data) + 8192 * (WIRE_1K - KB + wire.SESSION_EXT_BYTES)
+        required = len(data) + 8192 * (WIRE_1K - KB)
         assert required <= server.stats().bytes_sent <= 1.05 * required
 
 
@@ -868,7 +912,7 @@ class FarEnd:
 
     def __init__(self, config, nbytes, drain, room):
         self.driver = RecvDriver(FobsReceiver(config, nbytes),
-                                 lambda offset, payload: None)
+                                 lambda offset, payload: None, SESSION)
         self.drain, self.room = drain, room
         self.queue: collections.deque = collections.deque()
         self.now = self._at = self._budget = 0.0

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from _support import free_port
+from _support import free_port, raw_offer
 from repro.core.config import FobsConfig
 from repro.runtime import wire
 from repro.runtime.files import receive_endpoint, send_endpoint, send_file
@@ -40,6 +40,39 @@ def run_pair(tmp_path, nbytes, config=None, seed=0):
     result = both_ends(out, data, dict(timeout=60.0),
                        dict(config=config, timeout=60.0))
     return data, out, result
+
+
+class SocketOpened(Exception):
+    """A socket was asked for."""
+
+
+#: One packet per byte: an object of N bytes is N packets.
+ONE_BYTE = FobsConfig(packet_size=1, ack_frequency=64)
+
+
+def _send_file(tmp_path, npackets):
+    big = tmp_path / "big"
+    big.write_bytes(bytes(npackets))
+    return send_file(str(big), "127.0.0.1", 9, config=ONE_BYTE,
+                     verify=False)
+
+
+def _decoded_offer(_tmp_path, npackets):
+    decoder = wire.ControlDecoder()
+    decoder.feed(raw_offer(npackets, 1))
+    return decoder.next_frame()
+
+
+#: Each way an object of N packets enters, and whether it opens a
+#: socket once past the limit.
+ONE_ACK_INPUTS = {
+    "send_file": (_send_file, True),
+    "run_loopback_transfer": (
+        lambda _tmp_path, n: run_loopback_transfer(n, ONE_BYTE), True),
+    "send_endpoint": (lambda _tmp_path, n: run_endpoints([send_endpoint(
+        bytes(n), "127.0.0.1", 9, config=ONE_BYTE, verify=False)]), True),
+    "offer2": (_decoded_offer, False),
+}
 
 
 class TestFileTransfer:
@@ -75,33 +108,27 @@ class TestFileTransfer:
         with pytest.raises(ValueError):
             send_file(str(empty), "127.0.0.1", free_port())
 
+    @pytest.mark.parametrize("refuser", list(ONE_ACK_INPUTS))
     def test_an_object_one_ack_cannot_cover_is_refused_before_a_socket(
-            self, tmp_path, monkeypatch):
-        """Every ACK carries the whole bitmap in one datagram: 523,832
-        packets with the session extension, 523,928 without.  Past
-        that, like an empty file, the object is refused before any
-        socket opens, not by the kernel at the first ACK."""
-        big = tmp_path / "big"
-        big.write_bytes(bytes(523_833))
-        one_byte = FobsConfig(packet_size=1, ack_frequency=64)
-
+            self, refuser, tmp_path, monkeypatch):
+        """Every ACK carries the whole bitmap in one datagram, beside
+        its session extension: 523,832 packets.  Past that, like an
+        empty file, the object is refused before any socket opens, not
+        by the kernel at the first ACK; at the bound it gets as far as
+        its first socket (an OFFER2: it decodes)."""
         def opened(*_args, **_kwargs):
-            raise AssertionError("a socket was opened")
+            raise SocketOpened
 
         monkeypatch.setattr(socket, "socket", opened)
+        make, opens = ONE_ACK_INPUTS[refuser]
         with pytest.raises(ValueError, match="an object of 523833 packets: "
                            "one ACK's bitmap covers at most 523832"):
-            send_file(str(big), "127.0.0.1", 9, config=one_byte, resume=True)
-        with pytest.raises(ValueError, match="covers at most 523832"):
-            run_loopback_transfer(523_833, one_byte,
-                                  session=wire.SessionContext(7))
-        with pytest.raises(ValueError, match="covers at most 523928"):
-            send_endpoint(bytes(523_929), "127.0.0.1", 9, config=one_byte)
-        # At the bound itself the endpoints are built (and open nothing
-        # until they run).
-        send_endpoint(bytes(523_832), "127.0.0.1", 9, config=one_byte,
-                      resume=True, verify=False)
-        send_endpoint(bytes(523_928), "127.0.0.1", 9, config=one_byte)
+            make(tmp_path, 523_833)
+        if opens:
+            with pytest.raises(SocketOpened):
+                make(tmp_path, 523_832)
+        else:
+            assert make(tmp_path, 523_832).npackets == 523_832
 
     def test_throughput_reported(self, tmp_path):
         _, _, result = run_pair(tmp_path, 200_000)

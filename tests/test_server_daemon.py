@@ -216,6 +216,8 @@ class TestConcurrentFetch:
 
 class TestPushCompat:
     def test_vanilla_v1_push_lands_in_root(self, objects):
+        """A push with default arguments (one attempt, a derived transfer
+        id) is a session too: OFFER2, stamped datagrams."""
         blob = os.urandom(120_000)
         running = RunningServer(objects)
         (result,) = running.run(send_endpoint(
@@ -231,7 +233,7 @@ class TestPushCompat:
         running = RunningServer(objects)
         (result,) = running.run(send_endpoint(
             blob, "127.0.0.1", running.port, config=CONFIG, timeout=30,
-            resume=True, max_attempts=2))
+            max_attempts=2))
         assert result.completed and result.attempts == 1
         pushed = [p for p in os.listdir(objects)
                   if p.startswith("push-") and p.endswith(".bin")]
@@ -256,7 +258,7 @@ class TestOneLoop:
                                  str(tmp_path / "a.bin"), config=CONFIG,
                                  timeout=30)),
             send_endpoint(blob, "127.0.0.1", running.port, config=CONFIG,
-                          timeout=30, resume=True))
+                          timeout=30))
         assert fetched.completed and pushed.completed
         assert started == [set()]
         assert set(threading.enumerate()) <= threads
@@ -464,6 +466,11 @@ BAD_FRAMES = {
     "offer-filesize-0": (lambda _ctrl: raw_offer(0, 1024), "is no object"),
     "garbage": (lambda _ctrl: np.random.default_rng(64).bytes(64),
                 "unknown control-frame magic"),
+    "fetch-no-resume-flag": (
+        lambda _ctrl: struct.pack("!IIIQIH", wire.FETCH_MAGIC,
+                                  wire.FETCH_FLAG_CHECKSUM, 0, 3, 0, 5)
+        + b"a.bin",
+        "FETCH without FETCH_FLAG_RESUME refused"),
 }
 
 

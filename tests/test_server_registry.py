@@ -1,5 +1,7 @@
 """Shared-socket demux: transfer-id routing and stale-epoch rejection."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -98,13 +100,16 @@ class TestPeekIntegration:
 
     def test_datagram_too_short_for_extension_peeks_none(self):
         datagram = wire.encode_data(
-            DataPacket(seq=0, total=1, payload_bytes=4), b"y" * 4)
-        assert wire.peek_session(datagram, "data") is None
+            DataPacket(seq=0, total=1, payload_bytes=4), b"y" * 4,
+            session=wire.SessionContext(transfer_id=0x77))
+        assert wire.peek_session(datagram[:wire.DATA_SESSION_EXT.stop - 1],
+                                 "data") is None
 
     def test_sessionless_garbage_peek_misses_in_registry(self):
-        """peek_session doesn't validate; the registry miss is the guard."""
-        datagram = wire.encode_data(
-            DataPacket(seq=0, total=1, payload_bytes=32), b"y" * 32)
+        """peek_session doesn't validate; the registry miss is the guard.
+        A DATA datagram with no session extension (what a v1 sender
+        puts on the wire) peeks its payload bytes as an identity."""
+        datagram = struct.pack("!IIi", 0, 1, 0) + b"y" * 32
         peeked = wire.peek_session(datagram, "data")
         assert peeked is not None  # garbage tid from payload bytes
         assert TransferRegistry().route(*peeked) is None

@@ -46,7 +46,7 @@ def objects(tmp_path):
 
 def push(src, port, attempts=3, verify=True):
     return send_endpoint(src.read_bytes(), "127.0.0.1", port, CONFIG,
-                         timeout=30.0, resume=True, max_attempts=attempts,
+                         timeout=30.0, max_attempts=attempts,
                          policy=RetryPolicy(max_attempts=attempts,
                                             backoff_base=0.05, jitter=0.0),
                          verify=verify)

@@ -4,7 +4,7 @@ The burst codec exists purely for speed; its contract is that every
 byte on the wire and every decode outcome is identical to running
 :func:`~repro.runtime.wire.encode_data` / ``decode_data`` once per
 datagram.  The hypothesis properties here pin that contract across the
-format matrix (checksum on/off × session extension on/off), including
+format matrix (checksum on/off × two session contexts), including
 the per-datagram rejection behaviour under corruption.
 """
 
@@ -16,13 +16,13 @@ from hypothesis import given, settings, strategies as st
 from repro.core.packets import DataPacket
 from repro.runtime import wire
 
-from _support import decode_burst, encode_burst
+from _support import SESSION, decode_burst, encode_burst
 
 
 def _variants():
     return [
-        (False, None),
-        (True, None),
+        (False, SESSION),
+        (True, SESSION),
         (False, wire.SessionContext(transfer_id=0xABCDEF0123, epoch=7)),
         (True, wire.SessionContext(transfer_id=0xABCDEF0123, epoch=7)),
     ]
@@ -51,7 +51,7 @@ class TestEncodeEquivalence:
     def test_burst_bytes_identical_to_per_packet(self, burst, variant):
         packets, payloads = burst
         checksum, session = _variants()[variant]
-        singles = [wire.encode_data(p, pl, checksum, session)
+        singles = [wire.encode_data(p, pl, checksum, session=session)
                    for p, pl in zip(packets, payloads)]
         views = encode_burst(packets, payloads, checksum, session)
         assert [bytes(v) for v in views] == singles
@@ -79,13 +79,13 @@ class TestDecodeEquivalence:
     def test_burst_decode_matches_per_packet(self, burst, variant):
         packets, payloads = burst
         checksum, session = _variants()[variant]
-        singles = [wire.encode_data(p, pl, checksum, session)
+        singles = [wire.encode_data(p, pl, checksum, session=session)
                    for p, pl in zip(packets, payloads)]
         results, errors = decode_burst(singles, checksum, session)
         assert not errors
         for datagram, (pkt, payload) in zip(singles, results):
             ref_pkt, ref_payload = wire.decode_data(
-                datagram, checksum, session)
+                datagram, checksum, session=session)
             assert pkt == ref_pkt
             assert bytes(payload) == ref_payload
 
@@ -94,7 +94,7 @@ class TestDecodeEquivalence:
     def test_one_byte_flip_rejects_only_that_datagram(self, burst, data):
         packets, payloads = burst
         session = wire.SessionContext(transfer_id=5, epoch=1)
-        singles = [wire.encode_data(p, pl, True, session)
+        singles = [wire.encode_data(p, pl, True, session=session)
                    for p, pl in zip(packets, payloads)]
         victim = data.draw(st.integers(0, len(singles) - 1))
         pos = data.draw(st.integers(0, len(singles[victim]) - 1))
@@ -125,7 +125,7 @@ class TestDecodeEquivalence:
 
     def test_truncated_datagrams_rejected_individually(self):
         pkt = DataPacket(seq=0, total=1, payload_bytes=4)
-        good = wire.encode_data(pkt, b"abcd", checksum=True)
+        good = wire.encode_data(pkt, b"abcd", checksum=True, session=SESSION)
         burst = [b"\x00\x01", good, good[:wire._DATA_HDR.size + 1]]
         results, errors = decode_burst(burst, checksum=True)
         assert results[1] is not None
@@ -135,7 +135,7 @@ class TestDecodeEquivalence:
 
     def test_zero_copy_payload_views(self):
         pkt = DataPacket(seq=0, total=1, payload_bytes=4)
-        backing = bytearray(wire.encode_data(pkt, b"abcd"))
+        backing = bytearray(wire.encode_data(pkt, b"abcd", session=SESSION))
         (result,), errors = decode_burst([backing])
         assert not errors
         _decoded, payload = result

@@ -9,14 +9,18 @@ matching is a wire-format change, not a refactor.
 import os
 import re
 import socket
+import struct
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _support import DribbleSocket, raw_offer
+from _support import DribbleSocket, RunningServer, after, raw_offer
+from repro.core.config import FobsConfig
 from repro.core.manifest import ChunkManifest, max_manifest_bytes
-from repro.runtime import wire
+from repro.runtime import transfer, wire
+from repro.runtime.files import receive_endpoint, send_endpoint
 
 TID = 0x0123456789ABCDEF
 OBJECT = bytes(i % 251 for i in range(5000))  # 5 packets of 1 KiB
@@ -25,7 +29,6 @@ GOLDEN = {
     "OFFER": "f0b50ffe00000000000013880000040000009c4100000001deadbeef",
     "OFFER2": "f0b50ff200000000000013880000040000009c4100000007deadbeef"
               "0123456789abcdef00000003",
-    "ACCEPT": "f0b5acc000009c4200000000",
     "RESUME": "f0b5be5a0123456789abcdef0000000300009c420000000519635c01b0",
     "VERIFY": "f0b5e51f0000002cf0b5d16500000000000013880000040001000004"
               "cc9b1b077be4dfd0649fe5fa336bc33a83273e4065084d9b",
@@ -36,11 +39,10 @@ GOLDEN = {
     "REJECT": "f0b57e770000000400000000",
 }
 
-#: What each golden frame says, as this commit's typed frames.
+#: What each golden frame says, as this commit's typed frames; the v1
+#: OFFER says nothing any more (it is refused, see TestRefusedOffers).
 FRAMES = {
-    "OFFER": wire.Offer(5000, 1024, 40001, wire.FLAG_CHECKSUM, 0xDEADBEEF),
     "OFFER2": wire.Offer(5000, 1024, 40001, 7, 0xDEADBEEF, TID, 3),
-    "ACCEPT": wire.Accept(40002),
     "RESUME": wire.ResumeInfo(TID, 3, 40002,
                               np.array([1, 0, 1, 1, 0], dtype=bool)),
     "VERIFY": wire.Verify(ChunkManifest.from_data(OBJECT, 1024).encode()),
@@ -56,8 +58,6 @@ def encode(frame) -> bytes:
     """Any typed frame back to bytes, through the public encoders."""
     if isinstance(frame, wire.Offer):
         return wire.encode_offer(frame)
-    if isinstance(frame, wire.Accept):
-        return wire.encode_accept(frame.data_port)
     if isinstance(frame, wire.ResumeInfo):
         return wire.encode_resume(frame.transfer_id, frame.epoch,
                                   frame.data_port, frame.bitmap)
@@ -85,19 +85,23 @@ def decode_all(chunks, npackets=None) -> list:
 
 
 class TestGoldenBytes:
-    def test_the_table_has_the_nine_frames(self):
+    def test_the_table_has_the_eight_frames(self):
         assert [spec.name for spec in wire.CONTROL_FRAMES] == list(GOLDEN)
         magics = [spec.magic for spec in wire.CONTROL_FRAMES]
-        assert len(set(magics)) == 9
+        assert len(set(magics)) == 8
         assert all(spec.header.format.startswith("!I")
                    for spec in wire.CONTROL_FRAMES)
 
-    @pytest.mark.parametrize("name", list(GOLDEN))
+    @pytest.mark.parametrize("name", list(FRAMES))
     def test_encoders_still_write_the_parents_bytes(self, name):
         assert encode(FRAMES[name]).hex() == GOLDEN[name]
 
     @pytest.mark.parametrize("name", list(GOLDEN))
     def test_decoder_reads_the_parents_bytes(self, name):
+        if name not in FRAMES:  # the v1 OFFER: read only to be refused
+            with pytest.raises(ValueError, match="v1 OFFER refused"):
+                decode_all([bytes.fromhex(GOLDEN[name])], npackets=5)
+            return
         (frame,) = decode_all([bytes.fromhex(GOLDEN[name])], npackets=5)
         assert type(frame) is type(FRAMES[name])
         assert encode(frame).hex() == GOLDEN[name]
@@ -140,14 +144,10 @@ def sessions(draw):
     packet_size = draw(st.integers(1, 2000))
     filesize = (npackets - 1) * packet_size + draw(
         st.integers(1, packet_size))
-    flags = draw(st.integers(0, 7))
+    flags = draw(st.integers(0, 7)) | wire.FLAG_RESUME
     offer = wire.Offer(filesize, packet_size, draw(ports), flags, draw(u32),
                        draw(st.integers(0, (1 << 64) - 1)), draw(u32))
-    if not offer.resumable:  # a v1 offer carries no identity
-        offer = wire.Offer(filesize, packet_size, offer.ack_port, flags,
-                           offer.crc)
     rest = draw(st.lists(st.one_of(
-        st.builds(wire.Accept, ports),
         st.builds(wire.ResumeInfo, st.integers(0, (1 << 64) - 1), u32, ports,
                   st.lists(st.booleans(), min_size=npackets,
                            max_size=npackets).map(
@@ -156,7 +156,8 @@ def sessions(draw):
             min_size=1, max_size=min(max_manifest_bytes(npackets), 4096))),
         st.builds(wire.Completion, u32),
         st.builds(wire.FetchRequest,
-                  st.text(min_size=1, max_size=40), u32, u32,
+                  st.text(min_size=1, max_size=40),
+                  u32.map(lambda f: f | wire.FETCH_FLAG_RESUME), u32,
                   st.integers(0, (1 << 64) - 1),
                   st.integers(0, 4_000_000).map(lambda k: k * 1000)),
         st.builds(wire.Queued, u32),
@@ -238,23 +239,28 @@ class TestGeometry:
         decoder.feed(raw_offer(filesize, packet_size, flags))
         with pytest.raises(ValueError, match="is no object"):
             decoder.next_frame()
-        with pytest.raises(ValueError):
-            wire.Offer(filesize, packet_size, 40001, flags, 0)
+        with pytest.raises(ValueError, match="is no object"):
+            wire.Offer(filesize, packet_size, 40001,
+                       flags | wire.FLAG_RESUME, 0, TID, 0)
 
     @pytest.mark.parametrize("flags, most", [
         (wire.FLAG_RESUME, 523_832),   # the ACK's session extension
-        (0, 523_928),
     ])
     def test_an_object_one_ack_cannot_cover_is_no_offer(self, flags, most):
-        assert wire.Offer(most, 1, 40001, flags, 0).npackets == most
+        assert wire.Offer(most, 1, 40001, flags, 0, TID, 0).npackets == most
         decoder = wire.ControlDecoder()
         decoder.feed(raw_offer(most + 1, 1, flags))
         with pytest.raises(ValueError, match=f"covers at most {most}"):
             decoder.next_frame()
 
     def test_the_largest_packets_udp_can_carry_are_offers(self):
-        assert decode_all([raw_offer(10**6, 65495)])[0].packet_size == 65495
-        assert decode_all([raw_offer(10**6, 65491, wire.FLAG_CHECKSUM)])
+        """65,507 bytes of UDP payload, less 24 of header and session
+        extension (and 4 of CRC trailer): one more byte is no object."""
+        assert decode_all([raw_offer(10**6, 65483)])[0].packet_size == 65483
+        assert decode_all([raw_offer(10**6, 65479, wire.FLAG_CHECKSUM)])
+        for packet_size, flags in ((65484, 0), (65480, wire.FLAG_CHECKSUM)):
+            with pytest.raises(ValueError, match="is no object"):
+                decode_all([raw_offer(10**6, packet_size, flags)])
 
     def test_resume_for_another_geometry_refused_on_its_header(self):
         """The daemon-killer: right id, right length, ``npackets=8`` for a
@@ -285,6 +291,89 @@ class TestGeometry:
             with pytest.raises(ValueError, match="VERIFY of"):
                 decode_all([bytes.fromhex("f0b5e51f")
                             + body.to_bytes(4, "big")], npackets)
+
+
+# ----------------------------------------------------------------------
+# An offer that is no resumable session is refused by name
+# ----------------------------------------------------------------------
+
+#: The golden v1 OFFER; the same with FLAG_RESUME set (which must not
+#: pass for a resumable offer of transfer id 0); the golden OFFER2
+#: without FLAG_RESUME.  Each with the reason it is refused for.
+REFUSED_OFFERS = {
+    "v1": (bytes.fromhex(GOLDEN["OFFER"]), "v1 OFFER refused"),
+    "v1-resume-flag": (struct.pack("!IQIIII", wire.OFFER_MAGIC, 5000, 1024,
+                                   40001, 3, 0xDEADBEEF), "v1 OFFER refused"),
+    "offer2-no-resume-flag": (
+        struct.pack("!IQIIIIQI", wire.OFFER2_MAGIC, 5000, 1024, 40001,
+                    wire.FLAG_CHECKSUM | wire.FLAG_VERIFY, 0xDEADBEEF,
+                    TID, 3),
+        "without FLAG_RESUME refused"),
+}
+
+
+def offering(port: int, frames: bytes) -> transfer.Endpoint:
+    """A peer that writes ``frames`` and then reads; its result is the
+    first frame the other end answers with, or "closed"."""
+    end = transfer.Endpoint()
+
+    def turns():
+        deadline = time.monotonic() + 10
+        sock = yield from transfer.connecting(end, ("127.0.0.1", port),
+                                              deadline)
+        with sock:
+            yield from transfer.writing(end, sock, frames, deadline)
+            try:
+                return (yield from transfer.reading(
+                    end, sock, wire.ControlDecoder(), deadline))
+            except wire.ControlClosed:
+                return "closed"
+
+    end.turns = turns()
+    return end
+
+
+@pytest.mark.parametrize("offer", list(REFUSED_OFFERS))
+def test_an_offer_of_no_session_is_refused_before_any_file(offer, tmp_path):
+    """Decoded only to be refused: the receiver fails the attempt naming
+    the reason with no ``.part`` or journal on disk, and the daemon
+    records the refusal and serves the next (resumable) push."""
+    frames, reason = REFUSED_OFFERS[offer]
+    decoder = wire.ControlDecoder()
+    decoder.feed(frames)
+    with pytest.raises(ValueError, match=reason):
+        decoder.next_frame()
+
+    out = tmp_path / "rx" / "out.bin"
+    out.parent.mkdir()
+    rx = receive_endpoint(str(out), 0, bind="127.0.0.1", timeout=10)
+    peer = offering(rx.socks[0].getsockname()[1], frames)
+    transfer.run_endpoints([rx, peer])
+    assert not rx.result.completed
+    assert rx.result.failure_reason.startswith("bad offer: ")
+    assert reason in rx.result.failure_reason
+    assert peer.result == "closed"
+    assert os.listdir(out.parent) == []
+
+    root = tmp_path / "served"
+    root.mkdir()
+    data = bytes(i % 253 for i in range(50_000))
+    running = RunningServer(root)
+    server = running.server
+    refused, pushed = running.run(
+        offering(running.port, frames),
+        after(lambda: server.history, send_endpoint(
+            data, "127.0.0.1", running.port,
+            FobsConfig(ack_frequency=32), timeout=30)))
+    assert refused == "closed"
+    assert pushed.completed, pushed.failure_reason
+    (ctrl, push) = server.history
+    assert ctrl[:4] == ("-", "ctrl", "127.0.0.1", False)
+    assert reason in ctrl[4]
+    assert push[1:4] == ("recv", "127.0.0.1", True)
+    assert (root / push[0]).read_bytes() == data
+    assert running.snapshot.failed == 1
+    assert running.snapshot.completed == 1
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +426,7 @@ def test_protocol_md_table_matches_the_codec():
         r"^\| `?(\w+)`? +\| `(0x[0-9A-F]{8})` +\| `(![A-Za-z]+)` +\| (\d+) +\|",
         section, re.MULTILINE)
     documented = [(name, int(magic, 16), fmt, int(size))
-                  for name, magic, fmt, size in rows[:9]]
+                  for name, magic, fmt, size in rows[:len(wire.CONTROL_FRAMES)]]
     assert documented == [
         (spec.name, spec.magic, spec.header.format, spec.header.size)
         for spec in wire.CONTROL_FRAMES]
