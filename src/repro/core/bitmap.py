@@ -4,8 +4,9 @@ This is the data structure the paper builds FOBS around: "a very simple
 data structure with one byte (or even one bit) allocated per data
 packet".  We keep exactly that — a ``bytearray`` with one flag byte per
 packet — and pack to one bit per packet on the wire.  Scalar reads and
-writes go to the bytes, "first missing at or after here" is a C
-``memchr`` over them (:meth:`bytearray.find`), and the bulk operations
+writes, and a run's mark (a byte count and a slice assignment), go to
+the bytes, "first missing at or after here" is a C ``memchr`` over
+them (:meth:`bytearray.find`), and the whole-object operations
 (merge, count, snapshot, packing) are vectorized on a NumPy bool view
 of the same memory — the sender touches this structure for every
 acknowledgement of a multi-thousand-packet object.
@@ -66,13 +67,14 @@ class PacketBitmap:
 
     def mark_range(self, start: int, count: int) -> int:
         """Mark ``[start, start + count)`` received; returns how many
-        were new.  O(count), where :meth:`merge` is O(npackets)."""
+        were new.  O(count) on the flag bytes, where :meth:`merge` is
+        O(npackets): the receive path marks a run of packets at once."""
         if count <= 0 or start < 0 or start + count > self.npackets:
             raise IndexError(f"range ({start}, {count}) out of [0, {self.npackets})")
-        run = self._arr[start:start + count]
-        added = count - int(np.count_nonzero(run))
+        end = start + count
+        added = count - self.flags.count(1, start, end)
         if added:
-            run[:] = True
+            self.flags[start:end] = b"\x01" * count
             self._count += added
         return added
 

@@ -167,9 +167,11 @@ class FobsReceiver:
         marks, counters, journal records and acknowledgements at the
         same packets (the F-th new one, the completing one, the refresh
         rule) — stopping at the packet that completes the object.  The
-        real-socket drivers call this once per train, having stored
-        every payload first, so a payload is in the store before the
-        journal claims it.
+        unit is the run: consecutive new packets up to the next of
+        those points are marked with one :meth:`PacketBitmap.mark_range`
+        and counted once.  The real-socket drivers call this with every
+        new packet's payload already in the store, so a payload is
+        there before the journal claims it.
         """
         acks: list[AckPacket] = []
         if not seqs:
@@ -180,16 +182,47 @@ class FobsReceiver:
         refresh_due = (
             now - self._last_ack_time >= self.config.ack_refresh_interval
         )
-        stats, journal, mark = self.stats, self.journal, self.bitmap.mark
+        stats, journal, bitmap = self.stats, self.journal, self.bitmap
+        flags, npackets = bitmap.flags, self.npackets
         frequency = self.ack_frequency
-        missing = self.bitmap.missing
-        for seq in seqs:
-            if mark(seq):
-                stats.packets_new += 1
-                self._new_since_ack += 1
+        missing = bitmap.missing
+        i, n = 0, len(seqs)
+        while i < n:
+            seq = seqs[i]
+            if not 0 <= seq < npackets:
+                bitmap.mark(seq)  # raises what on_data raises
+            if flags[seq]:
+                stats.packets_duplicate += 1
+                i += 1
+                if not refresh_due:
+                    continue
+                stats.acks_refreshed += 1
+            else:
+                # The run ends at the next ACK point (a refresh is due
+                # at its first packet), at the first packet that does
+                # not follow on, or at one already marked.
+                due = 1 if refresh_due else min(
+                    frequency - self._new_since_ack, missing)
+                stop = min(n, i + max(due, 1), i + npackets - seq)
+                j = i + 1
+                while j < stop and seqs[j] == seq + j - i:
+                    j += 1
+                hit = flags.find(1, seq, seq + j - i)
+                end = seq + j - i if hit < 0 else hit
                 if journal is not None:
-                    journal.record(seq)
-                missing -= 1
+                    for k in range(seq, end):
+                        try:
+                            journal.record(k)
+                        except BaseException:
+                            # on_data marks a packet before it journals
+                            # it: the run up to the one whose record
+                            # raised stays marked.
+                            self._add_run(seq, k + 1 - seq)
+                            raise
+                count = end - seq
+                self._add_run(seq, count)
+                missing -= count
+                i += count
                 if not missing:
                     if stats.completed_at is None:
                         stats.completed_at = now
@@ -199,15 +232,15 @@ class FobsReceiver:
                     if not refresh_due:
                         continue
                     stats.acks_refreshed += 1
-            else:
-                stats.packets_duplicate += 1
-                if not refresh_due:
-                    continue
-                stats.acks_refreshed += 1
             acks.append(self._stamped_ack(now))
             # That acknowledgement restarted the refresh clock at now.
             refresh_due = False
         return acks
+
+    def _add_run(self, seq: int, count: int) -> None:
+        self.bitmap.mark_range(seq, count)
+        self.stats.packets_new += count
+        self._new_since_ack += count
 
     def _stamped_ack(self, now: float) -> AckPacket:
         self._last_ack_time = now

@@ -11,15 +11,17 @@ classes here and owns nothing but its sockets and its clock:
   abort, pacing, one burst-codec pass per batch, the tuner hooks.
   Acknowledgement datagrams and the completion signal are pushed in.
 * :class:`RecvDriver` is the receiver loop of Section 3.2 as
-  ``on_burst(views, now) -> [ack_bytes]``: decode the train, place
-  each payload at ``seq * packet_size``, then mark the train in one
-  core call that builds the bitmap acknowledgements falling due.
+  ``on_burst(views, now) -> [ack_bytes]``: decode the train, store
+  each run of new packets in one call at ``seq * packet_size`` (a
+  duplicate is never stored), then mark the train in one core call
+  that builds the bitmap acknowledgements falling due.
 * :class:`PartFile` is the crash-persistent ``.part`` + journal
   lifecycle a file-backed receiver wraps around that loop.
 
 The seam is two callables and a number: ``send(views) -> n_sent``
 writes encoded datagrams and says how many it took, ``write_at(offset,
-payload)`` stores a payload, and the caller passes ``now``.  Network
+payload)`` stores the payloads of consecutive packets from the one at
+``offset``, and the caller passes ``now``.  Network
 chaos is :class:`FaultySend` around ``send`` — the network twin of
 :class:`repro.chaos.FaultyStore` — so the loops carry no fault code.
 """
@@ -314,33 +316,40 @@ class RecvDriver:
         """Process one train of data datagrams, in order; returns the
         ACK bytes to transmit, in order.
 
-        One codec pass for the train, one store call per datagram, then
-        one call into the receiver core to mark what was placed and
-        build the acknowledgements that fall due.  Damaged, stale-epoch
-        and foreign-session datagrams, and ones whose geometry is not
-        this object's, only move their counters and never reach the
-        store — or take their neighbours down.  Stops after the
-        datagram that faulted the store or left the object complete.
-        One too short to be a data packet raises ``ValueError``, once
-        the rest of the train has been processed.
+        One codec pass for the train, one store call per run —
+        consecutive new packets, their payloads joined — then one call
+        into the receiver core per train to mark what was stored and
+        build the acknowledgements that fall due.  A datagram whose
+        packet is already marked is a duplicate: counted, never stored,
+        so a retransmission cannot re-tear good bytes.  Damaged,
+        stale-epoch and foreign-session datagrams, and ones whose
+        geometry is not this object's, only move their counters and
+        never reach the store — or take their neighbours down.  Stops
+        at the run whose store call faulted (nothing of it is marked)
+        or after the datagram that left the object complete.  One too
+        short to be a data packet raises ``ValueError``, once the rest
+        of the train has been processed.
         """
         receiver = self.receiver
-        write_at = self.write_at
+        flags = receiver.bitmap.flags
         psize, npackets = self._psize, receiver.npackets
         last, tail = npackets - 1, self._tail
         results, errors = wire.decode_data_burst(
             datagrams, checksum=self._checksum, session=self.session)
         rejects = iter(errors)
-        undecodable = write_fault = None
+        undecodable = None
         acks: list[bytes] = []
-        # Placed, not yet marked.
+        # Valid packets since the last mark, in order: the new ones are
+        # stored, or gathered in ``run`` — payloads of [start, end),
+        # whose first is seqs[at].  Every unmarked one is below end.
         seqs: list[int] = []
-        # The object can complete no earlier than the placement that
-        # brings the unmarked ones up to what is still missing, so
-        # marking there — and at the train's end — stops the train at
-        # the datagram a per-packet loop would stop at.
+        run: list = []
+        start = end = at = 0
+        # New packets the object still lacks beyond those in seqs: the
+        # one that brings it to 0 completes the object.
         room = receiver.bitmap.missing
         done = room == 0
+        ended = False
         for result in results:
             if result is None:
                 _index, exc = next(rejects)
@@ -360,31 +369,59 @@ class RecvDriver:
                     # Would land outside its own packet's bytes.
                     receiver.on_corrupt_data(now)
                 else:
-                    # Data before log: every payload of the train is in
-                    # the store before on_train journals its packet.
-                    try:
-                        write_at(seq * psize, payload)
-                    except OSError as exc:
-                        write_fault = exc
-                        break
+                    if seq < end:
+                        # It may repeat one this train has not marked:
+                        # store and mark those first, so the flags tell.
+                        ended = self._settle(start, run, seqs, at, now,
+                                             acks)
+                        if ended:
+                            break
+                        seqs, run, end = [], [], 0
+                    if not flags[seq]:
+                        if seq != end or not run:
+                            if run and not self._store(start, run, seqs,
+                                                       at, now, acks):
+                                ended = True
+                                break
+                            start, at, run = seq, len(seqs), []
+                        run.append(payload)
+                        end = seq + 1
+                        room -= 1
+                        done = not room
                     seqs.append(seq)
-                    room -= 1
-                    if room <= 0:
-                        done = self._mark(seqs, now, acks)
-                        seqs = []
-                        room = receiver.bitmap.missing
             if done:
                 break
-        if seqs:
-            self._mark(seqs, now, acks)
-        if write_fault is not None and self.fault is None:
-            self.fault = storage_fault(self.channel, "part", write_fault)
+        if not ended and seqs:
+            self._settle(start, run, seqs, at, now, acks)
         if undecodable is not None:
             raise undecodable
         return acks
 
+    def _store(self, start: int, run: list, seqs: list, at: int,
+               now: float, acks: list) -> bool:
+        """Data before log: the run's payloads go to the store in one
+        call.  False once that raised: the fault is recorded, and what
+        came before the run is marked but nothing of the run."""
+        try:
+            self.write_at(start * self._psize,
+                          run[0] if len(run) == 1 else b"".join(run))
+        except OSError as exc:
+            self._mark(seqs[:at], now, acks)
+            if self.fault is None:
+                self.fault = storage_fault(self.channel, "part", exc)
+            return False
+        return True
+
+    def _settle(self, start: int, run: list, seqs: list, at: int,
+                now: float, acks: list) -> bool:
+        """Store the gathered run, then mark ``seqs``.  True when that
+        ended the receive: a fault, or the object is complete."""
+        if run and not self._store(start, run, seqs, at, now, acks):
+            return True
+        return self._mark(seqs, now, acks)
+
     def _mark(self, seqs: list, now: float, acks: list) -> bool:
-        """Mark a placed train; its acknowledgements join ``acks``.
+        """Mark stored packets; their acknowledgements join ``acks``.
         True when that ended the receive: complete, or a journal fault."""
         try:
             for ack in self.receiver.on_train(seqs, now):

@@ -28,7 +28,8 @@ Every datagram carries the transfer id and attempt epoch of
 ``session`` (a :class:`~repro.runtime.wire.SessionContext`), so zombies
 from a killed attempt are rejected.  Crash-resume support: ``kill`` (a
 :class:`~repro.simnet.faults.KillSwitch`) makes one endpoint die
-abruptly at a packet count; ``journal`` (opt-in) persists the
+abruptly at a packet count (for the receiver, new packets stored:
+duplicates are not counted); ``journal`` (opt-in) persists the
 receiver's bitmap so a later attempt can be seeded with
 ``resume_bitmap`` under the next epoch's session.
 :func:`repro.runtime.supervisor.run_resumable_loopback` drives the
@@ -527,10 +528,19 @@ def run_loopback_transfer(
     data_addr, ack_addr = data_sock.getsockname(), ack_sock.getsockname()
 
     placed = 0
+    psize = config.packet_size
 
     def place(offset: int, payload) -> None:
+        # One call stores a run of new packets.  The receiver's kill
+        # counts new packets stored (a duplicate never reaches the
+        # store) and fires at exactly the one it names, the run's
+        # packets before it placed.
         nonlocal placed
-        if kill_rx is not None and kill_rx.should_fire(placed):
+        count = -(-len(payload) // psize)
+        if kill_rx is not None and kill_rx.should_fire(placed + count - 1):
+            keep = max(kill_rx.after_packets - placed, 0) * psize
+            buffer[offset:offset + keep] = payload[:keep]
+            placed += keep // psize
             # What this train placed but had not yet marked, and the
             # pending (unflushed) journal run, are lost with the
             # process; the sender must stall-abort.
@@ -540,7 +550,7 @@ def run_loopback_transfer(
             raise EndpointKilled(f"receiver killed by crash injection "
                                  f"after {placed} data packets")
         buffer[offset:offset + len(payload)] = payload
-        placed += 1
+        placed += count
 
     def send_ack(ack: bytes) -> None:
         if not blackhole_acks:

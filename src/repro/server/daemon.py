@@ -748,19 +748,29 @@ class ObjectServer:
         one 5-tuple: the first datagram is routed and, when the rest
         carry its session-extension bytes, the whole read is that
         transfer's burst (whose decode still verifies id, epoch and CRC
-        per datagram).  Anything else is routed datagram by datagram,
-        consecutive data datagrams of one transfer as one burst."""
+        per datagram) — or, where the first belonged to nothing live
+        (a finished push's tail), counted unknown in one step.
+        Anything else, and a read whose first datagram was an
+        acknowledgement, is routed datagram by datagram, consecutive
+        data datagrams of one transfer as one burst."""
         counters = self.registry.counters
-        stale = counters.stale_epoch
+        stale, unknown = counters.stale_epoch, counters.unknown_transfer
         burst_entry = self._route_datagram(views[0], now)
         burst = [views[0]] if burst_entry is not None else []
         rest = views[1:]
-        # The ACK-offset probe reads inside the compared bytes: where
-        # the first datagram's counted no stale epoch, no other's would.
-        if burst and rest and counters.stale_epoch == stale:
+        # The ACK-offset probe's transfer id lies inside the compared
+        # bytes: where the first datagram was long enough for both
+        # probes and counted no stale epoch, no other would, and each
+        # is routed where the first was.
+        if (rest and counters.stale_epoch == stale
+                and (burst or counters.unknown_transfer != unknown)
+                and wire.peek_session(views[0], "ack") is not None):
             ext = views[0][wire.DATA_SESSION_EXT]
             if all(view[wire.DATA_SESSION_EXT] == ext for view in rest):
-                self._on_push_data(burst_entry, views, now)
+                if burst:
+                    self._on_push_data(burst_entry, views, now)
+                else:
+                    counters.unknown_transfer += len(rest)
                 return
         for datagram in rest:
             entry = self._route_datagram(datagram, now)

@@ -166,6 +166,24 @@ def test_property_next_missing_is_first_false_circularly(npackets, data):
     assert result == expected
 
 
+@given(npackets=st.integers(min_value=1, max_value=200), data=st.data())
+def test_property_mark_range_is_mark_folded_over_the_range(npackets, data):
+    """One ``mark_range`` leaves the flags, the count and the returned
+    number of new packets exactly where ``mark`` over each packet of the
+    range does, whatever of the range was already set."""
+    marked = data.draw(st.lists(st.integers(0, npackets - 1), max_size=60))
+    start = data.draw(st.integers(0, npackets - 1))
+    count = data.draw(st.integers(1, npackets - start))
+    ours, ref = PacketBitmap(npackets), PacketBitmap(npackets)
+    for seq in marked:
+        ours.mark(seq)
+        ref.mark(seq)
+    added = ours.mark_range(start, count)
+    assert added == sum(ref.mark(seq) for seq in range(start, start + count))
+    assert bytes(ours.flags) == bytes(ref.flags)
+    assert ours.count == ref.count
+
+
 class TestFlagsAndArrayAreOneMemory:
     """The byte per packet the scalar paths and the ``memchr`` sweep
     use and the bool array the bulk operations use are the same bytes."""

@@ -257,6 +257,20 @@ class TestJournalLifecycle:
         assert final.records_dropped == 0
         assert final.bitmap.array[0:3].all() and final.bitmap.array[10:12].all()
 
+    def test_a_demotion_inside_the_pending_run_is_exact(self, tmp_path):
+        """The bitmap holds a run still pending (not yet appended), and a
+        demotion inside it is exact on disk too."""
+        journal = make_journal(tmp_path)
+        for seq in (3, 4, 5, 6):
+            journal.record(seq)
+        assert journal.records_written == 0  # still pending
+        assert journal.bitmap.array[3:7].all() and journal.bitmap.count == 4
+        assert journal.demote([5]) == 1
+        journal.record(9)
+        journal.close()
+        final = replay_journal(journal.path)
+        assert np.flatnonzero(final.bitmap.array).tolist() == [3, 4, 6, 9]
+
     def test_record_validation(self, tmp_path):
         journal = make_journal(tmp_path)
         with pytest.raises(ValueError):

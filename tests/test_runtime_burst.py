@@ -66,11 +66,15 @@ class Endpoint:
         self.journal.append(seq)
 
     def write_at(self, offset: int, payload) -> None:
+        marked = self.receiver.bitmap.array
+        assert not any(marked[offset // PSIZE:(offset + len(payload) - 1)
+                              // PSIZE + 1]), "stored a marked packet"
         self.writes += 1
         if self.writes == self.fail_at:
             raise OSError(errno.ENOSPC, "No space left on device")
         self.store[offset:offset + len(payload)] = payload
-        self.written[offset] = bytes(payload)
+        for at in range(0, len(payload), PSIZE):
+            self.written[offset + at] = bytes(payload[at:at + PSIZE])
 
     def state(self) -> dict:
         rx = self.receiver
@@ -81,10 +85,51 @@ class Endpoint:
 
 
 def reference_train(end: Endpoint, train, now: float):
-    """The per-datagram receive loop as it stood before ``on_burst``,
-    on :func:`wire.decode_data`: returns (ACK bytes, first ValueError)."""
+    """The per-datagram receive loop on :func:`wire.decode_data` and
+    ``on_data``, storing where ``on_burst`` stores: returns (ACK bytes,
+    first ValueError).
+
+    A packet already marked is never stored.  Consecutive new packets
+    are stored in one call, made at the first new packet that does not
+    follow on.  Packets are marked (``on_data``, in arrival order, the
+    run stored first) where ``on_burst`` marks: before a packet at or
+    below the last new one (it may repeat it), at completion and at the
+    train's end.
+    """
     rx = end.receiver
     acks, undecodable = [], None
+    #: Valid packets not marked yet, in order; the new ones of them.
+    pending, placed = [], set()
+    #: (seq, payload) of the new packets not stored yet.
+    run = []
+
+    def store() -> bool:
+        if not run:
+            return True
+        try:
+            end.write_at(run[0][0] * PSIZE, b"".join(p for _s, p in run))
+        except OSError as exc:
+            # Nothing of the run is marked; what came before it is.
+            del pending[pending.index(run[0][0]):], run[:]
+            settle()
+            end.fault = f"storage fault [ENOSPC] at part: {exc}"
+            return False
+        del run[:]
+        return True
+
+    def settle() -> bool:
+        if not store():
+            return False
+        for seq in pending:
+            ack = rx.on_data(seq, now)
+            if ack is not None:
+                acks.append(wire.encode_ack(
+                    ack, checksum=end.checksum, session=end.session))
+        del pending[:]
+        placed.clear()
+        return True
+
+    done = rx.complete
     for datagram in train:
         try:
             pkt, payload = wire.decode_data(
@@ -96,22 +141,23 @@ def reference_train(end: Endpoint, train, now: float):
         except ValueError as exc:
             undecodable = undecodable or exc
         else:
-            offset = pkt.seq * PSIZE
+            seq, offset = pkt.seq, pkt.seq * PSIZE
             if (pkt.total != rx.npackets or len(payload) != min(
                     PSIZE, rx.total_bytes - offset)):
                 rx.on_corrupt_data(now)
             else:
-                try:
-                    end.write_at(offset, payload)
-                    ack = rx.on_data(pkt.seq, now)
-                except OSError as exc:
-                    end.fault = f"storage fault [ENOSPC] at part: {exc}"
-                    break
-                if ack is not None:
-                    acks.append(wire.encode_ack(
-                        ack, checksum=end.checksum, session=end.session))
-        if rx.complete:
+                if placed and seq <= max(placed) and not settle():
+                    return acks, undecodable
+                if not rx.bitmap.array[seq]:
+                    if run and seq != run[-1][0] + 1 and not store():
+                        return acks, undecodable
+                    run.append((seq, payload))
+                    placed.add(seq)
+                    done = len(placed) == rx.bitmap.missing
+                pending.append(seq)
+        if done:
             break
+    settle()
     return acks, undecodable
 
 

@@ -817,6 +817,38 @@ def test_part_file_seeks_only_where_a_write_does_not_follow_the_last(tmp_path):
     assert (tmp_path / "obj.bin").read_bytes() == data
 
 
+def test_a_train_reaches_the_part_file_a_run_at_a_time(tmp_path):
+    """The receive loop over a ``.part`` file: an in-order train is one
+    seek and one write, the next in-order train one write, a train of
+    duplicates nothing at all, and the short last packet is stored
+    inside its run at its own length."""
+    import zlib
+
+    opener = SeekCounting()
+    npackets = 40
+    data = blob(npackets)
+    part = PartFile(str(tmp_path / "obj.bin"), len(data), PSIZE,
+                    crc=zlib.crc32(data), transfer_id=3, opener=opener)
+    receiver = FobsReceiver(cfg(ack_frequency=64), len(data))
+    driver = RecvDriver(receiver, part.write_at, SESSION)
+
+    def train(seqs):
+        del opener.calls[:]
+        driver.on_burst(wire.encode_data_burst(
+            seqs, [0] * len(seqs), npackets,
+            [data[seq * PSIZE:(seq + 1) * PSIZE] for seq in seqs],
+            checksum=True, session=SESSION), 0.0)
+        return opener.calls
+
+    assert [call[0] for call in train(range(0, 16))] == ["seek", "write"]
+    assert train(range(16, 32)) == [("write", 16 * PSIZE)]
+    assert train(range(0, 16)) == []
+    assert receiver.stats.packets_duplicate == 16
+    assert train(range(32, 40)) == [("write", 7 * PSIZE + 17)]
+    assert receiver.complete and part.publish() is None
+    assert (tmp_path / "obj.bin").read_bytes() == data
+
+
 # ----------------------------------------------------------------------
 # Pacing debt and the follower, on a fake clock
 # ----------------------------------------------------------------------

@@ -215,7 +215,7 @@ class TestConcurrentFetch:
 
 
 class TestPushCompat:
-    def test_vanilla_v1_push_lands_in_root(self, objects):
+    def test_a_default_push_lands_in_root(self, objects):
         """A push with default arguments (one attempt, a derived transfer
         id) is a session too: OFFER2, stamped datagrams."""
         blob = os.urandom(120_000)

@@ -289,3 +289,34 @@ def test_a_train_the_ack_probe_also_claims_is_walked(tmp_path):
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1]["stale_epoch"] == 8
     assert outcomes[0][0] == [("a", train)]
+
+
+def test_a_dead_transfers_train_is_counted_in_one_step(tmp_path):
+    """A finished push's tail: the first datagram routes nowhere and
+    the rest carry its session bytes, so the whole read is counted
+    unknown at once — one probe, not one per datagram."""
+    server, log = demux_server(tmp_path)
+    routed = []
+    real = server._route_datagram
+    server._route_datagram = lambda d, now: routed.append(1) or real(d, now)
+    counters = server.registry.counters
+    train = [data_of(wire.SessionContext(0xDEAD, 0), i) for i in range(16)]
+    server._route_train([memoryview(d) for d in train], 0.0)
+    assert len(routed) == 1 and log == []
+    assert counters.unknown_transfer == 16
+    # A read whose first datagram is an acknowledgement is walked.
+    ack = ack_of(FETCH, 3, 0)
+    del routed[:]
+    server._route_train([memoryview(d) for d in [ack] + train[1:]], 0.0)
+    assert len(routed) == 16 and log == [("s", ack)]
+    assert counters.unknown_transfer == 16 + 15
+    # So is one whose first is too short for the ACK-offset probe: the
+    # next, sharing its DATA-offset bytes, is an acknowledgement.
+    outcomes = []
+    for route in (ObjectServer._route_train, walk):
+        server, log = demux_server(tmp_path)
+        route(server, [memoryview(ack[:26]), memoryview(ack)], 0.0)
+        outcomes.append(outcome(server, log))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == [("s", ack)]
+    assert outcomes[0][1]["unknown_transfer"] == 1
