@@ -11,15 +11,16 @@ classes here and owns nothing but its sockets and its clock:
   abort, pacing, one burst-codec pass per batch, the tuner hooks.
   Acknowledgement datagrams and the completion signal are pushed in.
 * :class:`RecvDriver` is the receiver loop of Section 3.2 as
-  ``on_burst(views, now) -> [ack_bytes]``: decode the train, store
+  ``on_burst(train, now) -> [ack_bytes]``: decode the train, store
   each run of new packets in one call at ``seq * packet_size`` (a
   duplicate is never stored), then mark the train in one core call
   that builds the bitmap acknowledgements falling due.
 * :class:`PartFile` is the crash-persistent ``.part`` + journal
   lifecycle a file-backed receiver wraps around that loop.
 
-The seam is two callables and a number: ``send(views) -> n_sent``
-writes encoded datagrams and says how many it took, ``write_at(offset,
+The seam is two callables and a number: ``send(train) -> n_sent``
+writes a :class:`~repro.runtime.wire.Train` of encoded datagrams and
+says how many of them it took, ``write_at(offset,
 payload)`` stores the payloads of consecutive packets from the one at
 ``offset``, and the caller passes ``now``.  Network
 chaos is :class:`FaultySend` around ``send`` — the network twin of
@@ -82,7 +83,7 @@ FOLLOW_RAISE = 1.25
 #: the cut window's packets per packet delivered.
 FOLLOW_CURED = 0.95
 
-Send = Callable[[Sequence], int]
+Send = Callable[[wire.Train], int]
 
 
 class EndpointKilled(Exception):
@@ -90,7 +91,7 @@ class EndpointKilled(Exception):
 
 
 class FaultySend:
-    """Seeded network chaos around a ``send(views) -> n_sent`` callable.
+    """Seeded network chaos around a ``send(train) -> n_sent`` callable.
 
     ``drop_rate`` discards that fraction of datagrams (wide-area loss),
     ``corrupt_rate`` flips one byte in a *copy* of that fraction (the
@@ -112,8 +113,10 @@ class FaultySend:
         #: network lost them, the endpoint did send them).
         self.sent = 0
 
-    def __call__(self, views: Sequence) -> int:
-        for taken, view in enumerate(views):
+    def __call__(self, train: Sequence) -> int:
+        """Judge ``train`` datagram by datagram; each that survives
+        leaves as a train of its own."""
+        for taken, view in enumerate(train):
             if self.kill is not None and self.kill.should_fire(self.sent):
                 self.kill.fire(time.monotonic())
                 raise EndpointKilled(
@@ -127,10 +130,10 @@ class FaultySend:
                     damaged[int(self._corrupt_rng.integers(len(damaged)))] \
                         ^= 0xFF
                     view = damaged
-                if not self._send((view,)):
+                if not self._send(wire.Train.of((view,))):
                     return taken
             self.sent += 1
-        return len(views)
+        return len(train)
 
 
 class SendDriver:
@@ -143,9 +146,12 @@ class SendDriver:
         self.session = session
         #: Optional :class:`repro.tuning.TransferTuner`.
         self.tuner = tuner
-        self._blob = memoryview(data)
+        self._data = data
         #: Encoded datagrams ``send`` has not taken yet, oldest first.
-        self._tail: list = []
+        self._tail: Optional[wire.Train] = None
+        #: Datagrams on the ACK socket that were no acknowledgement at
+        #: all: counted and dropped.
+        self.undecodable = 0
         #: Pacing: wire bytes not yet paid for by elapsed time when the
         #: last batch left, at ``_debt_at``.  Time since pays at the
         #: *current* rate (a re-fed rate applies to the wait in
@@ -175,9 +181,8 @@ class SendDriver:
 
         Callers push in *every* datagram queued on their socket before
         the next :meth:`step`, so a stale bitmap never steers packet
-        selection.  Damaged and stale-session datagrams only move their
-        counters; one that is no acknowledgement at all raises
-        ``ValueError``.
+        selection.  Damaged, stale-session and undecodable datagrams
+        only move their counters.
         """
         sender = self.sender
         try:
@@ -188,6 +193,10 @@ class SendDriver:
             return
         except (wire.StaleEpochError, wire.SessionMismatchError):
             sender.on_stale_ack()
+            return
+        except ValueError:
+            # No acknowledgement at all (a stray datagram on the port).
+            self.undecodable += 1
             return
         sender.on_ack(ack, now)
         if ack.ack_id > self._ack_id:
@@ -248,7 +257,7 @@ class SendDriver:
             # still close epochs for the controller to see the stall.
             self.tuner.on_ack(sender, now)
         if self._tail:
-            del self._tail[:self.send(self._tail)]
+            self._tail = self._tail.after(self.send(self._tail))
             if self._tail:
                 return IDLE_WAIT
         stall = sender.poll_stall(now)
@@ -271,18 +280,14 @@ class SendDriver:
             return IDLE_WAIT
         if self.tuner is not None:
             self.tuner.maybe_probe(seqs[0], now)
-        # One codec pass for the whole batch: payloads sliced zero-copy
-        # from the object (the slice that runs off its end is the short
-        # last packet), one shared buffer behind every datagram handed
-        # to ``send``.
-        psize = sender.config.packet_size
-        blob = self._blob
-        views = wire.encode_data_burst(
-            seqs, transmissions, sender.npackets,
-            [blob[seq * psize:(seq + 1) * psize] for seq in seqs],
+        # One codec pass for the whole batch, written from the object
+        # into one buffer, handed to ``send`` as one train.
+        train = wire.encode_data_burst(
+            seqs, transmissions, self._data, sender.config.packet_size,
             checksum=sender.config.checksum, session=self.session)
-        self._tail = views[self.send(views):]
-        nbytes = sum(map(len, views))
+        sent = self.send(train)
+        self._tail = train.after(sent) if sent < len(train) else None
+        nbytes = train.nbytes
         self._bytes_out += nbytes
         # ``wait`` <= 0 is how late this batch left: credit, bounded.
         # An unpaced batch leaves none, to the rate that comes next.
@@ -311,10 +316,25 @@ class RecvDriver:
         #: Typed ``storage fault`` reason once the store (or journal)
         #: raised; the caller fails the *attempt*, not the process.
         self.fault: Optional[str] = None
+        #: Datagrams that were no data packet at all: counted, dropped.
+        self.undecodable = 0
+        #: The last train :meth:`decode` read, and what it read.
+        self._decoded: Optional[tuple] = None
 
-    def on_burst(self, datagrams: Sequence, now: float) -> list[bytes]:
-        """Process one train of data datagrams, in order; returns the
-        ACK bytes to transmit, in order.
+    def decode(self, train) -> tuple[list, list]:
+        """``train``'s decode, made once: a caller may look at it (the
+        daemon routes a train by it) before handing the same train to
+        :meth:`on_burst`, which then reads it no second time."""
+        if self._decoded is None or self._decoded[0] is not train:
+            self._decoded = (train, *wire.decode_data_burst(
+                train, checksum=self._checksum, session=self.session))
+        return self._decoded[1], self._decoded[2]
+
+    def on_burst(self, train, now: float) -> list[bytes]:
+        """Process one train of data datagrams (a
+        :class:`~repro.runtime.wire.Train`, or any sequence of
+        datagrams), in order; returns the ACK bytes to transmit, in
+        order.
 
         One codec pass for the train, one store call per run —
         consecutive new packets, their payloads joined — then one call
@@ -326,18 +346,17 @@ class RecvDriver:
         geometry is not this object's, only move their counters and
         never reach the store — or take their neighbours down.  Stops
         at the run whose store call faulted (nothing of it is marked)
-        or after the datagram that left the object complete.  One too
-        short to be a data packet raises ``ValueError``, once the rest
-        of the train has been processed.
+        or after the datagram that left the object complete.  One that
+        is no data packet at all (a stray datagram on the port) is
+        counted in :attr:`undecodable` and dropped.
         """
         receiver = self.receiver
         flags = receiver.bitmap.flags
         psize, npackets = self._psize, receiver.npackets
         last, tail = npackets - 1, self._tail
-        results, errors = wire.decode_data_burst(
-            datagrams, checksum=self._checksum, session=self.session)
+        results, errors = self.decode(train)
+        self._decoded = None
         rejects = iter(errors)
-        undecodable = None
         acks: list[bytes] = []
         # Valid packets since the last mark, in order: the new ones are
         # stored, or gathered in ``run`` — payloads of [start, end),
@@ -348,7 +367,6 @@ class RecvDriver:
         # New packets the object still lacks beyond those in seqs: the
         # one that brings it to 0 completes the object.
         room = receiver.bitmap.missing
-        done = room == 0
         ended = False
         for result in results:
             if result is None:
@@ -360,8 +378,8 @@ class RecvDriver:
                                       wire.SessionMismatchError)):
                     # Zombie datagram from a dead attempt.
                     receiver.on_stale_data(0)
-                elif undecodable is None:
-                    undecodable = exc
+                else:
+                    self.undecodable += 1
             else:
                 seq, total, _transmission, payload = result
                 if (total != npackets or len(payload) != (
@@ -387,14 +405,11 @@ class RecvDriver:
                         run.append(payload)
                         end = seq + 1
                         room -= 1
-                        done = not room
                     seqs.append(seq)
-            if done:
+            if not room:
                 break
         if not ended and seqs:
             self._settle(start, run, seqs, at, now, acks)
-        if undecodable is not None:
-            raise undecodable
         return acks
 
     def _store(self, start: int, run: list, seqs: list, at: int,

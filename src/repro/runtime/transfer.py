@@ -122,20 +122,19 @@ SEND_BATCH = 16
 
 
 class BurstSend:
-    """The driver's ``send(views) -> n_sent`` seam onto one UDP socket.
+    """The driver's ``send(train) -> n_sent`` seam onto one UDP socket.
 
-    Each run of equal-length views — optionally closed by one shorter
-    view: the object's last packet can sit mid-batch on a
-    retransmission pass — leaves in one ``sendmsg`` that the kernel
-    segments (``UDP_SEGMENT``), with *zero* per-datagram encode,
-    allocation or copy (the views all window the codec's one buffer).
-    A run of one (every 32 KiB packet, every :class:`FaultySend`
-    datagram) is a plain ``sendto``, and so is everything after the
-    first segmented send the kernel refuses (old kernel, another OS, a
-    segment above the path MTU): that run is re-sent datagram by
-    datagram, nothing lost and nothing doubled.  Returns how many views
-    the socket took — fewer than given only when a non-blocking
-    socket's buffer filled up, and then at a run boundary.
+    Each run of the :class:`~repro.runtime.wire.Train` leaves as one
+    buffer in one ``sendmsg`` that the kernel segments
+    (``UDP_SEGMENT``), as many as its limits allow a call: 64 segments,
+    one datagram's bytes.  A run of one (every 32 KiB packet, every
+    :class:`FaultySend` datagram) is a plain ``sendto``, and so is
+    every datagram after the first segmented send the kernel refuses
+    (old kernel, another OS, a segment above the path MTU): that run is
+    re-sent datagram by datagram, nothing lost and nothing doubled.
+    Returns how many datagrams the socket took — fewer than given only
+    when a non-blocking socket's buffer filled up, and then at the end
+    of a send call.
     """
 
     __slots__ = ("sock", "addr", "_segmenting")
@@ -147,40 +146,34 @@ class BurstSend:
         self.addr = addr
         self._segmenting = True
 
-    def __call__(self, views) -> int:
+    def __call__(self, train: wire.Train) -> int:
         sock, addr = self.sock, self.addr
-        sent, n = 0, len(views)
-        while sent < n:
-            size = len(views[sent])
-            end = sent + 1
-            if self._segmenting and size:
-                stop = min(n, sent + min(_MAX_SEGMENTS,
-                                         wire.MAX_DATAGRAM_BYTES // size))
-                while end < stop and len(views[end]) == size:
-                    end += 1
-                if end < stop and 0 < len(views[end]) < size:
-                    end += 1
-            if end - sent > 1:
+        sent = 0
+        for region, size in train.runs:
+            step = size * max(min(_MAX_SEGMENTS,
+                                  wire.MAX_DATAGRAM_BYTES // size), 1)
+            for start in range(0, len(region) or 1, step):
+                chunk = region[start:start + step]
+                if self._segmenting and len(chunk) > size:
+                    try:
+                        sock.sendmsg([chunk], [(
+                            socket.SOL_UDP, UDP_SEGMENT,
+                            _SEGMENT_SIZE.pack(size))], 0, addr)
+                    except BlockingIOError:
+                        return sent
+                    except OSError:
+                        # Refused, so nothing of it left: it goes out
+                        # below, and nothing more is segmented.
+                        self._segmenting = False
+                    else:
+                        sent += -(-len(chunk) // size)
+                        continue
                 try:
-                    sock.sendmsg(
-                        views[sent:end],
-                        [(socket.SOL_UDP, UDP_SEGMENT,
-                          _SEGMENT_SIZE.pack(size))], 0, addr)
+                    for at in range(0, len(chunk) or 1, size):
+                        sock.sendto(chunk[at:at + size], addr)
+                        sent += 1
                 except BlockingIOError:
-                    break
-                except OSError:
-                    # Refused, so nothing of the run left: it goes out
-                    # below, and no later run is offered.
-                    self._segmenting = False
-                else:
-                    sent = end
-                    continue
-            try:
-                for view in views[sent:end]:
-                    sock.sendto(view, addr)
-                    sent += 1
-            except BlockingIOError:
-                break
+                    return sent
         return sent
 
 
@@ -195,16 +188,18 @@ def accept_trains(sock: socket.socket) -> None:
 
 def drain(sock: socket.socket, handle, now: float, rxbuf: bytearray,
           budget: float = float("inf")) -> None:
-    """Hand what is queued on non-blocking ``sock`` to ``handle(views,
+    """Hand what is queued on non-blocking ``sock`` to ``handle(train,
     now)``, one call per read: until the kernel has no more (EAGAIN),
     ``budget`` datagrams have been handed over (the rest stays queued,
     the socket readable: for a loop with other work to do between
     calls), ``handle`` returns true, or ``handle`` closed the socket.
     A read is one datagram, or — after :func:`accept_trains` — a train
-    of them that the ``UDP_GRO`` ancillary datum says to split at that
-    segment size (the last may be shorter).  The views window the one
-    reusable ``rxbuf`` (``recv(65535)`` allocates per datagram), so
-    ``handle`` must consume them before returning.
+    of them; either way ``handle`` gets it as one region, a
+    :class:`~repro.runtime.wire.Train` of one run whose size is the
+    ``UDP_GRO`` segment size (the last datagram may be shorter).  The
+    region windows the one reusable ``rxbuf`` (``recv(65535)``
+    allocates per datagram), so ``handle`` must consume it before
+    returning.
     """
     recvmsg_into = sock.recvmsg_into
     rxview = memoryview(rxbuf)
@@ -219,13 +214,10 @@ def drain(sock: socket.socket, handle, now: float, rxbuf: bytearray,
         for level, kind, value in ancdata:
             if level == socket.SOL_UDP and kind == UDP_GRO:
                 (size,) = _GRO_SIZE.unpack(value)
-        if 0 < size < nrecv:
-            views = [rxview[start:min(start + size, nrecv)]
-                     for start in range(0, nrecv, size)]
-        else:
-            views = [rxview[:nrecv]]
-        budget -= len(views)
-        if handle(views, now):
+        if not 0 < size < nrecv:
+            size = nrecv or 1
+        budget -= -(-nrecv // size) or 1
+        if handle(wire.Train([(rxview[:nrecv], size)]), now):
             return
 
 
@@ -245,10 +237,11 @@ def udp_offload() -> bool:
             rx.setsockopt(socket.SOL_UDP, UDP_GRO, 1)
             rx.bind(("127.0.0.1", 0))
             rx.settimeout(1.0)
-            BurstSend(tx, rx.getsockname())([b"ab", b"cd", b"e"])
+            BurstSend(tx, rx.getsockname())(
+                wire.Train([(memoryview(b"abcde"), 2)]))
             trains = []
-            drain(rx, lambda views, _now: trains.append(
-                [bytes(view) for view in views]) or True, 0.0, bytearray(64))
+            drain(rx, lambda train, _now: trains.append(
+                [bytes(view) for view in train]) or True, 0.0, bytearray(64))
         except OSError:
             return False
     return trains == [[b"ab", b"cd", b"e"]]
@@ -267,9 +260,9 @@ def sender_turns(driver: SendDriver, ack_sock: socket.socket,
     sender = driver.sender
     rxbuf = bytearray(65535)
 
-    def on_acks(views, now: float) -> None:
-        for view in views:
-            driver.on_ack_datagram(view, now)
+    def on_acks(train, now: float) -> None:
+        for datagram in train:
+            driver.on_ack_datagram(datagram, now)
 
     while True:
         now = time.monotonic()
@@ -298,8 +291,8 @@ def receiver_turns(driver: RecvDriver, data_sock: socket.socket,
     rxbuf = bytearray(65535)
     start = time.monotonic()
 
-    def on_data(views, now: float) -> bool:
-        for ack in driver.on_burst(views, now):
+    def on_data(train, now: float) -> bool:
+        for ack in driver.on_burst(train, now):
             send_ack(ack)
         return driver.fault is not None or receiver.complete
 

@@ -40,6 +40,7 @@ backend.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from dataclasses import dataclass
@@ -212,115 +213,242 @@ def decode_data(
     return pkt, payload
 
 
+class Train:
+    """DATA datagrams laid end to end: what the burst codec writes and
+    reads, :class:`~repro.runtime.transfer.BurstSend` sends and
+    :func:`~repro.runtime.transfer.drain` hands over.
+
+    ``runs`` is a list of ``(region, size)`` pairs.  A region holds
+    datagrams of ``size`` bytes one after another, the last of them
+    possibly shorter — the shape one ``UDP_SEGMENT`` send takes and one
+    ``UDP_GRO`` read returns; an empty region is one empty datagram.
+    An encoded batch is one run, or two when the object's short last
+    packet sits inside it; a read is one.  Iterating yields each
+    datagram as a view, so a train also reads as a list of datagrams.
+    """
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: list):
+        self.runs = runs
+
+    @classmethod
+    def of(cls, datagrams) -> "Train":
+        """``datagrams`` as a train: a train as it is; any other
+        sequence of datagrams as one run each, uncopied."""
+        if isinstance(datagrams, Train):
+            return datagrams
+        return cls([(memoryview(d), len(d) or 1) for d in datagrams])
+
+    def __bool__(self) -> bool:
+        return bool(self.runs)
+
+    def __len__(self) -> int:
+        return sum([_count(region, size) for region, size in self.runs])
+
+    def __iter__(self):
+        for region, size in self.runs:
+            for start in range(0, len(region) or 1, size):
+                yield region[start:start + size]
+
+    def __getitem__(self, index: int):
+        for region, size in self.runs:
+            count = _count(region, size)
+            if index < count:
+                return region[index * size:(index + 1) * size]
+            index -= count
+        raise IndexError("train index out of range")
+
+    @property
+    def nbytes(self) -> int:
+        return sum([len(region) for region, _size in self.runs])
+
+    def after(self, count: int) -> "Train":
+        """The datagrams behind the first ``count``: what is left of a
+        train a send took ``count`` of."""
+        runs = self.runs
+        for i, (region, size) in enumerate(runs):
+            here = _count(region, size)
+            if count < here:
+                if count:
+                    return Train([(region[count * size:], size)]
+                                 + runs[i + 1:])
+                return Train(runs[i:])
+            count -= here
+        return Train([])
+
+
+def _count(region, size: int) -> int:
+    """Datagrams in a run (an empty region is one empty datagram)."""
+    return -(-len(region) // size) or 1
+
+
+@functools.lru_cache(maxsize=16)
+def _packing(payload_bytes: int) -> struct.Struct:
+    """A DATA datagram's header, session extension and payload."""
+    return struct.Struct(f"{_DATA_SESSION_HDR.format}{payload_bytes}s")
+
+
+@functools.lru_cache(maxsize=64)
+def _unpacking(payload_bytes: int, checksum: bool) -> struct.Struct:
+    """A whole DATA datagram read as its header, extension and CRC
+    trailer, the payload skipped; without the trailer the last field is
+    an empty ``0s``, so both layouts read as six fields."""
+    return struct.Struct(f"{_DATA_SESSION_HDR.format}{payload_bytes}x"
+                         + ("I" if checksum else "0s"))
+
+
 def encode_data_burst(
     seqs: "list[int]",
     transmissions: "list[int]",
-    total: int,
-    payloads: "list",
+    data,
+    packet_size: int,
     checksum: bool = False,
     *,
     session: SessionContext,
-) -> list[memoryview]:
-    """Serialize a whole batch of DATA datagrams into one buffer.
+) -> Train:
+    """Serialize a whole batch of DATA datagrams, straight from the
+    object, into one buffer.
 
-    The batch comes as columns — packet ``i`` is ``seqs[i]`` of
-    ``total``, on transmission ``transmissions[i]``, carrying
-    ``payloads[i]`` — so the send path builds no object per datagram.
+    Packet ``i`` is ``seqs[i]`` of the object ``data`` (``bytes`` or
+    ``bytearray``: its slices are packed) cut into ``packet_size``
+    pieces, on transmission ``transmissions[i]``; the batch comes as
+    columns, so the send path builds no object per datagram.
     Byte-identical to calling :func:`encode_data` per packet — the
-    burst equivalence property the hypothesis suite pins — but with one
-    allocation for the batch: each header and session extension is
-    packed in place, each payload copied once, each CRC32 trailer
-    computed over the finished region.  Returns one writable memoryview
-    per datagram, all windows into the shared buffer, ready to hand to
-    ``sendmsg``/``sendto`` without further copies.
+    burst equivalence property the hypothesis suite pins — but one
+    allocation for the batch: each datagram's header, session
+    extension and payload are packed in place by one call, its CRC32
+    trailer computed over the finished bytes.  Returns the batch as a
+    :class:`Train` whose run breaks only behind the object's short
+    last packet.
     """
     n = len(seqs)
-    if len(payloads) != n or len(transmissions) != n:
-        raise ValueError(
-            f"{n} packets but {len(transmissions)} transmission counts "
-            f"and {len(payloads)} payloads")
-    if n == 0:
-        return []
-    pack_into, base = _DATA_SESSION_HDR.pack_into, _DATA_SESSION_HDR.size
-    tid, epoch = session.transfer_id, session.epoch
-    trailer = CHECKSUM_TRAILER_BYTES if checksum else 0
-    buf = bytearray((base + trailer) * n + sum(map(len, payloads)))
+    if len(transmissions) != n:
+        raise ValueError(f"{n} packets but {len(transmissions)} "
+                         f"transmission counts")
+    total = -(-len(data) // packet_size)
+    if n and not 0 <= min(seqs) <= max(seqs) < total:
+        raise ValueError(f"a packet outside [0, {total})")
+    last, tail = total - 1, len(data) - (total - 1) * packet_size
+    short = last if tail != packet_size else -1
+    base, trailer = _DATA_SESSION_HDR.size, CHECKSUM_TRAILER_BYTES * checksum
+    body = base + packet_size
+    size = body + trailer
+    buf = bytearray(n * size - seqs.count(short) * (packet_size - tail))
     mv = memoryview(buf)
+    pack_into = _packing(packet_size).pack_into
+    tid, epoch = session.transfer_id, session.epoch
     crc32 = zlib.crc32
     crc_into = _CRC.pack_into
-    views = []
-    start = 0
-    for seq, transmission, payload in zip(seqs, transmissions, payloads):
-        body = start + base
-        end = body + len(payload)
-        if end == body:
-            raise ValueError("data packet with empty payload")
-        pack_into(buf, start, seq, total, transmission, tid, epoch)
-        mv[body:end] = payload
+    runs = []
+    start = cut = 0
+    for seq, transmission in zip(seqs, transmissions):
+        at = seq * packet_size
+        if seq != short:
+            pack_into(buf, start, seq, total, transmission, tid, epoch,
+                      data[at:at + packet_size])
+            end = start + body
+        else:
+            _packing(tail).pack_into(buf, start, seq, total, transmission,
+                                     tid, epoch, data[at:])
+            end = start + base + tail
         if checksum:
             crc_into(buf, end, crc32(mv[start:end]))
             end += trailer
-        views.append(mv[start:end])
+        if seq == short:
+            # The object's short last packet ends its run.
+            runs.append((mv[cut:end], size))
+            cut = end
         start = end
-    return views
+    if cut < start:
+        runs.append((mv[cut:], size))
+    return Train(runs)
 
 
 def decode_data_burst(
-    datagrams: "list",
+    train,
     checksum: bool = False,
     *,
     session: SessionContext,
 ) -> tuple[list, list]:
-    """Parse a batch of DATA datagrams: the receive path's codec.
+    """Parse a train of DATA datagrams: the receive path's codec.
 
-    Returns ``(results, errors)``: ``results[i]`` is a plain ``(seq,
-    total, transmission, payload_view)`` tuple — the payload view is
-    zero-copy into the caller's buffer — or ``None`` where datagram
-    ``i`` was rejected; ``errors`` lists ``(index, exception)`` pairs
-    for the rejects, in index order.  Each datagram is validated
-    independently with exactly :func:`decode_data`'s semantics (same
-    checks, same order, same exception types), so one corrupted
-    datagram in a burst never takes its neighbours down.
+    ``train`` is a :class:`Train` (any other sequence of datagrams is
+    read as :meth:`Train.of` makes it).  Returns ``(results, errors)``:
+    ``results[i]`` is a plain ``(seq, total, transmission,
+    payload_view)`` tuple — the payload view is zero-copy into the
+    caller's buffer — or ``None`` where datagram ``i`` was rejected;
+    ``errors`` lists ``(index, exception)`` pairs for the rejects, in
+    index order.  Each datagram is judged with exactly
+    :func:`decode_data`'s semantics (same checks, same order, same
+    exception types and messages), so one corrupted datagram in a
+    train never takes its neighbours down.  The datagrams of one
+    length are read in one ``struct.iter_unpack`` pass — header,
+    extension and trailer of each — leaving each its CRC32 and the
+    comparisons.
     """
-    results: list = [None] * len(datagrams)
+    results: list = []
     errors: list = []
-    hdr_size = _DATA_HDR.size
-    unpack_from, base = _DATA_SESSION_HDR.unpack_from, _DATA_SESSION_HDR.size
-    my_tid, my_epoch = session.transfer_id, session.epoch
     trailer = CHECKSUM_TRAILER_BYTES if checksum else 0
-    crc32 = zlib.crc32
-    crc_from = _CRC.unpack_from
-    for i, datagram in enumerate(datagrams):
-        view = memoryview(datagram)
-        try:
-            if len(view) < hdr_size:
-                raise ValueError("datagram shorter than data header")
-            body_end = len(view) - trailer
-            if checksum:
-                if body_end < hdr_size:
-                    raise ValueError(
-                        "checksummed datagram shorter than header + trailer")
-                if crc32(view[:body_end]) != crc_from(view, body_end)[0]:
-                    raise ChecksumError(
-                        "data packet failed CRC32 verification")
-            if body_end < base:
-                raise ValueError(
-                    "data datagram shorter than session extension")
-            seq, total, transmission, tid, epoch = unpack_from(view)
-            if tid != my_tid:
-                raise SessionMismatchError(
-                    f"data for transfer {tid:#x}, expected {my_tid:#x}")
-            if epoch != my_epoch:
-                raise StaleEpochError(epoch, my_epoch, "data")
-            if body_end == base:
-                raise ValueError("data packet with empty payload")
-            # DataPacket's own range check.
-            if seq >= total:
-                raise ValueError(f"seq {seq} out of range [0, {total})")
-            results[i] = (seq, total, transmission, view[base:body_end])
-        except ValueError as exc:  # includes Checksum/Session/Stale
-            errors.append((i, exc))
+    for region, size in Train.of(train).runs:
+        whole = len(region) - len(region) % size
+        if whole:
+            _decode_run(region[:whole], size, trailer, session, results,
+                        errors)
+        if whole < len(region) or not region:
+            _decode_run(region[whole:], len(region) - whole, trailer,
+                        session, results, errors)
     return results, errors
+
+
+def _decode_run(view, length: int, trailer: int, session: SessionContext,
+                results: list, errors: list) -> None:
+    """Decode ``view``: datagrams of ``length`` bytes, one after
+    another (``length`` 0: one empty datagram)."""
+    hdr_size, base = _DATA_HDR.size, _DATA_SESSION_HDR.size
+    body = length - trailer
+    crc32 = zlib.crc32
+    if body < base:
+        # Too short to carry a session extension: judged one by one.
+        for start in range(0, len(view) or 1, length or 1):
+            datagram = view[start:start + length]
+            if length < hdr_size:
+                exc = ValueError("datagram shorter than data header")
+            elif trailer and length < hdr_size + trailer:
+                exc = ValueError(
+                    "checksummed datagram shorter than header + trailer")
+            elif trailer and (crc32(datagram[:body])
+                              != _CRC.unpack_from(datagram, body)[0]):
+                exc = ChecksumError("data packet failed CRC32 verification")
+            else:
+                exc = ValueError(
+                    "data datagram shorter than session extension")
+            errors.append((len(results), exc))
+            results.append(None)
+        return
+    my_tid, my_epoch = session.transfer_id, session.epoch
+    empty = body == base
+    append = results.append
+    for start, end, (seq, total, transmission, tid, epoch, crc) in zip(
+            range(0, len(view), length), range(body, len(view) + 1, length),
+            _unpacking(body - base, bool(trailer)).iter_unpack(view)):
+        if trailer and crc32(view[start:end]) != crc:
+            exc = ChecksumError("data packet failed CRC32 verification")
+        elif tid != my_tid:
+            exc = SessionMismatchError(
+                f"data for transfer {tid:#x}, expected {my_tid:#x}")
+        elif epoch != my_epoch:
+            exc = StaleEpochError(epoch, my_epoch, "data")
+        elif empty:
+            exc = ValueError("data packet with empty payload")
+        elif seq >= total:
+            # DataPacket's own range check.
+            exc = ValueError(f"seq {seq} out of range [0, {total})")
+        else:
+            append((seq, total, transmission, view[start + base:end]))
+            continue
+        errors.append((len(results), exc))
+        append(None)
 
 
 def encode_ack(

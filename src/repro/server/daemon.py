@@ -48,6 +48,7 @@ driver.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import socket
@@ -743,36 +744,42 @@ class ObjectServer:
     # ------------------------------------------------------------------
     # Shared-socket demux
     # ------------------------------------------------------------------
-    def _route_train(self, views, now: float) -> None:
-        """Route one read of the shared socket.  A ``UDP_GRO`` train is
-        one 5-tuple: the first datagram is routed and, when the rest
-        carry its session-extension bytes, the whole read is that
-        transfer's burst (whose decode still verifies id, epoch and CRC
-        per datagram) — or, where the first belonged to nothing live
-        (a finished push's tail), counted unknown in one step.
-        Anything else, and a read whose first datagram was an
-        acknowledgement, is routed datagram by datagram, consecutive
-        data datagrams of one transfer as one burst."""
+    def _route_train(self, train, now: float) -> None:
+        """Route one read of the shared socket (a
+        :class:`~repro.runtime.wire.Train`, or any sequence of
+        datagrams).  A ``UDP_GRO`` train is one 5-tuple: the first
+        datagram is routed and, when the train's decode under that
+        transfer's session rejects none of it (so every datagram carries
+        its id and epoch), the whole read is that transfer's burst — or,
+        where the first belonged to nothing live (a finished push's
+        tail) and the rest carry its session-extension bytes, counted
+        unknown in one step.  Anything else, and a read whose first
+        datagram was an acknowledgement, is routed datagram by datagram,
+        consecutive data datagrams of one transfer as one burst."""
+        train = wire.Train.of(train)
         counters = self.registry.counters
         stale, unknown = counters.stale_epoch, counters.unknown_transfer
-        burst_entry = self._route_datagram(views[0], now)
-        burst = [views[0]] if burst_entry is not None else []
-        rest = views[1:]
-        # The ACK-offset probe's transfer id lies inside the compared
-        # bytes: where the first datagram was long enough for both
-        # probes and counted no stale epoch, no other would, and each
-        # is routed where the first was.
-        if (rest and counters.stale_epoch == stale
-                and (burst or counters.unknown_transfer != unknown)
-                and wire.peek_session(views[0], "ack") is not None):
-            ext = views[0][wire.DATA_SESSION_EXT]
-            if all(view[wire.DATA_SESSION_EXT] == ext for view in rest):
-                if burst:
-                    self._on_push_data(burst_entry, views, now)
-                else:
-                    counters.unknown_transfer += len(rest)
-                return
-        for datagram in rest:
+        first = train[0]
+        burst_entry = self._route_datagram(first, now)
+        # The ACK-offset probe's transfer id lies inside the session
+        # extension: where the first datagram was long enough for both
+        # probes and counted no stale epoch, each datagram carrying its
+        # extension is routed where the first was.
+        if (len(train) > 1 and counters.stale_epoch == stale
+                and wire.peek_session(first, "ack") is not None):
+            if burst_entry is not None:
+                # The decode is made once: on_burst reads this one.
+                if not burst_entry.driver.decode(train)[1]:
+                    self._on_push_data(burst_entry, train, now)
+                    return
+            elif counters.unknown_transfer != unknown:
+                ext = first[wire.DATA_SESSION_EXT]
+                if all(datagram[wire.DATA_SESSION_EXT] == ext
+                       for datagram in itertools.islice(train, 1, None)):
+                    counters.unknown_transfer += len(train) - 1
+                    return
+        burst = [first] if burst_entry is not None else []
+        for datagram in itertools.islice(train, 1, None):
             entry = self._route_datagram(datagram, now)
             if entry is not burst_entry and burst:
                 self._on_push_data(burst_entry, burst, now)
@@ -808,20 +815,19 @@ class ObjectServer:
 
     def _on_fetch_ack(self, entry: _SendEntry, datagram: bytes,
                       now: float) -> None:
-        try:
-            entry.driver.on_ack_datagram(datagram, now)
-        except ValueError:
-            self.registry.count_undecodable()
+        driver = entry.driver
+        undecodable = driver.undecodable
+        driver.on_ack_datagram(datagram, now)
+        self.registry.counters.undecodable += driver.undecodable - undecodable
 
-    def _on_push_data(self, entry: _RecvEntry, views, now: float) -> None:
-        try:
-            acks = entry.driver.on_burst(views, now)
-        except ValueError:
-            # The rest of the train was processed all the same, so the
-            # fault and completion checks below still apply.
-            self.registry.count_undecodable()
-            acks = ()
-        self._bytes_received += sum(map(len, views))
+    def _on_push_data(self, entry: _RecvEntry, train, now: float) -> None:
+        train = wire.Train.of(train)
+        driver = entry.driver
+        undecodable = driver.undecodable
+        acks = driver.on_burst(train, now)
+        # The driver dropped what was no data packet; the demux counts it.
+        self.registry.counters.undecodable += driver.undecodable - undecodable
+        self._bytes_received += train.nbytes
         if entry.driver.fault is not None:
             # Disk fault mid-push (ENOSPC/EIO): fail this transfer with
             # a typed, retryable reason — the daemon itself survives,
@@ -847,16 +853,16 @@ class ObjectServer:
         return max(hint, 0.0)
 
     def _send_for(self, entry: _SendEntry):
-        """The entry's ``send(views) -> n_sent`` onto the shared socket; a
+        """The entry's ``send(train) -> n_sent`` onto the shared socket; a
         full buffer (or a transient error) leaves the tail with the driver."""
         burst = entry.burst = BurstSend(self._udp)
 
-        def send(views) -> int:
+        def send(train: wire.Train) -> int:
             try:
-                sent = burst(views)
+                sent = burst(train)
             except OSError:
                 sent = 0
-            self._bytes_sent += sum(map(len, views[:sent]))
+            self._bytes_sent += train.nbytes - train.after(sent).nbytes
             return sent
 
         if self.kill is not None:

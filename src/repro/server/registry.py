@@ -111,6 +111,3 @@ class TransferRegistry:
 
     def count_unknown(self) -> None:
         self.counters.unknown_transfer += 1
-
-    def count_undecodable(self) -> None:
-        self.counters.undecodable += 1

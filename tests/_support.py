@@ -181,18 +181,21 @@ def raw_offer(filesize: int, packet_size: int, flags: int = 0,
                        transfer_id, epoch)
 
 
-def encode_burst(packets, payloads, checksum=False, session=SESSION):
-    """``wire.encode_data_burst`` for a list of ``DataPacket``s: the
-    adapter the packet-object tests reach the column codec through."""
-    for pkt, payload in zip(packets, payloads):
-        if len(payload) != pkt.payload_bytes:
-            raise ValueError(f"payload length {len(payload)} != declared "
-                             f"{pkt.payload_bytes}")
-    return wire.encode_data_burst(
-        [pkt.seq for pkt in packets],
-        [pkt.transmission for pkt in packets],
-        packets[0].total if packets else 0, payloads, checksum,
-        session=session)
+def joined(datagrams) -> wire.Train:
+    """``datagrams`` laid end to end as the kernel moves them: each run
+    of equal lengths, closed by at most one shorter datagram, copied
+    into one buffer of its own (a ``UDP_GRO`` read is one such run)."""
+    runs: list = []
+    size = 0
+    for datagram in datagrams:
+        # An empty datagram is a run (an empty region) of its own.
+        if (runs and runs[-1][0] and datagram
+                and len(runs[-1][0]) % size == 0 and len(datagram) <= size):
+            runs[-1][0].extend(datagram)
+        else:
+            size = len(datagram) or 1
+            runs.append((bytearray(datagram), size))
+    return wire.Train([(memoryview(region), size) for region, size in runs])
 
 
 def decode_burst(datagrams, checksum=False, session=SESSION):

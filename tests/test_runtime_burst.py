@@ -4,7 +4,9 @@
 leaves, whatever the train holds; ``BurstSend`` and ``drain`` must move
 the same datagrams in the same order whether or not the kernel offers
 UDP segmentation offload, choosing by what the socket calls return.
-No sleeps: sockets are waited on with ``select``.
+A train crosses the codec and the kernel as regions (``wire.Train``):
+one buffer per segmented send.  No sleeps: sockets are waited on with
+``select``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import errno
 import select
 import socket
+import struct
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +36,8 @@ from repro.runtime.transfer import (
     run_loopback_transfer,
     udp_offload,
 )
+
+from _support import joined
 
 PSIZE = 16
 SESSION = wire.SessionContext(transfer_id=0xF0B5, epoch=3)
@@ -87,7 +93,7 @@ class Endpoint:
 def reference_train(end: Endpoint, train, now: float):
     """The per-datagram receive loop on :func:`wire.decode_data` and
     ``on_data``, storing where ``on_burst`` stores: returns (ACK bytes,
-    first ValueError).
+    datagrams that were no data packet).
 
     A packet already marked is never stored.  Consecutive new packets
     are stored in one call, made at the first new packet that does not
@@ -97,7 +103,7 @@ def reference_train(end: Endpoint, train, now: float):
     train's end.
     """
     rx = end.receiver
-    acks, undecodable = [], None
+    acks, undecodable = [], 0
     #: Valid packets not marked yet, in order; the new ones of them.
     pending, placed = [], set()
     #: (seq, payload) of the new packets not stored yet.
@@ -138,8 +144,8 @@ def reference_train(end: Endpoint, train, now: float):
             rx.on_corrupt_data(now)
         except (wire.StaleEpochError, wire.SessionMismatchError):
             rx.on_stale_data(0)
-        except ValueError as exc:
-            undecodable = undecodable or exc
+        except ValueError:
+            undecodable += 1
         else:
             seq, offset = pkt.seq, pkt.seq * PSIZE
             if (pkt.total != rx.npackets or len(payload) != min(
@@ -225,19 +231,15 @@ def test_on_burst_leaves_what_the_per_datagram_loop_leaves(transfer):
     now = 0.0
     for train, gap in trains:
         now += gap
-        ref_acks, ref_error = reference_train(ref, train, now)
-        error = None
-        try:
-            # The views window one buffer, as drain's do.
-            acks = driver.on_burst(
-                [memoryview(bytearray(d)) for d in train], now)
-        except ValueError as exc:
-            error, acks = exc, None
+        ref_acks, ref_undecodable = reference_train(ref, train, now)
+        undecodable = driver.undecodable
+        # As regions, as a read hands them over: a datagram of another
+        # length starts a run of its own.
+        acks = driver.on_burst(joined(train), now)
         ours.fault = driver.fault
         assert ours.state() == ref.state()
-        assert (type(error), str(error)) == (type(ref_error), str(ref_error))
-        if error is None:
-            assert acks == ref_acks
+        assert driver.undecodable - undecodable == ref_undecodable
+        assert acks == ref_acks
         if ref.fault is not None or ref.receiver.complete:
             break
 
@@ -249,9 +251,9 @@ def test_a_bad_datagram_never_takes_its_neighbours_down():
             for seq in range(4)]
     flipped = bytearray(good[1])
     flipped[-1] ^= 1
-    with pytest.raises(ValueError, match="shorter than data header"):
-        driver.on_burst([good[0], bytes(flipped), b"\x00", good[2]], 1.0)
-    # The undecodable one raised only after the rest were processed.
+    driver.on_burst([good[0], bytes(flipped), b"\x00", good[2]], 1.0)
+    assert driver.undecodable == 1
+    # The undecodable one is dropped; the rest were processed.
     assert end.receiver.bitmap.array.tolist() == [True, False, True, False]
     assert end.receiver.stats.packets_corrupt == 1
     # Completion ends the train: the duplicate behind it is not counted.
@@ -299,15 +301,20 @@ needs_offload = pytest.mark.skipif(
 
 
 class CountingSocket(socket.socket):
-    """A real UDP socket that counts its segmented and plain sends."""
+    """A real socket (UDP unless told otherwise) that counts its
+    segmented and plain sends, and the buffer lengths of every
+    segmented one in ``buffers``."""
 
-    def __init__(self):
-        super().__init__(socket.AF_INET, socket.SOCK_DGRAM)
+    def __init__(self, family=socket.AF_INET, type=socket.SOCK_DGRAM,
+                 *args, **kwargs):
+        super().__init__(family, type, *args, **kwargs)
         self.calls = {"sendmsg": 0, "sendto": 0}
+        self.buffers: list = []
 
-    def sendmsg(self, *args):
+    def sendmsg(self, buffers, *args):
         self.calls["sendmsg"] += 1
-        return super().sendmsg(*args)
+        self.buffers.append([len(buffer) for buffer in buffers])
+        return super().sendmsg(buffers, *args)
 
     def sendto(self, *args):
         self.calls["sendto"] += 1
@@ -347,7 +354,7 @@ def test_short_last_packet_mid_batch_is_one_run_per_size(udp_pair):
     # middle of the batch.
     batch = ([bytes([i]) * 40 for i in range(3)] + [b"\xff" * 17]
              + [bytes([i]) * 40 for i in range(3, 7)])
-    assert BurstSend(tx, rx.getsockname())(batch) == len(batch)
+    assert BurstSend(tx, rx.getsockname())(joined(batch)) == len(batch)
     assert tx.calls == {"sendmsg": 2, "sendto": 0}
     trains = receive_trains(rx, len(batch))
     # Two trains, the first closed by its short tail.
@@ -361,17 +368,17 @@ def test_runs_respect_the_kernel_limits_and_singles_stay_sendto(udp_pair):
     send = BurstSend(tx, rx.getsockname())
     # 70 equal datagrams: at most 64 segments per call.
     batch = [bytes([i]) * 32 for i in range(70)]
-    assert send(batch) == 70
+    assert send(joined(batch)) == 70
     assert tx.calls == {"sendmsg": 2, "sendto": 0}
     assert [len(t) for t in receive_trains(rx, 70)] == [64, 6]
     # 30 KB datagrams: at most 65,507 bytes per call.
     big = [bytes([i]) * 30_000 for i in range(4)]
-    assert send(big) == 4
+    assert send(joined(big)) == 4
     assert tx.calls == {"sendmsg": 4, "sendto": 0}
     assert sum(receive_trains(rx, 4), []) == big
     # A longer view never joins a run, and a run of one is a sendto.
     odd = [b"a" * 20, b"b" * 30, b"c" * 40_000]
-    assert send(odd) == 3
+    assert send(joined(odd)) == 3
     assert tx.calls == {"sendmsg": 4, "sendto": 3}
     assert receive_trains(rx, 3) == [[d] for d in odd]
 
@@ -381,7 +388,8 @@ def test_runs_respect_the_kernel_limits_and_singles_stay_sendto(udp_pair):
 # ----------------------------------------------------------------------
 
 class FakeSocket:
-    """Records sends; ``sendmsg`` raises what it is told to."""
+    """Records sends, a segmented one cut where the kernel would cut
+    it; ``sendmsg`` raises what it is told to."""
 
     def __init__(self, refuse=()):
         self.refuse = list(refuse)      # one entry per sendmsg call
@@ -394,8 +402,13 @@ class FakeSocket:
         error = self.refuse.pop(0) if self.refuse else None
         if error is not None:
             raise error
-        self.runs.append(len(buffers))
-        self.wire.extend(("sendmsg", bytes(b)) for b in buffers)
+        (buffer,) = buffers
+        ((_level, _kind, segment),) = ancdata
+        (size,) = struct.unpack("H", segment)
+        datagrams = [bytes(buffer[at:at + size])
+                     for at in range(0, len(buffer), size)]
+        self.runs.append(len(datagrams))
+        self.wire.extend(("sendmsg", d) for d in datagrams)
 
     def sendto(self, datagram, addr):
         self.wire.append(("sendto", bytes(datagram)))
@@ -406,11 +419,11 @@ def test_a_refused_segmented_send_falls_back_for_good(code):
     sock = FakeSocket(refuse=[OSError(code, "refused")])
     send = BurstSend(sock, ("127.0.0.1", 9))
     first = [bytes([i]) * 8 for i in range(5)] + [b"\xff" * 3]
-    assert send(first) == len(first)
+    assert send(joined(first)) == len(first)
     # Every datagram of that burst left exactly once, in order.
     assert sock.wire == [("sendto", d) for d in first]
     later = [bytes([i]) * 8 for i in range(4)]
-    assert send(later) == 4 and send(later) == 4
+    assert send(joined(later)) == 4 and send(joined(later)) == 4
     assert sock.sendmsg_calls == 1
     assert sock.wire[len(first):] == [("sendto", d) for d in later * 2]
 
@@ -449,7 +462,76 @@ def test_a_socket_without_gro_still_drains_every_datagram():
         rx.bind(("127.0.0.1", 0))
         rx.setblocking(False)
         batch = [bytes([i]) * 24 for i in range(5)] + [b"\xff" * 9]
-        assert BurstSend(tx, rx.getsockname())(batch) == len(batch)
+        assert BurstSend(tx, rx.getsockname())(joined(batch)) == len(batch)
         # One datagram per read, same bytes, same order — whether the
         # sending side segmented in the kernel or fell back itself.
         assert receive_trains(rx, len(batch)) == [[d] for d in batch]
+
+
+# ----------------------------------------------------------------------
+# (d) a train crosses the codec as one buffer; a stray datagram is
+#     counted, not raised
+# ----------------------------------------------------------------------
+
+@needs_offload
+def test_a_clean_loopback_sends_each_train_as_one_buffer(monkeypatch):
+    """Over one clean 1,024-packet loopback every encoded batch leaves
+    in one ``sendmsg`` holding one buffer, and nothing is a ``sendto``
+    but the acknowledgements."""
+    made: list = []
+
+    class Counted(CountingSocket):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    trains = []
+    encode = wire.encode_data_burst
+    monkeypatch.setattr(wire, "encode_data_burst", lambda *a, **k: (
+        trains.append(encode(*a, **k)) or trains[-1]))
+    monkeypatch.setattr(socket, "socket", Counted)
+    config = FobsConfig(packet_size=1024, ack_frequency=64, batch_size=16,
+                        checksum=True)
+    result = run_loopback_transfer(nbytes=1 << 20, config=config)
+    assert result.completed and result.checksum_ok
+    assert (result.packets_sent, result.acks_sent) == (1024, 16)
+    sends = [lengths for sock in made for lengths in sock.buffers]
+    assert sends == [[train.nbytes] for train in trains]
+    assert sum(len(train) for train in trains) == 1024
+    assert sum(sock.calls["sendto"] for sock in made) == 16
+
+
+def test_a_stray_datagram_is_counted_not_raised(tmp_path):
+    """Three bytes on a receiving endpoint's data port and on a sending
+    endpoint's acknowledgement port, mid-transfer: each end counts and
+    drops them, and the transfer completes in its one attempt."""
+    from repro.runtime import files
+    from repro.runtime.transfer import Endpoint, run_endpoints
+
+    data = bytes(range(256)) * 2048
+    out = tmp_path / "got.bin"
+    config = FobsConfig(packet_size=1024, ack_frequency=64, batch_size=16,
+                        checksum=True)
+    rx = files.receive_endpoint(str(out), 0, bind="127.0.0.1", config=config,
+                                timeout=30)
+    tx = files.send_endpoint(data, "127.0.0.1", rx.socks[0].getsockname()[1],
+                             config=config, timeout=30)
+    hit: list = []
+
+    def stray():
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            while len(hit) < 2:
+                for end in (rx, tx):
+                    udp = [s for s in end.reads
+                           if s.type == socket.SOCK_DGRAM]
+                    if udp and end not in hit:
+                        sock.sendto(b"\x00\x01\x02", (
+                            "127.0.0.1", udp[0].getsockname()[1]))
+                        hit.append(end)
+                yield 0.0005
+
+    run_endpoints([rx, tx, Endpoint(stray())], time.monotonic() + 60)
+    assert hit == [rx, tx] or hit == [tx, rx]
+    assert rx.result.completed and tx.result.completed
+    assert tx.result.attempts == 1
+    assert out.read_bytes() == data

@@ -248,8 +248,9 @@ class TestSendDriver:
         assert stats.acks_processed == 0 and drv.sender.acked.count == 0
         drv.on_ack_datagram(good, 0.0)
         assert drv.sender.acked.count == 3
-        with pytest.raises(ValueError):
-            drv.on_ack_datagram(b"\x00\x01", 0.0)
+        # No acknowledgement at all: counted and dropped, never raised.
+        drv.on_ack_datagram(b"\x00\x01", 0.0)
+        assert drv.undecodable == 1 and stats.acks_processed == 1
 
     def test_completion_ends_the_loop(self):
         out = Wire()
@@ -375,8 +376,9 @@ class TestRecvDriver:
         assert (stats.packets_corrupt, stats.stale_epoch_data) == (3, 2)
         assert stats.packets_new == 0 and rx.receiver.bitmap.count == 0
         assert bytes(store) == bytes(8 * PSIZE)
-        with pytest.raises(ValueError):
-            rx.on_datagram(b"\x00", 1.0)
+        # No data packet at all: counted and dropped, never raised.
+        assert rx.on_datagram(b"\x00", 1.0) is None
+        assert rx.undecodable == 1
         rx.on_datagram(datagram(), 1.0)
         assert rx.receiver.bitmap.count == 1
 
@@ -835,9 +837,8 @@ def test_a_train_reaches_the_part_file_a_run_at_a_time(tmp_path):
     def train(seqs):
         del opener.calls[:]
         driver.on_burst(wire.encode_data_burst(
-            seqs, [0] * len(seqs), npackets,
-            [data[seq * PSIZE:(seq + 1) * PSIZE] for seq in seqs],
-            checksum=True, session=SESSION), 0.0)
+            seqs, [0] * len(seqs), data, PSIZE, checksum=True,
+            session=SESSION), 0.0)
         return opener.calls
 
     assert [call[0] for call in train(range(0, 16))] == ["seek", "write"]
