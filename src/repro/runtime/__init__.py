@@ -33,7 +33,6 @@ from repro.runtime.supervisor import (
     SupervisedResult,
     TransferSupervisor,
     run_resumable_fobs_transfer,
-    run_resumable_loopback,
 )
 from repro.runtime.files import FileTransferResult, receive_file, send_file
 
@@ -62,5 +61,4 @@ __all__ = [
     "SupervisedResult",
     "TransferSupervisor",
     "run_resumable_fobs_transfer",
-    "run_resumable_loopback",
 ]

@@ -486,7 +486,9 @@ def receive_offer(
     silence alone still takes ``receiver_idle_timeout``).
 
     ``opener`` is the part-file factory (``open``-compatible) — the
-    seam host-fault injection plugs into.
+    seam host-fault injection plugs into.  A write through it that
+    raises :class:`~repro.runtime.driver.EndpointKilled` is a receiver
+    crash: the journal's unflushed run is lost and the endpoint dies.
     """
     attempt_config = attempt_config_for(offer, config)
     manifest = None
@@ -554,6 +556,11 @@ def receive_offer(
             # The receiver's bitmap says every packet arrived; the disk
             # gets the last word before the object is published.
             failure = part.publish()
+    except EndpointKilled:
+        # Crash injection fired in the store: abrupt death, the
+        # journal's unflushed run lost.
+        part.crash()
+        raise
     except ConnectionError as exc:
         failure = f"control connection lost: {exc}"
     except TimeoutError:

@@ -13,21 +13,17 @@ operator — can see what earlier ones learned.
 
 The supervisor is backend-neutral: an attempt function receives the
 attempt number and epoch and returns any outcome object exposing the
-duck-typed fields below.  Two batteries-included drivers wire it
-through the concrete backends:
-
-* :func:`run_resumable_fobs_transfer` — the DES session layer
-  (:class:`~repro.core.session.FobsTransfer` on a fresh simulated
-  network per attempt);
-* :func:`run_resumable_loopback` — the real-socket loopback runtime
-  (:func:`~repro.runtime.transfer.run_loopback_transfer`).
-
-Both persist the receiver bitmap through a
-:class:`~repro.core.journal.ReceiverJournal` and seed each retry with
+duck-typed fields below.  :func:`run_resumable_fobs_transfer` wires it
+through the DES session layer
+(:class:`~repro.core.session.FobsTransfer` on a fresh simulated network
+per attempt): it persists the receiver bitmap through a
+:class:`~repro.core.journal.ReceiverJournal` and seeds each retry with
 the replayed bitmap, so a resumed attempt retransmits only packets the
-journal never saw.  ``repro.runtime.files`` and the fetch client run
-the same retry loop as turns of their endpoints (backoff included),
-with a real RESUME handshake on the control connection.
+journal never saw.  On real sockets, ``repro.runtime.files`` and the
+fetch client run the same retry loop as turns of their endpoints
+(backoff included), with a real RESUME handshake on the control
+connection and the ``.part`` file plus journal as the only resumable
+state.
 """
 
 from __future__ import annotations
@@ -269,27 +265,6 @@ class TransferSupervisor:
 # Backend drivers
 # ----------------------------------------------------------------------
 
-def _scrub_unjournaled(
-    buffer: bytearray,
-    resume: Optional[np.ndarray],
-    packet_size: int,
-    nbytes: int,
-) -> None:
-    """Zero buffer regions the journal never confirmed durable.
-
-    A real crash loses writes that never reached stable storage; the
-    journal's data-before-log ordering guarantees only *journaled*
-    packets survive.  Scrubbing everything else before a resumed
-    attempt makes that contract load-bearing: a resumed transfer that
-    leaned on unjournaled bytes would fail its end-to-end checksum.
-    """
-    for seq in range(-(-nbytes // packet_size)):
-        if resume is None or not resume[seq]:
-            start = seq * packet_size
-            end = min(start + packet_size, nbytes)
-            buffer[start:end] = bytes(end - start)
-
-
 def kill_for_attempt(kill_plan, attempt: int) -> Optional[KillSwitch]:
     """Resolve the crash plan for one attempt.
 
@@ -359,67 +334,6 @@ def run_resumable_fobs_transfer(
     return result
 
 
-def run_resumable_loopback(
-    nbytes: int = 1_000_000,
-    config: Optional[FobsConfig] = None,
-    *,
-    journal_path: str,
-    transfer_id: int = 1,
-    kill_plan=None,
-    policy: Optional[RetryPolicy] = None,
-    sleep: Optional[Callable[[float], None]] = time.sleep,
-    seed: int = 0,
-    data: Optional[bytes] = None,
-    timeout: float = 60.0,
-    flush_every: int = 16,
-    keep_journal: bool = False,
-) -> SupervisedResult:
-    """Supervised transfer over real loopback sockets.
-
-    Each attempt runs the loopback backend with a
-    :class:`~repro.runtime.wire.SessionContext` stamping every datagram
-    with ``(transfer_id, epoch)`` — stale-epoch datagrams from a killed
-    attempt are rejected on arrival.  The receiver's buffer (the "disk
-    file") survives across attempts, but only journal-confirmed packets
-    are trusted: anything received after the journal's last flush is
-    re-sent.  The returned result's ``final`` field is the last
-    attempt's :class:`~repro.runtime.transfer.LoopbackResult`.
-    """
-    from repro.runtime import wire
-    from repro.runtime.transfer import run_loopback_transfer
-
-    config = config if config is not None else FobsConfig(ack_frequency=32)
-    if data is None:
-        rng = np.random.default_rng(seed)
-        data = rng.integers(0, 256, size=nbytes, dtype=np.uint8).tobytes()
-    buffer = bytearray(nbytes)
-
-    journal: Optional[ReceiverJournal] = None
-
-    def attempt_fn(attempt: int, epoch: int):
-        nonlocal journal
-        journal, replay = ReceiverJournal.open(
-            journal_path, transfer_id, nbytes, config.packet_size,
-            flush_every=flush_every)
-        resume = replay.bitmap.array if replay is not None else None
-        if attempt > 0:
-            _scrub_unjournaled(buffer, resume, config.packet_size, nbytes)
-        return run_loopback_transfer(
-            nbytes=nbytes, config=config, seed=seed + attempt,
-            timeout=timeout, data=data, journal=journal,
-            resume_bitmap=resume,
-            session=wire.SessionContext(transfer_id, epoch),
-            kill=kill_for_attempt(kill_plan, attempt),
-            buffer=buffer,
-        )
-
-    supervisor = TransferSupervisor(policy=policy, sleep=sleep)
-    result = supervisor.run(attempt_fn, npackets=config.npackets(nbytes))
-    if result.completed and not keep_journal:
-        journal.delete()
-    return result
-
-
 __all__ = [
     "AttemptRecord",
     "RetryPolicy",
@@ -427,5 +341,4 @@ __all__ = [
     "TransferSupervisor",
     "kill_for_attempt",
     "run_resumable_fobs_transfer",
-    "run_resumable_loopback",
 ]

@@ -24,16 +24,10 @@ and ``blackhole_acks`` silences the receiver's acknowledgement and
 completion channels entirely — the adversarial case that must end in a
 clean stall abort rather than a hang.
 
-Every datagram carries the transfer id and attempt epoch of
-``session`` (a :class:`~repro.runtime.wire.SessionContext`), so zombies
-from a killed attempt are rejected.  Crash-resume support: ``kill`` (a
-:class:`~repro.simnet.faults.KillSwitch`) makes one endpoint die
-abruptly at a packet count (for the receiver, new packets stored:
-duplicates are not counted); ``journal`` (opt-in) persists the
-receiver's bitmap so a later attempt can be seeded with
-``resume_bitmap`` under the next epoch's session.
-:func:`repro.runtime.supervisor.run_resumable_loopback` drives the
-retry loop over these hooks.
+Every datagram carries the session extension (transfer id 0, epoch
+0), as on every real-socket path.  Crash-resume is not this harness's:
+a killed endpoint and its resume from the ``.part`` file and journal
+run on the file session (:mod:`repro.runtime.files`).
 """
 
 from __future__ import annotations
@@ -63,8 +57,6 @@ from repro.runtime.driver import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.journal import ReceiverJournal
-    from repro.simnet.faults import KillSwitch
     from repro.tuning import TuningConfig
 
 #: Longest sleep of :func:`run_endpoints`: how often a silent path gets
@@ -92,12 +84,6 @@ class LoopbackResult:
     stall_recoveries: int = 0
     #: Datagrams rejected by CRC verification (data + acks).
     corrupt_dropped: int = 0
-    #: Datagrams rejected for carrying a stale attempt epoch.
-    stale_epoch_dropped: int = 0
-    #: Packets pre-acknowledged via the resume bitmap (never re-sent).
-    resumed_packets: int = 0
-    #: Endpoint killed by crash injection ("sender"/"receiver"/None).
-    crashed: Optional[str] = None
 
 
 # Linux UDP segmentation offload (``linux/udp.h``; the socket module
@@ -462,11 +448,6 @@ def run_loopback_transfer(
     seed: int = 0,
     timeout: float = 60.0,
     data: Optional[bytes] = None,
-    journal: Optional["ReceiverJournal"] = None,
-    resume_bitmap: Optional[np.ndarray] = None,
-    session: wire.SessionContext = wire.SessionContext(0),
-    kill: Optional["KillSwitch"] = None,
-    buffer: Optional[bytearray] = None,
     tuning: Optional["TuningConfig"] = None,
     telemetry=None,
 ) -> LoopbackResult:
@@ -480,11 +461,6 @@ def run_loopback_transfer(
     sender must stall-abort.  Protocol-level failures (stall abort,
     receiver liveness timeout) return a result with ``completed=False``
     and a ``failure_reason`` rather than raising.
-
-    The crash-resume hooks (``journal``, ``resume_bitmap``, ``session``,
-    ``kill``, ``buffer``) are documented in the module docstring; use
-    :func:`repro.runtime.supervisor.run_resumable_loopback` for the
-    full retry loop.
     """
     config = config if config is not None else FobsConfig(ack_frequency=32)
     wire.check_npackets(config.npackets(nbytes))
@@ -494,19 +470,10 @@ def run_loopback_transfer(
     elif len(data) != nbytes:
         raise ValueError("len(data) must equal nbytes")
 
-    epoch = session.epoch
-    receiver = FobsReceiver(config, nbytes, resume_bitmap=resume_bitmap,
-                            journal=journal, epoch=epoch)
-    sender = FobsSender(config, nbytes, rng=np.random.default_rng(seed),
-                        epoch=epoch)
-    if resume_bitmap is not None:
-        sender.resume_from(resume_bitmap)
-    #: The "disk file": shared across attempts by the supervisor.
-    buffer = buffer if buffer is not None else bytearray(nbytes)
-    if len(buffer) != nbytes:
-        raise ValueError("resume buffer length != nbytes")
-    kill_tx = kill if kill is not None and kill.target == "sender" else None
-    kill_rx = kill if kill is not None and kill.target == "receiver" else None
+    session = wire.SessionContext(0)
+    receiver = FobsReceiver(config, nbytes)
+    sender = FobsSender(config, nbytes, rng=np.random.default_rng(seed))
+    buffer = bytearray(nbytes)
     deadline = time.monotonic() + timeout
 
     # The paper's three connections: UDP data, UDP acknowledgements,
@@ -520,30 +487,8 @@ def run_loopback_transfer(
     ack_out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     data_addr, ack_addr = data_sock.getsockname(), ack_sock.getsockname()
 
-    placed = 0
-    psize = config.packet_size
-
     def place(offset: int, payload) -> None:
-        # One call stores a run of new packets.  The receiver's kill
-        # counts new packets stored (a duplicate never reaches the
-        # store) and fires at exactly the one it names, the run's
-        # packets before it placed.
-        nonlocal placed
-        count = -(-len(payload) // psize)
-        if kill_rx is not None and kill_rx.should_fire(placed + count - 1):
-            keep = max(kill_rx.after_packets - placed, 0) * psize
-            buffer[offset:offset + keep] = payload[:keep]
-            placed += keep // psize
-            # What this train placed but had not yet marked, and the
-            # pending (unflushed) journal run, are lost with the
-            # process; the sender must stall-abort.
-            kill_rx.fire(time.monotonic())
-            if journal is not None:
-                journal.simulate_crash()
-            raise EndpointKilled(f"receiver killed by crash injection "
-                                 f"after {placed} data packets")
         buffer[offset:offset + len(payload)] = payload
-        placed += count
 
     def send_ack(ack: bytes) -> None:
         if not blackhole_acks:
@@ -552,21 +497,17 @@ def run_loopback_transfer(
     def receive() -> Iterator[float]:
         failure = yield from receiver_turns(
             RecvDriver(receiver, place, session), data_sock, send_ack)
-        if failure is None:
-            # Normal completion: make the journal durable, then send
-            # the completion signal over TCP (suppressed, like the
-            # ACKs, in the adversarial mode).
-            if journal is not None:
-                journal.close()
-            if not blackhole_acks:
-                with socket.create_connection(listener.getsockname(),
-                                              timeout=5.0) as ctrl:
-                    ctrl.sendall(wire.encode_completion(receiver.npackets))
+        if failure is None and not blackhole_acks:
+            # Normal completion: the completion signal over TCP
+            # (suppressed, like the ACKs, in the adversarial mode).
+            with socket.create_connection(listener.getsockname(),
+                                          timeout=5.0) as ctrl:
+                ctrl.sendall(wire.encode_completion(receiver.npackets))
         return failure
 
     send = BurstSend(data_out, data_addr)
-    if drop_rate or corrupt_rate or kill_tx is not None:
-        send = FaultySend(send, drop_rate, corrupt_rate, kill_tx, seed)
+    if drop_rate or corrupt_rate:
+        send = FaultySend(send, drop_rate, corrupt_rate, seed=seed)
     driver = SendDriver(sender, data, send, session)
     if tuning is not None:
         # Loopback owns both endpoints (like the DES), so the tuner
@@ -596,8 +537,7 @@ def run_loopback_transfer(
     run_endpoints([tx, rx], deadline)
     duration = max(time.monotonic() - start, 1e-9)
 
-    crashed = "sender" if tx.crashed else "receiver" if rx.crashed else None
-    completed = sender.complete and receiver.complete and crashed is None
+    completed = sender.complete and receiver.complete
     checksum_ok = completed and buffer == data
     return LoopbackResult(
         nbytes=nbytes,
@@ -610,13 +550,9 @@ def run_loopback_transfer(
         acks_sent=receiver.stats.acks_built,
         wasted_fraction=sender.wasted_fraction,
         completed=completed,
-        failure_reason=rx.result if rx.crashed else tx.result or rx.result,
+        failure_reason=tx.result or rx.result,
         stall_events=sender.stats.stall_events,
         stall_recoveries=sender.stats.stall_recoveries,
         corrupt_dropped=(receiver.stats.packets_corrupt
                          + sender.stats.acks_corrupt),
-        stale_epoch_dropped=(receiver.stats.stale_epoch_data
-                             + sender.stats.stale_epoch_acks),
-        resumed_packets=sender.stats.resumed_packets,
-        crashed=crashed,
     )

@@ -195,12 +195,14 @@ class FaultSchedule:
 class KillSwitch:
     """Crash injection: kill one endpoint at a packet count mid-flight.
 
-    A process-death fault, not a link fault: the transfer driver (DES
-    session layer or the loopback runtime) consumes it, counting data
+    A process-death fault, not a link fault: the transfer driver (the
+    DES session layer; on real sockets the sender's ``FaultySend`` or,
+    for a receiver, a part-file opener) consumes it, counting data
     packets processed by the targeted endpoint — packets *sent* for the
-    sender, data packets *processed* for the receiver — and simulates
-    an abrupt process death when the count reaches ``after_packets``:
-    sockets close, unflushed journal state is lost, no goodbye is sent.
+    sender, data packets *processed* (on real sockets, new packets
+    stored) for the receiver — and simulates an abrupt process death
+    when the count reaches ``after_packets``: sockets close, unflushed
+    journal state is lost, no goodbye is sent.
     The surviving endpoint sees only silence and must diagnose it via
     the stall/liveness machinery; the retry supervisor then resumes
     from the journal.

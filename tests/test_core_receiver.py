@@ -138,6 +138,7 @@ def train_runs(draw):
     return npackets, draw(st.integers(1, 6)), trains, fail_at
 
 
+@pytest.mark.guard
 @settings(max_examples=300, deadline=None)
 @given(run=train_runs())
 def test_property_on_train_equals_folding_on_data(run):

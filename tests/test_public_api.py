@@ -1,8 +1,10 @@
 """Public-API stability tests: the names README/docs promise exist."""
 
+import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -98,6 +100,46 @@ class TestSubpackages:
     def test_module_docstring(self, module):
         mod = importlib.import_module(module)
         assert mod.__doc__ and len(mod.__doc__.strip()) > 40
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FENCED_PYTHON = re.compile(r"^```python\n(.*?)^```", re.S | re.M)
+
+
+def doc_imports() -> list:
+    """Every ``repro`` import statement of a fenced ``python`` block in
+    README.md and docs/*.md, as ``(file:line, statement)``."""
+    found = []
+    for doc in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+        text = doc.read_text()
+        for block in FENCED_PYTHON.finditer(text):
+            first = text.count("\n", 0, block.start(1))
+            for node in ast.walk(ast.parse(block.group(1), str(doc))):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(m.split(".")[0] == "repro" for m in modules):
+                    found.append((f"{doc.name}:{first + node.lineno}",
+                                  ast.unparse(node)))
+    return found
+
+
+class TestDocExamples:
+    def test_every_repro_import_in_the_docs_resolves(self):
+        """A name an example imports and the package no longer has
+        fails here, not in a reader's session."""
+        imports = doc_imports()
+        assert imports
+        failed = []
+        for where, statement in imports:
+            try:
+                exec(statement, {})
+            except ImportError as exc:
+                failed.append(f"{where}: {statement}: {exc}")
+        assert failed == []
 
 
 class TestConsoleScripts:

@@ -1,33 +1,39 @@
 """Crash-resumable transfers: supervisor, kill injection, epochs.
 
-Covers the PR's acceptance criteria: a transfer killed at a seeded
-mid-flight point completes after resume with a byte-identical object,
-retransmitting strictly fewer packets than a full restart (asserted
-quantitatively on the deterministic DES backend), and a stale-epoch
-datagram from a previous attempt never lands in the resumed object.
+A transfer killed at a seeded mid-flight point completes after resume
+with a byte-identical object, retransmitting strictly fewer packets
+than a full restart (asserted quantitatively on the deterministic DES
+backend); on real sockets a receiver killed through the file session's
+part-file opener resumes from its ``.part`` file and journal alone; and
+a stale-epoch datagram from a previous attempt never lands in the
+resumed object.
 """
 
 from __future__ import annotations
 
 import os
+import time
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from repro.analysis.diagnostics import recovery_report
 from repro.core.config import FobsConfig
-from repro.core.journal import ReceiverJournal
+from repro.core.journal import replay_journal
 from repro.core.receiver import FobsReceiver
 from repro.core.sender import FobsSender
 from repro.core.session import FobsTransfer
 from repro.runtime import wire
+from repro.runtime.driver import EndpointKilled
+from repro.runtime.files import receive_endpoint, send_endpoint
 from repro.runtime.supervisor import (
     RetryPolicy,
     TransferSupervisor,
     run_resumable_fobs_transfer,
-    run_resumable_loopback,
 )
-from repro.runtime.transfer import run_loopback_transfer
+from repro.runtime.transfer import run_endpoints
 from repro.simnet.faults import KillSwitch
 
 from _support import tiny_path
@@ -244,94 +250,192 @@ class TestDesResume:
 
 
 # ---------------------------------------------------------------------------
-# Loopback backend: real sockets, kill → resume, byte identity
+# File session on loopback sockets: kill → resume, byte identity
 # ---------------------------------------------------------------------------
+def journal_claims(path) -> set:
+    """The packets the journal at ``path`` claims, as a reader finds it."""
+    return set(np.flatnonzero(replay_journal(str(path)).bitmap.array).tolist())
+
+
+class KillingPart:
+    """A ``.part`` file whose ``write`` dies where a receiver
+    :class:`KillSwitch` says: the run's packets before the one it names
+    reach the file, then :class:`EndpointKilled` ends the endpoint.  A
+    duplicate never reaches the store, so only new packets count.
+    ``journaled`` is what the journal on disk claimed at that instant."""
+
+    def __init__(self, path: str, mode: str, kill: KillSwitch,
+                 packet_size: int):
+        self._fh = open(path, mode)
+        self._journal = path[:-len(".part")] + ".journal"
+        self._kill, self._psize = kill, packet_size
+        self.placed = 0
+        self.journaled: set = set()
+
+    def write(self, payload):
+        count = -(-len(payload) // self._psize)
+        if self._kill.should_fire(self.placed + count - 1):
+            keep = max(self._kill.after_packets - self.placed, 0) * self._psize
+            self._fh.write(payload[:keep])
+            self.placed += keep // self._psize
+            self.journaled = journal_claims(self._journal)
+            self._kill.fire(time.monotonic())
+            raise EndpointKilled(f"receiver killed by crash injection "
+                                 f"after {self.placed} data packets")
+        self.placed += count
+        return self._fh.write(payload)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def file_session(out, data, config, opener=open, kill_plan=None):
+    """One receiver and one sender of ``data`` into ``out``, run on this
+    thread; the two endpoints, ended.  No manifest: the receiver's
+    whole-object CRC32 is the only audit, and it demotes nothing
+    without failing the attempt."""
+    rx = receive_endpoint(str(out), 0, bind="127.0.0.1", timeout=30.0,
+                          config=config, opener=opener)
+    tx = send_endpoint(data, "127.0.0.1", rx.socks[0].getsockname()[1],
+                       config=config, timeout=30.0, kill_plan=kill_plan,
+                       verify=False)
+    run_endpoints([rx, tx])
+    return rx, tx
+
+
+@dataclass
+class Resumed:
+    killed: object                 # the first receiver endpoint
+    part: Optional[KillingPart]    # its .part file, if a receiver kill's
+    placed: set                    # packets that .part held when it ended
+    claimed: set                   # packets its journal claimed then
+    result: object                 # the resumed receiver's result
+
+
+def crash_and_resume(tmp_path, data: bytes, config: FobsConfig,
+                     kill: KillSwitch) -> Resumed:
+    """A file session that ``kill`` ends, then a fresh pair on the same
+    output.  A receiver dies in its part-file opener; a sender in its
+    send, and its receiver, left without a peer, fails the attempt.
+
+    Between the two, every ``.part`` packet the journal does not claim
+    is overwritten with 0xFF (a crash keeps only what the journal made
+    durable), so the resumed session delivers ``data`` byte-identically
+    only if resume used journaled state alone.  A kill past the object
+    never fires: the first session delivers, and nothing resumes.
+    """
+    out = tmp_path / "out.bin"
+    part_path = tmp_path / "out.bin.part"
+    psize = config.packet_size
+    parts = []
+
+    def opener(path, mode):
+        parts.append(KillingPart(path, mode, kill, psize))
+        return parts[-1]
+
+    if kill.target == "receiver":
+        rx, tx = file_session(out, data, config, opener=opener)
+    else:
+        rx, tx = file_session(out, data, config, kill_plan=kill)
+    part = parts[0] if parts else None
+    if not kill.fired:
+        assert not rx.crashed and rx.result.completed and tx.result.completed
+        assert out.read_bytes() == data
+        return Resumed(rx, part, set(), set(), rx.result)
+    assert rx.crashed == (kill.target == "receiver")
+    assert not tx.result.completed and not out.exists()
+    stored = bytearray(part_path.read_bytes())
+    packets = range(config.npackets(len(data)))
+    placed = {seq for seq in packets
+              if stored[seq * psize:(seq + 1) * psize]
+              == data[seq * psize:(seq + 1) * psize]}
+    claimed = journal_claims(str(out) + ".journal")
+    assert claimed <= placed
+    for seq in packets:
+        if seq not in claimed:
+            end = min((seq + 1) * psize, len(data))
+            stored[seq * psize:end] = b"\xff" * (end - seq * psize)
+    part_path.write_bytes(bytes(stored))
+
+    rx2, tx2 = file_session(out, data, config)
+    recv, send = rx2.result, tx2.result
+    assert recv.completed and send.completed
+    assert out.read_bytes() == data
+    assert recv.resumed_packets == send.resumed_packets == len(claimed)
+    assert recv.packets_demoted == 0
+    assert not part_path.exists()
+    assert not (tmp_path / "out.bin.journal").exists()
+    return Resumed(rx, part, placed, claimed, recv)
+
+
 class TestLoopbackResume:
+    """The file session on loopback sockets: kill, then resume from the
+    ``.part`` file and journal alone."""
+
     @pytest.mark.parametrize("target", ["receiver", "sender"])
     def test_killed_transfer_resumes_byte_identical(self, tmp_path, target):
         config = loop_config()
         rng = np.random.default_rng(9)
         data = rng.integers(0, 256, size=NBYTES, dtype=np.uint8).tobytes()
-        kill = {0: KillSwitch.seeded(target, config.npackets(NBYTES), seed=6)}
-        result = run_resumable_loopback(
-            nbytes=NBYTES, config=config,
-            journal_path=str(tmp_path / "loop.journal"), transfer_id=21,
-            kill_plan=kill, policy=RetryPolicy(max_attempts=4,
-                                               backoff_base=0.01, seed=1),
-            sleep=None, seed=9, data=data, timeout=30.0)
-        assert result.completed
-        assert result.attempt_records[0].crashed == target
-        # checksum_ok is the byte-identity proof: the supervisor scrubs
-        # unjournaled buffer regions between attempts, so only the
-        # journal + retransmissions can have produced these bytes.
-        assert result.final.checksum_ok
-        if target == "receiver":
-            # The receiver journaled before dying: progress salvaged.
-            assert result.packets_salvaged > 0
-        assert not os.path.exists(str(tmp_path / "loop.journal"))
+        kill = KillSwitch.seeded(target, config.npackets(NBYTES), seed=6)
+        resumed = crash_and_resume(tmp_path, data, config, kill)
+        assert kill.fired
+        # The receiver journaled before the kill: progress salvaged.
+        assert resumed.result.resumed_packets > 0
 
     def test_resume_repeatable_under_fixed_seed(self, tmp_path):
-        """Same seeds → same crash point, completion and byte identity.
+        """Same seeds → same crash point, outcome and byte identity.
 
-        Thread scheduling keeps loopback packet counters from being
+        Socket timing keeps the journal's flush points from being
         bit-deterministic (that is asserted on the DES backend); what
         must be repeatable here is the injected crash and the outcome.
         """
         config = loop_config()
+        data = np.random.default_rng(13).integers(
+            0, 256, size=NBYTES, dtype=np.uint8).tobytes()
         outcomes = []
         for run in range(2):
             kill = KillSwitch.seeded("receiver", config.npackets(NBYTES),
                                      seed=13)
-            result = run_resumable_loopback(
-                nbytes=NBYTES, config=config,
-                journal_path=str(tmp_path / f"rep{run}.journal"),
-                transfer_id=31, kill_plan={0: kill},
-                policy=RetryPolicy(max_attempts=4, backoff_base=0.01),
-                sleep=None, seed=13, timeout=30.0)
-            outcomes.append((kill.after_packets, result.completed,
-                             result.attempt_records[0].crashed,
-                             result.final.checksum_ok))
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][1:] == (True, "receiver", True)
-
+            run_dir = tmp_path / f"run{run}"
+            run_dir.mkdir()
+            resumed = crash_and_resume(run_dir, data, config, kill)
+            outcomes.append((kill.after_packets, resumed.killed.crashed,
+                             len(resumed.placed), resumed.result.completed,
+                             (run_dir / "out.bin").read_bytes() == data))
+        after = kill.after_packets
+        assert outcomes == [(after, True, after, True, True)] * 2
 
     def test_receiver_kill_fires_on_the_packet_it_names(self, tmp_path):
-        """A kill "after N data packets" dies before placement N + 1
-        whatever the train size (N is no multiple of the batch), says
-        so, and leaves a journal that claims nothing the buffer does
-        not hold: what the dying train had placed but not yet marked
-        is simply re-sent."""
+        """A kill "after N data packets" dies before storing packet
+        N + 1 whatever the train size (N is no multiple of the batch),
+        says so, and leaves a journal that claims nothing the ``.part``
+        does not hold: what the dying train had stored but not yet
+        marked is simply re-sent."""
         config = loop_config(batch_size=16)
         psize, npackets, after = config.packet_size, 200, 37
-        nbytes = npackets * psize
         data = np.random.default_rng(4).integers(
-            0, 256, size=nbytes, dtype=np.uint8).tobytes()
-        buffer = bytearray(nbytes)
-        path = str(tmp_path / "kill.journal")
-
-        def attempt(epoch, **hooks):
-            journal, replay = ReceiverJournal.open(path, 77, nbytes, psize,
-                                                   flush_every=4)
-            resume = replay.bitmap.array if replay is not None else None
-            return resume, run_loopback_transfer(
-                nbytes=nbytes, config=config, data=data, journal=journal,
-                resume_bitmap=resume, buffer=buffer, timeout=30.0,
-                session=wire.SessionContext(77, epoch), **hooks)
-
-        _none, first = attempt(0, kill=KillSwitch(target="receiver",
-                                                  after_packets=after))
-        assert first.crashed == "receiver" and not first.completed
-        assert first.failure_reason == (
+            0, 256, size=npackets * psize, dtype=np.uint8).tobytes()
+        kill = KillSwitch(target="receiver", after_packets=after)
+        resumed = crash_and_resume(tmp_path, data, config, kill)
+        assert resumed.killed.result == (
             f"receiver killed by crash injection after {after} data packets")
-        placed = {seq for seq in range(npackets)
-                  if buffer[seq * psize:(seq + 1) * psize]
-                  == data[seq * psize:(seq + 1) * psize]}
-        assert len(placed) == after
-        claimed, second = attempt(1)
-        assert set(np.flatnonzero(claimed).tolist()) <= placed
-        assert second.completed and second.checksum_ok
-        assert second.resumed_packets == int(claimed.sum())
-        assert bytes(buffer) == data
+        assert len(resumed.placed) == after
+
+    def test_a_killed_receiver_journals_nothing_more(self, tmp_path):
+        """The dead receiver's unflushed journal run dies with it: what
+        the journal claims afterwards is what it claimed on disk at the
+        kill.  Trains of 10 against runs flushed every 16 packets leave
+        a run pending whenever the kill lands."""
+        config = loop_config(batch_size=10)
+        psize, npackets, after = config.packet_size, 200, 37
+        data = np.random.default_rng(5).integers(
+            0, 256, size=npackets * psize, dtype=np.uint8).tobytes()
+        kill = KillSwitch(target="receiver", after_packets=after)
+        resumed = crash_and_resume(tmp_path, data, config, kill)
+        marked = set(range(after // 10 * 10))
+        assert resumed.part.journaled < marked
+        assert resumed.claimed == resumed.part.journaled
 
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -339,7 +443,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 
 class TestKillAnywhereProperty:
-    """Killing the transfer at *any* seeded point resumes byte-identically.
+    """Killing the receiver at *any* point resumes byte-identically.
 
     The kill point is Hypothesis-chosen across the whole object —
     including before the first journal flush (salvage 0, full
@@ -358,16 +462,10 @@ class TestKillAnywhereProperty:
         rng = np.random.default_rng(data_seed)
         data = rng.integers(0, 256, size=nbytes, dtype=np.uint8).tobytes()
         kill = KillSwitch(target="receiver", after_packets=after_packets)
-        result = run_resumable_loopback(
-            nbytes=nbytes, config=config,
-            journal_path=str(tmp / "j.journal"), transfer_id=99,
-            kill_plan={0: kill},
-            policy=RetryPolicy(max_attempts=4, backoff_base=0.01, jitter=0.0),
-            sleep=None, seed=data_seed, data=data, timeout=30.0)
-        assert result.completed
-        assert result.final.checksum_ok
-        if not kill.fired:
-            assert result.attempts == 1  # kill point beyond the object
+        resumed = crash_and_resume(tmp, data, config, kill)
+        assert kill.fired == (after_packets < config.npackets(nbytes))
+        if kill.fired:
+            assert len(resumed.placed) == after_packets
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,7 @@ def _encode(seq, total, payload, checksum, session) -> bytes:
     return wire.encode_data(pkt, payload, checksum, session=session)
 
 
+@pytest.mark.guard
 @settings(max_examples=200, deadline=None)
 @given(transfer=transfers())
 def test_on_burst_leaves_what_the_per_datagram_loop_leaves(transfer):
@@ -244,6 +245,7 @@ def test_on_burst_leaves_what_the_per_datagram_loop_leaves(transfer):
             break
 
 
+@pytest.mark.guard
 def test_a_bad_datagram_never_takes_its_neighbours_down():
     end = Endpoint(True, SESSION, npackets=4, tail=PSIZE, fail_at=None)
     driver = RecvDriver(end.receiver, end.write_at, SESSION)
@@ -473,6 +475,7 @@ def test_a_socket_without_gro_still_drains_every_datagram():
 #     counted, not raised
 # ----------------------------------------------------------------------
 
+@pytest.mark.guard
 @needs_offload
 def test_a_clean_loopback_sends_each_train_as_one_buffer(monkeypatch):
     """Over one clean 1,024-packet loopback every encoded batch leaves
@@ -501,6 +504,7 @@ def test_a_clean_loopback_sends_each_train_as_one_buffer(monkeypatch):
     assert sum(sock.calls["sendto"] for sock in made) == 16
 
 
+@pytest.mark.guard
 def test_a_stray_datagram_is_counted_not_raised(tmp_path):
     """Three bytes on a receiving endpoint's data port and on a sending
     endpoint's acknowledgement port, mid-transfer: each end counts and

@@ -603,6 +603,7 @@ def imports_under_src(modules) -> list:
     return found
 
 
+@pytest.mark.guard
 def test_no_module_under_src_imports_a_thread_library():
     """Every endpoint — both ends of a loopback file transfer, the chaos
     harness, dataset sync over FOBS, the daemon — is turns of
@@ -610,12 +611,14 @@ def test_no_module_under_src_imports_a_thread_library():
     assert imports_under_src(THREAD_MODULES) == []
 
 
+@pytest.mark.guard
 def test_no_module_under_src_imports_selectors():
     """``run_endpoints`` is the one wait: the daemon is one of its
     endpoints, not an event loop of its own."""
     assert imports_under_src({"selectors"}) == []
 
 
+@pytest.mark.guard
 def test_no_module_under_src_stops_a_simulation_by_predicate():
     """A ``stop_when`` predicate puts ``Simulator.run`` on the
     interpreted loop with one Python call per event; every harness ends
@@ -658,6 +661,7 @@ def _session_optional(path: str, node) -> list:
             for what in found]
 
 
+@pytest.mark.guard
 def test_every_datagram_carries_the_session_extension():
     """One session shape: no module of the real-socket backend tests for
     a missing session or admits one, so every DATA and ACK datagram is
@@ -667,6 +671,24 @@ def test_every_datagram_carries_the_session_extension():
         if path.startswith(("runtime" + os.sep, "server" + os.sep)):
             found += _session_optional(path, node)
     assert found == []
+
+
+@pytest.mark.guard
+def test_one_real_socket_resume_path():
+    """A receiver journal is opened in two places: ``PartFile`` (every
+    real-socket receiver, the daemon's included, resumes from its
+    ``.part`` file and journal) and the DES driver.  A second real-socket
+    resume path would have to open one of its own."""
+    opened = []
+    for path, node in nodes_under_src():
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "open":
+                func = func.value
+            if isinstance(func, ast.Name) and func.id == "ReceiverJournal":
+                opened.append(path)
+    assert sorted(opened) == [os.path.join("runtime", "driver.py"),
+                              os.path.join("runtime", "supervisor.py")]
 
 
 class TestRunEndpoints:
@@ -819,6 +841,7 @@ def test_part_file_seeks_only_where_a_write_does_not_follow_the_last(tmp_path):
     assert (tmp_path / "obj.bin").read_bytes() == data
 
 
+@pytest.mark.guard
 def test_a_train_reaches_the_part_file_a_run_at_a_time(tmp_path):
     """The receive loop over a ``.part`` file: an in-order train is one
     seek and one write, the next in-order train one write, a train of

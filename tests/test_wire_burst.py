@@ -81,6 +81,7 @@ def singles(data, packet_size, seqs, transmissions, checksum, session):
     return out
 
 
+@pytest.mark.guard
 class TestEncodeEquivalence:
     @settings(max_examples=100)
     @given(batch=batches(), variant=st.sampled_from(range(4)))
@@ -258,6 +259,7 @@ def per_datagram(datagrams, checksum, session) -> list:
     return out
 
 
+@pytest.mark.guard
 class TestRegionTrains:
     """Trains as regions: what the codec makes of each datagram is what
     :func:`wire.decode_data` makes of it, wherever it sits."""
