@@ -33,13 +33,14 @@ ids fail decode loudly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import BinaryIO, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -138,27 +139,34 @@ class ChunkManifest:
                    algo=algo, digests=_digest_chunks(data, packet_size, algo))
 
     @classmethod
+    def from_windows(
+        cls, windows: Iterable, packet_size: int, algo: int = ALGO_CRC32
+    ) -> "ChunkManifest":
+        """Digest an object read a window at a time: ``windows`` yields
+        its bytes in order, every window but the last a whole number of
+        chunks."""
+        total = 0
+        parts: List[bytes] = []
+        for data in windows:
+            total += len(data)
+            parts.append(_digest_chunks(data, packet_size, algo))
+        if total <= 0:
+            raise ValueError("cannot build a manifest over an empty object")
+        return cls(total_bytes=total, packet_size=packet_size,
+                   algo=algo, digests=b"".join(parts))
+
+    @classmethod
     def from_file(
         cls, path: str, packet_size: int, algo: int = ALGO_CRC32
     ) -> "ChunkManifest":
         """Digest an on-disk object without holding it all in memory:
         one pass to EOF, a window of whole chunks at a time."""
         window = max(1, VERIFY_READ_BYTES // packet_size) * packet_size
-        total = 0
-        parts: List[bytes] = []
         with open(path, "rb") as fh:
-            while True:
-                # A buffered read returns short only at EOF, so every
-                # window but the last holds whole chunks.
-                data = fh.read(window)
-                total += len(data)
-                parts.append(_digest_chunks(data, packet_size, algo))
-                if len(data) < window:
-                    break
-        if total <= 0:
-            raise ValueError("cannot build a manifest over an empty object")
-        return cls(total_bytes=total, packet_size=packet_size,
-                   algo=algo, digests=b"".join(parts))
+            # A buffered read returns short only at EOF, so every
+            # window but the last holds whole chunks.
+            return cls.from_windows(iter(functools.partial(fh.read, window),
+                                         b""), packet_size, algo)
 
     # ------------------------------------------------------------------
     # Wire / sidecar codec (same bytes for both)

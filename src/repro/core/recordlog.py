@@ -150,6 +150,14 @@ class LogReplay:
         return cls(header, records, nframes - len(records), torn)
 
 
+def kill_file(fh) -> None:
+    """Close ``fh`` as a killed process's file: the fd goes, and what
+    its userspace buffer held is lost, not flushed (a buffered file
+    whose raw file is closed skips its flush).  A file object without a
+    raw file is closed."""
+    getattr(fh, "raw", fh).close()
+
+
 def _unlink(path: str) -> None:
     try:
         os.remove(path)
@@ -184,6 +192,10 @@ class RecordLog:
         #: on-disk file must replay as either the old or the new
         #: journal, never neither.
         self.crash_hook: Optional[Callable[[str], None]] = None
+        #: Data-before-log seam: when set, called before any write that
+        #: hands records to the OS (a flush, a rewrite), so the bytes
+        #: they claim are pushed out first.
+        self.before_write: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -243,6 +255,8 @@ class RecordLog:
         everything flushed survives :meth:`simulate_crash`."""
         if self._fh is None:
             return
+        if self.before_write is not None:
+            self.before_write()
         self._fh.flush()
         if self.fsync:
             os.fsync(self._fh.fileno())
@@ -277,6 +291,8 @@ class RecordLog:
         """
         if self._fh is None:
             raise ValueError("journal is closed")
+        if self.before_write is not None:
+            self.before_write()
         tmp = self.path + COMPACT_SUFFIX
         nrecords = 0
         try:
@@ -318,7 +334,7 @@ class RecordLog:
         records survive, buffered ones are lost.  Used by crash
         injection."""
         if self._fh is not None:
-            self._fh.close()
+            kill_file(self._fh)
             self._fh = None
 
     def close(self) -> None:

@@ -16,7 +16,9 @@ classes here and owns nothing but its sockets and its clock:
   duplicate is never stored), then mark the train in one core call
   that builds the bitmap acknowledgements falling due.
 * :class:`PartFile` is the crash-persistent ``.part`` + journal
-  lifecycle a file-backed receiver wraps around that loop.
+  lifecycle a file-backed receiver wraps around that loop, and
+  :class:`ObjectFile` the object a file-backed sender serves from its
+  file as it sends.
 
 The seam is two callables and a number: ``send(train) -> n_sent``
 writes a :class:`~repro.runtime.wire.Train` of encoded datagrams and
@@ -45,6 +47,7 @@ from repro.core.manifest import (
     corrupt_ranges,
 )
 from repro.core.receiver import FobsReceiver
+from repro.core.recordlog import kill_file
 from repro.core.sender import FobsSender
 from repro.runtime import wire
 from repro.telemetry import (
@@ -139,14 +142,16 @@ class FaultySend:
 class SendDriver:
     """The FOBS sender loop over one ``send`` callable."""
 
-    def __init__(self, sender: FobsSender, data, send: Send,
+    def __init__(self, sender: FobsSender, source, send: Send,
                  session: wire.SessionContext, tuner=None):
         self.sender = sender
         self.send = send
         self.session = session
         #: Optional :class:`repro.tuning.TransferTuner`.
         self.tuner = tuner
-        self._data = data
+        #: The object: bytes in memory, or an :class:`ObjectFile` read as
+        #: it is sent.
+        self.source = source
         #: Encoded datagrams ``send`` has not taken yet, oldest first.
         self._tail: Optional[wire.Train] = None
         #: Datagrams on the ACK socket that were no acknowledgement at
@@ -282,9 +287,17 @@ class SendDriver:
             self.tuner.maybe_probe(seqs[0], now)
         # One codec pass for the whole batch, written from the object
         # into one buffer, handed to ``send`` as one train.
-        train = wire.encode_data_burst(
-            seqs, transmissions, self._data, sender.config.packet_size,
-            checksum=sender.config.checksum, session=self.session)
+        try:
+            train = wire.encode_data_burst(
+                seqs, transmissions, self.source, sender.config.packet_size,
+                checksum=sender.config.checksum, session=self.session)
+        except OSError as exc:
+            # The object's file changed, shrank or failed under the send.
+            sender.failed = True
+            sender.failure_reason = (
+                str(exc) if isinstance(exc, SourceChanged)
+                else storage_fault(NULL_CHANNEL, "source", exc))
+            return 0.0
         sent = self.send(train)
         self._tail = train.after(sent) if sent < len(train) else None
         nbytes = train.nbytes
@@ -517,9 +530,12 @@ class PartFile:
         #: Where the last ``write_at`` left the file position; None once
         #: anything else (an audit's reads) has moved it.
         self._write_end: Optional[int] = None
+        #: Whether a write may sit in the part file's buffer.
+        self._buffered = False
         try:
             self.journal, replay = ReceiverJournal.open(
                 self.journal_path, transfer_id, filesize, packet_size)
+            self.journal.before_write = self._flush_part
             resumed = (replay is not None
                        and os.path.exists(self.part_path)
                        and os.path.getsize(self.part_path) == filesize)
@@ -542,8 +558,17 @@ class PartFile:
         if offset != self._write_end:
             self._fh.seek(offset)
         self._write_end = None  # a write that raises leaves it unknown
+        self._buffered = True
         self._fh.write(payload)
         self._write_end = offset + len(payload)
+
+    def _flush_part(self) -> None:
+        """Data before log: the journal calls this before any write that
+        claims packets, so bytes still in the part file's buffer reach
+        the OS first (once per journal flush, not per run)."""
+        if self._buffered:
+            self._fh.flush()
+            self._buffered = False
 
     def publish(self) -> Optional[str]:
         """Every packet is marked: the disk gets the last word.
@@ -660,6 +685,7 @@ class PartFile:
     def close(self) -> Optional[str]:
         """Close file and journal (idempotent); a fault comes back typed."""
         failure = None
+        self._buffered = False  # closing the part file flushes it first
         for handle, where in ((self._fh, "part-close"),
                               (self.journal, "journal-close")):
             if handle is not None:
@@ -672,7 +698,142 @@ class PartFile:
         return failure
 
     def crash(self) -> None:
-        """Abrupt death: close fds, lose the journal's unflushed run."""
+        """Abrupt death, as SIGKILL: the fds close, and what sat in
+        userspace buffers — the journal's unflushed records, the part
+        file's unflushed bytes — is lost."""
         if self.journal is not None:
             self.journal.simulate_crash()
+        if self._fh is not None:
+            kill_file(self._fh)
+            self._fh = None
+
+
+# ----------------------------------------------------------------------
+# The source: an object served from its file
+# ----------------------------------------------------------------------
+
+class SourceChanged(OSError):
+    """The file an object is served from is no longer the one admitted:
+    it shrank under a read, or its size, mtime or inode moved."""
+
+
+def _identity(st: os.stat_result) -> tuple[int, int, int]:
+    return st.st_size, st.st_mtime_ns, st.st_ino
+
+
+#: How far a read of an object's file runs past a span that starts
+#: where the last read ended: a first pass goes on in order, so one
+#: read serves the next 16 trains of 16 KiB.  Each read and its check
+#: release the GIL, and a process that sends beside another transfer
+#: thread (a fetch next to a push) waited about 40-80 us for it back per
+#: call when every train made both.
+READ_AHEAD = 256 * 1024
+
+
+class ObjectFile:
+    """An object served from its file, never copied whole into memory.
+
+    Opening holds an fd and scans the file once, no read larger than
+    :data:`~repro.core.manifest.VERIFY_READ_BYTES`: the whole-object
+    CRC32 the offer announces and, given ``manifest_packet_size``, the
+    chunk manifest of a verified transfer.  After that the burst
+    encoder reads it as it sends (:meth:`window`): one ``os.pread``
+    per run of consecutive packets a retransmission pass asks for, and
+    one per :data:`READ_AHEAD` of a first pass, so a sender holds a
+    window of the object, not a copy of it.  The file's size, mtime and
+    inode are taken at open; a read after any of them moved, or one
+    that comes back short, raises :class:`SourceChanged` — the sender
+    fails by that name, and the receiver's audit keeps torn bytes from
+    being published either way (a rewrite inside one tick of the
+    kernel's clock leaves the mtime where it was).  Raises
+    ``ValueError`` for an empty file.  :meth:`close` it when the
+    transfer ends.
+    """
+
+    def __init__(self, path: str, manifest_packet_size: Optional[int] = None):
+        self.path = os.path.abspath(path)
+        self.fd = os.open(self.path, os.O_RDONLY)
+        try:
+            st = os.fstat(self.fd)
+            self._identity = _identity(st)
+            self.size = st.st_size
+            if not self.size:
+                raise ValueError(f"{path} is empty")
+            self.crc = 0
+            psize = manifest_packet_size or VERIFY_READ_BYTES
+            windows = self._windows(max(1, VERIFY_READ_BYTES // psize) * psize)
+            if manifest_packet_size is None:
+                self.manifest = None
+                for _window in windows:
+                    pass
+            else:
+                self.manifest = ChunkManifest.from_windows(
+                    windows, manifest_packet_size)
+        except BaseException:
+            self.close()
+            raise
+        #: The last read, and the object offset it starts at.
+        self._read, self._read_at = b"", 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def _windows(self, window: int):
+        """The file a window at a time, its CRC32 folded on the way."""
+        for offset in range(0, self.size, window):
+            data = self._pread(offset, min(window, self.size - offset))
+            self.crc = zlib.crc32(data, self.crc)
+            yield data
+
+    def _pread(self, offset: int, length: int) -> bytes:
+        """``length`` bytes from ``offset``, no read larger than
+        ``VERIFY_READ_BYTES``."""
+        data = (os.pread(self.fd, length, offset)
+                if length <= VERIFY_READ_BYTES else b"".join(
+                    os.pread(self.fd, min(VERIFY_READ_BYTES,
+                                          offset + length - at), at)
+                    for at in range(offset, offset + length,
+                                    VERIFY_READ_BYTES)))
+        if len(data) != length:
+            raise SourceChanged(f"source shrank: {self.path} ends at byte "
+                                f"{offset + len(data)} of {self.size}")
+        return data
+
+    def window(self, offset: int, length: int) -> tuple[bytes, int]:
+        """A buffer holding ``length`` bytes of the object from
+        ``offset``, and the object offset it starts at: the last read if
+        it holds them, else a new read, once the file is checked to be
+        the one admitted."""
+        read, at = self._read, self._read_at
+        if not at <= offset <= offset + length <= at + len(read):
+            self._check()
+            ahead = READ_AHEAD if offset == at + len(read) else 0
+            read = self._pread(offset, min(max(length, ahead),
+                                           self.size - offset))
+            self._read, self._read_at = read, at = read, offset
+        return read, at
+
+    def _check(self) -> None:
+        try:
+            now = _identity(os.stat(self.path))
+        except FileNotFoundError:
+            now = None
+        if now != self._identity:
+            moved = ("it was removed" if now is None else ", ".join(
+                f"{name} {was} -> {new}" for name, was, new in zip(
+                    ("size", "mtime_ns", "inode"), self._identity, now)
+                if was != new))
+            raise SourceChanged(f"source changed since admission: "
+                                f"{self.path} ({moved})")
+
+    def close(self) -> None:
+        """Release the fd (idempotent)."""
+        if self.fd >= 0:
+            os.close(self.fd)
+            self.fd = -1
+
+    def __enter__(self) -> "ObjectFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
         self.close()

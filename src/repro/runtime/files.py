@@ -54,6 +54,7 @@ from repro.runtime import transfer, wire
 from repro.runtime.driver import (
     EndpointKilled,
     FaultySend,
+    ObjectFile,
     PartFile,
     RecvDriver,
     SendDriver,
@@ -136,7 +137,7 @@ def supervised_result(supervised, path: str, nbytes: int
 # ----------------------------------------------------------------------
 
 def _send_attempt(
-    end: transfer.Endpoint, data: bytes, crc: int, host: str, port: int,
+    end: transfer.Endpoint, data, crc: int, host: str, port: int,
     config: FobsConfig, timeout: float,
     session: wire.SessionContext, kill,
     telemetry: Optional[EventBus], manifest: Optional[ChunkManifest],
@@ -300,14 +301,12 @@ def send_file(
     file-transfer stack (``repro.chaos`` composes them with host-side
     storage faults).
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data:
-        raise ValueError(f"{path} is empty")
-    end = send_endpoint(data, host, port, config, timeout, max_attempts,
-                        transfer_id, policy, kill_plan, telemetry, verify,
-                        drop_rate, corrupt_rate)
-    transfer.run_endpoints([end])
+    config = config if config is not None else FobsConfig(ack_frequency=32)
+    with ObjectFile(path, config.packet_size if verify else None) as source:
+        end = send_endpoint(source, host, port, config, timeout,
+                            max_attempts, transfer_id, policy, kill_plan,
+                            telemetry, verify, drop_rate, corrupt_rate)
+        transfer.run_endpoints([end])
     result: FileTransferResult = end.result
     if not (resume or max_attempts > 1 or result.completed):
         raise TimeoutError(f"file send failed: {result.failure_reason}")
@@ -330,19 +329,31 @@ def send_endpoint(
     drop_rate: float = 0.0,
     corrupt_rate: float = 0.0,
 ) -> transfer.Endpoint:
-    """:func:`send_file` of the bytes ``data`` as an endpoint of
+    """:func:`send_file` of ``data`` as an endpoint of
     :func:`~repro.runtime.transfer.run_endpoints`, to run beside others;
-    its result is the :class:`FileTransferResult`, never raised."""
+    its result is the :class:`FileTransferResult`, never raised.
+
+    ``data`` is the object in memory (``bytes`` or ``bytearray``) or an
+    open :class:`~repro.runtime.driver.ObjectFile`, whose admission scan
+    supplies the CRC32 and, opened with this packet size, the manifest
+    (the caller closes it once the endpoint has ended)."""
     config = config if config is not None else FobsConfig(ack_frequency=32)
     wire.check_npackets(config.npackets(len(data)))
-    crc = zlib.crc32(data)
+    if isinstance(data, ObjectFile):
+        crc, manifest = data.crc, data.manifest if verify else None
+        if verify and (manifest is None
+                       or manifest.packet_size != config.packet_size):
+            raise ValueError("a verified send needs its source opened "
+                             "with this packet size")
+    else:
+        crc = zlib.crc32(data)
+        manifest = (ChunkManifest.from_data(data, config.packet_size)
+                    if verify else None)
     tid = transfer_id if transfer_id is not None else derive_transfer_id(
         len(data), crc)
     if policy is None:
         policy = RetryPolicy(max_attempts=max(max_attempts, 1),
                              backoff_base=0.2, seed=tid & 0xFFFF)
-    manifest = (ChunkManifest.from_data(data, config.packet_size)
-                if verify else None)
     end = transfer.Endpoint()
 
     def attempt_fn(attempt: int, epoch: int):

@@ -310,27 +310,49 @@ def encode_data_burst(
     """Serialize a whole batch of DATA datagrams, straight from the
     object, into one buffer.
 
-    Packet ``i`` is ``seqs[i]`` of the object ``data`` (``bytes`` or
-    ``bytearray``: its slices are packed) cut into ``packet_size``
-    pieces, on transmission ``transmissions[i]``; the batch comes as
-    columns, so the send path builds no object per datagram.
-    Byte-identical to calling :func:`encode_data` per packet — the
-    burst equivalence property the hypothesis suite pins — but one
-    allocation for the batch: each datagram's header, session
-    extension and payload are packed in place by one call, its CRC32
-    trailer computed over the finished bytes.  Returns the batch as a
-    :class:`Train` whose run breaks only behind the object's short
-    last packet.
+    Packet ``i`` is ``seqs[i]`` of the object ``data`` cut into
+    ``packet_size`` pieces, on transmission ``transmissions[i]``; the
+    batch comes as columns, so the send path builds no object per
+    datagram.  ``data`` is the object in memory (``bytes`` or
+    ``bytearray``), or a source read as it is sent, such as
+    :class:`~repro.runtime.driver.ObjectFile`: one with a length and
+    ``window(offset, length)``, which returns a ``bytes`` buffer
+    holding that span of the object and the object offset the buffer
+    starts at.  A source is asked once per run of consecutive packets.
+    Byte-identical to calling :func:`encode_data` per packet —
+    the burst equivalence property the hypothesis suite pins, for both
+    kinds of object — but one allocation for the batch: each
+    datagram's header, session extension and payload are packed in
+    place by one call, its CRC32 trailer computed over the finished
+    bytes.  Returns the batch as a :class:`Train` whose run breaks only
+    behind the object's short last packet.
     """
     n = len(seqs)
     if len(transmissions) != n:
         raise ValueError(f"{n} packets but {len(transmissions)} "
                          f"transmission counts")
-    total = -(-len(data) // packet_size)
-    if n and not 0 <= min(seqs) <= max(seqs) < total:
+    nbytes = len(data)
+    total = -(-nbytes // packet_size)
+    if not n:
+        return Train([])
+    if not 0 <= min(seqs) <= max(seqs) < total:
         raise ValueError(f"a packet outside [0, {total})")
-    last, tail = total - 1, len(data) - (total - 1) * packet_size
-    short = last if tail != packet_size else -1
+    tail = nbytes - (total - 1) * packet_size
+    short = total - 1 if tail != packet_size else -1
+    # ``(seqs, transmissions, source, shift)`` spans: packet seq's
+    # payload is source[seq * packet_size - shift:].  An object in
+    # memory is its own source; a file is read once per run of
+    # consecutive packets, and a first pass is one run.
+    if isinstance(data, (bytes, bytearray)):
+        spans = [(seqs, transmissions, data, 0)]
+    else:
+        cuts = ([0, n] if seqs == list(range(seqs[0], seqs[0] + n)) else
+                [0, *[i for i in range(1, n)
+                      if seqs[i] != seqs[i - 1] + 1], n])
+        spans = [(seqs[a:b], transmissions[a:b], *data.window(
+            seqs[a] * packet_size,
+            min((b - a) * packet_size, nbytes - seqs[a] * packet_size)))
+            for a, b in zip(cuts, cuts[1:])]
     base, trailer = _DATA_SESSION_HDR.size, CHECKSUM_TRAILER_BYTES * checksum
     body = base + packet_size
     size = body + trailer
@@ -342,24 +364,26 @@ def encode_data_burst(
     crc_into = _CRC.pack_into
     runs = []
     start = cut = 0
-    for seq, transmission in zip(seqs, transmissions):
-        at = seq * packet_size
-        if seq != short:
-            pack_into(buf, start, seq, total, transmission, tid, epoch,
-                      data[at:at + packet_size])
-            end = start + body
-        else:
-            _packing(tail).pack_into(buf, start, seq, total, transmission,
-                                     tid, epoch, data[at:])
-            end = start + base + tail
-        if checksum:
-            crc_into(buf, end, crc32(mv[start:end]))
-            end += trailer
-        if seq == short:
-            # The object's short last packet ends its run.
-            runs.append((mv[cut:end], size))
-            cut = end
-        start = end
+    for span_seqs, span_transmissions, source, shift in spans:
+        for seq, transmission in zip(span_seqs, span_transmissions):
+            at = seq * packet_size - shift
+            if seq != short:
+                pack_into(buf, start, seq, total, transmission, tid, epoch,
+                          source[at:at + packet_size])
+                end = start + body
+            else:
+                _packing(tail).pack_into(buf, start, seq, total,
+                                         transmission, tid, epoch,
+                                         source[at:at + tail])
+                end = start + base + tail
+            if checksum:
+                crc_into(buf, end, crc32(mv[start:end]))
+                end += trailer
+            if seq == short:
+                # The object's short last packet ends its run.
+                runs.append((mv[cut:end], size))
+                cut = end
+            start = end
     if cut < start:
         runs.append((mv[cut:], size))
     return Train(runs)

@@ -53,7 +53,6 @@ import math
 import os
 import socket
 import time
-import zlib
 from dataclasses import replace
 from typing import TYPE_CHECKING, Generator, Iterator, Optional, TextIO
 
@@ -70,6 +69,7 @@ from repro.runtime import files, wire
 from repro.runtime.driver import (
     EndpointKilled,
     FaultySend,
+    ObjectFile,
     PartFile,
     RecvDriver,
     SendDriver,
@@ -135,15 +135,18 @@ class _SendEntry:
 
     kind = SENDING
     __slots__ = ("key", "transfer_id", "epoch", "sender", "name", "client",
-                 "burst", "driver", "started_at", "ok")
+                 "source", "burst", "driver", "started_at", "ok")
 
     def __init__(self, key, session: wire.SessionContext, sender, client,
-                 name):
+                 name, source: Optional[ObjectFile] = None):
         self.key = key
         self.transfer_id, self.epoch = session.transfer_id, session.epoch
         self.sender: FobsSender = sender
         self.name = name
         self.client = client
+        #: The object's file, read as it is sent; closed when the
+        #: transfer ends.
+        self.source = source
         #: Its send onto the shared socket; the address arrives with
         #: the client's RESUME.
         self.burst: Optional[BurstSend] = None
@@ -398,6 +401,9 @@ class ObjectServer:
             self.crashed = True
             for entry in self._recv_entries.values():
                 entry.part.crash()
+            for entry in self._send_entries.values():
+                if entry.source is not None:
+                    entry.source.close()
             raise
         finally:
             if not self.crashed:
@@ -597,15 +603,19 @@ class ObjectServer:
     # ------------------------------------------------------------------
     # Fetch (server sends)
     # ------------------------------------------------------------------
-    def _read(self, name: str) -> Optional[bytes]:
-        """The bytes of object ``name`` inside the served root, or None
-        (no such object, or an empty one)."""
-        path = os.path.normpath(os.path.join(self.root, name))
+    def _open(self, req: wire.FetchRequest) -> Optional[ObjectFile]:
+        """The object ``req`` names inside the served root, opened and
+        scanned for its CRC32 (and, for a verified fetch, its manifest),
+        or None (no such object, or an empty one)."""
+        path = os.path.normpath(os.path.join(self.root, req.name))
         if not (path.startswith(self.root + os.sep)
                 and os.path.isfile(path)):
             return None
-        with open(path, "rb") as fh:
-            return fh.read() or None
+        try:
+            return ObjectFile(path, self.config.packet_size
+                              if req.verify else None)
+        except (OSError, ValueError):
+            return None
 
     def _admit_fetch(self, end: Endpoint, sock: socket.socket,
                      decoder: wire.ControlDecoder, client: str,
@@ -613,49 +623,50 @@ class ObjectServer:
                      ) -> Generator[float, None, Optional[tuple]]:
         """A FETCH up to its transfer: its object found (and one ACK's
         bitmap enough for it), then admitted; the entry and its OFFER."""
-        data = self._read(req.name)
-        if data is None:
+        source = self._open(req)
+        if source is None:
             self._emit_admission(0, req.name, client, "reject",
                                  reason="not_found")
             self._rejected_other += 1
             yield from self._tell(end, sock, _NOT_FOUND)
             return None
         try:
-            wire.check_npackets(self.config.npackets(len(data)))
+            wire.check_npackets(self.config.npackets(len(source)))
         except ValueError as exc:
+            source.close()
             self._failed += 1
             self.history.append((req.name, "send", client, False, str(exc)))
             return None
-        crc = zlib.crc32(data)
-        key = req.client_nonce ^ files.derive_transfer_id(len(data), crc)
+        key = req.client_nonce ^ files.derive_transfer_id(len(source),
+                                                          source.crc)
         decision = self._request(key, req.name, client)
         if decision.action != ADMIT:
-            data = None  # not held while it waits; read again once admitted
+            source.close()  # not held while it waits; reopened once admitted
             if not (yield from self._await_slot(end, sock, decoder, key,
                                                 decision, deadline,
                                                 fetch=True)):
                 return None
-            data = self._read(req.name)
-            if data is None:
+            # What the OFFER announces is what the file holds now.
+            source = self._open(req)
+            if source is None:
                 # Admitted from the queue, but the object has since gone.
                 self._release_and_promote(key)
                 self._rejected_other += 1
                 yield from self._tell(end, sock, _NOT_FOUND)
                 return None
-            crc = zlib.crc32(data)  # what the OFFER announces: these bytes
-        return self._begin_fetch_send(req, key, client, data, crc)
+        return self._begin_fetch_send(req, key, client, source)
 
     def _begin_fetch_send(self, req: wire.FetchRequest, key, client: str,
-                          data: bytes, crc: int) -> tuple[_SendEntry, bytes]:
+                          source: ObjectFile) -> tuple[_SendEntry, bytes]:
         """Start the fetch ``req`` asked for, now that it holds a slot."""
         config = replace(self.config, checksum=req.checksum)
         session = wire.SessionContext(key, req.epoch)
-        sender = FobsSender(config, len(data),
+        sender = FobsSender(config, len(source),
                             rng=np.random.default_rng(key & 0xFFFFFFFF),
                             epoch=req.epoch,
                             telemetry=self._transfer_channel(
                                 key, req.epoch, src="sender"))
-        entry = _SendEntry(key, session, sender, client, req.name)
+        entry = _SendEntry(key, session, sender, client, req.name, source)
         entry.started_at = time.monotonic()
         tuner = None
         if self.tuning is not None:
@@ -667,10 +678,10 @@ class ObjectServer:
             tuner = make_tuner(self.tuning, sender=sender,
                                telemetry=self.telemetry, transfer_id=key,
                                label=req.name)
-        entry.driver = SendDriver(sender, data, self._send_for(entry),
+        entry.driver = SendDriver(sender, source, self._send_for(entry),
                                   session, tuner)
         self._transfer_channel(key, req.epoch).emit(
-            EV_TRANSFER_START, nbytes=len(data), npackets=sender.npackets,
+            EV_TRANSFER_START, nbytes=len(source), npackets=sender.npackets,
             packet_size=config.packet_size,
             ack_frequency=config.ack_frequency, backend="server",
             role="sender", name=req.name, client=client)
@@ -680,11 +691,9 @@ class ObjectServer:
             key, tuner.set_ceiling if tuner else sender.set_pacing_rate,
             demand_bps=req.rate_cap_bps or None)
         self.allocator.reallocate()
-        manifest = (ChunkManifest.from_data(data, config.packet_size)
-                    if req.verify else None)
         return entry, files.announce_offer(
-            len(data), crc, config, self.udp_port, session,
-            manifest)
+            len(source), source.crc, config, self.udp_port, session,
+            source.manifest)
 
     # ------------------------------------------------------------------
     # Push (server receives)
@@ -905,6 +914,8 @@ class ObjectServer:
         if reg is not None and reg.entry is entry:
             self.registry.remove(entry.transfer_id)
         if sending:
+            if entry.source is not None:
+                entry.source.close()
             self.allocator.unregister(entry.key)
             stats = entry.sender.stats
             counters = dict(

@@ -11,9 +11,7 @@ import subprocess
 import sys
 import threading
 import time
-import types
 import weakref
-import zlib
 
 import numpy as np
 import pytest
@@ -29,8 +27,9 @@ from repro.runtime.files import (
     send_endpoint,
     send_file,
 )
+from repro.runtime.driver import ObjectFile
 from repro.runtime.transfer import SEND_BATCH, drain, run_endpoints, udp_offload
-from repro.server import ObjectServer, daemon, fetch_endpoint, fetch_file
+from repro.server import ObjectServer, fetch_endpoint, fetch_file
 from repro.server.registry import RECEIVING
 
 pytestmark = pytest.mark.loopback
@@ -135,14 +134,17 @@ class TestConcurrentFetch:
 
     @pytest.fixture
     def object_crcs(self, monkeypatch):
-        """Lengths of the buffers the daemon CRCs, in call order."""
+        """Lengths of the windows the daemon's object scans CRC, in call
+        order (each window is folded into the CRC once, as it is read)."""
         lengths = []
+        windows = ObjectFile._windows
 
-        def crc32(data, value=0):
-            lengths.append(len(data))
-            return zlib.crc32(data, value)
+        def spy(source, window):
+            for data in windows(source, window):
+                lengths.append(len(data))
+                yield data
 
-        monkeypatch.setattr(daemon, "zlib", types.SimpleNamespace(crc32=crc32))
+        monkeypatch.setattr(ObjectFile, "_windows", spy)
         return lengths
 
     def test_an_admitted_fetch_crcs_its_object_once(self, objects, tmp_path,

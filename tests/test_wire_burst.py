@@ -10,7 +10,9 @@ given as separate datagrams and as regions (datagrams end to end, as
 a segmented send and a ``UDP_GRO`` read move them).
 """
 
+import os
 import struct
+import tempfile
 import zlib
 
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.packets import DataPacket
 from repro.runtime import wire
+from repro.runtime.driver import ObjectFile
 
 from _support import SESSION, decode_burst, joined
 
@@ -107,6 +110,32 @@ class TestEncodeEquivalence:
         ends = [i for i, seq in enumerate(seqs) if seq == short]
         assert len(train.runs) == len(ends) + bool(
             seqs and (not ends or ends[-1] != len(seqs) - 1))
+
+    @settings(max_examples=100)
+    @given(batch=batches(), variant=st.sampled_from(range(4)),
+           source=st.sampled_from(["file", "bytes", "bytearray"]))
+    def test_every_source_encodes_the_per_packet_bytes(self, batch, variant,
+                                                       source):
+        """An object read from its file a run at a time, or held in
+        memory, makes the same datagrams as the per-packet codec."""
+        data, packet_size, seqs, transmissions = batch
+        checksum, session = _variants()[variant]
+        ref = singles(data, packet_size, seqs, transmissions, checksum,
+                      session)
+        with tempfile.TemporaryDirectory() as tmp:
+            if source == "file":
+                path = os.path.join(tmp, "object.bin")
+                with open(path, "wb") as fh:
+                    fh.write(data)
+                obj = ObjectFile(path)
+            else:
+                obj = bytearray(data) if source == "bytearray" else data
+            train = wire.encode_data_burst(seqs, transmissions, obj,
+                                           packet_size, checksum,
+                                           session=session)
+            if source == "file":
+                obj.close()
+        assert [bytes(d) for d in train] == ref
 
     def test_empty_burst(self):
         train = wire.encode_data_burst([], [], b"abc", 2, session=SESSION)
