@@ -39,159 +39,46 @@ replay the log with ``repro timeline`` /
 :func:`repro.analysis.timeline.reconstruct`.
 """
 
-from repro.core import (
-    ChunkManifest,
-    FobsConfig,
-    FobsReceiver,
-    FobsSender,
-    FobsTransfer,
-    PacketBitmap,
-    TransferStats,
-    VerifyStats,
-    run_fobs_transfer,
-)
-from repro.simnet import (
-    Monitor,
-    Network,
-    Simulator,
-    Tracer,
-    contended_path,
-    gigabit_path,
-    long_haul,
-    short_haul,
-)
-from repro.tcp import TcpOptions, run_bulk_transfer
-from repro.psockets import probe_optimal_sockets, run_striped_transfer
-from repro.server import (
-    ObjectServer,
-    SimTransferSpec,
-    fetch_file,
-    run_sim_server,
-    serve_root,
-)
-from repro.dataset import (
-    DatasetJournal,
-    DatasetManifest,
-    DatasetSyncResult,
-    FileEntry,
-    PackingConfig,
-    SchedulerConfig,
-    TransferPlan,
-    plan_objects,
-    scan_tree,
-    schedule,
-    sync_tree,
-)
-from repro.telemetry import (
-    EV_ACK_PROCESSED,
-    EV_ADMISSION,
-    EV_BATCH_SENT,
-    EV_BITMAP_DELTA,
-    EV_CHUNK_DONE,
-    EV_CHUNK_SCHEDULED,
-    EV_CORRUPTION,
-    EV_DATASET_PACK,
-    EV_DATASET_RESUME,
-    EV_DATASET_UNPACK,
-    EV_META,
-    EV_REPAIR,
-    EV_RESUME_EPOCH,
-    EV_RETRANSMIT_ROUND,
-    EV_SAMPLE,
-    EV_SNAPSHOT,
-    EV_STALL,
-    EV_STORAGE_FAULT,
-    EV_TRACE,
-    EV_TRANSFER_END,
-    EV_TRANSFER_START,
-    EV_TUNE_DECISION,
-    EV_TUNE_EPOCH,
-    EV_VERIFY,
-    EVENT_KINDS,
-    EVENT_SCHEMA_VERSION,
-    Event,
-    EventBus,
-    JsonlSink,
-    MetricsRegistry,
-    RingBufferSink,
-    SnapshotSink,
-    TelemetryChannel,
-    read_events,
-)
+from repro._lazy import exports
+
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".core.manifest": ["ChunkManifest", "VerifyStats"],
+    ".core.config": ["FobsConfig"],
+    ".core.receiver": ["FobsReceiver"],
+    ".core.sender": ["FobsSender"],
+    ".core.session": ["FobsTransfer", "TransferStats", "run_fobs_transfer"],
+    ".core.bitmap": ["PacketBitmap"],
+    ".simnet.monitor": ["Monitor"],
+    ".simnet.topology": [
+        "Network", "contended_path", "gigabit_path", "long_haul", "short_haul"],
+    ".simnet.engine": ["Simulator"],
+    ".simnet.trace": ["Tracer"],
+    ".tcp.options": ["TcpOptions"],
+    ".tcp.bulk": ["run_bulk_transfer"],
+    ".psockets.probe": ["probe_optimal_sockets"],
+    ".psockets.striping": ["run_striped_transfer"],
+    ".server.daemon": ["ObjectServer", "serve_root"],
+    ".server.sim": ["SimTransferSpec", "run_sim_server"],
+    ".server.client": ["fetch_file"],
+    ".dataset.journal": ["DatasetJournal"],
+    ".dataset.manifest": ["DatasetManifest", "FileEntry", "scan_tree"],
+    ".dataset.sync": ["DatasetSyncResult", "sync_tree"],
+    ".dataset.packing": ["PackingConfig", "TransferPlan", "plan_objects"],
+    ".dataset.scheduler": ["SchedulerConfig", "schedule"],
+    ".telemetry.events": [
+        "EV_ACK_PROCESSED", "EV_ADMISSION", "EV_BATCH_SENT", "EV_BITMAP_DELTA",
+        "EV_CHUNK_DONE", "EV_CHUNK_SCHEDULED", "EV_CORRUPTION",
+        "EV_DATASET_PACK", "EV_DATASET_RESUME", "EV_DATASET_UNPACK", "EV_META",
+        "EV_REPAIR", "EV_RESUME_EPOCH", "EV_RETRANSMIT_ROUND", "EV_SAMPLE",
+        "EV_SNAPSHOT", "EV_STALL", "EV_STORAGE_FAULT", "EV_TRACE",
+        "EV_TRANSFER_END", "EV_TRANSFER_START", "EV_TUNE_DECISION",
+        "EV_TUNE_EPOCH", "EV_VERIFY", "EVENT_KINDS", "EVENT_SCHEMA_VERSION",
+        "Event", "read_events"],
+    ".telemetry.bus": [
+        "EventBus", "JsonlSink", "RingBufferSink", "SnapshotSink",
+        "TelemetryChannel"],
+    ".telemetry.metrics": ["MetricsRegistry"],
+})
 
 __version__ = "2.0.0"
-
-__all__ = [
-    "FobsConfig",
-    "FobsSender",
-    "FobsReceiver",
-    "FobsTransfer",
-    "PacketBitmap",
-    "TransferStats",
-    "run_fobs_transfer",
-    "Network",
-    "Simulator",
-    "Tracer",
-    "Monitor",
-    "short_haul",
-    "long_haul",
-    "gigabit_path",
-    "contended_path",
-    "ObjectServer",
-    "SimTransferSpec",
-    "fetch_file",
-    "run_sim_server",
-    "serve_root",
-    "TcpOptions",
-    "run_bulk_transfer",
-    "run_striped_transfer",
-    "probe_optimal_sockets",
-    "Event",
-    "EventBus",
-    "TelemetryChannel",
-    "RingBufferSink",
-    "JsonlSink",
-    "SnapshotSink",
-    "MetricsRegistry",
-    "read_events",
-    "EVENT_KINDS",
-    "EVENT_SCHEMA_VERSION",
-    "EV_META",
-    "EV_TRANSFER_START",
-    "EV_TRANSFER_END",
-    "EV_BATCH_SENT",
-    "EV_ACK_PROCESSED",
-    "EV_BITMAP_DELTA",
-    "EV_RETRANSMIT_ROUND",
-    "EV_STALL",
-    "EV_RESUME_EPOCH",
-    "EV_ADMISSION",
-    "EV_SNAPSHOT",
-    "EV_SAMPLE",
-    "EV_TRACE",
-    "EV_STORAGE_FAULT",
-    "EV_CORRUPTION",
-    "EV_REPAIR",
-    "EV_VERIFY",
-    "EV_DATASET_PACK",
-    "EV_DATASET_UNPACK",
-    "EV_CHUNK_SCHEDULED",
-    "EV_CHUNK_DONE",
-    "EV_DATASET_RESUME",
-    "EV_TUNE_EPOCH",
-    "EV_TUNE_DECISION",
-    "ChunkManifest",
-    "VerifyStats",
-    "DatasetManifest",
-    "FileEntry",
-    "DatasetJournal",
-    "DatasetSyncResult",
-    "PackingConfig",
-    "SchedulerConfig",
-    "TransferPlan",
-    "scan_tree",
-    "plan_objects",
-    "schedule",
-    "sync_tree",
-    "__version__",
-]
+__all__ += ["__version__"]

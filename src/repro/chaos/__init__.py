@@ -9,30 +9,11 @@ the one invariant that matters: a transfer that reports success
 delivered bytes identical to the source — never silent corruption.
 """
 
-from repro.chaos.hostfaults import (
-    FaultyFile,
-    FaultyStore,
-    HostFaultSchedule,
-    HostFaultStats,
-    bit_rot,
-    disk_full_at,
-    torn_writes,
-)
-from repro.chaos.harness import (
-    ChaosResult,
-    ChaosScenario,
-    run_chaos_transfer,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "ChaosResult",
-    "ChaosScenario",
-    "FaultyFile",
-    "FaultyStore",
-    "HostFaultSchedule",
-    "HostFaultStats",
-    "bit_rot",
-    "disk_full_at",
-    "run_chaos_transfer",
-    "torn_writes",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".hostfaults": [
+        "FaultyFile", "FaultyStore", "HostFaultSchedule", "HostFaultStats",
+        "bit_rot", "disk_full_at", "torn_writes"],
+    ".harness": ["ChaosResult", "ChaosScenario", "run_chaos_transfer"],
+})

@@ -27,106 +27,28 @@ module:
 CLI: ``repro sync <src-tree> <dest>``.  Docs: ``docs/DATASET.md``.
 """
 
-from repro.dataset.journal import (
-    DatasetJournal,
-    DatasetJournalCorrupt,
-    DatasetJournalHeader,
-    DatasetReplay,
-    replay_dataset_journal,
-)
-from repro.dataset.manifest import (
-    DEFAULT_CHUNK_SIZE,
-    DatasetManifest,
-    DatasetManifestCorrupt,
-    FileEntry,
-    iter_tree,
-    manifest_from_files,
-    scan_tree,
-)
-from repro.dataset.packing import (
-    KIND_PACKED,
-    KIND_STRIPE,
-    KIND_WHOLE,
-    ObjectMember,
-    PackCorrupt,
-    PackingConfig,
-    PlannedObject,
-    TransferPlan,
-    UnpackedMember,
-    pack_object,
-    plan_objects,
-    unpack_object,
-    verify_members_against_manifest,
-)
-from repro.dataset.scheduler import (
-    SCHEDULER_POLICIES,
-    SchedulerConfig,
-    default_spindle,
-    lane_count,
-    schedule,
-    sequential_write_fraction,
-)
-from repro.dataset.sim import (
-    DatasetSimResult,
-    run_sim_dataset,
-    run_sim_naive,
-    run_sim_resume,
-)
-from repro.dataset.sync import (
-    JOURNAL_NAME,
-    DatasetSyncResult,
-    LocalTransport,
-    LoopbackTransport,
-    TransportReceipt,
-    TreeSpec,
-    mixed_tree_spec,
-    sync_tree,
-    trees_equal,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "DEFAULT_CHUNK_SIZE",
-    "DatasetJournal",
-    "DatasetJournalCorrupt",
-    "DatasetJournalHeader",
-    "DatasetManifest",
-    "DatasetManifestCorrupt",
-    "DatasetReplay",
-    "DatasetSimResult",
-    "DatasetSyncResult",
-    "FileEntry",
-    "JOURNAL_NAME",
-    "KIND_PACKED",
-    "KIND_STRIPE",
-    "KIND_WHOLE",
-    "LocalTransport",
-    "LoopbackTransport",
-    "ObjectMember",
-    "PackCorrupt",
-    "PackingConfig",
-    "PlannedObject",
-    "SCHEDULER_POLICIES",
-    "SchedulerConfig",
-    "TransferPlan",
-    "TransportReceipt",
-    "TreeSpec",
-    "UnpackedMember",
-    "default_spindle",
-    "iter_tree",
-    "lane_count",
-    "manifest_from_files",
-    "mixed_tree_spec",
-    "pack_object",
-    "plan_objects",
-    "replay_dataset_journal",
-    "run_sim_dataset",
-    "run_sim_naive",
-    "run_sim_resume",
-    "scan_tree",
-    "schedule",
-    "sequential_write_fraction",
-    "sync_tree",
-    "trees_equal",
-    "unpack_object",
-    "verify_members_against_manifest",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".journal": [
+        "DatasetJournal", "DatasetJournalCorrupt", "DatasetJournalHeader",
+        "DatasetReplay", "replay_dataset_journal"],
+    ".manifest": [
+        "DEFAULT_CHUNK_SIZE", "DatasetManifest", "DatasetManifestCorrupt",
+        "FileEntry", "iter_tree", "manifest_from_files", "scan_tree"],
+    ".packing": [
+        "KIND_PACKED", "KIND_STRIPE", "KIND_WHOLE", "ObjectMember",
+        "PackCorrupt", "PackingConfig", "PlannedObject", "TransferPlan",
+        "UnpackedMember", "pack_object", "plan_objects", "unpack_object",
+        "verify_members_against_manifest"],
+    ".scheduler": [
+        "SCHEDULER_POLICIES", "SchedulerConfig", "default_spindle",
+        "lane_count", "schedule", "sequential_write_fraction"],
+    ".sim": [
+        "DatasetSimResult", "run_sim_dataset", "run_sim_naive",
+        "run_sim_resume"],
+    ".sync": [
+        "JOURNAL_NAME", "DatasetSyncResult", "LocalTransport",
+        "LoopbackTransport", "TransportReceipt", "TreeSpec", "mixed_tree_spec",
+        "sync_tree", "trees_equal"],
+})

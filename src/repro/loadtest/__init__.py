@@ -32,48 +32,17 @@ CLI: ``repro loadtest <scenario> --seed N`` prints the JSON report on
 stdout.  ``docs/LOADTEST.md`` documents the scenario vocabulary.
 """
 
-from repro.loadtest.arrivals import (
-    ArrivalProcess,
-    DiurnalProcess,
-    FlashCrowdProcess,
-    PoissonProcess,
-    generate_arrivals,
-    sample_arrival_times,
-)
-from repro.loadtest.fleet import FleetServer, build_fleet_network
-from repro.loadtest.population import (
-    CLIENT_CLASSES,
-    DEFAULT_POPULATION,
-    ClientClass,
-    ClientSpec,
-    Population,
-)
-from repro.loadtest.scenarios import (
-    SCENARIOS,
-    ScenarioResult,
-    ScenarioSpec,
-    run_scenario,
-)
-from repro.loadtest.slo import compute_slo_report, render_slo_report
+from repro._lazy import exports
 
-__all__ = [
-    "ArrivalProcess",
-    "CLIENT_CLASSES",
-    "ClientClass",
-    "ClientSpec",
-    "DEFAULT_POPULATION",
-    "DiurnalProcess",
-    "FlashCrowdProcess",
-    "FleetServer",
-    "PoissonProcess",
-    "Population",
-    "SCENARIOS",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "build_fleet_network",
-    "compute_slo_report",
-    "generate_arrivals",
-    "render_slo_report",
-    "run_scenario",
-    "sample_arrival_times",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".arrivals": [
+        "ArrivalProcess", "DiurnalProcess", "FlashCrowdProcess",
+        "PoissonProcess", "generate_arrivals", "sample_arrival_times"],
+    ".fleet": ["FleetServer", "build_fleet_network"],
+    ".population": [
+        "CLIENT_CLASSES", "DEFAULT_POPULATION", "ClientClass", "ClientSpec",
+        "Population"],
+    ".scenarios": [
+        "SCENARIOS", "ScenarioResult", "ScenarioSpec", "run_scenario"],
+    ".slo": ["compute_slo_report", "render_slo_report"],
+})

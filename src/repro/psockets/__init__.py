@@ -7,12 +7,9 @@ streams.  Section 6 of the FOBS paper compares against it on the
 contended NCSA ↔ CACR path (Table 2).
 """
 
-from repro.psockets.striping import StripedResult, run_striped_transfer
-from repro.psockets.probe import ProbeResult, probe_optimal_sockets
+from repro._lazy import exports
 
-__all__ = [
-    "StripedResult",
-    "run_striped_transfer",
-    "ProbeResult",
-    "probe_optimal_sockets",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".striping": ["StripedResult", "run_striped_transfer"],
+    ".probe": ["ProbeResult", "probe_optimal_sockets"],
+})

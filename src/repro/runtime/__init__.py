@@ -10,55 +10,18 @@ from this backend — correctness (checksummed object delivery over a
 lossy-capable datagram path) is what it verifies.
 """
 
-from repro.runtime.wire import (
-    ResumeInfo,
-    SessionContext,
-    SessionMismatchError,
-    StaleEpochError,
-    decode_ack,
-    decode_completion,
-    decode_data,
-    decode_data_burst,
-    decode_resume,
-    encode_ack,
-    encode_completion,
-    encode_data,
-    encode_data_burst,
-    encode_resume,
-)
-from repro.runtime.transfer import LoopbackResult, run_loopback_transfer
-from repro.runtime.supervisor import (
-    AttemptRecord,
-    RetryPolicy,
-    SupervisedResult,
-    TransferSupervisor,
-    run_resumable_fobs_transfer,
-)
-from repro.runtime.files import FileTransferResult, receive_file, send_file
+from repro._lazy import exports
 
-__all__ = [
-    "FileTransferResult",
-    "send_file",
-    "receive_file",
-    "encode_data",
-    "decode_data",
-    "encode_data_burst",
-    "decode_data_burst",
-    "encode_ack",
-    "decode_ack",
-    "encode_completion",
-    "decode_completion",
-    "encode_resume",
-    "decode_resume",
-    "ResumeInfo",
-    "SessionContext",
-    "SessionMismatchError",
-    "StaleEpochError",
-    "LoopbackResult",
-    "run_loopback_transfer",
-    "AttemptRecord",
-    "RetryPolicy",
-    "SupervisedResult",
-    "TransferSupervisor",
-    "run_resumable_fobs_transfer",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".wire": [
+        "ResumeInfo", "SessionContext", "SessionMismatchError",
+        "StaleEpochError", "decode_ack", "decode_completion", "decode_data",
+        "decode_data_burst", "decode_resume", "encode_ack",
+        "encode_completion", "encode_data", "encode_data_burst",
+        "encode_resume"],
+    ".transfer": ["LoopbackResult", "run_loopback_transfer"],
+    ".supervisor": [
+        "AttemptRecord", "RetryPolicy", "SupervisedResult",
+        "TransferSupervisor", "run_resumable_fobs_transfer"],
+    ".files": ["FileTransferResult", "receive_file", "send_file"],
+})

@@ -35,15 +35,17 @@ import errno
 import os
 import time
 import zlib
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.core.journal import ReceiverJournal
 from repro.core.manifest import (
+    ALGO_CRC32,
     VERIFY_READ_BYTES,
     ChunkManifest,
     VerifyStats,
+    _digest_chunks,
     corrupt_ranges,
 )
 from repro.core.receiver import FobsReceiver
@@ -733,10 +735,14 @@ READ_AHEAD = 256 * 1024
 class ObjectFile:
     """An object served from its file, never copied whole into memory.
 
-    Opening holds an fd and scans the file once, no read larger than
-    :data:`~repro.core.manifest.VERIFY_READ_BYTES`: the whole-object
-    CRC32 the offer announces and, given ``manifest_packet_size``, the
-    chunk manifest of a verified transfer.  After that the burst
+    Opening holds an fd and takes the file's size; nothing is read yet.
+    One scan, no read larger than
+    :data:`~repro.core.manifest.VERIFY_READ_BYTES`, gives the
+    whole-object CRC32 the offer announces (:attr:`crc`) and, given
+    ``manifest_packet_size``, the chunk manifest of a verified transfer
+    (:attr:`manifest`): :meth:`scan` takes it a window per step, so the
+    daemon reads a window per turn, and either attribute finishes what
+    is left of it at once.  After that the burst
     encoder reads it as it sends (:meth:`window`): one ``os.pread``
     per run of consecutive packets a retransmission pass asks for, and
     one per :data:`READ_AHEAD` of a first pass, so a sender holds a
@@ -759,30 +765,51 @@ class ObjectFile:
             self.size = st.st_size
             if not self.size:
                 raise ValueError(f"{path} is empty")
-            self.crc = 0
-            psize = manifest_packet_size or VERIFY_READ_BYTES
-            windows = self._windows(max(1, VERIFY_READ_BYTES // psize) * psize)
-            if manifest_packet_size is None:
-                self.manifest = None
-                for _window in windows:
-                    pass
-            else:
-                self.manifest = ChunkManifest.from_windows(
-                    windows, manifest_packet_size)
         except BaseException:
             self.close()
             raise
+        self._crc = 0
+        self._manifest: Optional[ChunkManifest] = None
+        self._scan = self._scanning(manifest_packet_size)
         #: The last read, and the object offset it starts at.
         self._read, self._read_at = b"", 0
 
     def __len__(self) -> int:
         return self.size
 
+    def scan(self) -> Iterator[None]:
+        """The scan, one window read and digested per step."""
+        return self._scan
+
+    @property
+    def crc(self) -> int:
+        for _step in self._scan:
+            pass
+        return self._crc
+
+    @property
+    def manifest(self) -> Optional[ChunkManifest]:
+        for _step in self._scan:
+            pass
+        return self._manifest
+
+    def _scanning(self, packet_size: Optional[int]) -> Iterator[None]:
+        psize = packet_size or VERIFY_READ_BYTES
+        digests = []
+        for data in self._windows(max(1, VERIFY_READ_BYTES // psize) * psize):
+            if packet_size is not None:
+                digests.append(_digest_chunks(data, packet_size, ALGO_CRC32))
+            yield
+        if packet_size is not None:
+            self._manifest = ChunkManifest(
+                total_bytes=self.size, packet_size=packet_size,
+                algo=ALGO_CRC32, digests=b"".join(digests))
+
     def _windows(self, window: int):
         """The file a window at a time, its CRC32 folded on the way."""
         for offset in range(0, self.size, window):
             data = self._pread(offset, min(window, self.size - offset))
-            self.crc = zlib.crc32(data, self.crc)
+            self._crc = zlib.crc32(data, self._crc)
             yield data
 
     def _pread(self, offset: int, length: int) -> bytes:

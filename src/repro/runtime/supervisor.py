@@ -31,14 +31,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from types import GeneratorType
-from typing import Callable, Generator, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 import numpy as np
 
 from repro.core.config import FobsConfig
 from repro.core.journal import ReceiverJournal
-from repro.core.session import FobsTransfer, TransferStats
-from repro.simnet.faults import KillSwitch
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.simnet.faults import KillSwitch
 
 
 @dataclass(frozen=True)
@@ -265,7 +266,7 @@ class TransferSupervisor:
 # Backend drivers
 # ----------------------------------------------------------------------
 
-def kill_for_attempt(kill_plan, attempt: int) -> Optional[KillSwitch]:
+def kill_for_attempt(kill_plan, attempt: int) -> Optional["KillSwitch"]:
     """Resolve the crash plan for one attempt.
 
     ``kill_plan`` may be None, a dict ``{attempt: KillSwitch}``, or a
@@ -275,6 +276,8 @@ def kill_for_attempt(kill_plan, attempt: int) -> Optional[KillSwitch]:
     """
     if kill_plan is None:
         return None
+    from repro.simnet.faults import KillSwitch  # a crash plan's, only
+
     if isinstance(kill_plan, KillSwitch):
         return None if kill_plan.fired else kill_plan
     if isinstance(kill_plan, dict):
@@ -307,6 +310,10 @@ def run_resumable_fobs_transfer(
     :func:`kill_for_attempt`).  On success the journal file is
     deleted unless ``keep_journal``.
     """
+    # The simulator loads here, not with the module: the real-socket
+    # paths import this module for the retry loop alone.
+    from repro.core.session import FobsTransfer, TransferStats
+
     config = config if config is not None else FobsConfig()
 
     journal: Optional[ReceiverJournal] = None

@@ -50,6 +50,7 @@ from repro.core.receiver import FobsReceiver
 from repro.core.sender import FobsSender
 from repro.runtime import wire
 from repro.runtime.driver import (
+    IDLE_WAIT,
     EndpointKilled,
     FaultySend,
     RecvDriver,
@@ -242,9 +243,15 @@ def sender_turns(driver: SendDriver, ack_sock: socket.socket,
     retransmission), asks ``poll_completion`` for a control-connection
     failure, takes one ``step`` and yields its wakeup.  Returns None on
     completion, else the failure.
+
+    With packets still unacknowledged the completion cannot be due, so
+    ``poll_completion`` (an ``accept`` or a read that mostly finds
+    nothing) is asked at most once per ``IDLE_WAIT``; once all are
+    acknowledged, every turn, so a normal completion is not delayed.
     """
     sender = driver.sender
     rxbuf = bytearray(65535)
+    next_probe = 0.0
 
     def on_acks(train, now: float) -> None:
         for datagram in train:
@@ -255,7 +262,11 @@ def sender_turns(driver: SendDriver, ack_sock: socket.socket,
         drain(ack_sock, on_acks, now, rxbuf)
         # sender.failure_reason carries the last step's stall diagnosis;
         # terminate cleanly well before the deadline.
-        failure = poll_completion() or sender.failure_reason
+        failure = None
+        if now >= next_probe or sender.all_acked:
+            next_probe = now + IDLE_WAIT
+            failure = poll_completion()
+        failure = failure or sender.failure_reason
         if failure is not None or sender.complete:
             return failure
         yield driver.step(now)

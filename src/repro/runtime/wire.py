@@ -519,9 +519,10 @@ def decode_ack(
     expected = -(-npackets // 8)
     if packed.shape[0] < expected:
         raise ValueError("ack bitmap truncated")
-    if checksum and zlib.crc32(packed[:expected].tobytes()) != crc:
+    packed = packed[:expected]
+    if checksum and zlib.crc32(packed) != crc:
         raise ChecksumError("ack bitmap failed CRC32 verification")
-    bits = np.unpackbits(packed[:expected], count=npackets).astype(np.bool_)
+    bits = np.unpackbits(packed, count=npackets).view(np.bool_)
     return AckPacket(ack_id=ack_id, received_count=received_count,
                      bitmap=bits, epoch=epoch)
 

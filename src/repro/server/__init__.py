@@ -24,54 +24,19 @@ and its fetch client (:func:`~repro.server.client.fetch_file`,
 through the PR-2 journal/RESUME machinery.
 """
 
-from repro.server.admission import (
-    AdmissionController,
-    AdmissionCounters,
-    AdmissionDecision,
-)
-from repro.server.allocator import BandwidthAllocator
-from repro.server.client import (
-    default_client_nonce,
-    fetch_endpoint,
-    fetch_file,
-)
-from repro.server.daemon import ObjectServer, serve_root
-from repro.server.registry import (
-    RECEIVING,
-    SENDING,
-    RegisteredTransfer,
-    RegistryCounters,
-    TransferRegistry,
-)
-from repro.server.sim import (
-    AdmissionEvent,
-    SimObjectServer,
-    SimServerResult,
-    SimTransferSpec,
-    run_sim_server,
-)
-from repro.server.stats import ServerSnapshot, TransferSnapshot
+from repro._lazy import exports
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionCounters",
-    "AdmissionDecision",
-    "AdmissionEvent",
-    "BandwidthAllocator",
-    "ObjectServer",
-    "RECEIVING",
-    "RegisteredTransfer",
-    "RegistryCounters",
-    "SENDING",
-    "ServerSnapshot",
-    "SimObjectServer",
-    "SimServerResult",
-    "SimTransferSpec",
-    "TransferRegistry",
-    "TransferSnapshot",
-    "default_client_nonce",
-    "fetch_endpoint",
-    "fetch_file",
-    "run_sim_server",
-    "serve_root",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".admission": [
+        "AdmissionController", "AdmissionCounters", "AdmissionDecision"],
+    ".allocator": ["BandwidthAllocator"],
+    ".client": ["default_client_nonce", "fetch_endpoint", "fetch_file"],
+    ".daemon": ["ObjectServer", "serve_root"],
+    ".registry": [
+        "RECEIVING", "SENDING", "RegisteredTransfer", "RegistryCounters",
+        "TransferRegistry"],
+    ".sim": [
+        "AdmissionEvent", "SimObjectServer", "SimServerResult",
+        "SimTransferSpec", "run_sim_server"],
+    ".stats": ["ServerSnapshot", "TransferSnapshot"],
+})

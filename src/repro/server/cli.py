@@ -46,13 +46,12 @@ failure), nonzero exit on failure and 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import signal
 import sys
 import time
 from typing import Optional, Sequence
 
-from repro.analysis.experiments import EXPERIMENTS, QUICK_KWARGS
-from repro.analysis.sweep import PATHS, parse_values, sweep_fobs, sweep_tcp
 from repro.core.config import FobsConfig
 from repro.runtime.files import receive_file, send_file
 from repro.runtime.transfer import SEND_BATCH, run_endpoints
@@ -106,6 +105,21 @@ def _add_hardening_flags(sub: argparse.ArgumentParser) -> None:
         "--quiet", action="store_true",
         help="suppress progress output on stderr (the stdout result "
              "line and failure diagnoses still print)")
+
+
+def _key_of(module: str, table: str):
+    """An argparse ``type`` that accepts a key of ``module.table``.  The
+    table loads when a command naming one is parsed: the simulator's
+    experiments and paths come with ``run`` and ``sweep``, not with
+    every command."""
+    def key(value: str) -> str:
+        names = getattr(importlib.import_module(module), table)
+        if value not in names:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {value!r} (choose from "
+                f"{', '.join(map(repr, sorted(names)))})")
+        return value
+    return key
 
 
 def _config_from(args: argparse.Namespace, **extra) -> FobsConfig:
@@ -343,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser(
         "run", help="run one experiment on the simulated testbed and "
                     "print its table")
-    run.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    run.add_argument("experiment",
+                     type=_key_of("repro.analysis.experiments", "EXPERIMENTS"),
+                     help="one of the names 'repro list' prints")
     run.add_argument("--nbytes", type=int, default=None,
                      help="object size in bytes (default: the paper's 40 MB)")
     run.add_argument("--seed", type=int, default=None, help="base RNG seed")
@@ -355,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", help="sweep one protocol parameter over a path preset")
     sweep.add_argument("protocol", choices=("fobs", "tcp"))
-    sweep.add_argument("--path", default="short_haul", choices=sorted(PATHS),
+    sweep.add_argument("--path", default="short_haul",
+                       type=_key_of("repro.analysis.sweep", "PATHS"),
                        help="path preset (default short_haul)")
     sweep.add_argument("--param", required=True,
                        help="parameter to sweep (e.g. ack_frequency)")
@@ -931,6 +948,8 @@ def _cmd_loopback(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import EXPERIMENTS
+
     for name in sorted(EXPERIMENTS):
         doc = (EXPERIMENTS[name].__doc__ or "").strip().splitlines()[0]
         print(f"{name:<22} {doc}")
@@ -938,6 +957,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import EXPERIMENTS, QUICK_KWARGS
+
     _positive_nbytes(args)
     kwargs = dict(QUICK_KWARGS.get(args.experiment, {})) if args.quick else {}
     if args.nbytes is not None:
@@ -964,6 +985,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.sweep import parse_values, sweep_fobs, sweep_tcp
+
     _positive_nbytes(args)
     try:
         values = parse_values(args.protocol, args.param, args.values)

@@ -238,6 +238,10 @@ class ObjectServer:
 
         self._listener: Optional[socket.socket] = None
         self._udp: Optional[socket.socket] = None
+        #: A socket pair in the loop's reads: a drain or stop asked for
+        #: writes a byte to ``_waker``, so an idle wait ends at once.
+        self._wakeup: Optional[socket.socket] = None
+        self._waker: Optional[socket.socket] = None
         # Reusable datagram receive buffer shared by every UDP drain
         # (single-threaded event loop; each datagram is fully consumed
         # before the next receive overwrites the buffer).
@@ -260,15 +264,25 @@ class ObjectServer:
         self._drain_deadline = 0.0
 
     # ------------------------------------------------------------------
-    # Lifecycle / external control (thread- and signal-safe: flags only)
+    # Lifecycle / external control (thread- and signal-safe: a flag and
+    # one byte that wakes the loop)
     # ------------------------------------------------------------------
     def request_drain(self) -> None:
         """Stop admissions; finish active transfers; then exit."""
         self._drain_requested = True
+        self._wake()
 
     def stop(self) -> None:
         """Exit the serve loop at the next tick (abrupt)."""
         self._stop = True
+        self._wake()
+
+    def _wake(self) -> None:
+        if self._waker is not None:  # else no loop yet: the flag will do
+            try:
+                self._waker.send(b"\0")
+            except OSError:
+                pass  # a full buffer, or the loop has ended
 
     def stats(self) -> ServerSnapshot:
         """Point-in-time snapshot of the whole daemon."""
@@ -336,8 +350,12 @@ class ObjectServer:
         self._udp.bind((self.bind, 0))
         self._udp.setblocking(False)
         self.udp_port = self._udp.getsockname()[1]
+        self._wakeup, self._waker = socket.socketpair()
+        self._wakeup.setblocking(False)
+        self._waker.setblocking(False)
         self._started_at = time.monotonic()
-        end = Endpoint(socks=[self._listener, self._udp])
+        end = Endpoint(socks=[self._listener, self._udp, self._wakeup,
+                              self._waker])
         end.turns = self._turns(end)
         return end
 
@@ -353,8 +371,13 @@ class ObjectServer:
         try:
             while not self._stop:
                 now = time.monotonic()
-                if self._drain_requested and not self._draining:
-                    self._begin_drain(now)
+                if self._drain_requested:
+                    try:  # once asked, the wakeups are read every turn
+                        self._wakeup.recv(4096)
+                    except BlockingIOError:
+                        pass
+                    if not self._draining:
+                        self._begin_drain(now)
                 if self._draining and now > self._drain_deadline:
                     self._fail_all("drain timeout expired")
                     return
@@ -377,7 +400,8 @@ class ObjectServer:
                             now, entry.started_at)
                         if failure is not None:
                             self._finish(entry, ok=False, reason=failure)
-                conns, reads, writes = [], [self._listener, self._udp], []
+                conns, writes = [], []
+                reads = [self._listener, self._udp, self._wakeup]
                 for conn in self._conns:
                     try:
                         wait = min(wait, next(conn.turns))
@@ -604,9 +628,8 @@ class ObjectServer:
     # Fetch (server sends)
     # ------------------------------------------------------------------
     def _open(self, req: wire.FetchRequest) -> Optional[ObjectFile]:
-        """The object ``req`` names inside the served root, opened and
-        scanned for its CRC32 (and, for a verified fetch, its manifest),
-        or None (no such object, or an empty one)."""
+        """The object ``req`` names inside the served root, opened (not
+        yet read), or None (no such object, or an empty one)."""
         path = os.path.normpath(os.path.join(self.root, req.name))
         if not (path.startswith(self.root + os.sep)
                 and os.path.isfile(path)):
@@ -617,6 +640,24 @@ class ObjectServer:
         except (OSError, ValueError):
             return None
 
+    def _scanned(self, source: Optional[ObjectFile]
+                 ) -> Generator[float, None, Optional[ObjectFile]]:
+        """``source`` once scanned for its CRC32 (and a verified fetch's
+        manifest), a window per turn so other transfers run between
+        them; None if it cannot be read."""
+        if source is None:
+            return None
+        try:
+            for _step in source.scan():
+                yield 0.0
+        except (OSError, ValueError):
+            source.close()
+            return None
+        except BaseException:  # the connection closed mid-scan
+            source.close()
+            raise
+        return source
+
     def _admit_fetch(self, end: Endpoint, sock: socket.socket,
                      decoder: wire.ControlDecoder, client: str,
                      req: wire.FetchRequest, deadline: float
@@ -624,18 +665,21 @@ class ObjectServer:
         """A FETCH up to its transfer: its object found (and one ACK's
         bitmap enough for it), then admitted; the entry and its OFFER."""
         source = self._open(req)
+        if source is not None:
+            try:  # refused from its size, before any read
+                wire.check_npackets(self.config.npackets(len(source)))
+            except ValueError as exc:
+                source.close()
+                self._failed += 1
+                self.history.append((req.name, "send", client, False,
+                                     str(exc)))
+                return None
+        source = yield from self._scanned(source)
         if source is None:
             self._emit_admission(0, req.name, client, "reject",
                                  reason="not_found")
             self._rejected_other += 1
             yield from self._tell(end, sock, _NOT_FOUND)
-            return None
-        try:
-            wire.check_npackets(self.config.npackets(len(source)))
-        except ValueError as exc:
-            source.close()
-            self._failed += 1
-            self.history.append((req.name, "send", client, False, str(exc)))
             return None
         key = req.client_nonce ^ files.derive_transfer_id(len(source),
                                                           source.crc)
@@ -647,7 +691,7 @@ class ObjectServer:
                                                 fetch=True)):
                 return None
             # What the OFFER announces is what the file holds now.
-            source = self._open(req)
+            source = yield from self._scanned(self._open(req))
             if source is None:
                 # Admitted from the queue, but the object has since gone.
                 self._release_and_promote(key)

@@ -17,29 +17,16 @@ Layering::
             TcpOptions                    (tcp.options)
 """
 
-from repro.tcp.options import TcpOptions
-from repro.tcp.rtt import RttEstimator
-from repro.tcp.reno import RenoController
-from repro.tcp.highspeed import HighSpeedController, hs_alpha, hs_beta, make_controller
-from repro.tcp.segments import Segment, segment_option_bytes
-from repro.tcp.reassembly import ReassemblyBuffer
-from repro.tcp.connection import TcpConnection, TcpListener, ConnStats
-from repro.tcp.bulk import BulkResult, run_bulk_transfer
+from repro._lazy import exports
 
-__all__ = [
-    "TcpOptions",
-    "RttEstimator",
-    "RenoController",
-    "HighSpeedController",
-    "hs_alpha",
-    "hs_beta",
-    "make_controller",
-    "Segment",
-    "segment_option_bytes",
-    "ReassemblyBuffer",
-    "TcpConnection",
-    "TcpListener",
-    "ConnStats",
-    "BulkResult",
-    "run_bulk_transfer",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".options": ["TcpOptions"],
+    ".rtt": ["RttEstimator"],
+    ".reno": ["RenoController"],
+    ".highspeed": [
+        "HighSpeedController", "hs_alpha", "hs_beta", "make_controller"],
+    ".segments": ["Segment", "segment_option_bytes"],
+    ".reassembly": ["ReassemblyBuffer"],
+    ".connection": ["TcpConnection", "TcpListener", "ConnStats"],
+    ".bulk": ["BulkResult", "run_bulk_transfer"],
+})

@@ -29,92 +29,20 @@ Quickstart::
     # later: repro timeline run.jsonl
 """
 
-from repro.telemetry.bus import (
-    NULL_CHANNEL,
-    EventBus,
-    JsonlSink,
-    RingBufferSink,
-    SnapshotSink,
-    TelemetryChannel,
-)
-from repro.telemetry.events import (
-    EV_ACK_PROCESSED,
-    EV_ADMISSION,
-    EV_BATCH_SENT,
-    EV_BITMAP_DELTA,
-    EV_CHUNK_DONE,
-    EV_CHUNK_SCHEDULED,
-    EV_CORRUPTION,
-    EV_DATASET_PACK,
-    EV_DATASET_RESUME,
-    EV_DATASET_UNPACK,
-    EV_META,
-    EV_REPAIR,
-    EV_RESUME_EPOCH,
-    EV_RETRANSMIT_ROUND,
-    EV_SAMPLE,
-    EV_SNAPSHOT,
-    EV_STALL,
-    EV_STORAGE_FAULT,
-    EV_TRACE,
-    EV_TRANSFER_END,
-    EV_TRANSFER_START,
-    EV_TUNE_DECISION,
-    EV_TUNE_EPOCH,
-    EV_VERIFY,
-    EVENT_KINDS,
-    EVENT_SCHEMA_VERSION,
-    SAMPLED_KINDS,
-    Event,
-    meta_event,
-    read_events,
-)
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro._lazy import exports
 
-__all__ = [
-    "Event",
-    "EventBus",
-    "TelemetryChannel",
-    "NULL_CHANNEL",
-    "RingBufferSink",
-    "JsonlSink",
-    "SnapshotSink",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "meta_event",
-    "read_events",
-    "EVENT_KINDS",
-    "EVENT_SCHEMA_VERSION",
-    "SAMPLED_KINDS",
-    "EV_META",
-    "EV_TRANSFER_START",
-    "EV_TRANSFER_END",
-    "EV_BATCH_SENT",
-    "EV_ACK_PROCESSED",
-    "EV_BITMAP_DELTA",
-    "EV_RETRANSMIT_ROUND",
-    "EV_STALL",
-    "EV_RESUME_EPOCH",
-    "EV_ADMISSION",
-    "EV_SNAPSHOT",
-    "EV_SAMPLE",
-    "EV_TRACE",
-    "EV_STORAGE_FAULT",
-    "EV_CORRUPTION",
-    "EV_REPAIR",
-    "EV_VERIFY",
-    "EV_DATASET_PACK",
-    "EV_DATASET_UNPACK",
-    "EV_CHUNK_SCHEDULED",
-    "EV_CHUNK_DONE",
-    "EV_DATASET_RESUME",
-    "EV_TUNE_EPOCH",
-    "EV_TUNE_DECISION",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".bus": [
+        "NULL_CHANNEL", "EventBus", "JsonlSink", "RingBufferSink",
+        "SnapshotSink", "TelemetryChannel"],
+    ".events": [
+        "EV_ACK_PROCESSED", "EV_ADMISSION", "EV_BATCH_SENT", "EV_BITMAP_DELTA",
+        "EV_CHUNK_DONE", "EV_CHUNK_SCHEDULED", "EV_CORRUPTION",
+        "EV_DATASET_PACK", "EV_DATASET_RESUME", "EV_DATASET_UNPACK", "EV_META",
+        "EV_REPAIR", "EV_RESUME_EPOCH", "EV_RETRANSMIT_ROUND", "EV_SAMPLE",
+        "EV_SNAPSHOT", "EV_STALL", "EV_STORAGE_FAULT", "EV_TRACE",
+        "EV_TRANSFER_END", "EV_TRANSFER_START", "EV_TUNE_DECISION",
+        "EV_TUNE_EPOCH", "EV_VERIFY", "EVENT_KINDS", "EVENT_SCHEMA_VERSION",
+        "SAMPLED_KINDS", "Event", "meta_event", "read_events"],
+    ".metrics": ["Counter", "Gauge", "Histogram", "MetricsRegistry"],
+})

@@ -7,17 +7,11 @@ in all three backends.  Every decision is published as telemetry and
 replayable from JSONL via :func:`replay_decisions`.
 """
 
-from repro.tuning.controller import Decision, EpochSignals, TuningConfig, TuningController
-from repro.tuning.meter import EpochMeter, TransferTuner, make_tuner
-from repro.tuning.replay import replay_decisions
+from repro._lazy import exports
 
-__all__ = [
-    "TuningConfig",
-    "TuningController",
-    "EpochSignals",
-    "Decision",
-    "EpochMeter",
-    "TransferTuner",
-    "make_tuner",
-    "replay_decisions",
-]
+__all__, __getattr__, __dir__ = exports(__name__, {
+    ".controller": [
+        "Decision", "EpochSignals", "TuningConfig", "TuningController"],
+    ".meter": ["EpochMeter", "TransferTuner", "make_tuner"],
+    ".replay": ["replay_decisions"],
+})

@@ -235,6 +235,87 @@ class TestNoDescriptorOutlivesAFetch:
         assert held == []
 
 
+class TestFetchAdmission:
+    """A FETCH's object is refused from its size, and scanned a window
+    per daemon turn, so the daemon's other transfers run meanwhile."""
+
+    class Reads(list):
+        """``(daemon turn, length)`` of every ``os.pread``."""
+        turn = 0
+
+    @pytest.fixture
+    def preads(self, monkeypatch):
+        """The reads, a turn counted where the daemon drains its shared
+        socket (once a turn)."""
+        reads = self.Reads()
+        real_drain, real_pread = daemon.drain, os.pread
+
+        def counting_drain(*args, **kwargs):
+            reads.turn += 1
+            return real_drain(*args, **kwargs)
+
+        def pread(fd, length, offset):
+            reads.append((reads.turn, length))
+            return real_pread(fd, length, offset)
+
+        monkeypatch.setattr(daemon, "drain", counting_drain)
+        monkeypatch.setattr(os, "pread", pread)
+        return reads
+
+    def test_an_object_past_the_cap_is_refused_unread(self, tmp_path,
+                                                      preads):
+        root = tmp_path / "root"
+        root.mkdir()
+        # 600,000 packets of 64 bytes, past the 523,832 one ACK covers;
+        # sparse, so only a read would cost.
+        with open(root / "big.bin", "wb") as fh:
+            fh.truncate(600_000 * 64)
+        running = RunningServer(root, config=FobsConfig(packet_size=64))
+        (result,) = running.run(fetch_endpoint(
+            "big.bin", "127.0.0.1", running.port, str(tmp_path / "got.bin"),
+            config=CONFIG, timeout=10))
+        assert not result.completed
+        (name, direction, _client, ok, reason), = running.server.history
+        assert (name, direction, ok) == ("big.bin", "send", False)
+        assert "one ACK's bitmap covers at most 523832" in reason
+        assert preads == []
+
+    def test_no_daemon_turn_reads_more_than_one_window(
+            self, tmp_path, preads, monkeypatch):
+        root = tmp_path / "root"
+        root.mkdir()
+        data = blob(3 * VERIFY_READ_BYTES + 4321)
+        (root / "obj.bin").write_bytes(data)
+        offers = []
+        announce = files.announce_offer
+
+        def spy(*args):
+            offers.append((preads.turn, args))
+            return announce(*args)
+
+        monkeypatch.setattr(files, "announce_offer", spy)
+        running = RunningServer(root, config=CONFIG)
+        (result,) = running.run(fetch_endpoint(
+            "obj.bin", "127.0.0.1", running.port, str(tmp_path / "got.bin"),
+            config=CONFIG, timeout=30, verify=True))
+        assert result.completed and result.crc_ok, result.failure_reason
+        assert (tmp_path / "got.bin").read_bytes() == data
+        (offer_turn, (size, crc, _config, _port, _session, manifest)), = \
+            offers
+        scan = [(turn, length) for turn, length in preads
+                if turn <= offer_turn]
+        per_turn = {}
+        for turn, length in scan:
+            per_turn[turn] = per_turn.get(turn, 0) + length
+        assert sum(per_turn.values()) == size == len(data)
+        assert sorted(per_turn.values()) == sorted(
+            [VERIFY_READ_BYTES] * 3 + [4321])
+        # What the OFFER carries is what the one-pass scan gave.
+        assert crc == zlib.crc32(data)
+        assert manifest.encode() == ChunkManifest.from_data(
+            data, CONFIG.packet_size).encode()
+
+
 class TestCrashLosesWhatSigkillLoses:
     def test_an_appended_unflushed_record_dies_with_the_journal(
             self, tmp_path):

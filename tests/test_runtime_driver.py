@@ -786,6 +786,47 @@ class TestRunEndpoints:
         b.close()
 
 
+def test_the_completion_is_probed_once_per_idle_wait_until_all_are_acked(
+        monkeypatch):
+    """A completion cannot be due while packets are unacknowledged: the
+    probe (an ``accept`` or a read that finds nothing) runs at most once
+    per ``IDLE_WAIT`` of loop time then, and every turn after."""
+    from types import SimpleNamespace
+
+    from repro.runtime import transfer
+
+    clock = SimpleNamespace(now=0.0)
+    monkeypatch.setattr(transfer, "time",
+                        SimpleNamespace(monotonic=lambda: clock.now))
+    sender = SimpleNamespace(all_acked=False, complete=False,
+                             failure_reason=None)
+
+    def step(now):
+        clock.now += IDLE_WAIT / 10
+        return 0.0
+
+    probes = []
+
+    def poll_completion():
+        probes.append(clock.now)
+        return "done" if len(probes) == 20 else None
+
+    driver = SimpleNamespace(sender=sender, step=step)
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as ack_sock:
+        ack_sock.setblocking(False)
+        turns = transfer.sender_turns(driver, ack_sock, poll_completion)
+        for _ in range(100):  # 10 idle waits of unacknowledged turns
+            next(turns)
+        assert len(probes) == 10
+        assert min(b - a for a, b in zip(probes, probes[1:])) >= (
+            IDLE_WAIT - 1e-9)
+        sender.all_acked = True
+        with pytest.raises(StopIteration) as ended:
+            for _ in range(11):
+                next(turns)
+    assert ended.value.value == "done" and len(probes) == 20
+
+
 class SeekCounting:
     """An ``opener`` whose files count their ``seek`` / ``write`` calls."""
 
