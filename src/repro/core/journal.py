@@ -161,28 +161,6 @@ class ReceiverJournal(RecordLog):
         if self._run_count >= self.flush_every:
             self.flush()
 
-    def record_run(self, start: int, count: int) -> None:
-        """``record(seq)`` for each of ``count`` consecutive packets from
-        ``start``: the same records and flushes, with the packets that
-        extend the pending run marked a stretch at a time."""
-        if self._fh is None:
-            raise ValueError("journal is closed")
-        seq, end = start, start + count
-        while seq < end:
-            if (self._run_start is not None
-                    and seq == self._run_start + self._run_count):
-                take = min(end - seq, self.flush_every - self._run_count)
-                self.bitmap.mark_range(seq, take)
-                self._run_count += take
-            else:
-                take = 1
-                self.bitmap.mark(seq)
-                self._append_run()
-                self._run_start, self._run_count = seq, 1
-            seq += take
-            if self._run_count >= self.flush_every:
-                self.flush()
-
     def record_range(self, start: int, count: int) -> None:
         """Note ``count`` packets from ``start`` in one record."""
         if self._fh is None:

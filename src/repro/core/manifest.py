@@ -40,7 +40,8 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (BinaryIO, Generator, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -139,17 +140,19 @@ class ChunkManifest:
                    algo=algo, digests=_digest_chunks(data, packet_size, algo))
 
     @classmethod
-    def from_windows(
+    def digesting(
         cls, windows: Iterable, packet_size: int, algo: int = ALGO_CRC32
-    ) -> "ChunkManifest":
-        """Digest an object read a window at a time: ``windows`` yields
-        its bytes in order, every window but the last a whole number of
-        chunks."""
+    ) -> Generator[None, None, "ChunkManifest"]:
+        """Digest an object read a window at a time, one step per
+        window: ``windows`` yields its bytes in order, every window but
+        the last a whole number of chunks.  The generator returns the
+        manifest."""
         total = 0
         parts: List[bytes] = []
         for data in windows:
             total += len(data)
             parts.append(_digest_chunks(data, packet_size, algo))
+            yield
         if total <= 0:
             raise ValueError("cannot build a manifest over an empty object")
         return cls(total_bytes=total, packet_size=packet_size,
@@ -165,8 +168,13 @@ class ChunkManifest:
         with open(path, "rb") as fh:
             # A buffered read returns short only at EOF, so every
             # window but the last holds whole chunks.
-            return cls.from_windows(iter(functools.partial(fh.read, window),
-                                         b""), packet_size, algo)
+            steps = cls.digesting(iter(functools.partial(fh.read, window),
+                                       b""), packet_size, algo)
+            while True:
+                try:
+                    next(steps)
+                except StopIteration as done:
+                    return done.value
 
     # ------------------------------------------------------------------
     # Wire / sidecar codec (same bytes for both)

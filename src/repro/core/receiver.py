@@ -48,9 +48,8 @@ class FobsReceiver:
     ``resume_bitmap`` pre-marks packets recovered from a journal (a
     resumed attempt); ``journal``, when given, gets a ``record(seq)``
     call for every *newly* received packet after the IO driver has made
-    its bytes durable (``record_run(start, count)`` for a run of them
-    from :meth:`on_train`; its ``bitmap`` holds what it recorded), and
-    ``epoch`` stamps outgoing acknowledgements with the attempt number.
+    its bytes durable, and ``epoch`` stamps outgoing acknowledgements
+    with the attempt number.
     """
 
     def __init__(
@@ -211,15 +210,15 @@ class FobsReceiver:
                 hit = flags.find(1, seq, seq + j - i)
                 end = seq + j - i if hit < 0 else hit
                 if journal is not None:
-                    try:
-                        journal.record_run(seq, end - seq)
-                    except BaseException:
-                        # on_data marks a packet before it journals it,
-                        # and so does the journal: the run up to the one
-                        # whose record raised stays marked.
-                        self._add_run(seq, journal.bitmap.flags.count(
-                            1, seq, end))
-                        raise
+                    for k in range(seq, end):
+                        try:
+                            journal.record(k)
+                        except BaseException:
+                            # on_data marks a packet before it journals
+                            # it: the run up to the one whose record
+                            # raised stays marked.
+                            self._add_run(seq, k + 1 - seq)
+                            raise
                 count = end - seq
                 self._add_run(seq, count)
                 missing -= count

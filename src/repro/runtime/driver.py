@@ -41,11 +41,9 @@ import numpy as np
 
 from repro.core.journal import ReceiverJournal
 from repro.core.manifest import (
-    ALGO_CRC32,
     VERIFY_READ_BYTES,
     ChunkManifest,
     VerifyStats,
-    _digest_chunks,
     corrupt_ranges,
 )
 from repro.core.receiver import FobsReceiver
@@ -794,16 +792,13 @@ class ObjectFile:
         return self._manifest
 
     def _scanning(self, packet_size: Optional[int]) -> Iterator[None]:
-        psize = packet_size or VERIFY_READ_BYTES
-        digests = []
-        for data in self._windows(max(1, VERIFY_READ_BYTES // psize) * psize):
-            if packet_size is not None:
-                digests.append(_digest_chunks(data, packet_size, ALGO_CRC32))
-            yield
-        if packet_size is not None:
-            self._manifest = ChunkManifest(
-                total_bytes=self.size, packet_size=packet_size,
-                algo=ALGO_CRC32, digests=b"".join(digests))
+        if packet_size is None:
+            for _window in self._windows(VERIFY_READ_BYTES):
+                yield
+        else:
+            window = max(1, VERIFY_READ_BYTES // packet_size) * packet_size
+            self._manifest = yield from ChunkManifest.digesting(
+                self._windows(window), packet_size)
 
     def _windows(self, window: int):
         """The file a window at a time, its CRC32 folded on the way."""

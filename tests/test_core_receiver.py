@@ -5,7 +5,6 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bitmap import PacketBitmap
 from repro.core.config import FobsConfig
 from repro.core.receiver import FobsReceiver
 
@@ -87,23 +86,16 @@ class TestStats:
 
 
 class FailingJournal:
-    """Keeps every ``record`` call; the ``fail_at``-th raises.  A run
-    is its packets' records, each marked before it is recorded."""
+    """Keeps every ``record`` call; the ``fail_at``-th raises."""
 
-    def __init__(self, fail_at, npackets):
+    def __init__(self, fail_at):
         self.fail_at = fail_at
         self.records: list = []
-        self.bitmap = PacketBitmap(npackets)
 
     def record(self, seq: int) -> None:
         self.records.append(seq)
         if len(self.records) == self.fail_at:
             raise OSError(28, "No space left on device")
-
-    def record_run(self, start: int, count: int) -> None:
-        for seq in range(start, start + count):
-            self.bitmap.mark(seq)
-            self.record(seq)
 
 
 def fold_on_data(rx: FobsReceiver, seqs, now: float, acks: list) -> None:
@@ -158,8 +150,7 @@ def test_property_on_train_equals_folding_on_data(run):
     npackets, frequency, trains, fail_at = run
     config = FobsConfig(ack_frequency=frequency)
     ours, ref = (FobsReceiver(config, npackets * config.packet_size,
-                              journal=FailingJournal(fail_at, npackets),
-                              epoch=2)
+                              journal=FailingJournal(fail_at), epoch=2)
                  for _ in range(2))
     now = 0.0
     for seqs, gap, retuned in trains:

@@ -10,7 +10,6 @@ received packet (which would corrupt the resumed object).
 
 from __future__ import annotations
 
-import errno
 import os
 
 import numpy as np
@@ -26,7 +25,6 @@ from repro.core.journal import (
     encode_record,
     replay_journal,
 )
-from repro.runtime.driver import PartFile
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -121,93 +119,6 @@ class TestReplayExact:
             np.concatenate(([False], expected)).astype(np.int8)) == 1))
         size = os.path.getsize(str(tmp / "j.journal"))
         assert size <= HEADER_BYTES + runs * RECORD_BYTES
-
-
-class FlushFaultOpener:
-    """``open``-compatible: its files' ``flush`` raises ENOSPC at the
-    ``fail_at``-th call across them (never, given None)."""
-
-    def __init__(self, fail_at):
-        self.fail_at, self.flushes = fail_at, 0
-
-    def __call__(self, path, mode="r"):
-        fh = open(path, mode)
-        opener = self
-
-        class Faulty:
-            def __getattr__(self, attr):
-                return getattr(fh, attr)
-
-            def flush(self):
-                opener.flushes += 1
-                if opener.flushes == opener.fail_at:
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                fh.flush()
-
-        return Faulty()
-
-
-@st.composite
-def run_arrivals(draw):
-    """Runs of new packets as a receiver journals them, and the knobs."""
-    npackets = draw(st.integers(1, 48))
-    marked = np.zeros(npackets, dtype=bool)
-    runs = []
-    for start, count in draw(st.lists(st.tuples(
-            st.integers(0, npackets - 1), st.integers(1, 24)), max_size=12)):
-        # Only new packets are journaled: the run stops at a marked one.
-        stretch = marked[start:start + count]
-        count = int(np.argmax(stretch)) if stretch.any() else stretch.size
-        if count:
-            marked[start:start + count] = True
-            runs.append((start, count))
-    return (npackets, runs, draw(st.integers(1, 8)), draw(st.integers(1, 6)),
-            draw(st.one_of(st.none(), st.integers(1, 12))), draw(st.booleans()))
-
-
-class TestRecordRun:
-    @pytest.mark.guard
-    @given(arrivals=run_arrivals())
-    @settings(max_examples=200, deadline=None)
-    def test_a_run_is_its_packets_records(self, tmp_path_factory, arrivals):
-        """``record_run(start, count)`` leaves the journal and the
-        ``.part`` byte for byte where ``count`` ``record`` calls do: the
-        same records and flush points, the same marks when a flush of a
-        faulting part file raises, the same loss on a crash."""
-        npackets, runs, flush_every, compact_threshold, fail_at, crash = \
-            arrivals
-        tmp = tmp_path_factory.mktemp("record-run")
-        outcomes = []
-        for by_run in (False, True):
-            out = str(tmp / f"obj-{by_run}")
-            opener = FlushFaultOpener(fail_at)
-            part = PartFile(out, npackets * 16, 16, 0, TID, opener=opener)
-            journal = part.journal
-            journal.flush_every = flush_every
-            journal.compact_threshold = compact_threshold
-            error = None
-            try:
-                for start, count in runs:
-                    part.write_at(start * 16, bytes([start]) * (16 * count))
-                    if by_run:
-                        journal.record_run(start, count)
-                    else:
-                        for seq in range(start, start + count):
-                            journal.record(seq)
-            except OSError as exc:
-                error = str(exc)
-            marks = journal.bitmap.array.tolist()
-            if crash:
-                part.crash()
-            else:
-                opener.fail_at = None
-                part.close()
-            with open(part.journal_path, "rb") as fh, \
-                    open(part.part_path, "rb") as part_fh:
-                outcomes.append((error, marks, opener.flushes,
-                                 journal.records_written, fh.read(),
-                                 part_fh.read()))
-        assert outcomes[1] == outcomes[0]
 
 
 class TestDamageModes:

@@ -65,17 +65,11 @@ class Endpoint:
         self.fault = None
         self.receiver = FobsReceiver(
             config, len(self.store), journal=self, epoch=session.epoch)
-        self.bitmap = PacketBitmap(npackets)
 
     def record(self, seq: int) -> None:
         chunk = bytes(self.store[seq * PSIZE:(seq + 1) * PSIZE])
         assert self.written.get(seq * PSIZE) == chunk, "log before data"
         self.journal.append(seq)
-
-    def record_run(self, start: int, count: int) -> None:
-        for seq in range(start, start + count):
-            self.bitmap.mark(seq)
-            self.record(seq)
 
     def write_at(self, offset: int, payload) -> None:
         marked = self.receiver.bitmap.array
