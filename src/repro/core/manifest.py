@@ -33,7 +33,6 @@ ids fail decode loudly.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import io
 import os
@@ -90,6 +89,28 @@ def _digest_chunks(data, chunk_size: int, algo: int) -> bytes:
         crcs = list(map(zlib.crc32, chunks))
         return struct.pack(f"!{len(crcs)}I", *crcs)
     return b"".join(_digest_chunk(chunk, algo) for chunk in chunks)
+
+
+def _file_digests(path: str, chunk_size: int, algo: int) -> Tuple[int, bytes]:
+    """Size and chunk digests of the file at ``path`` as one pass to EOF
+    reads it: ``os.read`` windows of whole chunks, digested through views."""
+    window = max(1, VERIFY_READ_BYTES // chunk_size) * chunk_size
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size, parts = 0, []
+        while True:
+            data = os.read(fd, window)
+            while 0 < len(data) < window:  # short only at EOF
+                more = os.read(fd, window - len(data))
+                if not more:
+                    break
+                data += more
+            size += len(data)
+            parts.append(_digest_chunks(data, chunk_size, algo))
+            if len(data) < window:
+                return size, b"".join(parts)
+    finally:
+        os.close(fd)
 
 
 @dataclass(frozen=True)
@@ -164,17 +185,11 @@ class ChunkManifest:
     ) -> "ChunkManifest":
         """Digest an on-disk object without holding it all in memory:
         one pass to EOF, a window of whole chunks at a time."""
-        window = max(1, VERIFY_READ_BYTES // packet_size) * packet_size
-        with open(path, "rb") as fh:
-            # A buffered read returns short only at EOF, so every
-            # window but the last holds whole chunks.
-            steps = cls.digesting(iter(functools.partial(fh.read, window),
-                                       b""), packet_size, algo)
-            while True:
-                try:
-                    next(steps)
-                except StopIteration as done:
-                    return done.value
+        total, digests = _file_digests(path, packet_size, algo)
+        if not total:
+            raise ValueError("cannot build a manifest over an empty object")
+        return cls(total_bytes=total, packet_size=packet_size,
+                   algo=algo, digests=digests)
 
     # ------------------------------------------------------------------
     # Wire / sidecar codec (same bytes for both)

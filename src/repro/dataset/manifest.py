@@ -32,9 +32,12 @@ Layout of the binary form (all integers big-endian)::
 ``scan_tree`` is the deterministic walk: one ``os.scandir`` pass, one
 ``lstat`` per file, paths sorted, symlinks skipped, an unreadable
 directory an error rather than a silent gap, and chunk digests reuse
-:meth:`repro.core.manifest.ChunkManifest.from_file` so the dataset
-layer and the per-object VERIFY layer can never disagree about what a
-chunk's digest is.
+the file-digest loop of :meth:`repro.core.manifest.ChunkManifest.from_file`
+(``os.read`` windows, no file object and no ``ChunkManifest`` per file) so
+the dataset layer and the per-object VERIFY layer can never disagree about
+what a chunk's digest is.  Each entry records the file as its read found
+it, so a file that grew or was emptied after its ``lstat`` is still one
+consistent entry.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ from repro.core.manifest import (
     ALGO_NAMES,
     ALGO_SHA256,
     VERIFY_READ_BYTES,
-    ChunkManifest,
     _digest_chunks,
+    _file_digests,
 )
 
 DATASET_MAGIC = 0xF0B5D5E7
@@ -434,10 +437,8 @@ def scan_tree(
         if rel in skip:
             continue
         st = dirent.stat(follow_symlinks=False)
-        size, digests = st.st_size, b""
-        if size:
-            chunks = ChunkManifest.from_file(dirent.path, chunk_size, algo)
-            size, digests = chunks.total_bytes, chunks.digests
+        size, digests = (_file_digests(dirent.path, chunk_size, algo)
+                         if st.st_size else (0, b""))
         entries.append(FileEntry(path=rel, size=size,
                                  mtime_ns=st.st_mtime_ns, digests=digests))
     return DatasetManifest(chunk_size=chunk_size, algo=algo,
@@ -459,10 +460,9 @@ def manifest_from_files(
     if isinstance(files, Mapping):
         files = files.items()
     for path, data in sorted(files):
-        digests = (ChunkManifest.from_data(data, chunk_size, algo).digests
-                   if data else b"")
         entries.append(FileEntry(path=path, size=len(data), mtime_ns=0,
-                                 digests=digests))
+                                 digests=_digest_chunks(data, chunk_size,
+                                                        algo)))
     return DatasetManifest(chunk_size=chunk_size, algo=algo,
                            dirs=tuple(sorted(set(dirs))),
                            entries=tuple(entries))

@@ -33,10 +33,14 @@ per-member digests localize corruption to the member for re-fetch.
 Each side CRCs a CRC-32 object's payload once, for its member digests, and
 folds the trailer CRC from them: ``crc32(A + B) == _crc32_combine(crc32(A),
 crc32(B), len(B))``.  SHA-256 members and any under ``_FOLD_MIN`` feed it.
+Unpacked against the dataset manifest, a CRC-32 member's digest is itself
+combined from the cross-check's chunk CRCs, so the receiver too CRCs a
+payload byte once.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import zlib
@@ -272,11 +276,32 @@ def _crc32_combine(crc1: int, crc2: int, len2: int) -> int:
     return crc1 ^ crc2
 
 
-def _fold(crc: int, framing: memoryview, payload: memoryview,
-          algo: int) -> Tuple[bytes, int]:
-    """``payload``'s digest, and the trailer CRC ``crc`` carried over
-    ``framing``, that digest and ``payload``."""
-    digest = _digest_chunk(payload, algo)
+@functools.lru_cache(maxsize=None)
+def _shift(nbytes: int) -> Callable[[int], int]:
+    """``_crc32_combine`` for a fixed ``len(B)``: ``r -> r * x^(8*nbytes)``."""
+    return _multiplier(_crc32_combine(1 << 31, 0, nbytes))
+
+
+def _joined_crc(crcs: bytes, length: int, chunk_size: int) -> int:
+    """``zlib.crc32`` of a ``length``-byte payload from its
+    ``chunk_size``-byte chunks' CRCs, packed as digests: one fixed
+    multiply per chunk but the last, a general combine for that one."""
+    crc, *rest = struct.unpack(f"!{len(crcs) // 4}I", crcs)
+    if not rest:
+        return crc
+    shift = _shift(chunk_size)
+    for value in rest[:-1]:
+        crc = shift(crc) ^ value
+    return _crc32_combine(crc, rest[-1], length - len(rest) * chunk_size)
+
+
+def _fold(crc: int, framing: memoryview, payload: memoryview, algo: int,
+          digest: Optional[bytes] = None) -> Tuple[bytes, int]:
+    """``payload``'s digest (``digest``, when the caller derived it), and
+    the trailer CRC ``crc`` carried over ``framing``, that digest and
+    ``payload``."""
+    if digest is None:
+        digest = _digest_chunk(payload, algo)
     crc = zlib.crc32(digest, zlib.crc32(framing, crc))
     if algo != ALGO_CRC32 or len(payload) < _FOLD_MIN:
         return digest, zlib.crc32(payload, crc)
@@ -345,7 +370,9 @@ def pack_object(
     return buf
 
 
-def unpack_object(blob: bytes) -> Tuple[int, List[UnpackedMember]]:
+def unpack_object(
+    blob: bytes, manifest: Optional[DatasetManifest] = None
+) -> Tuple[int, List[UnpackedMember]]:
     """Parse and verify one object; returns ``(kind, members)``.
 
     The trailer CRC is checked first (any single-byte flip anywhere in
@@ -355,6 +382,12 @@ def unpack_object(blob: bytes) -> Tuple[int, List[UnpackedMember]]:
     are never returned.  Every check reads ``blob`` through views, and
     each member's ``payload`` is one.  The body is CRC'd whole only if
     the fold disagrees or a later check fails.
+
+    With ``manifest``, every member is also cross-checked against it,
+    as :func:`verify_members_against_manifest` does, and the members that
+    disagree are named in a last :class:`PackCorrupt`.  A CRC-32 member's
+    digest is then combined from the cross-check's chunk CRCs (when the
+    manifest is CRC-32 too) instead of taken in a second pass.
     """
     if len(blob) < _OBJ_HEADER.size + _CRC.size:
         raise PackCorrupt("object shorter than its header")
@@ -362,18 +395,24 @@ def unpack_object(blob: bytes) -> Tuple[int, List[UnpackedMember]]:
     body = view[:-_CRC.size]
     (trailer,) = _CRC.unpack_from(view, len(body))
     try:
-        kind, members, folded = _parse(body)
+        kind, members, folded, bad = _parse(body, manifest)
     except PackCorrupt:
         if zlib.crc32(body) != trailer:
             raise PackCorrupt("object failed CRC32 verification") from None
         raise
     if folded != trailer and zlib.crc32(body) != trailer:
         raise PackCorrupt("object failed CRC32 verification")
+    if bad:
+        raise PackCorrupt(
+            f"member(s) {bad} do not match the dataset manifest")
     return kind, members
 
 
-def _parse(body: memoryview) -> Tuple[int, List[UnpackedMember], int]:
-    """The checks after the trailer's, in order; and the body's CRC."""
+def _parse(
+    body: memoryview, manifest: Optional[DatasetManifest]
+) -> Tuple[int, List[UnpackedMember], int, List[str]]:
+    """The checks after the trailer's, in order; the body's CRC; and the
+    paths of the members the ``manifest`` cross-check rejects."""
     magic, version, algo, kind, nmembers = _OBJ_HEADER.unpack_from(body)
     if magic != OBJECT_MAGIC:
         raise PackCorrupt(f"bad object magic {magic:#x}")
@@ -387,6 +426,7 @@ def _parse(body: memoryview) -> Tuple[int, List[UnpackedMember], int]:
     off = _OBJ_HEADER.size
     crc = zlib.crc32(body[:off])
     members: List[UnpackedMember] = []
+    bad: List[str] = []
     try:
         for _ in range(nmembers):
             start = off
@@ -399,7 +439,17 @@ def _parse(body: memoryview) -> Tuple[int, List[UnpackedMember], int]:
             payload = body[off:off + length]
             if len(payload) != length:
                 raise PackCorrupt(f"{path}: member payload truncated")
-            want, crc = _fold(crc, body[start:off - dsize], payload, algo)
+            want = None
+            if manifest is not None:
+                chunks, ok = _cross_check(payload, path, file_offset,
+                                          manifest)
+                if not ok:
+                    bad.append(path)
+                if algo == manifest.algo == ALGO_CRC32 and length:
+                    want = _CRC.pack(_joined_crc(chunks, length,
+                                                 manifest.chunk_size))
+            want, crc = _fold(crc, body[start:off - dsize], payload, algo,
+                              want)
             if digest != want:
                 raise PackCorrupt(f"{path}: member digest mismatch at "
                                   f"offset {file_offset}")
@@ -411,7 +461,7 @@ def _parse(body: memoryview) -> Tuple[int, List[UnpackedMember], int]:
     if off != len(body):
         raise PackCorrupt(f"{len(body) - off} trailing bytes after last "
                           f"member")
-    return kind, members, crc
+    return kind, members, crc, bad
 
 
 def verify_members_against_manifest(
@@ -425,21 +475,25 @@ def verify_members_against_manifest(
     members that disagree (empty = all good).  Each manifest chunk the
     member covers is digested through a view of its payload.
     """
-    bad: List[str] = []
-    dsize = manifest.digest_size
-    for m in members:
-        try:
-            entry = manifest.entry_for(m.path)
-        except KeyError:
-            # A member the dataset never promised is damage, not an
-            # error: report it so the caller retries/demotes.
-            bad.append(m.path)
-            continue
-        got = _digest_chunks(m.payload, manifest.chunk_size, manifest.algo)
-        first = m.file_offset // manifest.chunk_size * dsize
-        if got != entry.digests[first:first + len(got)]:
-            bad.append(m.path)
-    return bad
+    return [m.path for m in members
+            if not _cross_check(m.payload, m.path, m.file_offset,
+                                manifest)[1]]
+
+
+def _cross_check(payload: memoryview, path: str, file_offset: int,
+                 manifest: DatasetManifest) -> Tuple[bytes, bool]:
+    """The manifest-chunk digests of one member's payload, and whether
+    they are the ones the manifest promised at its offset."""
+    size = manifest.chunk_size
+    got = _digest_chunks(payload, size, manifest.algo)
+    try:
+        entry = manifest.entry_for(path)
+    except KeyError:
+        # A member the dataset never promised is damage, not an
+        # error: report it so the caller retries/demotes.
+        return got, False
+    first = file_offset // size * manifest.digest_size
+    return got, got == entry.digests[first:first + len(got)]
 
 
 @dataclass

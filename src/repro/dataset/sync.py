@@ -53,7 +53,6 @@ from repro.dataset.packing import (
     pack_object,
     plan_objects,
     unpack_object,
-    verify_members_against_manifest,
 )
 from repro.dataset.scheduler import SchedulerConfig, _lane_key, \
     default_spindle, schedule
@@ -401,15 +400,9 @@ def sync_tree(
             for attempt in range(max_object_attempts):
                 try:
                     delivered, receipt = transport.transfer(obj.name, blob)
-                    _, unpacked = unpack_object(delivered)
-                    bad = verify_members_against_manifest(unpacked, manifest)
-                    if bad:
-                        raise PackCorrupt(
-                            f"{obj.name}: member(s) {bad} do not match "
-                            f"the dataset manifest")
-                    members = unpacked
+                    _, members = unpack_object(delivered, manifest)
                     break
-                except (PackCorrupt, KeyError) as exc:
+                except PackCorrupt as exc:
                     result.verify_failures += 1
                     last_error = str(exc)
                     del attempt

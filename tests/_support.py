@@ -6,6 +6,8 @@ and benchmarks run in the same pytest invocation.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import socket
 import struct
 import threading
@@ -92,6 +94,34 @@ def after(ready, end):
 
     end.turns = turns()
     return end
+
+
+def rewrite_after_lstat(monkeypatch, victim: str, data: bytes) -> None:
+    """Make the next directory walk write ``data`` over the file at
+    ``victim`` right after its entry's ``stat()``: the file changes
+    between a scan's ``lstat`` and its read, however the scan reads."""
+    real_scandir = os.scandir
+
+    class Entry:
+        def __init__(self, entry):
+            self._entry = entry
+
+        def __getattr__(self, name):
+            return getattr(self._entry, name)
+
+        def stat(self, **kwargs):
+            st = self._entry.stat(**kwargs)
+            if self._entry.path == victim:
+                with open(victim, "wb") as fh:
+                    fh.write(data)
+            return st
+
+    @contextlib.contextmanager
+    def scandir(path):
+        with real_scandir(path) as it:
+            yield [Entry(entry) for entry in it]
+
+    monkeypatch.setattr(os, "scandir", scandir)
 
 
 def free_port() -> int:

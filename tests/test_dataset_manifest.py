@@ -6,7 +6,9 @@ import os
 
 import pytest
 
-from repro.core.manifest import ALGO_CRC32, ALGO_SHA256, _digest_chunk
+from _support import rewrite_after_lstat
+from repro.core.manifest import (ALGO_CRC32, ALGO_SHA256, _digest_chunk,
+                                 _digest_chunks)
 from repro.dataset.manifest import (
     DatasetManifest,
     DatasetManifestCorrupt,
@@ -94,6 +96,24 @@ class TestScan:
         monkeypatch.setattr(os, "scandir", scandir)
         with pytest.raises(PermissionError):
             scan_tree(str(tmp_path), CHUNK)
+
+    @pytest.mark.parametrize("change", [b"", b"grown" * 500],
+                             ids=["emptied", "grown"])
+    def test_file_changed_after_its_lstat_is_recorded_as_read(
+            self, tmp_path, monkeypatch, change):
+        make_tree(tmp_path, SAMPLE)
+        rewrite_after_lstat(monkeypatch, str(tmp_path / "z.raw"), change)
+        entry = scan_tree(str(tmp_path), CHUNK).entry_for("z.raw")
+        assert (entry.size, entry.digests) == (
+            len(change), _digest_chunks(change, CHUNK, ALGO_CRC32))
+
+    def test_short_reads_give_the_same_manifest(self, tmp_path, monkeypatch):
+        make_tree(tmp_path, SAMPLE)
+        whole = scan_tree(str(tmp_path), CHUNK, ALGO_SHA256)
+        real_read = os.read
+        monkeypatch.setattr(os, "read",
+                            lambda fd, n: real_read(fd, min(n, 1000)))
+        assert scan_tree(str(tmp_path), CHUNK, ALGO_SHA256) == whole
 
     def test_exclude(self, tmp_path):
         make_tree(tmp_path, {"keep.txt": b"k", ".journal": b"j"})

@@ -10,7 +10,8 @@ from typing import List, Tuple
 
 import pytest
 
-from repro.core.manifest import ALGO_CRC32, ALGO_SHA256, _digest_chunk
+from repro.core.manifest import (ALGO_CRC32, ALGO_SHA256, _digest_chunk,
+                                 _digest_chunks)
 from repro.dataset.manifest import manifest_from_files
 from repro.dataset.packing import (
     _ALGO_SIZES,
@@ -28,6 +29,7 @@ from repro.dataset.packing import (
     PackingConfig,
     UnpackedMember,
     _crc32_combine,
+    _joined_crc,
     pack_object,
     plan_objects,
     unpack_object,
@@ -243,6 +245,19 @@ class TestCombine:
         assert _crc32_combine(zlib.crc32(a), zlib.crc32(b), len_b) == \
             zlib.crc32(a + b)
 
+    @settings(deadline=None)
+    @given(chunk=st.sampled_from([4096, 65536]), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_joined_chunk_crcs_are_the_crc_of_the_payload(self, chunk, data,
+                                                         seed):
+        length = data.draw(st.one_of(
+            st.builds(lambda n, d: n * chunk + d,  # around 1-3 boundaries
+                      st.integers(1, 3), st.integers(-2, 2)),
+            st.integers(1, 3 * chunk)))  # mostly a partial last chunk
+        payload = random.Random(seed).randbytes(length)
+        crcs = _digest_chunks(payload, chunk, ALGO_CRC32)
+        assert _joined_crc(crcs, length, chunk) == zlib.crc32(payload)
+
 
 def _parent_unpack_object(blob: bytes) -> Tuple[int, List[UnpackedMember]]:
     """``unpack_object`` as it was with one plain CRC pass over the body
@@ -315,9 +330,11 @@ def _member_offsets(obj, algo):
 
 
 @st.composite
-def damaged_objects(draw):
+def damaged_objects(draw, with_files=False):
     """A packed object, maybe damaged, maybe resealed with a trailer
-    that matches the damage so the checks after the CRC see it."""
+    that matches the damage so the checks after the CRC see it.
+    ``with_files`` also returns the files it was packed from, and the
+    digest algorithm."""
     algo = draw(st.sampled_from([ALGO_CRC32, ALGO_SHA256]))
     files = _seeded_files(draw(st.lists(_SIZES, min_size=1, max_size=4)),
                           draw(st.integers(0, 2**32 - 1)))
@@ -357,7 +374,41 @@ def damaged_objects(draw):
     if len(blob) >= _CRC.size and draw(st.booleans()):
         _CRC.pack_into(blob, len(blob) - _CRC.size,
                        zlib.crc32(blob[:-_CRC.size]))
-    return bytes(blob)
+    return (bytes(blob), files, algo) if with_files else bytes(blob)
+
+
+@st.composite
+def cross_checked_objects(draw):
+    """A ``damaged_objects`` blob and a dataset manifest to check it
+    against: the one it was packed from, or one under the other digest,
+    a coarser chunk, a rewritten file or a missing file."""
+    blob, files, algo = draw(damaged_objects(with_files=True))
+    how = draw(st.sampled_from(["same", "algo", "chunk", "rewrite",
+                                "missing"]))
+    chunk = 4 * CHUNK if how == "chunk" else CHUNK
+    if how == "algo":
+        algo = ALGO_SHA256 if algo == ALGO_CRC32 else ALGO_CRC32
+    path = draw(st.sampled_from(sorted(files)))
+    if how == "missing":
+        del files[path]
+    elif how == "rewrite" and files[path]:
+        data = bytearray(files[path])
+        data[draw(st.integers(0, len(data) - 1))] ^= 0x5A
+        files[path] = bytes(data)
+    return blob, manifest_from_files(files, chunk, algo)
+
+
+def _unpack_then_cross_check(manifest):
+    """``unpack_object`` followed by ``verify_members_against_manifest``,
+    as two passes: the reference for the manifest-aware unpack."""
+    def unpack(blob):
+        kind, members = unpack_object(blob)
+        bad = verify_members_against_manifest(members, manifest)
+        if bad:
+            raise PackCorrupt(
+                f"member(s) {bad} do not match the dataset manifest")
+        return kind, members
+    return unpack
 
 
 def _outcome(unpack, blob):
@@ -374,6 +425,13 @@ class TestFoldedTrailer:
     def test_unpack_gives_the_plain_pass_verdict(self, blob):
         assert _outcome(unpack_object, blob) == \
             _outcome(_parent_unpack_object, blob)
+
+    @settings(deadline=None)
+    @given(case=cross_checked_objects())
+    def test_manifest_aware_unpack_gives_the_two_pass_verdict(self, case):
+        blob, manifest = case
+        assert _outcome(lambda b: unpack_object(b, manifest), blob) == \
+            _outcome(_unpack_then_cross_check(manifest), blob)
 
     @pytest.mark.parametrize("algo", [ALGO_CRC32, ALGO_SHA256])
     def test_objects_are_the_plain_pass_bytes(self, algo):
@@ -404,7 +462,9 @@ def crc_bytes(monkeypatch):
 
 class TestCrcBudget:
     """A CRC-32 object's payload is CRC'd once on each side (a plain
-    trailer pass CRC'd it twice); members under ``_FOLD_MIN`` twice."""
+    trailer pass CRC'd it twice); members under ``_FOLD_MIN`` twice.
+    Unpacked against the dataset manifest, the cross-check's chunk CRCs
+    give the member digests, so the receiver still CRCs a byte once."""
 
     def test_pack_and_unpack_each_crc_a_payload_once(self, crc_bytes):
         files = _seeded_files([_FOLD_MIN, 3 * _FOLD_MIN // 2,
@@ -434,9 +494,25 @@ class TestCrcBudget:
         unpack_object(blob)
         assert crc_bytes[0] <= obj.payload_bytes + framing + small
 
-    def test_a_sync_crcs_each_byte_four_times(self, tmp_path, crc_bytes):
-        """Scan, pack, unpack and the manifest cross-check: one pass
-        each (a plain trailer pass made it six)."""
+    def test_manifest_aware_unpack_crcs_a_payload_once(self, crc_bytes):
+        files = _seeded_files([100, 300, _FOLD_MIN, 3 * _FOLD_MIN,
+                               9 * _FOLD_MIN + 5], 9)
+        manifest = manifest_from_files(files, CHUNK)
+        for obj in plan_objects(manifest, FOLD_CFG).objects:
+            small = sum(m.length for m in obj.members
+                        if m.length < _FOLD_MIN)
+            framing = obj.wire_bytes() - obj.payload_bytes
+            blob = pack_object(obj, "", ALGO_CRC32, data=files)
+            crc_bytes[0] = 0
+            unpack_object(blob, manifest)
+            assert crc_bytes[0] <= obj.payload_bytes + framing + small
+
+    @pytest.mark.guard
+    def test_a_sync_crcs_each_byte_three_times(self, tmp_path, crc_bytes):
+        """Scan, pack, and unpack with its manifest cross-check: one pass
+        each (the cross-check as a second receive pass made it four, a
+        plain trailer pass six).  An exact count that repeats, so a
+        fourth pass fails it at once."""
         src, dst = str(tmp_path / "src"), str(tmp_path / "dst")
         spec = mixed_tree_spec(nsmall=100, small_bytes=400, nmedium=6,
                                medium_bytes=200_000, nlarge=1,
@@ -444,5 +520,5 @@ class TestCrcBudget:
         spec.generate(src)
         crc_bytes[0] = 0
         assert sync_tree(src, dst).completed
-        assert crc_bytes[0] <= 4.05 * sum(spec.sizes.values())
+        assert crc_bytes[0] <= 3.05 * sum(spec.sizes.values())
         assert trees_equal(src, dst)

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from _support import rewrite_after_lstat
 from repro.dataset import (
     JOURNAL_NAME,
     PackingConfig,
@@ -153,6 +154,17 @@ class TestSourceChangesUnderThePacker:
         assert result.verify_failures == 2
         assert result.failure_reason.startswith("verify failed")
         assert "mid/whole.bin" in result.failure_reason
+
+
+    def test_file_emptied_mid_scan_syncs_as_empty(self, tree, tmp_path,
+                                                  monkeypatch):
+        rewrite_after_lstat(monkeypatch,
+                            os.path.join(tree, "mid", "whole.bin"), b"")
+        dest = str(tmp_path / "d")
+        result = sync_tree(tree, dest, chunk_size=CHUNK, packing=PACKING)
+        assert result.completed, result.failure_reason
+        assert os.path.getsize(os.path.join(dest, "mid", "whole.bin")) == 0
+        assert trees_equal(tree, dest)
 
 
 class TestResume:
