@@ -2,21 +2,54 @@
 
 This is the data structure the paper builds FOBS around: "a very simple
 data structure with one byte (or even one bit) allocated per data
-packet".  We keep exactly that — a ``bytearray`` with one flag byte per
-packet — and pack to one bit per packet on the wire.  Scalar reads and
-writes, and a run's mark (a byte count and a slice assignment), go to
-the bytes, "first missing at or after here" is a C ``memchr`` over
-them (:meth:`bytearray.find`), and the whole-object operations
-(merge, count, snapshot, packing) are vectorized on a NumPy bool view
-of the same memory — the sender touches this structure for every
-acknowledgement of a multi-thousand-packet object.
+packet".  We keep both.  :attr:`PacketBitmap.flags` is a ``bytearray``
+with one flag byte per packet: scalar reads and writes, and a run's
+mark (a byte count and a slice assignment), go to the bytes, and "first
+missing at or after here" is a C ``memchr`` over them
+(:meth:`bytearray.find`).  Beside it every write keeps the
+acknowledgement's *image* up to date: one bit per packet, packed
+MSB-first (packet 0 is the top bit of byte 0), exactly the bytes an ACK
+or a RESUME carries.  So building an acknowledgement is a copy, and
+merging one works on Python ints over the window of bytes it changes.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-import numpy as np
+from repro.core.packets import bitmap_wire_bytes
+
+# Flag bytes <-> ASCII binary digits: with ``int(..., 2)`` and
+# ``format(..., "b")`` these pack and unpack a window in C.
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_TO_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def canonical_image(image: bytes, npackets: int) -> bytes:
+    """``image`` with the padding bits of its last byte (those past
+    packet ``npackets - 1``) cleared; the same object when they are."""
+    pad = len(image) * 8 - npackets
+    if pad > 0 and image[-1] & ((1 << pad) - 1):
+        return bytes(image[:-1]) + bytes((image[-1] >> pad << pad,))
+    return image
+
+
+def pack_flags(flags: bytes) -> bytes:
+    """Flag bytes (0 or 1 each, one per packet) as a packed image."""
+    pad = -len(flags) % 8
+    return (int(flags.translate(_TO_DIGITS) or b"0", 2) << pad).to_bytes(
+        bitmap_wire_bytes(len(flags)), "big")
+
+
+def _pack_bools(bools, npackets: int) -> bytes:
+    """A bool array of ``npackets`` as a packed image (what the DES
+    resume passes and the tools build; needs NumPy)."""
+    import numpy as np
+
+    bools = np.asarray(bools, dtype=np.bool_)
+    if bools.shape != (npackets,):
+        raise ValueError("bitmap shape mismatch")
+    return np.packbits(bools).tobytes()
 
 
 class PacketBitmap:
@@ -28,17 +61,20 @@ class PacketBitmap:
         self.npackets = npackets
         #: One byte per packet, 1 = received.  Read it freely (index,
         #: ``find(0, start)``); write only through the methods here,
-        #: which keep :attr:`count` true.
+        #: which keep :attr:`count` and the image true.
         self.flags = bytearray(npackets)
-        # The same memory as a bool array, for the bulk operations.
-        self._arr = np.frombuffer(self.flags, dtype=np.bool_)
+        # The same state, one bit per packet, MSB first.
+        self._image = bytearray(bitmap_wire_bytes(npackets))
         self._count = 0
 
     # ------------------------------------------------------------------
     @property
-    def array(self) -> np.ndarray:
-        """Read-only view of the underlying boolean array."""
-        view = self._arr.view()
+    def array(self):
+        """Read-only NumPy bool view of :attr:`flags` (for tools and
+        tests; imports NumPy)."""
+        import numpy as np
+
+        view = np.frombuffer(self.flags, dtype=np.bool_)
         view.setflags(write=False)
         return view
 
@@ -62,6 +98,7 @@ class PacketBitmap:
         if self.flags[seq]:
             return False
         self.flags[seq] = 1
+        self._image[seq >> 3] |= 0x80 >> (seq & 7)
         self._count += 1
         return True
 
@@ -75,6 +112,16 @@ class PacketBitmap:
         added = count - self.flags.count(1, start, end)
         if added:
             self.flags[start:end] = b"\x01" * count
+            image = self._image
+            first, last = start >> 3, (end - 1) >> 3
+            head = 0xFF >> (start & 7)
+            tail = 0xFF ^ (0xFF >> (((end - 1) & 7) + 1))
+            if first == last:
+                image[first] |= head & tail
+            else:
+                image[first] |= head
+                image[first + 1:last] = b"\xff" * (last - first - 1)
+                image[last] |= tail
             self._count += added
         return added
 
@@ -90,38 +137,69 @@ class PacketBitmap:
         if not self.flags[seq]:
             return False
         self.flags[seq] = 0
+        self._image[seq >> 3] &= 0xFF ^ (0x80 >> (seq & 7))
         self._count -= 1
         return True
 
     def demote(self, seqs) -> int:
-        """Clear many sequence numbers at once; returns how many were
-        actually set (vectorized — verify passes hand over whole
-        corrupt-range arrays)."""
-        idx = np.asarray(seqs, dtype=np.int64)
-        if idx.size == 0:
-            return 0
-        if idx.min() < 0 or idx.max() >= self.npackets:
+        """Clear many sequence numbers at once (verify passes hand over
+        whole corrupt ranges); returns how many were set.  Nothing is
+        cleared when any of them is out of range."""
+        seqs = [int(seq) for seq in seqs]
+        if seqs and (min(seqs) < 0 or max(seqs) >= self.npackets):
             raise IndexError("demote indices out of range")
-        was_set = int(np.count_nonzero(self._arr[idx]))
-        self._arr[idx] = False
-        self._count = int(np.count_nonzero(self._arr))
-        return was_set
+        return sum(self.clear(seq) for seq in seqs)
 
-    def merge(self, other: np.ndarray) -> int:
-        """OR in another bitmap; returns how many packets became new."""
-        if other.shape != self._arr.shape:
+    def merge(self, other) -> int:
+        """OR in another bitmap — a packed image (an ACK's or a
+        RESUME's), or a bool array of ``npackets`` — and return how many
+        packets became new.  Padding bits of an image are ignored.
+
+        Nothing before this bitmap's first missing packet (a
+        ``memchr``) can be new: from that byte on the two images meet as
+        ints, and only the bytes between the first and the last new bit
+        are written back.  An ACK that adds one run costs a few big-int
+        steps and a slice; one that adds many refills that span's flags
+        in one ``format``/``translate``.
+        """
+        if isinstance(other, memoryview):
+            other = other.tobytes()
+        elif not isinstance(other, (bytes, bytearray)):
+            other = _pack_bools(other, self.npackets)
+        image = self._image
+        if len(other) != len(image):
             raise ValueError("bitmap shape mismatch")
-        np.logical_or(self._arr, other, out=self._arr)
-        new_count = int(np.count_nonzero(self._arr))
-        added = new_count - self._count
-        self._count = new_count
+        lo = self.flags.find(0) >> 3
+        if lo < 0:
+            return 0
+        other = canonical_image(other, self.npackets)
+        ours = int.from_bytes(image[lo:], "big")
+        new = (ours | int.from_bytes(other[lo:], "big")) ^ ours
+        if not new:
+            return 0
+        # Bit b, from the least significant, is packet nbits - 1 - b.
+        nbits = len(image) * 8
+        low = (new & -new).bit_length() - 1
+        first, last = nbits - new.bit_length(), nbits - 1 - low
+        start, stop = first >> 3, (last >> 3) + 1
+        span = (int.from_bytes(image[start:stop], "big")
+                | new >> (len(image) - stop) * 8)
+        image[start:stop] = span.to_bytes(stop - start, "big")
+        added = new.bit_count()
+        run = new >> low
+        if run & (run + 1) == 0:
+            self.flags[first:last + 1] = b"\x01" * added
+        else:
+            end = min(stop * 8, self.npackets)
+            self.flags[start * 8:end] = format(
+                span, f"0{(stop - start) * 8}b").encode().translate(
+                    _TO_FLAGS)[:end - start * 8]
+        self._count += added
         return added
 
-    def snapshot(self) -> np.ndarray:
-        """Immutable copy of the current state (for an ACK packet)."""
-        copy = self._arr.copy()
-        copy.setflags(write=False)
-        return copy
+    def snapshot(self) -> bytes:
+        """The packed image of the current state: an ACK's bitmap."""
+        return bytes(self._image)
 
     # ------------------------------------------------------------------
     def next_missing(self, start: int = 0) -> Optional[int]:
@@ -138,26 +216,46 @@ class PacketBitmap:
         seq = self.flags.find(0, start)
         return seq if seq >= 0 else self.flags.find(0)
 
-    def missing_indices(self) -> np.ndarray:
-        """All missing sequence numbers, ascending."""
-        return np.flatnonzero(~self._arr)
+    def runs(self) -> Iterator[tuple[int, int]]:
+        """The received packets as ascending ``(start, count)`` runs,
+        found a ``memchr`` at a time."""
+        find, n = self.flags.find, self.npackets
+        start = find(1)
+        while start >= 0:
+            end = find(0, start)
+            if end < 0:
+                end = n
+            yield start, end - start
+            start = find(1, end)
+
+    def received(self) -> list[int]:
+        """All received sequence numbers, ascending."""
+        return [seq for start, count in self.runs()
+                for seq in range(start, start + count)]
+
+    def missing_indices(self):
+        """All missing sequence numbers, ascending, as a NumPy array
+        (for the tools and the ablation schedulers)."""
+        import numpy as np
+
+        return np.flatnonzero(self.array == 0)
 
     def iter_missing(self) -> Iterator[int]:
-        return iter(self.missing_indices().tolist())
+        find = self.flags.find
+        seq = find(0)
+        while seq >= 0:
+            yield seq
+            seq = find(0, seq + 1)
 
     # ------------------------------------------------------------------
     # Wire encoding (used by the real-socket runtime backend)
     # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Pack to one bit per packet (big-endian within bytes)."""
-        return np.packbits(self._arr).tobytes()
+    to_bytes = snapshot
 
     @classmethod
     def from_bytes(cls, data: bytes, npackets: int) -> "PacketBitmap":
         bm = cls(npackets)
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=npackets)
-        bm._arr[:] = bits.astype(np.bool_)
-        bm._count = int(np.count_nonzero(bm._arr))
+        bm.merge(data)
         return bm
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -23,9 +23,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
-from repro.core.bitmap import PacketBitmap
+from repro.core.bitmap import PacketBitmap, pack_flags
 from repro.core.recordlog import LogCorrupt, LogHeader, LogReplay, RecordLog
 
 JOURNAL_MAGIC = 0xF0B57A1E
@@ -79,13 +77,13 @@ class ReplayResult(LogReplay):
     bitmap: PacketBitmap = field(init=False)
 
     def __post_init__(self) -> None:
-        # One array, one merge: replay costs O(records + npackets), not
+        # Flag bytes, one merge: replay costs O(records + npackets), not
         # a full-bitmap OR and popcount per record.
-        received = np.zeros(self.header.npackets, dtype=np.bool_)
+        received = bytearray(self.header.npackets)
         for start, count in self.records:
-            received[start:start + count] = True
+            received[start:start + count] = b"\x01" * count
         self.bitmap = PacketBitmap(self.header.npackets)
-        self.bitmap.merge(received)
+        self.bitmap.merge(pack_flags(received))
 
     @property
     def packets_recovered(self) -> int:
@@ -136,7 +134,7 @@ class ReceiverJournal(RecordLog):
         self._run_count = 0
 
     def _adopt(self, replay: ReplayResult) -> None:
-        self.bitmap.merge(replay.bitmap.array)
+        self.bitmap.merge(replay.bitmap.snapshot())
 
     @classmethod
     def open(cls, path: str, transfer_id: int, total_bytes: int,
@@ -202,12 +200,9 @@ class ReceiverJournal(RecordLog):
         compaction threshold is backed off (so a full disk does not
         retry per-record), and the error propagates for the caller's
         storage-fault handling."""
-        # Run-length encode the received ranges, vectorized.
-        padded = np.concatenate(([False], self.bitmap.array, [False]))
-        edges = np.flatnonzero(padded[1:] != padded[:-1])
-        starts = edges[::2]
+        # The run-length encoding of the received ranges.
         try:
-            self._rewrite(zip(starts.tolist(), (edges[1::2] - starts).tolist()))
+            self._rewrite(self.bitmap.runs())
         except OSError:
             self.compact_threshold *= 2
             raise

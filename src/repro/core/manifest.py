@@ -42,8 +42,6 @@ from dataclasses import dataclass, field
 from typing import (BinaryIO, Generator, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
-import numpy as np
-
 MANIFEST_MAGIC = 0xF0B5D165
 _HEADER = struct.Struct("!IQIBBHI")
 MANIFEST_HEADER_BYTES = _HEADER.size
@@ -270,12 +268,12 @@ class ChunkManifest:
         self,
         fh: Union[str, BinaryIO],
         seqs: Optional[Sequence[int]] = None,
-    ) -> np.ndarray:
+    ) -> List[int]:
         """Audit chunks of an on-disk object against the manifest.
 
         ``seqs`` restricts the audit to those chunk indices (e.g. the
         journal-claimed packets on resume); None audits every chunk.
-        Returns the ascending array of corrupt chunk indices *among
+        Returns the ascending list of corrupt chunk indices *among
         those checked* — empty means everything checked is intact.
         Reading past EOF (a short or torn file) counts as corrupt.
         No single read is larger than :data:`VERIFY_READ_BYTES`.
@@ -290,7 +288,7 @@ class ChunkManifest:
         psize = self.packet_size
         # CRC32 digests are compared as one unpacked column of ints;
         # check_chunk is the reference, and what everything else takes.
-        crcs = (struct.unpack(f"!{self.npackets}I", self.digests)
+        crcs = (list(struct.unpack(f"!{self.npackets}I", self.digests))
                 if self.algo == ALGO_CRC32 else None)
         # Bounded memory, few syscalls: each run of consecutive chunks
         # is read a window at a time and digested through views of it.
@@ -302,22 +300,26 @@ class ChunkManifest:
                 fh.seek(first * psize)
                 want = min(stop * psize, self.total_bytes) - first * psize
                 view = memoryview(fh.read(want))
-                chunks = zip(range(first, stop),
-                             (view[off:off + psize]
-                              for off in range(0, want, psize)))
+                chunks = (view[off:off + psize]
+                          for off in range(0, want, psize))
                 if crcs is not None and len(view) == want:
                     # Every byte asked for is here, so every slice has
-                    # its chunk's length (the last runs off the end).
-                    bad.extend(seq for seq, chunk in chunks
-                               if zlib.crc32(chunk) != crcs[seq])
+                    # its chunk's length (the last runs off the end):
+                    # one compare for the window, a search only when
+                    # it differs.
+                    got = list(map(zlib.crc32, chunks))
+                    if got != crcs[first:stop]:
+                        bad.extend(seq for seq, crc in zip(
+                            range(first, stop), got) if crc != crcs[seq])
                 else:
-                    bad.extend(seq for seq, chunk in chunks
-                               if not self.check_chunk(seq, chunk))
-        return np.asarray(bad, dtype=np.int64)
+                    bad.extend(seq for seq, chunk in zip(
+                        range(first, stop), chunks)
+                        if not self.check_chunk(seq, chunk))
+        return bad
 
     def verify_blob(
         self, data: bytes, seqs: Optional[Sequence[int]] = None
-    ) -> np.ndarray:
+    ) -> List[int]:
         """Audit chunks of an in-memory object; same contract as
         :meth:`verify_file`."""
         return self.verify_file(io.BytesIO(data), seqs)

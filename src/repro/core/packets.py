@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 #: Bytes of FOBS header on a data packet (seq + total + flags).
 DATA_HEADER_BYTES = 12
 #: Bytes of FOBS header on an acknowledgement (id + count + length).
@@ -92,28 +90,26 @@ def ack_wire_bytes(npackets: int) -> int:
 class AckPacket:
     """A full-bitmap selective acknowledgement.
 
-    ``bitmap`` is an immutable snapshot (the receiver copies its state
-    at build time — in flight, the real protocol's bytes are equally
-    frozen).  ``received_count`` lets the sender compute the receiver's
-    progress rate between consecutive ACKs, which feeds the adaptive
-    batch policy (the paper's phase 2).
+    ``bitmap`` is the receiver's packed image at build time, one bit per
+    packet, MSB first (:meth:`PacketBitmap.snapshot
+    <repro.core.bitmap.PacketBitmap.snapshot>`): the bytes the real
+    protocol carries, and as frozen.  ``received_count`` lets the sender
+    compute the receiver's progress rate between consecutive ACKs,
+    which feeds the adaptive batch policy (the paper's phase 2).
     """
 
     ack_id: int
     received_count: int
-    bitmap: np.ndarray
+    bitmap: bytes
+    npackets: int
     #: Attempt epoch (see :attr:`DataPacket.epoch`); stale-epoch ACKs
     #: are dropped by a resumed sender.
     epoch: int = 0
 
     def __post_init__(self) -> None:
-        if self.bitmap.dtype != np.bool_:
-            raise ValueError("bitmap must be a boolean array")
-        self.bitmap.setflags(write=False)
-
-    @property
-    def npackets(self) -> int:
-        return int(self.bitmap.shape[0])
+        if len(self.bitmap) != bitmap_wire_bytes(self.npackets):
+            raise ValueError(f"a {len(self.bitmap)}-byte bitmap for "
+                             f"{self.npackets} packets")
 
     @property
     def wire_bytes(self) -> int:

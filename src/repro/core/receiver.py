@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from repro.core.bitmap import PacketBitmap
 from repro.core.config import FobsConfig
 from repro.core.packets import AckPacket, CompletionSignal
@@ -45,18 +43,19 @@ class ReceiverStats:
 class FobsReceiver:
     """Sans-IO FOBS receiver for one object transfer.
 
-    ``resume_bitmap`` pre-marks packets recovered from a journal (a
-    resumed attempt); ``journal``, when given, gets a ``record(seq)``
-    call for every *newly* received packet after the IO driver has made
-    its bytes durable, and ``epoch`` stamps outgoing acknowledgements
-    with the attempt number.
+    ``resume_bitmap`` (a packed image, or a bool array) pre-marks
+    packets recovered from a journal (a resumed attempt); ``journal``,
+    when given, gets a ``record(seq)`` call for every *newly* received
+    packet after the IO driver has made its bytes durable, and
+    ``epoch`` stamps outgoing acknowledgements with the attempt
+    number.
     """
 
     def __init__(
         self,
         config: FobsConfig,
         total_bytes: int,
-        resume_bitmap: Optional[np.ndarray] = None,
+        resume_bitmap=None,
         journal: Optional["ReceiverJournal"] = None,
         epoch: int = 0,
         telemetry: TelemetryChannel = NULL_CHANNEL,
@@ -71,8 +70,7 @@ class FobsReceiver:
         self.journal = journal
         self.epoch = epoch
         if resume_bitmap is not None:
-            self.stats.resumed_packets = self.bitmap.merge(
-                np.asarray(resume_bitmap, dtype=np.bool_))
+            self.stats.resumed_packets = self.bitmap.merge(resume_bitmap)
         #: Live copy of ``config.ack_frequency`` — the tuning
         #: controller reassigns it mid-transfer; ``on_data`` reads it.
         self.ack_frequency = config.ack_frequency
@@ -252,6 +250,7 @@ class FobsReceiver:
             ack_id=self._next_ack_id,
             received_count=self.bitmap.count,
             bitmap=self.bitmap.snapshot(),
+            npackets=self.npackets,
             epoch=self.epoch,
         )
         if self.telemetry.enabled:

@@ -10,11 +10,12 @@ are the losing strategies the ablation bench contrasts it with.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Protocol
 
 from repro.core.bitmap import PacketBitmap
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 
 class Scheduler(Protocol):
@@ -27,7 +28,7 @@ class Scheduler(Protocol):
     """
 
     #: Times each packet has been transmitted so far.
-    send_count: np.ndarray
+    send_count: "np.ndarray"
 
     def take_batch(
         self, acked: PacketBitmap, size: int
@@ -91,8 +92,11 @@ class CircularScheduler:
         self._send_list: list[int] = [0] * npackets
 
     @property
-    def send_count(self) -> np.ndarray:
-        """Per-packet transmission counts (a copy, for tests and tools)."""
+    def send_count(self) -> "np.ndarray":
+        """Per-packet transmission counts (a NumPy copy, for tests and
+        tools)."""
+        import numpy as np
+
         return np.array(self._send_list, dtype=np.int32)
 
     def next_seq(self, acked: PacketBitmap) -> Optional[int]:
@@ -165,6 +169,8 @@ class SequentialRestartScheduler:
     """
 
     def __init__(self, npackets: int, window: int = 64):
+        import numpy as np
+
         if window < 1:
             raise ValueError("window must be >= 1")
         self.npackets = npackets
@@ -204,10 +210,13 @@ class RandomScheduler:
     acceptable for an ablation, not for production use.
     """
 
-    def __init__(self, npackets: int, rng: Optional[np.random.Generator] = None):
+    def __init__(self, npackets: int, rng=None):
+        import numpy as np
+
         self.npackets = npackets
         self.send_count = np.zeros(npackets, dtype=np.int32)
-        self._rng = rng if rng is not None else np.random.default_rng(0)
+        # A Generator is kept as it is; an int seeds a new one.
+        self._rng = np.random.default_rng(0 if rng is None else rng)
 
     def next_seq(self, acked: PacketBitmap) -> Optional[int]:
         missing = acked.missing_indices()
@@ -221,10 +230,9 @@ class RandomScheduler:
     take_batch = _take_stepwise
 
 
-def make_scheduler(
-    name: str, npackets: int, rng: Optional[np.random.Generator] = None
-) -> Scheduler:
-    """Factory keyed by :attr:`FobsConfig.scheduler`."""
+def make_scheduler(name: str, npackets: int, rng=None) -> Scheduler:
+    """Factory keyed by :attr:`FobsConfig.scheduler`; ``rng`` (a
+    ``Generator`` or an int seed) reaches the ``random`` one alone."""
     if name == "circular":
         return CircularScheduler(npackets)
     if name == "sequential_restart":

@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.core.bitmap import PacketBitmap
 from repro.core.config import FobsConfig
 from repro.core.congestion import CongestionSignal, make_congestion_policy
@@ -77,13 +75,17 @@ class SenderStats:
 
 
 class FobsSender:
-    """Sans-IO FOBS sender for one object transfer."""
+    """Sans-IO FOBS sender for one object transfer.
+
+    ``rng`` (a NumPy ``Generator``, or an int seed it is made from on
+    demand) is drawn from only by the ``random`` ablation scheduler.
+    """
 
     def __init__(
         self,
         config: FobsConfig,
         total_bytes: int,
-        rng: Optional[np.random.Generator] = None,
+        rng=None,
         epoch: int = 0,
         telemetry: TelemetryChannel = NULL_CHANNEL,
     ):
@@ -204,9 +206,10 @@ class FobsSender:
 
         Stale (reordered) ACKs still merge — the bitmap is cumulative,
         so out-of-order delivery can only add information — but they do
-        not feed the progress estimators.
+        not feed the progress estimators.  ``ack`` is for this object's
+        ``npackets`` (the real-socket driver drops any other).
         """
-        newly = self.acked.merge(np.asarray(ack.bitmap))
+        newly = self.acked.merge(ack.bitmap)
         self.stats.acks_processed += 1
         if newly > 0:
             self._progress_time = now
@@ -265,17 +268,18 @@ class FobsSender:
             raise ValueError("rate_bps must be positive when set")
         self.pacing_rate_bps = rate_bps
 
-    def resume_from(self, bitmap: np.ndarray) -> int:
+    def resume_from(self, bitmap) -> int:
         """Pre-acknowledge packets recovered by the RESUME exchange.
 
-        Merges the receiver's journal-reconstructed bitmap into the
+        Merges the receiver's journal-reconstructed bitmap (a packed
+        image, or a bool array — see :meth:`PacketBitmap.merge`) into the
         local acknowledged set before the first batch, so already
         delivered packets are never retransmitted.  Returns how many
         packets were salvaged.  Must be called before sending begins.
         """
         if self.stats.packets_sent:
             raise RuntimeError("resume_from must precede the first batch")
-        salvaged = self.acked.merge(np.asarray(bitmap, dtype=np.bool_))
+        salvaged = self.acked.merge(bitmap)
         self.stats.resumed_packets = salvaged
         self._last_ack_count = self.acked.count
         if self.telemetry.enabled:

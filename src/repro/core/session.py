@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from heapq import heappush
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from repro.core.config import FobsConfig
 from repro.core.packets import (
     COMPLETION_BYTES,
@@ -149,7 +147,7 @@ class FobsTransfer:
         config: Optional[FobsConfig] = None,
         tracer: Optional["Tracer"] = None,
         epoch: int = 0,
-        resume_bitmap: Optional[np.ndarray] = None,
+        resume_bitmap=None,
         journal: Optional["ReceiverJournal"] = None,
         kill_switch: Optional["KillSwitch"] = None,
         telemetry: Optional[EventBus] = None,
@@ -197,7 +195,7 @@ class FobsTransfer:
             # exchange as part of session setup; the real-socket
             # backend carries it on the TCP control connection.)
             self.receiver.stats.resumed_packets = self.receiver.bitmap.merge(
-                np.asarray(resume_bitmap, dtype=np.bool_))
+                resume_bitmap)
             self.sender.resume_from(resume_bitmap)
         # Optional online knob tuning.  The DES owns both endpoints, so
         # the tuner drives all three knobs: pacing rate (sender), ack

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.core.config import FobsConfig
 from repro.server.admission import AdmissionController, AdmissionCounters
 from repro.server.sim import PORT_BASE, PORT_STRIDE, SimObjectServer, SimTransferSpec
@@ -185,7 +183,7 @@ class FleetServer(SimObjectServer):
         self._down = False
         self._retry_rng = net.rng.stream("loadtest:retry")
         self._epochs: dict[int, int] = {}
-        self._resume_bitmaps: dict[int, np.ndarray] = {}
+        self._resume_bitmaps: dict[int, bytes] = {}
         self._attempts: dict[int, int] = {}
         self._retired_counters: list[AdmissionCounters] = []
         self._storm_pending: set[int] = set()

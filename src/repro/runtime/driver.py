@@ -37,8 +37,6 @@ import time
 import zlib
 from typing import Callable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from repro.core.journal import ReceiverJournal
 from repro.core.manifest import (
     VERIFY_READ_BYTES,
@@ -110,15 +108,25 @@ class FaultySend:
         self.drop_rate = drop_rate
         self.corrupt_rate = corrupt_rate
         self.kill = kill
-        self._drop_rng = np.random.default_rng(seed + 1)
-        self._corrupt_rng = np.random.default_rng(seed + 2)
+        # Made before the first draw: a FaultySend that only kills
+        # needs no NumPy.
+        self._seed = seed
+        self._drop_rng = self._corrupt_rng = None
         #: Datagrams this endpoint has sent (dropped ones included: the
         #: network lost them, the endpoint did send them).
         self.sent = 0
 
+    def _rngs(self) -> None:
+        import numpy as np
+
+        self._drop_rng = np.random.default_rng(self._seed + 1)
+        self._corrupt_rng = np.random.default_rng(self._seed + 2)
+
     def __call__(self, train: Sequence) -> int:
         """Judge ``train`` datagram by datagram; each that survives
         leaves as a train of its own."""
+        if self._drop_rng is None and (self.drop_rate or self.corrupt_rate):
+            self._rngs()
         for taken, view in enumerate(train):
             if self.kill is not None and self.kill.should_fire(self.sent):
                 self.kill.fire(time.monotonic())
@@ -187,7 +195,9 @@ class SendDriver:
         Callers push in *every* datagram queued on their socket before
         the next :meth:`step`, so a stale bitmap never steers packet
         selection.  Damaged, stale-session and undecodable datagrams
-        only move their counters.
+        only move their counters.  The CRC covers the bitmap alone, so
+        an ACK whose header names another number of packets is counted
+        as damaged too, before the sender sees it.
         """
         sender = self.sender
         try:
@@ -202,6 +212,9 @@ class SendDriver:
         except ValueError:
             # No acknowledgement at all (a stray datagram on the port).
             self.undecodable += 1
+            return
+        if ack.npackets != sender.npackets:
+            sender.on_corrupt_ack()
             return
         sender.on_ack(ack, now)
         if ack.ack_id > self._ack_id:
@@ -523,8 +536,8 @@ class PartFile:
         self.vstats = VerifyStats(
             mode="manifest" if manifest is not None else "crc32")
         self.journal: Optional[ReceiverJournal] = None
-        #: Journal-recovered (and audited) bitmap, or None.
-        self.resume_bitmap: Optional[np.ndarray] = None
+        #: Journal-recovered (and audited) bitmap's packed image, or None.
+        self.resume_bitmap: Optional[bytes] = None
         self.fault: Optional[str] = None
         self._fh = None
         #: Where the last ``write_at`` left the file position; None once
@@ -544,10 +557,9 @@ class PartFile:
                 # Pre-size it so writes at any offset land.
                 self._fh.truncate(filesize)
             elif manifest is not None and self.journal.bitmap.count:
-                claimed = np.flatnonzero(self.journal.bitmap.array)
-                self._verify("resume", claimed.tolist())
+                self._verify("resume", self.journal.bitmap.received())
             if replay is not None:
-                self.resume_bitmap = self.journal.bitmap.array
+                self.resume_bitmap = self.journal.bitmap.snapshot()
         except OSError as exc:
             self.fault = storage_fault(channel, "part-open", exc)
             self.close()
@@ -619,8 +631,8 @@ class PartFile:
         if not crc_ok:
             stats.chunks_corrupt = 1
             stats.bytes_demoted = nread
-            claimed = np.flatnonzero(self.journal.bitmap.array)
-            stats.ranges_demoted = len(corrupt_ranges(claimed.tolist()))
+            claimed = self.journal.bitmap.received()
+            stats.ranges_demoted = len(corrupt_ranges(claimed))
             self._demote(claimed)
         self._record(stats, -(-nread // self.packet_size))
         return crc_ok
@@ -637,12 +649,11 @@ class PartFile:
         bad = manifest.verify_file(self._fh, seqs)
         stats.chunks_checked = (manifest.npackets if seqs is None
                                 else len(seqs))
-        stats.chunks_corrupt = int(bad.size)
-        if bad.size:
-            stats.corrupt_seqs = [int(s) for s in bad]
-            stats.ranges_demoted = len(corrupt_ranges(stats.corrupt_seqs))
-            stats.bytes_demoted = int(sum(
-                manifest.chunk_length(int(s)) for s in bad))
+        stats.chunks_corrupt = len(bad)
+        if bad:
+            stats.corrupt_seqs = bad
+            stats.ranges_demoted = len(corrupt_ranges(bad))
+            stats.bytes_demoted = sum(map(manifest.chunk_length, bad))
             self._demote(bad)
         stats.duration = max(time.monotonic() - t0, 1e-9)
         self._record(stats, stats.chunks_corrupt)

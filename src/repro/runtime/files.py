@@ -44,8 +44,6 @@ from typing import TYPE_CHECKING, Generator, Optional
 if TYPE_CHECKING:  # pragma: no cover
     from repro.tuning import TuningConfig
 
-import numpy as np
-
 from repro.core.config import FobsConfig
 from repro.core.manifest import ChunkManifest, ManifestCorrupt
 from repro.core.receiver import FobsReceiver
@@ -158,8 +156,8 @@ def _send_attempt(
     ack_sock.bind(("0.0.0.0", 0))
     ack_sock.setblocking(False)
     data_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sender = FobsSender(config, len(data), rng=np.random.default_rng(0),
-                        epoch=epoch, telemetry=sender_tel)
+    sender = FobsSender(config, len(data), epoch=epoch,
+                        telemetry=sender_tel)
     if channel.enabled:
         channel.emit(EV_TRANSFER_START, nbytes=len(data),
                      npackets=sender.npackets,
@@ -431,7 +429,8 @@ def accept_offer(
     session = wire.SessionContext(offer.transfer_id, offer.epoch)
     driver = RecvDriver(receiver, part.write_at, session, part.channel)
     return driver, wire.encode_resume(
-        offer.transfer_id, offer.epoch, data_port, receiver.bitmap.snapshot())
+        offer.transfer_id, offer.epoch, data_port, receiver.bitmap.snapshot(),
+        receiver.npackets)
 
 
 def attempt_config_for(offer: wire.Offer, base: Optional[FobsConfig]) -> FobsConfig:

@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 from types import GeneratorType
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
-import numpy as np
-
 from repro.core.config import FobsConfig
 from repro.core.journal import ReceiverJournal
 
@@ -71,8 +69,9 @@ class RetryPolicy:
         if self.max_delay <= 0:
             raise ValueError("max_delay must be positive")
 
-    def delay(self, retry_index: int, rng: np.random.Generator) -> float:
-        """Backoff before retry ``retry_index`` (0 = first retry)."""
+    def delay(self, retry_index: int, rng) -> float:
+        """Backoff before retry ``retry_index`` (0 = first retry);
+        ``rng`` (a NumPy ``Generator``) draws the jitter."""
         base = self.backoff_base * self.backoff_factor ** retry_index
         if self.jitter:
             base *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
@@ -193,7 +192,8 @@ class TransferSupervisor:
     ):
         self.policy = policy if policy is not None else RetryPolicy()
         self._sleep = sleep
-        self._rng = np.random.default_rng(self.policy.seed)
+        # The jitter's generator, made at the first retry.
+        self._rng = None
 
     def run(self, attempt_fn: AttemptFn, npackets: int = 0) -> SupervisedResult:
         """Retry ``attempt_fn`` until success or the attempts budget,
@@ -222,6 +222,10 @@ class TransferSupervisor:
         for attempt in range(self.policy.max_attempts):
             backoff = 0.0
             if attempt > 0:
+                if self._rng is None:
+                    import numpy as np
+
+                    self._rng = np.random.default_rng(self.policy.seed)
                 backoff = self.policy.delay(attempt - 1, self._rng)
                 total_backoff += backoff
                 until, left = time.monotonic() + backoff, backoff
@@ -323,7 +327,7 @@ def run_resumable_fobs_transfer(
         journal, replay = ReceiverJournal.open(
             journal_path, transfer_id, nbytes, config.packet_size,
             flush_every=flush_every)
-        resume = replay.bitmap.array if replay is not None else None
+        resume = replay.bitmap.snapshot() if replay is not None else None
         transfer = FobsTransfer(
             make_net(attempt), nbytes, config, epoch=epoch,
             resume_bitmap=resume, journal=journal,

@@ -43,8 +43,6 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Callable, Generator, Iterator, Optional,
                     Sequence)
 
-import numpy as np
-
 from repro.core.config import FobsConfig
 from repro.core.receiver import FobsReceiver
 from repro.core.sender import FobsSender
@@ -476,6 +474,8 @@ def run_loopback_transfer(
     config = config if config is not None else FobsConfig(ack_frequency=32)
     wire.check_npackets(config.npackets(nbytes))
     if data is None:
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 256, size=nbytes, dtype=np.uint8).tobytes()
     elif len(data) != nbytes:
@@ -483,7 +483,7 @@ def run_loopback_transfer(
 
     session = wire.SessionContext(0)
     receiver = FobsReceiver(config, nbytes)
-    sender = FobsSender(config, nbytes, rng=np.random.default_rng(seed))
+    sender = FobsSender(config, nbytes, rng=seed)
     buffer = bytearray(nbytes)
     deadline = time.monotonic() + timeout
 

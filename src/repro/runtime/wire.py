@@ -9,7 +9,8 @@ All integers are big-endian (network order).  Layouts::
                    when checksumming]
     ACK         !IIII ack_id, received_count, npackets, checksum
                 + !QI transfer_id, epoch (the session extension)
-                + packed bitmap (1 bit per packet, numpy packbits order)
+                + packed bitmap (1 bit per packet, MSB first: packet 0
+                  is the top bit of the first byte)
 
 The TCP control frames (PROTOCOL.md §3.3) are one table,
 :data:`CONTROL_FRAMES`, decoded by one :class:`ControlDecoder`.
@@ -46,8 +47,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
+from repro.core.bitmap import canonical_image
 from repro.core.manifest import max_manifest_bytes
 from repro.core.packets import AckPacket, DataPacket
 
@@ -486,11 +486,10 @@ def encode_ack(
     The header's fourth word carries the bitmap CRC32 when checksumming
     (zero otherwise, matching the original reserved field).
     """
-    packed = np.packbits(np.asarray(ack.bitmap)).tobytes()
-    crc = zlib.crc32(packed) if checksum else 0
+    crc = zlib.crc32(ack.bitmap) if checksum else 0
     return _ACK_SESSION_HDR.pack(
         ack.ack_id, ack.received_count, ack.npackets, crc,
-        session.transfer_id, session.epoch) + packed
+        session.transfer_id, session.epoch) + ack.bitmap
 
 
 def check_npackets(npackets: int) -> None:
@@ -509,22 +508,22 @@ def decode_ack(
     session: SessionContext,
 ) -> AckPacket:
     """Parse an acknowledgement datagram, verifying its ``session``
-    extension and the bitmap CRC."""
+    extension and the bitmap CRC.  The bitmap comes back as the packed
+    image, its padding bits cleared."""
     if len(datagram) < _ACK_HDR.size:
         raise ValueError("datagram shorter than ack header")
     ack_id, received_count, npackets, crc = _ACK_HDR.unpack_from(datagram)
     epoch = _check_session(datagram, _ACK_HDR.size, session, "ack")
     offset = _ACK_SESSION_HDR.size
-    packed = np.frombuffer(datagram, dtype=np.uint8, offset=offset)
     expected = -(-npackets // 8)
-    if packed.shape[0] < expected:
+    if len(datagram) - offset < expected:
         raise ValueError("ack bitmap truncated")
-    packed = packed[:expected]
+    packed = bytes(datagram[offset:offset + expected])
     if checksum and zlib.crc32(packed) != crc:
         raise ChecksumError("ack bitmap failed CRC32 verification")
-    bits = np.unpackbits(packed, count=npackets).view(np.bool_)
     return AckPacket(ack_id=ack_id, received_count=received_count,
-                     bitmap=bits, epoch=epoch)
+                     bitmap=canonical_image(packed, npackets),
+                     npackets=npackets, epoch=epoch)
 
 
 # ----------------------------------------------------------------------
@@ -603,23 +602,22 @@ class ResumeInfo:
     """The receiver's RESUME reply to a session offer.
 
     Carries the attempt identity, the UDP data port for this attempt,
-    and the receiver's journal-reconstructed bitmap (all-zero on a
-    fresh transfer) whose packed encoding is CRC32-protected — the
-    sender merges it to skip every already-delivered packet.
+    and the packed image (see :class:`~repro.core.packets.AckPacket`) of
+    the receiver's journal-reconstructed bitmap over ``npackets``
+    packets — all-zero on a fresh transfer, CRC32-protected on the
+    wire — which the sender merges to skip every already-delivered
+    packet.
     """
 
     transfer_id: int
     epoch: int
     data_port: int
-    bitmap: np.ndarray
-
-    @property
-    def npackets(self) -> int:
-        return int(self.bitmap.shape[0])
+    bitmap: bytes
+    npackets: int
 
     @property
     def packets_recovered(self) -> int:
-        return int(np.count_nonzero(self.bitmap))
+        return int.from_bytes(self.bitmap, "big").bit_count()
 
 
 @dataclass(frozen=True)
@@ -693,15 +691,15 @@ def encode_offer(offer: Offer) -> bytes:
 
 
 def encode_resume(
-    transfer_id: int, epoch: int, data_port: int, bitmap: np.ndarray
+    transfer_id: int, epoch: int, data_port: int, bitmap: bytes,
+    npackets: int,
 ) -> bytes:
-    """Serialize the RESUME reply (receiver → sender, TCP)."""
-    bits = np.asarray(bitmap, dtype=np.bool_)
-    packed = np.packbits(bits).tobytes()
+    """Serialize the RESUME reply (receiver → sender, TCP): ``bitmap``
+    is the packed image of ``npackets`` packets."""
     return _RESUME_HDR.pack(
-        RESUME_MAGIC, transfer_id, epoch, data_port,
-        int(bits.shape[0]), zlib.crc32(packed),
-    ) + packed
+        RESUME_MAGIC, transfer_id, epoch, data_port, npackets,
+        zlib.crc32(bitmap),
+    ) + bitmap
 
 
 def encode_verify(manifest_bytes: bytes) -> bytes:
@@ -776,10 +774,9 @@ def _resume(fields: tuple, packed: bytes) -> ResumeInfo:
     _magic, tid, epoch, data_port, npackets, crc = fields
     if zlib.crc32(packed) != crc:
         raise ChecksumError("resume bitmap failed CRC32 verification")
-    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8),
-                         count=npackets).astype(np.bool_)
     return ResumeInfo(transfer_id=tid, epoch=epoch, data_port=data_port,
-                      bitmap=bits)
+                      bitmap=canonical_image(bytes(packed), npackets),
+                      npackets=npackets)
 
 
 def _refuse_v1_offer(fields: tuple, _body: bytes):

@@ -59,8 +59,6 @@ from typing import TYPE_CHECKING, Generator, Iterator, Optional, TextIO
 if TYPE_CHECKING:  # pragma: no cover
     from repro.tuning import TuningConfig
 
-import numpy as np
-
 from repro.core.config import FobsConfig
 from repro.core.manifest import ChunkManifest
 from repro.core.receiver import FobsReceiver
@@ -706,7 +704,7 @@ class ObjectServer:
         config = replace(self.config, checksum=req.checksum)
         session = wire.SessionContext(key, req.epoch)
         sender = FobsSender(config, len(source),
-                            rng=np.random.default_rng(key & 0xFFFFFFFF),
+                            rng=key & 0xFFFFFFFF,
                             epoch=req.epoch,
                             telemetry=self._transfer_channel(
                                 key, req.epoch, src="sender"))

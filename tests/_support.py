@@ -13,8 +13,10 @@ import struct
 import threading
 import time
 
+import numpy as np
+
 from repro.core.config import FobsConfig
-from repro.core.packets import DataPacket
+from repro.core.packets import AckPacket, DataPacket
 from repro.runtime import wire
 from repro.runtime.transfer import run_endpoints
 from repro.server import ObjectServer
@@ -237,3 +239,21 @@ def decode_burst(datagrams, checksum=False, session=SESSION):
         result[0], result[1], len(result[3]), result[2], session.epoch),
         result[3])
         for result in results], errors
+
+
+def packed(bools) -> bytes:
+    """A bool per packet as the packed image an ACK or RESUME carries
+    (MSB first, padding clear): the reference ``np.packbits``."""
+    return np.packbits(np.asarray(bools, dtype=bool)).tobytes()
+
+
+def ack_of(ack_id, received_count, bools, epoch=0) -> AckPacket:
+    """An :class:`AckPacket` whose bitmap is ``bools``, packed."""
+    return AckPacket(ack_id=ack_id, received_count=received_count,
+                     bitmap=packed(bools), npackets=len(bools), epoch=epoch)
+
+
+def unpacked(image, npackets):
+    """A packed image back to one bool per packet (``np.unpackbits``)."""
+    return np.unpackbits(np.frombuffer(image, dtype=np.uint8),
+                         count=npackets).astype(bool)

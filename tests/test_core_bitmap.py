@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from _support import unpacked
 from repro.core.bitmap import PacketBitmap
 
 
@@ -100,9 +101,10 @@ class TestSnapshotAndWire:
         bm.mark(0)
         snap = bm.snapshot()
         bm.mark(1)
-        assert snap[0] and not snap[1]
-        with pytest.raises(ValueError):
-            snap[2] = True
+        bits = unpacked(snap, 5)
+        assert bits[0] and not bits[1]
+        with pytest.raises(TypeError):
+            snap[0] = 0xFF
 
     def test_array_view_read_only(self):
         bm = PacketBitmap(5)
@@ -214,12 +216,150 @@ class TestFlagsAndArrayAreOneMemory:
         bm.mark(1)
         snap = bm.snapshot()
         bm.mark(2)
-        assert snap.tolist() == [False, True, False, False]
-        with pytest.raises(ValueError):
-            snap[0] = True
+        assert unpacked(snap, 4).tolist() == [False, True, False, False]
+        with pytest.raises(TypeError):
+            snap[0] = 0xFF
 
     def test_array_stays_read_only(self):
         bm = PacketBitmap(4)
         with pytest.raises(ValueError):
             bm.array[0] = True
         assert bm.count == 0 and bm.flags[0] == 0
+
+
+# ----------------------------------------------------------------------
+# Differential: the flags and the packed image against a NumPy model
+# ----------------------------------------------------------------------
+def _image_of_runs(npackets, runs):
+    bits = np.zeros(npackets, dtype=np.bool_)
+    for start, count in runs:
+        bits[start:start + count] = True
+    return np.packbits(bits).tobytes()
+
+
+def _with_padding(image, npackets):
+    """``image`` with every padding bit of its last byte set."""
+    pad = len(image) * 8 - npackets
+    return image[:-1] + bytes((image[-1] | ((1 << pad) - 1),))
+
+
+@st.composite
+def _bitmap_programs(draw):
+    npackets = draw(st.one_of(st.integers(1, 70), st.sampled_from([8192, 8193])))
+    nbytes = -(-npackets // 8)
+    seq = st.integers(0, npackets - 1)
+    image = st.one_of(
+        st.binary(min_size=nbytes, max_size=nbytes),
+        st.lists(st.tuples(seq, st.integers(1, 80)), max_size=24).map(
+            lambda runs: _image_of_runs(
+                npackets, [(s, min(c, npackets - s)) for s, c in runs])),
+    )
+    image = st.tuples(image, st.booleans()).map(
+        lambda pair: _with_padding(pair[0], npackets) if pair[1] else pair[0])
+    op = st.one_of(
+        st.tuples(st.just("mark"), seq),
+        st.tuples(st.just("mark_range"), seq, st.integers(1, 200)),
+        st.tuples(st.just("clear"), seq),
+        st.tuples(st.just("demote"), st.lists(seq, max_size=12)),
+        st.tuples(st.just("merge"), image),
+        st.tuples(st.just("merge_bools"), image),
+    )
+    return npackets, draw(st.lists(op, max_size=25))
+
+
+def _reference(ref, op):
+    """What ``op`` does to the bool array ``ref``; what it returns."""
+    name, arg = op[0], op[1]
+    n = ref.shape[0]
+    if name == "mark":
+        was = bool(ref[arg])
+        ref[arg] = True
+        return not was
+    if name == "mark_range":
+        count = min(op[2], n - arg)
+        added = count - int(ref[arg:arg + count].sum())
+        ref[arg:arg + count] = True
+        return added
+    if name == "clear":
+        was = bool(ref[arg])
+        ref[arg] = False
+        return was
+    if name == "demote":
+        was = {seq for seq in arg if ref[seq]}
+        ref[list(arg)] = False
+        return len(was)
+    other = np.unpackbits(np.frombuffer(arg, dtype=np.uint8), count=n)
+    other = other.astype(np.bool_)
+    added = int((other & ~ref).sum())
+    ref |= other
+    return added
+
+
+def _apply(bm, op):
+    name, arg = op[0], op[1]
+    if name == "mark_range":
+        return bm.mark_range(arg, min(op[2], bm.npackets - arg))
+    if name == "merge_bools":
+        return bm.merge(np.unpackbits(np.frombuffer(arg, dtype=np.uint8),
+                                      count=bm.npackets).astype(np.bool_))
+    return getattr(bm, name)(arg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bitmap_programs())
+def test_property_flags_count_and_image_follow_a_numpy_model(program):
+    """After every ``mark``/``mark_range``/``clear``/``demote``/``merge``
+    (of an image — random, of many runs, padding bits set — or of a bool
+    array): the same return value, flags, count, and a snapshot that is
+    ``np.packbits`` of the flags; and the ACK and RESUME codecs carry
+    that image unchanged."""
+    from repro.core.packets import AckPacket
+    from repro.runtime import wire
+
+    npackets, ops = program
+    bm, ref = PacketBitmap(npackets), np.zeros(npackets, dtype=np.bool_)
+    for op in ops:
+        assert _apply(bm, op) == _reference(ref, op), op[0]
+        assert bytes(bm.flags) == ref.astype(np.uint8).tobytes()
+        assert bm.count == int(ref.sum())
+        assert bm.snapshot() == np.packbits(ref).tobytes()
+    image = bm.snapshot()
+    session = wire.SessionContext(0x5E55, 2)
+    ack = AckPacket(ack_id=1, received_count=bm.count, bitmap=image,
+                    npackets=npackets, epoch=2)
+    for checksum in (False, True):
+        decoded = wire.decode_ack(
+            wire.encode_ack(ack, checksum, session=session), checksum,
+            session=session)
+        assert (decoded.bitmap, decoded.npackets) == (image, npackets)
+    resume = wire.decode_resume(wire.encode_resume(7, 2, 40002, image,
+                                                   npackets))
+    assert (resume.bitmap, resume.npackets) == (image, npackets)
+    assert resume.packets_recovered == bm.count
+    assert PacketBitmap.from_bytes(image, npackets).flags == bm.flags
+    assert list(bm.runs()) == _runs_of(ref)
+
+
+def _runs_of(bits):
+    padded = np.concatenate(([False], bits, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return [(int(s), int(e - s)) for s, e in zip(edges[::2], edges[1::2])]
+
+
+@pytest.mark.parametrize("npackets", [1, 7, 9, 8193])
+def test_the_codecs_clear_padding_bits_an_image_arrives_with(npackets):
+    from repro.core.packets import AckPacket
+    from repro.runtime import wire
+
+    clean = _image_of_runs(npackets, [(0, 1)])
+    padded = _with_padding(clean, npackets)
+    session = wire.SessionContext(1)
+    ack = AckPacket(ack_id=0, received_count=1, bitmap=padded,
+                    npackets=npackets)
+    decoded = wire.decode_ack(wire.encode_ack(ack, True, session=session),
+                              True, session=session)
+    assert decoded.bitmap == clean
+    resume = wire.decode_resume(wire.encode_resume(1, 0, 1, padded, npackets))
+    assert resume.bitmap == clean and resume.packets_recovered == 1
+    bm = PacketBitmap(npackets)
+    assert bm.merge(padded) == 1 and bm.snapshot() == clean

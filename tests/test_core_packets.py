@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _support import ack_of
 from repro.core.packets import (
     ACK_HEADER_BYTES,
     AckPacket,
@@ -33,7 +34,7 @@ class TestAckPacket:
     def make(self, n=20):
         bm = np.zeros(n, dtype=np.bool_)
         bm[:5] = True
-        return AckPacket(ack_id=1, received_count=5, bitmap=bm)
+        return ack_of(1, 5, bm)
 
     def test_wire_size_one_bit_per_packet(self):
         ack = self.make(20)
@@ -41,13 +42,17 @@ class TestAckPacket:
 
     def test_bitmap_frozen_on_construction(self):
         ack = self.make()
-        with pytest.raises(ValueError):
-            ack.bitmap[0] = False
+        with pytest.raises(TypeError):
+            ack.bitmap[0] = 0
 
     def test_non_bool_bitmap_rejected(self):
+        """A bitmap that is not the image of ``npackets`` packets."""
         with pytest.raises(ValueError):
-            AckPacket(ack_id=0, received_count=0,
-                      bitmap=np.zeros(4, dtype=np.int32))
+            AckPacket(ack_id=0, received_count=0, bitmap=bytes(2),
+                      npackets=4)
+        with pytest.raises(ValueError):
+            AckPacket(ack_id=0, received_count=0, bitmap=bytes(1),
+                      npackets=9)
 
     def test_npackets(self):
         assert self.make(20).npackets == 20

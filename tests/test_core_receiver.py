@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _support import unpacked
 from repro.core.config import FobsConfig
 from repro.core.receiver import FobsReceiver
 
@@ -42,7 +43,8 @@ class TestAckTriggering:
         r = FobsReceiver(FobsConfig(ack_frequency=2), 4 * 1024)
         r.on_data(3, 0.1)
         ack = r.on_data(1, 0.2)
-        assert list(ack.bitmap) == [False, True, False, True]
+        assert unpacked(ack.bitmap, 4).tolist() == [False, True, False, True]
+        assert ack.npackets == 4
 
 
 class TestCompletion:
@@ -170,7 +172,7 @@ def test_property_on_train_equals_folding_on_data(run):
         assert (type(error), str(error)) == (type(ref_error), str(ref_error))
         assert receiver_state(ours) == receiver_state(ref)
         if error is None:
-            assert [(a.ack_id, a.received_count, a.bitmap.tolist(), a.epoch)
-                    for a in acks] == [
-                (a.ack_id, a.received_count, a.bitmap.tolist(), a.epoch)
+            assert [(a.ack_id, a.received_count, a.bitmap, a.npackets,
+                     a.epoch) for a in acks] == [
+                (a.ack_id, a.received_count, a.bitmap, a.npackets, a.epoch)
                 for a in ref_acks]

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _support import stepwise
+from _support import ack_of, stepwise
 from repro.core.config import FobsConfig
-from repro.core.packets import AckPacket
 from repro.core.scheduling import CircularScheduler
 from repro.core.sender import FobsSender
 
@@ -17,7 +16,7 @@ from repro.core.sender import FobsSender
 def make_ack(sender, seqs, ack_id=0):
     bm = np.zeros(sender.npackets, dtype=np.bool_)
     bm[list(seqs)] = True
-    return AckPacket(ack_id=ack_id, received_count=len(seqs), bitmap=bm)
+    return ack_of(ack_id, len(seqs), bm)
 
 
 class TestBatches:

@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 
 from repro.core.config import FobsConfig
-from repro.core.packets import AckPacket, DataPacket
+from repro.core.packets import DataPacket
 from repro.core.session import FobsTransfer
 from repro.runtime import wire
 from repro.simnet import FaultSchedule, Tracer, install_faults
 
-from _support import SESSION, tiny_path
+from _support import SESSION, ack_of, tiny_path, unpacked
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -125,13 +125,13 @@ class TestWireProperties:
            ack_id=st.integers(0, 2**31 - 1))
     def test_ack_round_trip(self, bits, ack_id):
         bitmap = np.asarray(bits, dtype=np.bool_)
-        ack = AckPacket(ack_id=ack_id, received_count=int(bitmap.sum()),
-                        bitmap=bitmap)
+        ack = ack_of(ack_id, int(bitmap.sum()), bitmap)
         decoded = wire.decode_ack(
             wire.encode_ack(ack, checksum=True, session=SESSION),
             checksum=True, session=SESSION)
         assert decoded.ack_id == ack_id
-        assert np.array_equal(decoded.bitmap, bitmap)
+        assert np.array_equal(unpacked(decoded.bitmap, decoded.npackets),
+                              bitmap)
 
     @settings(max_examples=50, deadline=None)
     @given(bits=st.lists(st.booleans(), min_size=8, max_size=400),
@@ -140,8 +140,7 @@ class TestWireProperties:
         """A flipped byte either raises or leaves the decoded bitmap
         intact (the CRC covers the bitmap, the payload that matters)."""
         bitmap = np.asarray(bits, dtype=np.bool_)
-        ack = AckPacket(ack_id=7, received_count=int(bitmap.sum()),
-                        bitmap=bitmap)
+        ack = ack_of(7, int(bitmap.sum()), bitmap)
         datagram = bytearray(wire.encode_ack(ack, checksum=True, session=SESSION))
         pos = flip % len(datagram)
         delta = data.draw(st.integers(1, 255))
@@ -155,9 +154,10 @@ class TestWireProperties:
         # never fabricate a "received" bit: a false positive would make
         # the sender skip a packet forever, a false negative merely
         # re-sends one.
-        n = min(decoded.bitmap.shape[0], bitmap.shape[0])
-        assert np.array_equal(decoded.bitmap[:n], bitmap[:n])
-        assert not decoded.bitmap[n:].any()
+        got = unpacked(decoded.bitmap, decoded.npackets)
+        n = min(got.shape[0], bitmap.shape[0])
+        assert np.array_equal(got[:n], bitmap[:n])
+        assert not got[n:].any()
 
     def test_fallback_format_is_byte_identical(self):
         """checksum=False is the checksummed format without its trailer,
@@ -166,8 +166,7 @@ class TestWireProperties:
         plain = wire.encode_data(pkt, b"abc", checksum=False, session=SESSION)
         summed = wire.encode_data(pkt, b"abc", checksum=True, session=SESSION)
         assert summed[:-wire.CHECKSUM_TRAILER_BYTES] == plain
-        bitmap = np.asarray([True, False, True, False])
-        ack = AckPacket(ack_id=0, received_count=2, bitmap=bitmap)
+        ack = ack_of(0, 2, [True, False, True, False])
         plain_ack = wire.encode_ack(ack, checksum=False, session=SESSION)
         summed_ack = wire.encode_ack(ack, checksum=True, session=SESSION)
         # Only the formerly reserved fourth header word differs.

@@ -229,7 +229,7 @@ class TestFastPathIsTheCheckChunkFold:
                 seq, stored[seq * packet_size:(seq + 1) * packet_size]))
         # Windows of one chunk, of a few, and of everything at once.
         with mock.patch.object(module, "VERIFY_READ_BYTES", window):
-            assert m.verify_blob(stored, seqs).tolist() == expected
+            assert m.verify_blob(stored, seqs) == expected
 
     def test_a_seq_outside_the_object_is_an_error_not_a_pass(self):
         m = ChunkManifest.from_data(blob(), PACKET_SIZE)

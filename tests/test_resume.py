@@ -36,7 +36,7 @@ from repro.runtime.supervisor import (
 from repro.runtime.transfer import run_endpoints
 from repro.simnet.faults import KillSwitch
 
-from _support import tiny_path
+from _support import ack_of, tiny_path
 
 NBYTES = 400_000
 
@@ -498,7 +498,7 @@ class TestStaleEpoch:
         current = wire.SessionContext(transfer_id=7, epoch=2)
         stale = wire.SessionContext(transfer_id=7, epoch=1)
         foreign = wire.SessionContext(transfer_id=8, epoch=2)
-        from repro.core.packets import AckPacket, DataPacket
+        from repro.core.packets import DataPacket
 
         pkt = DataPacket(seq=0, total=4, payload_bytes=4, transmission=0)
         for bad, exc in ((stale, wire.StaleEpochError),
@@ -507,8 +507,7 @@ class TestStaleEpoch:
                                         session=bad)
             with pytest.raises(exc):
                 wire.decode_data(datagram, checksum=True, session=current)
-        ack = AckPacket(ack_id=0, received_count=1,
-                        bitmap=np.array([True, False, False, False]))
+        ack = ack_of(0, 1, [True, False, False, False])
         with pytest.raises(wire.StaleEpochError):
             wire.decode_ack(wire.encode_ack(ack, session=stale),
                             session=current)

@@ -18,6 +18,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.config import FobsConfig
 from repro.core.journal import ReceiverJournal
@@ -41,7 +42,7 @@ from repro.runtime.transfer import MAX_WAIT, Endpoint, run_endpoints
 from repro.simnet.faults import KillSwitch
 from repro.telemetry import EV_STORAGE_FAULT, EventBus, RingBufferSink
 
-from _support import SESSION
+from _support import SESSION, unpacked
 
 PSIZE = 64
 
@@ -252,6 +253,41 @@ class TestSendDriver:
         drv.on_ack_datagram(b"\x00\x01", 0.0)
         assert drv.undecodable == 1 and stats.acks_processed == 1
 
+    def test_an_ack_for_another_number_of_packets_is_counted_damaged(self):
+        """The CRC covers the bitmap alone, so an ACK whose ``npackets``
+        word is 1-7 off still decodes.  It is dropped and counted as a
+        damaged ACK; it used to raise out of the caller's loop, and one
+        such datagram ended ``repro serve``."""
+        config = cfg()
+        drv = make_sender(config, blob(16), Wire())
+        good = ack_for(config, 16, [0, 1, 2])
+        for npackets in range(9, 16):  # the same 2-byte image as 16's
+            forged = bytearray(good)
+            forged[8:12] = npackets.to_bytes(4, "big")
+            drv.on_ack_datagram(bytes(forged), 0.0)
+        stats = drv.sender.stats
+        assert (stats.acks_corrupt, stats.acks_processed) == (7, 0)
+        assert drv.sender.acked.count == 0 and drv.undecodable == 0
+        drv.on_ack_datagram(good, 0.0)
+        assert drv.sender.acked.count == 3 and stats.acks_processed == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_one_changed_byte_in_an_ack_never_raises(self, data):
+        """Whatever byte of an ACK datagram is changed, pushing it in
+        only moves a counter or merges what the receiver had."""
+        config = cfg(checksum=data.draw(st.booleans()))
+        drv = make_sender(config, blob(16), Wire())
+        raw = bytearray(ack_for(config, 16, [0, 1, 2]))
+        raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(
+            st.integers(1, 255))
+        drv.on_ack_datagram(bytes(raw), 0.0)
+        stats = drv.sender.stats
+        assert (stats.acks_processed + stats.acks_corrupt
+                + stats.stale_epoch_acks + drv.undecodable) == 1
+        if stats.acks_processed and config.checksum:
+            assert drv.sender.acked.count == 3
+
     def test_completion_ends_the_loop(self):
         out = Wire()
         drv = make_sender(cfg(), blob(16), out)
@@ -421,7 +457,7 @@ class TestPartFile:
             assert fh.read() == b"\x01" * PSIZE + bytes(nbytes - PSIZE)
         # Now a journal claims packet 0: reopened in place, bytes kept.
         part = PartFile(out, nbytes, PSIZE, crc=0, transfer_id=9)
-        assert part.resume_bitmap.tolist() == [True] + [False] * 7
+        assert unpacked(part.resume_bitmap, 8).tolist() == [True] + [False] * 7
         part.close()
         with open(out + ".part", "rb") as fh:
             assert fh.read(PSIZE) == b"\x01" * PSIZE

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.packets import AckPacket, DataPacket
+from _support import ack_of
+from repro.core.packets import DataPacket
 from repro.runtime import wire
 
 SESSION = wire.SessionContext(0x5E55)
@@ -50,7 +51,7 @@ class TestAckRoundtrip:
     def make(self, n, marked):
         bm = np.zeros(n, dtype=np.bool_)
         bm[list(marked)] = True
-        return AckPacket(ack_id=3, received_count=len(marked), bitmap=bm)
+        return ack_of(3, len(marked), bm)
 
     def test_roundtrip(self):
         ack = self.make(20, [0, 7, 19])
@@ -58,7 +59,7 @@ class TestAckRoundtrip:
                                   session=SESSION)
         assert decoded.ack_id == 3
         assert decoded.received_count == 3
-        assert np.array_equal(decoded.bitmap, ack.bitmap)
+        assert decoded.bitmap == ack.bitmap and decoded.npackets == 20
 
     def test_truncated_bitmap_rejected(self):
         raw = wire.encode_ack(self.make(100, [5]), session=SESSION)
@@ -71,7 +72,7 @@ class TestAckRoundtrip:
         ack = self.make(n, marked)
         decoded = wire.decode_ack(wire.encode_ack(ack, session=SESSION),
                                   session=SESSION)
-        assert np.array_equal(decoded.bitmap, ack.bitmap)
+        assert decoded.bitmap == ack.bitmap and decoded.npackets == n
 
 
 class TestCompletion:

@@ -19,6 +19,7 @@ import pytest
 import _support
 from _support import after, free_port, raw_offer
 from repro.core.config import FobsConfig
+from repro.core.packets import AckPacket
 from repro.runtime import transfer, wire
 from repro.runtime.files import (
     receive_endpoint,
@@ -30,7 +31,7 @@ from repro.runtime.files import (
 from repro.runtime.driver import ObjectFile
 from repro.runtime.transfer import SEND_BATCH, drain, run_endpoints, udp_offload
 from repro.server import ObjectServer, fetch_endpoint, fetch_file
-from repro.server.registry import RECEIVING
+from repro.server.registry import RECEIVING, SENDING
 
 pytestmark = pytest.mark.loopback
 
@@ -363,6 +364,54 @@ class TestOneLoop:
         assert running.server.admission.counters.admitted == 1
 
 
+class TestForgedAck:
+    def test_an_ack_naming_another_size_leaves_daemon_and_fetch_running(
+            self, objects, tmp_path):
+        """The ACK CRC covers the bitmap alone, so an ACK carrying a live
+        fetch's transfer id and epoch but ``npackets`` one short decodes.
+        It is counted as a damaged ACK: the fetch completes, and the
+        daemon serves the next one (it used to leave its loop on a
+        ``ValueError``)."""
+        forged_into = []
+
+        def forge():
+            while True:
+                live = [reg.entry for reg in running.server.registry
+                        if reg.kind == SENDING and reg.entry.driver]
+                if live:
+                    break
+                yield 0.005
+            entry = live[0]
+            sender = entry.sender
+            ack = AckPacket(ack_id=0, received_count=0,
+                            bitmap=bytes(-(-sender.npackets // 8)),
+                            npackets=sender.npackets - 1, epoch=entry.epoch)
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                sock.sendto(wire.encode_ack(
+                    ack, sender.config.checksum,
+                    session=wire.SessionContext(entry.transfer_id,
+                                                entry.epoch)),
+                    ("127.0.0.1", running.server.udp_port))
+            forged_into.append(sender)
+
+        running = RunningServer(objects)
+        first, forger, second = running.run(
+            fetch_endpoint("b.bin", "127.0.0.1", running.port,
+                           str(tmp_path / "b.bin"), config=CONFIG,
+                           timeout=30, rate_cap_bps=int(4e6)),
+            transfer.Endpoint(turns=forge()),
+            after(lambda: forged_into,
+                  fetch_endpoint("c.bin", "127.0.0.1", running.port,
+                                 str(tmp_path / "c.bin"), config=CONFIG,
+                                 timeout=30)))
+        assert first.completed and second.completed
+        assert forged_into[0].stats.acks_corrupt == 1
+        for name in ("b.bin", "c.bin"):
+            assert (tmp_path / name).read_bytes() == (
+                objects / name).read_bytes()
+        assert running.snapshot.completed == 2
+
+
 class TestDrainAndStats:
     def test_drain_finishes_actives_rejects_newcomers(self, objects,
                                                       tmp_path):
@@ -456,7 +505,7 @@ def resume_of_the_wrong_geometry(ctrl) -> bytes:
     offer = wire.read_frame(ctrl, wire.ControlDecoder())
     assert offer.npackets == 293
     resume = wire.encode_resume(offer.transfer_id, offer.epoch, 40002,
-                                np.zeros(8, dtype=bool))
+                                bytes(1), 8)
     return resume + bytes(28 + 37 - len(resume))
 
 
@@ -528,7 +577,7 @@ class TestMalformedControlFrames:
         make_frames, why = BAD_FRAMES[bad]
         if bad == "resume-wrong-geometry":  # no offer to answer here
             make_frames = lambda _ctrl: wire.encode_resume(  # noqa: E731
-                7, 0, 40002, np.zeros(8, dtype=bool))
+                7, 0, 40002, bytes(1), 8)
             why = "RESUME for 8 packets, None offered"
         src = tmp_path / "src.bin"
         src.write_bytes(os.urandom(90_000))

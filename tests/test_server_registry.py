@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from _support import packed
 from repro.core.packets import AckPacket, DataPacket
 from repro.runtime import wire
 from repro.server import (
@@ -76,8 +77,8 @@ class TestPeekIntegration:
     def test_ack_datagram_routes_to_sending_entry(self):
         session = wire.SessionContext(transfer_id=0x1234, epoch=3)
         ack = wire.encode_ack(
-            AckPacket(ack_id=0, received_count=10,
-                      bitmap=np.ones(10, dtype=np.bool_)),
+            AckPacket(ack_id=0, received_count=10, bitmap=packed([1] * 10),
+                      npackets=10),
             session=session)
         peeked = wire.peek_session(ack, "ack")
         assert peeked == (0x1234, 3)
@@ -208,8 +209,9 @@ def ack_of(session, count, ack_id):
     bitmap = np.zeros(NPACKETS, dtype=np.bool_)
     bitmap[:count] = True
     return wire.encode_ack(
-        AckPacket(ack_id=ack_id, received_count=count, bitmap=bitmap,
-                  epoch=session.epoch), checksum=True, session=session)
+        AckPacket(ack_id=ack_id, received_count=count, bitmap=packed(bitmap),
+                  npackets=NPACKETS, epoch=session.epoch),
+        checksum=True, session=session)
 
 
 def flipped(datagram, index):

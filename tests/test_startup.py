@@ -26,11 +26,13 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def loaded_after(code: str) -> list:
-    """The ``repro`` modules a fresh interpreter holds after ``code``."""
+    """The ``repro`` modules, and ``numpy`` if it was imported, that a
+    fresh interpreter holds after ``code``."""
     script = textwrap.dedent(code) + textwrap.dedent("""
         import json, sys
         print(json.dumps(sorted(m for m in sys.modules
-                                if m == "repro" or m.startswith("repro."))))
+                                if m in ("repro", "numpy")
+                                or m.startswith("repro."))))
     """)
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
@@ -44,7 +46,7 @@ def test_the_real_socket_commands_load_no_simulator():
     """The daemon, the fetch client, the file session and the CLI's
     parser import none of the DES, TCP, PSockets, the dataset, the
     analysis harness, the fleet, tuning or chaos: of ``repro.simnet``
-    at most the fault plans and the frame constants."""
+    at most the fault plans and the frame constants.  Nor NumPy."""
     loaded = loaded_after("""
         import repro.server.cli, repro.server.daemon, repro.server.client
         import repro.runtime.files
@@ -52,10 +54,68 @@ def test_the_real_socket_commands_load_no_simulator():
     """)
     forbidden = ("repro.core.session", "repro.simnet._evloop", "repro.tcp",
                  "repro.psockets", "repro.analysis", "repro.dataset",
-                 "repro.loadtest", "repro.tuning", "repro.chaos")
+                 "repro.loadtest", "repro.tuning", "repro.chaos", "numpy")
     assert [m for m in loaded if m.startswith(forbidden)] == []
     assert {m for m in loaded if m.startswith("repro.simnet.")} <= {
         "repro.simnet.faults", "repro.simnet.packet"}
+
+
+@pytest.mark.guard
+def test_a_verified_fetch_and_a_resumable_push_run_without_numpy():
+    """With ``import numpy`` made to fail, an in-process daemon serves a
+    verified fetch and a resumable push to completion: the real-socket
+    stack keeps its bitmap, ACKs and RESUMEs as bytes, and makes the
+    random generators it never draws from only on demand."""
+    script = textwrap.dedent("""
+        import os, sys, tempfile
+        sys.modules["numpy"] = None
+        from repro.core.config import FobsConfig
+        from repro.runtime.files import send_endpoint
+        from repro.runtime.transfer import run_endpoints
+        from repro.server import ObjectServer, fetch_endpoint
+
+        root, out = tempfile.mkdtemp(), tempfile.mkdtemp()
+        fetched, pushed = os.urandom(300_000), os.urandom(200_000)
+        with open(os.path.join(root, "a.bin"), "wb") as fh:
+            fh.write(fetched)
+        config = FobsConfig(ack_frequency=16)
+        server = ObjectServer(root, bind="127.0.0.1", config=config)
+        daemon = server.endpoint()
+        clients = [
+            fetch_endpoint("a.bin", "127.0.0.1", server.port,
+                           os.path.join(out, "a.bin"), config=config,
+                           timeout=30, verify=True),
+            send_endpoint(pushed, "127.0.0.1", server.port, config=config,
+                          timeout=30, verify=True)]
+        pending = len(clients)
+
+        def then_drain(turns):
+            global pending
+            try:
+                return (yield from turns)
+            finally:
+                pending -= 1
+                if not pending:
+                    server.request_drain()
+
+        for end in clients:
+            end.turns = then_drain(end.turns)
+        run_endpoints([*clients, daemon])
+        fetch, push = (end.result for end in clients)
+        assert fetch.completed and push.completed, (fetch, push)
+        with open(os.path.join(out, "a.bin"), "rb") as fh:
+            assert fh.read() == fetched
+        (name,) = [p for p in os.listdir(root) if p.startswith("push-")]
+        with open(os.path.join(root, name), "rb") as fh:
+            assert fh.read() == pushed
+        assert server.stats().completed == 2
+        print("ok")
+    """)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]
 
 
 class TestLazyExports:
